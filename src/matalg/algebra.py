@@ -30,11 +30,14 @@ from .exactlin import (
     SpanBuilder,
     Subspace,
     Vector,
+    _combination,
+    _joint_kernel,
+    _residual,
     full_space,
     null_space,
     rref_basis,
+    solve_linear,
     subspace_contains,
-    subspace_intersect,
     subspace_sum,
     zero_space,
 )
@@ -138,7 +141,6 @@ class MatrixAlgebra:
 
     n: int
     space: Subspace
-    unital: bool = True
 
     @property
     def dimension(self) -> int:
@@ -186,23 +188,18 @@ def algebra_from_basis(
     return algebra
 
 
-def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
-    """Smallest unital subalgebra of M_n containing the generators.
+def _close_under_products(builder: SpanBuilder, generators: Sequence[Matrix]) -> Subspace:
+    """The span of `builder` grown by the generators and all their products.
 
     Fixed-point iteration: adjoin products of spanning pairs until the
-    span stabilizes.  The identity is always adjoined.  Terminates because
-    the dimension strictly increases each round and is bounded by n^2.
+    span stabilizes or fills the ambient space.  Products are formed only
+    among the adjoined matrices, so whatever `builder` held beforehand must
+    add nothing new under products: the identity, or nothing at all.
+    Terminates because the dimension strictly increases each round and is
+    bounded by the ambient dimension.
     """
-    for g in generators:
-        _check_square(g, n)
-    full = n * n
-    builder = SpanBuilder(full)
-    builder.add(Matrix.identity(n).flatten())
-    # The identity is left out of the product lists: its products add nothing.
-    mats: list[Matrix] = []
-    for g in generators:
-        if builder.add(g.flatten()):
-            mats.append(g)
+    full = builder.ambient_dim
+    mats = [g for g in generators if builder.add(g.flatten())]
     frontier = list(mats)
     while frontier and builder.dimension < full:
         fresh: list[Matrix] = []
@@ -215,19 +212,28 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
                     break
             if builder.dimension == full:
                 break
-        if builder.dimension == full:
-            break
         mats.extend(fresh)
         frontier = fresh
-    return MatrixAlgebra(n=n, space=builder.to_subspace())
+    return builder.to_subspace()
+
+
+def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
+    """Smallest unital subalgebra of M_n containing the generators.
+
+    The identity is always adjoined; it is left out of the product lists,
+    since its products add nothing.
+    """
+    for g in generators:
+        _check_square(g, n)
+    builder = SpanBuilder(n * n)
+    builder.add(Matrix.identity(n).flatten())
+    return MatrixAlgebra(n=n, space=_close_under_products(builder, generators))
 
 
 def conjugate(a: MatrixAlgebra, c: Matrix) -> MatrixAlgebra:
     """The algebra {c b c^-1 : b in a}; raises ValueError when c is singular."""
     _check_square(c, a.n)
-    cinv = c.inverse()
-    vecs = [(c * b * cinv).flatten() for b in a.basis_matrices()]
-    return MatrixAlgebra(n=a.n, space=rref_basis(vecs, a.n * a.n))
+    return MatrixAlgebra(n=a.n, space=conjugate_space(a.space, c))
 
 
 def conjugate_space(space: Subspace, c: Matrix) -> Subspace:
@@ -272,15 +278,9 @@ def radical(a: MatrixAlgebra) -> Subspace:
             for j in range(d)
         )
     )
-    coeff_kernel = null_space(gram)
-    rad_vectors: list[list[Fraction]] = []
-    flat_basis = [b.flatten() for b in basis]
-    for coeffs in coeff_kernel.basis:
-        acc = [_ZERO] * (n * n)
-        for t, vec in zip(coeffs, flat_basis):
-            if t:
-                acc = [u + t * v for u, v in zip(acc, vec)]
-        rad_vectors.append(acc)
+    rad_vectors = [
+        _combination(coeffs, a.space.basis, n * n) for coeffs in null_space(gram).basis
+    ]
     rad = rref_basis(rad_vectors, n * n)
     _certify_nilpotent_ideal(a, rad)
     return rad
@@ -326,35 +326,22 @@ class _QuotientAlgebra:
         space = algebra.space
         rad_pivots = set(rad.pivots)
         self._rad = rad
-        self._section_rows: list[Vector] = [
-            row for row, p in zip(space.basis, space.pivots) if p not in rad_pivots
+        section = [
+            Matrix.from_flat(row, self.n)
+            for row, p in zip(space.basis, space.pivots)
+            if p not in rad_pivots
         ]
         self._coset_pivots: list[int] = [p for p in space.pivots if p not in rad_pivots]
-        self.dim = len(self._section_rows)
-        self._section_mats = [Matrix.from_flat(v, self.n) for v in self._section_rows]
+        self.dim = len(section)
         self._table: list[list[tuple[Fraction, ...]]] = [
-            [
-                self.coords((x * y).flatten())
-                for y in self._section_mats
-            ]
-            for x in self._section_mats
+            [self.coords((x * y).flatten()) for y in section] for x in section
         ]
         self.one = self.coords(Matrix.identity(self.n).flatten())
 
     def coords(self, flat: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of the coset of a flattened element of A."""
-        from .exactlin import _residual  # reduced-basis remainder
-
         r = _residual(self._rad, flat)
         return tuple(r[p] for p in self._coset_pivots)
-
-    def section(self, coords: Sequence[Fraction]) -> Matrix:
-        """A representative matrix for the given coset coordinates."""
-        acc = [_ZERO] * (self.n * self.n)
-        for c, row in zip(coords, self._section_rows):
-            if c:
-                acc = [u + c * v for u, v in zip(acc, row)]
-        return Matrix.from_flat(acc, self.n)
 
     def mult(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         m = self.dim
@@ -405,8 +392,6 @@ class _QuotientAlgebra:
         system = Matrix._make(
             tuple(tuple(powers[i][r] for i in range(k)) for r in range(m))
         )
-        from .exactlin import solve_linear
-
         solution = solve_linear(system, current)
         if solution is None:
             raise RuntimeError("minimal polynomial solve failed")
@@ -539,10 +524,7 @@ def semisimple_blocks(
     for attempt in range(retries):
         bound = 3 + 2 * attempt
         coeffs = [Fraction(rng.randint(-bound, bound)) for _ in center]
-        z = tuple(
-            sum((f * c[k] for f, c in zip(coeffs, center)), _ZERO)
-            for k in range(quotient.dim)
-        )
+        z = tuple(_combination(coeffs, center, quotient.dim))
         if not any(z):
             continue
         poly = quotient.min_poly(z)
@@ -640,15 +622,6 @@ class Flag:
         return tuple(b - a for a, b in zip((0,) + dims, dims))
 
 
-def _joint_kernel(mats: Sequence[Matrix], n: int) -> Subspace:
-    kernel = full_space(n)
-    for m in mats:
-        kernel = subspace_intersect(kernel, null_space(m))
-        if kernel.dimension == 0:
-            break
-    return kernel
-
-
 class _ModuleQuotient:
     """Coordinates on Q^n / V for an invariant subspace V.
 
@@ -664,8 +637,6 @@ class _ModuleQuotient:
         self.dim = len(self.coset_coords)
 
     def project(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        from .exactlin import _residual
-
         r = _residual(self.sub, vec)
         return [r[p] for p in self.coset_coords]
 
@@ -726,6 +697,22 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
     return Flag(n=n, subspaces=tuple(members))
 
 
+def _adapted_basis(chain: Iterable[Subspace], n: int) -> Matrix:
+    """The matrix whose columns refine the chain greedily to a basis of
+    Q^n: basis rows of each member in turn, skipping those already in the
+    span.  The chain must span Q^n.  For c the inverse, c x c^-1 is block
+    upper triangular for every x preserving each member."""
+    chosen: list[Vector] = []
+    builder = SpanBuilder(n)
+    for member in chain:
+        for row in member.basis:
+            if builder.add(row):
+                chosen.append(row)
+    if len(chosen) != n:
+        raise RuntimeError("flag refinement did not produce a full basis")
+    return Matrix._make(tuple(zip(*chosen)))
+
+
 def flag_stabilizer(f: Flag) -> MatrixAlgebra:
     """All matrices x with x V <= V for every member V of the flag.
 
@@ -766,17 +753,7 @@ def is_parabolic(
     comp = Composition(flag.gaps)
     if a.dimension != parabolic_dimension(comp):
         return False, None, None
-    n = a.n
-    chosen: list[Vector] = []
-    builder = SpanBuilder(n)
-    for member in flag.subspaces:
-        for row in member.basis:
-            if builder.add(row):
-                chosen.append(row)
-    if len(chosen) != n:
-        raise RuntimeError("flag refinement did not produce a full basis")
-    adapted = Matrix._make(tuple(zip(*chosen)))  # columns are the chosen vectors
-    witness = adapted.inverse()
+    witness = _adapted_basis(flag.subspaces, a.n).inverse()
     if conjugate(a, witness).space != parabolic_subalgebra(comp).space:
         raise RuntimeError("adapted basis failed to standardize the algebra")
     return True, comp, witness

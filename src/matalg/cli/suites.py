@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..algebra import (
     Composition,
@@ -35,8 +35,6 @@ from ..algebra import (
     closure,
     compositions,
     conjugate_space,
-    flag_stabilizer,
-    invariant_flag,
     is_parabolic,
     optimal_composition,
     parabolic_dimension,
@@ -48,6 +46,8 @@ from ..algebra import (
 from ..coalgebra import is_coideal, parabolic_coideal, perp
 from ..exactlin import (
     Matrix,
+    Subspace,
+    full_space,
     random_invertible,
     random_matrix,
     random_subspace,
@@ -187,6 +187,15 @@ def enumerate_unit_pattern_subalgebras(n: int) -> list[MatrixAlgebra]:
     return [algebra for _, _, algebra in found]
 
 
+def _unit_pattern_spaces(n: int, positions: Sequence[tuple[int, int]]) -> Iterator[Subspace]:
+    """The span of the units e_{i,j} over each nonempty subset of
+    `positions`, in bitmask order (bit k selects positions[k]); the full
+    set comes last."""
+    units = [Matrix.unit(n, i, j).flatten() for i, j in positions]
+    for mask in range(1, 1 << len(units)):
+        yield rref_basis([u for k, u in enumerate(units) if mask >> k & 1], n * n)
+
+
 def corpus_algebras(n: int, seed: int = 0) -> list[tuple[str, MatrixAlgebra]]:
     """Labeled corpus for the structural suites.
 
@@ -233,6 +242,10 @@ def corpus_algebras(n: int, seed: int = 0) -> list[tuple[str, MatrixAlgebra]]:
 
 _CORPUS_SIZES = {2: 4, 3: 29}  # transitively closed patterns, counted exhaustively
 _NIL_PATTERN_COUNT_N3 = 24  # nonzero acyclic patterns on three points (25 labeled DAGs minus the empty one)
+# Draw limit of the maximality probe: a draw lands inside a two-block
+# algebra only when all its block-lower entries are 0, with probability
+# at most 1/7 for entries in [-3, 3].
+_OUTSIDE_DRAW_LIMIT = 1000
 
 
 def _run_max_subalgebra(
@@ -359,10 +372,15 @@ def _run_maximality(
             rng = _rng(seed, "absorb", n, left)
             absorbed = 0
             for _ in range(t):
-                while True:
+                for _ in range(_OUTSIDE_DRAW_LIMIT):
                     x = random_matrix(rng, n)
                     if not algebra.contains(x):
                         break
+                else:
+                    raise RuntimeError(
+                        f"no matrix outside the type {comp.parts} algebra "
+                        f"in {_OUTSIDE_DRAW_LIMIT} draws"
+                    )
                 if absorption_probe(algebra, x).dimension == n * n:
                     absorbed += 1
             _add(
@@ -409,13 +427,7 @@ def _run_gerstenhaber(
         if n == 3:
             positions = [(i, j) for i in range(n) for j in range(n)]
             nil_dims: list[int] = []
-            for mask in range(1, 1 << len(positions)):
-                vectors = [
-                    Matrix.unit(n, i, j).flatten()
-                    for k, (i, j) in enumerate(positions)
-                    if mask >> k & 1
-                ]
-                space = rref_basis(vectors, n * n)
+            for space in _unit_pattern_spaces(n, positions):
                 cert = is_nil_subspace(space, budget=nil_budget)
                 if cert.verdict == ALL_NILPOTENT:
                     nil_dims.append(space.dimension)
@@ -507,9 +519,7 @@ def _run_wedderburn(
             f"{len(corpus)}/{len(corpus)}",
             f"{certified}/{len(corpus)}",
         )
-        full = MatrixAlgebra(
-            n=n, space=rref_basis([Matrix.unit(n, i, j).flatten() for i in range(n) for j in range(n)], n * n)
-        )
+        full = MatrixAlgebra(n=n, space=full_space(n * n))
         _add(
             records,
             f"wedderburn/full-radical/n={n}",
@@ -573,14 +583,11 @@ def _run_min_coideal(
             positions = [
                 (i, j) for i in range(n) for j in range(n) if blocks[i] > blocks[j]
             ]
-            for mask in range(1, (1 << len(positions)) - 1):
-                vectors = [
-                    Matrix.unit(n, i, j).flatten()
-                    for k, (i, j) in enumerate(positions)
-                    if mask >> k & 1
-                ]
+            for space in _unit_pattern_spaces(n, positions):
+                if space.dimension == len(positions):
+                    continue  # the whole pattern is the coideal itself
                 sub_candidates += 1
-                if is_coideal(rref_basis(vectors, n * n)).certified:
+                if is_coideal(space).certified:
                     sub_certified += 1
         _add(
             records,
@@ -592,14 +599,9 @@ def _run_min_coideal(
         if n <= 3:
             certified_dims: list[int] = []
             positions = [(i, j) for i in range(n) for j in range(n)]
-            for mask in range(1, 1 << len(positions)):
-                vectors = [
-                    Matrix.unit(n, i, j).flatten()
-                    for k, (i, j) in enumerate(positions)
-                    if mask >> k & 1
-                ]
-                if is_coideal(rref_basis(vectors, n * n)).certified:
-                    certified_dims.append(bin(mask).count("1"))
+            for space in _unit_pattern_spaces(n, positions):
+                if is_coideal(space).certified:
+                    certified_dims.append(space.dimension)
             _add(
                 records,
                 f"min-coideal/minimal-dimension/n={n}",

@@ -19,16 +19,15 @@ Tensor coordinates: e_{a,b} (x) e_{c,d} sits at flat index
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .exactlin import (
     Matrix,
     SpanBuilder,
     Subspace,
     Vector,
+    _matrix_side,
     full_space,
     null_space,
     rref_basis,
@@ -91,8 +90,7 @@ def comultiply(x: CoalgebraElement) -> tuple[Vector, Fraction]:
                 continue
             for k in range(n):
                 tensor[(i * n + k) * n2 + (k * n + j)] += c
-    eps = sum((coeffs[i * n + i] for i in range(n)), _ZERO)
-    return tuple(tensor), eps
+    return tuple(tensor), counit(x)
 
 
 def counit(x: CoalgebraElement) -> Fraction:
@@ -125,13 +123,6 @@ class CoidealRejection:
     certified: bool = False
 
 
-def _matrix_side(s: Subspace) -> int:
-    n = math.isqrt(s.ambient_dim)
-    if n * n != s.ambient_dim:
-        raise ValueError(f"ambient dimension {s.ambient_dim} is not a square")
-    return n
-
-
 def is_coideal(s: Subspace) -> Coideal | CoidealRejection:
     """Certify the two coideal axioms for a subspace of the coalgebra.
 
@@ -147,8 +138,7 @@ def is_coideal(s: Subspace) -> Coideal | CoidealRejection:
     if s.dimension == 0:
         return Coideal(n=n, space=s)
     for row in s.basis:
-        eps = sum((row[i * n + i] for i in range(n)), _ZERO)
-        if eps:
+        if counit(CoalgebraElement(n=n, coefficients=row)):
             return CoidealRejection(n=n, space=s, axiom="counit", element=row)
     mixed = SpanBuilder(n2 * n2)
     for row in s.basis:

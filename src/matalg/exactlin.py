@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -398,6 +399,26 @@ def _residual(space: Subspace, vec: Sequence[Fraction]) -> list[Fraction]:
     return r
 
 
+def _matrix_side(space: Subspace) -> int:
+    """The n for which `space` lives in the flattened n x n matrices."""
+    n = math.isqrt(space.ambient_dim)
+    if n * n != space.ambient_dim:
+        raise ValueError(f"ambient dimension {space.ambient_dim} is not a square")
+    return n
+
+
+def _combination(
+    coeffs: Sequence[int | Fraction], vectors: Sequence[Sequence[Fraction]], length: int
+) -> list[Fraction]:
+    """The vector sum of c * v over paired coefficients and vectors of the
+    given length; zero coefficients are skipped."""
+    acc = [_ZERO] * length
+    for c, v in zip(coeffs, vectors):
+        if c:
+            acc = [u + c * x for u, x in zip(acc, v)]
+    return acc
+
+
 def subspace_contains(space: Subspace, vec: Sequence[int | str | Fraction]) -> bool:
     v = as_vector(vec, space.ambient_dim)
     return all(not e for e in _residual(space, v))
@@ -436,6 +457,12 @@ def null_space(m: Matrix) -> Subspace:
                 vec[p] = -coeff
         basis.append(vec)
     return rref_basis(basis, ncols)
+
+
+def _joint_kernel(mats: Sequence[Matrix], n: int) -> Subspace:
+    """Canonical basis of {v in Q^n : m v = 0 for every m in mats}: one
+    null space of the matrices stacked row-wise.  `mats` must be nonempty."""
+    return null_space(Matrix._make(tuple(row for m in mats for row in m.entries)))
 
 
 class SpanBuilder:
@@ -507,27 +534,55 @@ def random_matrix(
     )
 
 
+# Draw limit of the rejection samplers below.  Once a range passes the
+# checks, a draw is rejected with probability about 2/3 at worst: a
+# {0, 1} matrix is singular 338 times in 512 at side 3, 0.656 at side 4,
+# 0.627 at side 5, and less for wider ranges.  1000 rejections in a row
+# then have probability below 1e-170.
+_DRAW_LIMIT = 1000
+
+
 def random_invertible(rng: random.Random, n: int, *, lo: int = -3, hi: int = 3) -> Matrix:
-    """Random invertible n x n integer matrix (rejection sampling)."""
-    while True:
+    """Random invertible n x n integer matrix (rejection sampling).
+
+    Raises ValueError when no matrix with entries in [lo, hi] is
+    invertible: an empty range, or a single value unless n == 1 and the
+    value is nonzero.
+    """
+    if lo > hi:
+        raise ValueError(f"empty entry range [{lo}, {hi}]")
+    if lo == hi and not (n == 1 and lo != 0):
+        raise ValueError(f"no invertible {n}x{n} matrix has every entry equal to {lo}")
+    for _ in range(_DRAW_LIMIT):
         m = random_matrix(rng, n, lo=lo, hi=hi)
         try:
             m.inverse()
         except ValueError:
             continue
         return m
+    raise RuntimeError(f"no invertible matrix in {_DRAW_LIMIT} draws")
 
 
 def random_subspace(
     rng: random.Random, ambient_dim: int, dim: int, *, lo: int = -3, hi: int = 3
 ) -> Subspace:
-    """Random subspace of exactly the requested dimension (rejection sampling)."""
+    """Random subspace of exactly the requested dimension (rejection sampling).
+
+    Raises ValueError when vectors with entries in [lo, hi] cannot span
+    `dim` dimensions: an empty range, the single value 0 with dim >= 1,
+    or any single value with dim >= 2.
+    """
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"dimension {dim} out of range for ambient {ambient_dim}")
-    while True:
+    if lo > hi:
+        raise ValueError(f"empty entry range [{lo}, {hi}]")
+    if lo == hi and dim >= (1 if lo == 0 else 2):
+        raise ValueError(f"vectors with every entry equal to {lo} span less than {dim} dimensions")
+    for _ in range(_DRAW_LIMIT):
         vectors = [
             [Fraction(rng.randint(lo, hi)) for _ in range(ambient_dim)] for _ in range(dim)
         ]
         space = rref_basis(vectors, ambient_dim)
         if space.dimension == dim:
             return space
+    raise RuntimeError(f"no {dim}-dimensional subspace in {_DRAW_LIMIT} draws")

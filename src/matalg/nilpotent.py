@@ -4,8 +4,13 @@ A subspace is "nil" when every element is a nilpotent matrix.  Over Q
 this is a polynomial identity: x is nilpotent iff Tr(x^k) = 0 for
 k = 1..n (Newton's identities), so a subspace with basis b_1..b_d is nil
 iff the polynomial Tr((t_1 b_1 + ... + t_d b_d)^k) vanishes identically
-for each k.  `is_nil_subspace` decides this by expanding the polynomials
-symbolically, which is exact but exponential in k, hence the term budget.
+for each k.  `is_nil_subspace` first reads the k = 1 coefficients, the
+basis traces Tr(b_i): a nonzero one decides the answer at once, with b_i
+as the witness.  Otherwise it expands the polynomials symbolically, which
+is exact but exponential in k, hence the term budget.  When a coefficient
+is nonzero the witness comes from `nonnil_witness_search`, the one
+sampler of the module; sampling only finds the witness, the verdict is
+read from the exact coefficients.
 
 The dimension of a nil subspace is at most n(n-1)/2, with equality
 exactly for conjugates of the strictly upper-triangular space;
@@ -19,18 +24,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .exactlin import (
     Matrix,
     SpanBuilder,
     Subspace,
+    _combination,
+    _joint_kernel,
+    _matrix_side,
     full_space,
-    null_space,
     rref_basis,
-    subspace_intersect,
 )
-from .algebra import multiply_spaces
+from .algebra import _adapted_basis, _close_under_products, multiply_spaces
 
 __all__ = [
     "ALL_NILPOTENT",
@@ -47,13 +52,19 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 ALL_NILPOTENT = "all-nilpotent"
 WITNESS_FOUND = "witness-found"
 UNDETERMINED = "undetermined"
 
 DEFAULT_TERM_BUDGET = 500_000
+
+# Witness search inside `is_nil_subspace`.  Some Tr(x^k), k <= n, is a
+# nonzero polynomial of degree k in the basis coefficients, so by
+# Schwartz-Zippel a draw from [-n, n]^d misses with probability at most
+# k / (2n + 1) < 1/2, and all 256 draws miss with probability below 2^-256.
+_WITNESS_SEED = 0x0B57
+_WITNESS_TRIALS = 256
 
 
 def nil_bound(n: int) -> int:
@@ -94,13 +105,6 @@ class NilCertificate:
     checked_powers: tuple[PowerReport, ...]
 
 
-def _validate_matrix_space(s: Subspace) -> int:
-    n = math.isqrt(s.ambient_dim)
-    if n * n != s.ambient_dim:
-        raise ValueError(f"ambient dimension {s.ambient_dim} is not a square")
-    return n
-
-
 def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCertificate:
     """Decide whether every element of the subspace is nilpotent.
 
@@ -109,18 +113,27 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
     sum of traces of basis words, accumulated here by depth-first walk
     over all d^k words with zero running products pruned.  All
     coefficients vanish for every k iff the subspace is nil (infinite
-    field, characteristic zero).  When the nominal word count
-    sum(d^k, k=1..n) exceeds `budget`, the verdict is `UNDETERMINED`.
+    field, characteristic zero).
+
+    The k = 1 coefficients are the basis traces and are read first, for
+    any budget: when some Tr(b_i) is nonzero, b_i is returned as the
+    witness with the single report for power 1.  Otherwise, when the
+    nominal word count sum(d^k, k=1..n) exceeds `budget`, the verdict is
+    `UNDETERMINED`.  A nonzero coefficient found by the walk is turned
+    into a witness by `nonnil_witness_search` with a fixed seed.
     """
-    n = _validate_matrix_space(s)
+    n = _matrix_side(s)
     d = s.dimension
     if d == 0:
         reports = tuple(PowerReport(k, 0, True) for k in range(1, n + 1))
         return NilCertificate(ALL_NILPOTENT, None, reports)
+    basis = s.basis_matrices(n)
+    for b in basis:
+        if b.trace():
+            return NilCertificate(WITNESS_FOUND, b, (PowerReport(1, d, False),))
     nominal_terms = sum(d**k for k in range(1, n + 1))
     if nominal_terms > budget:
         return NilCertificate(UNDETERMINED, None, ())
-    basis = s.basis_matrices(n)
     coefficients: dict[tuple[int, tuple[int, ...]], Fraction] = {}
 
     def walk(product: Matrix, word: tuple[int, ...]) -> None:
@@ -151,7 +164,7 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
     )
     if not nonzero_powers:
         return NilCertificate(ALL_NILPOTENT, None, reports)
-    witness = _find_witness(s, basis)
+    witness = nonnil_witness_search(s, _WITNESS_SEED, _WITNESS_TRIALS, lo=-n, hi=n)
     if witness is None:
         raise RuntimeError("nonzero trace polynomial but no witness found")
     return NilCertificate(WITNESS_FOUND, witness, reports)
@@ -166,34 +179,6 @@ def _trace_powers_nonzero(x: Matrix, n: int) -> bool:
     return False
 
 
-def _find_witness(s: Subspace, basis: Sequence[Matrix]) -> Matrix | None:
-    """Explicit non-nilpotent element, by seeded sampling with a slowly
-    growing coefficient range.  Some element has a nonzero trace power,
-    so the search terminates with probability one; the seed is fixed to
-    keep results reproducible."""
-    n = basis[0].rows
-    rng = random.Random(0x0B57)
-    for trial in range(4096):
-        bound = 1 + trial // 32
-        coeffs = [rng.randint(-bound, bound) for _ in basis]
-        if not any(coeffs):
-            continue
-        x = _combination(coeffs, basis, n)
-        if _trace_powers_nonzero(x, n):
-            return x
-    return None
-
-
-def _combination(
-    coeffs: Sequence[int | Fraction], basis: Sequence[Matrix], n: int
-) -> Matrix:
-    acc = [_ZERO] * (n * n)
-    for c, b in zip(coeffs, basis):
-        if c:
-            acc = [u + c * v for u, v in zip(acc, b.flatten())]
-    return Matrix.from_flat(acc, n)
-
-
 def nonnil_witness_search(
     s: Subspace, seed: int = 0, trials: int = 64, *, lo: int = -3, hi: int = 3
 ) -> Matrix | None:
@@ -204,16 +189,15 @@ def nonnil_witness_search(
     search is exhausted.  The element returned always lies in the
     subspace and is certified non-nilpotent exactly.
     """
-    n = _validate_matrix_space(s)
+    n = _matrix_side(s)
     if s.dimension == 0:
         return None
-    basis = s.basis_matrices(n)
     rng = random.Random(seed)
     for _ in range(trials):
-        coeffs = [rng.randint(lo, hi) for _ in basis]
+        coeffs = [rng.randint(lo, hi) for _ in s.basis]
         if not any(coeffs):
             continue
-        x = _combination(coeffs, basis, n)
+        x = Matrix.from_flat(_combination(coeffs, s.basis, n * n), n)
         if _trace_powers_nonzero(x, n):
             return x
     return None
@@ -230,26 +214,11 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
     When N is not nilpotent -- possible even for nil subspaces -- the
     failure marker None is returned.
     """
-    n = _validate_matrix_space(s)
+    n = _matrix_side(s)
     if s.dimension == 0:
         return Matrix.identity(n)
     # Non-unital multiplicative closure of the subspace.
-    builder = SpanBuilder(n * n)
-    mats: list[Matrix] = []
-    for m in s.basis_matrices(n):
-        if builder.add(m.flatten()):
-            mats.append(m)
-    frontier = list(mats)
-    while frontier:
-        fresh: list[Matrix] = []
-        for x in frontier:
-            for y in mats:
-                for p in (x * y, y * x):
-                    if builder.add(p.flatten()):
-                        fresh.append(p)
-        mats.extend(fresh)
-        frontier = fresh
-    generated = builder.to_subspace()
+    generated = _close_under_products(SpanBuilder(n * n), s.basis_matrices(n))
     # Power spaces N, N^2, ...; nilpotent iff zero within n steps.
     powers: list[Subspace] = [generated]
     while powers[-1].dimension != 0 and len(powers) <= n:
@@ -258,21 +227,9 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
         return None
     powers.pop()  # drop the zero space; powers[k-1] spans N^k != 0
     # Kernel flag, refined greedily to a full basis.
-    chosen: list[Sequence[Fraction]] = []
-    flag_builder = SpanBuilder(n)
-    for power_space in powers:
-        kernel = _power_kernel(power_space, n)
-        for row in kernel.basis:
-            if flag_builder.add(row):
-                chosen.append(row)
-    for row in full_space(n).basis:
-        if flag_builder.add(row):
-            chosen.append(row)
-    if len(chosen) != n:
-        raise RuntimeError("kernel flag refinement did not fill the space")
-    adapted = Matrix._make(tuple(zip(*(tuple(v) for v in chosen))))
-    conjugator = adapted.inverse()
-    cinv = adapted
+    kernels = [_joint_kernel(p.basis_matrices(n), n) for p in powers]
+    cinv = _adapted_basis(kernels + [full_space(n)], n)
+    conjugator = cinv.inverse()
     for m in s.basis_matrices(n):
         moved = conjugator * m * cinv
         for i in range(n):
@@ -280,12 +237,3 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
                 if moved.entries[i][j]:
                     raise RuntimeError("triangularization check failed")
     return conjugator
-
-
-def _power_kernel(power_space: Subspace, n: int) -> Subspace:
-    kernel = full_space(n)
-    for m in power_space.basis_matrices(n):
-        kernel = subspace_intersect(kernel, null_space(m))
-        if kernel.dimension == 0:
-            break
-    return kernel

@@ -1,5 +1,6 @@
 """Exact linear algebra: matrices, canonical subspaces, solvers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 from matalg.exactlin import (
     Matrix,
     SpanBuilder,
+    _joint_kernel,
     as_scalar,
     as_vector,
     full_space,
     null_space,
+    random_invertible,
+    random_subspace,
     rref_basis,
     solve_linear,
     subspace_contains,
@@ -28,6 +32,27 @@ scalars = st.fractions(
 
 def vectors(dim):
     return st.lists(scalars, min_size=dim, max_size=dim).map(tuple)
+
+
+def matrices(rows, cols):
+    return st.lists(vectors(cols), min_size=rows, max_size=rows).map(Matrix)
+
+
+@st.composite
+def kernel_families(draw):
+    """1-6 rational n x n matrices, n in 1..5.  Each is either free or
+    A_i P for one shared P of rank r < n, so joint kernels of every
+    dimension occur, not only the zero one."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n - 1))
+    shared = draw(matrices(r, n)) if r else Matrix.zeros(1, n)
+    family = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            family.append(draw(matrices(n, n)))
+        else:
+            family.append(draw(matrices(n, shared.rows)) * shared)
+    return n, family
 
 
 def spaces(dim, max_vectors=4):
@@ -173,6 +198,53 @@ class TestSolvers:
     def test_rank_nullity(self, rows):
         m = Matrix(rows)
         assert null_space(m).dimension + rref_basis(rows, 3).dimension == 3
+
+
+class TestJointKernel:
+    @given(kernel_families())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_intersection_of_null_spaces(self, case):
+        n, family = case
+        reference = full_space(n)
+        for m in family:
+            reference = subspace_intersect(reference, null_space(m))
+        assert _joint_kernel(family, n) == reference
+
+
+class TestSamplers:
+    @pytest.mark.parametrize(
+        "n, lo, hi",
+        [(2, 1, 0), (1, 0, 0), (2, 1, 1), (3, -2, -2)],
+    )
+    def test_invertible_rejects_hopeless_ranges(self, n, lo, hi):
+        with pytest.raises(ValueError):
+            random_invertible(random.Random(0), n, lo=lo, hi=hi)
+
+    def test_invertible_single_nonzero_value_at_side_one(self):
+        assert random_invertible(random.Random(0), 1, lo=2, hi=2) == Matrix([[2]])
+
+    @pytest.mark.parametrize(
+        "ambient, dim, lo, hi",
+        [(3, 1, 2, 1), (3, 1, 0, 0), (3, 2, 1, 1), (4, 3, -1, -1)],
+    )
+    def test_subspace_rejects_hopeless_ranges(self, ambient, dim, lo, hi):
+        with pytest.raises(ValueError):
+            random_subspace(random.Random(0), ambient, dim, lo=lo, hi=hi)
+
+    def test_subspace_single_value_spans_a_line(self):
+        line = random_subspace(random.Random(0), 3, 1, lo=1, hi=1)
+        assert line == rref_basis([(1, 1, 1)], 3)
+        assert random_subspace(random.Random(0), 3, 0, lo=0, hi=0).dimension == 0
+
+    def test_rejection_loops_stop_at_the_draw_limit(self):
+        class Zeros(random.Random):
+            def randint(self, lo, hi):
+                return 0
+
+        with pytest.raises(RuntimeError):
+            random_invertible(Zeros(), 1, lo=0, hi=1)
+        with pytest.raises(RuntimeError):
+            random_subspace(Zeros(), 2, 1, lo=0, hi=1)
 
 
 class TestSpanBuilder:

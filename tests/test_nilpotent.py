@@ -3,11 +3,18 @@
 import random
 
 from matalg.algebra import conjugate_space
-from matalg.exactlin import Matrix, random_invertible, rref_basis, zero_space
+from matalg.exactlin import (
+    Matrix,
+    random_invertible,
+    random_subspace,
+    rref_basis,
+    zero_space,
+)
 from matalg.nilpotent import (
     ALL_NILPOTENT,
     UNDETERMINED,
     WITNESS_FOUND,
+    PowerReport,
     is_nil_subspace,
     nil_bound,
     nonnil_witness_search,
@@ -33,10 +40,12 @@ class TestNilCertification:
         assert is_nil_subspace(zero_space(9)).verdict == ALL_NILPOTENT
 
     def test_symmetric_pair_has_witness(self):
-        # e_{0,1} + e_{1,0} squares to the identity
+        # e_{0,1} + e_{1,0} squares to the identity; the span is traceless,
+        # so the witness comes from the word walk through Tr(x^2)
         s = unit_span(2, [(0, 1), (1, 0)])
         cert = is_nil_subspace(s)
         assert cert.verdict == WITNESS_FOUND
+        assert [r.vanished for r in cert.checked_powers] == [True, False]
         w = cert.witness
         assert s.contains(w.flatten())
         assert any((w**k).trace() != 0 for k in range(1, 3))
@@ -57,6 +66,21 @@ class TestNilCertification:
         cert = is_nil_subspace(strictly_upper_space(3), budget=2)
         assert cert.verdict == UNDETERMINED
         assert cert.witness is None
+
+    def test_nonzero_basis_trace_decides_before_the_word_walk(self):
+        # d = 7 in M_4: the walk would visit 7 + 49 + 343 + 2401 words
+        s = random_subspace(random.Random(0), 16, 7)
+        cert = is_nil_subspace(s)
+        assert cert.verdict == WITNESS_FOUND
+        assert cert.checked_powers == (PowerReport(1, 7, False),)
+        assert s.contains(cert.witness.flatten())
+        assert cert.witness.trace() != 0
+
+    def test_nonzero_basis_trace_decides_over_budget(self):
+        s = rref_basis([Matrix.identity(3).flatten()], 9)
+        cert = is_nil_subspace(s, budget=0)
+        assert cert.verdict == WITNESS_FOUND
+        assert cert.checked_powers == (PowerReport(1, 1, False),)
 
     def test_monomial_counts_are_reported(self):
         s = unit_span(2, [(0, 1)])
@@ -163,8 +187,6 @@ class TestNilBoundExtremality:
     def test_dimension_above_bound_never_nil(self):
         rng = random.Random(77)
         n = 3
-        from matalg.exactlin import random_subspace
-
         for _ in range(10):
             s = random_subspace(rng, n * n, nil_bound(n) + 1)
             assert nonnil_witness_search(s, seed=1, trials=128) is not None
