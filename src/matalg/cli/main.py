@@ -186,9 +186,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             payload["counterexample"] = _matrix_rows(
                 Matrix.from_flat(result.element, n)
             )
+            payload["failed_component"] = (
+                [list(divmod(c, n)) for c in result.component]
+                if result.component is not None
+                else None
+            )
         else:
             payload["failed_axiom"] = None
             payload["counterexample"] = None
+            payload["failed_component"] = None
     else:  # pragma: no cover - argparse restricts choices
         raise DocumentError(f"unknown analysis {action!r}")
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")

@@ -8,10 +8,12 @@ dual to matrix multiplication: on the basis of matrix units,
 
 A subspace X is a coideal when the counit vanishes on X and
 comultiply(X) lies in X (x) C + C (x) X (C the whole coordinate space).
-`is_coideal` checks both axioms directly in the n^4-dimensional tensor
-space; it deliberately does not route through duality, so the classical
-bijection "X is a coideal iff its annihilator is a subalgebra" stays an
-independently testable statement.
+`is_coideal` checks both axioms directly.  The second one is decided in
+the quotient: X (x) C + C (x) X is the kernel of pi (x) pi, where
+pi : C -> C/X reduces modulo X, so comultiply(x) must vanish under
+pi (x) pi.  The check deliberately does not route through duality, so
+the classical bijection "X is a coideal iff its annihilator is a
+subalgebra" stays an independently testable statement.
 
 Tensor coordinates: e_{a,b} (x) e_{c,d} sits at flat index
 (a*n + b) * n^2 + (c*n + d).
@@ -24,7 +26,6 @@ from fractions import Fraction
 
 from .exactlin import (
     Matrix,
-    SpanBuilder,
     Subspace,
     Vector,
     _matrix_side,
@@ -114,49 +115,75 @@ class Coideal:
 @dataclass(frozen=True)
 class CoidealRejection:
     """Certificate of failure: which axiom broke, and a basis element
-    witnessing the failure."""
+    witnessing the failure.
+
+    For a comultiplication failure, `component` is the lexicographically
+    smallest pair (p, q) of non-pivot coordinates of the space at which
+    (pi (x) pi)(comultiply(element)) has a nonzero e_p (x) e_q
+    coefficient; that coefficient is a functional vanishing on
+    X (x) C + C (x) X but not on the comultiplied element.  It is None
+    for a counit failure.
+    """
 
     n: int
     space: Subspace
     axiom: str
     element: Vector
     certified: bool = False
+    component: tuple[int, int] | None = None
+
+
+def _quotient_component(
+    tensor: Vector, images: list[list[tuple[int, Fraction]]]
+) -> tuple[int, int] | None:
+    """The lexicographically smallest (p, q) at which (pi (x) pi)(tensor)
+    is nonzero, or None when the tensor lies in X (x) C + C (x) X.
+    `images[a]` is pi(e_a) as sparse (coordinate, coefficient) pairs."""
+    n2 = len(images)
+    image: dict[tuple[int, int], Fraction] = {}
+    for a in range(n2):
+        right: dict[int, Fraction] = {}
+        for b, c in enumerate(tensor[a * n2 : (a + 1) * n2]):
+            if c:
+                for q, v in images[b]:
+                    right[q] = right.get(q, _ZERO) + c * v
+        for p, u in images[a]:
+            for q, w in right.items():
+                image[p, q] = image.get((p, q), _ZERO) + u * w
+    return min((key for key, c in image.items() if c), default=None)
 
 
 def is_coideal(s: Subspace) -> Coideal | CoidealRejection:
     """Certify the two coideal axioms for a subspace of the coalgebra.
 
-    Checks counit vanishing on every basis element, then builds the
-    tensor-space span of {x (x) e_q} and {e_q (x) x} (x over the basis of
-    s, e_q over all matrix units) and tests membership of each
-    comultiplied basis element.  Returns a `Coideal` on success; on
-    failure a `CoidealRejection` naming the broken axiom ("counit" or
-    "comultiplication") and a failing element.
+    Checks counit vanishing on every basis element, then, in basis
+    order, applies pi (x) pi to each comultiplied basis element, pi being
+    the reduction modulo s read off its RREF basis; the element lies in
+    s (x) C + C (x) s exactly when that image is zero.  No n^4-dimensional
+    span is built, and nothing goes through `perp`.  Returns a `Coideal`
+    on success; on failure a `CoidealRejection` naming the broken axiom
+    ("counit" or "comultiplication"), the first failing basis element
+    and, for comultiplication, the failing component.
     """
     n = _matrix_side(s)
-    n2 = n * n
-    if s.dimension == 0:
-        return Coideal(n=n, space=s)
     for row in s.basis:
         if counit(CoalgebraElement(n=n, coefficients=row)):
             return CoidealRejection(n=n, space=s, axiom="counit", element=row)
-    mixed = SpanBuilder(n2 * n2)
-    for row in s.basis:
-        nonzeros = [(p, c) for p, c in enumerate(row) if c]
-        for q in range(n2):
-            left = [_ZERO] * (n2 * n2)
-            for p, c in nonzeros:
-                left[p * n2 + q] = c
-            mixed.add(left)
-            right = [_ZERO] * (n2 * n2)
-            for p, c in nonzeros:
-                right[q * n2 + p] = c
-            mixed.add(right)
+    # pi(e_f) = e_f for a non-pivot f; pi(e_p) = -(basis row of pivot p),
+    # which is 1 at p and 0 at every other pivot
+    images = [[(a, _ONE)] for a in range(s.ambient_dim)]
+    for row, p in zip(s.basis, s.pivots):
+        images[p] = [(f, -c) for f, c in enumerate(row) if c and f != p]
     for row in s.basis:
         tensor, _ = comultiply(CoalgebraElement(n=n, coefficients=row))
-        if not mixed.contains(tensor):
+        component = _quotient_component(tensor, images)
+        if component is not None:
             return CoidealRejection(
-                n=n, space=s, axiom="comultiplication", element=row
+                n=n,
+                space=s,
+                axiom="comultiplication",
+                element=row,
+                component=component,
             )
     return Coideal(n=n, space=s)
 

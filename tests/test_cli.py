@@ -245,6 +245,9 @@ class TestCommandLine:
         assert payload["coideal"] is False
         assert payload["failed_axiom"] == "comultiplication"
         assert payload["counterexample"] is not None
+        # comultiply(e_{1,0}) = e_{1,0} (x) e_{0,0} + e_{1,1} (x) e_{1,0}
+        # + e_{1,2} (x) e_{2,0}; modulo e_{1,0} only the last term survives
+        assert payload["failed_component"] == [[1, 2], [2, 0]]
 
     def test_construct_coideal_and_perp_agree(self, tmp_path, capsys):
         alg = tmp_path / "a.json"
@@ -318,3 +321,5 @@ class TestCommandLine:
         assert main(["analyze", "is-coideal", "--input", "-"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["coideal"] is False
+        assert payload["failed_axiom"] == "counit"
+        assert payload["failed_component"] is None

@@ -4,9 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matalg.algebra import (
     Composition,
+    closure,
+    compositions,
     parabolic_subalgebra,
     upper_triangular_algebra,
 )
@@ -20,11 +24,111 @@ from matalg.coalgebra import (
     parabolic_coideal,
     perp,
 )
-from matalg.exactlin import Matrix, random_subspace, rref_basis, zero_space
+from matalg.cli.suites import _unit_pattern_spaces
+from matalg.exactlin import (
+    Matrix,
+    SpanBuilder,
+    _matrix_side,
+    _residual,
+    random_subspace,
+    rref_basis,
+    subspace_sum,
+    zero_space,
+)
 
 
 def unit_span(n, positions):
     return rref_basis([Matrix.unit(n, i, j).flatten() for i, j in positions], n * n)
+
+
+def reference_is_coideal(s):
+    """The coideal check in the n^4 tensor space: span X (x) C + C (x) X
+    from {x (x) e_q} and {e_q (x) x} and test membership of each
+    comultiplied basis element.  Kept as the slow reference for the
+    quotient check in `is_coideal`."""
+    n = _matrix_side(s)
+    n2 = n * n
+    if s.dimension == 0:
+        return Coideal(n=n, space=s)
+    for row in s.basis:
+        if counit(CoalgebraElement(n=n, coefficients=row)):
+            return CoidealRejection(n=n, space=s, axiom="counit", element=row)
+    mixed = SpanBuilder(n2 * n2)
+    for row in s.basis:
+        nonzeros = [(p, c) for p, c in enumerate(row) if c]
+        for q in range(n2):
+            left = [Fraction(0)] * (n2 * n2)
+            for p, c in nonzeros:
+                left[p * n2 + q] = c
+            mixed.add(left)
+            right = [Fraction(0)] * (n2 * n2)
+            for p, c in nonzeros:
+                right[q * n2 + p] = c
+            mixed.add(right)
+    for row in s.basis:
+        tensor, _ = comultiply(CoalgebraElement(n=n, coefficients=row))
+        if not mixed.contains(tensor):
+            return CoidealRejection(
+                n=n, space=s, axiom="comultiplication", element=row
+            )
+    return Coideal(n=n, space=s)
+
+
+def verdict(result):
+    return (
+        result.certified,
+        getattr(result, "axiom", None),
+        getattr(result, "element", None),
+    )
+
+
+@st.composite
+def traceless_spaces(draw):
+    """Rational traceless subspaces at n = 2..4.  Half of the draws keep
+    every vector strictly below the diagonal, where coideals are common;
+    the others fix the trace through the (0, 0) entry."""
+    n = draw(st.integers(2, 4))
+    lower = draw(st.booleans())
+    support = [
+        i * n + j for i in range(n) for j in range(n) if not lower or i > j
+    ]
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    )
+    vectors = []
+    for _ in range(draw(st.integers(1, 4 if n == 4 else n * n - 1))):
+        v = [Fraction(0)] * (n * n)
+        for k in support:
+            v[k] = draw(entry)
+        v[0] -= sum(v[i * n + i] for i in range(n))
+        vectors.append(v)
+    return rref_basis(vectors, n * n)
+
+
+def random_traceless(rng, n):
+    v = [Fraction(rng.randint(-2, 2)) for _ in range(n * n)]
+    v[0] -= sum(v[i * n + i] for i in range(n))
+    return v
+
+
+def quotient_image(s, tensor):
+    """The nonzero coefficients of (pi (x) pi)(tensor), keyed by (p, q),
+    with pi the residual map against s.  Each coefficient is the
+    functional sum tensor[a, b] * res(e_a)[p] * res(e_b)[q], which
+    vanishes on s (x) C + C (x) s."""
+    n2 = s.ambient_dim
+    res = [
+        _residual(s, [Fraction(int(a == k)) for k in range(n2)]) for a in range(n2)
+    ]
+    image = {}
+    for k, c in enumerate(tensor):
+        if c:
+            a, b = divmod(k, n2)
+            for p in range(n2):
+                for q in range(n2):
+                    image[p, q] = image.get((p, q), 0) + c * res[a][p] * res[b][q]
+    return {key: c for key, c in image.items() if c}
 
 
 class TestComultiplication:
@@ -192,4 +296,121 @@ class TestParabolicCoideal:
         for parts in ((2, 2), (1, 1, 2), (3, 1)):
             comp = Composition(parts)
             expected = (comp.n**2 - sum(p * p for p in parts)) // 2
+            assert parabolic_coideal(comp).dimension == expected
+
+
+class TestQuotientCheck:
+    """`is_coideal` against the tensor-span reference and against duality."""
+
+    @given(traceless_spaces())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tensor_span_reference(self, s):
+        assert verdict(is_coideal(s)) == verdict(reference_is_coideal(s))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_reference_on_every_unit_pattern(self, n):
+        positions = [(i, j) for i in range(n) for j in range(n)]
+        for s in _unit_pattern_spaces(n, positions):
+            assert verdict(is_coideal(s)) == verdict(reference_is_coideal(s))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_duality_oracle(self, n):
+        # X is a coideal iff perp(X) is a unital subalgebra: it holds the
+        # identity (the counit is the trace) and is closed under products
+        rng = random.Random(20 + n)
+        verdicts = set()
+        for _ in range(12):
+            gens = [
+                Matrix.from_flat(
+                    [rng.choice((0, 0, 0, 0, 1, -1)) for _ in range(n * n)], n
+                )
+                for _ in range(rng.randint(1, 2))
+            ]
+            x = perp(closure(n, gens).space)
+            v = random_traceless(rng, n)
+            for s in (x, subspace_sum(x, rref_basis([v], n * n))):
+                p = perp(s)
+                oracle = p.contains(Matrix.identity(n).flatten()) and (
+                    closure(n, p.basis_matrices(n)).space == p
+                )
+                assert is_coideal(s).certified == oracle
+                verdicts.add(oracle)
+        assert verdicts == {True, False}
+
+
+class TestRejectionComponent:
+    def test_counit_rejection_has_no_component(self):
+        assert is_coideal(unit_span(2, [(0, 0)])).component is None
+
+    def test_component_is_smallest_nonzero_quotient_coefficient(self):
+        rng = random.Random(31)
+        off_diagonal = [(i, j) for i in range(3) for j in range(3) if i != j]
+        spaces = list(_unit_pattern_spaces(3, off_diagonal))
+        for d in (1, 2, 3, 4):
+            spaces.append(rref_basis([random_traceless(rng, 3) for _ in range(d)], 9))
+        rejected = 0
+        for s in spaces:
+            result = is_coideal(s)
+            if result.certified or result.axiom != "comultiplication":
+                continue
+            rejected += 1
+            tensor, _ = comultiply(CoalgebraElement(3, result.element))
+            image = quotient_image(s, tensor)
+            assert result.component == min(image)
+            p, q = result.component
+            assert p not in s.pivots and q not in s.pivots
+        assert rejected > 0
+
+    def test_component_functional_vanishes_on_mixed_tensors(self):
+        s = unit_span(3, [(1, 0)])
+        result = is_coideal(s)
+        assert result.component is not None
+        x = result.element
+        for q in range(9):
+            left = [Fraction(0)] * 81
+            right = [Fraction(0)] * 81
+            for p, c in enumerate(x):
+                left[p * 9 + q] = c
+                right[q * 9 + p] = c
+            assert quotient_image(s, left) == {}
+            assert quotient_image(s, right) == {}
+        tensor, _ = comultiply(CoalgebraElement(3, x))
+        assert quotient_image(s, tensor)[result.component] != 0
+
+
+class TestScalingProbes:
+    """Wider than the verification suites, which keep their ranges."""
+
+    def test_off_diagonal_unit_patterns_n4(self):
+        n = 4
+        positions = [(i, j) for i in range(n) for j in range(n) if i != j]
+        dims = [
+            s.dimension
+            for s in _unit_pattern_spaces(n, positions)
+            if is_coideal(s).certified
+        ]
+        assert min(dims) == n - 1
+
+    def test_two_block_sub_patterns_n5(self):
+        n = 5
+        candidates = 0
+        for left in range(1, n):
+            comp = Composition((left, n - left))
+            positions = [
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if comp.block_of(i) > comp.block_of(j)
+            ]
+            for s in _unit_pattern_spaces(n, positions):
+                if s.dimension == len(positions):
+                    continue
+                candidates += 1
+                assert not is_coideal(s).certified
+        assert candidates == 152
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_parabolic_coideal_dimension_every_composition(self, n):
+        for comp in compositions(n):
+            expected = (n * n - sum(c * c for c in comp.parts)) // 2
             assert parabolic_coideal(comp).dimension == expected
