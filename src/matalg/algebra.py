@@ -11,15 +11,14 @@ coordinates 0..n-1 into consecutive blocks; the block upper-triangular
 algebra of that type is the span of the matrix units e_{i,j} with
 block(i) <= block(j).  Its dimension is (n^2 + sum n_i^2) / 2.
 
-Everything is exact; randomized routines (block-size extraction, probe
-helpers) take explicit seeds and draw small integer entries so results
-are reproducible.
+Everything is exact and deterministic: nothing in this module draws
+random numbers.  The blocks of the semisimple quotient come from a
+deterministic split of its center.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -163,28 +162,24 @@ def _check_square(m: Matrix, n: int) -> None:
         raise ValueError(f"expected a {n}x{n} matrix, got {m.rows}x{m.cols}")
 
 
-def algebra_from_basis(
-    n: int, matrices: Sequence[Matrix], *, check: bool = True
-) -> MatrixAlgebra:
+def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     """Wrap a spanning set as a `MatrixAlgebra`.
 
-    With `check=True` (the default) the span is verified to contain the
-    identity and to be closed under products of basis pairs; a span that
-    fails either check raises ValueError.  Pass `check=False` only when
-    closure holds by construction.
+    The span is verified to contain the identity and to be closed under
+    products of basis pairs; a span that fails either check raises
+    ValueError.
     """
     for m in matrices:
         _check_square(m, n)
     space = rref_basis([m.flatten() for m in matrices], n * n)
     algebra = MatrixAlgebra(n=n, space=space)
-    if check:
-        if not subspace_contains(space, Matrix.identity(n).flatten()):
-            raise ValueError("span does not contain the identity matrix")
-        basis = algebra.basis_matrices()
-        for a in basis:
-            for b in basis:
-                if not subspace_contains(space, (a * b).flatten()):
-                    raise ValueError("span is not closed under multiplication")
+    if not subspace_contains(space, Matrix.identity(n).flatten()):
+        raise ValueError("span does not contain the identity matrix")
+    basis = algebra.basis_matrices()
+    for a in basis:
+        for b in basis:
+            if not subspace_contains(space, (a * b).flatten()):
+                raise ValueError("span is not closed under multiplication")
     return algebra
 
 
@@ -361,10 +356,10 @@ class _QuotientAlgebra:
                 acc = [a + f * c for a, c in zip(acc, cell)]
         return tuple(acc)
 
-    def scale_add(
-        self, u: Sequence[Fraction], f: Fraction, v: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]:
-        return tuple(a + f * b for a, b in zip(u, v))
+    def left_trace(self, u: Sequence[Fraction]) -> Fraction:
+        """Trace of the left multiplication x -> ux."""
+        m = self.dim
+        return sum((u[i] * self._table[i][k][k] for i in range(m) if u[i] for k in range(m)), _ZERO)
 
     def center(self) -> list[tuple[Fraction, ...]]:
         """Basis (in coordinates) of the center of the quotient."""
@@ -376,18 +371,22 @@ class _QuotientAlgebra:
         kernel = null_space(Matrix(rows))
         return [tuple(v) for v in kernel.basis]
 
-    def min_poly(self, z: Sequence[Fraction]) -> list[Fraction]:
-        """Monic minimal polynomial of z, low-degree coefficients first."""
+    def min_poly(self, z: Sequence[Fraction], one: Sequence[Fraction]) -> list[Fraction]:
+        """Monic minimal polynomial of z in the subalgebra with identity the
+        idempotent `one` (z = one z), low-degree coefficients first.  The
+        degree is at most `dim`."""
         m = self.dim
-        powers: list[tuple[Fraction, ...]] = [self.one]
+        powers: list[Sequence[Fraction]] = [one]
         builder = SpanBuilder(m)
-        builder.add(self.one)
-        current = self.one
-        while True:
+        builder.add(one)
+        current = one
+        for _ in range(m):
             current = self.mult(current, z)
             if not builder.add(current):
                 break
             powers.append(current)
+        else:
+            raise RuntimeError("minimal polynomial degree exceeds the quotient dimension")
         k = len(powers)
         system = Matrix._make(
             tuple(tuple(powers[i][r] for i in range(k)) for r in range(m))
@@ -450,17 +449,11 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], int]:
             g = math.gcd(g, v)
         if g > 1:
             ints = [v // g for v in ints]
-        found = None
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _eval_poly(work, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        leading = _divisors(ints[-1])
+        candidates = (
+            Fraction(sign * p, q) for p in _divisors(ints[0]) for q in leading for sign in (1, -1)
+        )
+        found = next((c for c in candidates if _eval_poly(work, c) == 0), None)
         if found is None:
             break
         roots.append(found)
@@ -472,11 +465,13 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], int]:
 class WedderburnData:
     """Radical plus semisimple block structure of a unital algebra.
 
-    `block_sizes` lists the matrix block sizes of the semisimple quotient
-    in ascending order, or is None when the quotient does not decompose
-    into full matrix blocks over Q (or the randomized extraction exhausted
-    its retry budget).  When present, sum of squares equals
-    `semisimple_dim`.
+    `block_sizes` lists in ascending order the s with s^2 the dimension of
+    each simple block of the semisimple quotient, or is None exactly when
+    the center of the quotient is not split (it contains a field extension
+    of Q).  `split` certifies only that the center is split: each block is
+    then central simple, but whether it is M_s(Q) rather than a matrix
+    algebra over a division algebra is not checked (the regular
+    representation of the quaternions reports one block of size 2).
     """
 
     radical_space: Subspace
@@ -489,76 +484,68 @@ class WedderburnData:
         return self.block_sizes is not None
 
 
-def semisimple_blocks(
-    a: MatrixAlgebra, *, retries: int = 8, seed: int = 0x5EED
-) -> WedderburnData:
+def _central_idempotents(quotient: _QuotientAlgebra) -> list[tuple[Fraction, ...]] | None:
+    """The primitive idempotents of the center Z of a semisimple quotient,
+    or None when Z is not split.
+
+    Deterministic walk over the center basis z_1..z_m (Friedl and Ronyai,
+    STOC 1985; Ronyai, J. Symb. Comp. 1990), starting from the identity.
+    At each z_i, every idempotent e found so far is split by Lagrange
+    interpolation over the rational roots of the minimal polynomial of
+    e z_i in eZ, which is squarefree since Z is semisimple.  An irreducible
+    factor of degree at least 2 proves that Z contains a field extension
+    of Q.  Afterwards every e z_i is a multiple of e, so there are dim Z
+    idempotents.
+    """
+    center = quotient.center()
+    idempotents = [quotient.one]
+    for z in center:
+        refined = []
+        for e in idempotents:
+            w = quotient.mult(e, z)
+            roots, leftover_degree = _rational_roots(quotient.min_poly(w, e))
+            if leftover_degree > 0:
+                return None
+            if len(set(roots)) != len(roots):
+                raise RuntimeError("minimal polynomial of a central element not squarefree")
+            for lam in roots:
+                idem = e
+                for mu in roots:
+                    if mu != lam:
+                        factor = [(x - mu * y) / (lam - mu) for x, y in zip(w, e)]
+                        idem = quotient.mult(idem, factor)
+                refined.append(idem)
+        idempotents = refined
+    if len(idempotents) != len(center):
+        raise RuntimeError("central idempotents do not match the center dimension")
+    return idempotents
+
+
+def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:
     """Radical dimension and the block sizes of the semisimple quotient.
 
-    The quotient A/rad A is analysed through its center: a random central
-    element whose minimal polynomial splits into distinct linear factors
-    over Q and has degree equal to the center's dimension yields the
-    primitive central idempotents by Lagrange interpolation, and each
-    idempotent cuts out one block whose dimension must be a perfect
-    square.  A nonlinear irreducible factor proves the center contains a
-    field extension of Q, so the non-split marker is returned
-    immediately; an unlucky (non-separating) draw is retried with a wider
-    coefficient range, up to `retries` times.
+    The quotient Q = A/rad A is cut by the primitive idempotents e of its
+    center into the blocks eQ.  Each has dimension Tr(x -> ex), the rank
+    of that idempotent map, and is central simple, so the dimension is a
+    perfect square.
     """
     rad = radical(a)
-    r = rad.dimension
-    d = a.dimension
-    ss_dim = d - r
     quotient = _QuotientAlgebra(a, rad)
-    center = quotient.center()
-    z_dim = len(center)
-    rng = random.Random(seed)
-
-    def data(sizes: tuple[int, ...] | None) -> WedderburnData:
-        return WedderburnData(
-            radical_space=rad,
-            radical_dim=r,
-            semisimple_dim=ss_dim,
-            block_sizes=sizes,
-        )
-
-    for attempt in range(retries):
-        bound = 3 + 2 * attempt
-        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in center]
-        z = tuple(_combination(coeffs, center, quotient.dim))
-        if not any(z):
-            continue
-        poly = quotient.min_poly(z)
-        roots, leftover_degree = _rational_roots(poly)
-        if leftover_degree > 0:
-            return data(None)
-        if len(set(roots)) != len(roots):
-            raise RuntimeError("minimal polynomial of a central element not squarefree")
-        if len(roots) < z_dim:
-            continue  # z does not generate the center; redraw
-        sizes = []
-        for lam in roots:
-            idem = quotient.one
-            for mu in roots:
-                if mu == lam:
-                    continue
-                shifted = quotient.scale_add(z, -mu, quotient.one)
-                idem = quotient.mult(idem, shifted)
-                idem = tuple(c / (lam - mu) for c in idem)
-            block = SpanBuilder(quotient.dim)
-            for k in range(quotient.dim):
-                basis_vec = tuple(
-                    _ONE if i == k else _ZERO for i in range(quotient.dim)
-                )
-                block.add(quotient.mult(idem, basis_vec))
-            block_dim = block.dimension
-            s = math.isqrt(block_dim)
-            if s * s != block_dim:
-                return data(None)
-            sizes.append(s)
-        if sum(s * s for s in sizes) != ss_dim:
+    idempotents = _central_idempotents(quotient)
+    sizes = None
+    if idempotents is not None:
+        dims = [quotient.left_trace(e) for e in idempotents]
+        if any(math.isqrt(int(d)) ** 2 != d for d in dims):
+            raise RuntimeError("a block of the semisimple quotient has non-square dimension")
+        if sum(dims) != quotient.dim:
             raise RuntimeError("block dimensions do not add up to the quotient")
-        return data(tuple(sorted(sizes)))
-    return data(None)
+        sizes = tuple(sorted(math.isqrt(int(d)) for d in dims))
+    return WedderburnData(
+        radical_space=rad,
+        radical_dim=rad.dimension,
+        semisimple_dim=quotient.dim,
+        block_sizes=sizes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +666,9 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
     n = a.n
     members: list[Subspace] = []
     current = zero_space(n)
-    while True:
+    # Each round but the last strictly grows `current`, which stays proper,
+    # so there are at most n rounds.
+    for _ in range(n):
         if current.dimension == 0:
             acting, quotient = a, _ModuleQuotient(current)
         else:
@@ -693,6 +682,8 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
         lifted = [quotient.lift(v) for v in kernel.basis]
         current = subspace_sum(current, rref_basis(lifted, n))
         members.append(current)
+    else:
+        raise RuntimeError("invariant flag did not stabilize within n rounds")
     members.append(full_space(n))
     return Flag(n=n, subspaces=tuple(members))
 

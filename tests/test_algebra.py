@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matalg.algebra as algebra_module
 from matalg.algebra import (
     Composition,
     MatrixAlgebra,
@@ -27,9 +28,11 @@ from matalg.algebra import (
     schur_commutative_check,
     semisimple_blocks,
     upper_triangular_algebra,
+    _QuotientAlgebra,
 )
 from matalg.exactlin import (
     Matrix,
+    SpanBuilder,
     random_invertible,
     random_matrix,
     rref_basis,
@@ -44,6 +47,24 @@ def full_algebra(n):
 
 def diagonal_algebra(n):
     return algebra_from_basis(n, [Matrix.unit(n, i, i) for i in range(n)])
+
+
+def block_diagonal(*blocks):
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                rows[offset + i][offset + j] = b[i, j]
+        offset += b.rows
+    return Matrix(rows)
+
+
+SQRT2 = Matrix([[0, 2], [1, 0]])  # companion of t^2 - 2
+SQRT3 = Matrix([[0, 3], [1, 0]])  # companion of t^2 - 3
+ZERO1 = Matrix([[0]])
+ZERO2 = Matrix([[0, 0], [0, 0]])
 
 
 class TestComposition:
@@ -212,6 +233,131 @@ class TestSemisimpleBlocks:
         a = parabolic_subalgebra(Composition((2, 1, 1)))
         c = random_invertible(rng, 4)
         assert semisimple_blocks(conjugate(a, c)).block_sizes == (1, 1, 2)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_large_diagonal_algebras_split(self, n):
+        assert semisimple_blocks(diagonal_algebra(n)).block_sizes == (1,) * n
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_conjugated_diagonal_algebra_splits(self, seed):
+        a = conjugate(diagonal_algebra(8), random_invertible(random.Random(seed), 8))
+        assert semisimple_blocks(a).block_sizes == (1,) * 8
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            [block_diagonal(SQRT2, ZERO1)],  # Q(sqrt 2) x Q
+            [block_diagonal(ZERO1, SQRT2)],  # Q x Q(sqrt 2)
+            [block_diagonal(SQRT2, ZERO2), block_diagonal(ZERO2, SQRT3)],
+            [
+                block_diagonal(SQRT2, ZERO2),
+                block_diagonal(ZERO2, Matrix.unit(2, 0, 1)),
+                block_diagonal(ZERO2, Matrix.unit(2, 1, 0)),
+            ],  # Q(sqrt 2) x M_2
+        ],
+        ids=["sqrt2-Q", "Q-sqrt2", "sqrt2-sqrt3", "sqrt2-M2"],
+    )
+    def test_mixed_center_does_not_split(self, generators):
+        a = closure(generators[0].rows, generators)
+        data = semisimple_blocks(a)
+        assert data.block_sizes is None
+        assert data.radical_dim == 0 and data.semisimple_dim == a.dimension
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="split certifies only the center: the quaternion division algebra "
+        "has center Q and is reported as one block of size 2",
+    )
+    def test_quaternion_division_algebra_is_not_split(self):
+        # left multiplication by i and j on the basis 1, i, j, k of (-1,-1)_Q
+        left_i = Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+        left_j = Matrix([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+        a = closure(4, [left_i, left_j])
+        assert a.dimension == 4
+        assert not semisimple_blocks(a).split
+
+
+def _jordan(size, value):
+    return Matrix(
+        [[value if i == j else int(j == i + 1) for j in range(size)] for i in range(size)]
+    )
+
+
+# Jordan block of SQRT2: minimal polynomial (t^2 - 2)^2
+SQRT2_JORDAN = Matrix([[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]])
+ROOT_OF_MINUS_ONE = Matrix([[0, -1], [1, 0]])  # companion of t^2 + 1
+
+
+def _oracle_pieces(seed):
+    """Up to four diagonal blocks of total side at most 6, each a Jordan
+    block or built from the companions of t^2 - 2 and t^2 + 1, together
+    with whether all of them are Jordan blocks."""
+    rng = random.Random(seed)
+    pieces = []
+    for _ in range(4):
+        kind = rng.choice(["jordan", "jordan", "sqrt2", "sqrt2-jordan", "i"])
+        if kind == "jordan":
+            piece = _jordan(rng.randint(1, 3), rng.randint(-2, 2))
+        else:
+            piece = {"sqrt2": SQRT2, "sqrt2-jordan": SQRT2_JORDAN, "i": ROOT_OF_MINUS_ONE}[kind]
+        if pieces and sum(p.rows for p, _ in pieces) + piece.rows > 6:
+            break
+        pieces.append((piece, kind == "jordan"))
+        if rng.random() < 0.3:
+            break
+    return [p for p, _ in pieces], all(jordan for _, jordan in pieces)
+
+
+ORACLE_SEEDS = range(24)
+
+
+class TestSemisimpleBlocksOracle:
+    """Cyclic closures Q[x] against sympy's factorization of the
+    characteristic polynomial: with p_i its distinct irreducible factors,
+    Q[x] = Q[t]/(minimal polynomial), so the radical has dimension
+    dim - sum deg p_i, the algebra is split exactly when every p_i is
+    linear, and then it has one block of size 1 per p_i."""
+
+    def test_cases_cover_both_verdicts(self):
+        assert {_oracle_pieces(s)[1] for s in ORACLE_SEEDS} == {True, False}
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_matches_sympy_factorization(self, seed):
+        sympy = pytest.importorskip("sympy")
+        pieces, all_jordan = _oracle_pieces(seed)
+        b = block_diagonal(*pieces)
+        n = b.rows
+        g = random_invertible(random.Random(1000 + seed), n)
+        x = g * b * g.inverse()
+        a = closure(n, [x])
+        t = sympy.Symbol("t")
+        sx = sympy.Matrix(
+            n, n, [sympy.Rational(v.numerator, v.denominator) for row in x.entries for v in row]
+        )
+        _, factors = sympy.factor_list(sx.charpoly(t).as_expr(), t)
+        degrees = [sympy.degree(f, t) for f, _ in factors]
+        data = semisimple_blocks(a)
+        assert data.radical_dim == a.dimension - sum(degrees)
+        if all(d == 1 for d in degrees):
+            assert all_jordan
+            assert data.block_sizes == (1,) * len(degrees)
+        else:
+            assert data.block_sizes is None
+
+
+class TestLoopBounds:
+    def test_min_poly_stops_at_the_quotient_dimension(self, monkeypatch):
+        a = diagonal_algebra(3)
+        quotient = _QuotientAlgebra(a, radical(a))
+        monkeypatch.setattr(SpanBuilder, "add", lambda self, vec: True)
+        with pytest.raises(RuntimeError, match="minimal polynomial"):
+            quotient.min_poly(quotient.one, quotient.one)
+
+    def test_invariant_flag_stops_after_n_rounds(self, monkeypatch):
+        # a flag that never grows would loop forever without the bound
+        monkeypatch.setattr(algebra_module, "subspace_sum", lambda current, new: current)
+        with pytest.raises(RuntimeError, match="invariant flag"):
+            invariant_flag(upper_triangular_algebra(3))
 
 
 class TestFlags:

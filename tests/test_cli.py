@@ -221,6 +221,15 @@ class TestCommandLine:
         assert payload["block_sizes"] == [1, 2]
         assert payload["radical_dimension"] == 2
 
+    def test_analyze_blocks_splits_diagonal_n10(self, tmp_path, capsys):
+        doc = BasisDocument(n=10, matrices=tuple(Matrix.unit(10, i, i) for i in range(10)))
+        path = tmp_path / "diagonal.json"
+        path.write_text(serialize_basis_document(doc))
+        assert main(["analyze", "blocks", "--input", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["split"] is True
+        assert payload["block_sizes"] == [1] * 10
+
     def test_analyze_closure(self, tmp_path, capsys):
         doc = BasisDocument(n=2, matrices=(Matrix.unit(2, 0, 1),))
         path = tmp_path / "gen.json"
