@@ -26,12 +26,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .exactlin import (
     Matrix,
+    Quotient,
     SpanBuilder,
     Subspace,
     Vector,
     _combination,
     _joint_kernel,
-    _residual,
     full_space,
     null_space,
     rref_basis,
@@ -281,24 +281,27 @@ def radical(a: MatrixAlgebra) -> Subspace:
     return rad
 
 
+def _nonzero_powers(space: Subspace, n: int) -> list[Subspace] | None:
+    """The nonzero powers N, N^2, ... of a subalgebra N of M_n, or None
+    when N^n != 0, which no nilpotent subalgebra of M_n has."""
+    powers = [space]
+    while powers[-1].dimension:
+        if len(powers) == n:
+            return None
+        powers.append(multiply_spaces(powers[-1], space, n))
+    return powers[:-1]
+
+
 def _certify_nilpotent_ideal(a: MatrixAlgebra, ideal: Subspace) -> None:
     """Internal consistency check for `radical`."""
-    if ideal.dimension == 0:
-        return
-    n = a.n
-    ideal_mats = ideal.basis_matrices(n)
+    ideal_mats = ideal.basis_matrices(a.n)
     for b in a.basis_matrices():
         for r in ideal_mats:
             if not subspace_contains(ideal, (b * r).flatten()) or not subspace_contains(
                 ideal, (r * b).flatten()
             ):
                 raise RuntimeError("radical candidate is not a two-sided ideal")
-    power = ideal
-    for _ in range(min(n, ideal.dimension + 1)):
-        if power.dimension == 0:
-            return
-        power = multiply_spaces(power, ideal, n)
-    if power.dimension != 0:
+    if _nonzero_powers(ideal, a.n) is None:
         raise RuntimeError("radical candidate is not nilpotent")
 
 
@@ -319,14 +322,14 @@ class _QuotientAlgebra:
     def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
         self.n = algebra.n
         space = algebra.space
-        rad_pivots = set(rad.pivots)
-        self._rad = rad
+        self._quotient = Quotient(rad)
+        position = {c: i for i, c in enumerate(self._quotient.coset_coords)}
         section = [
             Matrix.from_flat(row, self.n)
             for row, p in zip(space.basis, space.pivots)
-            if p not in rad_pivots
+            if p in position
         ]
-        self._coset_pivots: list[int] = [p for p in space.pivots if p not in rad_pivots]
+        self._coset_index = [position[p] for p in space.pivots if p in position]
         self.dim = len(section)
         self._table: list[list[tuple[Fraction, ...]]] = [
             [self.coords((x * y).flatten()) for y in section] for x in section
@@ -335,8 +338,8 @@ class _QuotientAlgebra:
 
     def coords(self, flat: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of the coset of a flattened element of A."""
-        r = _residual(self._rad, flat)
-        return tuple(r[p] for p in self._coset_pivots)
+        r = self._quotient.project(flat)
+        return tuple(r[i] for i in self._coset_index)
 
     def mult(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         m = self.dim
@@ -609,48 +612,16 @@ class Flag:
         return tuple(b - a for a, b in zip((0,) + dims, dims))
 
 
-class _ModuleQuotient:
-    """Coordinates on Q^n / V for an invariant subspace V.
-
-    The coset basis is the set of standard basis vectors at non-pivot
-    coordinates of V, which completes any reduced echelon basis.
-    """
-
-    def __init__(self, sub: Subspace):
-        self.sub = sub
-        self.n = sub.ambient_dim
-        pivot_set = set(sub.pivots)
-        self.coset_coords = [p for p in range(self.n) if p not in pivot_set]
-        self.dim = len(self.coset_coords)
-
-    def project(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        r = _residual(self.sub, vec)
-        return [r[p] for p in self.coset_coords]
-
-    def lift(self, coords: Sequence[Fraction]) -> list[Fraction]:
-        vec = [_ZERO] * self.n
-        for c, p in zip(coords, self.coset_coords):
-            vec[p] = c
-        return vec
-
-    def induced_matrix(self, m: Matrix) -> Matrix:
-        cols = []
-        for p in self.coset_coords:
-            column = [row[p] for row in m.entries]
-            cols.append(self.project(column))
-        entries = tuple(
-            tuple(cols[c][r] for c in range(self.dim)) for r in range(self.dim)
-        )
-        return Matrix._make(entries)
-
-
-def _induced_algebra(a: MatrixAlgebra, sub: Subspace) -> tuple[MatrixAlgebra, _ModuleQuotient]:
-    """The image of `a` acting on Q^n / sub (sub must be a-invariant)."""
-    quotient = _ModuleQuotient(sub)
+def _induced_algebra(a: MatrixAlgebra, quotient: Quotient) -> MatrixAlgebra:
+    """The image of `a` acting on Q^n / V (V a-invariant, `quotient` its
+    quotient map), from the projected columns of each b at the coset coordinates."""
     m = quotient.dim
-    vecs = [quotient.induced_matrix(b).flatten() for b in a.basis_matrices()]
-    algebra = MatrixAlgebra(n=m, space=rref_basis(vecs, m * m))
-    return algebra, quotient
+    vecs = []
+    for b in a.basis_matrices():
+        columns = b.transpose().entries
+        projected = [quotient.project(columns[c]) for c in quotient.coset_coords]
+        vecs.append([x for row in zip(*projected) for x in row])
+    return MatrixAlgebra(n=m, space=rref_basis(vecs, m * m))
 
 
 def invariant_flag(a: MatrixAlgebra) -> Flag:
@@ -669,10 +640,8 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
     # Each round but the last strictly grows `current`, which stays proper,
     # so there are at most n rounds.
     for _ in range(n):
-        if current.dimension == 0:
-            acting, quotient = a, _ModuleQuotient(current)
-        else:
-            acting, quotient = _induced_algebra(a, current)
+        quotient = Quotient(current)
+        acting = _induced_algebra(a, quotient)
         rad = radical(acting)
         if rad.dimension == 0:
             break
@@ -742,8 +711,6 @@ def is_parabolic(
     if stab.space != a.space:
         return False, None, None
     comp = Composition(flag.gaps)
-    if a.dimension != parabolic_dimension(comp):
-        return False, None, None
     witness = _adapted_basis(flag.subspaces, a.n).inverse()
     if conjugate(a, witness).space != parabolic_subalgebra(comp).space:
         raise RuntimeError("adapted basis failed to standardize the algebra")

@@ -443,7 +443,7 @@ def _run_gerstenhaber(
                 f"gerstenhaber/exhaustive-nil-max/n={n}",
                 "every nil unit-pattern subspace has dimension at most n(n-1)/2",
                 nil_bound(n),
-                max(nil_dims),
+                max(nil_dims) if nil_dims else "no pattern certified",
             )
         t = 100 if trials is None else trials
         rng = _rng(seed, "witness", n)
@@ -694,6 +694,10 @@ def run_verification(
     n_lo, n_hi = n_range
     if n_lo > n_hi:
         raise ValueError(f"empty n range {n_lo}..{n_hi}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     ns = list(range(n_lo, n_hi + 1))
     start = time.perf_counter()
     records: list[CheckRecord] = []

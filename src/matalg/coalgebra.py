@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .exactlin import (
     Matrix,
+    Quotient,
     Subspace,
     Vector,
     _matrix_side,
@@ -47,7 +48,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,7 @@ def is_coideal(s: Subspace) -> Coideal | CoidealRejection:
     for row in s.basis:
         if counit(CoalgebraElement(n=n, coefficients=row)):
             return CoidealRejection(n=n, space=s, axiom="counit", element=row)
-    # pi(e_f) = e_f for a non-pivot f; pi(e_p) = -(basis row of pivot p),
-    # which is 1 at p and 0 at every other pivot
-    images = [[(a, _ONE)] for a in range(s.ambient_dim)]
-    for row, p in zip(s.basis, s.pivots):
-        images[p] = [(f, -c) for f, c in enumerate(row) if c and f != p]
+    images = Quotient(s).images()
     for row in s.basis:
         tensor, _ = comultiply(CoalgebraElement(n=n, coefficients=row))
         component = _quotient_component(tensor, images)

@@ -424,6 +424,39 @@ def subspace_contains(space: Subspace, vec: Sequence[int | str | Fraction]) -> b
     return all(not e for e in _residual(space, v))
 
 
+class Quotient:
+    """Coordinates on Q^m / sub for a subspace `sub` of Q^m.
+
+    The coset basis is the set of standard basis vectors at the non-pivot
+    coordinates of `sub`, which completes its reduced echelon basis; a
+    vector's coordinates are its residual modulo `sub` read there.
+    """
+
+    def __init__(self, sub: Subspace):
+        self.sub = sub
+        pivot_set = set(sub.pivots)
+        self.coset_coords = [c for c in range(sub.ambient_dim) if c not in pivot_set]
+        self.dim = len(self.coset_coords)
+
+    def project(self, vec: Sequence[Fraction]) -> list[Fraction]:
+        r = _residual(self.sub, vec)
+        return [r[c] for c in self.coset_coords]
+
+    def lift(self, coords: Sequence[Fraction]) -> list[Fraction]:
+        vec = [_ZERO] * self.sub.ambient_dim
+        for x, c in zip(coords, self.coset_coords):
+            vec[c] = x
+        return vec
+
+    def images(self) -> list[list[tuple[int, Fraction]]]:
+        """The residual of each standard basis vector e_a as sparse (coordinate,
+        coefficient) pairs: e_a off the pivots, e_p - (basis row of p) at a pivot p."""
+        images = [[(a, _ONE)] for a in range(self.sub.ambient_dim)]
+        for row, p in zip(self.sub.basis, self.sub.pivots):
+            images[p] = [(f, -c) for f, c in enumerate(row) if c and f != p]
+        return images
+
+
 def solve_linear(m: Matrix, rhs: Sequence[int | str | Fraction]) -> Vector | None:
     """One exact solution of m @ x = rhs, or None when inconsistent.
 

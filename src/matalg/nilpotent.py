@@ -35,7 +35,7 @@ from .exactlin import (
     full_space,
     rref_basis,
 )
-from .algebra import _adapted_basis, _close_under_products, multiply_spaces
+from .algebra import _adapted_basis, _close_under_products, _nonzero_powers
 
 __all__ = [
     "ALL_NILPOTENT",
@@ -220,12 +220,9 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
     # Non-unital multiplicative closure of the subspace.
     generated = _close_under_products(SpanBuilder(n * n), s.basis_matrices(n))
     # Power spaces N, N^2, ...; nilpotent iff zero within n steps.
-    powers: list[Subspace] = [generated]
-    while powers[-1].dimension != 0 and len(powers) <= n:
-        powers.append(multiply_spaces(powers[-1], generated, n))
-    if powers[-1].dimension != 0:
+    powers = _nonzero_powers(generated, n)
+    if powers is None:
         return None
-    powers.pop()  # drop the zero space; powers[k-1] spans N^k != 0
     # Kernel flag, refined greedily to a full basis.
     kernels = [_joint_kernel(p.basis_matrices(n), n) for p in powers]
     cinv = _adapted_basis(kernels + [full_space(n)], n)

@@ -299,6 +299,24 @@ class TestCommandLine:
         assert main(["verify", "--suite", "schur", "--n", "7"]) == 2
         assert "does not support" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value", [("--trials", "-1"), ("--trials", "0"), ("--budget", "-1")]
+    )
+    def test_verify_rejects_out_of_range_counts(self, option, value, capsys):
+        code = main(["verify", "--suite", "all", "--n", "2..3", option, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert option[2:] in captured.err and captured.out == ""
+
+    def test_verify_small_nil_budget_fails_without_crashing(self, capsys):
+        argv = ["verify", "--suite", "gerstenhaber", "--n", "3", "--trials", "1"]
+        assert main(argv + ["--budget", "2"]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "[FAIL] gerstenhaber/exhaustive-nil-max/n=3 expected=3 "
+            "observed=no pattern certified" in out
+        )
+
     def test_verify_range_parsing(self, capsys):
         code = main(["verify", "--suite", "optimal-type", "--n", "2..3"])
         assert code == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from matalg.exactlin import (
     Matrix,
+    Quotient,
     SpanBuilder,
     _joint_kernel,
     as_scalar,
@@ -59,6 +60,22 @@ def spaces(dim, max_vectors=4):
     return st.lists(vectors(dim), min_size=0, max_size=max_vectors).map(
         lambda vs: rref_basis(vs, dim)
     )
+
+
+@st.composite
+def quotient_cases(draw):
+    """A rational subspace of Q^m, m in 1..9, and a vector of Q^m that is
+    a combination of its basis, half of the time plus a free vector, so
+    members and non-members both occur."""
+    m = draw(st.integers(1, 9))
+    sub = draw(spaces(m, max_vectors=m))
+    vec = [Fraction(0)] * m
+    for row in sub.basis:
+        c = draw(scalars)
+        vec = [x + c * y for x, y in zip(vec, row)]
+    if draw(st.booleans()):
+        vec = [x + y for x, y in zip(vec, draw(vectors(m)))]
+    return sub, tuple(vec)
 
 
 class TestScalars:
@@ -269,3 +286,34 @@ class TestSpanBuilder:
             builder.add(v)
         assert builder.to_subspace() == rref_basis(vecs, 4)
         assert builder.dimension == rref_basis(vecs, 4).dimension
+
+
+class TestQuotient:
+    @given(quotient_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_project_vanishes_exactly_on_the_subspace(self, case):
+        sub, vec = case
+        quotient = Quotient(sub)
+        assert quotient.dim == sub.ambient_dim - sub.dimension
+        assert (not any(quotient.project(vec))) == subspace_contains(sub, vec)
+
+    @given(quotient_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_lift_is_a_section_of_project(self, case):
+        sub, vec = case
+        quotient = Quotient(sub)
+        lifted = quotient.lift(quotient.project(vec))
+        assert subspace_contains(sub, [x - y for x, y in zip(vec, lifted)])
+        coords = vec[: quotient.dim]
+        assert quotient.project(quotient.lift(coords)) == list(coords)
+
+    @given(quotient_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_images_are_projected_unit_vectors(self, case):
+        sub, _ = case
+        quotient = Quotient(sub)
+        m = sub.ambient_dim
+        for a, image in enumerate(quotient.images()):
+            unit = [Fraction(int(a == k)) for k in range(m)]
+            dense = quotient.lift(quotient.project(unit))
+            assert dict(image) == {f: c for f, c in enumerate(dense) if c}
