@@ -88,9 +88,12 @@ def _read_text(path: str) -> str:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _matrix_rows(m: Matrix) -> list[list[str]]:

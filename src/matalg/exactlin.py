@@ -218,30 +218,19 @@ class Matrix:
         return all(not e for row in self.entries for e in row)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
+        """Exact inverse: the reduced echelon form of [M | I] is [I | M^-1];
+        raises ValueError when singular."""
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
         n = self.rows
-        work = [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            lead = work[col][col]
-            if lead != 1:
-                work[col] = [e / lead for e in work[col]]
-            prow = work[col]
-            for r in range(n):
-                if r != col:
-                    f = work[r][col]
-                    if f:
-                        work[r] = [a - f * b for a, b in zip(work[r], prow)]
-        return Matrix._make(tuple(tuple(row[n:]) for row in work))
+        rows = _echelon(
+            row + tuple(_ONE if i == j else _ZERO for j in range(n))
+            for i, row in enumerate(self.entries)
+        )
+        # [M | I] has rank n, so a singular M leaves a pivot in the I block
+        if max(rows) >= n:
+            raise ValueError("matrix is singular")
+        return Matrix._make(tuple(tuple(rows[p][n:]) for p in range(n)))
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -254,44 +243,62 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-def _rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Fully reduced row-echelon form of the given rows.
+def _reduce(
+    vec: Sequence[Fraction], pivot_rows: Iterable[tuple[int, Sequence[Fraction]]]
+) -> list[Fraction]:
+    """Residual of `vec` modulo fully reduced `(pivot, row)` pairs.
 
-    Returns the nonzero rows (leading entry 1, zeros above and below each
-    pivot) and the sorted list of pivot columns.  Pure Gauss-Jordan over
-    Fractions; rows are not assumed independent.
+    Each row is 1 at its own pivot and 0 at every other pivot, so one pass
+    in any order is complete.  The result is zero exactly when `vec` lies
+    in the span of the rows, and it is zero at each of their pivots.
     """
-    work = [list(row) for row in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    nrows = len(work)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        lead = work[r][c]
-        if lead != 1:
-            work[r] = [e / lead for e in work[r]]
-        prow = work[r]
-        for i in range(nrows):
-            if i != r:
-                f = work[i][c]
-                if f:
-                    row = work[i]
-                    work[i] = [a - f * b for a, b in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work[:r], pivots
+    r = list(vec)
+    for p, row in pivot_rows:
+        f = r[p]
+        if f:
+            r = [a - f * b if b else a for a, b in zip(r, row)]
+    return r
+
+
+def _adjoin(rows: dict[int, list[Fraction]], residual: list[Fraction]) -> None:
+    """Insert a nonzero residual of `_reduce` into fully reduced `rows`
+    keyed by pivot.
+
+    The residual is scaled to 1 at its first nonzero coordinate, and that
+    column is cleared from the other rows, so the rows stay fully reduced
+    and, sorted by pivot, are the reduced row-echelon form of their span.
+    """
+    p = next(i for i, e in enumerate(residual) if e)
+    f = residual[p]
+    if f != 1:
+        # multiply by the exact inverse; plain / would go float on ints
+        inv = _ONE / f
+        residual = [e * inv if e else e for e in residual]
+    for q, row in rows.items():
+        g = row[p]
+        if g:
+            rows[q] = [a - g * b if b else a for a, b in zip(row, residual)]
+    rows[p] = residual
+
+
+def _echelon(vectors: Iterable[Sequence[Fraction]]) -> dict[int, list[Fraction]]:
+    """Fully reduced rows spanning `vectors`, keyed by pivot."""
+    rows: dict[int, list[Fraction]] = {}
+    for vec in vectors:
+        residual = _reduce(vec, rows.items())
+        if any(residual):
+            _adjoin(rows, residual)
+    return rows
+
+
+def _canonical(ambient_dim: int, rows: dict[int, list[Fraction]]) -> Subspace:
+    """The `Subspace` of fully reduced rows keyed by pivot."""
+    pivots = tuple(sorted(rows))
+    return Subspace(
+        ambient_dim=ambient_dim,
+        basis=tuple(tuple(rows[p]) for p in pivots),
+        pivots=pivots,
+    )
 
 
 @dataclass(frozen=True)
@@ -326,15 +333,7 @@ class Subspace:
 
 def rref_basis(vectors: Iterable[Sequence[int | str | Fraction]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by `vectors` inside Q^ambient_dim."""
-    rows = []
-    for vec in vectors:
-        rows.append(as_vector(vec, ambient_dim))
-    reduced, pivots = _rref_rows(rows)
-    return Subspace(
-        ambient_dim=ambient_dim,
-        basis=tuple(tuple(row) for row in reduced),
-        pivots=tuple(pivots),
-    )
+    return _canonical(ambient_dim, _echelon(as_vector(vec, ambient_dim) for vec in vectors))
 
 
 def zero_space(ambient_dim: int) -> Subspace:
@@ -373,30 +372,10 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     if a.dimension == 0 or b.dimension == 0:
         return zero_space(n)
-    rows: list[list[Fraction]] = []
-    for v in a.basis:
-        rows.append(list(v) + list(v))
-    zero_tail = [_ZERO] * n
-    for w in b.basis:
-        rows.append(list(w) + zero_tail)
-    reduced, _ = _rref_rows(rows)
-    carriers = [row[n:] for row in reduced if all(not e for e in row[:n])]
+    zero_tail = (_ZERO,) * n
+    rows = _echelon([v + v for v in a.basis] + [w + zero_tail for w in b.basis])
+    carriers = [row[n:] for p, row in rows.items() if p >= n]
     return rref_basis(carriers, n)
-
-
-def _residual(space: Subspace, vec: Sequence[Fraction]) -> list[Fraction]:
-    """Remainder of `vec` after eliminating the pivot coordinates of `space`.
-
-    The result is zero exactly when `vec` lies in the subspace.  Relies on
-    the basis being fully reduced: each basis row is zero at every other
-    pivot, so a single pass in pivot order is complete.
-    """
-    r = list(vec)
-    for row, p in zip(space.basis, space.pivots):
-        f = r[p]
-        if f:
-            r = [a - f * b for a, b in zip(r, row)]
-    return r
 
 
 def _matrix_side(space: Subspace) -> int:
@@ -421,7 +400,7 @@ def _combination(
 
 def subspace_contains(space: Subspace, vec: Sequence[int | str | Fraction]) -> bool:
     v = as_vector(vec, space.ambient_dim)
-    return all(not e for e in _residual(space, v))
+    return not any(_reduce(v, zip(space.pivots, space.basis)))
 
 
 class Quotient:
@@ -439,7 +418,7 @@ class Quotient:
         self.dim = len(self.coset_coords)
 
     def project(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        r = _residual(self.sub, vec)
+        r = _reduce(vec, zip(self.sub.pivots, self.sub.basis))
         return [r[c] for c in self.coset_coords]
 
     def lift(self, coords: Sequence[Fraction]) -> list[Fraction]:
@@ -463,28 +442,26 @@ def solve_linear(m: Matrix, rhs: Sequence[int | str | Fraction]) -> Vector | Non
     Free variables are fixed at zero, so the answer is deterministic.
     """
     b = as_vector(rhs, m.rows)
-    augmented = [list(row) + [val] for row, val in zip(m.entries, b)]
-    reduced, pivots = _rref_rows(augmented)
     ncols = m.cols
+    rows = _echelon(row + (val,) for row, val in zip(m.entries, b))
+    if ncols in rows:
+        return None  # pivot in the constant column: 0 = 1
     solution = [_ZERO] * ncols
-    for row, p in zip(reduced, pivots):
-        if p == ncols:
-            return None  # pivot in the constant column: 0 = 1
+    for p, row in rows.items():
         solution[p] = row[ncols]
     return tuple(solution)
 
 
 def null_space(m: Matrix) -> Subspace:
     """Canonical basis of {x : m @ x = 0} inside Q^cols."""
-    reduced, pivots = _rref_rows(m.entries)
+    rows = _echelon(m.entries)
     ncols = m.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    free = [c for c in range(ncols) if c not in rows]
     basis = []
     for f in free:
         vec = [_ZERO] * ncols
         vec[f] = _ONE
-        for row, p in zip(reduced, pivots):
+        for p, row in rows.items():
             coeff = row[f]
             if coeff:
                 vec[p] = -coeff
@@ -501,10 +478,9 @@ def _joint_kernel(mats: Sequence[Matrix], n: int) -> Subspace:
 class SpanBuilder:
     """Incremental span accumulator for rank and membership queries.
 
-    Keeps a row-echelon (not fully reduced) set of rows keyed by leading
-    coordinate, so adding a vector or testing membership costs one forward
-    reduction.  Useful inside closure loops where a subspace grows vector
-    by vector; call `to_subspace` for the canonical form at the end.
+    Keeps fully reduced rows keyed by pivot, so adding a vector or testing
+    membership costs one reduction, and `to_subspace` only sorts the rows.
+    Useful inside closure loops where a subspace grows vector by vector.
     """
 
     def __init__(self, ambient_dim: int):
@@ -515,43 +491,19 @@ class SpanBuilder:
     def dimension(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Sequence[Fraction]) -> tuple[int, list[Fraction]]:
-        """Forward-reduce `vec`; returns (leading index, residual) with
-        leading index -1 when the residual is zero."""
-        row = list(vec)
-        rows = self._rows
-        j = 0
-        ambient = self.ambient_dim
-        while j < ambient:
-            if row[j]:
-                pivot_row = rows.get(j)
-                if pivot_row is None:
-                    return j, row
-                f = row[j]
-                row = [a - f * b for a, b in zip(row, pivot_row)]
-            j += 1
-        return -1, row
-
-    def add(self, vec: Sequence[Fraction]) -> bool:
+    def add(self, vec: Sequence[int | str | Fraction]) -> bool:
         """Adjoin a vector; returns True when the span grew."""
-        lead, row = self._reduce(vec)
-        if lead < 0:
+        residual = _reduce(as_vector(vec, self.ambient_dim), self._rows.items())
+        if not any(residual):
             return False
-        f = row[lead]
-        if f != 1:
-            # multiply by the exact inverse; plain / would go float on ints
-            inv = _ONE / f
-            row = [e * inv for e in row]
-        self._rows[lead] = row
+        _adjoin(self._rows, residual)
         return True
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        lead, _ = self._reduce(vec)
-        return lead < 0
+    def contains(self, vec: Sequence[int | str | Fraction]) -> bool:
+        return not any(_reduce(as_vector(vec, self.ambient_dim), self._rows.items()))
 
     def to_subspace(self) -> Subspace:
-        rows = [self._rows[k] for k in sorted(self._rows)]
-        return rref_basis(rows, self.ambient_dim)
+        return _canonical(self.ambient_dim, self._rows)
 
 
 def random_matrix(

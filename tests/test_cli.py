@@ -281,6 +281,19 @@ class TestCommandLine:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["analyze", "closure", "--input", str(tmp_path / "no.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "schur", "--n", "2"],
+            ["construct", "parabolic-algebra", "--type", "1,2"],
+        ],
+    )
+    def test_unwritable_output_exit_code(self, argv, tmp_path, capsys):
+        # exit 1 means a failed verification, so a bad path must be 2
+        out = tmp_path / "missing" / "r.txt"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+
     def test_non_algebra_input_exit_code(self, tmp_path, capsys):
         doc = BasisDocument(n=2, matrices=(Matrix.unit(2, 0, 1),))
         path = tmp_path / "open.json"

@@ -29,7 +29,7 @@ from matalg.exactlin import (
     Matrix,
     SpanBuilder,
     _matrix_side,
-    _residual,
+    _reduce,
     random_subspace,
     rref_basis,
     subspace_sum,
@@ -119,7 +119,8 @@ def quotient_image(s, tensor):
     vanishes on s (x) C + C (x) s."""
     n2 = s.ambient_dim
     res = [
-        _residual(s, [Fraction(int(a == k)) for k in range(n2)]) for a in range(n2)
+        _reduce([Fraction(int(a == k)) for k in range(n2)], zip(s.pivots, s.basis))
+        for a in range(n2)
     ]
     image = {}
     for k, c in enumerate(tensor):

@@ -56,6 +56,55 @@ def kernel_families(draw):
     return n, family
 
 
+# Mostly non-integer rationals, with zero entries frequent enough that
+# sparse rows occur.
+rationals = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+)
+
+
+@st.composite
+def row_lists(draw, cols=None, count=None):
+    """`count` (default 1..5) rational rows of length `cols` (default
+    1..5): each row is free, zero, or a combination of the rows before
+    it, so zero and dependent rows both occur."""
+    cols = cols or draw(st.integers(1, 5))
+    rows = []
+    for _ in range(count or draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("free", "zero", "dependent")))
+        if kind == "zero":
+            rows.append((Fraction(0),) * cols)
+        elif kind == "dependent" and rows:
+            row = [Fraction(0)] * cols
+            for earlier in rows:
+                c = draw(rationals)
+                row = [x + c * y for x, y in zip(row, earlier)]
+            rows.append(tuple(row))
+        else:
+            rows.append(tuple(draw(st.lists(rationals, min_size=cols, max_size=cols))))
+    return rows
+
+
+def sympy_matrix(rows):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in rows])
+
+
+def from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def sympy_rref(rows):
+    """The nonzero rows and the pivots of sympy's reduced echelon form."""
+    reduced, pivots = sympy_matrix(rows).rref()
+    basis = tuple(tuple(from_sympy(x) for x in reduced.row(i)) for i in range(len(pivots)))
+    return basis, tuple(pivots)
+
+
+def sympy_rank(rows):
+    return sympy_matrix(rows).rank()
+
+
 def spaces(dim, max_vectors=4):
     return st.lists(vectors(dim), min_size=0, max_size=max_vectors).map(
         lambda vs: rref_basis(vs, dim)
@@ -270,7 +319,22 @@ class TestSpanBuilder:
         builder = SpanBuilder(3)
         added = [builder.add(v) for v in vecs]
         assert added == [True, False, True, True]
-        assert builder.to_subspace() == rref_basis(vecs, 3)
+        space = builder.to_subspace()
+        assert space == rref_basis(vecs, 3)
+        assert (space.basis, space.pivots) == sympy_rref(vecs)
+
+    def test_coerces_and_checks_length(self):
+        builder = SpanBuilder(3)
+        with pytest.raises(ValueError):
+            builder.add((1, 2))
+        with pytest.raises(ValueError):
+            builder.contains((1, 2, 3, 4))
+        assert builder.dimension == 0
+        assert builder.add((1, 0, 2))
+        assert builder.contains((2, 0, 4))
+        basis = builder.to_subspace().basis
+        assert basis == ((1, 0, 2),)
+        assert all(type(e) is Fraction for e in basis[0])
 
     def test_contains_tracks_membership(self):
         builder = SpanBuilder(2)
@@ -284,8 +348,74 @@ class TestSpanBuilder:
         builder = SpanBuilder(4)
         for v in vecs:
             builder.add(v)
-        assert builder.to_subspace() == rref_basis(vecs, 4)
-        assert builder.dimension == rref_basis(vecs, 4).dimension
+        space = builder.to_subspace()
+        assert space == rref_basis(vecs, 4)
+        assert builder.dimension == space.dimension
+        assert (space.basis, space.pivots) == sympy_rref(vecs)
+
+
+class TestAgainstSympy:
+    """The elimination kernel against sympy's, an independent reference."""
+
+    @given(row_lists())
+    @settings(max_examples=80, deadline=None)
+    def test_rref_basis(self, rows):
+        space = rref_basis(rows, len(rows[0]))
+        assert (space.basis, space.pivots) == sympy_rref(rows)
+        assert all(type(e) is Fraction for v in space.basis for e in v)
+
+    @given(row_lists())
+    @settings(max_examples=80, deadline=None)
+    def test_null_space(self, rows):
+        kernel = null_space(Matrix(rows))
+        vectors = sympy_matrix(rows).nullspace()
+        if not vectors:
+            assert kernel.dimension == 0
+            return
+        reduced = sympy_rref([[from_sympy(x) for x in v] for v in vectors])
+        assert (kernel.basis, kernel.pivots) == reduced
+
+    @given(st.integers(1, 4).flatmap(lambda n: row_lists(cols=n, count=n)))
+    @settings(max_examples=80, deadline=None)
+    def test_inverse(self, rows):
+        reference = sympy_matrix(rows)
+        if reference.det() == 0:
+            with pytest.raises(ValueError, match="singular"):
+                Matrix(rows).inverse()
+            return
+        inverse = Matrix(rows).inverse()
+        assert inverse.entries == tuple(
+            tuple(from_sympy(x) for x in reference.inv().row(i)) for i in range(len(rows))
+        )
+        assert all(type(e) is Fraction for row in inverse.entries for e in row)
+
+    @given(row_lists(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_solve_linear(self, rows, data):
+        m = Matrix(rows)
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        else:
+            rhs = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
+        augmented = [row + (b,) for row, b in zip(rows, rhs)]
+        solution = solve_linear(m, rhs)
+        inconsistent = sympy_rank(augmented) > sympy_rank(rows)
+        assert (solution is None) == inconsistent
+        if solution is not None:
+            assert [sum(a * b for a, b in zip(row, solution)) for row in rows] == rhs
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(row_lists(cols=n), row_lists(cols=n))))
+    @settings(max_examples=80, deadline=None)
+    def test_subspace_intersect(self, pair):
+        rows_a, rows_b = pair
+        n = len(rows_a[0])
+        meet = subspace_intersect(rref_basis(rows_a, n), rref_basis(rows_b, n))
+        rank_a, rank_b = sympy_rank(rows_a), sympy_rank(rows_b)
+        assert meet.dimension == rank_a + rank_b - sympy_rank(rows_a + rows_b)
+        for v in meet.basis:
+            assert sympy_rank(rows_a + [v]) == rank_a
+            assert sympy_rank(rows_b + [v]) == rank_b
 
 
 class TestQuotient:
