@@ -32,6 +32,7 @@ from .exactlin import (
     Vector,
     _combination,
     _joint_kernel,
+    _unit_span,
     full_space,
     null_space,
     rref_basis,
@@ -187,27 +188,31 @@ def _close_under_products(builder: SpanBuilder, generators: Sequence[Matrix]) ->
     """The span of `builder` grown by the generators and all their products.
 
     Fixed-point iteration: adjoin products of spanning pairs until the
-    span stabilizes or fills the ambient space.  Products are formed only
-    among the adjoined matrices, so whatever `builder` held beforehand must
-    add nothing new under products: the identity, or nothing at all.
-    Terminates because the dimension strictly increases each round and is
-    bounded by the ambient dimension.
+    span stabilizes or fills the ambient space.  Each round pairs every
+    frontier matrix (adjoined in the previous round) with the older
+    matrices, with itself and with the frontier matrices after it, so
+    each unordered pair is visited once: x y and y x are formed once, x x
+    once.  Products are formed only among the adjoined matrices, so
+    whatever `builder` held beforehand must add nothing new under
+    products: the identity, or nothing at all.  Terminates because the
+    dimension strictly increases each round and is bounded by the ambient
+    dimension.
     """
     full = builder.ambient_dim
-    mats = [g for g in generators if builder.add(g.flatten())]
-    frontier = list(mats)
+    older: list[Matrix] = []
+    frontier = [g for g in generators if builder.add(g.flatten())]
     while frontier and builder.dimension < full:
         fresh: list[Matrix] = []
-        for x in frontier:
-            for y in mats:
-                for p in (x * y, y * x):
+        for k, x in enumerate(frontier):
+            for y in older + frontier[k:]:
+                for p in (x * y, y * x) if y is not x else (x * x,):
                     if builder.add(p.flatten()):
                         fresh.append(p)
                 if builder.dimension == full:
                     break
             if builder.dimension == full:
                 break
-        mats.extend(fresh)
+        older += frontier
         frontier = fresh
     return builder.to_subspace()
 
@@ -262,17 +267,13 @@ def radical(a: MatrixAlgebra) -> Subspace:
     a failure raises RuntimeError (it would mean the arithmetic is wrong,
     not the input).
     """
-    basis = a.basis_matrices()
-    d = len(basis)
     n = a.n
-    if d == 0:
+    if a.dimension == 0:
         return zero_space(n * n)
-    gram = Matrix._make(
-        tuple(
-            tuple((basis[i] * basis[j]).trace() for i in range(d))
-            for j in range(d)
-        )
-    )
+    # Tr(x y) is the dot product of x with the flattened transpose of y,
+    # so the Gram matrix of the trace form is a single product
+    transposes = tuple(zip(*(b.transpose().flatten() for b in a.basis_matrices())))
+    gram = Matrix._make(a.space.basis) * Matrix._make(transposes)
     rad_vectors = [
         _combination(coeffs, a.space.basis, n * n) for coeffs in null_space(gram).basis
     ]
@@ -562,12 +563,8 @@ def parabolic_subalgebra(comp: Composition) -> MatrixAlgebra:
     the block order, so no closure check is needed."""
     n = comp.n
     blocks = [comp.block_of(i) for i in range(n)]
-    vectors = []
-    for i in range(n):
-        for j in range(n):
-            if blocks[i] <= blocks[j]:
-                vectors.append(Matrix.unit(n, i, j).flatten())
-    return MatrixAlgebra(n=n, space=rref_basis(vectors, n * n))
+    positions = [(i, j) for i in range(n) for j in range(n) if blocks[i] <= blocks[j]]
+    return MatrixAlgebra(n=n, space=_unit_span(n, positions))
 
 
 def upper_triangular_algebra(n: int) -> MatrixAlgebra:
@@ -676,23 +673,11 @@ def _adapted_basis(chain: Iterable[Subspace], n: int) -> Matrix:
 def flag_stabilizer(f: Flag) -> MatrixAlgebra:
     """All matrices x with x V <= V for every member V of the flag.
 
-    For each proper member, x V <= V is the bilinear condition
-    q . (x v) = 0 over basis vectors v of V and basis covectors q of the
-    annihilator of V; the stabilizer is the null space of the stacked
-    constraints.  Always a unital algebra, so no closure check is run.
+    The adapted basis B carries the standard coordinate flag of type
+    `f.gaps` onto `f`, so the stabilizer is B P B^-1 for P the block
+    upper-triangular algebra of that type.
     """
-    n = f.n
-    rows: list[list[Fraction]] = []
-    for v_space in f.subspaces:
-        if v_space.dimension == n:
-            continue
-        annihilator = null_space(Matrix(v_space.basis))
-        for v in v_space.basis:
-            for q in annihilator.basis:
-                rows.append([q[i] * v[j] for i in range(n) for j in range(n)])
-    if not rows:
-        return MatrixAlgebra(n=n, space=full_space(n * n))
-    return MatrixAlgebra(n=n, space=null_space(Matrix(rows)))
+    return conjugate(parabolic_subalgebra(Composition(f.gaps)), _adapted_basis(f.subspaces, f.n))
 
 
 def is_parabolic(
@@ -700,17 +685,18 @@ def is_parabolic(
 ) -> tuple[bool, Composition | None, Matrix | None]:
     """Decide whether `a` is conjugate to a block upper-triangular algebra.
 
-    Computes the invariant flag and compares `a` with the flag's full
-    stabilizer.  On success returns (True, type, c) where the flag gaps
-    give the type and `c b c^-1` maps `a` onto the standard algebra of
-    that type; the witness is verified before being returned.  Otherwise
-    (False, None, None).
+    Every member of the invariant flag is a-invariant, so `a` lies in the
+    flag's stabilizer, a conjugate of the block upper-triangular algebra
+    of the flag's type; `a` equals it exactly when the dimensions agree.
+    On success returns (True, type, c) where the flag gaps give the type
+    and `c b c^-1` maps `a` onto the standard algebra of that type; the
+    witness is verified before being returned.  Otherwise, when the
+    dimension of `a` falls short of that type's, (False, None, None).
     """
     flag = invariant_flag(a)
-    stab = flag_stabilizer(flag)
-    if stab.space != a.space:
-        return False, None, None
     comp = Composition(flag.gaps)
+    if a.dimension != parabolic_dimension(comp):
+        return False, None, None
     witness = _adapted_basis(flag.subspaces, a.n).inverse()
     if conjugate(a, witness).space != parabolic_subalgebra(comp).space:
         raise RuntimeError("adapted basis failed to standardize the algebra")

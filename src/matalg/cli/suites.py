@@ -47,6 +47,7 @@ from ..coalgebra import is_coideal, parabolic_coideal, perp
 from ..exactlin import (
     Matrix,
     Subspace,
+    _unit_span,
     full_space,
     random_invertible,
     random_matrix,
@@ -166,7 +167,7 @@ def enumerate_unit_pattern_subalgebras(n: int) -> list[MatrixAlgebra]:
     if n not in (2, 3):
         raise ValueError("exhaustive enumeration is supported for n in {2, 3}")
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
-    diagonal = [Matrix.unit(n, i, i).flatten() for i in range(n)]
+    diagonal = [(i, i) for i in range(n)]
     found: list[tuple[int, tuple[tuple[int, int], ...], MatrixAlgebra]] = []
     for mask in range(1 << len(off)):
         chosen = {off[k] for k in range(len(off)) if mask >> k & 1}
@@ -180,8 +181,7 @@ def enumerate_unit_pattern_subalgebras(n: int) -> list[MatrixAlgebra]:
                 break
         if not transitive:
             continue
-        vectors = diagonal + [Matrix.unit(n, i, j).flatten() for i, j in sorted(chosen)]
-        algebra = MatrixAlgebra(n=n, space=rref_basis(vectors, n * n))
+        algebra = MatrixAlgebra(n=n, space=_unit_span(n, diagonal + sorted(chosen)))
         found.append((algebra.dimension, tuple(sorted(chosen)), algebra))
     found.sort(key=lambda item: (item[0], item[1]))
     return [algebra for _, _, algebra in found]
@@ -191,9 +191,8 @@ def _unit_pattern_spaces(n: int, positions: Sequence[tuple[int, int]]) -> Iterat
     """The span of the units e_{i,j} over each nonempty subset of
     `positions`, in bitmask order (bit k selects positions[k]); the full
     set comes last."""
-    units = [Matrix.unit(n, i, j).flatten() for i, j in positions]
-    for mask in range(1, 1 << len(units)):
-        yield rref_basis([u for k, u in enumerate(units) if mask >> k & 1], n * n)
+    for mask in range(1, 1 << len(positions)):
+        yield _unit_span(n, [p for k, p in enumerate(positions) if mask >> k & 1])
 
 
 def corpus_algebras(n: int, seed: int = 0) -> list[tuple[str, MatrixAlgebra]]:
@@ -214,10 +213,7 @@ def corpus_algebras(n: int, seed: int = 0) -> list[tuple[str, MatrixAlgebra]]:
     for comp in compositions(n):
         label = "blocks-" + "-".join(str(p) for p in comp.parts)
         entries.append((label, parabolic_subalgebra(comp)))
-    diagonal = MatrixAlgebra(
-        n=n,
-        space=rref_basis([Matrix.unit(n, i, i).flatten() for i in range(n)], n * n),
-    )
+    diagonal = MatrixAlgebra(n=n, space=_unit_span(n, [(i, i) for i in range(n)]))
     entries.append(("diagonal", diagonal))
     # span{I, e_{0,2}, e_{0,3}, e_{1,2}, e_{1,3}}: commutative of dimension
     # n^2/4 + 1, the largest a commutative subalgebra can be.
@@ -491,8 +487,11 @@ def _run_wedderburn(
         corpus = corpus_algebras(n, seed)
         split_total = 0
         identity_ok = 0
+        certified = 0
         for _, a in corpus:
+            # certifies radical(a) first and lets its RuntimeError propagate
             data = semisimple_blocks(a)
+            certified += 1
             if not data.split:
                 continue
             split_total += 1
@@ -505,13 +504,6 @@ def _run_wedderburn(
             f"{split_total}/{split_total}",
             f"{identity_ok}/{split_total}",
         )
-        certified = 0
-        for _, a in corpus:
-            try:
-                radical(a)
-                certified += 1
-            except RuntimeError:
-                pass
         _add(
             records,
             f"wedderburn/radical-certified/n={n}",

@@ -30,9 +30,9 @@ from .exactlin import (
     Subspace,
     Vector,
     _matrix_side,
+    _unit_span,
     full_space,
     null_space,
-    rref_basis,
 )
 from .algebra import Composition
 
@@ -204,13 +204,8 @@ def parabolic_coideal(comp: Composition) -> Coideal:
     for the type (1, n-1) this is the minimal value n - 1."""
     n = comp.n
     blocks = [comp.block_of(i) for i in range(n)]
-    vectors = []
-    for i in range(n):
-        for j in range(n):
-            if blocks[i] > blocks[j]:
-                vectors.append(Matrix.unit(n, i, j).flatten())
-    space = rref_basis(vectors, n * n)
-    result = is_coideal(space)
+    positions = [(i, j) for i in range(n) for j in range(n) if blocks[i] > blocks[j]]
+    result = is_coideal(_unit_span(n, positions))
     if isinstance(result, CoidealRejection):
         raise RuntimeError("block-lower pattern failed coideal certification")
     return result

@@ -336,6 +336,20 @@ def rref_basis(vectors: Iterable[Sequence[int | str | Fraction]], ambient_dim: i
     return _canonical(ambient_dim, _echelon(as_vector(vec, ambient_dim) for vec in vectors))
 
 
+def _unit_span(n: int, positions: Iterable[tuple[int, int]]) -> Subspace:
+    """Canonical span of the matrix units e_{i,j} at `positions` (in any
+    order, repeats allowed) inside the flattened n x n matrices.  Sorted
+    unit rows are already a reduced echelon basis, so nothing is reduced."""
+    coords = set()
+    for i, j in positions:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"unit position ({i}, {j}) out of range for n={n}")
+        coords.add(i * n + j)
+    pivots = tuple(sorted(coords))
+    basis = tuple(tuple(_ONE if c == p else _ZERO for c in range(n * n)) for p in pivots)
+    return Subspace(ambient_dim=n * n, basis=basis, pivots=pivots)
+
+
 def zero_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim=ambient_dim, basis=(), pivots=())
 

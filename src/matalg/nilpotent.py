@@ -32,8 +32,8 @@ from .exactlin import (
     _combination,
     _joint_kernel,
     _matrix_side,
+    _unit_span,
     full_space,
-    rref_basis,
 )
 from .algebra import _adapted_basis, _close_under_products, _nonzero_powers
 
@@ -74,10 +74,7 @@ def nil_bound(n: int) -> int:
 
 def strictly_upper_space(n: int) -> Subspace:
     """Span of the units e_{i,j} with i < j; the extremal nil subspace."""
-    vectors = [
-        Matrix.unit(n, i, j).flatten() for i in range(n) for j in range(i + 1, n)
-    ]
-    return rref_basis(vectors, n * n)
+    return _unit_span(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 @dataclass(frozen=True)

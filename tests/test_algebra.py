@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import matalg.algebra as algebra_module
 from matalg.algebra import (
     Composition,
+    Flag,
     MatrixAlgebra,
     absorption_probe,
     algebra_from_basis,
@@ -30,9 +31,12 @@ from matalg.algebra import (
     upper_triangular_algebra,
     _QuotientAlgebra,
 )
+from matalg.cli.suites import corpus_algebras
 from matalg.exactlin import (
     Matrix,
     SpanBuilder,
+    full_space,
+    null_space,
     random_invertible,
     random_matrix,
     rref_basis,
@@ -195,6 +199,43 @@ class TestRadical:
         c = random_invertible(rng, 3)
         moved = conjugate(a, c)
         assert radical(moved) == conjugate_space(radical(a), c)
+
+
+def reference_radical(a):
+    """The trace-form kernel with the Gram matrix read off d^2 matrix
+    products, the reference for the dot-product Gram matrix of `radical`."""
+    n = a.n
+    basis = a.basis_matrices()
+    gram = Matrix([[(x * y).trace() for x in basis] for y in basis])
+    kernel = [
+        sum((c * b for c, b in zip(coeffs, basis)), Matrix.zeros(n)).flatten()
+        for coeffs in null_space(gram).basis
+    ]
+    return rref_basis(kernel, n * n)
+
+
+@st.composite
+def small_closures(draw):
+    """Closures of 1-2 sparse rational generators at n <= 4; half of them
+    upper triangular, so that nonzero radicals occur."""
+    n = draw(st.integers(1, 4))
+    upper = draw(st.booleans())
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4),
+    )
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        rows = [[draw(entry) if j >= i or not upper else 0 for j in range(n)] for i in range(n)]
+        gens.append(Matrix(rows))
+    return closure(n, gens)
+
+
+class TestRadicalReference:
+    @given(small_closures())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_product_gram_reference(self, a):
+        assert radical(a) == reference_radical(a)
 
 
 class TestSemisimpleBlocks:
@@ -400,6 +441,79 @@ class TestFlags:
         assert stab.dimension > a.dimension
 
 
+def reference_flag_stabilizer(f):
+    """The stabilizer as the null space of bilinear constraints: for each
+    proper member V, q . (x v) = 0 over basis vectors v of V and basis
+    covectors q of its annihilator.  Kept as the reference for the
+    conjugated block algebra in `flag_stabilizer`."""
+    n = f.n
+    rows = []
+    for v_space in f.subspaces:
+        if v_space.dimension == n:
+            continue
+        annihilator = null_space(Matrix(v_space.basis))
+        for v in v_space.basis:
+            for q in annihilator.basis:
+                rows.append([q[i] * v[j] for i in range(n) for j in range(n)])
+    if not rows:
+        return MatrixAlgebra(n=n, space=full_space(n * n))
+    return MatrixAlgebra(n=n, space=null_space(Matrix(rows)))
+
+
+rationals = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7)
+
+
+@st.composite
+def flags(draw):
+    """Nested spans of random rational vectors in Q^1..Q^5: the drawn
+    vectors, completed greedily by standard basis vectors, cut at the
+    partial sums of a random composition of n."""
+    n = draw(st.integers(1, 5))
+    drawn = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=n))
+    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    builder = SpanBuilder(n)
+    basis = [v for v in drawn + units if builder.add(v)]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    members = tuple(rref_basis(basis[:d], n) for d in cuts + [n])
+    return Flag(n=n, subspaces=members)
+
+
+class TestFlagStabilizerReference:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_reference_on_corpus_flags(self, n):
+        for _, a in corpus_algebras(n, seed=7):
+            f = invariant_flag(a)
+            assert flag_stabilizer(f).space == reference_flag_stabilizer(f).space
+
+    @given(flags())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_random_flags(self, f):
+        stab = flag_stabilizer(f)
+        assert stab.space == reference_flag_stabilizer(f).space
+        assert stab.dimension == parabolic_dimension(Composition(f.gaps))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_recognition_matches_reference_on_corpus(self, n):
+        verdicts = set()
+        for _, a in corpus_algebras(n, seed=7):
+            expected = reference_flag_stabilizer(invariant_flag(a)).space == a.space
+            assert is_parabolic(a)[0] is expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_recognition_matches_reference_on_conjugated_types(self):
+        # every composition at n <= 4 and the two-block types at n = 5
+        types = [comp for n in range(1, 5) for comp in compositions(n)]
+        types += [Composition((k, 5 - k)) for k in range(1, 5)]
+        rng = random.Random(31)
+        for comp in types:
+            a = conjugate(parabolic_subalgebra(comp), random_invertible(rng, comp.n))
+            assert reference_flag_stabilizer(invariant_flag(a)).space == a.space
+            ok, found, witness = is_parabolic(a)
+            assert ok and found == comp
+            assert conjugate(a, witness).space == parabolic_subalgebra(comp).space
+
+
 class TestParabolicRecognition:
     def test_standard_parabolic_recognized_with_identity_witness(self):
         a = parabolic_subalgebra(Composition((1, 2)))
@@ -444,6 +558,38 @@ class TestParabolicRecognition:
         # is far smaller than the stabilizer
         a = algebra_from_basis(2, [Matrix.identity(2), Matrix.unit(2, 0, 1)])
         assert is_parabolic(a)[0] is False
+
+
+def _count_products(monkeypatch):
+    """Record (left, right) entries of every matrix product from now on."""
+    products = []
+    multiply = Matrix.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Matrix):
+            products.append((self.entries, other.entries))
+        return multiply(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    return products
+
+
+class TestClosureProducts:
+    def test_closed_basis_forms_each_unordered_pair_once(self, monkeypatch):
+        c = random_invertible(random.Random(41), 4)
+        a = conjugate(parabolic_subalgebra(Composition((1, 3))), c)
+        basis = a.basis_matrices()
+        # the identity comes first, so one basis direction adds nothing
+        adjoined = a.dimension - 1
+        products = _count_products(monkeypatch)
+        assert closure(4, basis).space == a.space
+        assert len(products) == adjoined * adjoined
+
+    def test_absorption_probe_repeats_no_product(self, monkeypatch):
+        a = parabolic_subalgebra(Composition((1, 3)))
+        products = _count_products(monkeypatch)
+        assert absorption_probe(a, Matrix.unit(4, 1, 0)).dimension == 16
+        assert len(products) == len(set(products))
 
 
 class TestMaximalityAndOptimal:

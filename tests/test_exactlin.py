@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matalg.exactlin import (
@@ -12,6 +12,7 @@ from matalg.exactlin import (
     Quotient,
     SpanBuilder,
     _joint_kernel,
+    _unit_span,
     as_scalar,
     as_vector,
     full_space,
@@ -447,3 +448,26 @@ class TestQuotient:
             unit = [Fraction(int(a == k)) for k in range(m)]
             dense = quotient.lift(quotient.project(unit))
             assert dict(image) == {f: c for f, c in enumerate(dense) if c}
+
+
+@st.composite
+def unit_positions(draw):
+    """n in 1..4 and a list of positions in any order, with repeats,
+    possibly empty."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(index, index), max_size=2 * n * n))
+
+
+class TestUnitSpan:
+    @given(unit_positions())
+    @example((3, []))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rref_of_unit_vectors(self, case):
+        n, positions = case
+        units = [Matrix.unit(n, i, j).flatten() for i, j in positions]
+        assert _unit_span(n, positions) == rref_basis(units, n * n)
+
+    def test_rejects_out_of_range_positions(self):
+        with pytest.raises(ValueError):
+            _unit_span(2, [(0, 2)])
