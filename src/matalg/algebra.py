@@ -19,6 +19,7 @@ deterministic split of its center.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -78,7 +79,12 @@ class Composition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        object.__setattr__(self, "parts", tuple(int(p) for p in parts))
+        parts = tuple(parts)
+        # bool is an int, but means nothing here; operator.index rejects
+        # floats and strings, which int() would truncate or parse
+        if any(isinstance(p, bool) for p in parts):
+            raise TypeError(f"parts must be integers, not booleans: {parts}")
+        object.__setattr__(self, "parts", tuple(operator.index(p) for p in parts))
         if not self.parts:
             raise ValueError("a composition needs at least one part")
         if any(p < 1 for p in self.parts):
@@ -184,21 +190,23 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     return algebra
 
 
-def _close_under_products(builder: SpanBuilder, generators: Sequence[Matrix]) -> Subspace:
-    """The span of `builder` grown by the generators and all their products.
+def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
+    """Smallest unital subalgebra of M_n containing the generators.
 
-    Fixed-point iteration: adjoin products of spanning pairs until the
-    span stabilizes or fills the ambient space.  Each round pairs every
-    frontier matrix (adjoined in the previous round) with the older
-    matrices, with itself and with the frontier matrices after it, so
-    each unordered pair is visited once: x y and y x are formed once, x x
-    once.  Products are formed only among the adjoined matrices, so
-    whatever `builder` held beforehand must add nothing new under
-    products: the identity, or nothing at all.  Terminates because the
-    dimension strictly increases each round and is bounded by the ambient
-    dimension.
+    Fixed-point iteration from the identity and the generators: adjoin
+    products of spanning pairs until the span stabilizes or fills M_n.
+    Each round pairs every frontier matrix (adjoined in the previous
+    round) with the older matrices, with itself and with the frontier
+    matrices after it, so each unordered pair is visited once: x y and
+    y x are formed once, x x once.  The identity is left out of the
+    product lists, since its products add nothing.  Terminates because
+    the dimension strictly increases each round and is at most n^2.
     """
-    full = builder.ambient_dim
+    for g in generators:
+        _check_square(g, n)
+    full = n * n
+    builder = SpanBuilder(full)
+    builder.add(Matrix.identity(n).flatten())
     older: list[Matrix] = []
     frontier = [g for g in generators if builder.add(g.flatten())]
     while frontier and builder.dimension < full:
@@ -214,20 +222,7 @@ def _close_under_products(builder: SpanBuilder, generators: Sequence[Matrix]) ->
                 break
         older += frontier
         frontier = fresh
-    return builder.to_subspace()
-
-
-def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
-    """Smallest unital subalgebra of M_n containing the generators.
-
-    The identity is always adjoined; it is left out of the product lists,
-    since its products add nothing.
-    """
-    for g in generators:
-        _check_square(g, n)
-    builder = SpanBuilder(n * n)
-    builder.add(Matrix.identity(n).flatten())
-    return MatrixAlgebra(n=n, space=_close_under_products(builder, generators))
+    return MatrixAlgebra(n=n, space=builder.to_subspace())
 
 
 def conjugate(a: MatrixAlgebra, c: Matrix) -> MatrixAlgebra:
@@ -263,13 +258,43 @@ def radical(a: MatrixAlgebra) -> Subspace:
 
     Over Q this trace-form kernel is exactly the maximal nilpotent ideal,
     and the result is certified as such before being returned: both ideal
-    conditions and vanishing of an iterated product chain are checked, and
-    a failure raises RuntimeError (it would mean the arithmetic is wrong,
-    not the input).
+    conditions are checked, and its kernel flag must reach Q^n, which
+    proves it nilpotent.  A failure raises RuntimeError (it would mean the
+    arithmetic is wrong, not the input).
     """
+    return _certified_radical(a)[0]
+
+
+def _kernel_flag(mats: Sequence[Matrix], n: int) -> list[Subspace] | None:
+    """The kernel flag ker N < ker N^2 < ... < Q^n of the (non-unital)
+    algebra N generated by `mats`, or None when N is not nilpotent.
+
+    V_1 is the joint kernel of `mats` and V_{j+1} = {v : m v in V_j for
+    every m}, the joint kernel of the products A m for A with rows
+    spanning the annihilator of V_j.  Words of length j span N^j, so
+    V_j = ker N^j.  The chain stops at Q^n, or with None at the first
+    step that does not grow; each step grows, so there are at most n.
+    """
+    if not mats:
+        return [full_space(n)]
+    flag = [_joint_kernel(mats, n)]
+    if flag[0].dimension == 0:
+        return None
+    while flag[-1].dimension < n:
+        annihilator = Matrix._make(null_space(Matrix._make(flag[-1].basis)).basis)
+        kernel = _joint_kernel([annihilator * m for m in mats], n)
+        if kernel.dimension == flag[-1].dimension:
+            return None
+        flag.append(kernel)
+    return flag
+
+
+def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
+    """The radical of `a` (see `radical`) with its kernel flag, the
+    certificate of its nilpotency."""
     n = a.n
     if a.dimension == 0:
-        return zero_space(n * n)
+        return zero_space(n * n), [full_space(n)]
     # Tr(x y) is the dot product of x with the flattened transpose of y,
     # so the Gram matrix of the trace form is a single product
     transposes = tuple(zip(*(b.transpose().flatten() for b in a.basis_matrices())))
@@ -278,32 +303,17 @@ def radical(a: MatrixAlgebra) -> Subspace:
         _combination(coeffs, a.space.basis, n * n) for coeffs in null_space(gram).basis
     ]
     rad = rref_basis(rad_vectors, n * n)
-    _certify_nilpotent_ideal(a, rad)
-    return rad
-
-
-def _nonzero_powers(space: Subspace, n: int) -> list[Subspace] | None:
-    """The nonzero powers N, N^2, ... of a subalgebra N of M_n, or None
-    when N^n != 0, which no nilpotent subalgebra of M_n has."""
-    powers = [space]
-    while powers[-1].dimension:
-        if len(powers) == n:
-            return None
-        powers.append(multiply_spaces(powers[-1], space, n))
-    return powers[:-1]
-
-
-def _certify_nilpotent_ideal(a: MatrixAlgebra, ideal: Subspace) -> None:
-    """Internal consistency check for `radical`."""
-    ideal_mats = ideal.basis_matrices(a.n)
+    rad_mats = rad.basis_matrices(n)
     for b in a.basis_matrices():
-        for r in ideal_mats:
-            if not subspace_contains(ideal, (b * r).flatten()) or not subspace_contains(
-                ideal, (r * b).flatten()
+        for r in rad_mats:
+            if not subspace_contains(rad, (b * r).flatten()) or not subspace_contains(
+                rad, (r * b).flatten()
             ):
                 raise RuntimeError("radical candidate is not a two-sided ideal")
-    if _nonzero_powers(ideal, a.n) is None:
+    flag = _kernel_flag(rad_mats, n)
+    if flag is None:
         raise RuntimeError("radical candidate is not nilpotent")
+    return rad, flag
 
 
 # ---------------------------------------------------------------------------
@@ -609,49 +619,16 @@ class Flag:
         return tuple(b - a for a, b in zip((0,) + dims, dims))
 
 
-def _induced_algebra(a: MatrixAlgebra, quotient: Quotient) -> MatrixAlgebra:
-    """The image of `a` acting on Q^n / V (V a-invariant, `quotient` its
-    quotient map), from the projected columns of each b at the coset coordinates."""
-    m = quotient.dim
-    vecs = []
-    for b in a.basis_matrices():
-        columns = b.transpose().entries
-        projected = [quotient.project(columns[c]) for c in quotient.coset_coords]
-        vecs.append([x for row in zip(*projected) for x in row])
-    return MatrixAlgebra(n=m, space=rref_basis(vecs, m * m))
-
-
 def invariant_flag(a: MatrixAlgebra) -> Flag:
-    """The chain of subspaces obtained by repeatedly taking the joint
-    kernel of the radical of the induced action.
+    """The kernel flag ker R < ker R^2 < ... < Q^n of the radical R of `a`.
 
-    Each step: compute the radical N of the algebra acting on the current
-    quotient; if N = 0 the chain ends at the full space, otherwise the
-    joint kernel of N is nonzero and proper, is invariant, and is lifted
-    back to Q^n as the next member.  For a block upper-triangular algebra
-    this recovers exactly the standard coordinate flag of its type.
+    Each member is a-invariant, since R is an ideal.  Member j+1 is the
+    preimage of the joint kernel of the radical of the induced action on
+    Q^n / (member j): that radical is the image of R.  For a block
+    upper-triangular algebra this recovers exactly the standard
+    coordinate flag of its type.
     """
-    n = a.n
-    members: list[Subspace] = []
-    current = zero_space(n)
-    # Each round but the last strictly grows `current`, which stays proper,
-    # so there are at most n rounds.
-    for _ in range(n):
-        quotient = Quotient(current)
-        acting = _induced_algebra(a, quotient)
-        rad = radical(acting)
-        if rad.dimension == 0:
-            break
-        kernel = _joint_kernel(rad.basis_matrices(acting.n), acting.n)
-        if kernel.dimension == 0 or kernel.dimension == acting.n:
-            raise RuntimeError("joint kernel of a nonzero nilpotent ideal is improper")
-        lifted = [quotient.lift(v) for v in kernel.basis]
-        current = subspace_sum(current, rref_basis(lifted, n))
-        members.append(current)
-    else:
-        raise RuntimeError("invariant flag did not stabilize within n rounds")
-    members.append(full_space(n))
-    return Flag(n=n, subspaces=tuple(members))
+    return Flag(n=a.n, subspaces=tuple(_certified_radical(a)[1]))
 
 
 def _adapted_basis(chain: Iterable[Subspace], n: int) -> Matrix:

@@ -435,12 +435,6 @@ class Quotient:
         r = _reduce(vec, zip(self.sub.pivots, self.sub.basis))
         return [r[c] for c in self.coset_coords]
 
-    def lift(self, coords: Sequence[Fraction]) -> list[Fraction]:
-        vec = [_ZERO] * self.sub.ambient_dim
-        for x, c in zip(coords, self.coset_coords):
-            vec[c] = x
-        return vec
-
     def images(self) -> list[list[tuple[int, Fraction]]]:
         """The residual of each standard basis vector e_a as sparse (coordinate,
         coefficient) pairs: e_a off the pivots, e_p - (basis row of p) at a pivot p."""

@@ -15,7 +15,8 @@ read from the exact coefficients.
 The dimension of a nil subspace is at most n(n-1)/2, with equality
 exactly for conjugates of the strictly upper-triangular space;
 `triangularize_nil` produces the conjugating matrix through the kernel
-flag of the generated (non-unital) algebra.
+flag ker N < ker N^2 < ... of the algebra N the subspace generates, built
+straight from the subspace's basis.
 """
 
 from __future__ import annotations
@@ -27,15 +28,12 @@ from fractions import Fraction
 
 from .exactlin import (
     Matrix,
-    SpanBuilder,
     Subspace,
     _combination,
-    _joint_kernel,
     _matrix_side,
     _unit_span,
-    full_space,
 )
-from .algebra import _adapted_basis, _close_under_products, _nonzero_powers
+from .algebra import _adapted_basis, _kernel_flag
 
 __all__ = [
     "ALL_NILPOTENT",
@@ -203,26 +201,19 @@ def nonnil_witness_search(
 def triangularize_nil(s: Subspace) -> Matrix | None:
     """Conjugator c with c x c^-1 strictly upper triangular for all x in s.
 
-    Builds the (non-unital) algebra N generated by the subspace and the
-    kernel flag V_k = {v : N^k v = 0}.  When N is nilpotent the flag is
-    complete, any refinement of it to a full flag orders a basis under
-    which every element of N is strictly upper triangular, and the
-    inverse of that basis matrix is returned (verified before return).
-    When N is not nilpotent -- possible even for nil subspaces -- the
-    failure marker None is returned.
+    Builds the kernel flag V_k = {v : N^k v = 0} of the (non-unital)
+    algebra N generated by the subspace, straight from its basis.  When
+    N is nilpotent the flag reaches Q^n, any refinement of it to a full
+    flag orders a basis under which every element of N is strictly upper
+    triangular, and the inverse of that basis matrix is returned (verified
+    before return).  When N is not nilpotent -- possible even for nil
+    subspaces -- the failure marker None is returned.
     """
     n = _matrix_side(s)
-    if s.dimension == 0:
-        return Matrix.identity(n)
-    # Non-unital multiplicative closure of the subspace.
-    generated = _close_under_products(SpanBuilder(n * n), s.basis_matrices(n))
-    # Power spaces N, N^2, ...; nilpotent iff zero within n steps.
-    powers = _nonzero_powers(generated, n)
-    if powers is None:
+    flag = _kernel_flag(s.basis_matrices(n), n)
+    if flag is None:
         return None
-    # Kernel flag, refined greedily to a full basis.
-    kernels = [_joint_kernel(p.basis_matrices(n), n) for p in powers]
-    cinv = _adapted_basis(kernels + [full_space(n)], n)
+    cinv = _adapted_basis(flag, n)
     conjugator = cinv.inverse()
     for m in s.basis_matrices(n):
         moved = conjugator * m * cinv

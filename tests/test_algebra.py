@@ -30,17 +30,22 @@ from matalg.algebra import (
     semisimple_blocks,
     upper_triangular_algebra,
     _QuotientAlgebra,
+    _kernel_flag,
 )
 from matalg.cli.suites import corpus_algebras
 from matalg.exactlin import (
     Matrix,
+    Quotient,
     SpanBuilder,
+    _joint_kernel,
+    _unit_span,
     full_space,
     null_space,
     random_invertible,
     random_matrix,
     rref_basis,
     subspace_contains,
+    zero_space,
 )
 
 
@@ -82,6 +87,12 @@ class TestComposition:
             Composition((1, 0))
         with pytest.raises(ValueError):
             Composition(())
+
+    @pytest.mark.parametrize("parts", [(1.5, 2), (True, 2), (2.0, 1), ("1", 2)])
+    def test_rejects_non_integer_parts(self, parts):
+        # int() would truncate 1.5 and turn True into 1 without a word
+        with pytest.raises(TypeError):
+            Composition(parts)
 
     def test_enumeration_count(self):
         # compositions of n are in bijection with subsets of n-1 cut points
@@ -199,6 +210,20 @@ class TestRadical:
         c = random_invertible(rng, 3)
         moved = conjugate(a, c)
         assert radical(moved) == conjugate_space(radical(a), c)
+
+
+class TestRadicalCertificate:
+    def test_trace_form_kernel_that_is_no_ideal_is_rejected(self):
+        # not an algebra: its trace-form kernel span{e_01, e_12} is not
+        # closed, since e_01 e_12 = e_02
+        a = MatrixAlgebra(n=3, space=_unit_span(3, [(0, 0), (0, 1), (1, 2)]))
+        with pytest.raises(RuntimeError, match="not a two-sided ideal"):
+            radical(a)
+
+    def test_kernel_flag_failure_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(algebra_module, "_kernel_flag", lambda mats, n: None)
+        with pytest.raises(RuntimeError, match="not nilpotent"):
+            radical(upper_triangular_algebra(3))
 
 
 def reference_radical(a):
@@ -394,12 +419,6 @@ class TestLoopBounds:
         with pytest.raises(RuntimeError, match="minimal polynomial"):
             quotient.min_poly(quotient.one, quotient.one)
 
-    def test_invariant_flag_stops_after_n_rounds(self, monkeypatch):
-        # a flag that never grows would loop forever without the bound
-        monkeypatch.setattr(algebra_module, "subspace_sum", lambda current, new: current)
-        with pytest.raises(RuntimeError, match="invariant flag"):
-            invariant_flag(upper_triangular_algebra(3))
-
 
 class TestFlags:
     def test_full_algebra_flag_is_trivial(self):
@@ -439,6 +458,102 @@ class TestFlags:
         a = diagonal_algebra(2)
         stab = flag_stabilizer(invariant_flag(a))
         assert stab.dimension > a.dimension
+
+
+def reference_invariant_flag(a):
+    """The members of the invariant flag by iterated induced radicals: on
+    the quotient Q^n / V of the current member V, take the radical of the
+    induced algebra and lift its joint kernel back to Q^n, until that
+    radical is zero.  Kept as the reference for the kernel flag of rad a
+    in `invariant_flag`."""
+    n = a.n
+    members = []
+    current = zero_space(n)
+    for _ in range(n):
+        quotient = Quotient(current)
+        m = quotient.dim
+        induced = []
+        for b in a.basis_matrices():
+            columns = b.transpose().entries
+            projected = [quotient.project(columns[c]) for c in quotient.coset_coords]
+            induced.append([x for row in zip(*projected) for x in row])
+        rad = radical(MatrixAlgebra(n=m, space=rref_basis(induced, m * m)))
+        if rad.dimension == 0:
+            break
+        lifted = []
+        for v in _joint_kernel(rad.basis_matrices(m), m).basis:
+            dense = [Fraction(0)] * n
+            for x, c in zip(v, quotient.coset_coords):
+                dense[c] = x
+            lifted.append(dense)
+        current = rref_basis(list(current.basis) + lifted, n)
+        members.append(current)
+    else:
+        raise AssertionError("the induced radicals did not vanish within n rounds")
+    return tuple(members) + (full_space(n),)
+
+
+class TestInvariantFlagReference:
+    def test_matches_reference_on_corpora_and_conjugated_types(self):
+        # corpora at n = 2..4 and every composition at n <= 5
+        algebras = [a for n in (2, 3, 4) for _, a in corpus_algebras(n, seed=7)]
+        rng = random.Random(43)
+        for n in range(1, 6):
+            for comp in compositions(n):
+                g = random_invertible(rng, n)
+                algebras.append(conjugate(parabolic_subalgebra(comp), g))
+        lengths = set()
+        for a in algebras:
+            members = invariant_flag(a).subspaces
+            assert members == reference_invariant_flag(a)
+            lengths.add(len(members))
+        assert max(lengths) >= 3
+
+    @given(small_closures())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_closures(self, a):
+        assert invariant_flag(a).subspaces == reference_invariant_flag(a)
+
+
+def _count_joint_kernels(monkeypatch):
+    calls = []
+
+    def counting(mats, n):
+        calls.append(n)
+        return _joint_kernel(mats, n)
+
+    monkeypatch.setattr(algebra_module, "_joint_kernel", counting)
+    return calls
+
+
+class TestKernelFlag:
+    @pytest.mark.parametrize(
+        "mats",
+        [
+            [Matrix.identity(2)],
+            [Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)],
+            # the kernel span{e_0} is nonzero, and the second step stalls
+            [Matrix.unit(3, 1, 2), Matrix.unit(3, 2, 1)],
+        ],
+        ids=["identity", "e01-e10", "e12-e21"],
+    )
+    def test_none_when_not_nilpotent(self, mats, monkeypatch):
+        calls = _count_joint_kernels(monkeypatch)
+        n = mats[0].rows
+        assert _kernel_flag(mats, n) is None
+        assert len(calls) <= n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_strictly_upper_units_give_the_coordinate_flag(self, n, monkeypatch):
+        calls = _count_joint_kernels(monkeypatch)
+        mats = [Matrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
+        flag = _kernel_flag(mats, n)
+        assert [v.dimension for v in flag] == list(range(1, n + 1))
+        assert flag[-1] == full_space(n)
+        assert len(calls) <= n
+
+    def test_no_matrices_give_the_full_space(self):
+        assert _kernel_flag([], 3) == [full_space(3)]
 
 
 def reference_flag_stabilizer(f):

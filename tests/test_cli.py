@@ -1,12 +1,15 @@
 """Document parsing, verification reports, and the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import matalg
 from matalg.cli.documents import (
     BasisDocument,
     DocumentError,
@@ -342,10 +345,14 @@ class TestCommandLine:
         assert exc.value.code == 2
 
     def test_module_entry_point(self, tmp_path):
+        # the child must import the same matalg, installed or not
+        source = str(Path(matalg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "matalg", "verify", "--suite", "schur", "--n", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
         assert "result: PASS" in out.stdout

@@ -2,12 +2,15 @@
 
 import random
 
-from matalg.algebra import conjugate_space
+from matalg.algebra import _adapted_basis, conjugate_space, multiply_spaces
 from matalg.exactlin import (
     Matrix,
+    _joint_kernel,
+    full_space,
     random_invertible,
     random_subspace,
     rref_basis,
+    subspace_sum,
     zero_space,
 )
 from matalg.nilpotent import (
@@ -181,6 +184,56 @@ class TestTriangularize:
 
     def test_zero_space_identity_conjugator(self):
         assert triangularize_nil(zero_space(4)) == Matrix.identity(2)
+
+
+def reference_triangularize_nil(s, n):
+    """The conjugator through the powers of the generated algebra: close
+    the subspace under products (no identity adjoined), take the powers
+    N, N^2, ... (None when N^n != 0), refine the joint kernels of the
+    nonzero powers greedily to a basis and invert it.  Kept as the
+    reference for the kernel flag built from the basis in
+    `triangularize_nil`."""
+    generated = s
+    for _ in range(n * n):
+        grown = subspace_sum(generated, multiply_spaces(generated, generated, n))
+        if grown == generated:
+            break
+        generated = grown
+    powers = [generated]
+    while powers[-1].dimension:
+        if len(powers) == n:
+            return None
+        powers.append(multiply_spaces(powers[-1], generated, n))
+    kernels = [_joint_kernel(p.basis_matrices(n), n) for p in powers[:-1]]
+    return _adapted_basis(kernels + [full_space(n)], n).inverse()
+
+
+class TestTriangularizeReference:
+    def test_matches_reference_on_conjugated_upper_spaces(self):
+        # random spans of strictly upper matrices, half of them with one
+        # lower unit added, conjugated by seeded invertibles
+        rng = random.Random(59)
+        verdicts = set()
+        for n in range(1, 6):
+            upper = [Matrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
+            for trial in range(8):
+                vecs = [
+                    sum((rng.randint(-2, 2) * u for u in upper), Matrix.zeros(n)).flatten()
+                    for _ in range(rng.randint(0, len(upper)))
+                ]
+                if trial % 2 and n > 1:
+                    i = rng.randrange(1, n)
+                    vecs.append(Matrix.unit(n, i, rng.randrange(i)).flatten())
+                s = conjugate_space(rref_basis(vecs, n * n), random_invertible(rng, n))
+                expected = reference_triangularize_nil(s, n)
+                assert triangularize_nil(s) == expected
+                verdicts.add(expected is None)
+        assert verdicts == {True, False}
+
+    def test_matches_reference_on_the_symmetric_pair(self):
+        s = unit_span(2, [(0, 1), (1, 0)])
+        assert reference_triangularize_nil(s, 2) is None
+        assert triangularize_nil(s) is None
 
 
 class TestNilBoundExtremality:
