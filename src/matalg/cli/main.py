@@ -268,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=None,
                         help="override per-check random draw counts")
     verify.add_argument("--budget", type=int, default=None,
-                        help="term budget for nil certification")
+                        help="nil certification budget: the number of monomials "
+                        "of Tr(X^k), k = 1..n, summed (default 100000)")
     verify.add_argument("--output", default=None, help="report path (default: stdout)")
     verify.set_defaults(handler=_cmd_verify)
 

@@ -681,7 +681,10 @@ def run_verification(
     Individual suites reject n outside their supported set; "all" runs
     every suite on the part of the range it supports.  `trials`
     overrides the per-check draw counts (default: each check's own
-    count); `budget` caps the symbolic expansion in nil certification.
+    count); `budget` caps the symbolic expansion in nil certification,
+    counted as the monomials of the trace polynomials Tr(X^k), k = 1..n,
+    of a generic element X (the sum of C(d + k - 1, k) for a
+    d-dimensional subspace).
     """
     n_lo, n_hi = n_range
     if n_lo > n_hi:

@@ -6,11 +6,12 @@ k = 1..n (Newton's identities), so a subspace with basis b_1..b_d is nil
 iff the polynomial Tr((t_1 b_1 + ... + t_d b_d)^k) vanishes identically
 for each k.  `is_nil_subspace` first reads the k = 1 coefficients, the
 basis traces Tr(b_i): a nonzero one decides the answer at once, with b_i
-as the witness.  Otherwise it expands the polynomials symbolically, which
-is exact but exponential in k, hence the term budget.  When a coefficient
-is nonzero the witness comes from `nonnil_witness_search`, the one
-sampler of the module; sampling only finds the witness, the verdict is
-read from the exact coefficients.
+as the witness.  Otherwise it expands the powers of the generic matrix
+over the integers, one power at a time, which is exact but grows with
+the number of monomials, hence the term budget.  When a trace polynomial
+is nonzero the witness is read off it deterministically (Alon's
+Combinatorial Nullstellensatz) and checked exactly; no random draw is
+made.  `nonnil_witness_search` is a separate seeded sampler.
 
 The dimension of a nil subspace is at most n(n-1)/2, with equality
 exactly for conjugates of the strictly upper-triangular space;
@@ -21,10 +22,11 @@ straight from the subspace's basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlin import (
     Matrix,
@@ -49,20 +51,11 @@ __all__ = [
     "nil_bound",
 ]
 
-_ZERO = Fraction(0)
-
 ALL_NILPOTENT = "all-nilpotent"
 WITNESS_FOUND = "witness-found"
 UNDETERMINED = "undetermined"
 
-DEFAULT_TERM_BUDGET = 500_000
-
-# Witness search inside `is_nil_subspace`.  Some Tr(x^k), k <= n, is a
-# nonzero polynomial of degree k in the basis coefficients, so by
-# Schwartz-Zippel a draw from [-n, n]^d misses with probability at most
-# k / (2n + 1) < 1/2, and all 256 draws miss with probability below 2^-256.
-_WITNESS_SEED = 0x0B57
-_WITNESS_TRIALS = 256
+DEFAULT_TERM_BUDGET = 100_000
 
 
 def nil_bound(n: int) -> int:
@@ -90,9 +83,11 @@ class NilCertificate:
     """Outcome of the nil-subspace decision.
 
     verdict is one of `ALL_NILPOTENT`, `WITNESS_FOUND`, `UNDETERMINED`;
-    a witness (an element of the subspace with some Tr(witness^k) != 0)
-    accompanies `WITNESS_FOUND`, and `checked_powers` records each trace
-    power sum that was fully expanded.
+    a witness (an element of the subspace with Tr(witness^k) != 0 for the
+    last reported power k) accompanies `WITNESS_FOUND`, and
+    `checked_powers` records each trace power sum that was fully
+    expanded: powers 1..n for `ALL_NILPOTENT`, powers 1..k up to the
+    first nonzero one for `WITNESS_FOUND`, none for `UNDETERMINED`.
     """
 
     verdict: str
@@ -103,75 +98,137 @@ class NilCertificate:
 def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCertificate:
     """Decide whether every element of the subspace is nilpotent.
 
-    Expands Tr((t_1 b_1 + ... + t_d b_d)^k) for k = 1..n as a polynomial
-    in the coefficients: the coefficient of each degree-k monomial is a
-    sum of traces of basis words, accumulated here by depth-first walk
-    over all d^k words with zero running products pruned.  All
-    coefficients vanish for every k iff the subspace is nil (infinite
+    Expands Tr(X^k) for the generic element X = t_1 b_1 + ... + t_d b_d,
+    k = 1, 2, ..., as a polynomial with integer coefficients (each basis
+    vector is first scaled to a primitive integer vector, which keeps
+    every coefficient's zero-ness), and stops at the first nonzero one.
+    All of them vanish for k = 1..n iff the subspace is nil (infinite
     field, characteristic zero).
 
     The k = 1 coefficients are the basis traces and are read first, for
     any budget: when some Tr(b_i) is nonzero, b_i is returned as the
     witness with the single report for power 1.  Otherwise, when the
-    nominal word count sum(d^k, k=1..n) exceeds `budget`, the verdict is
-    `UNDETERMINED`.  A nonzero coefficient found by the walk is turned
-    into a witness by `nonnil_witness_search` with a fixed seed.
+    number of monomials of the trace polynomials, the sum of
+    C(d + k - 1, k) over k = 1..n, exceeds `budget`, the verdict is
+    `UNDETERMINED`.  A nonzero Tr(X^k) gives the witness through
+    `_grid_point`, checked by Tr(witness^k) != 0 before it is returned.
     """
     n = _matrix_side(s)
     d = s.dimension
     if d == 0:
         reports = tuple(PowerReport(k, 0, True) for k in range(1, n + 1))
         return NilCertificate(ALL_NILPOTENT, None, reports)
-    basis = s.basis_matrices(n)
-    for b in basis:
+    for b in s.basis_matrices(n):
         if b.trace():
             return NilCertificate(WITNESS_FOUND, b, (PowerReport(1, d, False),))
-    nominal_terms = sum(d**k for k in range(1, n + 1))
-    if nominal_terms > budget:
+    counts = [math.comb(d + k - 1, k) for k in range(1, n + 1)]
+    if sum(counts) > budget:
         return NilCertificate(UNDETERMINED, None, ())
-    coefficients: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    rows = _primitive_rows(s)
+    reports: list[PowerReport] = []
+    for k, trace in enumerate(_trace_polynomials(rows, n), start=1):
+        reports.append(PowerReport(k, counts[k - 1], not trace))
+        if trace:
+            point = _grid_point(trace, d, n)
+            witness = Matrix.from_flat(_combination(point, rows, n * n), n)
+            if not (witness**k).trace():
+                raise RuntimeError("witness check failed: Tr(witness^k) is zero")
+            return NilCertificate(WITNESS_FOUND, witness, tuple(reports))
+    return NilCertificate(ALL_NILPOTENT, None, tuple(reports))
 
-    def walk(product: Matrix, word: tuple[int, ...]) -> None:
-        key = (len(word), tuple(sorted(word)))
-        tr = product.trace()
-        if tr:
-            coefficients[key] = coefficients.get(key, _ZERO) + tr
-        if len(word) == n:
-            return
-        for i, b in enumerate(basis):
-            nxt = product * b
-            if nxt.is_zero():
-                continue  # the whole sub-tree contributes zero traces
-            walk(nxt, word + (i,))
 
-    for i, b in enumerate(basis):
-        if not b.is_zero():
-            walk(b, (i,))
+def _primitive_rows(s: Subspace) -> list[list[int]]:
+    """The basis vectors of s, each scaled by a positive rational to a
+    primitive integer vector."""
+    rows = []
+    for vec in s.basis:
+        den = math.lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (den // x.denominator) for x in vec]
+        g = math.gcd(*ints)
+        rows.append([v // g for v in ints])
+    return rows
 
-    nonzero_powers = {k for (k, _), value in coefficients.items() if value}
-    reports = tuple(
-        PowerReport(
-            power=k,
-            monomial_count=math.comb(d + k - 1, k),
-            vanished=k not in nonzero_powers,
-        )
-        for k in range(1, n + 1)
-    )
-    if not nonzero_powers:
-        return NilCertificate(ALL_NILPOTENT, None, reports)
-    witness = nonnil_witness_search(s, _WITNESS_SEED, _WITNESS_TRIALS, lo=-n, hi=n)
-    if witness is None:
-        raise RuntimeError("nonzero trace polynomial but no witness found")
-    return NilCertificate(WITNESS_FOUND, witness, reports)
+
+def _trace_polynomials(rows: list[list[int]], n: int) -> Iterator[dict[int, int]]:
+    """Yield Tr(X^k) for k = 1..n, X = sum_i t_i rows[i] read row-major.
+
+    A polynomial is a dict from packed exponent vector to nonzero integer
+    coefficient: the exponent of t_i is digit i in base n + 1 (no degree
+    exceeds n), so multiplying two monomials adds their keys.  X^(k-1) is
+    formed only when Tr(X^k) is asked for, and Tr(X^k) is read as
+    sum_ab X^(k-1)_ab X_ba, so X^n itself is never formed.
+    """
+    base = n + 1
+    generic = [
+        [[(base**i, row[a * n + b]) for i, row in enumerate(rows) if row[a * n + b]] for b in range(n)]
+        for a in range(n)
+    ]
+    power = [[{0: 1} if a == b else {} for b in range(n)] for a in range(n)]
+    for k in range(1, n + 1):
+        if k > 1:
+            power = [
+                [_dot((power[a][b], generic[b][c]) for b in range(n)) for c in range(n)]
+                for a in range(n)
+            ]
+        yield _dot((power[a][b], generic[b][a]) for a in range(n) for b in range(n))
+
+
+def _dot(pairs: Iterable[tuple[dict[int, int], list[tuple[int, int]]]]) -> dict[int, int]:
+    """Sum of polynomial times linear form over the pairs, cancelled
+    monomials dropped."""
+    out: dict[int, int] = {}
+    get = out.get
+    for poly, linear in pairs:
+        if not poly:
+            continue
+        for step, v in linear:
+            for m, c in poly.items():
+                key = m + step
+                out[key] = get(key, 0) + c * v
+    return {m: c for m, c in out.items() if c}
+
+
+def _exponents(key: int, d: int, n: int) -> list[int]:
+    """The exponent vector of t_1..t_d packed in `key` (base n + 1)."""
+    exps = []
+    for _ in range(d):
+        key, e = divmod(key, n + 1)
+        exps.append(e)
+    return exps
+
+
+def _grid_point(poly: dict[int, int], d: int, n: int) -> list[int]:
+    """An integer point c with poly(c) != 0, for a nonzero homogeneous
+    polynomial in packed form.
+
+    The smallest monomial t_1^e_1 ... t_d^e_d has maximal degree, so by the
+    Combinatorial Nullstellensatz (Alon 1999) poly does not vanish on the
+    grid {0..e_1} x ... x {0..e_d}, of at most 2^degree points.  The grid
+    is searched in order, on the monomials supported where it is.
+    """
+    top = _exponents(min(poly), d, n)
+    support = [i for i, e in enumerate(top) if e]
+    terms = []
+    for m, c in poly.items():
+        exps = _exponents(m, d, n)
+        if sum(exps[i] for i in support) == sum(exps):
+            terms.append((c, [exps[i] for i in support]))
+    for values in itertools.product(*(range(top[i] + 1) for i in support)):
+        if sum(c * math.prod(x**e for x, e in zip(values, exps)) for c, exps in terms):
+            point = [0] * d
+            for i, x in zip(support, values):
+                point[i] = x
+            return point
+    raise RuntimeError("nonzero polynomial vanishes on its Nullstellensatz grid")
 
 
 def _trace_powers_nonzero(x: Matrix, n: int) -> bool:
     power = x
-    for _ in range(n):
+    for _ in range(n - 1):
         if power.trace():
             return True
         power = power * x
-    return False
+    return bool(power.trace())
 
 
 def nonnil_witness_search(

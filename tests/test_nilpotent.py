@@ -1,7 +1,14 @@
 """Nil subspaces: symbolic certification, witnesses, triangularization."""
 
+import math
 import random
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matalg import nilpotent
 from matalg.algebra import _adapted_basis, conjugate_space, multiply_spaces
 from matalg.exactlin import (
     Matrix,
@@ -18,6 +25,9 @@ from matalg.nilpotent import (
     UNDETERMINED,
     WITNESS_FOUND,
     PowerReport,
+    _exponents,
+    _primitive_rows,
+    _trace_polynomials,
     is_nil_subspace,
     nil_bound,
     nonnil_witness_search,
@@ -44,7 +54,7 @@ class TestNilCertification:
 
     def test_symmetric_pair_has_witness(self):
         # e_{0,1} + e_{1,0} squares to the identity; the span is traceless,
-        # so the witness comes from the word walk through Tr(x^2)
+        # so the witness comes from the expansion of Tr(X^2)
         s = unit_span(2, [(0, 1), (1, 0)])
         cert = is_nil_subspace(s)
         assert cert.verdict == WITNESS_FOUND
@@ -70,8 +80,21 @@ class TestNilCertification:
         assert cert.verdict == UNDETERMINED
         assert cert.witness is None
 
+    def test_budget_counts_monomials(self):
+        # d = 3 at n = 3: C(3, 1) + C(4, 2) + C(5, 3) = 3 + 6 + 10 monomials
+        s = strictly_upper_space(3)
+        assert is_nil_subspace(s, budget=19).verdict == ALL_NILPOTENT
+        assert is_nil_subspace(s, budget=18).verdict == UNDETERMINED
+
+    def test_witness_stops_at_first_nonzero_power(self):
+        # the traceless diagonal diag(1, -1, 0) has Tr(x^2) = 2
+        s = rref_basis([Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]).flatten()], 9)
+        cert = is_nil_subspace(s)
+        assert cert.checked_powers == (PowerReport(1, 1, True), PowerReport(2, 1, False))
+        assert (cert.witness**2).trace() != 0
+
     def test_nonzero_basis_trace_decides_before_the_word_walk(self):
-        # d = 7 in M_4: the walk would visit 7 + 49 + 343 + 2401 words
+        # d = 7 in M_4: the expansion would reach 7 + 28 + 84 + 210 monomials
         s = random_subspace(random.Random(0), 16, 7)
         cert = is_nil_subspace(s)
         assert cert.verdict == WITNESS_FOUND
@@ -234,6 +257,224 @@ class TestTriangularizeReference:
         s = unit_span(2, [(0, 1), (1, 0)])
         assert reference_triangularize_nil(s, 2) is None
         assert triangularize_nil(s) is None
+
+
+def reference_is_nil_subspace(s, n):
+    """The powers k <= n at which Tr((t_1 b_1 + ... + t_d b_d)^k) is a
+    nonzero polynomial, by the word walk: a depth-first walk over all
+    basis words of length <= n with Fraction products (zero running
+    products pruned), adding each word's trace to the coefficient of its
+    sorted letters.  The subspace is nil iff the set is empty.  Kept as
+    the reference for the integer expansion in `is_nil_subspace`."""
+    basis = s.basis_matrices(n)
+    coefficients = {}
+
+    def walk(product, word):
+        tr = product.trace()
+        if tr:
+            key = (len(word), tuple(sorted(word)))
+            coefficients[key] = coefficients.get(key, 0) + tr
+        if len(word) == n:
+            return
+        for i, b in enumerate(basis):
+            nxt = product * b
+            if not nxt.is_zero():
+                walk(nxt, word + (i,))
+
+    for i, b in enumerate(basis):
+        if not b.is_zero():
+            walk(b, (i,))
+    return {k for (k, _), value in coefficients.items() if value}
+
+
+def assert_matches_reference(s, n):
+    """Same verdict as the word walk, and a witness reported at the first
+    power the walk finds nonzero; returns the verdict."""
+    nonzero = reference_is_nil_subspace(s, n)
+    cert = is_nil_subspace(s)
+    if nonzero:
+        assert cert.verdict == WITNESS_FOUND
+        assert cert.checked_powers[-1].power == min(nonzero)
+    else:
+        assert cert.verdict == ALL_NILPOTENT
+    return cert.verdict
+
+
+def unit_patterns(n):
+    """The span of every nonempty set of matrix units of M_n."""
+    positions = [(i, j) for i in range(n) for j in range(n)]
+    for mask in range(1, 1 << len(positions)):
+        yield unit_span(n, [p for k, p in enumerate(positions) if mask >> k & 1])
+
+
+def upper_spans(rng, n, count):
+    """`count` spans of 1..3 random integer combinations of the strictly
+    upper units, every other one with a lower unit added, conjugated by
+    seeded invertibles."""
+    upper = [Matrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
+    for trial in range(count):
+        vecs = [
+            sum((rng.randint(-2, 2) * u for u in upper), Matrix.zeros(n)).flatten()
+            for _ in range(rng.randint(1, 3))
+        ]
+        if trial % 2:
+            i = rng.randrange(1, n)
+            vecs.append(Matrix.unit(n, i, rng.randrange(i)).flatten())
+        yield conjugate_space(rref_basis(vecs, n * n), random_invertible(rng, n))
+
+
+rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def traceless_rational_spaces(draw):
+    """(n, span) of 1..3 traceless rational n x n matrices, n = 2, 3.
+    When `upper`, only strictly upper entries are drawn, so the span is
+    nil, and it is conjugated by a seeded invertible."""
+    n = draw(st.integers(2, 3))
+    upper = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = [draw(rationals) if i < j or not upper else Fraction(0) for i in range(n) for j in range(n)]
+        m[-1] -= sum(m[i * n + i] for i in range(n))
+        rows.append(m)
+    s = rref_basis(rows, n * n)
+    if upper:
+        s = conjugate_space(s, random_invertible(random.Random(draw(st.integers(0, 99))), n))
+    return n, s
+
+
+class TestNilReference:
+    def test_matches_reference_on_every_unit_pattern(self):
+        verdicts = set()
+        for n in (1, 2, 3):
+            for s in unit_patterns(n):
+                verdicts.add(assert_matches_reference(s, n))
+        assert verdicts == {ALL_NILPOTENT, WITNESS_FOUND}
+
+    def test_matches_reference_on_conjugated_upper_spaces(self):
+        rng = random.Random(61)
+        verdicts = set()
+        for n in range(2, 6):
+            for s in upper_spans(rng, n, 8):
+                verdicts.add(assert_matches_reference(s, n))
+        assert verdicts == {ALL_NILPOTENT, WITNESS_FOUND}
+
+    @given(traceless_rational_spaces())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_rational_bases(self, case):
+        n, s = case
+        assert_matches_reference(s, n)
+
+    def test_primitive_rows_clear_denominators(self):
+        s = rref_basis([(Fraction(1, 2), Fraction(-3, 4), 0, Fraction(1, 6))], 4)
+        assert _primitive_rows(s) == [[6, -9, 0, 2]]
+
+
+def sympy_trace_supports(s, n):
+    """For k = 1..n, the exponent vectors of the nonzero coefficients of
+    Tr((t_1 b_1 + ... + t_d b_d)^k), expanded by sympy."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols(f"t0:{s.dimension}")
+    x = sympy.zeros(n, n)
+    for ti, vec in zip(t, s.basis):
+        x += ti * sympy.Matrix(n, n, [sympy.Rational(e.numerator, e.denominator) for e in vec])
+    supports = []
+    power = sympy.eye(n)
+    for _ in range(n):
+        power = (power * x).expand()
+        poly = sympy.Poly(power.trace(), *t)
+        supports.append({m for m, c in poly.terms() if c})
+    return supports
+
+
+def expanded_supports(s, n):
+    polys = _trace_polynomials(_primitive_rows(s), n)
+    return [{tuple(_exponents(key, s.dimension, n)) for key in poly} for poly in polys]
+
+
+class TestTracePolynomialOracle:
+    def test_supports_match_sympy_on_unit_patterns(self):
+        pytest.importorskip("sympy")
+        for n in (2, 3):
+            for index, s in enumerate(unit_patterns(n)):
+                if n == 3 and index % 17:
+                    continue
+                assert expanded_supports(s, n) == sympy_trace_supports(s, n)
+
+    @given(traceless_rational_spaces())
+    @settings(max_examples=20, deadline=None)
+    def test_supports_match_sympy_on_rational_bases(self, case):
+        pytest.importorskip("sympy")
+        n, s = case
+        if s.dimension:
+            assert expanded_supports(s, n) == sympy_trace_supports(s, n)
+
+
+def witness_space(rng, n):
+    """Strictly upper units plus a traceless diagonal, conjugated: one
+    dimension above the nil bound, with every basis trace 0."""
+    diag = [rng.choice((-2, -1, 1, 2)) for _ in range(n - 1)]
+    diag.append(-sum(diag))
+    h = Matrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    s = subspace_sum(strictly_upper_space(n), rref_basis([h.flatten()], n * n))
+    return conjugate_space(s, random_invertible(rng, n))
+
+
+class TestDeterministicWitness:
+    def witness_cases(self):
+        rng = random.Random(83)
+        cases = [unit_span(2, [(0, 1), (1, 0)]), unit_span(3, [(0, 1), (1, 0), (1, 2)])]
+        cases += [witness_space(rng, n) for n in (3, 4, 4)]
+        return cases
+
+    def test_every_witness_lies_in_the_space_with_nonzero_last_trace(self):
+        spaces = [(n, s) for n in (2, 3) for s in unit_patterns(n)]
+        spaces += [(n, s) for n in range(2, 6) for s in upper_spans(random.Random(n), n, 6)]
+        spaces += [(math.isqrt(s.ambient_dim), s) for s in self.witness_cases()]
+        witnesses = 0
+        for n, s in spaces:
+            cert = is_nil_subspace(s)
+            if cert.verdict != WITNESS_FOUND:
+                continue
+            witnesses += 1
+            k = cert.checked_powers[-1].power
+            assert not cert.checked_powers[-1].vanished
+            assert s.contains(cert.witness.flatten())
+            assert (cert.witness**k).trace() != 0
+        assert witnesses > 100
+
+    def test_witness_draws_no_random_numbers(self, monkeypatch):
+        cases = self.witness_cases()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("random draw in is_nil_subspace")
+
+        monkeypatch.setattr(nilpotent.random, "Random", refuse)
+        for s in cases:
+            first = is_nil_subspace(s)
+            assert first.verdict == WITNESS_FOUND
+            assert first.witness == is_nil_subspace(s).witness
+
+
+class TestNilScalingProbes:
+    def test_conjugated_dense_n5_keeps_its_verdict(self):
+        s = conjugate_space(strictly_upper_space(5), random_invertible(random.Random(5), 5))
+        assert is_nil_subspace(s).verdict == ALL_NILPOTENT
+
+    def test_conjugated_dense_n6_certifies(self):
+        s = conjugate_space(strictly_upper_space(6), random_invertible(random.Random(5), 6))
+        cert = is_nil_subspace(s)
+        assert cert.verdict == ALL_NILPOTENT
+        assert sum(r.monomial_count for r in cert.checked_powers) == 54_263
+
+    def test_witness_above_the_bound_at_n6(self):
+        s = witness_space(random.Random(6), 6)
+        cert = is_nil_subspace(s)
+        assert cert.verdict == WITNESS_FOUND
+        k = cert.checked_powers[-1].power
+        assert s.contains(cert.witness.flatten())
+        assert (cert.witness**k).trace() != 0
 
 
 class TestNilBoundExtremality:
