@@ -33,6 +33,7 @@ from .exactlin import (
     Vector,
     _combination,
     _joint_kernel,
+    _primitive,
     _unit_span,
     full_space,
     null_space,
@@ -454,15 +455,7 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], int]:
         roots.append(_ZERO)
         work.pop(0)
     while len(work) > 1:
-        denom_lcm = 1
-        for c in work:
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in work]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
+        ints = _primitive(work)
         leading = _divisors(ints[-1])
         candidates = (
             Fraction(sign * p, q) for p in _divisors(ints[0]) for q in leading for sign in (1, -1)

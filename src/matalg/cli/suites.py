@@ -57,9 +57,9 @@ from ..exactlin import (
 from ..nilpotent import (
     ALL_NILPOTENT,
     DEFAULT_TERM_BUDGET,
+    WITNESS_FOUND,
     is_nil_subspace,
     nil_bound,
-    nonnil_witness_search,
     strictly_upper_space,
     triangularize_nil,
 )
@@ -126,21 +126,13 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _add(
-    records: list[CheckRecord],
-    check_id: str,
-    claim: str,
-    expected: object,
-    observed: object,
-) -> None:
-    records.append(
-        CheckRecord(
-            check_id=check_id,
-            claim=claim,
-            expected=str(expected),
-            observed=str(observed),
-            passed=str(expected) == str(observed),
-        )
+def _check(check_id: str, claim: str, expected: object, observed: object) -> CheckRecord:
+    return CheckRecord(
+        check_id=check_id,
+        claim=claim,
+        expected=str(expected),
+        observed=str(observed),
+        passed=str(expected) == str(observed),
     )
 
 
@@ -233,7 +225,7 @@ def corpus_algebras(n: int, seed: int = 0) -> list[tuple[str, MatrixAlgebra]]:
 
 
 # ---------------------------------------------------------------------------
-# Suite runners.  Each returns a list of records for the requested ns.
+# Suite runners.  Each yields the records of one size n.
 # ---------------------------------------------------------------------------
 
 _CORPUS_SIZES = {2: 4, 3: 29}  # transitively closed patterns, counted exhaustively
@@ -245,402 +237,343 @@ _OUTSIDE_DRAW_LIMIT = 1000
 
 
 def _run_max_subalgebra(
-    ns: Sequence[int], seed: int, trials: int | None, budget: int | None
-) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    for n in ns:
-        target = n * n - n + 1
-        if n <= 3:
-            corpus = enumerate_unit_pattern_subalgebras(n)
-            _add(
-                records,
-                f"max-subalgebra/corpus-size/n={n}",
-                "count of transitively closed unit patterns",
-                _CORPUS_SIZES[n],
-                len(corpus),
-            )
-            proper = [a.dimension for a in corpus if a.dimension < n * n]
-            _add(
-                records,
-                f"max-subalgebra/exhaustive-max/n={n}",
-                "largest proper unital dimension over the exhaustive corpus is n^2 - n + 1",
-                target,
-                max(proper),
-            )
-        _add(
-            records,
-            f"max-subalgebra/parabolic-attains/n={n}",
-            "the block type (1, n-1) reaches dimension n^2 - n + 1",
-            target,
-            parabolic_subalgebra(Composition((1, n - 1))).dimension,
+    n: int, seed: int, trials: int | None, budget: int | None
+) -> Iterator[CheckRecord]:
+    target = n * n - n + 1
+    if n <= 3:
+        corpus = enumerate_unit_pattern_subalgebras(n)
+        yield _check(
+            f"max-subalgebra/corpus-size/n={n}",
+            "count of transitively closed unit patterns",
+            _CORPUS_SIZES[n],
+            len(corpus),
         )
-        if n >= 4:
-            t = 200 if trials is None else trials
-            rng = _rng(seed, "closures", n)
-            violations = 0
-            for _ in range(t):
-                k = rng.randint(1, 3)
-                gens = [random_matrix(rng, n) for _ in range(k)]
-                dim = closure(n, gens).dimension
-                if target < dim < n * n:
-                    violations += 1
-            _add(
-                records,
-                f"max-subalgebra/random-closures/n={n}",
-                f"no closure of up to three random generators lands strictly between n^2-n+1 and n^2 ({t} draws)",
-                "0 violations",
-                f"{violations} violations",
-            )
-    return records
+        proper = [a.dimension for a in corpus if a.dimension < n * n]
+        yield _check(
+            f"max-subalgebra/exhaustive-max/n={n}",
+            "largest proper unital dimension over the exhaustive corpus is n^2 - n + 1",
+            target,
+            max(proper),
+        )
+    yield _check(
+        f"max-subalgebra/parabolic-attains/n={n}",
+        "the block type (1, n-1) reaches dimension n^2 - n + 1",
+        target,
+        parabolic_subalgebra(Composition((1, n - 1))).dimension,
+    )
+    if n >= 4:
+        t = 200 if trials is None else trials
+        rng = _rng(seed, "closures", n)
+        violations = 0
+        for _ in range(t):
+            k = rng.randint(1, 3)
+            gens = [random_matrix(rng, n) for _ in range(k)]
+            dim = closure(n, gens).dimension
+            if target < dim < n * n:
+                violations += 1
+        yield _check(
+            f"max-subalgebra/random-closures/n={n}",
+            f"no closure of up to three random generators lands strictly between n^2-n+1 and n^2 ({t} draws)",
+            "0 violations",
+            f"{violations} violations",
+        )
 
 
 def _run_dimension_formula(
-    ns: Sequence[int], seed: int, trials: int | None, budget: int | None
-) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    for n in ns:
-        total = 0
-        matches = 0
-        for comp in compositions(n):
-            total += 1
-            if parabolic_subalgebra(comp).dimension == parabolic_dimension(comp):
-                matches += 1
-        _add(
-            records,
-            f"dimension-formula/n={n}",
-            "every block type (n_1..n_s) spans dimension (n^2 + sum n_i^2)/2",
-            f"{total}/{total}",
-            f"{matches}/{total}",
-        )
-    return records
+    n: int, seed: int, trials: int | None, budget: int | None
+) -> Iterator[CheckRecord]:
+    total = 0
+    matches = 0
+    for comp in compositions(n):
+        total += 1
+        if parabolic_subalgebra(comp).dimension == parabolic_dimension(comp):
+            matches += 1
+    yield _check(
+        f"dimension-formula/n={n}",
+        "every block type (n_1..n_s) spans dimension (n^2 + sum n_i^2)/2",
+        f"{total}/{total}",
+        f"{matches}/{total}",
+    )
 
 
 def _run_split_bound(
-    ns: Sequence[int], seed: int, trials: int | None, budget: int | None
-) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    for n in ns:
-        corpus = corpus_algebras(n, seed)
-        violations = 0
-        split_total = 0
-        equality_cases: list[MatrixAlgebra] = []
-        for _, a in corpus:
-            data = semisimple_blocks(a)
-            if not data.split:
-                continue
-            split_total += 1
-            bound = (n * n + sum(s * s for s in data.block_sizes)) // 2
-            if a.dimension > bound:
-                violations += 1
-            elif a.dimension == bound:
-                equality_cases.append(a)
-        _add(
-            records,
-            f"split-bound/dimension/n={n}",
-            f"dim <= (n^2 + sum n_i^2)/2 for every split corpus algebra ({split_total} checked)",
-            "0 violations",
-            f"{violations} violations",
-        )
-        recognized = 0
-        for a in equality_cases:
-            ok, _, _ = is_parabolic(a)
-            if ok:
-                recognized += 1
-        _add(
-            records,
-            f"split-bound/equality/n={n}",
-            "every algebra meeting the bound is conjugate to its block type",
-            f"{len(equality_cases)}/{len(equality_cases)}",
-            f"{recognized}/{len(equality_cases)}",
-        )
-    return records
+    n: int, seed: int, trials: int | None, budget: int | None
+) -> Iterator[CheckRecord]:
+    violations = 0
+    split_total = 0
+    equality_cases: list[MatrixAlgebra] = []
+    for _, a in corpus_algebras(n, seed):
+        data = semisimple_blocks(a)
+        if not data.split:
+            continue
+        split_total += 1
+        bound = (n * n + sum(s * s for s in data.block_sizes)) // 2
+        if a.dimension > bound:
+            violations += 1
+        elif a.dimension == bound:
+            equality_cases.append(a)
+    yield _check(
+        f"split-bound/dimension/n={n}",
+        f"dim <= (n^2 + sum n_i^2)/2 for every split corpus algebra ({split_total} checked)",
+        "0 violations",
+        f"{violations} violations",
+    )
+    recognized = 0
+    for a in equality_cases:
+        ok, _, _ = is_parabolic(a)
+        if ok:
+            recognized += 1
+    yield _check(
+        f"split-bound/equality/n={n}",
+        "every algebra meeting the bound is conjugate to its block type",
+        f"{len(equality_cases)}/{len(equality_cases)}",
+        f"{recognized}/{len(equality_cases)}",
+    )
 
 
 def _run_maximality(
-    ns: Sequence[int], seed: int, trials: int | None, budget: int | None
-) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    for n in ns:
-        for left in range(1, n):
-            comp = Composition((left, n - left))
-            algebra = parabolic_subalgebra(comp)
-            t = 100 if trials is None else trials
-            rng = _rng(seed, "absorb", n, left)
-            absorbed = 0
-            for _ in range(t):
-                for _ in range(_OUTSIDE_DRAW_LIMIT):
-                    x = random_matrix(rng, n)
-                    if not algebra.contains(x):
-                        break
-                else:
-                    raise RuntimeError(
-                        f"no matrix outside the type {comp.parts} algebra "
-                        f"in {_OUTSIDE_DRAW_LIMIT} draws"
-                    )
-                if absorption_probe(algebra, x).dimension == n * n:
-                    absorbed += 1
-            _add(
-                records,
-                f"maximality/n={n}/type=({left},{n - left})",
-                "adjoining any element outside a two-block algebra closes to all of M_n",
-                f"{t}/{t}",
-                f"{absorbed}/{t}",
-            )
-    return records
+    n: int, seed: int, trials: int | None, budget: int | None
+) -> Iterator[CheckRecord]:
+    t = 100 if trials is None else trials
+    for left in range(1, n):
+        comp = Composition((left, n - left))
+        algebra = parabolic_subalgebra(comp)
+        rng = _rng(seed, "absorb", n, left)
+        absorbed = 0
+        for _ in range(t):
+            for _ in range(_OUTSIDE_DRAW_LIMIT):
+                x = random_matrix(rng, n)
+                if not algebra.contains(x):
+                    break
+            else:
+                raise RuntimeError(
+                    f"no matrix outside the type {comp.parts} algebra "
+                    f"in {_OUTSIDE_DRAW_LIMIT} draws"
+                )
+            if absorption_probe(algebra, x).dimension == n * n:
+                absorbed += 1
+        yield _check(
+            f"maximality/n={n}/type=({left},{n - left})",
+            "adjoining any element outside a two-block algebra closes to all of M_n",
+            f"{t}/{t}",
+            f"{absorbed}/{t}",
+        )
 
 
 def _run_optimal_type(
-    ns: Sequence[int], seed: int, trials: int | None, budget: int | None
-) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    for n in ns:
-        argmax, best = optimal_composition(n)
-        observed = sorted(comp.parts for comp in argmax)
-        expected = sorted({(1, n - 1), (n - 1, 1)})
-        _add(
-            records,
-            f"optimal-type/argmax/n={n}",
-            "the proper block types of maximal dimension are exactly (1, n-1) and (n-1, 1)",
-            expected,
-            observed,
-        )
-        _add(
-            records,
-            f"optimal-type/value/n={n}",
-            "their dimension is n^2 - n + 1",
-            n * n - n + 1,
-            best,
-        )
-    return records
+    n: int, seed: int, trials: int | None, budget: int | None
+) -> Iterator[CheckRecord]:
+    argmax, best = optimal_composition(n)
+    observed = sorted(comp.parts for comp in argmax)
+    expected = sorted({(1, n - 1), (n - 1, 1)})
+    yield _check(
+        f"optimal-type/argmax/n={n}",
+        "the proper block types of maximal dimension are exactly (1, n-1) and (n-1, 1)",
+        expected,
+        observed,
+    )
+    yield _check(
+        f"optimal-type/value/n={n}",
+        "their dimension is n^2 - n + 1",
+        n * n - n + 1,
+        best,
+    )
 
 
 def _run_gerstenhaber(
-    ns: Sequence[int], seed: int, trials: int | None, budget: int | None
-) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
+    n: int, seed: int, trials: int | None, budget: int | None
+) -> Iterator[CheckRecord]:
     nil_budget = DEFAULT_TERM_BUDGET if budget is None else budget
-    for n in ns:
-        if n == 3:
-            positions = [(i, j) for i in range(n) for j in range(n)]
-            nil_dims: list[int] = []
-            for space in _unit_pattern_spaces(n, positions):
-                cert = is_nil_subspace(space, budget=nil_budget)
-                if cert.verdict == ALL_NILPOTENT:
-                    nil_dims.append(space.dimension)
-            _add(
-                records,
-                f"gerstenhaber/nil-pattern-count/n={n}",
-                "count of nonzero unit patterns spanning nil subspaces (acyclic patterns)",
-                _NIL_PATTERN_COUNT_N3,
-                len(nil_dims),
-            )
-            _add(
-                records,
-                f"gerstenhaber/exhaustive-nil-max/n={n}",
-                "every nil unit-pattern subspace has dimension at most n(n-1)/2",
-                nil_bound(n),
-                max(nil_dims) if nil_dims else "no pattern certified",
-            )
-        t = 100 if trials is None else trials
-        rng = _rng(seed, "witness", n)
-        target_dim = nil_bound(n) + 1
-        found = 0
-        for _ in range(t):
-            space = random_subspace(rng, n * n, target_dim)
-            witness = nonnil_witness_search(
-                space, seed=rng.randint(0, 2**31 - 1), trials=64
-            )
-            if witness is not None:
-                found += 1
-        _add(
-            records,
-            f"gerstenhaber/random-witness/n={n}",
-            "a subspace of dimension n(n-1)/2 + 1 always contains a non-nilpotent element",
-            f"{t}/{t}",
-            f"{found}/{t}",
+    if n == 3:
+        positions = [(i, j) for i in range(n) for j in range(n)]
+        nil_dims: list[int] = []
+        for space in _unit_pattern_spaces(n, positions):
+            cert = is_nil_subspace(space, budget=nil_budget)
+            if cert.verdict == ALL_NILPOTENT:
+                nil_dims.append(space.dimension)
+        yield _check(
+            f"gerstenhaber/nil-pattern-count/n={n}",
+            "count of nonzero unit patterns spanning nil subspaces (acyclic patterns)",
+            _NIL_PATTERN_COUNT_N3,
+            len(nil_dims),
         )
-        t2 = 50 if trials is None else trials
-        rng2 = _rng(seed, "triangularize", n)
-        upper = strictly_upper_space(n)
-        recovered = 0
-        for _ in range(t2):
-            c = random_invertible(rng2, n)
-            moved = conjugate_space(upper, c)
-            back = triangularize_nil(moved)
-            if back is not None and conjugate_space(moved, back) == upper:
-                recovered += 1
-        _add(
-            records,
-            f"gerstenhaber/triangularize/n={n}",
-            "conjugates of the strictly upper-triangular space are triangularized back exactly",
-            f"{t2}/{t2}",
-            f"{recovered}/{t2}",
+        yield _check(
+            f"gerstenhaber/exhaustive-nil-max/n={n}",
+            "every nil unit-pattern subspace has dimension at most n(n-1)/2",
+            nil_bound(n),
+            max(nil_dims) if nil_dims else "no pattern certified",
         )
-    return records
+    t = 100 if trials is None else trials
+    rng = _rng(seed, "witness", n)
+    target_dim = nil_bound(n) + 1
+    found = 0
+    for _ in range(t):
+        space = random_subspace(rng, n * n, target_dim)
+        if is_nil_subspace(space, budget=nil_budget).verdict == WITNESS_FOUND:
+            found += 1
+    yield _check(
+        f"gerstenhaber/random-witness/n={n}",
+        "a subspace of dimension n(n-1)/2 + 1 always contains a non-nilpotent element",
+        f"{t}/{t}",
+        f"{found}/{t}",
+    )
+    t2 = 50 if trials is None else trials
+    rng2 = _rng(seed, "triangularize", n)
+    upper = strictly_upper_space(n)
+    recovered = 0
+    for _ in range(t2):
+        c = random_invertible(rng2, n)
+        moved = conjugate_space(upper, c)
+        back = triangularize_nil(moved)
+        if back is not None and conjugate_space(moved, back) == upper:
+            recovered += 1
+    yield _check(
+        f"gerstenhaber/triangularize/n={n}",
+        "conjugates of the strictly upper-triangular space are triangularized back exactly",
+        f"{t2}/{t2}",
+        f"{recovered}/{t2}",
+    )
 
 
 def _run_wedderburn(
-    ns: Sequence[int], seed: int, trials: int | None, budget: int | None
-) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    for n in ns:
-        corpus = corpus_algebras(n, seed)
-        split_total = 0
-        identity_ok = 0
-        certified = 0
-        for _, a in corpus:
-            # certifies radical(a) first and lets its RuntimeError propagate
-            data = semisimple_blocks(a)
-            certified += 1
-            if not data.split:
-                continue
-            split_total += 1
-            if data.radical_dim + sum(s * s for s in data.block_sizes) == a.dimension:
-                identity_ok += 1
-        _add(
-            records,
-            f"wedderburn/identity/n={n}",
-            "radical dimension plus sum of squared block sizes equals the dimension (split corpus)",
-            f"{split_total}/{split_total}",
-            f"{identity_ok}/{split_total}",
-        )
-        _add(
-            records,
-            f"wedderburn/radical-certified/n={n}",
-            "the trace-form kernel certifies as a nilpotent two-sided ideal on the whole corpus",
-            f"{len(corpus)}/{len(corpus)}",
-            f"{certified}/{len(corpus)}",
-        )
-        full = MatrixAlgebra(n=n, space=full_space(n * n))
-        _add(
-            records,
-            f"wedderburn/full-radical/n={n}",
-            "the full matrix algebra has zero radical",
-            0,
-            radical(full).dimension,
-        )
-    return records
+    n: int, seed: int, trials: int | None, budget: int | None
+) -> Iterator[CheckRecord]:
+    corpus = corpus_algebras(n, seed)
+    split_total = 0
+    identity_ok = 0
+    certified = 0
+    for _, a in corpus:
+        # certifies radical(a) first and lets its RuntimeError propagate
+        data = semisimple_blocks(a)
+        certified += 1
+        if not data.split:
+            continue
+        split_total += 1
+        if data.radical_dim + sum(s * s for s in data.block_sizes) == a.dimension:
+            identity_ok += 1
+    yield _check(
+        f"wedderburn/identity/n={n}",
+        "radical dimension plus sum of squared block sizes equals the dimension (split corpus)",
+        f"{split_total}/{split_total}",
+        f"{identity_ok}/{split_total}",
+    )
+    yield _check(
+        f"wedderburn/radical-certified/n={n}",
+        "the trace-form kernel certifies as a nilpotent two-sided ideal on the whole corpus",
+        f"{len(corpus)}/{len(corpus)}",
+        f"{certified}/{len(corpus)}",
+    )
+    full = MatrixAlgebra(n=n, space=full_space(n * n))
+    yield _check(
+        f"wedderburn/full-radical/n={n}",
+        "the full matrix algebra has zero radical",
+        0,
+        radical(full).dimension,
+    )
 
 
 def _run_min_coideal(
-    ns: Sequence[int], seed: int, trials: int | None, budget: int | None
-) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    for n in ns:
-        corpus = corpus_algebras(n, seed)
-        certified = 0
-        for _, a in corpus:
-            if is_coideal(perp(a.space)).certified:
-                certified += 1
-        _add(
-            records,
-            f"min-coideal/perp-certifies/n={n}",
-            "the annihilator of every corpus subalgebra certifies as a coideal",
-            f"{len(corpus)}/{len(corpus)}",
-            f"{certified}/{len(corpus)}",
-        )
-        rng = _rng(seed, "perp", n)
-        t = 25 if trials is None else trials
-        checks = 0
-        involution_ok = 0
-        for _, a in corpus:
-            checks += 1
-            if perp(perp(a.space)) == a.space:
-                involution_ok += 1
-        for _ in range(t):
-            dim = rng.randint(0, n * n)
-            s = random_subspace(rng, n * n, dim)
-            checks += 1
-            if perp(perp(s)) == s:
-                involution_ok += 1
-        _add(
-            records,
-            f"min-coideal/perp-involution/n={n}",
-            "perp is an involution (corpus plus random subspaces)",
-            f"{checks}/{checks}",
-            f"{involution_ok}/{checks}",
-        )
-        _add(
-            records,
-            f"min-coideal/parabolic-coideal-dim/n={n}",
-            "the block-lower coideal of type (1, n-1) has dimension n - 1",
+    n: int, seed: int, trials: int | None, budget: int | None
+) -> Iterator[CheckRecord]:
+    corpus = corpus_algebras(n, seed)
+    certified = 0
+    for _, a in corpus:
+        if is_coideal(perp(a.space)).certified:
+            certified += 1
+    yield _check(
+        f"min-coideal/perp-certifies/n={n}",
+        "the annihilator of every corpus subalgebra certifies as a coideal",
+        f"{len(corpus)}/{len(corpus)}",
+        f"{certified}/{len(corpus)}",
+    )
+    rng = _rng(seed, "perp", n)
+    t = 25 if trials is None else trials
+    checks = 0
+    involution_ok = 0
+    for _, a in corpus:
+        checks += 1
+        if perp(perp(a.space)) == a.space:
+            involution_ok += 1
+    for _ in range(t):
+        dim = rng.randint(0, n * n)
+        s = random_subspace(rng, n * n, dim)
+        checks += 1
+        if perp(perp(s)) == s:
+            involution_ok += 1
+    yield _check(
+        f"min-coideal/perp-involution/n={n}",
+        "perp is an involution (corpus plus random subspaces)",
+        f"{checks}/{checks}",
+        f"{involution_ok}/{checks}",
+    )
+    yield _check(
+        f"min-coideal/parabolic-coideal-dim/n={n}",
+        "the block-lower coideal of type (1, n-1) has dimension n - 1",
+        n - 1,
+        parabolic_coideal(Composition((1, n - 1))).dimension,
+    )
+    sub_certified = 0
+    sub_candidates = 0
+    for left in range(1, n):
+        pivots = parabolic_coideal(Composition((left, n - left))).space.pivots
+        positions = [divmod(p, n) for p in pivots]
+        for space in _unit_pattern_spaces(n, positions):
+            if space.dimension == len(positions):
+                continue  # the whole pattern is the coideal itself
+            sub_candidates += 1
+            if is_coideal(space).certified:
+                sub_certified += 1
+    yield _check(
+        f"min-coideal/two-block-minimal/n={n}",
+        f"no proper nonzero unit sub-pattern of a two-block coideal certifies ({sub_candidates} candidates)",
+        "0 certified",
+        f"{sub_certified} certified",
+    )
+    if n <= 3:
+        certified_dims: list[int] = []
+        positions = [(i, j) for i in range(n) for j in range(n)]
+        for space in _unit_pattern_spaces(n, positions):
+            if is_coideal(space).certified:
+                certified_dims.append(space.dimension)
+        yield _check(
+            f"min-coideal/minimal-dimension/n={n}",
+            "the smallest certified nonzero unit-pattern coideal has dimension n - 1",
             n - 1,
-            parabolic_coideal(Composition((1, n - 1))).dimension,
+            min(certified_dims),
         )
-        sub_certified = 0
-        sub_candidates = 0
-        for left in range(1, n):
-            comp = Composition((left, n - left))
-            blocks = [comp.block_of(i) for i in range(n)]
-            positions = [
-                (i, j) for i in range(n) for j in range(n) if blocks[i] > blocks[j]
-            ]
-            for space in _unit_pattern_spaces(n, positions):
-                if space.dimension == len(positions):
-                    continue  # the whole pattern is the coideal itself
-                sub_candidates += 1
-                if is_coideal(space).certified:
-                    sub_certified += 1
-        _add(
-            records,
-            f"min-coideal/two-block-minimal/n={n}",
-            f"no proper nonzero unit sub-pattern of a two-block coideal certifies ({sub_candidates} candidates)",
-            "0 certified",
-            f"{sub_certified} certified",
-        )
-        if n <= 3:
-            certified_dims: list[int] = []
-            positions = [(i, j) for i in range(n) for j in range(n)]
-            for space in _unit_pattern_spaces(n, positions):
-                if is_coideal(space).certified:
-                    certified_dims.append(space.dimension)
-            _add(
-                records,
-                f"min-coideal/minimal-dimension/n={n}",
-                "the smallest certified nonzero unit-pattern coideal has dimension n - 1",
-                n - 1,
-                min(certified_dims),
-            )
-    return records
 
 
 def _run_schur(
-    ns: Sequence[int], seed: int, trials: int | None, budget: int | None
-) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    for n in ns:
-        corpus = corpus_algebras(n, seed)
-        bound = (n * n) // 4 + 1
-        commutative_total = 0
-        violations = 0
-        attained = False
-        for _, a in corpus:
-            commutative, bound_holds = schur_commutative_check(a)
-            if not commutative:
-                continue
-            commutative_total += 1
-            if not bound_holds:
-                violations += 1
-            if a.dimension == bound:
-                attained = True
-        _add(
-            records,
-            f"schur/bound/n={n}",
-            f"every commutative corpus algebra has dimension at most n^2/4 + 1 ({commutative_total} checked)",
-            "0 violations",
-            f"{violations} violations",
-        )
-        _add(
-            records,
-            f"schur/attained/n={n}",
-            "the commutative bound is attained in the corpus",
-            True,
-            attained,
-        )
-    return records
+    n: int, seed: int, trials: int | None, budget: int | None
+) -> Iterator[CheckRecord]:
+    bound = (n * n) // 4 + 1
+    commutative_total = 0
+    violations = 0
+    attained = False
+    for _, a in corpus_algebras(n, seed):
+        commutative, bound_holds = schur_commutative_check(a)
+        if not commutative:
+            continue
+        commutative_total += 1
+        if not bound_holds:
+            violations += 1
+        if a.dimension == bound:
+            attained = True
+    yield _check(
+        f"schur/bound/n={n}",
+        f"every commutative corpus algebra has dimension at most n^2/4 + 1 ({commutative_total} checked)",
+        "0 violations",
+        f"{violations} violations",
+    )
+    yield _check(
+        f"schur/attained/n={n}",
+        "the commutative bound is attained in the corpus",
+        True,
+        attained,
+    )
 
 
-_Runner = Callable[[Sequence[int], int, "int | None", "int | None"], "list[CheckRecord]"]
+_Runner = Callable[[int, int, "int | None", "int | None"], Iterator[CheckRecord]]
 
 _SUITES: dict[str, tuple[frozenset[int], _Runner]] = {
     "max-subalgebra": (frozenset({2, 3, 4, 5}), _run_max_subalgebra),
@@ -693,32 +626,22 @@ def run_verification(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    ns = list(range(n_lo, n_hi + 1))
+    supported = suite_supported_ns(suite)
+    missing = [n for n in range(n_lo, n_hi + 1) if n not in supported]
+    if missing and suite == "all":
+        raise ValueError(f"n={missing[0]} is not covered by any suite")
+    if missing:
+        allowed = ", ".join(str(v) for v in sorted(supported))
+        raise ValueError(f"suite {suite!r} does not support n={missing[0]} (supported: {allowed})")
     start = time.perf_counter()
-    records: list[CheckRecord] = []
-    if suite == "all":
-        covered = suite_supported_ns("all")
-        missing = [n for n in ns if n not in covered]
-        if missing:
-            raise ValueError(f"n={missing[0]} is not covered by any suite")
-        for name in sorted(_SUITES):
-            supported, runner = _SUITES[name]
-            sub_ns = [n for n in ns if n in supported]
-            if sub_ns:
-                records.extend(runner(sub_ns, seed, trials, budget))
-    else:
-        if suite not in _SUITES:
-            raise ValueError(
-                f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
-            )
-        supported, runner = _SUITES[suite]
-        unsupported = [n for n in ns if n not in supported]
-        if unsupported:
-            allowed = ", ".join(str(v) for v in sorted(supported))
-            raise ValueError(
-                f"suite {suite!r} does not support n={unsupported[0]} (supported: {allowed})"
-            )
-        records = runner(ns, seed, trials, budget)
+    records = [
+        record
+        for name, (sizes, runner) in _SUITES.items()
+        if suite in (name, "all")
+        for n in range(n_lo, n_hi + 1)
+        if n in sizes
+        for record in runner(n, seed, trials, budget)
+    ]
     records.sort(key=lambda r: r.check_id)
     elapsed = time.perf_counter() - start
     return VerificationReport(

@@ -201,8 +201,10 @@ class Matrix:
             raise ValueError("powers need a square matrix")
         if k < 0:
             raise ValueError("negative powers are not supported; invert explicitly")
-        result = Matrix.identity(self.rows)
-        for _ in range(k):
+        if k == 0:
+            return Matrix.identity(self.rows)
+        result = self
+        for _ in range(k - 1):
             result = result * self
         return result
 
@@ -398,6 +400,15 @@ def _matrix_side(space: Subspace) -> int:
     if n * n != space.ambient_dim:
         raise ValueError(f"ambient dimension {space.ambient_dim} is not a square")
     return n
+
+
+def _primitive(vec: Sequence[Fraction]) -> list[int]:
+    """The nonzero rational vector scaled by a positive rational to a
+    primitive integer vector (integer entries with gcd 1)."""
+    den = math.lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
 
 
 def _combination(

@@ -11,7 +11,7 @@ over the integers, one power at a time, which is exact but grows with
 the number of monomials, hence the term budget.  When a trace polynomial
 is nonzero the witness is read off it deterministically (Alon's
 Combinatorial Nullstellensatz) and checked exactly; no random draw is
-made.  `nonnil_witness_search` is a separate seeded sampler.
+made, so the verdict and the witness are both deterministic.
 
 The dimension of a nil subspace is at most n(n-1)/2, with equality
 exactly for conjugates of the strictly upper-triangular space;
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -33,6 +32,7 @@ from .exactlin import (
     Subspace,
     _combination,
     _matrix_side,
+    _primitive,
     _unit_span,
 )
 from .algebra import _adapted_basis, _kernel_flag
@@ -45,7 +45,6 @@ __all__ = [
     "PowerReport",
     "NilCertificate",
     "is_nil_subspace",
-    "nonnil_witness_search",
     "triangularize_nil",
     "strictly_upper_space",
     "nil_bound",
@@ -124,7 +123,7 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
     counts = [math.comb(d + k - 1, k) for k in range(1, n + 1)]
     if sum(counts) > budget:
         return NilCertificate(UNDETERMINED, None, ())
-    rows = _primitive_rows(s)
+    rows = [_primitive(vec) for vec in s.basis]
     reports: list[PowerReport] = []
     for k, trace in enumerate(_trace_polynomials(rows, n), start=1):
         reports.append(PowerReport(k, counts[k - 1], not trace))
@@ -135,18 +134,6 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
                 raise RuntimeError("witness check failed: Tr(witness^k) is zero")
             return NilCertificate(WITNESS_FOUND, witness, tuple(reports))
     return NilCertificate(ALL_NILPOTENT, None, tuple(reports))
-
-
-def _primitive_rows(s: Subspace) -> list[list[int]]:
-    """The basis vectors of s, each scaled by a positive rational to a
-    primitive integer vector."""
-    rows = []
-    for vec in s.basis:
-        den = math.lcm(*(x.denominator for x in vec))
-        ints = [x.numerator * (den // x.denominator) for x in vec]
-        g = math.gcd(*ints)
-        rows.append([v // g for v in ints])
-    return rows
 
 
 def _trace_polynomials(rows: list[list[int]], n: int) -> Iterator[dict[int, int]]:
@@ -220,39 +207,6 @@ def _grid_point(poly: dict[int, int], d: int, n: int) -> list[int]:
                 point[i] = x
             return point
     raise RuntimeError("nonzero polynomial vanishes on its Nullstellensatz grid")
-
-
-def _trace_powers_nonzero(x: Matrix, n: int) -> bool:
-    power = x
-    for _ in range(n - 1):
-        if power.trace():
-            return True
-        power = power * x
-    return bool(power.trace())
-
-
-def nonnil_witness_search(
-    s: Subspace, seed: int = 0, trials: int = 64, *, lo: int = -3, hi: int = 3
-) -> Matrix | None:
-    """Random search for a non-nilpotent element of the subspace.
-
-    Draws `trials` integer combinations of the basis and returns the
-    first with a nonzero trace power Tr(x^k), k <= n; None when the
-    search is exhausted.  The element returned always lies in the
-    subspace and is certified non-nilpotent exactly.
-    """
-    n = _matrix_side(s)
-    if s.dimension == 0:
-        return None
-    rng = random.Random(seed)
-    for _ in range(trials):
-        coeffs = [rng.randint(lo, hi) for _ in s.basis]
-        if not any(coeffs):
-            continue
-        x = Matrix.from_flat(_combination(coeffs, s.basis, n * n), n)
-        if _trace_powers_nonzero(x, n):
-            return x
-    return None
 
 
 def triangularize_nil(s: Subspace) -> Matrix | None:

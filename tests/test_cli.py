@@ -20,6 +20,7 @@ from matalg.cli.documents import (
 )
 from matalg.cli.main import main
 from matalg.cli.suites import (
+    SUITE_NAMES,
     corpus_algebras,
     enumerate_unit_pattern_subalgebras,
     run_verification,
@@ -192,6 +193,20 @@ class TestVerificationReports:
         # gerstenhaber has no n = 2 checks; the other suites appear
         assert not any(i.startswith("gerstenhaber") for i in ids)
         assert any(i.startswith("schur") for i in ids)
+
+    def test_all_equals_each_suite_on_its_part_of_the_range(self):
+        expected = []
+        for name in SUITE_NAMES[:-1]:
+            ns = sorted(n for n in (2, 3) if n in suite_supported_ns(name))
+            if ns:
+                report = run_verification(name, (ns[0], ns[-1]), seed=7, trials=3)
+                expected.extend(report.records)
+        report = run_verification("all", (2, 3), seed=7, trials=3)
+        assert report.records == tuple(sorted(expected, key=lambda r: r.check_id))
+
+    def test_all_rejects_n_outside_every_suite(self):
+        with pytest.raises(ValueError, match="n=9 is not covered by any suite"):
+            run_verification("all", (2, 9))
 
     def test_supported_ranges(self):
         assert suite_supported_ns("dimension-formula") == frozenset(range(2, 9))

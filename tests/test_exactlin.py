@@ -1,5 +1,6 @@
 """Exact linear algebra: matrices, canonical subspaces, solvers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from matalg.exactlin import (
     Quotient,
     SpanBuilder,
     _joint_kernel,
+    _primitive,
     _unit_span,
     as_scalar,
     as_vector,
@@ -144,6 +146,18 @@ class TestScalars:
         assert as_vector([1, "1/2"]) == (Fraction(1), Fraction(1, 2))
 
 
+class TestPrimitive:
+    @given(st.lists(scalars, min_size=1, max_size=8).filter(any))
+    def test_positive_multiple_with_gcd_one(self, vec):
+        ints = _primitive(vec)
+        assert all(isinstance(v, int) for v in ints)
+        assert math.gcd(*ints) == 1
+        pivot = next(i for i, x in enumerate(vec) if x)
+        scale = Fraction(ints[pivot]) / vec[pivot]
+        assert scale > 0
+        assert [scale * x for x in vec] == ints
+
+
 class TestMatrix:
     def test_identity_multiplication(self):
         m = Matrix([[1, 2], [3, 4]])
@@ -172,6 +186,26 @@ class TestMatrix:
         n = Matrix([[0, 1], [0, 0]])
         assert n**2 == Matrix.zeros(2, 2)
         assert (Matrix([[2, 0], [0, 3]]) ** 3).trace() == 8 + 27
+
+    def test_power_makes_k_minus_one_products(self, monkeypatch):
+        x = Matrix([[1, 2], [3, 4]])
+        fourth = x * x * x * x
+        products = []
+        multiply = Matrix.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Matrix, "__mul__", counting)
+        assert x**4 == fourth
+        assert len(products) == 3
+        assert x**1 == x and x**0 == Matrix.identity(2)
+        assert len(products) == 3
+        with pytest.raises(ValueError, match="square"):
+            Matrix([[1, 2]]) ** 2
+        with pytest.raises(ValueError, match="negative"):
+            x ** -1
 
     def test_inverse_roundtrip(self):
         m = Matrix([[1, 2], [3, 4]])

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matalg import nilpotent
 from matalg.algebra import _adapted_basis, conjugate_space, multiply_spaces
 from matalg.exactlin import (
     Matrix,
     _joint_kernel,
+    _primitive,
     full_space,
     random_invertible,
     random_subspace,
@@ -26,11 +26,9 @@ from matalg.nilpotent import (
     WITNESS_FOUND,
     PowerReport,
     _exponents,
-    _primitive_rows,
     _trace_polynomials,
     is_nil_subspace,
     nil_bound,
-    nonnil_witness_search,
     strictly_upper_space,
     triangularize_nil,
 )
@@ -127,37 +125,19 @@ class TestNilCertification:
 class TestWitnessSearch:
     def test_finds_witness_in_mixed_span(self):
         s = unit_span(2, [(0, 1), (1, 0)])
-        w = nonnil_witness_search(s)
-        assert w is not None
+        cert = is_nil_subspace(s)
+        assert cert.verdict == WITNESS_FOUND
+        w = cert.witness
         assert s.contains(w.flatten())
         assert any((w**k).trace() != 0 for k in range(1, 3))
 
     def test_none_on_nil_space(self):
-        assert nonnil_witness_search(strictly_upper_space(3)) is None
+        cert = is_nil_subspace(strictly_upper_space(3))
+        assert cert.verdict == ALL_NILPOTENT and cert.witness is None
 
     def test_none_on_zero_space(self):
-        assert nonnil_witness_search(zero_space(4)) is None
-
-    def test_deterministic_for_fixed_seed(self):
-        s = unit_span(3, [(0, 1), (1, 0)])
-        a = nonnil_witness_search(s, seed=5)
-        b = nonnil_witness_search(s, seed=5)
-        assert a == b
-
-    def test_agrees_with_certification(self):
-        rng = random.Random(2)
-        for trial in range(20):
-            positions = set()
-            n = 3
-            for _ in range(rng.randint(1, 4)):
-                positions.add((rng.randrange(n), rng.randrange(n)))
-            s = unit_span(n, sorted(positions))
-            cert = is_nil_subspace(s)
-            found = nonnil_witness_search(s, seed=trial, trials=256)
-            if cert.verdict == ALL_NILPOTENT:
-                assert found is None
-            else:
-                assert found is not None
+        cert = is_nil_subspace(zero_space(4))
+        assert cert.verdict == ALL_NILPOTENT and cert.witness is None
 
 
 class TestTriangularize:
@@ -368,7 +348,7 @@ class TestNilReference:
 
     def test_primitive_rows_clear_denominators(self):
         s = rref_basis([(Fraction(1, 2), Fraction(-3, 4), 0, Fraction(1, 6))], 4)
-        assert _primitive_rows(s) == [[6, -9, 0, 2]]
+        assert [_primitive(vec) for vec in s.basis] == [[6, -9, 0, 2]]
 
 
 def sympy_trace_supports(s, n):
@@ -389,7 +369,7 @@ def sympy_trace_supports(s, n):
 
 
 def expanded_supports(s, n):
-    polys = _trace_polynomials(_primitive_rows(s), n)
+    polys = _trace_polynomials([_primitive(vec) for vec in s.basis], n)
     return [{tuple(_exponents(key, s.dimension, n)) for key in poly} for poly in polys]
 
 
@@ -450,7 +430,7 @@ class TestDeterministicWitness:
         def refuse(*args, **kwargs):
             raise AssertionError("random draw in is_nil_subspace")
 
-        monkeypatch.setattr(nilpotent.random, "Random", refuse)
+        monkeypatch.setattr(random, "Random", refuse)
         for s in cases:
             first = is_nil_subspace(s)
             assert first.verdict == WITNESS_FOUND
@@ -483,7 +463,7 @@ class TestNilBoundExtremality:
         n = 3
         for _ in range(10):
             s = random_subspace(rng, n * n, nil_bound(n) + 1)
-            assert nonnil_witness_search(s, seed=1, trials=128) is not None
+            assert is_nil_subspace(s).verdict == WITNESS_FOUND
 
     def test_extremal_space_reaches_bound(self):
         for n in (2, 3, 4):
