@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactlin import (
     Matrix,
@@ -191,6 +191,11 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     return algebra
 
 
+# The prime of the modular certificate in `closure`, fixed so that no
+# verdict depends on a random draw.
+_MODULUS = 2**61 - 1
+
+
 def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     """Smallest unital subalgebra of M_n containing the generators.
 
@@ -202,20 +207,64 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     y x are formed once, x x once.  The identity is left out of the
     product lists, since its products add nothing.  Terminates because
     the dimension strictly increases each round and is at most n^2.
+
+    The same iteration first runs over the integers mod the prime
+    2^61 - 1, on each generator scaled to a primitive integer matrix
+    (scaling by a nonzero rational does not change the unital algebra
+    generated).  Integer words in those matrices span the closure over Q,
+    and their reductions mod p span the closure mod p; rank can only drop
+    mod p, so a span mod p of dimension n^2 proves that the closure is
+    M_n.  Otherwise the result comes from the exact iteration over Q.
     """
     for g in generators:
         _check_square(g, n)
     full = n * n
+    if _fills_mod_p(n, generators):
+        return MatrixAlgebra(n=n, space=full_space(full))
     builder = SpanBuilder(full)
     builder.add(Matrix.identity(n).flatten())
-    older: list[Matrix] = []
-    frontier = [g for g in generators if builder.add(g.flatten())]
+    _grow(builder, generators, operator.mul, Matrix.flatten)
+    return MatrixAlgebra(n=n, space=builder.to_subspace())
+
+
+def _fills_mod_p(n: int, generators: Sequence[Matrix]) -> bool:
+    """Whether the generators, scaled to primitive integer matrices and
+    reduced mod `_MODULUS`, generate all of M_n over that field."""
+    builder = SpanBuilder._mod(n * n, _MODULUS)
+    builder.add(tuple(int(i == j) for i in range(n) for j in range(n)))
+    reduced = [
+        tuple(e % _MODULUS for e in _primitive(g.flatten())) for g in generators if not g.is_zero()
+    ]
+    _grow(builder, reduced, lambda x, y: _product_mod(x, y, n), lambda v: v)
+    return builder.dimension == n * n
+
+
+def _product_mod(x: Sequence[int], y: Sequence[int], n: int) -> tuple[int, ...]:
+    """The product mod `_MODULUS` of two n x n matrices flattened row-major."""
+    rows = [x[i : i + n] for i in range(0, n * n, n)]
+    cols = [y[j::n] for j in range(n)]
+    return tuple(sum(map(operator.mul, row, col)) % _MODULUS for row in rows for col in cols)
+
+
+def _grow(
+    builder: SpanBuilder,
+    generators: Sequence,
+    product: Callable[[object, object], object],
+    flat: Callable[[object], Sequence],
+) -> None:
+    """The frontier loop of `closure`: adjoin to `builder` the flat form
+    `flat(g)` of each generator, then of the `product`s of the pairs
+    described there, until the span stops growing or fills the ambient
+    space.  `builder` must already hold the identity."""
+    full = builder.ambient_dim
+    older: list = []
+    frontier = [g for g in generators if builder.add(flat(g))]
     while frontier and builder.dimension < full:
-        fresh: list[Matrix] = []
+        fresh: list = []
         for k, x in enumerate(frontier):
             for y in older + frontier[k:]:
-                for p in (x * y, y * x) if y is not x else (x * x,):
-                    if builder.add(p.flatten()):
+                for p in (product(x, y), product(y, x)) if y is not x else (product(x, x),):
+                    if builder.add(flat(p)):
                         fresh.append(p)
                 if builder.dimension == full:
                     break
@@ -223,7 +272,6 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
                 break
         older += frontier
         frontier = fresh
-    return MatrixAlgebra(n=n, space=builder.to_subspace())
 
 
 def conjugate(a: MatrixAlgebra, c: Matrix) -> MatrixAlgebra:
@@ -412,18 +460,6 @@ class _QuotientAlgebra:
         return [-c for c in solution] + [_ONE]
 
 
-def _divisors(value: int) -> list[int]:
-    value = abs(value)
-    divs = []
-    d = 1
-    while d * d <= value:
-        if value % d == 0:
-            divs.append(d)
-            divs.append(value // d)
-        d += 1
-    return sorted(set(divs))
-
-
 def _eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = _ZERO
     for c in reversed(coeffs):
@@ -444,9 +480,72 @@ def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list[Fraction]:
     return out
 
 
+def _poly_rem(a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> list[Fraction]:
+    """Remainder of a modulo b (low-degree coefficients first, b with a
+    nonzero leading coefficient), without trailing zeros."""
+    r = list(a)
+    while len(r) >= len(b) and r:
+        f = Fraction(r[-1]) / b[-1]
+        shift = len(r) - len(b)
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _integer_roots(g: Sequence[int]) -> list[int]:
+    """The distinct integer roots of a monic integer polynomial of degree
+    at least 1 (low-degree coefficients first), in increasing order.
+
+    Every root lies in [-B, B] for B = max |g_k| over k < deg g (Cauchy).
+    The Sturm chain g, g', -rem, ... (each member scaled by a positive
+    rational to integers) counts the distinct real roots between two
+    points that are not roots.  Half-integers never are: the rational
+    roots of a monic integer polynomial are integers.  Bisection at
+    half-integers keeps only the integer ranges that hold a real root, at
+    most deg g of them on each of at most log2(2B + 1) + 1 levels, and a
+    range holding a single integer k holds a root exactly when g(k) = 0.
+    So the work is polynomial in the degree and the coefficient size.
+    """
+    chain = [list(g), _primitive([k * c for k, c in enumerate(g)][1:])]
+    # the degrees fall along the chain, so there are at most deg g remainders
+    while rem := _poly_rem(chain[-2], chain[-1]):
+        chain.append(_primitive([-c for c in rem]))
+
+    def variations(k: int) -> int:
+        """Sign changes along the chain at k + 1/2."""
+        x = Fraction(2 * k + 1, 2)
+        signs = [v > 0 for v in (_eval_poly(q, x) for q in chain) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    bound = max(abs(c) for c in g[:-1])
+    roots = []
+    # (lo, hi, variations(lo - 1), variations(hi)): the integers lo..hi,
+    # which hold a real root when the two counts differ
+    ranges = [(-bound, bound, variations(-bound - 1), variations(bound))]
+    while ranges:
+        lo, hi, v_lo, v_hi = ranges.pop()
+        if v_lo == v_hi:
+            continue
+        if lo == hi:
+            if not _eval_poly(g, lo):
+                roots.append(lo)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        ranges += [(lo, mid, v_lo, v_mid), (mid + 1, hi, v_mid, v_hi)]
+    return sorted(roots)
+
+
 def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], int]:
     """All rational roots of the polynomial (with multiplicity), plus the
-    degree of the rational-root-free factor that remains."""
+    degree of the rational-root-free factor that remains.
+
+    For f primitive over the integers with leading coefficient a and
+    degree d, t is a root exactly when a t is an integer root of the monic
+    integer polynomial a^(d-1) f(y / a); `_integer_roots` finds those.
+    """
     work = list(coeffs)
     while len(work) > 1 and not work[-1]:
         work.pop()
@@ -454,17 +553,15 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], int]:
     while len(work) > 1 and not work[0]:
         roots.append(_ZERO)
         work.pop(0)
-    while len(work) > 1:
+    if len(work) > 1:
         ints = _primitive(work)
-        leading = _divisors(ints[-1])
-        candidates = (
-            Fraction(sign * p, q) for p in _divisors(ints[0]) for q in leading for sign in (1, -1)
-        )
-        found = next((c for c in candidates if _eval_poly(work, c) == 0), None)
-        if found is None:
-            break
-        roots.append(found)
-        work = _deflate(work, found)
+        degree, lead = len(ints) - 1, ints[-1]
+        monic = [c * lead ** (degree - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+        for y in _integer_roots(monic):
+            root = Fraction(y, lead)
+            while len(work) > 1 and not _eval_poly(work, root):
+                roots.append(root)
+                work = _deflate(work, root)
     return roots, len(work) - 1
 
 

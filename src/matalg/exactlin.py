@@ -4,6 +4,8 @@ Every scalar in this package is an arbitrary-precision rational
 (`fractions.Fraction`), so all computations here are exact: no floating
 point, no rounding, no tolerances.  Equality questions (membership,
 subspace equality, nilpotency, ...) are therefore decided, not estimated.
+The elimination kernel also runs over the integers mod a prime, which is
+exact as well; `algebra.closure` uses that for a rank lower bound.
 
 Conventions used throughout the package:
 
@@ -246,25 +248,37 @@ class Matrix:
 
 
 def _reduce(
-    vec: Sequence[Fraction], pivot_rows: Iterable[tuple[int, Sequence[Fraction]]]
+    vec: Sequence[Fraction],
+    pivot_rows: Iterable[tuple[int, Sequence[Fraction]]],
+    modulus: int | None = None,
 ) -> list[Fraction]:
     """Residual of `vec` modulo fully reduced `(pivot, row)` pairs.
 
     Each row is 1 at its own pivot and 0 at every other pivot, so one pass
     in any order is complete.  The result is zero exactly when `vec` lies
-    in the span of the rows, and it is zero at each of their pivots.
+    in the span of the rows, and it is zero at each of their pivots.  With
+    a prime `modulus` the entries are integers in [0, modulus) and the
+    arithmetic is that of the field of integers mod `modulus`.
     """
     r = list(vec)
-    for p, row in pivot_rows:
-        f = r[p]
-        if f:
-            r = [a - f * b if b else a for a, b in zip(r, row)]
+    if modulus is None:
+        for p, row in pivot_rows:
+            f = r[p]
+            if f:
+                r = [a - f * b if b else a for a, b in zip(r, row)]
+    else:
+        for p, row in pivot_rows:
+            f = r[p]
+            if f:
+                r = [(a - f * b) % modulus if b else a for a, b in zip(r, row)]
     return r
 
 
-def _adjoin(rows: dict[int, list[Fraction]], residual: list[Fraction]) -> None:
+def _adjoin(
+    rows: dict[int, list[Fraction]], residual: list[Fraction], modulus: int | None = None
+) -> None:
     """Insert a nonzero residual of `_reduce` into fully reduced `rows`
-    keyed by pivot.
+    keyed by pivot, over the same field as `_reduce`.
 
     The residual is scaled to 1 at its first nonzero coordinate, and that
     column is cleared from the other rows, so the rows stay fully reduced
@@ -272,14 +286,23 @@ def _adjoin(rows: dict[int, list[Fraction]], residual: list[Fraction]) -> None:
     """
     p = next(i for i, e in enumerate(residual) if e)
     f = residual[p]
-    if f != 1:
-        # multiply by the exact inverse; plain / would go float on ints
-        inv = _ONE / f
-        residual = [e * inv if e else e for e in residual]
-    for q, row in rows.items():
-        g = row[p]
-        if g:
-            rows[q] = [a - g * b if b else a for a, b in zip(row, residual)]
+    if modulus is None:
+        if f != 1:
+            # multiply by the exact inverse; plain / would go float on ints
+            inv = _ONE / f
+            residual = [e * inv if e else e for e in residual]
+        for q, row in rows.items():
+            g = row[p]
+            if g:
+                rows[q] = [a - g * b if b else a for a, b in zip(row, residual)]
+    else:
+        if f != 1:
+            inv = pow(f, -1, modulus)
+            residual = [e * inv % modulus if e else e for e in residual]
+        for q, row in rows.items():
+            g = row[p]
+            if g:
+                rows[q] = [(a - g * b) % modulus if b else a for a, b in zip(row, residual)]
     rows[p] = residual
 
 
@@ -505,21 +528,37 @@ class SpanBuilder:
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
         self._rows: dict[int, list[Fraction]] = {}
+        self._modulus: int | None = None
+
+    @classmethod
+    def _mod(cls, ambient_dim: int, modulus: int) -> "SpanBuilder":
+        """A builder over the integers mod the prime `modulus`: it takes
+        vectors of integers in [0, modulus) and tracks the rank of their
+        span over that field.  Its rows are no rational subspace, so
+        `to_subspace` does not apply."""
+        builder = cls(ambient_dim)
+        builder._modulus = modulus
+        return builder
 
     @property
     def dimension(self) -> int:
         return len(self._rows)
 
+    def _residual(self, vec: Sequence[int | str | Fraction]) -> list[Fraction]:
+        if self._modulus is None:
+            vec = as_vector(vec, self.ambient_dim)
+        return _reduce(vec, self._rows.items(), self._modulus)
+
     def add(self, vec: Sequence[int | str | Fraction]) -> bool:
         """Adjoin a vector; returns True when the span grew."""
-        residual = _reduce(as_vector(vec, self.ambient_dim), self._rows.items())
+        residual = self._residual(vec)
         if not any(residual):
             return False
-        _adjoin(self._rows, residual)
+        _adjoin(self._rows, residual, self._modulus)
         return True
 
     def contains(self, vec: Sequence[int | str | Fraction]) -> bool:
-        return not any(_reduce(as_vector(vec, self.ambient_dim), self._rows.items()))
+        return not any(self._residual(vec))
 
     def to_subspace(self) -> Subspace:
         return _canonical(self.ambient_dim, self._rows)

@@ -1,7 +1,9 @@
 """Subalgebra structure: closures, radicals, blocks, flags, block types."""
 
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,9 @@ from matalg.algebra import (
     semisimple_blocks,
     upper_triangular_algebra,
     _QuotientAlgebra,
+    _integer_roots,
     _kernel_flag,
+    _rational_roots,
 )
 from matalg.cli.suites import corpus_algebras
 from matalg.exactlin import (
@@ -419,6 +423,64 @@ class TestLoopBounds:
         with pytest.raises(RuntimeError, match="minimal polynomial"):
             quotient.min_poly(quotient.one, quotient.one)
 
+    def test_irrational_root_of_a_huge_constant(self):
+        start = time.perf_counter()
+        a = closure(2, [Matrix([[0, 1], [10**24 + 7, 0]])])
+        assert semisimple_blocks(a).block_sizes is None
+        assert time.perf_counter() - start < 1
+
+    def test_rational_roots_of_a_huge_square(self):
+        c = 10**12 + 39
+        start = time.perf_counter()
+        a = closure(2, [Matrix([[0, 1], [c * c, 0]])])
+        assert semisimple_blocks(a).block_sizes == (1, 1)
+        assert time.perf_counter() - start < 1
+
+
+@st.composite
+def _polynomials(draw):
+    """Products of rational linear factors (some repeated) and one integer
+    factor of degree 0 to 3, low-degree coefficients first."""
+    small = st.integers(-12, 12)
+    poly = [Fraction(draw(st.integers(1, 5)))]
+    factors = [(draw(small), draw(st.integers(1, 6))) for _ in range(draw(st.integers(0, 3)))]
+    tail = [Fraction(draw(small)) for _ in range(draw(st.integers(0, 3)))] + [Fraction(1)]
+    for root_num, root_den in factors + factors[: draw(st.integers(0, 1))]:
+        poly = _poly_mul(poly, [Fraction(-root_num, root_den), Fraction(1)])
+    return _poly_mul(poly, tail)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestRationalRoots:
+    @settings(max_examples=80, deadline=None)
+    @given(_polynomials())
+    def test_matches_sympy_factorization(self, coeffs):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(coeffs))
+        _, factors = sympy.factor_list(expr, t)
+        expected = []
+        for f, mult in factors:
+            if sympy.degree(f, t) == 1:
+                (root,) = sympy.solve(f, t)
+                expected += [Fraction(int(root.p), int(root.q))] * mult
+        roots, leftover = _rational_roots(coeffs)
+        assert sorted(roots) == sorted(expected)
+        assert leftover == len(coeffs) - 1 - len(expected)
+
+    def test_integer_roots_need_no_divisor_search(self):
+        # (y - 2^89 + 1)(y + 3)(y^2 + 1): a Mersenne prime as a root
+        q = 2**89 - 1
+        g = _poly_mul(_poly_mul([Fraction(-q), Fraction(1)], [Fraction(3), Fraction(1)]), [1, 0, 1])
+        assert _integer_roots([int(c) for c in g]) == [-3, q]
+
 
 class TestFlags:
     def test_full_algebra_flag_is_trivial(self):
@@ -689,6 +751,20 @@ def _count_products(monkeypatch):
     return products
 
 
+def _count_modular_products(monkeypatch):
+    """Record (left, right) of every product of the modular pre-pass of
+    `closure` from now on."""
+    products = []
+    multiply = algebra_module._product_mod
+
+    def counting(x, y, n):
+        products.append((x, y))
+        return multiply(x, y, n)
+
+    monkeypatch.setattr(algebra_module, "_product_mod", counting)
+    return products
+
+
 class TestClosureProducts:
     def test_closed_basis_forms_each_unordered_pair_once(self, monkeypatch):
         c = random_invertible(random.Random(41), 4)
@@ -697,14 +773,82 @@ class TestClosureProducts:
         # the identity comes first, so one basis direction adds nothing
         adjoined = a.dimension - 1
         products = _count_products(monkeypatch)
+        modular = _count_modular_products(monkeypatch)
         assert closure(4, basis).space == a.space
+        # a proper algebra: the modular pass falls short, the exact pass
+        # decides, and each pass forms each unordered pair once
+        assert len(modular) == adjoined * adjoined
         assert len(products) == adjoined * adjoined
 
     def test_absorption_probe_repeats_no_product(self, monkeypatch):
         a = parabolic_subalgebra(Composition((1, 3)))
         products = _count_products(monkeypatch)
+        modular = _count_modular_products(monkeypatch)
         assert absorption_probe(a, Matrix.unit(4, 1, 0)).dimension == 16
-        assert len(products) == len(set(products))
+        # the modular certificate decides, so no rational product is formed
+        assert products == []
+        assert modular and len(modular) == len(set(modular))
+
+
+def _exact_closure(n, generators):
+    """`closure` with its modular certificate switched off."""
+    with mock.patch.object(algebra_module, "_fills_mod_p", return_value=False):
+        return closure(n, generators)
+
+
+@st.composite
+def _rational_generators(draw):
+    """One to three rational n x n matrices, n in 2..3, each upper
+    triangular or diagonal with some probability, so that closures short
+    of M_n are common."""
+    n = draw(st.integers(2, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["dense", "upper", "diagonal"]))
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if (shape == "upper" and i > j) or (shape == "diagonal" and i != j):
+                    rows[i][j] = Fraction(0)
+        generators.append(Matrix(rows))
+    return n, generators
+
+
+class TestClosureCertificate:
+    """The modular certificate of `closure` against its exact path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rational_generators())
+    def test_matches_the_exact_path(self, case):
+        n, generators = case
+        result = closure(n, generators)
+        assert result.space == _exact_closure(n, generators).space
+        if algebra_module._fills_mod_p(n, generators):
+            assert result.space == full_space(n * n)
+
+    def test_cases_include_full_and_proper_closures(self):
+        diagonal = [Matrix([[1, 0], [0, 2]])]
+        units = [Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)]
+        assert not algebra_module._fills_mod_p(2, diagonal)
+        assert algebra_module._fills_mod_p(2, units)
+
+    def test_scalar_mod_p_falls_through_to_the_exact_path(self):
+        p = algebra_module._MODULUS
+        g = Matrix([[1, 0], [0, 1 + p]])
+        assert not algebra_module._fills_mod_p(2, [g])
+        a = closure(2, [g])
+        assert a.space == diagonal_algebra(2).space
+
+    def test_denominator_p_is_scaled_away(self):
+        p = algebra_module._MODULUS
+        generators = [Matrix.unit(2, 1, 0) * Fraction(1, p), Matrix.unit(2, 0, 1)]
+        assert algebra_module._fills_mod_p(2, generators)
+        assert closure(2, generators).space == full_space(4)
+
+    def test_zero_generator_is_ignored(self):
+        generators = [Matrix.zeros(2), Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)]
+        assert closure(2, generators).space == full_space(4)
 
 
 class TestMaximalityAndOptimal:

@@ -248,6 +248,17 @@ class TestCommandLine:
         assert payload["split"] is True
         assert payload["block_sizes"] == [1] * 10
 
+    def test_analyze_blocks_huge_constant_term(self, tmp_path, capsys):
+        # the minimal polynomial t^2 - (10^24 + 7) has no rational root
+        x = Matrix([[0, 1], [10**24 + 7, 0]])
+        doc = BasisDocument(n=2, matrices=(Matrix.identity(2), x))
+        path = tmp_path / "huge.json"
+        path.write_text(serialize_basis_document(doc))
+        assert main(["analyze", "blocks", "--input", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["split"] is False
+        assert payload["block_sizes"] is None
+
     def test_analyze_closure(self, tmp_path, capsys):
         doc = BasisDocument(n=2, matrices=(Matrix.unit(2, 0, 1),))
         path = tmp_path / "gen.json"

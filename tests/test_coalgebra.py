@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from matalg.algebra import (
     Composition,
+    absorption_probe,
     closure,
     compositions,
     parabolic_subalgebra,
@@ -415,3 +416,12 @@ class TestScalingProbes:
         for comp in compositions(n):
             expected = (n * n - sum(c * c for c in comp.parts)) // 2
             assert parabolic_coideal(comp).dimension == expected
+
+    @pytest.mark.parametrize("parts", [(1, 5), (5, 1), (3, 3)])
+    def test_two_block_absorption_n6(self, parts):
+        # the paper's maximality theorem at n = 6: any x outside the
+        # two-block algebra generates all of M_6 with it
+        a = parabolic_subalgebra(Composition(parts))
+        x = Matrix.unit(6, 5, 0) + Matrix.unit(6, 2, 4) * 3 - Matrix.unit(6, 1, 1)
+        assert not a.contains(x)
+        assert absorption_probe(a, x).dimension == 36
