@@ -32,8 +32,11 @@ from .exactlin import (
     Subspace,
     Vector,
     _combination,
+    _integer_product,
+    _integral,
     _joint_kernel,
     _primitive,
+    _scaled,
     _unit_span,
     full_space,
     null_space,
@@ -243,7 +246,7 @@ def _product_mod(x: Sequence[int], y: Sequence[int], n: int) -> tuple[int, ...]:
     """The product mod `_MODULUS` of two n x n matrices flattened row-major."""
     rows = [x[i : i + n] for i in range(0, n * n, n)]
     cols = [y[j::n] for j in range(n)]
-    return tuple(sum(map(operator.mul, row, col)) % _MODULUS for row in rows for col in cols)
+    return tuple(s % _MODULUS for s in _integer_product(rows, cols))
 
 
 def _grow(
@@ -346,14 +349,15 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
         return zero_space(n * n), [full_space(n)]
     # Tr(x y) is the dot product of x with the flattened transpose of y,
     # so the Gram matrix of the trace form is a single product
-    transposes = tuple(zip(*(b.transpose().flatten() for b in a.basis_matrices())))
+    basis = a.basis_matrices()
+    transposes = tuple(zip(*(b.transpose().flatten() for b in basis)))
     gram = Matrix._make(a.space.basis) * Matrix._make(transposes)
     rad_vectors = [
         _combination(coeffs, a.space.basis, n * n) for coeffs in null_space(gram).basis
     ]
     rad = rref_basis(rad_vectors, n * n)
     rad_mats = rad.basis_matrices(n)
-    for b in a.basis_matrices():
+    for b in basis:
         for r in rad_mats:
             if not subspace_contains(rad, (b * r).flatten()) or not subspace_contains(
                 rad, (r * b).flatten()
@@ -376,7 +380,8 @@ class _QuotientAlgebra:
     The coset basis is the set of canonical basis rows of A whose pivots
     are not pivots of R (pivots of a subspace are pivots of any enclosing
     one, so these rows represent a complement).  Elements are coordinate
-    tuples; multiplication goes through a precomputed structure table.
+    tuples; multiplication goes through a precomputed structure table,
+    kept as integers over one common denominator.
     """
 
     def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
@@ -391,8 +396,11 @@ class _QuotientAlgebra:
         ]
         self._coset_index = [position[p] for p in space.pivots if p in position]
         self.dim = len(section)
-        self._table: list[list[tuple[Fraction, ...]]] = [
-            [self.coords((x * y).flatten()) for y in section] for x in section
+        table = [[self.coords((x * y).flatten()) for y in section] for x in section]
+        # the coordinates of x_i x_j are self._table[i][j] / self._den
+        self._den = math.lcm(*(c.denominator for row in table for cell in row for c in cell))
+        self._table: list[list[tuple[int, ...]]] = [
+            [_scaled(cell, self._den) for cell in row] for row in table
         ]
         self.one = self.coords(Matrix.identity(self.n).flatten())
 
@@ -402,32 +410,33 @@ class _QuotientAlgebra:
         return tuple(r[i] for i in self._coset_index)
 
     def mult(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        m = self.dim
-        acc = [_ZERO] * m
-        table = self._table
-        for i in range(m):
-            ui = u[i]
+        du, iu = _integral(u)
+        dv, iv = _integral(v)
+        acc = [0] * self.dim
+        for ui, row in zip(iu, self._table):
             if not ui:
                 continue
-            row = table[i]
-            for j in range(m):
-                vj = v[j]
-                if not vj:
-                    continue
-                cell = row[j]
-                f = ui * vj
-                acc = [a + f * c for a, c in zip(acc, cell)]
-        return tuple(acc)
+            for vj, cell in zip(iv, row):
+                if vj:
+                    f = ui * vj
+                    acc = [a + f * c for a, c in zip(acc, cell)]
+        den = du * dv * self._den
+        return tuple(Fraction(a, den) for a in acc)
 
     def left_trace(self, u: Sequence[Fraction]) -> Fraction:
         """Trace of the left multiplication x -> ux."""
         m = self.dim
-        return sum((u[i] * self._table[i][k][k] for i in range(m) if u[i] for k in range(m)), _ZERO)
+        du, iu = _integral(u)
+        return Fraction(
+            sum(iu[i] * self._table[i][k][k] for i in range(m) if iu[i] for k in range(m)),
+            du * self._den,
+        )
 
     def center(self) -> list[tuple[Fraction, ...]]:
         """Basis (in coordinates) of the center of the quotient."""
         m = self.dim
-        rows: list[list[Fraction]] = []
+        # the common denominator of the table does not change the kernel
+        rows: list[list[int]] = []
         for j in range(m):
             for k in range(m):
                 rows.append([self._table[i][j][k] - self._table[j][i][k] for i in range(m)])

@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Every scalar in this package is an arbitrary-precision rational
-(`fractions.Fraction`), so all computations here are exact: no floating
-point, no rounding, no tolerances.  Equality questions (membership,
-subspace equality, nilpotency, ...) are therefore decided, not estimated.
-The elimination kernel also runs over the integers mod a prime, which is
+Every scalar this package hands out is an arbitrary-precision rational
+(`fractions.Fraction`) in lowest terms, so all computations here are
+exact: no floating point, no rounding, no tolerances.  Equality questions
+(membership, subspace equality, nilpotency, ...) are therefore decided,
+not estimated.  Matrix products are formed over the integers: each row of
+the left factor and each column of the right one is written as integers
+over a common denominator, and each entry is one integer dot product over
+the product of two denominators, still a canonical `Fraction`.  The
+elimination kernel also runs over the integers mod a prime, which is
 exact as well; `algebra.closure` uses that for a rank lower bound.
 
 Conventions used throughout the package:
@@ -22,10 +26,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "QQ",
@@ -88,9 +93,13 @@ class Matrix:
     Supports the usual ring operations plus transpose, trace, powers and
     exact inversion.  Instances hash and compare by entries, so matrices
     can be used as dictionary keys and set members.
+
+    Products go through the integer form of the rows of the left factor
+    and of the columns of the right one (see `_integral`).  Each is made
+    on first use and kept, which is safe because a matrix never changes.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_int_rows", "_int_cols")
 
     def __init__(self, rows: Sequence[Sequence[int | str | Fraction]]):
         grid = tuple(tuple(as_scalar(e) for e in row) for row in rows)
@@ -102,6 +111,8 @@ class Matrix:
         self.entries: tuple[tuple[Fraction, ...], ...] = grid
         self.rows: int = len(grid)
         self.cols: int = width
+        self._int_rows: _IntegerForm | None = None
+        self._int_cols: _IntegerForm | None = None
 
     @classmethod
     def _make(cls, grid: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
@@ -111,6 +122,8 @@ class Matrix:
         m.entries = grid
         m.rows = len(grid)
         m.cols = len(grid[0])
+        m._int_rows = None
+        m._int_cols = None
         return m
 
     @classmethod
@@ -185,18 +198,27 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols = tuple(zip(*other.entries))
+            row_dens, rows = self._integer_rows()
+            col_dens, cols = other._integer_cols()
+            dots = _integer_product(rows, cols)
             return Matrix._make(
-                tuple(
-                    tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                    for row in self.entries
-                )
+                tuple(tuple(Fraction(next(dots), d * e) for e in col_dens) for d in row_dens)
             )
         scale = as_scalar(other)
         return Matrix._make(tuple(tuple(scale * a for a in row) for row in self.entries))
 
     def __rmul__(self, other: int | Fraction) -> "Matrix":
         return self.__mul__(other)
+
+    def _integer_rows(self) -> "_IntegerForm":
+        if self._int_rows is None:
+            self._int_rows = _integral_lines(self.entries)
+        return self._int_rows
+
+    def _integer_cols(self) -> "_IntegerForm":
+        if self._int_cols is None:
+            self._int_cols = _integral_lines(zip(*self.entries))
+        return self._int_cols
 
     def __pow__(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -245,6 +267,37 @@ class Matrix:
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
         return f"Matrix([{body}])"
+
+
+# The integer form of a sequence of rational lines (rows or columns):
+# each line's denominator, and the line times it, as integers.
+_IntegerForm = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _integral(vec: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The least common denominator d of a rational vector, and the
+    vector times d, as integers."""
+    den = math.lcm(*(x.denominator for x in vec))
+    return den, _scaled(vec, den)
+
+
+def _scaled(vec: Sequence[Fraction], den: int) -> tuple[int, ...]:
+    """The rational vector times `den`, a common multiple of its
+    denominators, as integers."""
+    return tuple(x.numerator * (den // x.denominator) for x in vec)
+
+
+def _integral_lines(lines: Iterable[Sequence[Fraction]]) -> _IntegerForm:
+    """The integer form of nonempty `lines`."""
+    return tuple(zip(*map(_integral, lines)))
+
+
+def _integer_product(
+    rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
+) -> Iterator[int]:
+    """The dot products of each row with each column, in row-major order:
+    the entries of the integer matrix product, one at a time."""
+    return (sum(map(operator.mul, row, col)) for row in rows for col in cols)
 
 
 def _reduce(
@@ -428,8 +481,7 @@ def _matrix_side(space: Subspace) -> int:
 def _primitive(vec: Sequence[Fraction]) -> list[int]:
     """The nonzero rational vector scaled by a positive rational to a
     primitive integer vector (integer entries with gcd 1)."""
-    den = math.lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
+    ints = _integral(vec)[1]
     g = math.gcd(*ints)
     return [v // g for v in ints]
 

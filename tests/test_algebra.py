@@ -267,6 +267,40 @@ class TestRadicalReference:
         assert radical(a) == reference_radical(a)
 
 
+class TestQuotientTable:
+    """The integer structure table of A/rad A against products of lifts:
+    rad A is an ideal, so the coset of x y depends only on the cosets of
+    x and y."""
+
+    @given(small_closures(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mult_and_left_trace_match_lifted_products(self, a, data):
+        rad = radical(a)
+        quotient = _QuotientAlgebra(a, rad)
+        section = [
+            Matrix.from_flat(row, a.n)
+            for row, p in zip(a.space.basis, a.space.pivots)
+            if p not in rad.pivots
+        ]
+        assert len(section) == quotient.dim
+
+        def lift(w):
+            return sum((c * x for c, x in zip(w, section)), Matrix.zeros(a.n))
+
+        coords = st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=5),
+            min_size=quotient.dim,
+            max_size=quotient.dim,
+        )
+        u, v = data.draw(coords), data.draw(coords)
+        product = quotient.mult(u, v)
+        assert product == quotient.coords((lift(u) * lift(v)).flatten())
+        assert all(type(c) is Fraction for c in product)
+        trace = sum(quotient.coords((lift(u) * x).flatten())[k] for k, x in enumerate(section))
+        assert quotient.left_trace(u) == trace
+        assert quotient.mult(quotient.one, u) == tuple(u) == quotient.mult(u, quotient.one)
+
+
 class TestSemisimpleBlocks:
     def test_full_algebra_single_block(self):
         data = semisimple_blocks(full_algebra(3))

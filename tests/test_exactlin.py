@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matalg.algebra import _MODULUS, _product_mod
 from matalg.exactlin import (
     Matrix,
     Quotient,
@@ -130,6 +131,43 @@ def quotient_cases(draw):
     return sub, tuple(vec)
 
 
+def reference_product(a, b):
+    """The product as a sum of Fraction products, entry by entry."""
+    cols = list(zip(*b.entries))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
+        for row in a.entries
+    )
+
+
+# Small rationals, zeros, and numerators and denominators far beyond a
+# machine word, mixed in one matrix so that row denominators differ.
+product_entries = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+
+
+@st.composite
+def product_pairs(draw):
+    """Two rational matrices of shapes r x k and k x c, each side in 1..5,
+    with whole rows of the left factor and whole columns of the right one
+    zero at times."""
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def grid(rows, cols):
+        return [
+            [Fraction(0)] * cols
+            if draw(st.integers(0, 4)) == 0
+            else draw(st.lists(product_entries, min_size=cols, max_size=cols))
+            for _ in range(rows)
+        ]
+
+    left = Matrix(grid(r, k))
+    right = Matrix(grid(c, k)).transpose()
+    return left, right
+
+
 class TestScalars:
     def test_accepts_int_str_fraction(self):
         assert as_scalar(3) == Fraction(3)
@@ -206,6 +244,63 @@ class TestMatrix:
             Matrix([[1, 2]]) ** 2
         with pytest.raises(ValueError, match="negative"):
             x ** -1
+
+    @given(product_pairs())
+    @settings(max_examples=150, deadline=None)
+    @example(
+        (Matrix([[Fraction(-3, 4), 0, Fraction(5, 6)]]), Matrix([[Fraction(2, 3)], [7], [-1]]))
+    )
+    @example((Matrix([[0, 0], [1, Fraction(-1, 2)]]), Matrix([[0, 3], [0, Fraction(1, 5)]])))
+    def test_product_matches_fraction_sums(self, pair):
+        a, b = pair
+        product = a * b
+        assert product.entries == reference_product(a, b)
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert all(type(e) is Fraction for row in product.entries for e in row)
+
+    @given(product_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_sympy(self, pair):
+        a, b = pair
+        expected = sympy_matrix(a.entries) * sympy_matrix(b.entries)
+        assert (a * b).entries == tuple(
+            tuple(from_sympy(expected[i, j]) for j in range(b.cols)) for i in range(a.rows)
+        )
+
+    @given(product_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_product_does_not_depend_on_cached_integer_forms(self, pair):
+        a, b = pair
+        cold = Matrix(a.entries) * Matrix(b.entries)
+        # every integer form of both factors computed before the product
+        warm_a, warm_b = Matrix(a.entries), Matrix(b.entries)
+        for m in (warm_a, warm_b):
+            m._integer_rows(), m._integer_cols()
+        warm = warm_a * warm_b
+        assert warm == cold and hash(warm) == hash(cold)
+        assert warm_a == a and hash(warm_a) == hash(a)
+        assert warm_a.entries == a.entries
+        # the same factors again, now with their forms cached
+        assert a * b == cold and a * b == warm_a * warm_b
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                *(
+                    st.lists(st.integers(-(2**70), 2**70), min_size=n * n, max_size=n * n)
+                    for _ in range(2)
+                ),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_product_mod_is_the_integer_product_reduced(self, case):
+        n, x, y = case
+        p = _MODULUS
+        expected = reference_product(Matrix.from_flat(x, n), Matrix.from_flat(y, n))
+        reduced = [e % p for e in x], [e % p for e in y]
+        assert _product_mod(*reduced, n) == tuple(int(e) % p for row in expected for e in row)
 
     def test_inverse_roundtrip(self):
         m = Matrix([[1, 2], [3, 4]])
