@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactlin import (
     Matrix,
@@ -36,7 +36,7 @@ from .exactlin import (
     _integral,
     _joint_kernel,
     _primitive,
-    _scaled,
+    _reduce,
     _unit_span,
     full_space,
     null_space,
@@ -183,15 +183,21 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     for m in matrices:
         _check_square(m, n)
     space = rref_basis([m.flatten() for m in matrices], n * n)
-    algebra = MatrixAlgebra(n=n, space=space)
-    if not subspace_contains(space, Matrix.identity(n).flatten()):
+    if not subspace_contains(space, _identity(n)):
         raise ValueError("span does not contain the identity matrix")
-    basis = algebra.basis_matrices()
-    for a in basis:
-        for b in basis:
-            if not subspace_contains(space, (a * b).flatten()):
+    # the integer rows are the basis times one common d, so their products
+    # are d^2 times the products of basis pairs
+    den, rows = space._integer_form()
+    for _, x in rows:
+        for _, y in rows:
+            if any(_reduce(_flat_product(x, y, n), rows, den)):
                 raise ValueError("span is not closed under multiplication")
-    return algebra
+    return MatrixAlgebra(n=n, space=space)
+
+
+def _identity(n: int) -> tuple[int, ...]:
+    """The n x n identity matrix flattened row-major, as integers."""
+    return tuple(int(i == j) for i in range(n) for j in range(n))
 
 
 # The prime of the modular certificate in `closure`, fixed so that no
@@ -211,63 +217,64 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     product lists, since its products add nothing.  Terminates because
     the dimension strictly increases each round and is at most n^2.
 
-    The same iteration first runs over the integers mod the prime
-    2^61 - 1, on each generator scaled to a primitive integer matrix
-    (scaling by a nonzero rational does not change the unital algebra
-    generated).  Integer words in those matrices span the closure over Q,
-    and their reductions mod p span the closure mod p; rank can only drop
-    mod p, so a span mod p of dimension n^2 proves that the closure is
-    M_n.  Otherwise the result comes from the exact iteration over Q.
+    The iteration runs on each generator scaled to a primitive integer
+    matrix (scaling by a nonzero rational does not change the unital
+    algebra generated), first over the integers mod the prime 2^61 - 1.
+    Integer words in those matrices span the closure over Q, and their
+    reductions mod p span the closure mod p; rank can only drop mod p, so
+    a span mod p of dimension n^2 proves that the closure is M_n.
+    Otherwise the result comes from the same iteration over Q.
     """
     for g in generators:
         _check_square(g, n)
-    full = n * n
-    if _fills_mod_p(n, generators):
-        return MatrixAlgebra(n=n, space=full_space(full))
-    builder = SpanBuilder(full)
-    builder.add(Matrix.identity(n).flatten())
-    _grow(builder, generators, operator.mul, Matrix.flatten)
-    return MatrixAlgebra(n=n, space=builder.to_subspace())
+    integral = _integral_generators(generators)
+    if _fills_mod_p(n, integral):
+        return MatrixAlgebra(n=n, space=full_space(n * n))
+    return MatrixAlgebra(n=n, space=_grow(n, integral).to_subspace())
 
 
-def _fills_mod_p(n: int, generators: Sequence[Matrix]) -> bool:
-    """Whether the generators, scaled to primitive integer matrices and
-    reduced mod `_MODULUS`, generate all of M_n over that field."""
-    builder = SpanBuilder._mod(n * n, _MODULUS)
-    builder.add(tuple(int(i == j) for i in range(n) for j in range(n)))
-    reduced = [
-        tuple(e % _MODULUS for e in _primitive(g.flatten())) for g in generators if not g.is_zero()
-    ]
-    _grow(builder, reduced, lambda x, y: _product_mod(x, y, n), lambda v: v)
-    return builder.dimension == n * n
+def _integral_generators(generators: Sequence[Matrix]) -> list[tuple[int, ...]]:
+    """The nonzero generators flattened and scaled to primitive integers."""
+    return [tuple(_primitive(g.flatten())) for g in generators if not g.is_zero()]
 
 
-def _product_mod(x: Sequence[int], y: Sequence[int], n: int) -> tuple[int, ...]:
-    """The product mod `_MODULUS` of two n x n matrices flattened row-major."""
+def _fills_mod_p(n: int, integral: Sequence[Sequence[int]]) -> bool:
+    """Whether the flattened integer matrices `integral`, reduced mod
+    `_MODULUS`, generate all of M_n over that field."""
+    reduced = [tuple(e % _MODULUS for e in g) for g in integral]
+    return _grow(n, reduced, _MODULUS).dimension == n * n
+
+
+def _flat_product(
+    x: Sequence[int], y: Sequence[int], n: int, modulus: int | None = None
+) -> tuple[int, ...]:
+    """The product of two n x n integer matrices flattened row-major,
+    reduced mod `modulus` when one is given."""
     rows = [x[i : i + n] for i in range(0, n * n, n)]
     cols = [y[j::n] for j in range(n)]
-    return tuple(s % _MODULUS for s in _integer_product(rows, cols))
+    dots = _integer_product(rows, cols)
+    return tuple(dots) if modulus is None else tuple(s % modulus for s in dots)
 
 
 def _grow(
-    builder: SpanBuilder,
-    generators: Sequence,
-    product: Callable[[object, object], object],
-    flat: Callable[[object], Sequence],
-) -> None:
-    """The frontier loop of `closure`: adjoin to `builder` the flat form
-    `flat(g)` of each generator, then of the `product`s of the pairs
-    described there, until the span stops growing or fills the ambient
-    space.  `builder` must already hold the identity."""
-    full = builder.ambient_dim
+    n: int, generators: Sequence[Sequence[int]], modulus: int | None = None
+) -> SpanBuilder:
+    """The frontier loop of `closure` over Q, or over the integers mod the
+    prime `modulus`: a builder holding the identity and the flattened
+    integer `generators`, then their products over the pairs described
+    there, until the span stops growing or fills M_n."""
+    full = n * n
+    builder = SpanBuilder(full) if modulus is None else SpanBuilder._mod(full, modulus)
+    builder.add(_identity(n))
     older: list = []
-    frontier = [g for g in generators if builder.add(flat(g))]
+    frontier = [g for g in generators if builder.add(g)]
     while frontier and builder.dimension < full:
         fresh: list = []
         for k, x in enumerate(frontier):
             for y in older + frontier[k:]:
-                for p in (product(x, y), product(y, x)) if y is not x else (product(x, x),):
-                    if builder.add(flat(p)):
+                for u, v in ((x, y), (y, x)) if y is not x else ((x, x),):
+                    p = _flat_product(u, v, n, modulus)
+                    if builder.add(p):
                         fresh.append(p)
                 if builder.dimension == full:
                     break
@@ -275,6 +282,7 @@ def _grow(
                 break
         older += frontier
         frontier = fresh
+    return builder
 
 
 def conjugate(a: MatrixAlgebra, c: Matrix) -> MatrixAlgebra:
@@ -347,26 +355,38 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
     n = a.n
     if a.dimension == 0:
         return zero_space(n * n), [full_space(n)]
-    # Tr(x y) is the dot product of x with the flattened transpose of y,
-    # so the Gram matrix of the trace form is a single product
-    basis = a.basis_matrices()
-    transposes = tuple(zip(*(b.transpose().flatten() for b in basis)))
-    gram = Matrix._make(a.space.basis) * Matrix._make(transposes)
-    rad_vectors = [
-        _combination(coeffs, a.space.basis, n * n) for coeffs in null_space(gram).basis
-    ]
-    rad = rref_basis(rad_vectors, n * n)
-    rad_mats = rad.basis_matrices(n)
-    for b in basis:
-        for r in rad_mats:
-            if not subspace_contains(rad, (b * r).flatten()) or not subspace_contains(
-                rad, (r * b).flatten()
+    rad = _trace_form_kernel(a)
+    # integer multiples of the basis rows of a and of rad, which span the
+    # same products and have the same kernel flag
+    basis = [x for _, x in a.space._integer_form()[1]]
+    den, rows = rad._integer_form()
+    for x in basis:
+        for _, r in rows:
+            if any(_reduce(_flat_product(x, r, n), rows, den)) or any(
+                _reduce(_flat_product(r, x, n), rows, den)
             ):
                 raise RuntimeError("radical candidate is not a two-sided ideal")
-    flag = _kernel_flag(rad_mats, n)
+    flag = _kernel_flag([Matrix.from_flat(r, n) for _, r in rows], n)
     if flag is None:
         raise RuntimeError("radical candidate is not nilpotent")
     return rad, flag
+
+
+def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
+    """The x in `a` with Tr(x b) = 0 for every b in `a`: the candidate
+    that `_certified_radical` checks."""
+    n = a.n
+    # Tr(x y) is the dot product of x with the flattened transpose of y, so
+    # on the integer basis rows (one common multiple of the basis) the Gram
+    # matrix is a single integer product, with the kernel of the basis one
+    basis = [x for _, x in a.space._integer_form()[1]]
+    transposes = [tuple(e for j in range(n) for e in x[j::n]) for x in basis]
+    d = len(basis)
+    gram = list(_integer_product(basis, transposes))
+    kernel = null_space(Matrix([gram[i : i + d] for i in range(0, d * d, d)]))
+    return rref_basis(
+        [_combination(_integral(coeffs)[1], basis, n * n) for coeffs in kernel.basis], n * n
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +401,36 @@ class _QuotientAlgebra:
     are not pivots of R (pivots of a subspace are pivots of any enclosing
     one, so these rows represent a complement).  Elements are coordinate
     tuples; multiplication goes through a precomputed structure table,
-    kept as integers over one common denominator.
+    kept as integers over one common denominator.  The table is built
+    over the integers: the integer form of A is its basis times one
+    common d, so the integer residual modulo R (see `exactlin._reduce`)
+    of the product of two of its rows is d^2 times the pivot value of R
+    times the residual of the product of the two basis rows.
     """
 
     def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
         self.n = algebra.n
-        space = algebra.space
         self._quotient = Quotient(rad)
         position = {c: i for i, c in enumerate(self._quotient.coset_coords)}
-        section = [
-            Matrix.from_flat(row, self.n)
-            for row, p in zip(space.basis, space.pivots)
-            if p in position
-        ]
-        self._coset_index = [position[p] for p in space.pivots if p in position]
+        den, rows = algebra.space._integer_form()
+        section = [x for p, x in rows if p in position]
+        pivots = [p for p, _ in rows if p in position]
+        self._coset_index = [position[p] for p in pivots]
         self.dim = len(section)
-        table = [[self.coords((x * y).flatten()) for y in section] for x in section]
-        # the coordinates of x_i x_j are self._table[i][j] / self._den
-        self._den = math.lcm(*(c.denominator for row in table for cell in row for c in cell))
-        self._table: list[list[tuple[int, ...]]] = [
-            [_scaled(cell, self._den) for cell in row] for row in table
-        ]
-        self.one = self.coords(Matrix.identity(self.n).flatten())
+        # the coordinates of a coset are its residual modulo R read at the
+        # pivots of the section; those of x_i x_j are
+        # self._table[i][j] / self._den
+        rad_den, rad_rows = rad._integer_form()
 
-    def coords(self, flat: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        def cell(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+            r = _reduce(_flat_product(x, y, self.n), rad_rows, rad_den)
+            return tuple(r[p] for p in pivots)
+
+        self._den = rad_den * den * den
+        self._table = [[cell(x, y) for y in section] for x in section]
+        self.one = self.coords(_identity(self.n))
+
+    def coords(self, flat: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of the coset of a flattened element of A."""
         r = self._quotient.project(flat)
         return tuple(r[i] for i in self._coset_index)

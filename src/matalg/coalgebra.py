@@ -29,10 +29,10 @@ from .exactlin import (
     Quotient,
     Subspace,
     Vector,
+    _kernel,
     _matrix_side,
     _unit_span,
     full_space,
-    null_space,
 )
 from .algebra import Composition
 
@@ -194,7 +194,7 @@ def perp(s: Subspace) -> Subspace:
     """
     if s.dimension == 0:
         return full_space(s.ambient_dim)
-    return null_space(Matrix(s.basis))
+    return _kernel((row for _, row in s._integer_form()[1]), s.ambient_dim)
 
 
 def parabolic_coideal(comp: Composition) -> Coideal:

@@ -4,12 +4,18 @@ Every scalar this package hands out is an arbitrary-precision rational
 (`fractions.Fraction`) in lowest terms, so all computations here are
 exact: no floating point, no rounding, no tolerances.  Equality questions
 (membership, subspace equality, nilpotency, ...) are therefore decided,
-not estimated.  Matrix products are formed over the integers: each row of
-the left factor and each column of the right one is written as integers
-over a common denominator, and each entry is one integer dot product over
-the product of two denominators, still a canonical `Fraction`.  The
-elimination kernel also runs over the integers mod a prime, which is
-exact as well; `algebra.closure` uses that for a rank lower bound.
+not estimated.
+
+Inside, the arithmetic is over the integers, and `Fraction`s are made only
+at the edges: when a `Subspace` or a solution is handed out.  Matrix
+products write each row of the left factor and each column of the right
+one as integers over a common denominator, and each entry is one integer
+dot product over the product of two denominators.  Row reduction is one
+fraction-free kernel (`_reduce`, `_adjoin`): rows fully reduced over one
+common pivot value, which is the reduced row-echelon form times its least
+common denominator, and integer vectors reduced against them in one pass.
+The same kernel runs over the integers mod a prime, which is exact as
+well; `algebra.closure` uses that for a rank lower bound.
 
 Conventions used throughout the package:
 
@@ -28,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -249,14 +255,15 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
         n = self.rows
-        rows = _echelon(
-            row + tuple(_ONE if i == j else _ZERO for j in range(n))
-            for i, row in enumerate(self.entries)
+        # row i of [M | I] times the denominator d of row i of M
+        rows, den = _echelon(
+            row + tuple(d if i == j else 0 for j in range(n))
+            for i, (d, row) in enumerate(zip(*self._integer_rows()))
         )
         # [M | I] has rank n, so a singular M leaves a pivot in the I block
         if max(rows) >= n:
             raise ValueError("matrix is singular")
-        return Matrix._make(tuple(tuple(rows[p][n:]) for p in range(n)))
+        return Matrix._make(tuple(tuple(Fraction(e, den) for e in rows[p][n:]) for p in range(n)))
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -274,10 +281,13 @@ class Matrix:
 _IntegerForm = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
-def _integral(vec: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """The least common denominator d of a rational vector, and the
-    vector times d, as integers."""
+def _integral(vec: Sequence[int | Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The least common denominator d of a vector of rationals (ints
+    allowed), and the vector times d, as integers: the numerators when d
+    is 1."""
     den = math.lcm(*(x.denominator for x in vec))
+    if den == 1:
+        return 1, tuple(x.numerator for x in vec)
     return den, _scaled(vec, den)
 
 
@@ -301,54 +311,58 @@ def _integer_product(
 
 
 def _reduce(
-    vec: Sequence[Fraction],
-    pivot_rows: Iterable[tuple[int, Sequence[Fraction]]],
+    vec: Sequence[int],
+    pivot_rows: Iterable[tuple[int, Sequence[int]]],
+    den: int = 1,
     modulus: int | None = None,
-) -> list[Fraction]:
-    """Residual of `vec` modulo fully reduced `(pivot, row)` pairs.
+) -> list[int]:
+    """Residual of the integer vector `vec` modulo `(pivot, row)` pairs
+    fully reduced over the common pivot value `den`.
 
-    Each row is 1 at its own pivot and 0 at every other pivot, so one pass
-    in any order is complete.  The result is zero exactly when `vec` lies
-    in the span of the rows, and it is zero at each of their pivots.  With
-    a prime `modulus` the entries are integers in [0, modulus) and the
-    arithmetic is that of the field of integers mod `modulus`.
+    Each row is `den` at its own pivot and 0 at every other pivot, so the
+    residual is den * vec - sum of vec[p] * row over the pivots p, one
+    pass in any order.  It is den times the rational residual: zero
+    exactly when `vec` lies in the span of the rows, and zero at each of
+    their pivots.  With a prime `modulus` the entries are integers in
+    [0, modulus), `den` is 1 and the arithmetic is that of the field of
+    integers mod `modulus`.
     """
-    r = list(vec)
+    r = list(vec) if den == 1 else [den * a for a in vec]
     if modulus is None:
         for p, row in pivot_rows:
-            f = r[p]
+            f = vec[p]
             if f:
                 r = [a - f * b if b else a for a, b in zip(r, row)]
     else:
         for p, row in pivot_rows:
-            f = r[p]
+            f = vec[p]
             if f:
                 r = [(a - f * b) % modulus if b else a for a, b in zip(r, row)]
     return r
 
 
 def _adjoin(
-    rows: dict[int, list[Fraction]], residual: list[Fraction], modulus: int | None = None
-) -> None:
-    """Insert a nonzero residual of `_reduce` into fully reduced `rows`
-    keyed by pivot, over the same field as `_reduce`.
+    rows: dict[int, list[int]], residual: list[int], den: int = 1, modulus: int | None = None
+) -> int:
+    """Insert a nonzero residual of `_reduce` into `rows` keyed by pivot,
+    fully reduced over the common pivot value `den`, and return the new
+    common pivot value.
 
-    The residual is scaled to 1 at its first nonzero coordinate, and that
-    column is cleared from the other rows, so the rows stay fully reduced
-    and, sorted by pivot, are the reduced row-echelon form of their span.
+    The residual's first nonzero coordinate p becomes a pivot and the
+    column p is cleared from the other rows.  Over the integers the
+    residual is made primitive with a positive entry f at p, and the rows
+    with an entry c at p become f * row - c * residual: with den times the
+    residual, all rows are then over den * f.  Everything is divided by
+    the gcd g of that value and all entries, so the rows over the new
+    value den * f / g are the reduced row-echelon form of their span times
+    its least common denominator.  The rows without an entry at p are only
+    scaled by f / g, which leaves them as they are when f == g, the common
+    case of a least common denominator that does not grow.  Mod a prime
+    the residual is scaled to 1 at p and the value stays 1.
     """
     p = next(i for i, e in enumerate(residual) if e)
-    f = residual[p]
-    if modulus is None:
-        if f != 1:
-            # multiply by the exact inverse; plain / would go float on ints
-            inv = _ONE / f
-            residual = [e * inv if e else e for e in residual]
-        for q, row in rows.items():
-            g = row[p]
-            if g:
-                rows[q] = [a - g * b if b else a for a, b in zip(row, residual)]
-    else:
+    if modulus is not None:
+        f = residual[p]
         if f != 1:
             inv = pow(f, -1, modulus)
             residual = [e * inv % modulus if e else e for e in residual]
@@ -356,27 +370,77 @@ def _adjoin(
             g = row[p]
             if g:
                 rows[q] = [(a - g * b) % modulus if b else a for a, b in zip(row, residual)]
-    rows[p] = residual
+        rows[p] = residual
+        return 1
+    content = math.gcd(*residual)
+    if residual[p] < 0:
+        content = -content
+    if content != 1:
+        residual = [e // content for e in residual]
+    f = residual[p]
+    # the rows with an entry c at p, cleared there: f * row - c * residual,
+    # over the pivot value den * f like the other rows times f
+    cleared = {}
+    for q, row in rows.items():
+        c = row[p]
+        if c:
+            cleared[q] = (
+                [a - c * b if b else a for a, b in zip(row, residual)]
+                if f == 1
+                else [f * a - c * b for a, b in zip(row, residual)]
+            )
+    # the gcd g of den * f and every entry divides den, because den times
+    # the primitive residual is the new row
+    g = den
+    for q, row in rows.items():
+        if g == 1:
+            break
+        g = math.gcd(g, *cleared[q]) if q in cleared else math.gcd(g, f * math.gcd(*row))
+    k = math.gcd(f, g)
+    up, down = f // k, g // k
+    for q, row in rows.items():
+        if q in cleared:
+            rows[q] = cleared[q] if g == 1 else [e // g for e in cleared[q]]
+        elif up != down:  # coprime, so equal only when both are 1
+            rows[q] = [e * up // down for e in row]
+    rows[p] = residual if g == den else [den // g * e for e in residual]
+    return den // g * f
 
 
-def _echelon(vectors: Iterable[Sequence[Fraction]]) -> dict[int, list[Fraction]]:
-    """Fully reduced rows spanning `vectors`, keyed by pivot."""
-    rows: dict[int, list[Fraction]] = {}
+def _echelon(vectors: Iterable[Sequence[int]]) -> tuple[dict[int, list[int]], int]:
+    """Fully reduced rows spanning the integer `vectors`, keyed by pivot,
+    and their common pivot value."""
+    rows: dict[int, list[int]] = {}
+    den = 1
     for vec in vectors:
-        residual = _reduce(vec, rows.items())
+        residual = _reduce(vec, rows.items(), den)
         if any(residual):
-            _adjoin(rows, residual)
-    return rows
+            den = _adjoin(rows, residual, den)
+    return rows, den
 
 
-def _canonical(ambient_dim: int, rows: dict[int, list[Fraction]]) -> Subspace:
-    """The `Subspace` of fully reduced rows keyed by pivot."""
+def _canonical(ambient_dim: int, rows: dict[int, list[int]], den: int) -> Subspace:
+    """The `Subspace` of integer rows fully reduced over the common pivot
+    value `den`, keyed by pivot; the rows are kept as its integer form."""
     pivots = tuple(sorted(rows))
-    return Subspace(
+    integer = tuple((p, tuple(rows[p])) for p in pivots)
+    space = Subspace(
         ambient_dim=ambient_dim,
-        basis=tuple(tuple(rows[p]) for p in pivots),
+        basis=tuple(tuple(Fraction(e, den) if e else _ZERO for e in row) for _, row in integer),
         pivots=pivots,
     )
+    object.__setattr__(space, "_integer", (den, integer))
+    return space
+
+
+def _integer_vector(vec: Sequence[int | str | Fraction], ambient_dim: int) -> Sequence[int]:
+    """A positive multiple of the vector with integer entries, after the
+    coercion and length check of `as_vector`; a vector of ints is its own."""
+    if all(type(x) is int for x in vec):
+        if len(vec) != ambient_dim:
+            raise ValueError(f"expected vector of length {ambient_dim}, got {len(vec)}")
+        return vec
+    return _integral(as_vector(vec, ambient_dim))[1]
 
 
 @dataclass(frozen=True)
@@ -386,11 +450,18 @@ class Subspace:
     The basis is a reduced row-echelon basis with strictly increasing
     pivots, so equal subspaces have identical representations.  Build
     instances through `rref_basis` (or the helpers below), never by hand.
+
+    Reductions against the subspace use its integer form: the basis times
+    its least common denominator, made on first use (or kept from the
+    elimination that built the subspace).  It takes no part in equality.
     """
 
     ambient_dim: int
     basis: tuple[Vector, ...]
     pivots: tuple[int, ...]
+    _integer: tuple[int, tuple[tuple[int, tuple[int, ...]], ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dimension(self) -> int:
@@ -398,6 +469,15 @@ class Subspace:
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return subspace_contains(self, vec)
+
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """The least common denominator d of the basis, and the (pivot,
+        basis row times d) pairs: rows fully reduced over the pivot value d."""
+        if self._integer is None:
+            den = math.lcm(1, *(x.denominator for row in self.basis for x in row))
+            rows = tuple(zip(self.pivots, (_scaled(row, den) for row in self.basis)))
+            object.__setattr__(self, "_integer", (den, rows))
+        return self._integer
 
     def basis_matrices(self, n: int) -> list[Matrix]:
         """Interpret the basis vectors as n x n matrices (ambient must be n*n)."""
@@ -411,7 +491,7 @@ class Subspace:
 
 def rref_basis(vectors: Iterable[Sequence[int | str | Fraction]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by `vectors` inside Q^ambient_dim."""
-    return _canonical(ambient_dim, _echelon(as_vector(vec, ambient_dim) for vec in vectors))
+    return _canonical(ambient_dim, *_echelon(_integer_vector(v, ambient_dim) for v in vectors))
 
 
 def _unit_span(n: int, positions: Iterable[tuple[int, int]]) -> Subspace:
@@ -450,7 +530,8 @@ def _check_same_ambient(a: Subspace, b: Subspace) -> None:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Canonical basis of a + b."""
     _check_same_ambient(a, b)
-    return rref_basis(list(a.basis) + list(b.basis), a.ambient_dim)
+    rows = a._integer_form()[1] + b._integer_form()[1]
+    return _canonical(a.ambient_dim, *_echelon(row for _, row in rows))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -464,10 +545,11 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     if a.dimension == 0 or b.dimension == 0:
         return zero_space(n)
-    zero_tail = (_ZERO,) * n
-    rows = _echelon([v + v for v in a.basis] + [w + zero_tail for w in b.basis])
-    carriers = [row[n:] for p, row in rows.items() if p >= n]
-    return rref_basis(carriers, n)
+    zero_tail = (0,) * n
+    rows, _ = _echelon(
+        [v + v for _, v in a._integer_form()[1]] + [w + zero_tail for _, w in b._integer_form()[1]]
+    )
+    return _canonical(n, *_echelon(row[n:] for p, row in rows.items() if p >= n))
 
 
 def _matrix_side(space: Subspace) -> int:
@@ -487,11 +569,12 @@ def _primitive(vec: Sequence[Fraction]) -> list[int]:
 
 
 def _combination(
-    coeffs: Sequence[int | Fraction], vectors: Sequence[Sequence[Fraction]], length: int
-) -> list[Fraction]:
+    coeffs: Sequence[int | Fraction], vectors: Sequence[Sequence[int | Fraction]], length: int
+) -> list[int | Fraction]:
     """The vector sum of c * v over paired coefficients and vectors of the
-    given length; zero coefficients are skipped."""
-    acc = [_ZERO] * length
+    given length; zero coefficients are skipped.  Integer inputs give
+    integers."""
+    acc = [0] * length
     for c, v in zip(coeffs, vectors):
         if c:
             acc = [u + c * x for u, x in zip(acc, v)]
@@ -499,8 +582,8 @@ def _combination(
 
 
 def subspace_contains(space: Subspace, vec: Sequence[int | str | Fraction]) -> bool:
-    v = as_vector(vec, space.ambient_dim)
-    return not any(_reduce(v, zip(space.pivots, space.basis)))
+    den, rows = space._integer_form()
+    return not any(_reduce(_integer_vector(vec, space.ambient_dim), rows, den))
 
 
 class Quotient:
@@ -518,8 +601,11 @@ class Quotient:
         self.dim = len(self.coset_coords)
 
     def project(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        r = _reduce(vec, zip(self.sub.pivots, self.sub.basis))
-        return [r[c] for c in self.coset_coords]
+        den, ints = _integral(vec)
+        sub_den, rows = self.sub._integer_form()
+        r = _reduce(ints, rows, sub_den)
+        scale = den * sub_den
+        return [Fraction(r[c], scale) for c in self.coset_coords]
 
     def images(self) -> list[list[tuple[int, Fraction]]]:
         """The residual of each standard basis vector e_a as sparse (coordinate,
@@ -537,30 +623,34 @@ def solve_linear(m: Matrix, rhs: Sequence[int | str | Fraction]) -> Vector | Non
     """
     b = as_vector(rhs, m.rows)
     ncols = m.cols
-    rows = _echelon(row + (val,) for row, val in zip(m.entries, b))
+    rows, den = _echelon(_integral(row + (val,))[1] for row, val in zip(m.entries, b))
     if ncols in rows:
         return None  # pivot in the constant column: 0 = 1
     solution = [_ZERO] * ncols
     for p, row in rows.items():
-        solution[p] = row[ncols]
+        solution[p] = Fraction(row[ncols], den)
     return tuple(solution)
 
 
 def null_space(m: Matrix) -> Subspace:
     """Canonical basis of {x : m @ x = 0} inside Q^cols."""
-    rows = _echelon(m.entries)
-    ncols = m.cols
-    free = [c for c in range(ncols) if c not in rows]
+    return _kernel(m._integer_rows()[1], m.cols)
+
+
+def _kernel(vectors: Iterable[Sequence[int]], ncols: int) -> Subspace:
+    """Canonical basis of the x in Q^ncols orthogonal to every integer vector."""
+    rows, den = _echelon(vectors)
     basis = []
-    for f in free:
-        vec = [_ZERO] * ncols
-        vec[f] = _ONE
+    for f in range(ncols):
+        if f in rows:
+            continue
+        # den e_f minus the column f of the rows, placed at their pivots
+        vec = [0] * ncols
+        vec[f] = den
         for p, row in rows.items():
-            coeff = row[f]
-            if coeff:
-                vec[p] = -coeff
+            vec[p] = -row[f]
         basis.append(vec)
-    return rref_basis(basis, ncols)
+    return _canonical(ncols, *_echelon(basis))
 
 
 def _joint_kernel(mats: Sequence[Matrix], n: int) -> Subspace:
@@ -572,14 +662,18 @@ def _joint_kernel(mats: Sequence[Matrix], n: int) -> Subspace:
 class SpanBuilder:
     """Incremental span accumulator for rank and membership queries.
 
-    Keeps fully reduced rows keyed by pivot, so adding a vector or testing
-    membership costs one reduction, and `to_subspace` only sorts the rows.
-    Useful inside closure loops where a subspace grows vector by vector.
+    Keeps integer rows keyed by pivot, fully reduced over one common pivot
+    value (see `_adjoin`), so adding a vector or testing membership costs
+    one reduction, and `to_subspace` only sorts the rows and writes them
+    as `Fraction`s.  A vector of ints is reduced as it is; any other is
+    first scaled to integers.  Useful inside closure loops where a
+    subspace grows vector by vector.
     """
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self._rows: dict[int, list[Fraction]] = {}
+        self._rows: dict[int, list[int]] = {}
+        self._den = 1
         self._modulus: int | None = None
 
     @classmethod
@@ -596,24 +690,24 @@ class SpanBuilder:
     def dimension(self) -> int:
         return len(self._rows)
 
-    def _residual(self, vec: Sequence[int | str | Fraction]) -> list[Fraction]:
+    def _residual(self, vec: Sequence[int | str | Fraction]) -> list[int]:
         if self._modulus is None:
-            vec = as_vector(vec, self.ambient_dim)
-        return _reduce(vec, self._rows.items(), self._modulus)
+            vec = _integer_vector(vec, self.ambient_dim)
+        return _reduce(vec, self._rows.items(), self._den, self._modulus)
 
     def add(self, vec: Sequence[int | str | Fraction]) -> bool:
         """Adjoin a vector; returns True when the span grew."""
         residual = self._residual(vec)
         if not any(residual):
             return False
-        _adjoin(self._rows, residual, self._modulus)
+        self._den = _adjoin(self._rows, residual, self._den, self._modulus)
         return True
 
     def contains(self, vec: Sequence[int | str | Fraction]) -> bool:
         return not any(self._residual(vec))
 
     def to_subspace(self) -> Subspace:
-        return _canonical(self.ambient_dim, self._rows)
+        return _canonical(self.ambient_dim, self._rows, self._den)
 
 
 def random_matrix(

@@ -37,6 +37,7 @@ from matalg.algebra import (
     _rational_roots,
 )
 from matalg.cli.suites import corpus_algebras
+from test_exactlin import reference_adjoin, reference_reduce
 from matalg.exactlin import (
     Matrix,
     Quotient,
@@ -72,6 +73,24 @@ def block_diagonal(*blocks):
                 rows[offset + i][offset + j] = b[i, j]
         offset += b.rows
     return Matrix(rows)
+
+
+def rational_invertible(rng, n):
+    """A seeded invertible n x n matrix with entries of denominators up to 5."""
+    for _ in range(100):
+        entries = [[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+        c = Matrix(entries)
+        if null_space(c).dimension == 0:
+            return c
+    raise AssertionError("no invertible matrix in 100 draws")
+
+
+def parabolic_units(comp):
+    """The matrix units e_{i,j} spanning the block upper-triangular algebra."""
+    n = comp.n
+    blocks = [comp.block_of(i) for i in range(n)]
+    positions = [(i, j) for i in range(n) for j in range(n) if blocks[i] <= blocks[j]]
+    return {(i, j): Matrix.unit(n, i, j) for i, j in positions}
 
 
 SQRT2 = Matrix([[0, 2], [1, 0]])  # companion of t^2 - 2
@@ -154,6 +173,22 @@ class TestClosure:
                 2, [Matrix.identity(2), Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)]
             )
 
+    @pytest.mark.parametrize(
+        "parts, dropped", [((1, 3), (0, 1)), ((2, 2), (0, 2)), ((1, 2, 1), (0, 3))]
+    )
+    def test_algebra_from_basis_rejects_conjugated_parabolic_missing_a_unit(self, parts, dropped):
+        # e_{i,k} e_{k,j} = e_{i,j} for a k of the pattern, so the span of
+        # the other units holds the identity but is not closed
+        comp = Composition(parts)
+        c = rational_invertible(random.Random(sum(parts) * 7 + len(parts)), comp.n)
+        cinv = c.inverse()
+        units = parabolic_units(comp)
+        moved = {pos: c * u * cinv for pos, u in units.items()}
+        a = algebra_from_basis(comp.n, list(moved.values()))
+        assert a == conjugate(parabolic_subalgebra(comp), c)
+        with pytest.raises(ValueError, match="not closed"):
+            algebra_from_basis(comp.n, [m for pos, m in moved.items() if pos != dropped])
+
     def test_algebra_from_basis_requires_identity(self):
         with pytest.raises(ValueError):
             algebra_from_basis(2, [Matrix.unit(2, 0, 1)])
@@ -221,6 +256,18 @@ class TestRadicalCertificate:
         # not an algebra: its trace-form kernel span{e_01, e_12} is not
         # closed, since e_01 e_12 = e_02
         a = MatrixAlgebra(n=3, space=_unit_span(3, [(0, 0), (0, 1), (1, 2)]))
+        with pytest.raises(RuntimeError, match="not a two-sided ideal"):
+            radical(a)
+
+    def test_tampered_candidate_is_rejected(self, monkeypatch):
+        # a plane in the radical of a conjugated P(1, 3): nilpotent, but no
+        # ideal, since the right action of the 3 x 3 block moves it
+        comp = Composition((1, 3))
+        a = conjugate(parabolic_subalgebra(comp), rational_invertible(random.Random(13), 4))
+        rad = radical(a)
+        assert rad.dimension == 3
+        tampered = rref_basis(rad.basis[:-1], 16)
+        monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: tampered)
         with pytest.raises(RuntimeError, match="not a two-sided ideal"):
             radical(a)
 
@@ -772,31 +819,23 @@ class TestParabolicRecognition:
 
 
 def _count_products(monkeypatch):
-    """Record (left, right) entries of every matrix product from now on."""
+    """Record the (rows, columns) operands of every integer product that
+    `matalg.algebra` forms from now on; both passes of `closure` form each
+    of theirs through this one product."""
     products = []
-    multiply = Matrix.__mul__
+    multiply = algebra_module._integer_product
 
-    def counting(self, other):
-        if isinstance(other, Matrix):
-            products.append((self.entries, other.entries))
-        return multiply(self, other)
+    def counting(rows, cols):
+        products.append((tuple(map(tuple, rows)), tuple(map(tuple, cols))))
+        return multiply(rows, cols)
 
-    monkeypatch.setattr(Matrix, "__mul__", counting)
+    monkeypatch.setattr(algebra_module, "_integer_product", counting)
     return products
 
 
-def _count_modular_products(monkeypatch):
-    """Record (left, right) of every product of the modular pre-pass of
-    `closure` from now on."""
-    products = []
-    multiply = algebra_module._product_mod
-
-    def counting(x, y, n):
-        products.append((x, y))
-        return multiply(x, y, n)
-
-    monkeypatch.setattr(algebra_module, "_product_mod", counting)
-    return products
+def _fills_mod_p(n, generators):
+    """The modular certificate of `closure` on matrices."""
+    return algebra_module._fills_mod_p(n, algebra_module._integral_generators(generators))
 
 
 class TestClosureProducts:
@@ -807,21 +846,28 @@ class TestClosureProducts:
         # the identity comes first, so one basis direction adds nothing
         adjoined = a.dimension - 1
         products = _count_products(monkeypatch)
-        modular = _count_modular_products(monkeypatch)
-        assert closure(4, basis).space == a.space
         # a proper algebra: the modular pass falls short, the exact pass
         # decides, and each pass forms each unordered pair once
-        assert len(modular) == adjoined * adjoined
+        assert not _fills_mod_p(4, basis)
         assert len(products) == adjoined * adjoined
+        products.clear()
+        assert _exact_closure(4, basis).space == a.space
+        assert len(products) == adjoined * adjoined
+        products.clear()
+        assert closure(4, basis).space == a.space
+        assert len(products) == 2 * adjoined * adjoined
 
     def test_absorption_probe_repeats_no_product(self, monkeypatch):
         a = parabolic_subalgebra(Composition((1, 3)))
+        x = Matrix.unit(4, 1, 0)
         products = _count_products(monkeypatch)
-        modular = _count_modular_products(monkeypatch)
-        assert absorption_probe(a, Matrix.unit(4, 1, 0)).dimension == 16
-        # the modular certificate decides, so no rational product is formed
-        assert products == []
-        assert modular and len(modular) == len(set(modular))
+        assert _fills_mod_p(4, a.basis_matrices() + [x])
+        modular = list(products)
+        products.clear()
+        assert absorption_probe(a, x).dimension == 16
+        # the modular certificate decides, so the exact pass forms nothing
+        assert products == modular
+        assert products and len(products) == len(set(products))
 
 
 def _exact_closure(n, generators):
@@ -832,10 +878,10 @@ def _exact_closure(n, generators):
 
 @st.composite
 def _rational_generators(draw):
-    """One to three rational n x n matrices, n in 2..3, each upper
+    """One to three rational n x n matrices, n in 2..4, each upper
     triangular or diagonal with some probability, so that closures short
     of M_n are common."""
-    n = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 4))
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     generators = []
     for _ in range(draw(st.integers(1, 3))):
@@ -849,6 +895,40 @@ def _rational_generators(draw):
     return n, generators
 
 
+def reference_closure(n, generators):
+    """The closure as (basis, pivots) by the frontier loop over `Matrix`
+    products, reduced by the Fraction elimination `reference_echelon`
+    keeps: the reference for the integer exact pass of `closure`."""
+    rows = {}
+
+    def add(m):
+        residual = reference_reduce(m.flatten(), rows.items())
+        if any(residual):
+            reference_adjoin(rows, residual)
+        return any(residual)
+
+    add(Matrix.identity(n))
+    older, frontier = [], [g for g in generators if add(g)]
+    while frontier:
+        fresh = []
+        for k, x in enumerate(frontier):
+            for y in older + frontier[k:]:
+                fresh += [p for p in (x * y, y * x) if add(p)]
+        older += frontier
+        frontier = fresh
+    pivots = tuple(sorted(rows))
+    return tuple(tuple(rows[p]) for p in pivots), pivots
+
+
+class TestClosureReference:
+    @settings(max_examples=60, deadline=None)
+    @given(_rational_generators())
+    def test_exact_pass_matches_the_fraction_reference(self, case):
+        n, generators = case
+        space = _exact_closure(n, generators).space
+        assert (space.basis, space.pivots) == reference_closure(n, generators)
+
+
 class TestClosureCertificate:
     """The modular certificate of `closure` against its exact path."""
 
@@ -858,26 +938,26 @@ class TestClosureCertificate:
         n, generators = case
         result = closure(n, generators)
         assert result.space == _exact_closure(n, generators).space
-        if algebra_module._fills_mod_p(n, generators):
+        if _fills_mod_p(n, generators):
             assert result.space == full_space(n * n)
 
     def test_cases_include_full_and_proper_closures(self):
         diagonal = [Matrix([[1, 0], [0, 2]])]
         units = [Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)]
-        assert not algebra_module._fills_mod_p(2, diagonal)
-        assert algebra_module._fills_mod_p(2, units)
+        assert not _fills_mod_p(2, diagonal)
+        assert _fills_mod_p(2, units)
 
     def test_scalar_mod_p_falls_through_to_the_exact_path(self):
         p = algebra_module._MODULUS
         g = Matrix([[1, 0], [0, 1 + p]])
-        assert not algebra_module._fills_mod_p(2, [g])
+        assert not _fills_mod_p(2, [g])
         a = closure(2, [g])
         assert a.space == diagonal_algebra(2).space
 
     def test_denominator_p_is_scaled_away(self):
         p = algebra_module._MODULUS
         generators = [Matrix.unit(2, 1, 0) * Fraction(1, p), Matrix.unit(2, 0, 1)]
-        assert algebra_module._fills_mod_p(2, generators)
+        assert _fills_mod_p(2, generators)
         assert closure(2, generators).space == full_space(4)
 
     def test_zero_generator_is_ignored(self):

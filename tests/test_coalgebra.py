@@ -30,12 +30,12 @@ from matalg.exactlin import (
     Matrix,
     SpanBuilder,
     _matrix_side,
-    _reduce,
     random_subspace,
     rref_basis,
     subspace_sum,
     zero_space,
 )
+from test_exactlin import reference_reduce
 
 
 def unit_span(n, positions):
@@ -120,7 +120,7 @@ def quotient_image(s, tensor):
     vanishes on s (x) C + C (x) s."""
     n2 = s.ambient_dim
     res = [
-        _reduce([Fraction(int(a == k)) for k in range(n2)], zip(s.pivots, s.basis))
+        reference_reduce([int(a == k) for k in range(n2)], zip(s.pivots, s.basis))
         for a in range(n2)
     ]
     image = {}

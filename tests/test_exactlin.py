@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matalg.algebra import _MODULUS, _product_mod
+from matalg.algebra import _MODULUS, _flat_product
 from matalg.exactlin import (
     Matrix,
     Quotient,
@@ -146,6 +146,98 @@ product_entries = st.one_of(
     rationals,
     st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
 )
+
+
+def reference_reduce(vec, pivot_rows):
+    """Residual of a rational vector modulo `(pivot, row)` pairs of
+    Fraction rows, each 1 at its own pivot and 0 at the other pivots: the
+    Fraction elimination that the integer kernel replaced, kept as its
+    reference."""
+    r = [Fraction(x) for x in vec]
+    for p, row in pivot_rows:
+        f = r[p]
+        if f:
+            r = [a - f * b for a, b in zip(r, row)]
+    return r
+
+
+def reference_adjoin(rows, residual):
+    """Insert a nonzero residual of `reference_reduce` into the Fraction
+    rows keyed by pivot: scaled to 1 at its first nonzero coordinate, and
+    that column cleared from the other rows."""
+    p = next(i for i, e in enumerate(residual) if e)
+    residual = [e / residual[p] for e in residual]
+    for q, row in rows.items():
+        g = row[p]
+        if g:
+            rows[q] = [a - g * b for a, b in zip(row, residual)]
+    rows[p] = residual
+
+
+def reference_echelon(vectors):
+    """The reduced row-echelon form of the span of rational vectors, as
+    Fraction rows keyed by pivot."""
+    rows = {}
+    for vec in vectors:
+        residual = reference_reduce(vec, rows.items())
+        if any(residual):
+            reference_adjoin(rows, residual)
+    return rows
+
+
+def reference_basis(vectors):
+    """(basis, pivots) of the canonical form of the span of `vectors`."""
+    rows = reference_echelon(vectors)
+    pivots = tuple(sorted(rows))
+    return tuple(tuple(rows[p]) for p in pivots), pivots
+
+
+def reference_null_space(rows, ncols):
+    reduced = reference_echelon(rows)
+    basis = []
+    for f in range(ncols):
+        if f not in reduced:
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            for p, row in reduced.items():
+                vec[p] = -row[f]
+            basis.append(vec)
+    return reference_basis(basis)
+
+
+# Wide rationals: zeros, small rationals, and numerators up to 10^30 over
+# denominators up to 10^20, so that rows mix denominators of every size.
+wide = st.one_of(st.just(Fraction(0)), rationals, product_entries)
+
+
+@st.composite
+def wide_rows(draw, cols=None, count=None):
+    """`count` (default 1..8) rows of wide rationals of length `cols`
+    (default 1..25), each free, zero, or a wide combination of the rows
+    before it."""
+    cols = cols or draw(st.integers(1, 25))
+    rows = []
+    for _ in range(count or draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("free", "zero", "dependent")))
+        if kind == "zero":
+            rows.append((Fraction(0),) * cols)
+        elif kind == "dependent" and rows:
+            row = [Fraction(0)] * cols
+            for earlier in rows:
+                c = draw(wide)
+                row = [x + c * y for x, y in zip(row, earlier)]
+            rows.append(tuple(row))
+        else:
+            rows.append(tuple(draw(st.lists(wide, min_size=cols, max_size=cols))))
+    return rows
+
+
+def assert_integer_form(space):
+    """The integer form of `space` is its basis times the least common
+    denominator, which is what reductions against it use."""
+    den, rows = space._integer_form()
+    assert den == math.lcm(1, *(x.denominator for v in space.basis for x in v))
+    assert rows == tuple(zip(space.pivots, (tuple(x * den for x in v) for v in space.basis)))
 
 
 @st.composite
@@ -300,7 +392,8 @@ class TestMatrix:
         p = _MODULUS
         expected = reference_product(Matrix.from_flat(x, n), Matrix.from_flat(y, n))
         reduced = [e % p for e in x], [e % p for e in y]
-        assert _product_mod(*reduced, n) == tuple(int(e) % p for row in expected for e in row)
+        assert _flat_product(*reduced, n, p) == tuple(int(e) % p for row in expected for e in row)
+        assert _flat_product(x, y, n) == tuple(int(e) for row in expected for e in row)
 
     def test_inverse_roundtrip(self):
         m = Matrix([[1, 2], [3, 4]])
@@ -546,6 +639,111 @@ class TestAgainstSympy:
         for v in meet.basis:
             assert sympy_rank(rows_a + [v]) == rank_a
             assert sympy_rank(rows_b + [v]) == rank_b
+
+
+class TestAgainstFractionReference:
+    """The integer elimination kernel against the Fraction elimination it
+    replaced (`reference_echelon`), on wide rationals."""
+
+    @given(wide_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_rref_basis(self, rows):
+        space = rref_basis(rows, len(rows[0]))
+        assert (space.basis, space.pivots) == reference_basis(rows)
+        assert all(type(e) is Fraction for v in space.basis for e in v)
+        assert_integer_form(space)
+
+    @given(wide_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_null_space(self, rows):
+        kernel = null_space(Matrix(rows))
+        assert (kernel.basis, kernel.pivots) == reference_null_space(rows, len(rows[0]))
+        assert_integer_form(kernel)
+
+    @given(st.integers(1, 6).flatmap(lambda n: wide_rows(cols=n, count=n)))
+    @settings(max_examples=80, deadline=None)
+    def test_inverse(self, rows):
+        n = len(rows)
+        unit = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+        reduced = reference_echelon([row + e for row, e in zip(rows, unit)])
+        if max(reduced) >= n:
+            with pytest.raises(ValueError, match="singular"):
+                Matrix(rows).inverse()
+            return
+        inverse = Matrix(rows).inverse()
+        assert inverse.entries == tuple(tuple(reduced[p][n:]) for p in range(n))
+        assert all(type(e) is Fraction for row in inverse.entries for e in row)
+
+    @given(wide_rows(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_solve_linear(self, rows, data):
+        m = Matrix(rows)
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(wide, min_size=m.cols, max_size=m.cols))
+            rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+        else:
+            rhs = data.draw(st.lists(wide, min_size=m.rows, max_size=m.rows))
+        reduced = reference_echelon([row + (b,) for row, b in zip(rows, rhs)])
+        solution = solve_linear(m, rhs)
+        if m.cols in reduced:
+            assert solution is None
+            return
+        expected = [Fraction(0)] * m.cols
+        for p, row in reduced.items():
+            expected[p] = row[m.cols]
+        assert solution == tuple(expected)
+
+    @given(st.integers(1, 25).flatmap(lambda n: st.tuples(wide_rows(cols=n), wide_rows(cols=n))))
+    @settings(max_examples=60, deadline=None)
+    def test_subspace_intersect(self, pair):
+        rows_a, rows_b = pair
+        n = len(rows_a[0])
+        zero = (Fraction(0),) * n
+        stacked = [v + v for v in reference_basis(rows_a)[0]]
+        stacked += [w + zero for w in reference_basis(rows_b)[0]]
+        carriers = [row[n:] for p, row in reference_echelon(stacked).items() if p >= n]
+        meet = subspace_intersect(rref_basis(rows_a, n), rref_basis(rows_b, n))
+        assert (meet.basis, meet.pivots) == reference_basis(carriers)
+        assert_integer_form(meet)
+
+    @given(wide_rows(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_quotient_project_and_contains(self, rows, data):
+        n = len(rows[0])
+        sub = rref_basis(rows, n)
+        vec = [Fraction(0)] * n
+        for row in sub.basis:
+            c = data.draw(wide)
+            vec = [x + c * y for x, y in zip(vec, row)]
+        if data.draw(st.booleans()):
+            vec = [x + y for x, y in zip(vec, data.draw(st.lists(wide, min_size=n, max_size=n)))]
+        residual = reference_reduce(vec, zip(sub.pivots, sub.basis))
+        quotient = Quotient(sub)
+        assert quotient.project(vec) == [residual[c] for c in quotient.coset_coords]
+        assert subspace_contains(sub, vec) == (not any(residual))
+
+    @given(wide_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_span_builder(self, rows):
+        # after every add the integer rows over the common pivot value are
+        # the reference rows, and that value and the rows share no factor,
+        # which bounds the growth of the integers
+        builder = SpanBuilder(len(rows[0]))
+        reference = {}
+        for vec in rows:
+            residual = reference_reduce(vec, reference.items())
+            assert builder.contains(vec) == (not any(residual))
+            assert builder.add(vec) == any(residual)
+            if any(residual):
+                reference_adjoin(reference, residual)
+            den = builder._den
+            assert math.gcd(den, *(e for row in builder._rows.values() for e in row)) == 1
+            assert den == math.lcm(1, *(x.denominator for row in reference.values() for x in row))
+            scaled = {p: [Fraction(e, den) for e in row] for p, row in builder._rows.items()}
+            assert scaled == reference
+        space = builder.to_subspace()
+        assert (space.basis, space.pivots) == reference_basis(rows)
+        assert_integer_form(space)
 
 
 class TestQuotient:
