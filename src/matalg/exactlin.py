@@ -395,7 +395,10 @@ def _adjoin(
     for q, row in rows.items():
         if g == 1:
             break
-        g = math.gcd(g, *cleared[q]) if q in cleared else math.gcd(g, f * math.gcd(*row))
+        if q in cleared:
+            g = math.gcd(g, *cleared[q])
+        elif f % g:  # else g divides f times the row
+            g = math.gcd(g, f * math.gcd(*row))
     k = math.gcd(f, g)
     up, down = f // k, g // k
     for q, row in rows.items():
@@ -433,14 +436,18 @@ def _canonical(ambient_dim: int, rows: dict[int, list[int]], den: int) -> Subspa
     return space
 
 
-def _integer_vector(vec: Sequence[int | str | Fraction], ambient_dim: int) -> Sequence[int]:
+def _integer_vector(vec: Iterable[int | str | Fraction], ambient_dim: int) -> Sequence[int]:
     """A positive multiple of the vector with integer entries, after the
-    coercion and length check of `as_vector`; a vector of ints is its own."""
+    length check and the coercion of `as_vector`: the vector itself when
+    it holds only ints, and no coercion when it holds only Fractions."""
+    vec = tuple(vec)
+    if len(vec) != ambient_dim:
+        raise ValueError(f"expected vector of length {ambient_dim}, got {len(vec)}")
     if all(type(x) is int for x in vec):
-        if len(vec) != ambient_dim:
-            raise ValueError(f"expected vector of length {ambient_dim}, got {len(vec)}")
         return vec
-    return _integral(as_vector(vec, ambient_dim))[1]
+    if not all(type(x) is Fraction for x in vec):
+        vec = as_vector(vec)
+    return _integral(vec)[1]
 
 
 @dataclass(frozen=True)
