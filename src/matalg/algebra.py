@@ -187,10 +187,10 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
         raise ValueError("span does not contain the identity matrix")
     # the integer rows are the basis times one common d, so their products
     # are d^2 times the products of basis pairs
-    den, rows = space._integer_form()
-    for _, x in rows:
-        for _, y in rows:
-            if any(_reduce(_flat_product(x, y, n), rows, den)):
+    rows = [x for _, x in space._integer_form()[1]]
+    for x in rows:
+        for y in rows:
+            if not subspace_contains(space, _flat_product(x, y, n)):
                 raise ValueError("span is not closed under multiplication")
     return MatrixAlgebra(n=n, space=space)
 
@@ -359,14 +359,14 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
     # integer multiples of the basis rows of a and of rad, which span the
     # same products and have the same kernel flag
     basis = [x for _, x in a.space._integer_form()[1]]
-    den, rows = rad._integer_form()
+    rows = [r for _, r in rad._integer_form()[1]]
     for x in basis:
-        for _, r in rows:
-            if any(_reduce(_flat_product(x, r, n), rows, den)) or any(
-                _reduce(_flat_product(r, x, n), rows, den)
+        for r in rows:
+            if not subspace_contains(rad, _flat_product(x, r, n)) or not subspace_contains(
+                rad, _flat_product(r, x, n)
             ):
                 raise RuntimeError("radical candidate is not a two-sided ideal")
-    flag = _kernel_flag([Matrix.from_flat(r, n) for _, r in rows], n)
+    flag = _kernel_flag([Matrix.from_flat(r, n) for r in rows], n)
     if flag is None:
         raise RuntimeError("radical candidate is not nilpotent")
     return rad, flag
