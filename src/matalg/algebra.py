@@ -32,7 +32,7 @@ from .exactlin import (
     Subspace,
     Vector,
     _combination,
-    _integer_product,
+    _flat_product,
     _integral,
     _joint_kernel,
     _primitive,
@@ -160,9 +160,8 @@ class MatrixAlgebra:
         return self.space.basis_matrices(self.n)
 
     def contains(self, m: Matrix) -> bool:
-        if m.rows != self.n or m.cols != self.n:
-            raise ValueError(f"expected a {self.n}x{self.n} matrix")
-        return subspace_contains(self.space, m.flatten())
+        _check_square(m, self.n)
+        return subspace_contains(self.space, m._integer_form()[1])
 
     def __repr__(self) -> str:
         return f"MatrixAlgebra(n={self.n}, dim={self.dimension})"
@@ -182,7 +181,7 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     """
     for m in matrices:
         _check_square(m, n)
-    space = rref_basis([m.flatten() for m in matrices], n * n)
+    space = rref_basis([m._integer_form()[1] for m in matrices], n * n)
     if not subspace_contains(space, _identity(n)):
         raise ValueError("span does not contain the identity matrix")
     # the integer rows are the basis times one common d, so their products
@@ -235,7 +234,7 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
 
 def _integral_generators(generators: Sequence[Matrix]) -> list[tuple[int, ...]]:
     """The nonzero generators flattened and scaled to primitive integers."""
-    return [tuple(_primitive(g.flatten())) for g in generators if not g.is_zero()]
+    return [tuple(_primitive(g._integer_form()[1])) for g in generators if not g.is_zero()]
 
 
 def _fills_mod_p(n: int, integral: Sequence[Sequence[int]]) -> bool:
@@ -243,17 +242,6 @@ def _fills_mod_p(n: int, integral: Sequence[Sequence[int]]) -> bool:
     `_MODULUS`, generate all of M_n over that field."""
     reduced = [tuple(e % _MODULUS for e in g) for g in integral]
     return _grow(n, reduced, _MODULUS).dimension == n * n
-
-
-def _flat_product(
-    x: Sequence[int], y: Sequence[int], n: int, modulus: int | None = None
-) -> tuple[int, ...]:
-    """The product of two n x n integer matrices flattened row-major,
-    reduced mod `modulus` when one is given."""
-    rows = [x[i : i + n] for i in range(0, n * n, n)]
-    cols = [y[j::n] for j in range(n)]
-    dots = _integer_product(rows, cols)
-    return tuple(dots) if modulus is None else tuple(s % modulus for s in dots)
 
 
 def _grow(
@@ -297,7 +285,7 @@ def conjugate_space(space: Subspace, c: Matrix) -> Subspace:
     if space.ambient_dim != n * n:
         raise ValueError("subspace ambient does not match the conjugating matrix")
     cinv = c.inverse()
-    vecs = [(c * m * cinv).flatten() for m in space.basis_matrices(n)]
+    vecs = [(c * m * cinv)._integer_form()[1] for m in space.basis_matrices(n)]
     return rref_basis(vecs, n * n)
 
 
@@ -309,7 +297,7 @@ def multiply_spaces(x: Subspace, y: Subspace, n: int) -> Subspace:
     ymats = y.basis_matrices(n)
     for a in x.basis_matrices(n):
         for b in ymats:
-            builder.add((a * b).flatten())
+            builder.add((a * b)._integer_form()[1])
     return builder.to_subspace()
 
 
@@ -341,7 +329,7 @@ def _kernel_flag(mats: Sequence[Matrix], n: int) -> list[Subspace] | None:
     if flag[0].dimension == 0:
         return None
     while flag[-1].dimension < n:
-        annihilator = Matrix._make(null_space(Matrix._make(flag[-1].basis)).basis)
+        annihilator = Matrix(null_space(Matrix(flag[-1].basis)).basis)
         kernel = _joint_kernel([annihilator * m for m in mats], n)
         if kernel.dimension == flag[-1].dimension:
             return None
@@ -366,7 +354,7 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
                 rad, _flat_product(r, x, n)
             ):
                 raise RuntimeError("radical candidate is not a two-sided ideal")
-    flag = _kernel_flag([Matrix.from_flat(r, n) for r in rows], n)
+    flag = _kernel_flag(rad.basis_matrices(n), n)
     if flag is None:
         raise RuntimeError("radical candidate is not nilpotent")
     return rad, flag
@@ -378,12 +366,11 @@ def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
     n = a.n
     # Tr(x y) is the dot product of x with the flattened transpose of y, so
     # on the integer basis rows (one common multiple of the basis) the Gram
-    # matrix is a single integer product, with the kernel of the basis one
+    # matrix is an integer one, with the kernel of the basis one
     basis = [x for _, x in a.space._integer_form()[1]]
     transposes = [tuple(e for j in range(n) for e in x[j::n]) for x in basis]
-    d = len(basis)
-    gram = list(_integer_product(basis, transposes))
-    kernel = null_space(Matrix([gram[i : i + d] for i in range(0, d * d, d)]))
+    gram = [[sum(map(operator.mul, x, t)) for t in transposes] for x in basis]
+    kernel = null_space(Matrix(gram))
     return rref_basis(
         [_combination(_integral(coeffs)[1], basis, n * n) for coeffs in kernel.basis], n * n
     )
@@ -485,11 +472,7 @@ class _QuotientAlgebra:
             powers.append(current)
         else:
             raise RuntimeError("minimal polynomial degree exceeds the quotient dimension")
-        k = len(powers)
-        system = Matrix._make(
-            tuple(tuple(powers[i][r] for i in range(k)) for r in range(m))
-        )
-        solution = solve_linear(system, current)
+        solution = solve_linear(Matrix(zip(*powers)), current)
         if solution is None:
             raise RuntimeError("minimal polynomial solve failed")
         return [-c for c in solution] + [_ONE]
@@ -769,7 +752,7 @@ def _adapted_basis(chain: Iterable[Subspace], n: int) -> Matrix:
                 chosen.append(row)
     if len(chosen) != n:
         raise RuntimeError("flag refinement did not produce a full basis")
-    return Matrix._make(tuple(zip(*chosen)))
+    return Matrix(chosen).transpose()
 
 
 def flag_stabilizer(f: Flag) -> MatrixAlgebra:

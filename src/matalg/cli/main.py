@@ -101,8 +101,8 @@ def _matrix_rows(m: Matrix) -> list[list[str]]:
 
 
 def _space_document(n: int, space: Subspace) -> str:
-    matrices = [Matrix.from_flat(vec, n) for vec in space.basis]
-    return serialize_basis_document(BasisDocument(n=n, matrices=tuple(matrices)))
+    matrices = tuple(space.basis_matrices(n))
+    return serialize_basis_document(BasisDocument(n=n, matrices=matrices))
 
 
 def _input_algebra(doc: BasisDocument) -> MatrixAlgebra:
@@ -113,7 +113,7 @@ def _input_algebra(doc: BasisDocument) -> MatrixAlgebra:
 
 
 def _input_space(doc: BasisDocument) -> Subspace:
-    return rref_basis([m.flatten() for m in doc.matrices], doc.n * doc.n)
+    return rref_basis([m._integer_form()[1] for m in doc.matrices], doc.n * doc.n)
 
 
 # ---------------------------------------------------------------------------

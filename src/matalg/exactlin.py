@@ -7,19 +7,21 @@ exact: no floating point, no rounding, no tolerances.  Equality questions
 not estimated.
 
 Inside, the arithmetic is over the integers, and `Fraction`s are made only
-at the edges: when a `Subspace` or a solution is handed out.  Matrix
-products write each row of the left factor and each column of the right
-one as integers over a common denominator, and each entry is one integer
-dot product over the product of two denominators.  Row reduction is one
-fraction-free kernel (`_reduce`, `_adjoin`): rows fully reduced over one
-common pivot value, which is the reduced row-echelon form times its least
-common denominator, and integer vectors reduced against them in one pass.
-The same kernel runs over the integers mod a prime, which is exact as
-well; `algebra.closure` uses that for a rank lower bound.
+at the edges: when a `Subspace`, a solution or the entries of a matrix
+are handed out.  A matrix is stored as its entries times their least
+common denominator, so a product is one flat integer product
+(`_flat_product`) over the product of two denominators.  Row reduction
+is one fraction-free kernel (`_reduce`, `_adjoin`): rows fully reduced
+over one common pivot value, which is the reduced row-echelon form times
+its least common denominator, and integer vectors reduced against them
+in one pass.  The same kernel and the same product run over the integers
+mod a prime, which is exact as well; `algebra.closure` uses that for a
+rank lower bound.
 
 Conventions used throughout the package:
 
-* Vectors are tuples of rationals; matrices are immutable dense grids.
+* Vectors are tuples of rationals; matrices are immutable, dense, and
+  stored row-major as integers over one positive denominator.
 * The space of n x n matrices is identified with coordinate space of
   dimension n*n by row-major flattening: entry (i, j) lives at coordinate
   i*n + j (0-based).
@@ -36,7 +38,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "QQ",
@@ -100,103 +102,119 @@ class Matrix:
     exact inversion.  Instances hash and compare by entries, so matrices
     can be used as dictionary keys and set members.
 
-    Products go through the integer form of the rows of the left factor
-    and of the columns of the right one (see `_integral`).  Each is made
-    on first use and kept, which is safe because a matrix never changes.
+    A matrix is stored in one canonical form: its row-major entries times
+    their least common denominator, as a tuple of ints, and that positive
+    denominator; the two have gcd 1, so equal matrices store the same
+    form.  Products, inversion and the solvers read the integers
+    directly; `entries`, `flatten()`, indexing and `trace()` make
+    `Fraction`s on each call, so code that loops over matrices reads the
+    integer form (`_integer_form`) instead.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_int_rows", "_int_cols")
+    __slots__ = ("rows", "cols", "_den", "_flat")
 
     def __init__(self, rows: Sequence[Sequence[int | str | Fraction]]):
-        grid = tuple(tuple(as_scalar(e) for e in row) for row in rows)
-        if not grid or not grid[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
+        grid = tuple(tuple(row) for row in rows)
+        den, flat = _integer_entries([e for row in grid for e in row])
+        width = len(grid[0]) if grid else 0
+        if width and any(len(row) != width for row in grid):
             raise ValueError("rows have inconsistent lengths")
-        self.entries: tuple[tuple[Fraction, ...], ...] = grid
-        self.rows: int = len(grid)
-        self.cols: int = width
-        self._int_rows: _IntegerForm | None = None
-        self._int_cols: _IntegerForm | None = None
+        self._store(len(grid), width, den, flat)
 
     @classmethod
-    def _make(cls, grid: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
-        # Internal fast path: trusts that `grid` is a rectangular tuple grid
-        # of Fractions.
+    def _make(cls, rows: int, cols: int, den: int, flat: tuple[int, ...]) -> "Matrix":
+        """The rows x cols matrix with row-major entries flat / den, for a
+        tuple of ints and a positive int."""
         m = object.__new__(cls)
-        m.entries = grid
-        m.rows = len(grid)
-        m.cols = len(grid[0])
-        m._int_rows = None
-        m._int_cols = None
+        m._store(rows, cols, den, flat)
         return m
+
+    def _store(self, rows: int, cols: int, den: int, flat: tuple[int, ...]) -> None:
+        # the one constructor: every route ends here and divides out the gcd
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix needs at least one row and one column")
+        if den != 1:
+            g = math.gcd(den, *flat)
+            if g != 1:
+                den //= g
+                flat = tuple(e // g for e in flat)
+        self.rows: int = rows
+        self.cols: int = cols
+        self._den = den
+        self._flat = flat
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._make(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
-        )
+        return cls._make(n, n, 1, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
-        return cls._make(tuple((_ZERO,) * cols for _ in range(rows)))
+        return cls._make(rows, cols, 1, (0,) * (rows * cols))
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "Matrix":
         """Matrix unit e_{i,j}: a single 1 at row i, column j (0-based)."""
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"unit position ({i}, {j}) out of range for n={n}")
-        return cls._make(
-            tuple(
-                tuple(_ONE if (r, c) == (i, j) else _ZERO for c in range(n))
-                for r in range(n)
-            )
-        )
+        return cls._make(n, n, 1, tuple(int(c == i * n + j) for c in range(n * n)))
 
     @classmethod
     def from_flat(cls, vec: Sequence[int | str | Fraction], n: int) -> "Matrix":
         """Rebuild an n x n matrix from its row-major flattening."""
         if len(vec) != n * n:
             raise ValueError(f"expected {n * n} coordinates, got {len(vec)}")
-        flat = tuple(as_scalar(v) for v in vec)
-        return cls._make(tuple(flat[r * n : (r + 1) * n] for r in range(n)))
+        return cls._make(n, n, *_integer_entries(vec))
+
+    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """The least common denominator d of the entries, and the row-major
+        entries times d, as integers with gcd 1 together with d."""
+        return self._den, self._flat
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows of `Fraction` entries."""
+        return tuple(_split_rows(self.flatten(), self.cols))
 
     def flatten(self) -> Vector:
         """Row-major flattening: entry (i, j) goes to coordinate i*cols + j."""
-        return tuple(e for row in self.entries for e in row)
+        den = self._den
+        if den == 1:
+            return tuple(map(Fraction, self._flat))
+        return tuple(Fraction(e, den) for e in self._flat)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.entries[i][j]
+        # range indexing checks each index and counts negative ones from the end
+        at = range(self.rows)[i] * self.cols + range(self.cols)[j]
+        return Fraction(self._flat[at], self._den)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Matrix) and self.entries == other.entries
+        return (
+            isinstance(other, Matrix)
+            and self.cols == other.cols
+            and self._den == other._den
+            and self._flat == other._flat
+        )
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.cols, self._den, self._flat))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix._make(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other: "Matrix", op) -> "Matrix":
         self._check_same_shape(other)
-        return Matrix._make(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        flat = tuple(op(a * x, b * y) for x, y in zip(self._flat, other._flat))
+        return Matrix._make(self.rows, self.cols, den, flat)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._make(tuple(tuple(-a for a in row) for row in self.entries))
+        return Matrix._make(self.rows, self.cols, self._den, tuple(-e for e in self._flat))
 
     def __mul__(self, other: "Matrix | int | Fraction") -> "Matrix":
         if isinstance(other, Matrix):
@@ -204,27 +222,14 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            row_dens, rows = self._integer_rows()
-            col_dens, cols = other._integer_cols()
-            dots = _integer_product(rows, cols)
-            return Matrix._make(
-                tuple(tuple(Fraction(next(dots), d * e) for e in col_dens) for d in row_dens)
-            )
+            flat = _flat_product(self._flat, other._flat, self.cols)
+            return Matrix._make(self.rows, other.cols, self._den * other._den, flat)
         scale = as_scalar(other)
-        return Matrix._make(tuple(tuple(scale * a for a in row) for row in self.entries))
+        flat = tuple(scale.numerator * e for e in self._flat)
+        return Matrix._make(self.rows, self.cols, self._den * scale.denominator, flat)
 
     def __rmul__(self, other: int | Fraction) -> "Matrix":
         return self.__mul__(other)
-
-    def _integer_rows(self) -> "_IntegerForm":
-        if self._int_rows is None:
-            self._int_rows = _integral_lines(self.entries)
-        return self._int_rows
-
-    def _integer_cols(self) -> "_IntegerForm":
-        if self._int_cols is None:
-            self._int_cols = _integral_lines(zip(*self.entries))
-        return self._int_cols
 
     def __pow__(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -239,31 +244,32 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix._make(tuple(zip(*self.entries)))
+        flat, c = self._flat, self.cols
+        return Matrix._make(c, self.rows, self._den, tuple(e for j in range(c) for e in flat[j::c]))
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), _ZERO)
+        return Fraction(sum(self._flat[:: self.cols + 1]), self._den)
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        return not any(self._flat)
 
     def inverse(self) -> "Matrix":
         """Exact inverse: the reduced echelon form of [M | I] is [I | M^-1];
         raises ValueError when singular."""
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
-        n = self.rows
-        # row i of [M | I] times the denominator d of row i of M
+        n, d = self.rows, self._den
+        # row i of [M | I] times the common denominator d of M
         rows, den = _echelon(
             row + tuple(d if i == j else 0 for j in range(n))
-            for i, (d, row) in enumerate(zip(*self._integer_rows()))
+            for i, row in enumerate(_split_rows(self._flat, n))
         )
         # [M | I] has rank n, so a singular M leaves a pivot in the I block
         if max(rows) >= n:
             raise ValueError("matrix is singular")
-        return Matrix._make(tuple(tuple(Fraction(e, den) for e in rows[p][n:]) for p in range(n)))
+        return Matrix._make(n, n, den, tuple(e for p in range(n) for e in rows[p][n:]))
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -276,9 +282,16 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-# The integer form of a sequence of rational lines (rows or columns):
-# each line's denominator, and the line times it, as integers.
-_IntegerForm = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+def _integer_entries(values: Sequence[int | str | Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The least common denominator d of the scalars, after the coercion
+    of `as_scalar`, and the scalars times d, as integers: the values
+    themselves when they are all ints, and no coercion when they are all
+    Fractions."""
+    if all(type(x) is int for x in values):
+        return 1, tuple(values)
+    if not all(type(x) is Fraction for x in values):
+        values = as_vector(values)
+    return _integral(values)
 
 
 def _integral(vec: Sequence[int | Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -297,17 +310,23 @@ def _scaled(vec: Sequence[Fraction], den: int) -> tuple[int, ...]:
     return tuple(x.numerator * (den // x.denominator) for x in vec)
 
 
-def _integral_lines(lines: Iterable[Sequence[Fraction]]) -> _IntegerForm:
-    """The integer form of nonempty `lines`."""
-    return tuple(zip(*map(_integral, lines)))
+def _split_rows(flat: Sequence, width: int) -> list[Sequence]:
+    """The rows of a row-major flattening with `width` columns."""
+    return [flat[i : i + width] for i in range(0, len(flat), width)]
 
 
-def _integer_product(
-    rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
-) -> Iterator[int]:
-    """The dot products of each row with each column, in row-major order:
-    the entries of the integer matrix product, one at a time."""
-    return (sum(map(operator.mul, row, col)) for row in rows for col in cols)
+def _flat_product(
+    x: Sequence[int], y: Sequence[int], inner: int, modulus: int | None = None
+) -> tuple[int, ...]:
+    """The product of two integer matrices flattened row-major, the first
+    with `inner` columns and the second with `inner` rows, reduced mod
+    `modulus` when one is given."""
+    cols = len(y) // inner
+    rows = _split_rows(x, inner)
+    columns = [y[j::cols] for j in range(cols)]
+    if modulus is None:
+        return tuple(sum(map(operator.mul, r, c)) for r in rows for c in columns)
+    return tuple(sum(map(operator.mul, r, c)) % modulus for r in rows for c in columns)
 
 
 def _reduce(
@@ -444,11 +463,7 @@ def _integer_vector(vec: Iterable[int | str | Fraction], ambient_dim: int) -> Se
     vec = tuple(vec)
     if len(vec) != ambient_dim:
         raise ValueError(f"expected vector of length {ambient_dim}, got {len(vec)}")
-    if all(type(x) is int for x in vec):
-        return vec
-    if not all(type(x) is Fraction for x in vec):
-        vec = as_vector(vec)
-    return _integral(vec)[1]
+    return _integer_entries(vec)[1]
 
 
 @dataclass(frozen=True)
@@ -491,7 +506,8 @@ class Subspace:
         """Interpret the basis vectors as n x n matrices (ambient must be n*n)."""
         if self.ambient_dim != n * n:
             raise ValueError(f"ambient dimension {self.ambient_dim} is not {n}*{n}")
-        return [Matrix.from_flat(v, n) for v in self.basis]
+        den, rows = self._integer_form()
+        return [Matrix._make(n, n, den, row) for _, row in rows]
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dimension}, ambient={self.ambient_dim})"
@@ -631,7 +647,12 @@ def solve_linear(m: Matrix, rhs: Sequence[int | str | Fraction]) -> Vector | Non
     """
     b = as_vector(rhs, m.rows)
     ncols = m.cols
-    rows, den = _echelon(_integral(row + (val,))[1] for row, val in zip(m.entries, b))
+    # row i of m times d is the integer row r, so row i of [m | b] times
+    # d times the denominator of b_i is an integer row too
+    rows, den = _echelon(
+        tuple(v.denominator * e for e in r) + (m._den * v.numerator,)
+        for r, v in zip(_split_rows(m._flat, ncols), b)
+    )
     if ncols in rows:
         return None  # pivot in the constant column: 0 = 1
     solution = [_ZERO] * ncols
@@ -642,7 +663,7 @@ def solve_linear(m: Matrix, rhs: Sequence[int | str | Fraction]) -> Vector | Non
 
 def null_space(m: Matrix) -> Subspace:
     """Canonical basis of {x : m @ x = 0} inside Q^cols."""
-    return _kernel(m._integer_rows()[1], m.cols)
+    return _kernel(_split_rows(m._flat, m.cols), m.cols)
 
 
 def _kernel(vectors: Iterable[Sequence[int]], ncols: int) -> Subspace:
@@ -663,8 +684,10 @@ def _kernel(vectors: Iterable[Sequence[int]], ncols: int) -> Subspace:
 
 def _joint_kernel(mats: Sequence[Matrix], n: int) -> Subspace:
     """Canonical basis of {v in Q^n : m v = 0 for every m in mats}: one
-    null space of the matrices stacked row-wise.  `mats` must be nonempty."""
-    return null_space(Matrix._make(tuple(row for m in mats for row in m.entries)))
+    null space of the matrices stacked row-wise, each times its
+    denominator.  `mats` must be nonempty."""
+    stacked = tuple(e for m in mats for e in m._flat)
+    return null_space(Matrix._make(len(stacked) // n, n, 1, stacked))
 
 
 class SpanBuilder:
@@ -723,12 +746,7 @@ def random_matrix(
 ) -> Matrix:
     """Random integer matrix with entries drawn uniformly from [lo, hi]."""
     cols = rows if cols is None else cols
-    return Matrix._make(
-        tuple(
-            tuple(Fraction(rng.randint(lo, hi)) for _ in range(cols))
-            for _ in range(rows)
-        )
-    )
+    return Matrix._make(rows, cols, 1, tuple(rng.randint(lo, hi) for _ in range(rows * cols)))
 
 
 # Draw limit of the rejection samplers below.  Once a range passes the

@@ -227,9 +227,7 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
     cinv = _adapted_basis(flag, n)
     conjugator = cinv.inverse()
     for m in s.basis_matrices(n):
-        moved = conjugator * m * cinv
-        for i in range(n):
-            for j in range(i + 1):
-                if moved.entries[i][j]:
-                    raise RuntimeError("triangularization check failed")
+        moved = (conjugator * m * cinv)._integer_form()[1]
+        if any(moved[i * n + j] for i in range(n) for j in range(i + 1)):
+            raise RuntimeError("triangularization check failed")
     return conjugator

@@ -819,17 +819,17 @@ class TestParabolicRecognition:
 
 
 def _count_products(monkeypatch):
-    """Record the (rows, columns) operands of every integer product that
+    """Record the flattened integer operands of every product that
     `matalg.algebra` forms from now on; both passes of `closure` form each
     of theirs through this one product."""
     products = []
-    multiply = algebra_module._integer_product
+    multiply = algebra_module._flat_product
 
-    def counting(rows, cols):
-        products.append((tuple(map(tuple, rows)), tuple(map(tuple, cols))))
-        return multiply(rows, cols)
+    def counting(x, y, inner, modulus=None):
+        products.append((tuple(x), tuple(y)))
+        return multiply(x, y, inner, modulus)
 
-    monkeypatch.setattr(algebra_module, "_integer_product", counting)
+    monkeypatch.setattr(algebra_module, "_flat_product", counting)
     return products
 
 

@@ -1,6 +1,7 @@
 """Exact linear algebra: matrices, canonical subspaces, solvers."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matalg.algebra import _MODULUS, _flat_product
+from matalg.algebra import _MODULUS
 from matalg.exactlin import (
     Matrix,
     Quotient,
     SpanBuilder,
+    _flat_product,
     _joint_kernel,
     _primitive,
     _unit_span,
@@ -21,6 +23,7 @@ from matalg.exactlin import (
     full_space,
     null_space,
     random_invertible,
+    random_matrix,
     random_subspace,
     rref_basis,
     solve_linear,
@@ -260,6 +263,29 @@ def product_pairs(draw):
     return left, right
 
 
+@st.composite
+def square_cases(draw):
+    """Two n x n grids of rationals, n in 1..4, singular at times, a
+    rational scalar (zero at times) and an exponent in 0..3."""
+    n = draw(st.integers(1, 4))
+    grid = st.lists(st.lists(product_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(grid), draw(grid), draw(rationals), draw(st.integers(0, 3))
+
+
+def entrywise(op, *matrices):
+    """op applied to the Fraction entries of the matrices, position by
+    position."""
+    return [list(map(op, *rows)) for rows in zip(*(m.entries for m in matrices))]
+
+
+def reference_power(x, k):
+    """x^k as k Fraction products, starting from the identity."""
+    power = Matrix.identity(x.rows).entries
+    for _ in range(k):
+        power = reference_product(Matrix(power), x)
+    return power
+
+
 class TestScalars:
     def test_accepts_int_str_fraction(self):
         assert as_scalar(3) == Fraction(3)
@@ -359,21 +385,74 @@ class TestMatrix:
             tuple(from_sympy(expected[i, j]) for j in range(b.cols)) for i in range(a.rows)
         )
 
-    @given(product_pairs())
-    @settings(max_examples=40, deadline=None)
-    def test_product_does_not_depend_on_cached_integer_forms(self, pair):
+    @given(product_pairs(), square_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_route_builds_the_canonical_form(self, pair, case):
         a, b = pair
-        cold = Matrix(a.entries) * Matrix(b.entries)
-        # every integer form of both factors computed before the product
-        warm_a, warm_b = Matrix(a.entries), Matrix(b.entries)
-        for m in (warm_a, warm_b):
-            m._integer_rows(), m._integer_cols()
-        warm = warm_a * warm_b
-        assert warm == cold and hash(warm) == hash(cold)
-        assert warm_a == a and hash(warm_a) == hash(a)
-        assert warm_a.entries == a.entries
-        # the same factors again, now with their forms cached
-        assert a * b == cold and a * b == warm_a * warm_b
+        gx, gy, c, k = case
+        n = len(gx)
+        x, y = Matrix(gx), Matrix(gy)
+        numerators = [[e.numerator for e in row] for row in gx]
+        built = [
+            (x, gx),
+            (Matrix([[str(e) for e in row] for row in gx]), gx),
+            (Matrix(numerators), numerators),
+            (Matrix.from_flat([e for row in gx for e in row], n), gx),
+            (a * b, reference_product(a, b)),
+            (x + y, entrywise(operator.add, x, y)),
+            (x - y, entrywise(operator.sub, x, y)),
+            (x - x, [[0] * n] * n),
+            (-x, entrywise(operator.neg, x)),
+            (c * x, entrywise(lambda u: c * u, x)),
+            (x * c.numerator, entrywise(lambda u: c.numerator * u, x)),
+            (x**k, reference_power(x, k)),
+            (a.transpose(), list(zip(*a.entries))),
+        ]
+        try:
+            inverse = x.inverse()
+        except ValueError:
+            assert sympy_matrix(gx).det() == 0
+        else:
+            assert reference_product(x, inverse) == Matrix.identity(n).entries
+            built.append((inverse, inverse.entries))
+        space = rref_basis([x.flatten(), y.flatten()], n * n)
+        for v, m in zip(space.basis, space.basis_matrices(n)):
+            built.append((m, [v[i : i + n] for i in range(0, n * n, n)]))
+        for m, expected in built:
+            assert m.entries == tuple(map(tuple, expected))
+            assert all(type(e) is Fraction for row in m.entries for e in row)
+            assert m == Matrix(m.entries) and hash(m) == hash(Matrix(m.entries))
+            den, flat = m._integer_form()
+            assert den > 0 and math.gcd(den, *flat) == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Matrix([]),
+            lambda: Matrix([[]]),
+            lambda: Matrix.identity(0),
+            lambda: Matrix.zeros(0),
+            lambda: Matrix.zeros(2, 0),
+            lambda: Matrix.zeros(0, 2),
+            lambda: Matrix.from_flat([], 0),
+            lambda: random_matrix(random.Random(0), 0),
+            lambda: random_invertible(random.Random(0), 0),
+        ],
+        ids=["rows", "row", "identity", "zeros", "zeros-2x0", "zeros-0x2", "from-flat",
+             "random", "random-invertible"],
+    )
+    def test_empty_shapes_are_refused(self, build):
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            build()
+
+    def test_constructors_validate_entries(self):
+        for bad in (0.5, True):
+            with pytest.raises(TypeError):
+                Matrix([[1, bad]])
+            with pytest.raises(TypeError):
+                Matrix.from_flat([1, 2, 3, bad], 2)
+        with pytest.raises(ValueError, match="inconsistent"):
+            Matrix([[1, 2], [3]])
 
     @given(
         st.integers(1, 4).flatmap(
