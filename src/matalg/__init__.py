@@ -1,9 +1,11 @@
 """Exact structure theory of matrix subalgebras over the rationals.
 
-Everything is computed over Q with `fractions.Fraction`, so results are
-exact: subspaces have canonical reduced bases, radicals and block
-decompositions are certified, and nil subspaces are decided symbolically
-rather than numerically.
+Everything is computed exactly over Q: inside on integers over one common
+denominator (a matrix and a subspace are stored that way), with
+`fractions.Fraction`s made only where values are read out.  Subspaces
+have canonical reduced bases, radicals and block decompositions are
+certified, and nil subspaces are decided symbolically rather than
+numerically.
 
 The package splits into exact linear algebra (`exactlin`), subalgebra
 structure (`algebra`), nil subspaces and simultaneous triangularization

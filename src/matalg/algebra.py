@@ -27,21 +27,22 @@ from typing import Iterable, Iterator, Sequence
 
 from .exactlin import (
     Matrix,
-    Quotient,
     SpanBuilder,
     Subspace,
     Vector,
+    _adjoin,
     _combination,
     _flat_product,
     _integral,
     _joint_kernel,
+    _kernel,
+    _lowest_terms,
     _primitive,
     _reduce,
     _unit_span,
     full_space,
     null_space,
     rref_basis,
-    solve_linear,
     subspace_contains,
     subspace_sum,
     zero_space,
@@ -72,7 +73,7 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_Element = tuple[int, tuple[int, ...]]  # the quotient coordinates ints / den
 
 
 @dataclass(frozen=True)
@@ -329,7 +330,8 @@ def _kernel_flag(mats: Sequence[Matrix], n: int) -> list[Subspace] | None:
     if flag[0].dimension == 0:
         return None
     while flag[-1].dimension < n:
-        annihilator = Matrix(null_space(Matrix(flag[-1].basis)).basis)
+        den, rows = _kernel((r for _, r in flag[-1]._integer_form()[1]), n)._integer_form()
+        annihilator = Matrix._make(len(rows), n, den, tuple(e for _, r in rows for e in r))
         kernel = _joint_kernel([annihilator * m for m in mats], n)
         if kernel.dimension == flag[-1].dimension:
             return None
@@ -370,10 +372,8 @@ def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
     basis = [x for _, x in a.space._integer_form()[1]]
     transposes = [tuple(e for j in range(n) for e in x[j::n]) for x in basis]
     gram = [[sum(map(operator.mul, x, t)) for t in transposes] for x in basis]
-    kernel = null_space(Matrix(gram))
-    return rref_basis(
-        [_combination(_integral(coeffs)[1], basis, n * n) for coeffs in kernel.basis], n * n
-    )
+    _, kernel = null_space(Matrix(gram))._integer_form()
+    return rref_basis([_combination(coeffs, basis, n * n) for _, coeffs in kernel], n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -386,45 +386,42 @@ class _QuotientAlgebra:
 
     The coset basis is the set of canonical basis rows of A whose pivots
     are not pivots of R (pivots of a subspace are pivots of any enclosing
-    one, so these rows represent a complement).  Elements are coordinate
-    tuples; multiplication goes through a precomputed structure table,
-    kept as integers over one common denominator.  The table is built
-    over the integers: the integer form of A is its basis times one
-    common d, so the integer residual modulo R (see `exactlin._reduce`)
+    one, so these rows represent a complement).  An element is a pair
+    (den, ints) in lowest terms (`exactlin._lowest_terms`), so equal
+    elements are equal pairs.  Multiplication goes through a precomputed
+    structure table of integers over one common denominator.  The table
+    is built over the integers: the integer form of A is its basis times
+    one common d, so the integer residual modulo R (see `exactlin._reduce`)
     of the product of two of its rows is d^2 times the pivot value of R
     times the residual of the product of the two basis rows.
     """
 
     def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
         self.n = algebra.n
-        self._quotient = Quotient(rad)
-        position = {c: i for i, c in enumerate(self._quotient.coset_coords)}
+        self._rad_den, self._rad_rows = rad._integer_form()
+        rad_pivots = {p for p, _ in self._rad_rows}
         den, rows = algebra.space._integer_form()
-        section = [x for p, x in rows if p in position]
-        pivots = [p for p, _ in rows if p in position]
-        self._coset_index = [position[p] for p in pivots]
+        section = [x for p, x in rows if p not in rad_pivots]
+        self._pivots = [p for p, _ in rows if p not in rad_pivots]
         self.dim = len(section)
-        # the coordinates of a coset are its residual modulo R read at the
-        # pivots of the section; those of x_i x_j are
-        # self._table[i][j] / self._den
-        rad_den, rad_rows = rad._integer_form()
+        # the coordinates of x_i x_j are self._table[i][j] / self._den
+        self._den = self._rad_den * den * den
+        self._table = [[self._coset(_flat_product(x, y, self.n)) for y in section] for x in section]
+        self.one = self.coords(Matrix.identity(self.n))
 
-        def cell(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-            r = _reduce(_flat_product(x, y, self.n), rad_rows, rad_den)
-            return tuple(r[p] for p in pivots)
+    def _coset(self, flat: Sequence[int]) -> tuple[int, ...]:
+        """The coordinates of the coset of an integer vector of A, times the
+        pivot value of R: its residual modulo R read at the section pivots."""
+        r = _reduce(flat, self._rad_rows, self._rad_den)
+        return tuple(r[p] for p in self._pivots)
 
-        self._den = rad_den * den * den
-        self._table = [[cell(x, y) for y in section] for x in section]
-        self.one = self.coords(_identity(self.n))
+    def coords(self, m: Matrix) -> _Element:
+        """The coset of an element of A."""
+        den, flat = m._integer_form()
+        return _lowest_terms(den * self._rad_den, self._coset(flat))
 
-    def coords(self, flat: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of the coset of a flattened element of A."""
-        r = self._quotient.project(flat)
-        return tuple(r[i] for i in self._coset_index)
-
-    def mult(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        du, iu = _integral(u)
-        dv, iv = _integral(v)
+    def mult(self, u: _Element, v: _Element) -> _Element:
+        (du, iu), (dv, iv) = u, v
         acc = [0] * self.dim
         for ui, row in zip(iu, self._table):
             if not ui:
@@ -433,49 +430,48 @@ class _QuotientAlgebra:
                 if vj:
                     f = ui * vj
                     acc = [a + f * c for a, c in zip(acc, cell)]
-        den = du * dv * self._den
-        return tuple(Fraction(a, den) for a in acc)
+        return _lowest_terms(du * dv * self._den, acc)
 
-    def left_trace(self, u: Sequence[Fraction]) -> Fraction:
+    def left_trace(self, u: _Element) -> Fraction:
         """Trace of the left multiplication x -> ux."""
-        m = self.dim
-        du, iu = _integral(u)
+        den, ints = u
+        m, table = self.dim, self._table
         return Fraction(
-            sum(iu[i] * self._table[i][k][k] for i in range(m) if iu[i] for k in range(m)),
-            du * self._den,
+            sum(c * table[i][k][k] for i, c in enumerate(ints) if c for k in range(m)),
+            den * self._den,
         )
 
-    def center(self) -> list[tuple[Fraction, ...]]:
-        """Basis (in coordinates) of the center of the quotient."""
-        m = self.dim
-        # the common denominator of the table does not change the kernel
-        rows: list[list[int]] = []
-        for j in range(m):
-            for k in range(m):
-                rows.append([self._table[i][j][k] - self._table[j][i][k] for i in range(m)])
-        kernel = null_space(Matrix(rows))
-        return [tuple(v) for v in kernel.basis]
+    def center(self) -> list[_Element]:
+        """Basis of the center of the quotient: the kernel of the commutators
+        with the coset basis, which the denominator of the table keeps."""
+        m, t = self.dim, self._table
+        rows = ([t[i][j][k] - t[j][i][k] for i in range(m)] for j in range(m) for k in range(m))
+        den, kernel = _kernel(rows, m)._integer_form()
+        return [_lowest_terms(den, row) for _, row in kernel]
 
-    def min_poly(self, z: Sequence[Fraction], one: Sequence[Fraction]) -> list[Fraction]:
-        """Monic minimal polynomial of z in the subalgebra with identity the
-        idempotent `one` (z = one z), low-degree coefficients first.  The
-        degree is at most `dim`."""
+    def min_poly(self, z: _Element, one: _Element) -> tuple[list[int], list[_Element]]:
+        """A positive multiple of the minimal polynomial of z in the
+        subalgebra with identity the idempotent `one` (z = one z), low-degree
+        coefficients first, and the powers z^0..z^(d-1) for d <= `dim` its
+        degree.  One Krylov elimination: z^k, as ints over d_k, is tagged
+        with d_k at coordinate dim + k, so every row [v | t] has
+        v = sum t_j z^j, and the first residual vanishing on the first dim
+        coordinates leaves a tag t with sum t_j z^j = 0 and t_k > 0."""
         m = self.dim
-        powers: list[Sequence[Fraction]] = [one]
-        builder = SpanBuilder(m)
-        builder.add(one)
+        rows: dict[int, list[int]] = {}
+        den = 1
+        powers = []
         current = one
-        for _ in range(m):
-            current = self.mult(current, z)
-            if not builder.add(current):
-                break
+        for k in range(m + 1):
+            tag = [0] * (m + 1)
+            tag[k] = current[0]
+            residual = _reduce((*current[1], *tag), rows.items(), den)
+            if not any(residual[:m]):
+                return residual[m : m + k + 1], powers
+            den = _adjoin(rows, residual, den)
             powers.append(current)
-        else:
-            raise RuntimeError("minimal polynomial degree exceeds the quotient dimension")
-        solution = solve_linear(Matrix(zip(*powers)), current)
-        if solution is None:
-            raise RuntimeError("minimal polynomial solve failed")
-        return [-c for c in solution] + [_ONE]
+            current = self.mult(current, z)
+        raise RuntimeError("minimal polynomial degree exceeds the quotient dimension")
 
 
 def _eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -485,7 +481,7 @@ def _eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list[Fraction]:
+def _deflate(coeffs: Sequence[int | Fraction], root: Fraction) -> list[Fraction]:
     """Synthetic division of a polynomial by (t - root)."""
     out: list[Fraction] = []
     acc = _ZERO
@@ -556,7 +552,7 @@ def _integer_roots(g: Sequence[int]) -> list[int]:
     return sorted(roots)
 
 
-def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], int]:
+def _rational_roots(coeffs: Sequence[int | Fraction]) -> tuple[list[Fraction], int]:
     """All rational roots of the polynomial (with multiplicity), plus the
     degree of the rational-root-free factor that remains.
 
@@ -606,37 +602,38 @@ class WedderburnData:
         return self.block_sizes is not None
 
 
-def _central_idempotents(quotient: _QuotientAlgebra) -> list[tuple[Fraction, ...]] | None:
+def _central_idempotents(quotient: _QuotientAlgebra) -> list[_Element] | None:
     """The primitive idempotents of the center Z of a semisimple quotient,
     or None when Z is not split.
 
     Deterministic walk over the center basis z_1..z_m (Friedl and Ronyai,
     STOC 1985; Ronyai, J. Symb. Comp. 1990), starting from the identity.
     At each z_i, every idempotent e found so far is split by Lagrange
-    interpolation over the rational roots of the minimal polynomial of
-    e z_i in eZ, which is squarefree since Z is semisimple.  An irreducible
-    factor of degree at least 2 proves that Z contains a field extension
-    of Q.  Afterwards every e z_i is a multiple of e, so there are dim Z
-    idempotents.
+    interpolation over the rational roots of the minimal polynomial f of
+    w = e z_i in eZ, which is squarefree since Z is semisimple: the
+    idempotent of a root l is g(w) / g(l) for g = f / (t - l), one
+    combination of the powers of w.  An irreducible factor of degree at
+    least 2 proves that Z contains a field extension of Q.  Afterwards
+    every e z_i is a multiple of e, so there are dim Z idempotents.
     """
     center = quotient.center()
     idempotents = [quotient.one]
     for z in center:
         refined = []
         for e in idempotents:
-            w = quotient.mult(e, z)
-            roots, leftover_degree = _rational_roots(quotient.min_poly(w, e))
+            f, powers = quotient.min_poly(quotient.mult(e, z), e)
+            roots, leftover_degree = _rational_roots(f)
             if leftover_degree > 0:
                 return None
             if len(set(roots)) != len(roots):
                 raise RuntimeError("minimal polynomial of a central element not squarefree")
             for lam in roots:
-                idem = e
-                for mu in roots:
-                    if mu != lam:
-                        factor = [(x - mu * y) / (lam - mu) for x, y in zip(w, e)]
-                        idem = quotient.mult(idem, factor)
-                refined.append(idem)
+                g = _deflate(f, lam)
+                scale = _eval_poly(g, lam)
+                # the power ints_j / d_j of w takes the coefficient g_j / g(lam)
+                den, coeffs = _integral([c / (scale * d) for c, (d, _) in zip(g, powers)])
+                idem = _combination(coeffs, [x for _, x in powers], quotient.dim)
+                refined.append(_lowest_terms(den, idem))
         idempotents = refined
     if len(idempotents) != len(center):
         raise RuntimeError("central idempotents do not match the center dimension")

@@ -134,7 +134,7 @@ class CoidealRejection:
 
 
 def _quotient_component(
-    tensor: Vector, images: list[list[tuple[int, Fraction]]]
+    tensor: Vector, images: list[list[tuple[int, int | Fraction]]]
 ) -> tuple[int, int] | None:
     """The lexicographically smallest (p, q) at which (pi (x) pi)(tensor)
     is nonzero, or None when the tensor lies in X (x) C + C (x) X.
@@ -166,11 +166,12 @@ def is_coideal(s: Subspace) -> Coideal | CoidealRejection:
     and, for comultiplication, the failing component.
     """
     n = _matrix_side(s)
-    for row in s.basis:
+    basis = s.basis
+    for row in basis:
         if counit(CoalgebraElement(n=n, coefficients=row)):
             return CoidealRejection(n=n, space=s, axiom="counit", element=row)
     images = Quotient(s).images()
-    for row in s.basis:
+    for row in basis:
         tensor, _ = comultiply(CoalgebraElement(n=n, coefficients=row))
         component = _quotient_component(tensor, images)
         if component is not None:

@@ -7,16 +7,17 @@ exact: no floating point, no rounding, no tolerances.  Equality questions
 not estimated.
 
 Inside, the arithmetic is over the integers, and `Fraction`s are made only
-at the edges: when a `Subspace`, a solution or the entries of a matrix
-are handed out.  A matrix is stored as its entries times their least
-common denominator, so a product is one flat integer product
+at the edges: when a solution, the basis of a `Subspace` or the entries
+of a matrix are read out.  A matrix is stored as its entries times their
+least common denominator, so a product is one flat integer product
 (`_flat_product`) over the product of two denominators.  Row reduction
 is one fraction-free kernel (`_reduce`, `_adjoin`): rows fully reduced
 over one common pivot value, which is the reduced row-echelon form times
 its least common denominator, and integer vectors reduced against them
-in one pass.  The same kernel and the same product run over the integers
-mod a prime, which is exact as well; `algebra.closure` uses that for a
-rank lower bound.
+in one pass.  A `Subspace` stores exactly those rows and that value.
+The same kernel and the same product run over the integers mod a prime,
+which is exact as well; `algebra.closure` uses that for a rank lower
+bound.
 
 Conventions used throughout the package:
 
@@ -25,9 +26,10 @@ Conventions used throughout the package:
 * The space of n x n matrices is identified with coordinate space of
   dimension n*n by row-major flattening: entry (i, j) lives at coordinate
   i*n + j (0-based).
-* A `Subspace` is stored canonically as a reduced row-echelon basis with
-  strictly increasing pivot columns.  Two subspaces are equal as sets if
-  and only if their representations compare equal, so `==` on `Subspace`
+* A `Subspace` is stored canonically as its reduced row-echelon basis
+  times the least common denominator, keyed by the strictly increasing
+  pivot columns, with that denominator.  Two subspaces are equal as sets
+  if and only if their stored forms compare equal, so `==` on `Subspace`
   is set equality.
 """
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -66,7 +68,6 @@ QQ = Fraction
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
@@ -133,15 +134,9 @@ class Matrix:
         # the one constructor: every route ends here and divides out the gcd
         if rows < 1 or cols < 1:
             raise ValueError("matrix needs at least one row and one column")
-        if den != 1:
-            g = math.gcd(den, *flat)
-            if g != 1:
-                den //= g
-                flat = tuple(e // g for e in flat)
         self.rows: int = rows
         self.cols: int = cols
-        self._den = den
-        self._flat = flat
+        self._den, self._flat = _lowest_terms(den, flat)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -301,13 +296,17 @@ def _integral(vec: Sequence[int | Fraction]) -> tuple[int, tuple[int, ...]]:
     den = math.lcm(*(x.denominator for x in vec))
     if den == 1:
         return 1, tuple(x.numerator for x in vec)
-    return den, _scaled(vec, den)
+    return den, tuple(x.numerator * (den // x.denominator) for x in vec)
 
 
-def _scaled(vec: Sequence[Fraction], den: int) -> tuple[int, ...]:
-    """The rational vector times `den`, a common multiple of its
-    denominators, as integers."""
-    return tuple(x.numerator * (den // x.denominator) for x in vec)
+def _lowest_terms(den: int, ints: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The rational vector ints / den, for a positive den, as a positive
+    denominator and a tuple of ints that have gcd 1 together."""
+    if den != 1:
+        g = math.gcd(den, *ints)
+        if g != 1:
+            return den // g, tuple(e // g for e in ints)
+    return den, tuple(ints)
 
 
 def _split_rows(flat: Sequence, width: int) -> list[Sequence]:
@@ -444,16 +443,8 @@ def _echelon(vectors: Iterable[Sequence[int]]) -> tuple[dict[int, list[int]], in
 
 def _canonical(ambient_dim: int, rows: dict[int, list[int]], den: int) -> Subspace:
     """The `Subspace` of integer rows fully reduced over the common pivot
-    value `den`, keyed by pivot; the rows are kept as its integer form."""
-    pivots = tuple(sorted(rows))
-    integer = tuple((p, tuple(rows[p])) for p in pivots)
-    space = Subspace(
-        ambient_dim=ambient_dim,
-        basis=tuple(tuple(Fraction(e, den) if e else _ZERO for e in row) for _, row in integer),
-        pivots=pivots,
-    )
-    object.__setattr__(space, "_integer", (den, integer))
-    return space
+    value `den`, keyed by pivot."""
+    return Subspace(ambient_dim, den, tuple((p, tuple(rows[p])) for p in sorted(rows)))
 
 
 def _integer_vector(vec: Iterable[int | str | Fraction], ambient_dim: int) -> Sequence[int]:
@@ -470,25 +461,34 @@ def _integer_vector(vec: Iterable[int | str | Fraction], ambient_dim: int) -> Se
 class Subspace:
     """A linear subspace of coordinate space, in canonical form.
 
-    The basis is a reduced row-echelon basis with strictly increasing
-    pivots, so equal subspaces have identical representations.  Build
-    instances through `rref_basis` (or the helpers below), never by hand.
-
-    Reductions against the subspace use its integer form: the basis times
-    its least common denominator, made on first use (or kept from the
-    elimination that built the subspace).  It takes no part in equality.
+    A subspace is stored in one form: the (pivot, row) pairs of its
+    reduced row-echelon basis times the least common denominator, in
+    increasing pivot order, and that positive denominator, which has gcd 1
+    with the entries; equal subspaces store the same form, and equality
+    and hashing compare it.  Reductions read it (`_integer_form`); `basis`
+    and `pivots` are built on each call, and `basis` makes `Fraction`s, so
+    code that loops reads it once.  Build instances through `rref_basis`
+    (or the helpers below), never by hand.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
-    pivots: tuple[int, ...]
-    _integer: tuple[int, tuple[tuple[int, tuple[int, ...]], ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _den: int
+    _rows: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The reduced row-echelon basis, as `Fraction`s."""
+        den = self._den
+        return tuple(tuple(Fraction(e, den) if e else _ZERO for e in row) for _, row in self._rows)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot columns of the basis, strictly increasing."""
+        return tuple(p for p, _ in self._rows)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return subspace_contains(self, vec)
@@ -496,11 +496,7 @@ class Subspace:
     def _integer_form(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
         """The least common denominator d of the basis, and the (pivot,
         basis row times d) pairs: rows fully reduced over the pivot value d."""
-        if self._integer is None:
-            den = math.lcm(1, *(x.denominator for row in self.basis for x in row))
-            rows = tuple(zip(self.pivots, (_scaled(row, den) for row in self.basis)))
-            object.__setattr__(self, "_integer", (den, rows))
-        return self._integer
+        return self._den, self._rows
 
     def basis_matrices(self, n: int) -> list[Matrix]:
         """Interpret the basis vectors as n x n matrices (ambient must be n*n)."""
@@ -518,30 +514,33 @@ def rref_basis(vectors: Iterable[Sequence[int | str | Fraction]], ambient_dim: i
     return _canonical(ambient_dim, *_echelon(_integer_vector(v, ambient_dim) for v in vectors))
 
 
+def _coordinate_span(ambient_dim: int, coords: Iterable[int]) -> Subspace:
+    """Canonical span of the standard basis vectors at the distinct
+    `coords`: sorted unit rows are a reduced echelon basis already."""
+    return Subspace(
+        ambient_dim,
+        1,
+        tuple((p, tuple(int(c == p) for c in range(ambient_dim))) for p in sorted(coords)),
+    )
+
+
 def _unit_span(n: int, positions: Iterable[tuple[int, int]]) -> Subspace:
     """Canonical span of the matrix units e_{i,j} at `positions` (in any
-    order, repeats allowed) inside the flattened n x n matrices.  Sorted
-    unit rows are already a reduced echelon basis, so nothing is reduced."""
+    order, repeats allowed) inside the flattened n x n matrices."""
     coords = set()
     for i, j in positions:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"unit position ({i}, {j}) out of range for n={n}")
         coords.add(i * n + j)
-    pivots = tuple(sorted(coords))
-    basis = tuple(tuple(_ONE if c == p else _ZERO for c in range(n * n)) for p in pivots)
-    return Subspace(ambient_dim=n * n, basis=basis, pivots=pivots)
+    return _coordinate_span(n * n, coords)
 
 
 def zero_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim=ambient_dim, basis=(), pivots=())
+    return Subspace(ambient_dim, 1, ())
 
 
 def full_space(ambient_dim: int) -> Subspace:
-    basis = tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(ambient_dim))
-        for i in range(ambient_dim)
-    )
-    return Subspace(ambient_dim=ambient_dim, basis=basis, pivots=tuple(range(ambient_dim)))
+    return _coordinate_span(ambient_dim, range(ambient_dim))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -631,12 +630,13 @@ class Quotient:
         scale = den * sub_den
         return [Fraction(r[c], scale) for c in self.coset_coords]
 
-    def images(self) -> list[list[tuple[int, Fraction]]]:
+    def images(self) -> list[list[tuple[int, int | Fraction]]]:
         """The residual of each standard basis vector e_a as sparse (coordinate,
         coefficient) pairs: e_a off the pivots, e_p - (basis row of p) at a pivot p."""
-        images = [[(a, _ONE)] for a in range(self.sub.ambient_dim)]
-        for row, p in zip(self.sub.basis, self.sub.pivots):
-            images[p] = [(f, -c) for f, c in enumerate(row) if c and f != p]
+        den, rows = self.sub._integer_form()
+        images = [[(a, 1)] for a in range(self.sub.ambient_dim)]
+        for p, row in rows:
+            images[p] = [(f, Fraction(-c, den)) for f, c in enumerate(row) if c and f != p]
         return images
 
 
@@ -695,10 +695,10 @@ class SpanBuilder:
 
     Keeps integer rows keyed by pivot, fully reduced over one common pivot
     value (see `_adjoin`), so adding a vector or testing membership costs
-    one reduction, and `to_subspace` only sorts the rows and writes them
-    as `Fraction`s.  A vector of ints is reduced as it is; any other is
-    first scaled to integers.  Useful inside closure loops where a
-    subspace grows vector by vector.
+    one reduction, and `to_subspace` only sorts the rows: they are the
+    stored form of the span.  A vector of ints is reduced as it is; any
+    other is first scaled to integers.  Useful inside closure loops where
+    a subspace grows vector by vector.
     """
 
     def __init__(self, ambient_dim: int):
@@ -794,9 +794,7 @@ def random_subspace(
     if lo == hi and dim >= (1 if lo == 0 else 2):
         raise ValueError(f"vectors with every entry equal to {lo} span less than {dim} dimensions")
     for _ in range(_DRAW_LIMIT):
-        vectors = [
-            [Fraction(rng.randint(lo, hi)) for _ in range(ambient_dim)] for _ in range(dim)
-        ]
+        vectors = [[rng.randint(lo, hi) for _ in range(ambient_dim)] for _ in range(dim)]
         space = rref_basis(vectors, ambient_dim)
         if space.dimension == dim:
             return space

@@ -123,7 +123,7 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
     counts = [math.comb(d + k - 1, k) for k in range(1, n + 1)]
     if sum(counts) > budget:
         return NilCertificate(UNDETERMINED, None, ())
-    rows = [_primitive(vec) for vec in s.basis]
+    rows = [_primitive(vec) for _, vec in s._integer_form()[1]]
     reports: list[PowerReport] = []
     for k, trace in enumerate(_trace_polynomials(rows, n), start=1):
         reports.append(PowerReport(k, counts[k - 1], not trace))

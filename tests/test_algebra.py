@@ -1,5 +1,6 @@
 """Subalgebra structure: closures, radicals, blocks, flags, block types."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -32,23 +33,28 @@ from matalg.algebra import (
     semisimple_blocks,
     upper_triangular_algebra,
     _QuotientAlgebra,
+    _central_idempotents,
     _integer_roots,
     _kernel_flag,
     _rational_roots,
 )
 from matalg.cli.suites import corpus_algebras
-from test_exactlin import reference_adjoin, reference_reduce
+from test_exactlin import reference_closure
 from matalg.exactlin import (
     Matrix,
     Quotient,
     SpanBuilder,
+    _flat_product,
+    _integral,
     _joint_kernel,
+    _reduce,
     _unit_span,
     full_space,
     null_space,
     random_invertible,
     random_matrix,
     rref_basis,
+    solve_linear,
     subspace_contains,
     zero_space,
 )
@@ -314,6 +320,20 @@ class TestRadicalReference:
         assert radical(a) == reference_radical(a)
 
 
+def as_element(coords):
+    """Rational coordinates as a quotient element (den, ints): a positive
+    denominator and integers, with gcd 1 together."""
+    den = math.lcm(1, *(c.denominator for c in coords))
+    ints = [c.numerator * (den // c.denominator) for c in coords]
+    g = math.gcd(den, *ints)
+    return den // g, tuple(x // g for x in ints)
+
+
+def as_fractions(element):
+    den, ints = element
+    return tuple(Fraction(x, den) for x in ints)
+
+
 class TestQuotientTable:
     """The integer structure table of A/rad A against products of lifts:
     rad A is an ideal, so the coset of x y depends only on the cosets of
@@ -332,20 +352,22 @@ class TestQuotientTable:
         assert len(section) == quotient.dim
 
         def lift(w):
-            return sum((c * x for c, x in zip(w, section)), Matrix.zeros(a.n))
+            return sum((c * x for c, x in zip(as_fractions(w), section)), Matrix.zeros(a.n))
 
         coords = st.lists(
             st.fractions(min_value=-4, max_value=4, max_denominator=5),
             min_size=quotient.dim,
             max_size=quotient.dim,
         )
-        u, v = data.draw(coords), data.draw(coords)
+        u, v = as_element(data.draw(coords)), as_element(data.draw(coords))
         product = quotient.mult(u, v)
-        assert product == quotient.coords((lift(u) * lift(v)).flatten())
-        assert all(type(c) is Fraction for c in product)
-        trace = sum(quotient.coords((lift(u) * x).flatten())[k] for k, x in enumerate(section))
+        assert product == quotient.coords(lift(u) * lift(v))
+        den, ints = product
+        assert den > 0 and math.gcd(den, *ints) == 1
+        assert all(type(c) is int for c in ints)
+        trace = sum(as_fractions(quotient.coords(lift(u) * x))[k] for k, x in enumerate(section))
         assert quotient.left_trace(u) == trace
-        assert quotient.mult(quotient.one, u) == tuple(u) == quotient.mult(u, quotient.one)
+        assert quotient.mult(quotient.one, u) == u == quotient.mult(u, quotient.one)
 
 
 class TestSemisimpleBlocks:
@@ -459,6 +481,14 @@ def _oracle_pieces(seed):
     return [p for p, _ in pieces], all(jordan for _, jordan in pieces)
 
 
+def _oracle_generator(seed):
+    """The block-diagonal matrix of `_oracle_pieces(seed)`, conjugated by a
+    seeded invertible matrix."""
+    b = block_diagonal(*_oracle_pieces(seed)[0])
+    g = random_invertible(random.Random(1000 + seed), b.rows)
+    return g * b * g.inverse()
+
+
 ORACLE_SEEDS = range(24)
 
 
@@ -475,11 +505,9 @@ class TestSemisimpleBlocksOracle:
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_matches_sympy_factorization(self, seed):
         sympy = pytest.importorskip("sympy")
-        pieces, all_jordan = _oracle_pieces(seed)
-        b = block_diagonal(*pieces)
-        n = b.rows
-        g = random_invertible(random.Random(1000 + seed), n)
-        x = g * b * g.inverse()
+        _, all_jordan = _oracle_pieces(seed)
+        x = _oracle_generator(seed)
+        n = x.rows
         a = closure(n, [x])
         t = sympy.Symbol("t")
         sx = sympy.Matrix(
@@ -496,11 +524,164 @@ class TestSemisimpleBlocksOracle:
             assert data.block_sizes is None
 
 
+class ReferenceQuotientAlgebra:
+    """The quotient A/rad A on `Fraction` coordinate tuples that the
+    integer `_QuotientAlgebra` replaced, kept as its reference: `mult`
+    scales both factors to integers on every call, and `min_poly` spans
+    the powers with a `SpanBuilder` and solves for the relation with
+    `solve_linear`."""
+
+    def __init__(self, algebra, rad):
+        self.n = algebra.n
+        self._quotient = Quotient(rad)
+        position = {c: i for i, c in enumerate(self._quotient.coset_coords)}
+        den, rows = algebra.space._integer_form()
+        section = [x for p, x in rows if p in position]
+        pivots = [p for p, _ in rows if p in position]
+        self._coset_index = [position[p] for p in pivots]
+        self.dim = len(section)
+        rad_den, rad_rows = rad._integer_form()
+
+        def cell(x, y):
+            r = _reduce(_flat_product(x, y, self.n), rad_rows, rad_den)
+            return tuple(r[p] for p in pivots)
+
+        self._den = rad_den * den * den
+        self._table = [[cell(x, y) for y in section] for x in section]
+        self.one = self.coords(Matrix.identity(self.n).flatten())
+
+    def coords(self, flat):
+        r = self._quotient.project(flat)
+        return tuple(r[i] for i in self._coset_index)
+
+    def mult(self, u, v):
+        du, iu = _integral(u)
+        dv, iv = _integral(v)
+        acc = [0] * self.dim
+        for ui, row in zip(iu, self._table):
+            if not ui:
+                continue
+            for vj, cell in zip(iv, row):
+                if vj:
+                    f = ui * vj
+                    acc = [a + f * c for a, c in zip(acc, cell)]
+        den = du * dv * self._den
+        return tuple(Fraction(a, den) for a in acc)
+
+    def left_trace(self, u):
+        m = self.dim
+        du, iu = _integral(u)
+        return Fraction(
+            sum(iu[i] * self._table[i][k][k] for i in range(m) if iu[i] for k in range(m)),
+            du * self._den,
+        )
+
+    def center(self):
+        m = self.dim
+        rows = []
+        for j in range(m):
+            for k in range(m):
+                rows.append([self._table[i][j][k] - self._table[j][i][k] for i in range(m)])
+        return [tuple(v) for v in null_space(Matrix(rows)).basis]
+
+    def min_poly(self, z, one):
+        m = self.dim
+        powers = [one]
+        builder = SpanBuilder(m)
+        builder.add(one)
+        current = one
+        for _ in range(m):
+            current = self.mult(current, z)
+            if not builder.add(current):
+                break
+            powers.append(current)
+        else:
+            raise RuntimeError("minimal polynomial degree exceeds the quotient dimension")
+        solution = solve_linear(Matrix(zip(*powers)), current)
+        assert solution is not None
+        return [-c for c in solution] + [Fraction(1)]
+
+
+def reference_central_idempotents(quotient):
+    """The center split of `_central_idempotents` on the reference
+    quotient: each Lagrange idempotent as a product of mult calls."""
+    center = quotient.center()
+    idempotents = [quotient.one]
+    for z in center:
+        refined = []
+        for e in idempotents:
+            w = quotient.mult(e, z)
+            roots, leftover_degree = _rational_roots(quotient.min_poly(w, e))
+            if leftover_degree > 0:
+                return None
+            assert len(set(roots)) == len(roots)
+            for lam in roots:
+                idem = e
+                for mu in roots:
+                    if mu != lam:
+                        factor = [(x - mu * y) / (lam - mu) for x, y in zip(w, e)]
+                        idem = quotient.mult(idem, factor)
+                refined.append(idem)
+        idempotents = refined
+    assert len(idempotents) == len(center)
+    return idempotents
+
+
+def assert_same_idempotents(a):
+    """The integer center split of `a` gives the reference's idempotents,
+    in the same order, with the same block dimensions."""
+    rad = radical(a)
+    quotient = _QuotientAlgebra(a, rad)
+    reference = ReferenceQuotientAlgebra(a, rad)
+    assert as_fractions(quotient.one) == reference.one
+    idempotents = _central_idempotents(quotient)
+    expected = reference_central_idempotents(reference)
+    if expected is None:
+        assert idempotents is None
+        return
+    assert [as_fractions(e) for e in idempotents] == expected
+    assert [quotient.left_trace(e) for e in idempotents] == [
+        reference.left_trace(e) for e in expected
+    ]
+
+
+def block_diagonal_algebra(comp):
+    """The span of the units e_{i,j} with i and j in the same block."""
+    n = comp.n
+    blocks = [comp.block_of(i) for i in range(n)]
+    units = [(i, j) for i in range(n) for j in range(n) if blocks[i] == blocks[j]]
+    return MatrixAlgebra(n=n, space=_unit_span(n, units))
+
+
+class TestCentralIdempotentsReference:
+    """`_QuotientAlgebra` and `_central_idempotents` on integer elements
+    against the Fraction quotient they replaced."""
+
+    @given(small_closures())
+    @settings(max_examples=40, deadline=None)
+    def test_small_closures(self, a):
+        assert_same_idempotents(a)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_conjugated_parabolic_and_block_diagonal(self, n):
+        for k, comp in enumerate(compositions(n)):
+            c = rational_invertible(random.Random(100 * n + k), n)
+            assert_same_idempotents(conjugate(parabolic_subalgebra(comp), c))
+            assert_same_idempotents(conjugate(block_diagonal_algebra(comp), c))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_oracle_closures(self, seed):
+        x = _oracle_generator(seed)
+        assert_same_idempotents(closure(x.rows, [x]))
+
+
 class TestLoopBounds:
     def test_min_poly_stops_at_the_quotient_dimension(self, monkeypatch):
+        # with the reduction switched off no power is ever found dependent,
+        # so only the loop bound ends the Krylov elimination
         a = diagonal_algebra(3)
         quotient = _QuotientAlgebra(a, radical(a))
-        monkeypatch.setattr(SpanBuilder, "add", lambda self, vec: True)
+        monkeypatch.setattr(algebra_module, "_reduce", lambda vec, rows, den=1: list(vec))
         with pytest.raises(RuntimeError, match="minimal polynomial"):
             quotient.min_poly(quotient.one, quotient.one)
 
@@ -893,31 +1074,6 @@ def _rational_generators(draw):
                     rows[i][j] = Fraction(0)
         generators.append(Matrix(rows))
     return n, generators
-
-
-def reference_closure(n, generators):
-    """The closure as (basis, pivots) by the frontier loop over `Matrix`
-    products, reduced by the Fraction elimination `reference_echelon`
-    keeps: the reference for the integer exact pass of `closure`."""
-    rows = {}
-
-    def add(m):
-        residual = reference_reduce(m.flatten(), rows.items())
-        if any(residual):
-            reference_adjoin(rows, residual)
-        return any(residual)
-
-    add(Matrix.identity(n))
-    older, frontier = [], [g for g in generators if add(g)]
-    while frontier:
-        fresh = []
-        for k, x in enumerate(frontier):
-            for y in older + frontier[k:]:
-                fresh += [p for p in (x * y, y * x) if add(p)]
-        older += frontier
-        frontier = fresh
-    pivots = tuple(sorted(rows))
-    return tuple(tuple(rows[p]) for p in pivots), pivots
 
 
 class TestClosureReference:

@@ -1,0 +1,93 @@
+"""Unused names in the package, found with the standard library's `ast`:
+an imported name that its module never reads, and a private module-level
+constant that no module of the package reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "matalg"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def read_names(tree):
+    """Every name the module reads: loaded names, names in string
+    annotations, and the names its `__all__` exports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= read_names(ast.parse(note.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+def imported_names(tree):
+    """(name, line) for each name bound by an import, `__future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def private_constants(tree):
+    """(name, line) for each private module-level name bound by an
+    assignment."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.startswith("_") and not target.id.startswith("__"):
+                yield target.id, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_module_imports_a_name_it_never_reads(path):
+    tree = _tree(path)
+    read = read_names(tree)
+    assert [f"{name} (line {line})" for name, line in imported_names(tree) if name not in read] == []
+
+
+def test_no_private_constant_goes_unread():
+    trees = {path: _tree(path) for path in MODULES}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    imported = {name for tree in trees.values() for name, _ in imported_names(tree)}
+    unread = [
+        f"{path.relative_to(PACKAGE)}: {name} (line {line})"
+        for path, tree in trees.items()
+        for name, line in private_constants(tree)
+        if name not in read and name not in imported
+    ]
+    assert unread == []
+
+
+def test_the_scan_finds_unread_names():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "import math\n"
+        "_ONE = 1\n"
+        "_USED = 2\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    x: 'math.pi' = _USED\n"
+    )
+    read = read_names(tree)
+    assert [name for name, _ in imported_names(tree) if name not in read] == ["field"]
+    assert [name for name, _ in private_constants(tree) if name not in read] == ["_ONE"]
