@@ -35,7 +35,6 @@ from .exactlin import (
     _flat_product,
     _integral,
     _joint_kernel,
-    _kernel,
     _lowest_terms,
     _primitive,
     _reduce,
@@ -330,8 +329,7 @@ def _kernel_flag(mats: Sequence[Matrix], n: int) -> list[Subspace] | None:
     if flag[0].dimension == 0:
         return None
     while flag[-1].dimension < n:
-        den, rows = _kernel((r for _, r in flag[-1]._integer_form()[1]), n)._integer_form()
-        annihilator = Matrix._make(len(rows), n, den, tuple(e for _, r in rows for e in r))
+        annihilator = null_space(flag[-1]._row_matrix())._row_matrix()
         kernel = _joint_kernel([annihilator * m for m in mats], n)
         if kernel.dimension == flag[-1].dimension:
             return None
@@ -446,7 +444,7 @@ class _QuotientAlgebra:
         with the coset basis, which the denominator of the table keeps."""
         m, t = self.dim, self._table
         rows = ([t[i][j][k] - t[j][i][k] for i in range(m)] for j in range(m) for k in range(m))
-        den, kernel = _kernel(rows, m)._integer_form()
+        den, kernel = null_space(Matrix(rows))._integer_form()
         return [_lowest_terms(den, row) for _, row in kernel]
 
     def min_poly(self, z: _Element, one: _Element) -> tuple[list[int], list[_Element]]:

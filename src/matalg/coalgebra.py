@@ -26,9 +26,9 @@ from fractions import Fraction
 
 from .exactlin import (
     Matrix,
-    Quotient,
     Subspace,
     Vector,
+    _coset_images,
     _kernel,
     _matrix_side,
     _unit_span,
@@ -170,7 +170,7 @@ def is_coideal(s: Subspace) -> Coideal | CoidealRejection:
     for row in basis:
         if counit(CoalgebraElement(n=n, coefficients=row)):
             return CoidealRejection(n=n, space=s, axiom="counit", element=row)
-    images = Quotient(s).images()
+    images = _coset_images(s)
     for row in basis:
         tensor, _ = comultiply(CoalgebraElement(n=n, coefficients=row))
         component = _quotient_component(tensor, images)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -444,7 +444,7 @@ def _echelon(vectors: Iterable[Sequence[int]]) -> tuple[dict[int, list[int]], in
 def _canonical(ambient_dim: int, rows: dict[int, list[int]], den: int) -> Subspace:
     """The `Subspace` of integer rows fully reduced over the common pivot
     value `den`, keyed by pivot."""
-    return Subspace(ambient_dim, den, tuple((p, tuple(rows[p])) for p in sorted(rows)))
+    return Subspace._make(ambient_dim, den, tuple((p, tuple(rows[p])) for p in sorted(rows)))
 
 
 def _integer_vector(vec: Iterable[int | str | Fraction], ambient_dim: int) -> Sequence[int]:
@@ -457,7 +457,7 @@ def _integer_vector(vec: Iterable[int | str | Fraction], ambient_dim: int) -> Se
     return _integer_entries(vec)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(init=False)
 class Subspace:
     """A linear subspace of coordinate space, in canonical form.
 
@@ -467,13 +467,31 @@ class Subspace:
     with the entries; equal subspaces store the same form, and equality
     and hashing compare it.  Reductions read it (`_integer_form`); `basis`
     and `pivots` are built on each call, and `basis` makes `Fraction`s, so
-    code that loops reads it once.  Build instances through `rref_basis`
-    (or the helpers below), never by hand.
+    code that loops reads it once.  The package builds instances from that
+    form (`_make`); `Subspace(ambient_dim, basis, pivots)`, and so
+    `dataclasses.replace(space, basis=..., pivots=...)`, takes a reduced
+    row-echelon basis with its pivots.
     """
 
     ambient_dim: int
-    _den: int
-    _rows: tuple[tuple[int, tuple[int, ...]], ...]
+    _den: int = field(init=False)
+    _rows: tuple[tuple[int, tuple[int, ...]], ...] = field(init=False)
+
+    def __init__(self, ambient_dim: int, basis: Iterable[Vector], pivots: Sequence[int]):
+        span = rref_basis(basis, ambient_dim)
+        if span.pivots != tuple(pivots):
+            raise ValueError(f"basis is no reduced row-echelon basis with pivots {tuple(pivots)}")
+        self.ambient_dim, self._den, self._rows = ambient_dim, span._den, span._rows
+
+    @classmethod
+    def _make(cls, ambient_dim: int, den: int, rows: tuple) -> "Subspace":
+        """The subspace with the stored form (den, rows), which must be canonical."""
+        space = object.__new__(cls)
+        space.ambient_dim, space._den, space._rows = ambient_dim, den, rows
+        return space
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self._den, self._rows))
 
     @property
     def basis(self) -> tuple[Vector, ...]:
@@ -502,8 +520,12 @@ class Subspace:
         """Interpret the basis vectors as n x n matrices (ambient must be n*n)."""
         if self.ambient_dim != n * n:
             raise ValueError(f"ambient dimension {self.ambient_dim} is not {n}*{n}")
-        den, rows = self._integer_form()
-        return [Matrix._make(n, n, den, row) for _, row in rows]
+        return [Matrix._make(n, n, self._den, row) for _, row in self._rows]
+
+    def _row_matrix(self) -> Matrix:
+        """The matrix whose rows are the basis, for a nonzero subspace."""
+        flat = tuple(e for _, row in self._rows for e in row)
+        return Matrix._make(len(self._rows), self.ambient_dim, self._den, flat)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dimension}, ambient={self.ambient_dim})"
@@ -517,7 +539,7 @@ def rref_basis(vectors: Iterable[Sequence[int | str | Fraction]], ambient_dim: i
 def _coordinate_span(ambient_dim: int, coords: Iterable[int]) -> Subspace:
     """Canonical span of the standard basis vectors at the distinct
     `coords`: sorted unit rows are a reduced echelon basis already."""
-    return Subspace(
+    return Subspace._make(
         ambient_dim,
         1,
         tuple((p, tuple(int(c == p) for c in range(ambient_dim))) for p in sorted(coords)),
@@ -536,7 +558,7 @@ def _unit_span(n: int, positions: Iterable[tuple[int, int]]) -> Subspace:
 
 
 def zero_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, 1, ())
+    return Subspace._make(ambient_dim, 1, ())
 
 
 def full_space(ambient_dim: int) -> Subspace:
@@ -609,35 +631,15 @@ def subspace_contains(space: Subspace, vec: Sequence[int | str | Fraction]) -> b
     return not any(_reduce(_integer_vector(vec, space.ambient_dim), rows, den))
 
 
-class Quotient:
-    """Coordinates on Q^m / sub for a subspace `sub` of Q^m.
-
-    The coset basis is the set of standard basis vectors at the non-pivot
-    coordinates of `sub`, which completes its reduced echelon basis; a
-    vector's coordinates are its residual modulo `sub` read there.
-    """
-
-    def __init__(self, sub: Subspace):
-        self.sub = sub
-        pivot_set = set(sub.pivots)
-        self.coset_coords = [c for c in range(sub.ambient_dim) if c not in pivot_set]
-        self.dim = len(self.coset_coords)
-
-    def project(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        den, ints = _integral(vec)
-        sub_den, rows = self.sub._integer_form()
-        r = _reduce(ints, rows, sub_den)
-        scale = den * sub_den
-        return [Fraction(r[c], scale) for c in self.coset_coords]
-
-    def images(self) -> list[list[tuple[int, int | Fraction]]]:
-        """The residual of each standard basis vector e_a as sparse (coordinate,
-        coefficient) pairs: e_a off the pivots, e_p - (basis row of p) at a pivot p."""
-        den, rows = self.sub._integer_form()
-        images = [[(a, 1)] for a in range(self.sub.ambient_dim)]
-        for p, row in rows:
-            images[p] = [(f, Fraction(-c, den)) for f, c in enumerate(row) if c and f != p]
-        return images
+def _coset_images(sub: Subspace) -> list[list[tuple[int, int | Fraction]]]:
+    """The coset of each standard basis vector e_a modulo `sub`, as sparse
+    (coordinate, coefficient) pairs: e_a off the pivots of `sub`, and
+    e_p - (basis row of p) at a pivot p."""
+    den, rows = sub._integer_form()
+    images = [[(a, 1)] for a in range(sub.ambient_dim)]
+    for p, row in rows:
+        images[p] = [(f, Fraction(-c, den)) for f, c in enumerate(row) if c and f != p]
+    return images
 
 
 def solve_linear(m: Matrix, rhs: Sequence[int | str | Fraction]) -> Vector | None:

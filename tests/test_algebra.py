@@ -39,10 +39,9 @@ from matalg.algebra import (
     _rational_roots,
 )
 from matalg.cli.suites import corpus_algebras
-from test_exactlin import reference_closure
+from test_exactlin import coset_coords, reference_closure, reference_project
 from matalg.exactlin import (
     Matrix,
-    Quotient,
     SpanBuilder,
     _flat_product,
     _integral,
@@ -533,8 +532,8 @@ class ReferenceQuotientAlgebra:
 
     def __init__(self, algebra, rad):
         self.n = algebra.n
-        self._quotient = Quotient(rad)
-        position = {c: i for i, c in enumerate(self._quotient.coset_coords)}
+        self._rad = rad
+        position = {c: i for i, c in enumerate(coset_coords(rad))}
         den, rows = algebra.space._integer_form()
         section = [x for p, x in rows if p in position]
         pivots = [p for p, _ in rows if p in position]
@@ -551,7 +550,7 @@ class ReferenceQuotientAlgebra:
         self.one = self.coords(Matrix.identity(self.n).flatten())
 
     def coords(self, flat):
-        r = self._quotient.project(flat)
+        r = reference_project(self._rad, flat)
         return tuple(r[i] for i in self._coset_index)
 
     def mult(self, u, v):
@@ -794,12 +793,12 @@ def reference_invariant_flag(a):
     members = []
     current = zero_space(n)
     for _ in range(n):
-        quotient = Quotient(current)
-        m = quotient.dim
+        coords = coset_coords(current)
+        m = len(coords)
         induced = []
         for b in a.basis_matrices():
             columns = b.transpose().entries
-            projected = [quotient.project(columns[c]) for c in quotient.coset_coords]
+            projected = [reference_project(current, columns[c]) for c in coords]
             induced.append([x for row in zip(*projected) for x in row])
         rad = radical(MatrixAlgebra(n=m, space=rref_basis(induced, m * m)))
         if rad.dimension == 0:
@@ -807,7 +806,7 @@ def reference_invariant_flag(a):
         lifted = []
         for v in _joint_kernel(rad.basis_matrices(m), m).basis:
             dense = [Fraction(0)] * n
-            for x, c in zip(v, quotient.coset_coords):
+            for x, c in zip(v, coords):
                 dense[c] = x
             lifted.append(dense)
         current = rref_basis(list(current.basis) + lifted, n)

@@ -1,5 +1,6 @@
 """Exact linear algebra: matrices, canonical subspaces, solvers."""
 
+import dataclasses
 import math
 import operator
 import random
@@ -13,12 +14,14 @@ from matalg.algebra import _MODULUS, closure
 from matalg.coalgebra import perp
 from matalg.exactlin import (
     Matrix,
-    Quotient,
     SpanBuilder,
     Subspace,
+    _coset_images,
     _flat_product,
+    _integral,
     _joint_kernel,
     _primitive,
+    _reduce,
     _unit_span,
     as_scalar,
     as_vector,
@@ -179,6 +182,24 @@ def reference_adjoin(rows, residual):
     rows[p] = residual
 
 
+def coset_coords(sub):
+    """The coordinates off the pivots of `sub`: the standard basis vectors
+    there complete its reduced echelon basis, so they carry Q^m / sub."""
+    pivots = set(sub.pivots)
+    return [c for c in range(sub.ambient_dim) if c not in pivots]
+
+
+def reference_project(sub, vec):
+    """The coordinates of the coset of a rational vector in Q^m / sub: its
+    integer residual modulo the stored form of `sub`, read at
+    `coset_coords(sub)` over both denominators.  The quotient map that the
+    package dropped, kept for the references built on it."""
+    den, ints = _integral(vec)
+    sub_den, rows = sub._integer_form()
+    r = _reduce(ints, rows, sub_den)
+    return [Fraction(r[c], den * sub_den) for c in coset_coords(sub)]
+
+
 def reference_echelon(vectors):
     """The reduced row-echelon form of the span of rational vectors, as
     Fraction rows keyed by pivot."""
@@ -242,7 +263,7 @@ def reference_subspace(ambient_dim, basis, pivots):
     times the least common denominator of the basis."""
     den = math.lcm(1, *(x.denominator for v in basis for x in v))
     rows = tuple((p, tuple(int(x * den) for x in v)) for p, v in zip(pivots, basis))
-    return Subspace(ambient_dim, den, rows)
+    return Subspace._make(ambient_dim, den, rows)
 
 
 def reference_closure(n, generators):
@@ -605,6 +626,25 @@ class TestSubspaceForm:
             assert den == math.lcm(1, *(x.denominator for v in basis for x in v))
             assert den > 0 and math.gcd(den, *(e for _, row in rows for e in row)) == 1
 
+    @given(wide_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_constructor_takes_a_reduced_basis_with_its_pivots(self, rows):
+        # every leading part of a reduced echelon basis is one, so
+        # `dataclasses.replace` with a shorter basis builds its span; a
+        # basis that does not match the pivots is refused
+        d = len(rows[0])
+        space = rref_basis(rows, d)
+        assert Subspace(d, space.basis, space.pivots) == space
+        for k in range(space.dimension):
+            short = dataclasses.replace(space, basis=space.basis[:k], pivots=space.pivots[:k])
+            expected = reference_subspace(d, *reference_basis(space.basis[:k]))
+            assert short == expected and hash(short) == hash(expected)
+            with pytest.raises(ValueError, match="pivots"):
+                dataclasses.replace(space, basis=space.basis[:k], pivots=space.pivots[: k + 1])
+        if space.dimension:
+            with pytest.raises(ValueError, match="pivots"):
+                Subspace(d, space.basis * 2, space.pivots * 2)
+
 
 class TestSolvers:
     def test_solve_unique(self):
@@ -862,8 +902,7 @@ class TestAgainstFractionReference:
         if data.draw(st.booleans()):
             vec = [x + y for x, y in zip(vec, data.draw(st.lists(wide, min_size=n, max_size=n)))]
         residual = reference_reduce(vec, zip(sub.pivots, sub.basis))
-        quotient = Quotient(sub)
-        assert quotient.project(vec) == [residual[c] for c in quotient.coset_coords]
+        assert reference_project(sub, vec) == [residual[c] for c in coset_coords(sub)]
         assert subspace_contains(sub, vec) == (not any(residual))
 
     @given(wide_rows())
@@ -894,9 +933,8 @@ class TestQuotient:
     @settings(max_examples=100, deadline=None)
     def test_project_vanishes_exactly_on_the_subspace(self, case):
         sub, vec = case
-        quotient = Quotient(sub)
-        assert quotient.dim == sub.ambient_dim - sub.dimension
-        assert (not any(quotient.project(vec))) == subspace_contains(sub, vec)
+        assert len(coset_coords(sub)) == sub.ambient_dim - sub.dimension
+        assert (not any(reference_project(sub, vec))) == subspace_contains(sub, vec)
 
     @given(quotient_cases())
     @settings(max_examples=100, deadline=None)
@@ -904,29 +942,28 @@ class TestQuotient:
         # the lift of coordinates is the vector carrying them at the coset
         # coordinates and zero elsewhere
         sub, vec = case
-        quotient = Quotient(sub)
+        coords_at = coset_coords(sub)
 
         def lift(coords):
             dense = [Fraction(0)] * sub.ambient_dim
-            for x, c in zip(coords, quotient.coset_coords):
+            for x, c in zip(coords, coords_at):
                 dense[c] = x
             return dense
 
-        lifted = lift(quotient.project(vec))
+        lifted = lift(reference_project(sub, vec))
         assert subspace_contains(sub, [x - y for x, y in zip(vec, lifted)])
-        coords = vec[: quotient.dim]
-        assert quotient.project(lift(coords)) == list(coords)
+        coords = vec[: len(coords_at)]
+        assert reference_project(sub, lift(coords)) == list(coords)
 
     @given(quotient_cases())
     @settings(max_examples=100, deadline=None)
     def test_sparse_images_are_projected_unit_vectors(self, case):
         sub, _ = case
-        quotient = Quotient(sub)
         m = sub.ambient_dim
-        for a, image in enumerate(quotient.images()):
+        for a, image in enumerate(_coset_images(sub)):
             unit = [Fraction(int(a == k)) for k in range(m)]
             dense = [Fraction(0)] * m
-            for x, c in zip(quotient.project(unit), quotient.coset_coords):
+            for x, c in zip(reference_project(sub, unit), coset_coords(sub)):
                 dense[c] = x
             assert dict(image) == {f: c for f, c in enumerate(dense) if c}
 
