@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -38,6 +38,7 @@ from .exactlin import (
     _lowest_terms,
     _primitive,
     _reduce,
+    _split_rows,
     _unit_span,
     full_space,
     null_space,
@@ -146,11 +147,16 @@ class MatrixAlgebra:
 
     Constructors in this module guarantee the span is multiplicatively
     closed and contains the identity; `algebra_from_basis` checks both for
-    spans of unknown provenance.  Equality is subspace equality.
+    spans of unknown provenance.  Equality is subspace equality: the memo
+    of basis-pair products (`_basis_product`) is neither compared nor
+    hashed.
     """
 
     n: int
     space: Subspace
+    _products: dict[tuple[int, int], tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dimension(self) -> int:
@@ -162,6 +168,17 @@ class MatrixAlgebra:
     def contains(self, m: Matrix) -> bool:
         _check_square(m, self.n)
         return subspace_contains(self.space, m._integer_form()[1])
+
+    def _basis_product(self, i: int, j: int) -> tuple[int, ...]:
+        """The product of the integer basis rows i and j of the space
+        (`Subspace._integer_form`), flattened: formed on first use and
+        kept, or read from what `algebra_from_basis` formed."""
+        product = self._products.get((i, j))
+        if product is None:
+            rows = self.space._integer_form()[1]
+            product = _flat_product(rows[i][1], rows[j][1], self.n)
+            self._products[i, j] = product
+        return product
 
     def __repr__(self) -> str:
         return f"MatrixAlgebra(n={self.n}, dim={self.dimension})"
@@ -177,21 +194,30 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
 
     The span is verified to contain the identity and to be closed under
     products of basis pairs; a span that fails either check raises
-    ValueError.
+    ValueError.  The zero span fails the first check before anything of
+    size n^2 is built.  The d^2 products of the second check are kept in
+    the result's memo (`MatrixAlgebra._basis_product`), where
+    `semisimple_blocks` reads them instead of forming them again.
     """
     for m in matrices:
         _check_square(m, n)
     space = rref_basis([m._integer_form()[1] for m in matrices], n * n)
-    if not subspace_contains(space, _identity(n)):
+    if not space.dimension or not subspace_contains(space, _identity(n)):
         raise ValueError("span does not contain the identity matrix")
+    algebra = MatrixAlgebra(n=n, space=space)
+    den, pairs = space._integer_form()
     # the integer rows are the basis times one common d, so their products
-    # are d^2 times the products of basis pairs
-    rows = [x for _, x in space._integer_form()[1]]
-    for x in rows:
-        for y in rows:
-            if not subspace_contains(space, _flat_product(x, y, n)):
+    # are d^2 times the products of basis pairs; each row is split into its
+    # rows and its columns once, not on every product as `_flat_product`
+    halves = [(_split_rows(x, n), [x[j::n] for j in range(n)]) for _, x in pairs]
+    for i, (rows, _) in enumerate(halves):
+        for j, (_, columns) in enumerate(halves):
+            product = tuple(sum(map(operator.mul, r, c)) for r in rows for c in columns)
+            # the membership test of `subspace_contains`, on integers already
+            if any(_reduce(product, pairs, den)):
                 raise ValueError("span is not closed under multiplication")
-    return MatrixAlgebra(n=n, space=space)
+            algebra._products[i, j] = product
+    return algebra
 
 
 def _identity(n: int) -> tuple[int, ...]:
@@ -391,7 +417,10 @@ class _QuotientAlgebra:
     is built over the integers: the integer form of A is its basis times
     one common d, so the integer residual modulo R (see `exactlin._reduce`)
     of the product of two of its rows is d^2 times the pivot value of R
-    times the residual of the product of the two basis rows.
+    times the residual of the product of the two basis rows.  Those
+    products come from the memo of A (`MatrixAlgebra._basis_product`):
+    already formed when A comes from `algebra_from_basis`, else formed
+    here, once each.
     """
 
     def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
@@ -399,12 +428,14 @@ class _QuotientAlgebra:
         self._rad_den, self._rad_rows = rad._integer_form()
         rad_pivots = {p for p, _ in self._rad_rows}
         den, rows = algebra.space._integer_form()
-        section = [x for p, x in rows if p not in rad_pivots]
-        self._pivots = [p for p, _ in rows if p not in rad_pivots]
+        section = [i for i, (p, _) in enumerate(rows) if p not in rad_pivots]
+        self._pivots = [rows[i][0] for i in section]
         self.dim = len(section)
         # the coordinates of x_i x_j are self._table[i][j] / self._den
         self._den = self._rad_den * den * den
-        self._table = [[self._coset(_flat_product(x, y, self.n)) for y in section] for x in section]
+        self._table = [
+            [self._coset(algebra._basis_product(i, j)) for j in section] for i in section
+        ]
         self.one = self.coords(Matrix.identity(self.n))
 
     def _coset(self, flat: Sequence[int]) -> tuple[int, ...]:
@@ -506,6 +537,17 @@ def _poly_rem(a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> list[
     return r
 
 
+def _at_half(q: Sequence[int], t: int) -> int:
+    """2^e q(t / 2) for the integer polynomial q of degree e (low-degree
+    coefficients first), by Horner's rule over the integers: the sum of
+    q_k t^k 2^(e - k).  It has the sign of q(t / 2)."""
+    acc, scale = 0, 1
+    for c in reversed(q):
+        acc = acc * t + c * scale
+        scale *= 2
+    return acc
+
+
 def _integer_roots(g: Sequence[int]) -> list[int]:
     """The distinct integer roots of a monic integer polynomial of degree
     at least 1 (low-degree coefficients first), in increasing order.
@@ -519,6 +561,8 @@ def _integer_roots(g: Sequence[int]) -> list[int]:
     most deg g of them on each of at most log2(2B + 1) + 1 levels, and a
     range holding a single integer k holds a root exactly when g(k) = 0.
     So the work is polynomial in the degree and the coefficient size.
+    Every sign is read over the integers, from 2^e q(t / 2) at t = 2k + 1
+    and t = 2k (`_at_half`).
     """
     chain = [list(g), _primitive([k * c for k, c in enumerate(g)][1:])]
     # the degrees fall along the chain, so there are at most deg g remainders
@@ -527,8 +571,7 @@ def _integer_roots(g: Sequence[int]) -> list[int]:
 
     def variations(k: int) -> int:
         """Sign changes along the chain at k + 1/2."""
-        x = Fraction(2 * k + 1, 2)
-        signs = [v > 0 for v in (_eval_poly(q, x) for q in chain) if v]
+        signs = [v > 0 for v in (_at_half(q, 2 * k + 1) for q in chain) if v]
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
     bound = max(abs(c) for c in g[:-1])
@@ -541,7 +584,7 @@ def _integer_roots(g: Sequence[int]) -> list[int]:
         if v_lo == v_hi:
             continue
         if lo == hi:
-            if not _eval_poly(g, lo):
+            if not _at_half(g, 2 * lo):
                 roots.append(lo)
             continue
         mid = (lo + hi) // 2

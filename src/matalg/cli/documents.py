@@ -18,6 +18,7 @@ carry the position of the offending entry.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,23 +34,34 @@ __all__ = [
     "serialize_basis_document",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 class DocumentError(ValueError):
     """A malformed basis document; the message names the location."""
 
 
-def parse_rational(text: str, *, where: str = "value") -> Fraction:
-    """Exact rational from a string like "2", "-7/3"; canonicalized."""
+def _numerator_denominator(text: object) -> tuple[int, int]:
+    """The numerator and positive denominator of a rational string such as
+    "2", " -6/4 " or "+3", as written: not reduced to lowest terms.  The
+    error message leaves the location to the caller."""
     if not isinstance(text, str):
-        raise DocumentError(f"{where}: expected a rational string, got {text!r}")
+        raise DocumentError(f"expected a rational string, got {text!r}")
     match = _RATIONAL_RE.match(text.strip())
     if not match:
-        raise DocumentError(f"{where}: invalid rational {text!r}")
-    if match.group(1) is not None and int(match.group(1)) == 0:
-        raise DocumentError(f"{where}: zero denominator in {text!r}")
-    return Fraction(text.strip())
+        raise DocumentError(f"invalid rational {text!r}")
+    den = int(match[2] or 1)
+    if not den:
+        raise DocumentError(f"zero denominator in {text!r}")
+    return int(match[1]), den
+
+
+def parse_rational(text: str, *, where: str = "value") -> Fraction:
+    """Exact rational from a string like "2", "-7/3"; canonicalized."""
+    try:
+        return Fraction(*_numerator_denominator(text))
+    except DocumentError as exc:
+        raise DocumentError(f"{where}: {exc}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -103,20 +115,25 @@ def parse_basis_document(text: str) -> BasisDocument:
     for b_idx, mat_raw in enumerate(basis_raw):
         if not isinstance(mat_raw, list) or len(mat_raw) != n:
             raise DocumentError(f"basis[{b_idx}]: expected {n} rows")
-        rows = []
+        nums, dens = [], []
         for r_idx, row_raw in enumerate(mat_raw):
             if not isinstance(row_raw, list) or len(row_raw) != n:
                 raise DocumentError(
                     f"basis[{b_idx}] row {r_idx}: expected {n} entries"
                 )
-            row = [
-                parse_rational(
-                    entry, where=f"basis[{b_idx}] row {r_idx} col {c_idx}"
-                )
-                for c_idx, entry in enumerate(row_raw)
-            ]
-            rows.append(row)
-        matrices.append(Matrix(rows))
+            for c_idx, entry in enumerate(row_raw):
+                try:
+                    num, den = _numerator_denominator(entry)
+                except DocumentError as exc:
+                    where = f"basis[{b_idx}] row {r_idx} col {c_idx}"
+                    raise DocumentError(f"{where}: {exc}") from None
+                nums.append(num)
+                dens.append(den)
+        # the entries over their common denominator, the stored form of
+        # `Matrix`, which divides out any common factor
+        den = math.lcm(*dens)
+        ints = nums if den == 1 else [a * (den // b) for a, b in zip(nums, dens)]
+        matrices.append(Matrix._make(n, n, den, tuple(ints)))
     return BasisDocument(n=n, matrices=tuple(matrices))
 
 

@@ -17,6 +17,7 @@ FAIL, 2 on usage or document errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -227,7 +228,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args`
+    leaves it unchanged, so every call of `main` can share it."""
     parser = argparse.ArgumentParser(
         prog="matalg",
         description="exact structure computations for matrix subalgebras and coideals",

@@ -198,6 +198,11 @@ class TestClosure:
         with pytest.raises(ValueError):
             algebra_from_basis(2, [Matrix.unit(2, 0, 1)])
 
+    @pytest.mark.parametrize("matrices", [[], [ZERO2], [ZERO2, ZERO2]])
+    def test_algebra_from_basis_rejects_the_zero_span(self, matrices):
+        with pytest.raises(ValueError, match="span does not contain the identity matrix"):
+            algebra_from_basis(2, matrices)
+
     def test_multiply_spaces(self):
         left = rref_basis([Matrix.unit(2, 0, 1).flatten()], 4)
         right = rref_basis([Matrix.unit(2, 1, 0).flatten()], 4)
@@ -674,6 +679,49 @@ class TestCentralIdempotentsReference:
         assert_same_idempotents(closure(x.rows, [x]))
 
 
+class TestSharedBasisProducts:
+    """`algebra_from_basis` keeps the products of basis pairs that its
+    closedness check forms, and `_QuotientAlgebra` reads them; an algebra
+    built any other way forms each product of a section pair once."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_same_radical_and_blocks_as_conjugate_and_closure(self, n):
+        for k, comp in enumerate(compositions(n)):
+            c = rational_invertible(random.Random(300 * n + k), n)
+            for standard in (parabolic_subalgebra(comp), block_diagonal_algebra(comp)):
+                built = conjugate(standard, c)
+                given = algebra_from_basis(n, built.basis_matrices())
+                closed = closure(n, built.basis_matrices())
+                # the memo is neither compared nor hashed
+                assert given == built == closed and hash(given) == hash(built)
+                expected = semisimple_blocks(built)
+                assert semisimple_blocks(given) == expected == semisimple_blocks(closed)
+                assert radical(given) == expected.radical_space == radical(closed)
+
+    def test_memo_holds_every_checked_product(self):
+        c = rational_invertible(random.Random(3), 5)
+        built = conjugate(parabolic_subalgebra(Composition((2, 1, 2))), c)
+        a = algebra_from_basis(5, built.basis_matrices())
+        rows = [x for _, x in a.space._integer_form()[1]]
+        assert a._products == {
+            (i, j): _flat_product(x, y, 5) for i, x in enumerate(rows) for j, y in enumerate(rows)
+        }
+
+    def test_quotient_forms_only_the_missing_products(self, monkeypatch):
+        c = rational_invertible(random.Random(4), 5)
+        built = conjugate(parabolic_subalgebra(Composition((2, 1, 2))), c)
+        given = algebra_from_basis(5, built.basis_matrices())
+        rad = radical(built)
+        products = _count_products(monkeypatch)
+        _QuotientAlgebra(given, rad)
+        assert products == []
+        quotient = _QuotientAlgebra(built, rad)
+        # 2^2 + 1^2 + 2^2 section rows
+        assert quotient.dim == 9 and len(products) == 81
+        _QuotientAlgebra(built, rad)
+        assert len(products) == 81
+
+
 class TestLoopBounds:
     def test_min_poly_stops_at_the_quotient_dimension(self, monkeypatch):
         # with the reduction switched off no power is ever found dependent,
@@ -719,22 +767,65 @@ def _poly_mul(a, b):
     return out
 
 
+@st.composite
+def _integer_polynomials(draw):
+    """Integer polynomials of degree 1 to 5, low-degree coefficients first:
+    up to two factors a t - r, with r small or huge, times a random
+    cofactor, and in some a huge number added to the constant term."""
+    small = st.integers(-20, 20)
+    factors = [
+        (draw(st.one_of(small, st.integers(-(10**20), 10**20))), draw(st.integers(1, 4)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    lead = draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1)))
+    poly = [draw(small) for _ in range(draw(st.integers(0 if factors else 1, 3)))] + [lead]
+    for root_num, root_den in factors:
+        poly = _poly_mul(poly, [-root_num, root_den])
+    poly = [int(c) for c in poly]
+    if draw(st.booleans()):
+        poly[0] += draw(st.integers(-(10**30), 10**30))
+    return poly
+
+
+def _sympy_rational_roots(coeffs):
+    """The rational roots, with multiplicity, of a polynomial with rational
+    coefficients (low-degree first), by sympy's factorization."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(coeffs))
+    _, factors = sympy.factor_list(expr, t)
+    roots = []
+    for f, mult in factors:
+        if sympy.degree(f, t) == 1:
+            (root,) = sympy.solve(f, t)
+            roots += [Fraction(int(root.p), int(root.q))] * mult
+    return roots
+
+
 class TestRationalRoots:
     @settings(max_examples=80, deadline=None)
     @given(_polynomials())
     def test_matches_sympy_factorization(self, coeffs):
-        sympy = pytest.importorskip("sympy")
-        t = sympy.Symbol("t")
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(coeffs))
-        _, factors = sympy.factor_list(expr, t)
-        expected = []
-        for f, mult in factors:
-            if sympy.degree(f, t) == 1:
-                (root,) = sympy.solve(f, t)
-                expected += [Fraction(int(root.p), int(root.q))] * mult
+        expected = _sympy_rational_roots(coeffs)
         roots, leftover = _rational_roots(coeffs)
         assert sorted(roots) == sorted(expected)
         assert leftover == len(coeffs) - 1 - len(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_integer_polynomials())
+    @example([-(10**24 + 7), 0, 1])
+    @example([-((10**12 + 39) ** 2), 0, 1])
+    @example([10**30 + 1, -1, 0, 0, 0, 3])
+    def test_integer_polynomials_match_sympy(self, coeffs):
+        expected = _sympy_rational_roots(coeffs)
+        roots, leftover = _rational_roots(coeffs)
+        assert sorted(roots) == sorted(expected)
+        assert leftover == len(coeffs) - 1 - len(expected)
+        # the monic a^(d-1) f(y / a), whose integer roots are a times the
+        # rational roots of f, for a the leading coefficient
+        degree, lead = len(coeffs) - 1, coeffs[-1]
+        monic = [c * lead ** (degree - 1 - k) for k, c in enumerate(coeffs[:-1])] + [1]
+        assert _integer_roots(monic) == sorted(set(_sympy_rational_roots(monic)))
 
     def test_integer_roots_need_no_divisor_search(self):
         # (y - 2^89 + 1)(y + 3)(y^2 + 1): a Mersenne prime as a root

@@ -2,14 +2,19 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matalg
+import matalg.algebra as algebra_module
+from matalg.algebra import Composition, parabolic_subalgebra
 from matalg.cli.documents import (
     BasisDocument,
     DocumentError,
@@ -18,7 +23,7 @@ from matalg.cli.documents import (
     parse_rational,
     serialize_basis_document,
 )
-from matalg.cli.main import main
+from matalg.cli.main import _build_parser, main
 from matalg.cli.suites import (
     SUITE_NAMES,
     corpus_algebras,
@@ -112,6 +117,106 @@ class TestBasisDocuments:
                 parse_basis_document(
                     json.dumps({"n": bad_n, "field": "Q", "basis": []})
                 )
+
+
+_REFERENCE_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+
+
+def reference_parse_rational(text, *, where="value"):
+    """The `Fraction` parse of one entry that the integer document parser
+    replaced: the same checks, messages and canonical value."""
+    if not isinstance(text, str):
+        raise DocumentError(f"{where}: expected a rational string, got {text!r}")
+    match = _REFERENCE_RATIONAL_RE.match(text.strip())
+    if not match:
+        raise DocumentError(f"{where}: invalid rational {text!r}")
+    if match.group(1) is not None and int(match.group(1)) == 0:
+        raise DocumentError(f"{where}: zero denominator in {text!r}")
+    return Fraction(text.strip())
+
+
+def reference_matrices(basis):
+    """The matrices of a well-shaped raw basis list, one `Fraction` per
+    entry, each entry's position in its error message."""
+    return [
+        Matrix(
+            [
+                [
+                    reference_parse_rational(e, where=f"basis[{b}] row {r} col {c}")
+                    for c, e in enumerate(row)
+                ]
+                for r, row in enumerate(mat)
+            ]
+        )
+        for b, mat in enumerate(basis)
+    ]
+
+
+def error_text(parse, *args, **kwargs):
+    """The message of the `DocumentError` that the call raises."""
+    with pytest.raises(DocumentError) as info:
+        parse(*args, **kwargs)
+    return str(info.value)
+
+
+BAD_ENTRIES = ("1/0", "oops", " -3/00 ", "", "1/ 2", "1.5", 3, None, 1.5, True, ["1"])
+
+
+@st.composite
+def rational_strings(draw):
+    """Entries as a document may write them: signs, "+p", padding, leading
+    zeros, non-canonical fractions such as "3/6", zero numerators and
+    large integers."""
+    digits = st.one_of(st.just(0), st.integers(0, 99), st.integers(0, 10**60))
+    zeros = st.sampled_from(("", "0", "00"))
+    text = draw(st.sampled_from(("", "+", "-"))) + draw(zeros) + str(draw(digits))
+    if draw(st.booleans()):
+        den = draw(st.one_of(st.integers(1, 12), st.integers(1, 10**40)))
+        text += "/" + draw(zeros) + str(den)
+    pad = st.sampled_from(("", " ", "  ", "\t"))
+    return draw(pad) + text + draw(pad)
+
+
+def raw_basis(draw, n):
+    size = draw(st.integers(0, 3))
+    return [[[draw(rational_strings()) for _ in range(n)] for _ in range(n)] for _ in range(size)]
+
+
+class TestDocumentParserReference:
+    """The integer document parser against the `Fraction` parse it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_matrices_match(self, n, data):
+        basis = raw_basis(data.draw, n)
+        doc = parse_basis_document(json.dumps({"n": n, "field": "Q", "basis": basis}))
+        # `Matrix` equality compares the stored integer form
+        assert list(doc.matrices) == reference_matrices(basis)
+        for mat in basis:
+            for row in mat:
+                for e in row:
+                    assert parse_rational(e) == reference_parse_rational(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_errors_match(self, n, data):
+        basis = raw_basis(data.draw, n) + [[["0"] * n for _ in range(n)]]
+        bad = st.sampled_from(BAD_ENTRIES)
+        for _ in range(data.draw(st.integers(1, 2))):
+            b = data.draw(st.integers(0, len(basis) - 1))
+            r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            basis[b][r][c] = data.draw(bad)
+        document = json.dumps({"n": n, "field": "Q", "basis": basis})
+        assert error_text(parse_basis_document, document) == error_text(reference_matrices, basis)
+
+    @pytest.mark.parametrize("text", BAD_ENTRIES)
+    def test_error_texts_are_unchanged(self, text):
+        basis = [[["1", "0"], ["0", "1"]], [["1", text], ["0", "1"]]]
+        document = json.dumps({"n": 2, "field": "Q", "basis": basis})
+        assert error_text(parse_basis_document, document) == error_text(reference_matrices, basis)
+        assert error_text(parse_rational, text, where="here") == error_text(
+            reference_parse_rational, text, where="here"
+        )
 
 
 class TestCorpus:
@@ -364,6 +469,54 @@ class TestCommandLine:
         assert code == 0
         text = capsys.readouterr().out
         assert "n: 2..3" in text
+
+    @pytest.mark.parametrize("action", ["radical", "blocks", "is-parabolic"])
+    def test_empty_basis_of_a_huge_n_exits_2(self, action, tmp_path, capsys, monkeypatch):
+        # the n^2 identity vector at n = 10^6 would need terabytes
+        def identity(n):
+            raise AssertionError(f"the identity of size {n} was built")
+
+        monkeypatch.setattr(algebra_module, "_identity", identity)
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 1000000, "field": "Q", "basis": []}')
+        assert main(["analyze", action, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: span does not contain the identity matrix\n"
+
+    def test_repeated_calls_match_separate_processes(self, tmp_path, capsys, monkeypatch):
+        # the parser is built once per process and shared by every call
+        assert _build_parser() is _build_parser()
+        monkeypatch.setenv("COLUMNS", "80")
+        path = tmp_path / "p.json"
+        algebra = parabolic_subalgebra(Composition((1, 2)))
+        path.write_text(
+            serialize_basis_document(BasisDocument(n=3, matrices=tuple(algebra.basis_matrices())))
+        )
+        calls = [
+            ["verify", "--suite", "bogus", "--n", "2"],
+            ["analyze", "blocks", "--input", str(path)],
+            ["--help"],
+            ["analyze", "is-parabolic", "--input", str(path)],
+            ["analyze", "radical"],
+        ]
+        source = str(Path(matalg.__file__).resolve().parents[1])
+        path_var = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path_var}
+        separate = []
+        for argv in calls:
+            out = subprocess.run(
+                [sys.executable, "-m", "matalg", *argv], capture_output=True, text=True, env=env
+            )
+            separate.append((out.returncode, out.stdout, out.stderr))
+        together = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            together.append((code, out.out, out.err))
+        assert together == separate
+        assert [code for code, _, _ in together] == [2, 0, 0, 0, 2]
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
