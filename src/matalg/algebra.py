@@ -207,17 +207,29 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     algebra = MatrixAlgebra(n=n, space=space)
     den, pairs = space._integer_form()
     # the integer rows are the basis times one common d, so their products
-    # are d^2 times the products of basis pairs; each row is split into its
-    # rows and its columns once, not on every product as `_flat_product`
-    halves = [(_split_rows(x, n), [x[j::n] for j in range(n)]) for _, x in pairs]
+    # are d^2 times the products of basis pairs
+    halves = [_halves(x, n) for _, x in pairs]
     for i, (rows, _) in enumerate(halves):
         for j, (_, columns) in enumerate(halves):
-            product = tuple(sum(map(operator.mul, r, c)) for r in rows for c in columns)
+            product = _halves_product(rows, columns)
             # the membership test of `subspace_contains`, on integers already
             if any(_reduce(product, pairs, den)):
                 raise ValueError("span is not closed under multiplication")
             algebra._products[i, j] = product
     return algebra
+
+
+def _halves(x: Sequence[int], n: int) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
+    """The rows and the columns of the flattened n x n integer matrix x:
+    split once for all its products, not on every product as
+    `_flat_product`."""
+    return _split_rows(x, n), [x[j::n] for j in range(n)]
+
+
+def _halves_product(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The product, flattened, of the matrix with `rows` and the matrix
+    with `columns` (see `_halves`)."""
+    return tuple(sum(map(operator.mul, r, c)) for r in rows for c in columns)
 
 
 def _identity(n: int) -> tuple[int, ...]:
@@ -371,13 +383,15 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
         return zero_space(n * n), [full_space(n)]
     rad = _trace_form_kernel(a)
     # integer multiples of the basis rows of a and of rad, which span the
-    # same products and have the same kernel flag
-    basis = [x for _, x in a.space._integer_form()[1]]
-    rows = [r for _, r in rad._integer_form()[1]]
-    for x in basis:
-        for r in rows:
-            if not subspace_contains(rad, _flat_product(x, r, n)) or not subspace_contains(
-                rad, _flat_product(r, x, n)
+    # same products and have the same kernel flag; each product is tested
+    # for membership in rad by its integer residual (`subspace_contains`)
+    den, pairs = rad._integer_form()
+    basis = [_halves(x, n) for _, x in a.space._integer_form()[1]]
+    rows = [_halves(r, n) for _, r in pairs]
+    for x_rows, x_columns in basis:
+        for r_rows, r_columns in rows:
+            if any(_reduce(_halves_product(x_rows, r_columns), pairs, den)) or any(
+                _reduce(_halves_product(r_rows, x_columns), pairs, den)
             ):
                 raise RuntimeError("radical candidate is not a two-sided ideal")
     flag = _kernel_flag(rad.basis_matrices(n), n)

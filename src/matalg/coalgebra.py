@@ -15,14 +15,21 @@ pi (x) pi.  The check deliberately does not route through duality, so
 the classical bijection "X is a coideal iff its annihilator is a
 subalgebra" stays an independently testable statement.
 
-Tensor coordinates: e_{a,b} (x) e_{c,d} sits at flat index
-(a*n + b) * n^2 + (c*n + d).
+`is_coideal` runs over the integers, on the stored form of X: its RREF
+basis rows times their least common denominator D.  D pi(e_a) is an
+integer vector, and for an integer row r = D x the sum over i, j, k of
+r_ij D pi(e_ik) (x) D pi(e_kj) is D^3 (pi (x) pi)(comultiply(x)): the
+same zero set and the same nonzero components.  It is formed by
+grouping the terms by (i, k), with no n^4 tensor.  `comultiply` stays as
+the definition, dense in the tensor coordinates: e_{a,b} (x) e_{c,d}
+sits at flat index (a*n + b) * n^2 + (c*n + d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exactlin import (
     Matrix,
@@ -133,53 +140,76 @@ class CoidealRejection:
     component: tuple[int, int] | None = None
 
 
-def _quotient_component(
-    tensor: Vector, images: list[list[tuple[int, int | Fraction]]]
+def _comultiplied_component(
+    row: Sequence[int], images: list[list[tuple[int, int]]], n: int
 ) -> tuple[int, int] | None:
-    """The lexicographically smallest (p, q) at which (pi (x) pi)(tensor)
-    is nonzero, or None when the tensor lies in X (x) C + C (x) X.
-    `images[a]` is pi(e_a) as sparse (coordinate, coefficient) pairs."""
-    n2 = len(images)
-    image: dict[tuple[int, int], Fraction] = {}
-    for a in range(n2):
-        right: dict[int, Fraction] = {}
-        for b, c in enumerate(tensor[a * n2 : (a + 1) * n2]):
-            if c:
-                for q, v in images[b]:
-                    right[q] = right.get(q, _ZERO) + c * v
-        for p, u in images[a]:
-            for q, w in right.items():
-                image[p, q] = image.get((p, q), _ZERO) + u * w
-    return min((key for key, c in image.items() if c), default=None)
+    """The lexicographically smallest (p, q) at which
+    (D pi (x) D pi)(comultiply(row)) is nonzero, or None when the integer
+    `row` comultiplies into X (x) C + C (x) X.  `images[a]` is D pi(e_a)
+    as sparse (coordinate, coefficient) pairs (`exactlin._coset_images`).
+
+    comultiply(row) is the sum of row_ij e_ik (x) e_kj, so the image is
+    the sum over (i, k) of D pi(e_ik) (x) (sum_j row_ij D pi(e_kj)); no
+    n^4 tensor is formed.  The terms are collected by p, and the rows of
+    the image are summed in increasing p up to the first nonzero one.
+    """
+    terms: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+    for i in range(n):
+        coeffs = [(j, c) for j, c in enumerate(row[i * n : (i + 1) * n]) if c]
+        if not coeffs:
+            continue
+        for k in range(n):
+            left = images[i * n + k]
+            if not left:
+                continue
+            right: dict[int, int] = {}
+            for j, c in coeffs:
+                for q, w in images[k * n + j]:
+                    right[q] = right.get(q, 0) + c * w
+            right_items = [(q, w) for q, w in right.items() if w]
+            if right_items:
+                for p, u in left:
+                    terms.setdefault(p, []).append((u, right_items))
+    for p in sorted(terms):
+        image: dict[int, int] = {}
+        for u, right_items in terms[p]:
+            for q, w in right_items:
+                image[q] = image.get(q, 0) + u * w
+        nonzero = [q for q, c in image.items() if c]
+        if nonzero:
+            return p, min(nonzero)
+    return None
 
 
 def is_coideal(s: Subspace) -> Coideal | CoidealRejection:
     """Certify the two coideal axioms for a subspace of the coalgebra.
 
-    Checks counit vanishing on every basis element, then, in basis
-    order, applies pi (x) pi to each comultiplied basis element, pi being
-    the reduction modulo s read off its RREF basis; the element lies in
-    s (x) C + C (x) s exactly when that image is zero.  No n^4-dimensional
-    span is built, and nothing goes through `perp`.  Returns a `Coideal`
-    on success; on failure a `CoidealRejection` naming the broken axiom
-    ("counit" or "comultiplication"), the first failing basis element
-    and, for comultiplication, the failing component.
+    Works on the stored integer form of s: its RREF basis rows times
+    their least common denominator D.  Checks that the trace (the counit)
+    of every row vanishes, then, in basis order, applies D pi (x) D pi to
+    each comultiplied row, pi being the reduction modulo s; that is D^3
+    times (pi (x) pi) of the comultiplied basis element, which lies in
+    s (x) C + C (x) s exactly when the image is zero.  No n^4-dimensional
+    tensor or span is built, no `Fraction` is formed on success, and
+    nothing goes through `perp`.  Returns a `Coideal` on success; on
+    failure a `CoidealRejection` naming the broken axiom ("counit" or
+    "comultiplication"), the first failing basis element and, for
+    comultiplication, the failing component.
     """
     n = _matrix_side(s)
-    basis = s.basis
-    for row in basis:
-        if counit(CoalgebraElement(n=n, coefficients=row)):
-            return CoidealRejection(n=n, space=s, axiom="counit", element=row)
+    _, rows = s._integer_form()
+    for idx, (_, row) in enumerate(rows):
+        if sum(row[:: n + 1]):
+            return CoidealRejection(n=n, space=s, axiom="counit", element=s.basis[idx])
     images = _coset_images(s)
-    for row in basis:
-        tensor, _ = comultiply(CoalgebraElement(n=n, coefficients=row))
-        component = _quotient_component(tensor, images)
+    for idx, (_, row) in enumerate(rows):
+        component = _comultiplied_component(row, images, n)
         if component is not None:
             return CoidealRejection(
                 n=n,
                 space=s,
                 axiom="comultiplication",
-                element=row,
+                element=s.basis[idx],
                 component=component,
             )
     return Coideal(n=n, space=s)

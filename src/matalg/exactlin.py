@@ -631,14 +631,15 @@ def subspace_contains(space: Subspace, vec: Sequence[int | str | Fraction]) -> b
     return not any(_reduce(_integer_vector(vec, space.ambient_dim), rows, den))
 
 
-def _coset_images(sub: Subspace) -> list[list[tuple[int, int | Fraction]]]:
-    """The coset of each standard basis vector e_a modulo `sub`, as sparse
-    (coordinate, coefficient) pairs: e_a off the pivots of `sub`, and
-    e_p - (basis row of p) at a pivot p."""
+def _coset_images(sub: Subspace) -> list[list[tuple[int, int]]]:
+    """D times the coset of each standard basis vector e_a modulo `sub`,
+    D the pivot value of its integer form, as sparse (coordinate,
+    coefficient) pairs of integers: D e_a off the pivots of `sub`, and
+    minus the integer row of p off p at a pivot p (D e_p minus that row)."""
     den, rows = sub._integer_form()
-    images = [[(a, 1)] for a in range(sub.ambient_dim)]
+    images = [[(a, den)] for a in range(sub.ambient_dim)]
     for p, row in rows:
-        images[p] = [(f, Fraction(-c, den)) for f, c in enumerate(row) if c and f != p]
+        images[p] = [(f, -c) for f, c in enumerate(row) if c and f != p]
     return images
 
 

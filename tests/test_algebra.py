@@ -281,6 +281,28 @@ class TestRadicalCertificate:
         with pytest.raises(RuntimeError, match="not a two-sided ideal"):
             radical(a)
 
+    @pytest.mark.parametrize(
+        "unit, left_ideal, right_ideal",
+        [
+            # E01 b = b11 E01 but E01 E12 = E02
+            ((0, 1), True, False),
+            # b E12 = b01 E02 + b11 E12, but E12 b = b22 E12
+            ((1, 2), False, True),
+        ],
+    )
+    def test_one_sided_ideal_is_rejected(self, monkeypatch, unit, left_ideal, right_ideal):
+        # a nilpotent candidate closed on one side only: a check of that side
+        # alone would pass it, so each side is needed for one of the two cases
+        a = upper_triangular_algebra(3)
+        candidate = _unit_span(3, [unit])
+        basis = a.basis_matrices()
+        members = candidate.basis_matrices(3)
+        assert all(candidate.contains((b * m).flatten()) for b in basis for m in members) == left_ideal
+        assert all(candidate.contains((m * b).flatten()) for b in basis for m in members) == right_ideal
+        monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: candidate)
+        with pytest.raises(RuntimeError, match="not a two-sided ideal"):
+            radical(a)
+
     def test_kernel_flag_failure_is_rejected(self, monkeypatch):
         monkeypatch.setattr(algebra_module, "_kernel_flag", lambda mats, n: None)
         with pytest.raises(RuntimeError, match="not nilpotent"):

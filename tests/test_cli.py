@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -31,7 +32,8 @@ from matalg.cli.suites import (
     run_verification,
     suite_supported_ns,
 )
-from matalg.exactlin import Matrix
+from matalg.exactlin import Matrix, rref_basis
+from test_coalgebra import reference_quotient_is_coideal
 
 
 class TestRationals:
@@ -391,6 +393,37 @@ class TestCommandLine:
         # comultiply(e_{1,0}) = e_{1,0} (x) e_{0,0} + e_{1,1} (x) e_{1,0}
         # + e_{1,2} (x) e_{2,0}; modulo e_{1,0} only the last term survives
         assert payload["failed_component"] == [[1, 2], [2, 0]]
+
+    def test_analyze_is_coideal_dense_rational_matches_reference(self, tmp_path, capsys):
+        # dense traceless matrices at n = 5 with entries over 2..7: the
+        # payload of the integer route equals the one built from the
+        # Fraction route through comultiply
+        n = 5
+        rng = random.Random(55)
+        matrices = []
+        for _ in range(3):
+            flat = [Fraction(rng.randint(-4, 4), rng.randint(2, 7)) for _ in range(n * n)]
+            flat[0] -= sum(flat[i * n + i] for i in range(n))
+            matrices.append(Matrix.from_flat(flat, n))
+        space = rref_basis([m.flatten() for m in matrices], n * n)
+        assert space.dimension == 3 and space._integer_form()[0] > 1
+        path = tmp_path / "dense.json"
+        path.write_text(serialize_basis_document(BasisDocument(n=n, matrices=tuple(matrices))))
+        assert main(["analyze", "is-coideal", "--input", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        reference = reference_quotient_is_coideal(space)
+        assert reference.axiom == "comultiplication"
+        assert payload == {
+            "n": n,
+            "coideal": False,
+            "dimension": 3,
+            "failed_axiom": reference.axiom,
+            "counterexample": [
+                [format_rational(x) for x in reference.element[i * n : (i + 1) * n]]
+                for i in range(n)
+            ],
+            "failed_component": [list(divmod(c, n)) for c in reference.component],
+        }
 
     def test_construct_coideal_and_perp_agree(self, tmp_path, capsys):
         alg = tmp_path / "a.json"

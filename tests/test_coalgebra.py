@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matalg.algebra import (
@@ -12,6 +12,7 @@ from matalg.algebra import (
     absorption_probe,
     closure,
     compositions,
+    conjugate,
     parabolic_subalgebra,
     upper_triangular_algebra,
 )
@@ -30,11 +31,13 @@ from matalg.exactlin import (
     Matrix,
     SpanBuilder,
     _matrix_side,
+    full_space,
     random_subspace,
     rref_basis,
     subspace_sum,
     zero_space,
 )
+from test_algebra import rational_invertible
 from test_exactlin import reference_reduce
 
 
@@ -75,6 +78,54 @@ def reference_is_coideal(s):
     return Coideal(n=n, space=s)
 
 
+def fraction_coset_images(s):
+    """pi(e_a) modulo s for each coordinate a, as sparse (coordinate,
+    Fraction) pairs: e_a off the pivots of s, and e_p minus the basis row
+    of p at a pivot p."""
+    images = [[(a, Fraction(1))] for a in range(s.ambient_dim)]
+    for p, row in zip(s.pivots, s.basis):
+        images[p] = [(f, -c) for f, c in enumerate(row) if c and f != p]
+    return images
+
+
+def reference_quotient_component(tensor, images):
+    """The lexicographically smallest (p, q) at which (pi (x) pi)(tensor)
+    is nonzero, or None; `tensor` is a dense vector in the n^4 tensor
+    coordinates and `images` come from `fraction_coset_images`."""
+    n2 = len(images)
+    image = {}
+    for a in range(n2):
+        right = {}
+        for b, c in enumerate(tensor[a * n2 : (a + 1) * n2]):
+            if c:
+                for q, v in images[b]:
+                    right[q] = right.get(q, 0) + c * v
+        for p, u in images[a]:
+            for q, w in right.items():
+                image[p, q] = image.get((p, q), 0) + u * w
+    return min((key for key, c in image.items() if c), default=None)
+
+
+def reference_quotient_is_coideal(s):
+    """The coideal check on `Fraction`s, through the dense n^4 tensor of
+    `comultiply`: the reference for the integer route of `is_coideal`,
+    which must return an equal result, component and element included."""
+    n = _matrix_side(s)
+    basis = s.basis
+    for row in basis:
+        if counit(CoalgebraElement(n=n, coefficients=row)):
+            return CoidealRejection(n=n, space=s, axiom="counit", element=row)
+    images = fraction_coset_images(s)
+    for row in basis:
+        tensor, _ = comultiply(CoalgebraElement(n=n, coefficients=row))
+        component = reference_quotient_component(tensor, images)
+        if component is not None:
+            return CoidealRejection(
+                n=n, space=s, axiom="comultiplication", element=row, component=component
+            )
+    return Coideal(n=n, space=s)
+
+
 def verdict(result):
     return (
         result.certified,
@@ -105,6 +156,30 @@ def traceless_spaces(draw):
         v[0] -= sum(v[i * n + i] for i in range(n))
         vectors.append(v)
     return rref_basis(vectors, n * n)
+
+
+@st.composite
+def rational_traceless_spaces(draw):
+    """Rational traceless subspaces at n = 2..5 whose stored denominator
+    is above 1.  As in `traceless_spaces`, half of the draws stay strictly
+    below the diagonal."""
+    n = draw(st.integers(2, 5))
+    lower = draw(st.booleans())
+    support = [i * n + j for i in range(n) for j in range(n) if not lower or i > j]
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    )
+    vectors = []
+    for _ in range(draw(st.integers(1, n + 1))):
+        v = [Fraction(0)] * (n * n)
+        for k in support:
+            v[k] = draw(entry)
+        v[0] -= sum(v[i * n + i] for i in range(n))
+        vectors.append(v)
+    s = rref_basis(vectors, n * n)
+    assume(s._integer_form()[0] > 1)
+    return s
 
 
 def random_traceless(rng, n):
@@ -338,6 +413,59 @@ class TestQuotientCheck:
                 assert is_coideal(s).certified == oracle
                 verdicts.add(oracle)
         assert verdicts == {True, False}
+
+
+def conjugated_parabolic_annihilators(n, rng):
+    """perp of each block upper-triangular algebra at n, conjugated by a
+    seeded invertible matrix with rational entries."""
+    for comp in compositions(n):
+        c = rational_invertible(rng, n)
+        yield perp(conjugate(parabolic_subalgebra(comp), c).space)
+
+
+def random_closure_annihilators(n, rng, count):
+    """perp of the closures of one or two seeded sparse integer
+    matrices, conjugated by a seeded rational matrix."""
+    for _ in range(count):
+        gens = [
+            Matrix.from_flat([rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n * n)], n)
+            for _ in range(rng.randint(1, 2))
+        ]
+        c = rational_invertible(rng, n)
+        yield perp(conjugate(closure(n, gens), c).space)
+
+
+class TestIntegerRoute:
+    """`is_coideal` against the `Fraction` route through `comultiply`:
+    the whole result must be equal, not only the verdict."""
+
+    @given(rational_traceless_spaces())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_route_on_rational_spaces(self, s):
+        assert is_coideal(s) == reference_quotient_is_coideal(s)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_fraction_route_on_annihilators(self, n):
+        # annihilators of unital subalgebras certify; adding a traceless
+        # vector to one mostly breaks it, through some component
+        rng = random.Random(70 + n)
+        spaces = list(conjugated_parabolic_annihilators(n, rng))
+        spaces += random_closure_annihilators(n, rng, 6)
+        spaces += [subspace_sum(x, rref_basis([random_traceless(rng, n)], n * n)) for x in spaces]
+        results = []
+        for s in spaces:
+            result = is_coideal(s)
+            assert result == reference_quotient_is_coideal(s)
+            results.append(result)
+        assert any(r.certified and r.space._integer_form()[0] > 1 for r in results)
+        assert any(not r.certified and r.component is not None for r in results)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_fraction_route_on_zero_and_full_space(self, n):
+        for s in (zero_space(n * n), full_space(n * n)):
+            assert is_coideal(s) == reference_quotient_is_coideal(s)
+        assert is_coideal(zero_space(n * n)).certified
+        assert is_coideal(full_space(n * n)).axiom == "counit"
 
 
 class TestRejectionComponent:

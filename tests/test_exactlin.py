@@ -958,13 +958,17 @@ class TestQuotient:
     @given(quotient_cases())
     @settings(max_examples=100, deadline=None)
     def test_sparse_images_are_projected_unit_vectors(self, case):
+        # the images are the projected unit vectors times the pivot value
+        # D of the stored form, as integers
         sub, _ = case
         m = sub.ambient_dim
+        den = sub._integer_form()[0]
         for a, image in enumerate(_coset_images(sub)):
             unit = [Fraction(int(a == k)) for k in range(m)]
             dense = [Fraction(0)] * m
             for x, c in zip(reference_project(sub, unit), coset_coords(sub)):
-                dense[c] = x
+                dense[c] = den * x
+            assert all(type(c) is int for _, c in image)
             assert dict(image) == {f: c for f, c in enumerate(dense) if c}
 
 
