@@ -1112,14 +1112,14 @@ class TestParabolicRecognition:
 
 
 def _count_products(monkeypatch):
-    """Record the flattened integer operands of every product that
-    `matalg.algebra` forms from now on; both passes of `closure` form each
-    of theirs through this one product."""
+    """Record the flattened integer operands and the modulus (None over Q)
+    of every product that `matalg.algebra` forms from now on; both passes
+    of `closure` form each of theirs through this one product."""
     products = []
     multiply = algebra_module._flat_product
 
     def counting(x, y, inner, modulus=None):
-        products.append((tuple(x), tuple(y)))
+        products.append((tuple(x), tuple(y), modulus))
         return multiply(x, y, inner, modulus)
 
     monkeypatch.setattr(algebra_module, "_flat_product", counting)
@@ -1127,8 +1127,12 @@ def _count_products(monkeypatch):
 
 
 def _fills_mod_p(n, generators):
-    """The modular certificate of `closure` on matrices."""
+    """The modular certificate of `closure` on matrices, from the start."""
     return algebra_module._fills_mod_p(n, algebra_module._integral_generators(generators))
+
+
+def _mod_p(vector):
+    return tuple(e % algebra_module._MODULUS for e in vector)
 
 
 class TestClosureProducts:
@@ -1139,34 +1143,48 @@ class TestClosureProducts:
         # the identity comes first, so one basis direction adds nothing
         adjoined = a.dimension - 1
         products = _count_products(monkeypatch)
-        # a proper algebra: the modular pass falls short, the exact pass
-        # decides, and each pass forms each unordered pair once
-        assert not _fills_mod_p(4, basis)
-        assert len(products) == adjoined * adjoined
-        products.clear()
-        assert _exact_closure(4, basis).space == a.space
-        assert len(products) == adjoined * adjoined
-        products.clear()
+        # a closed span: no product grows it, so the exact loop alone
+        # decides, forms each unordered pair once, and nothing runs mod p
         assert closure(4, basis).space == a.space
-        assert len(products) == 2 * adjoined * adjoined
+        assert len(products) == adjoined * adjoined
+        assert all(modulus is None for *_, modulus in products)
 
     def test_absorption_probe_repeats_no_product(self, monkeypatch):
         a = parabolic_subalgebra(Composition((1, 3)))
         x = Matrix.unit(4, 1, 0)
         products = _count_products(monkeypatch)
-        assert _fills_mod_p(4, a.basis_matrices() + [x])
-        modular = list(products)
-        products.clear()
         assert absorption_probe(a, x).dimension == 16
-        # the modular certificate decides, so the exact pass forms nothing
-        assert products == modular
-        assert products and len(products) == len(set(products))
+        exact = [(u, v) for u, v, modulus in products if modulus is None]
+        modular = [(u, v) for u, v, modulus in products if modulus is not None]
+        # x comes first, the exact prefix runs up to the first product
+        # that grows the span, and the modular certificate decides from there
+        assert exact and modular
+        (flat_x,) = algebra_module._integral_generators([x])
+        assert exact[0] == (flat_x, flat_x)
+        assert all(modulus is None for *_, modulus in products[: len(exact)])
+        assert len(products) == len(set(products))
+        assert not {(_mod_p(u), _mod_p(v)) for u, v in exact} & set(modular)
 
 
 def _exact_closure(n, generators):
-    """`closure` with its modular certificate switched off."""
-    with mock.patch.object(algebra_module, "_fills_mod_p", return_value=False):
-        return closure(n, generators)
+    """`closure` with its modular certificate switched off: the exact loop
+    resumes after the first growth and decides alone."""
+    multiply = algebra_module._flat_product
+    formed_mod_p = []
+
+    def exact_only(x, y, inner, modulus=None):
+        if modulus is not None:
+            formed_mod_p.append((x, y))
+        return multiply(x, y, inner, modulus)
+
+    with (
+        mock.patch.object(algebra_module, "_fills_mod_p", return_value=False),
+        mock.patch.object(algebra_module, "_flat_product", exact_only),
+    ):
+        result = closure(n, generators)
+    # no other modular step is left on that path
+    assert not formed_mod_p
+    return result
 
 
 @st.composite
@@ -1234,6 +1252,64 @@ class TestClosureCertificate:
     def test_zero_generator_is_ignored(self):
         generators = [Matrix.zeros(2), Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)]
         assert closure(2, generators).space == full_space(4)
+
+    def test_exact_loop_resumes_when_the_certificate_falls_short(self, monkeypatch):
+        # over Q the span of I, e_01 and I + p e_10 is 3-dimensional and
+        # e_01 (I + p e_10) = e_01 + p e_00 fills M_2; mod p the last
+        # generator is I, and the span stays {I, e_01}
+        p = algebra_module._MODULUS
+        generators = [Matrix.unit(2, 0, 1), Matrix.identity(2) + p * Matrix.unit(2, 1, 0)]
+        modular = SpanBuilder._mod(4, p)
+        integral = algebra_module._integral_generators(generators)
+        for _ in algebra_module._grow(2, modular, [_mod_p(g) for g in integral]):
+            pass
+        assert modular.dimension == 2
+        verdicts = []
+        certificate = algebra_module._fills_mod_p
+
+        def recording(*args):
+            verdicts.append(certificate(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(algebra_module, "_fills_mod_p", recording)
+        assert closure(2, generators).space == full_space(4)
+        assert verdicts == [False]
+
+
+@st.composite
+def _probe_cases(draw):
+    """A proper parabolic P of M_n, n in 2..4, conjugated by an invertible
+    c, and x = c y c^-1 for a rational y: block upper-triangular, so x
+    lies in c P c^-1, or nonzero at (n-1, 0), below the diagonal blocks,
+    so x lies outside it."""
+    n = draw(st.integers(2, 4))
+    cut = draw(st.integers(1, n - 1))
+    rest = draw(st.integers(0, n - cut))
+    comp = Composition(tuple(p for p in (cut, rest, n - cut - rest) if p))
+    c = random_invertible(random.Random(draw(st.integers(0, 2**32))), n)
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    y = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    inside = draw(st.booleans())
+    for i in range(n):
+        for j in range(n):
+            if inside and comp.block_of(i) > comp.block_of(j):
+                y[i][j] = Fraction(0)
+    if not inside and not y[n - 1][0]:
+        y[n - 1][0] = Fraction(1)
+    return conjugate(parabolic_subalgebra(comp), c), c * Matrix(y) * c.inverse(), inside
+
+
+class TestAbsorptionProbe:
+    """`absorption_probe` puts x before the basis; the closure it returns
+    is that of the exact path, whatever the order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_probe_cases())
+    def test_matches_the_exact_closure(self, case):
+        a, x, inside = case
+        expected = _exact_closure(a.n, a.basis_matrices() + [x])
+        assert absorption_probe(a, x).space == expected.space
+        assert (expected.space == a.space) == inside
 
 
 class TestMaximalityAndOptimal:
