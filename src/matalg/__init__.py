@@ -48,7 +48,6 @@ from .algebra import (
     flag_stabilizer,
     invariant_flag,
     is_parabolic,
-    multiply_spaces,
     optimal_composition,
     parabolic_dimension,
     parabolic_subalgebra,
@@ -109,7 +108,6 @@ __all__ = [
     "closure",
     "conjugate",
     "conjugate_space",
-    "multiply_spaces",
     "radical",
     "WedderburnData",
     "semisimple_blocks",

@@ -33,11 +33,11 @@ from .exactlin import (
     _adjoin,
     _combination,
     _flat_product,
-    _integral,
     _joint_kernel,
     _lowest_terms,
     _primitive,
     _reduce,
+    _rows_times_columns,
     _split_rows,
     _unit_span,
     full_space,
@@ -59,7 +59,6 @@ __all__ = [
     "closure",
     "conjugate",
     "conjugate_space",
-    "multiply_spaces",
     "radical",
     "semisimple_blocks",
     "parabolic_subalgebra",
@@ -72,7 +71,6 @@ __all__ = [
     "schur_commutative_check",
 ]
 
-_ZERO = Fraction(0)
 _Element = tuple[int, tuple[int, ...]]  # the quotient coordinates ints / den
 
 
@@ -211,7 +209,7 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     halves = [_halves(x, n) for _, x in pairs]
     for i, (rows, _) in enumerate(halves):
         for j, (_, columns) in enumerate(halves):
-            product = _halves_product(rows, columns)
+            product = _rows_times_columns(rows, columns)
             # the membership test of `subspace_contains`, on integers already
             if any(_reduce(product, pairs, den)):
                 raise ValueError("span is not closed under multiplication")
@@ -220,16 +218,10 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
 
 
 def _halves(x: Sequence[int], n: int) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
-    """The rows and the columns of the flattened n x n integer matrix x:
-    split once for all its products, not on every product as
-    `_flat_product`."""
+    """The rows and the columns of the flattened n x n integer matrix x,
+    for `_rows_times_columns`: split once for all its products, not on
+    every product as `_flat_product`."""
     return _split_rows(x, n), [x[j::n] for j in range(n)]
-
-
-def _halves_product(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The product, flattened, of the matrix with `rows` and the matrix
-    with `columns` (see `_halves`)."""
-    return tuple(sum(map(operator.mul, r, c)) for r in rows for c in columns)
 
 
 def _identity(n: int) -> tuple[int, ...]:
@@ -368,18 +360,6 @@ def conjugate_space(space: Subspace, c: Matrix) -> Subspace:
     return rref_basis(vecs, n * n)
 
 
-def multiply_spaces(x: Subspace, y: Subspace, n: int) -> Subspace:
-    """Span of all products a*b with a in x, b in y (as matrix subspaces)."""
-    if x.ambient_dim != n * n or y.ambient_dim != n * n:
-        raise ValueError("ambient dimensions must equal n*n")
-    builder = SpanBuilder(n * n)
-    ymats = y.basis_matrices(n)
-    for a in x.basis_matrices(n):
-        for b in ymats:
-            builder.add((a * b)._integer_form()[1])
-    return builder.to_subspace()
-
-
 def radical(a: MatrixAlgebra) -> Subspace:
     """The set of x in a with Tr(x b) = 0 for every basis element b.
 
@@ -431,8 +411,8 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
     rows = [_halves(r, n) for _, r in pairs]
     for x_rows, x_columns in basis:
         for r_rows, r_columns in rows:
-            if any(_reduce(_halves_product(x_rows, r_columns), pairs, den)) or any(
-                _reduce(_halves_product(r_rows, x_columns), pairs, den)
+            if any(_reduce(_rows_times_columns(x_rows, r_columns), pairs, den)) or any(
+                _reduce(_rows_times_columns(r_rows, x_columns), pairs, den)
             ):
                 raise RuntimeError("radical candidate is not a two-sided ideal")
     flag = _kernel_flag(rad.basis_matrices(n), n)
@@ -558,49 +538,46 @@ class _QuotientAlgebra:
         raise RuntimeError("minimal polynomial degree exceeds the quotient dimension")
 
 
-def _eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def _value(q: Sequence[int], a: int, b: int) -> int:
+    """b^e q(a / b) for the integer polynomial q of degree e (low-degree
+    coefficients first), by Horner's rule over the integers: the sum of
+    q_k a^k b^(e - k).  For b > 0 it has the sign of q(a / b)."""
+    acc, scale = 0, 1
+    for c in reversed(q):
+        acc = acc * a + c * scale
+        scale *= b
     return acc
 
 
-def _deflate(coeffs: Sequence[int | Fraction], root: Fraction) -> list[Fraction]:
-    """Synthetic division of a polynomial by (t - root)."""
-    out: list[Fraction] = []
-    acc = _ZERO
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    # `out` holds the Horner partials; drop the remainder, reverse to low-first.
-    out = out[:-1]
-    out.reverse()
-    return out
+def _deflate(f: Sequence[int], a: int, b: int) -> list[int]:
+    """The integer polynomial g with f = (b t - a) g, for an integer
+    polynomial f (low-degree coefficients first) with the root a / b in
+    lowest terms.  b t - a is primitive, so g has integer coefficients
+    (Gauss's lemma) and each step of the division from the top divides
+    exactly by b."""
+    g = [0]
+    for c in reversed(f[1:]):
+        g.append((c + a * g[-1]) // b)
+    return g[:0:-1]
 
 
-def _poly_rem(a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> list[Fraction]:
-    """Remainder of a modulo b (low-degree coefficients first, b with a
-    nonzero leading coefficient), without trailing zeros."""
+def _poly_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive multiple of the remainder of a modulo b (integer
+    polynomials, low-degree coefficients first, b with a nonzero leading
+    coefficient), without trailing zeros: the pseudo-remainder in which
+    each step scales by |lead b|."""
     r = list(a)
+    lead = b[-1]
+    scale = abs(lead)
     while len(r) >= len(b) and r:
-        f = Fraction(r[-1]) / b[-1]
+        f = r[-1] if lead > 0 else -r[-1]
         shift = len(r) - len(b)
+        r = [scale * c for c in r]
         for i, c in enumerate(b):
             r[shift + i] -= f * c
         while r and not r[-1]:
             r.pop()
     return r
-
-
-def _at_half(q: Sequence[int], t: int) -> int:
-    """2^e q(t / 2) for the integer polynomial q of degree e (low-degree
-    coefficients first), by Horner's rule over the integers: the sum of
-    q_k t^k 2^(e - k).  It has the sign of q(t / 2)."""
-    acc, scale = 0, 1
-    for c in reversed(q):
-        acc = acc * t + c * scale
-        scale *= 2
-    return acc
 
 
 def _integer_roots(g: Sequence[int]) -> list[int]:
@@ -616,8 +593,8 @@ def _integer_roots(g: Sequence[int]) -> list[int]:
     most deg g of them on each of at most log2(2B + 1) + 1 levels, and a
     range holding a single integer k holds a root exactly when g(k) = 0.
     So the work is polynomial in the degree and the coefficient size.
-    Every sign is read over the integers, from 2^e q(t / 2) at t = 2k + 1
-    and t = 2k (`_at_half`).
+    The chain is built by pseudo-remainders and every sign is read over
+    the integers (`_value`), from 2^e q(k + 1/2) and from g(k).
     """
     chain = [list(g), _primitive([k * c for k, c in enumerate(g)][1:])]
     # the degrees fall along the chain, so there are at most deg g remainders
@@ -626,7 +603,7 @@ def _integer_roots(g: Sequence[int]) -> list[int]:
 
     def variations(k: int) -> int:
         """Sign changes along the chain at k + 1/2."""
-        signs = [v > 0 for v in (_at_half(q, 2 * k + 1) for q in chain) if v]
+        signs = [v > 0 for v in (_value(q, 2 * k + 1, 2) for q in chain) if v]
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
     bound = max(abs(c) for c in g[:-1])
@@ -639,7 +616,7 @@ def _integer_roots(g: Sequence[int]) -> list[int]:
         if v_lo == v_hi:
             continue
         if lo == hi:
-            if not _at_half(g, 2 * lo):
+            if not _value(g, lo, 1):
                 roots.append(lo)
             continue
         mid = (lo + hi) // 2
@@ -654,25 +631,27 @@ def _rational_roots(coeffs: Sequence[int | Fraction]) -> tuple[list[Fraction], i
 
     For f primitive over the integers with leading coefficient a and
     degree d, t is a root exactly when a t is an integer root of the monic
-    integer polynomial a^(d-1) f(y / a); `_integer_roots` finds those.
+    integer polynomial a^(d-1) f(y / a); `_integer_roots` finds those,
+    0 among them.  Each root r / s in lowest terms (s > 0) is then tested
+    and divided out over the integers (`_value`, `_deflate`) as often as
+    it divides f.
     """
     work = list(coeffs)
     while len(work) > 1 and not work[-1]:
         work.pop()
+    if len(work) == 1:
+        return [], 0
+    f = _primitive(work)
+    degree, lead = len(f) - 1, f[-1]
+    monic = [c * lead ** (degree - 1 - k) for k, c in enumerate(f[:-1])] + [1]
     roots: list[Fraction] = []
-    while len(work) > 1 and not work[0]:
-        roots.append(_ZERO)
-        work.pop(0)
-    if len(work) > 1:
-        ints = _primitive(work)
-        degree, lead = len(ints) - 1, ints[-1]
-        monic = [c * lead ** (degree - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
-        for y in _integer_roots(monic):
-            root = Fraction(y, lead)
-            while len(work) > 1 and not _eval_poly(work, root):
-                roots.append(root)
-                work = _deflate(work, root)
-    return roots, len(work) - 1
+    for y in _integer_roots(monic):
+        root = Fraction(y, lead)
+        r, s = root.numerator, root.denominator
+        while len(f) > 1 and not _value(f, r, s):
+            roots.append(root)
+            f = _deflate(f, r, s)
+    return roots, len(f) - 1
 
 
 @dataclass(frozen=True)
@@ -707,9 +686,10 @@ def _central_idempotents(quotient: _QuotientAlgebra) -> list[_Element] | None:
     At each z_i, every idempotent e found so far is split by Lagrange
     interpolation over the rational roots of the minimal polynomial f of
     w = e z_i in eZ, which is squarefree since Z is semisimple: the
-    idempotent of a root l is g(w) / g(l) for g = f / (t - l), one
-    combination of the powers of w.  An irreducible factor of degree at
-    least 2 proves that Z contains a field extension of Q.  Afterwards
+    idempotent of a root l = r / s is g(w) / g(l) for the integer
+    g = f / (s t - r), one integer combination of the powers of w.  An
+    irreducible factor of degree at least 2 proves that Z contains a
+    field extension of Q.  Afterwards
     every e z_i is a multiple of e, so there are dim Z idempotents.
     """
     center = quotient.center()
@@ -723,13 +703,17 @@ def _central_idempotents(quotient: _QuotientAlgebra) -> list[_Element] | None:
                 return None
             if len(set(roots)) != len(roots):
                 raise RuntimeError("minimal polynomial of a central element not squarefree")
+            common = math.lcm(*(d for d, _ in powers))
             for lam in roots:
-                g = _deflate(f, lam)
-                scale = _eval_poly(g, lam)
-                # the power ints_j / d_j of w takes the coefficient g_j / g(lam)
-                den, coeffs = _integral([c / (scale * d) for c, (d, _) in zip(g, powers)])
+                r, s = lam.numerator, lam.denominator
+                g = _deflate(f, r, s)
+                # g(lam) = v / s^e for v = _value(g, r, s), e = deg g, so the
+                # power ints_j / d_j of w takes the coefficient g_j s^e / v
+                v = _value(g, r, s)
+                scale = s ** (len(g) - 1) * (1 if v > 0 else -1)
+                coeffs = [scale * c * (common // d) for c, (d, _) in zip(g, powers)]
                 idem = _combination(coeffs, [x for _, x in powers], quotient.dim)
-                refined.append(_lowest_terms(den, idem))
+                refined.append(_lowest_terms(abs(v) * common, idem))
         idempotents = refined
     if len(idempotents) != len(center):
         raise RuntimeError("central idempotents do not match the center dimension")

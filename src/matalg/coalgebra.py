@@ -198,6 +198,9 @@ def is_coideal(s: Subspace) -> Coideal | CoidealRejection:
     """
     n = _matrix_side(s)
     _, rows = s._integer_form()
+    if not rows:
+        # the zero space is a coideal; no n^2 coset images for it
+        return Coideal(n=n, space=s)
     for idx, (_, row) in enumerate(rows):
         if sum(row[:: n + 1]):
             return CoidealRejection(n=n, space=s, axiom="counit", element=s.basis[idx])

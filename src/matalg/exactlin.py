@@ -321,8 +321,14 @@ def _flat_product(
     with `inner` columns and the second with `inner` rows, reduced mod
     `modulus` when one is given."""
     cols = len(y) // inner
-    rows = _split_rows(x, inner)
-    columns = [y[j::cols] for j in range(cols)]
+    return _rows_times_columns(_split_rows(x, inner), [y[j::cols] for j in range(cols)], modulus)
+
+
+def _rows_times_columns(
+    rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]], modulus: int | None = None
+) -> tuple[int, ...]:
+    """The product, flattened row-major, of the integer matrix with `rows`
+    and the one with `columns`, reduced mod `modulus` when one is given."""
     if modulus is None:
         return tuple(sum(map(operator.mul, r, c)) for r in rows for c in columns)
     return tuple(sum(map(operator.mul, r, c)) % modulus for r in rows for c in columns)

@@ -24,7 +24,6 @@ from matalg.algebra import (
     flag_stabilizer,
     invariant_flag,
     is_parabolic,
-    multiply_spaces,
     optimal_composition,
     parabolic_dimension,
     parabolic_subalgebra,
@@ -34,9 +33,12 @@ from matalg.algebra import (
     upper_triangular_algebra,
     _QuotientAlgebra,
     _central_idempotents,
+    _deflate,
     _integer_roots,
     _kernel_flag,
+    _poly_rem,
     _rational_roots,
+    _value,
 )
 from matalg.cli.suites import corpus_algebras
 from test_exactlin import coset_coords, reference_closure, reference_project
@@ -46,6 +48,7 @@ from matalg.exactlin import (
     _flat_product,
     _integral,
     _joint_kernel,
+    _primitive,
     _reduce,
     _unit_span,
     full_space,
@@ -202,12 +205,6 @@ class TestClosure:
     def test_algebra_from_basis_rejects_the_zero_span(self, matrices):
         with pytest.raises(ValueError, match="span does not contain the identity matrix"):
             algebra_from_basis(2, matrices)
-
-    def test_multiply_spaces(self):
-        left = rref_basis([Matrix.unit(2, 0, 1).flatten()], 4)
-        right = rref_basis([Matrix.unit(2, 1, 0).flatten()], 4)
-        prod = multiply_spaces(left, right, 2)
-        assert prod == rref_basis([Matrix.unit(2, 0, 0).flatten()], 4)
 
 
 class TestConjugation:
@@ -854,6 +851,65 @@ class TestRationalRoots:
         q = 2**89 - 1
         g = _poly_mul(_poly_mul([Fraction(-q), Fraction(1)], [Fraction(3), Fraction(1)]), [1, 0, 1])
         assert _integer_roots([int(c) for c in g]) == [-3, q]
+
+
+    @pytest.mark.parametrize(
+        "coeffs, roots, leftover",
+        [
+            ([0, 0, 0, 1], [0, 0, 0], 0),  # t^3
+            ([0, 0, -1, 2], [0, 0, Fraction(1, 2)], 0),  # t^2 (2t - 1)
+            ([0, 0, 1, 0, 1], [0, 0], 2),  # t^2 (t^2 + 1)
+            ([0, 0, 0, -3, 0, 0], [0, 0, 0], 0),  # -3 t^3, trailing zeros
+            ([Fraction(0), Fraction(0), Fraction(3, 2), Fraction(-1, 2)], [0, 0, 3], 0),
+        ],
+    )
+    def test_zero_roots_with_multiplicity(self, coeffs, roots, leftover):
+        found, left = _rational_roots(coeffs)
+        assert (sorted(found), left) == (roots, leftover)
+
+
+_coefficients = st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=7)
+
+
+class TestIntegerPolynomials:
+    """The integer polynomial layer of the center split: `_value` and
+    `_deflate` against `Fraction` and sympy arithmetic."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_coefficients, st.integers(-(10**9), 10**9), st.just(2) | st.integers(1, 10**6))
+    def test_value_is_the_scaled_fraction_value(self, q, a, b):
+        x = Fraction(a, b)
+        expected = sum(c * x**k for k, c in enumerate(q)) * b ** (len(q) - 1)
+        assert expected.denominator == 1
+        assert _value(q, a, b) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(_coefficients, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
+    def test_deflate_matches_sympy_division(self, cofactor, a, b):
+        sympy = pytest.importorskip("sympy")
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        f = [int(c) for c in _poly_mul(cofactor, [-a, b])]
+        t = sympy.Symbol("t")
+        quotient, remainder = sympy.div(sum(c * t**k for k, c in enumerate(f)), b * t - a, t)
+        assert remainder == 0
+        quotient = sympy.Poly(quotient, t)
+        assert _deflate(f, a, b) == [int(quotient.coeff_monomial(t**k)) for k in range(len(f) - 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_coefficients, _coefficients.filter(lambda b: b[-1]))
+    def test_poly_rem_is_a_positive_multiple_of_the_remainder(self, a, b):
+        # a positive multiple keeps the signs of the Sturm chain
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        expr = [sum(c * t**k for k, c in enumerate(p)) for p in (a, b)]
+        rem = sympy.Poly(sympy.rem(*expr, t), t)
+        expected = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+        r = _poly_rem(a, b)
+        if rem.is_zero:
+            assert r == []
+        else:
+            assert _primitive(r) == _primitive(expected)
 
 
 class TestFlags:

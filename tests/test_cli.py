@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import matalg
 import matalg.algebra as algebra_module
+import matalg.coalgebra as coalgebra_module
 from matalg.algebra import Composition, parabolic_subalgebra
 from matalg.cli.documents import (
     BasisDocument,
@@ -514,6 +515,24 @@ class TestCommandLine:
         path.write_text('{"n": 1000000, "field": "Q", "basis": []}')
         assert main(["analyze", action, "--input", str(path)]) == 2
         assert capsys.readouterr().err == "error: span does not contain the identity matrix\n"
+
+    def test_empty_basis_of_a_huge_n_is_a_coideal(self, tmp_path, capsys, monkeypatch):
+        # the n^2 coset images at n = 10^6 would need terabytes
+        def coset_images(sub):
+            raise AssertionError(f"coset images in dimension {sub.ambient_dim} were built")
+
+        monkeypatch.setattr(coalgebra_module, "_coset_images", coset_images)
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 1000000, "field": "Q", "basis": []}')
+        assert main(["analyze", "is-coideal", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "n": 1000000,
+            "coideal": True,
+            "dimension": 0,
+            "failed_axiom": None,
+            "counterexample": None,
+            "failed_component": None,
+        }
 
     def test_repeated_calls_match_separate_processes(self, tmp_path, capsys, monkeypatch):
         # the parser is built once per process and shared by every call

@@ -1,6 +1,6 @@
 """Unused names in the package, found with the standard library's `ast`:
 an imported name that its module never reads, and a private module-level
-constant that no module of the package reads."""
+constant, function or class that no module of the package reads."""
 
 import ast
 from pathlib import Path
@@ -54,8 +54,20 @@ def private_constants(tree):
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
         for target in targets:
-            if isinstance(target, ast.Name) and target.id.startswith("_") and not target.id.startswith("__"):
+            if isinstance(target, ast.Name) and _private(target.id):
                 yield target.id, node.lineno
+
+
+def private_definitions(tree):
+    """(name, line) for each private module-level function or class."""
+    definition = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, definition) and _private(node.name):
+            yield node.name, node.lineno
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
@@ -65,17 +77,26 @@ def test_no_module_imports_a_name_it_never_reads(path):
     assert [f"{name} (line {line})" for name, line in imported_names(tree) if name not in read] == []
 
 
-def test_no_private_constant_goes_unread():
+def unread_private(private_names):
+    """The private module-level names, found by `private_names`, that no
+    module of the package reads or imports."""
     trees = {path: _tree(path) for path in MODULES}
     read = set().union(*(read_names(tree) for tree in trees.values()))
     imported = {name for tree in trees.values() for name, _ in imported_names(tree)}
-    unread = [
+    return [
         f"{path.relative_to(PACKAGE)}: {name} (line {line})"
         for path, tree in trees.items()
-        for name, line in private_constants(tree)
+        for name, line in private_names(tree)
         if name not in read and name not in imported
     ]
-    assert unread == []
+
+
+def test_no_private_constant_goes_unread():
+    assert unread_private(private_constants) == []
+
+
+def test_no_private_function_or_class_goes_unread():
+    assert unread_private(private_definitions) == []
 
 
 def test_the_scan_finds_unread_names():
@@ -91,3 +112,18 @@ def test_the_scan_finds_unread_names():
     read = read_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in read] == ["field"]
     assert [name for name, _ in private_constants(tree) if name not in read] == ["_ONE"]
+
+
+def test_the_scan_finds_unread_definitions():
+    tree = ast.parse(
+        "def _unread(): pass\n"
+        "def _called(): pass\n"
+        "class _Unread: pass\n"
+        "class _Base: pass\n"
+        "class Public(_Base):\n"
+        "    def _method(self): return _called()\n"
+        "def __dunder__(): pass\n"
+    )
+    read = read_names(tree)
+    unread = [name for name, _ in private_definitions(tree) if name not in read]
+    assert unread == ["_unread", "_Unread"]

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matalg.algebra import _adapted_basis, conjugate_space, multiply_spaces
+from matalg.algebra import _adapted_basis, conjugate_space
 from matalg.exactlin import (
     Matrix,
+    SpanBuilder,
     _joint_kernel,
     _primitive,
     full_space,
@@ -187,6 +188,23 @@ class TestTriangularize:
 
     def test_zero_space_identity_conjugator(self):
         assert triangularize_nil(zero_space(4)) == Matrix.identity(2)
+
+
+def multiply_spaces(x, y, n):
+    """The span of all products a b with a in x and b in y, subspaces of
+    the flattened n x n matrices."""
+    builder = SpanBuilder(n * n)
+    ymats = y.basis_matrices(n)
+    for a in x.basis_matrices(n):
+        for b in ymats:
+            builder.add((a * b)._integer_form()[1])
+    return builder.to_subspace()
+
+
+def test_multiply_spaces():
+    left = rref_basis([Matrix.unit(2, 0, 1).flatten()], 4)
+    right = rref_basis([Matrix.unit(2, 1, 0).flatten()], 4)
+    assert multiply_spaces(left, right, 2) == rref_basis([Matrix.unit(2, 0, 0).flatten()], 4)
 
 
 def reference_triangularize_nil(s, n):
