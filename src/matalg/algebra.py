@@ -145,13 +145,19 @@ class MatrixAlgebra:
 
     Constructors in this module guarantee the span is multiplicatively
     closed and contains the identity; `algebra_from_basis` checks both for
-    spans of unknown provenance.  Equality is subspace equality: the memo
-    of basis-pair products (`_basis_product`) is neither compared nor
-    hashed.
+    spans of unknown provenance.  Equality is subspace equality: neither
+    the memo of basis-pair products (`_basis_product`) nor the recorded
+    generating set (`_generators`) is compared or hashed, and
+    `dataclasses.replace` copies neither.
     """
 
     n: int
     space: Subspace
+    # flattened integer matrices that generate the algebra as a unital
+    # algebra, recorded by `algebra_from_basis`
+    _generators: list[tuple[int, ...]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
     _products: dict[tuple[int, int], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -191,30 +197,92 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     """Wrap a spanning set as a `MatrixAlgebra`.
 
     The span is verified to contain the identity and to be closed under
-    products of basis pairs; a span that fails either check raises
-    ValueError.  The zero span fails the first check before anything of
-    size n^2 is built.  The d^2 products of the second check are kept in
-    the result's memo (`MatrixAlgebra._basis_product`), where
-    `semisimple_blocks` reads them instead of forming them again.
+    products; a span that fails either check raises ValueError.  The zero
+    span fails the first check before anything of size n^2 is built.
+
+    Closedness is proved by spinning (Parker's Meat-Axe) in the d
+    coordinates of the reduced row-echelon basis B of the span.  W starts
+    as the span of the identity.  Each basis row g whose coordinate
+    vector is not yet in W becomes the next generator: the d products b g
+    for b in B are formed, each must lie in span(B), and their
+    coordinates give the right multiplication by g as a d x d integer
+    matrix.  W is then spun, multiplied on the right by every generator
+    until it stops growing.  W is spanned by words in the generators and
+    every b g lies in span(B), so W lies in the algebra that the
+    generators generate, which lies in span(B).  Every basis row ends in
+    W, so W = span(B): the span is that algebra, and closed.  The check
+    forms d products for each generator instead of d^2 in all.
+
+    The result records the generators (`MatrixAlgebra._generators`),
+    over which `radical` checks the ideal conditions and, when their
+    cosets are sparse, the semisimple quotient finds its center; it keeps
+    the products the check formed in its memo
+    (`MatrixAlgebra._basis_product`).
     """
     for m in matrices:
         _check_square(m, n)
     space = rref_basis([m._integer_form()[1] for m in matrices], n * n)
-    if not space.dimension or not subspace_contains(space, _identity(n)):
+    if not space.dimension or not subspace_contains(space, identity := _identity(n)):
         raise ValueError("span does not contain the identity matrix")
-    algebra = MatrixAlgebra(n=n, space=space)
     den, pairs = space._integer_form()
-    # the integer rows are the basis times one common d, so their products
-    # are d^2 times the products of basis pairs
-    halves = [_halves(x, n) for _, x in pairs]
-    for i, (rows, _) in enumerate(halves):
-        for j, (_, columns) in enumerate(halves):
+    d = len(pairs)
+    pivots = [p for p, _ in pairs]
+    basis_rows = [_split_rows(x, n) for _, x in pairs]
+    algebra = MatrixAlgebra(n=n, space=space)
+    # the right multiplication by each generator on the coordinates of B,
+    # times den^2: row j holds the coordinates of b_j g
+    images: list[list[list[int]]] = []
+    # W by its reduced rows over a common pivot value, spanned by `words`
+    w_rows: dict[int, list[int]] = {}
+    first = [identity[p] for p in pivots]
+    w_den = _adjoin(w_rows, first)
+    words = [first]
+    for i, (_, g) in enumerate(pairs):
+        if len(w_rows) == d:
+            break
+        unit = [0] * d
+        unit[i] = 1
+        if not any(_reduce(unit, w_rows.items(), w_den)):
+            continue
+        columns = [g[j::n] for j in range(n)]
+        image = []
+        for j, rows in enumerate(basis_rows):
             product = _rows_times_columns(rows, columns)
             # the membership test of `subspace_contains`, on integers already
             if any(_reduce(product, pairs, den)):
                 raise ValueError("span is not closed under multiplication")
-            algebra._products[i, j] = product
+            algebra._products[j, i] = product
+            # the integer rows are B times den, so the product is den^2 times
+            # one in span(B), whose coordinates in B are its entries at the
+            # pivots (each row of B is 1 at its own pivot, 0 at the others)
+            image.append([product[p] for p in pivots])
+        algebra._generators.append(g)
+        images.append(image)
+        w_den = _spin(words, images, w_rows, w_den)
     return algebra
+
+
+def _spin(
+    words: list[list[int]], images: list[list[list[int]]], rows: dict[int, list[int]], den: int
+) -> int:
+    """Spin W, the span of the coordinate vectors `words`, under the right
+    multiplications `images` (d x d integer matrices) until it is closed
+    under them or has dimension d, and return its new pivot value: W is
+    held by its reduced `rows` over the pivot value `den` (`_adjoin`), and
+    each product that grows W is appended to `words` and multiplied in
+    turn.  Every word already in the list was spun under every image but
+    the last, so those words take the last one only."""
+    d = len(images[-1])
+    old = len(words)
+    for k, w in enumerate(words):
+        for action in images if k >= old else images[-1:]:
+            residual = _reduce(_combination(w, action, d), rows.items(), den)
+            if any(residual):
+                den = _adjoin(rows, residual, den)
+                if len(rows) == d:
+                    return den
+                words.append(_primitive(residual))
+    return den
 
 
 def _halves(x: Sequence[int], n: int) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
@@ -398,18 +466,26 @@ def _kernel_flag(mats: Sequence[Matrix], n: int) -> list[Subspace] | None:
 
 def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
     """The radical of `a` (see `radical`) with its kernel flag, the
-    certificate of its nilpotency."""
+    certificate of its nilpotency.
+
+    The ideal conditions g R <= R and R g <= R are checked only for the
+    generators that `a` records (`MatrixAlgebra._generators`), or for its
+    basis when it records none: the x with x R <= R and R x <= R form a
+    unital subalgebra, so it holds all of `a` once it holds a generating
+    set."""
     n = a.n
     if a.dimension == 0:
         return zero_space(n * n), [full_space(n)]
     rad = _trace_form_kernel(a)
-    # integer multiples of the basis rows of a and of rad, which span the
-    # same products and have the same kernel flag; each product is tested
-    # for membership in rad by its integer residual (`subspace_contains`)
+    # integer multiples of the generators and of the basis rows of rad,
+    # which span the same products and have the same kernel flag; each
+    # product is tested for membership in rad by its integer residual
+    # (`subspace_contains`)
     den, pairs = rad._integer_form()
-    basis = [_halves(x, n) for _, x in a.space._integer_form()[1]]
+    basis = [x for _, x in a.space._integer_form()[1]]
+    generators = [_halves(g, n) for g in a._generators or basis]
     rows = [_halves(r, n) for _, r in pairs]
-    for x_rows, x_columns in basis:
+    for x_rows, x_columns in generators:
         for r_rows, r_columns in rows:
             if any(_reduce(_rows_times_columns(x_rows, r_columns), pairs, den)) or any(
                 _reduce(_rows_times_columns(r_rows, x_columns), pairs, den)
@@ -430,8 +506,8 @@ def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
     # matrix is an integer one, with the kernel of the basis one
     basis = [x for _, x in a.space._integer_form()[1]]
     transposes = [tuple(e for j in range(n) for e in x[j::n]) for x in basis]
-    gram = [[sum(map(operator.mul, x, t)) for t in transposes] for x in basis]
-    _, kernel = null_space(Matrix(gram))._integer_form()
+    gram = tuple(sum(map(operator.mul, x, t)) for x in basis for t in transposes)
+    _, kernel = null_space(Matrix._make(len(basis), len(basis), 1, gram))._integer_form()
     return rref_basis([_combination(coeffs, basis, n * n) for _, coeffs in kernel], n * n)
 
 
@@ -454,8 +530,10 @@ class _QuotientAlgebra:
     of the product of two of its rows is d^2 times the pivot value of R
     times the residual of the product of the two basis rows.  Those
     products come from the memo of A (`MatrixAlgebra._basis_product`):
-    already formed when A comes from `algebra_from_basis`, else formed
-    here, once each.
+    those that the closedness check of `algebra_from_basis` formed are read
+    from it, and the others are formed here, once each.  `center` reads
+    the cosets of the generators that A records when they are sparser than
+    the coset basis, and the coset basis otherwise.
     """
 
     def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
@@ -472,6 +550,13 @@ class _QuotientAlgebra:
             [self._coset(algebra._basis_product(i, j)) for j in section] for i in section
         ]
         self.one = self.coords(Matrix.identity(self.n))
+        # the generating set that `center` reads: the cosets of the
+        # generators that A records when there are some and they have fewer
+        # nonzero coordinates in all than the coset basis, which has one per
+        # vector; None stands for the coset basis
+        cosets = [self._coset(g) for g in algebra._generators]
+        sparse = cosets and sum(c != 0 for g in cosets for c in g) < self.dim
+        self._generators = cosets if sparse else None
 
     def _coset(self, flat: Sequence[int]) -> tuple[int, ...]:
         """The coordinates of the coset of an integer vector of A, times the
@@ -507,10 +592,27 @@ class _QuotientAlgebra:
 
     def center(self) -> list[_Element]:
         """Basis of the center of the quotient: the kernel of the commutators
-        with the coset basis, which the denominator of the table keeps."""
+        with a generating set of it (`_generators`, or the coset basis),
+        since an element that commutes with a generating set commutes with
+        everything.  Row (g, k) holds the coordinate k of z g - g z for z
+        the coset basis vectors; the denominator of the table keeps the
+        kernel."""
         m, t = self.dim, self._table
-        rows = ([t[i][j][k] - t[j][i][k] for i in range(m)] for j in range(m) for k in range(m))
-        den, kernel = null_space(Matrix(rows))._integer_form()
+        if self._generators is None:
+            flat = [t[i][j][k] - t[j][i][k] for j in range(m) for k in range(m) for i in range(m)]
+        else:
+            flat = []
+            for g in self._generators:
+                support = [(j, c) for j, c in enumerate(g) if c]
+                commutators = []
+                for i in range(m):
+                    acc = [0] * m
+                    for j, c in support:
+                        acc = [a + c * (x - y) for a, x, y in zip(acc, t[i][j], t[j][i])]
+                    commutators.append(acc)
+                for row in zip(*commutators):
+                    flat += row
+        den, kernel = null_space(Matrix._make(len(flat) // m, m, 1, tuple(flat)))._integer_form()
         return [_lowest_terms(den, row) for _, row in kernel]
 
     def min_poly(self, z: _Element, one: _Element) -> tuple[list[int], list[_Element]]:
@@ -569,15 +671,16 @@ def _poly_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     r = list(a)
     lead = b[-1]
     scale = abs(lead)
-    while len(r) >= len(b) and r:
+    while True:
+        while r and not r[-1]:
+            r.pop()
+        if len(r) < len(b):
+            return r
         f = r[-1] if lead > 0 else -r[-1]
         shift = len(r) - len(b)
         r = [scale * c for c in r]
         for i, c in enumerate(b):
             r[shift + i] -= f * c
-        while r and not r[-1]:
-            r.pop()
-    return r
 
 
 def _integer_roots(g: Sequence[int]) -> list[int]:
@@ -687,7 +790,9 @@ def _central_idempotents(quotient: _QuotientAlgebra) -> list[_Element] | None:
     interpolation over the rational roots of the minimal polynomial f of
     w = e z_i in eZ, which is squarefree since Z is semisimple: the
     idempotent of a root l = r / s is g(w) / g(l) for the integer
-    g = f / (s t - r), one integer combination of the powers of w.  An
+    g = f / (s t - r), one integer combination of the powers of w.  Each
+    g divides f itself, not what the deflation of `_rational_roots` leaves
+    of it after the roots before, so it is one more `_deflate`.  An
     irreducible factor of degree at least 2 proves that Z contains a
     field extension of Q.  Afterwards
     every e z_i is a multiple of e, so there are dim Z idempotents.
@@ -704,6 +809,7 @@ def _central_idempotents(quotient: _QuotientAlgebra) -> list[_Element] | None:
             if len(set(roots)) != len(roots):
                 raise RuntimeError("minimal polynomial of a central element not squarefree")
             common = math.lcm(*(d for d, _ in powers))
+            vectors = [x for _, x in powers]
             for lam in roots:
                 r, s = lam.numerator, lam.denominator
                 g = _deflate(f, r, s)
@@ -712,7 +818,7 @@ def _central_idempotents(quotient: _QuotientAlgebra) -> list[_Element] | None:
                 v = _value(g, r, s)
                 scale = s ** (len(g) - 1) * (1 if v > 0 else -1)
                 coeffs = [scale * c * (common // d) for c, (d, _) in zip(g, powers)]
-                idem = _combination(coeffs, [x for _, x in powers], quotient.dim)
+                idem = _combination(coeffs, vectors, quotient.dim)
                 refined.append(_lowest_terms(abs(v) * common, idem))
         idempotents = refined
     if len(idempotents) != len(center):

@@ -1,6 +1,8 @@
 """Subalgebra structure: closures, radicals, blocks, flags, block types."""
 
+import dataclasses
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -304,6 +306,32 @@ class TestRadicalCertificate:
         monkeypatch.setattr(algebra_module, "_kernel_flag", lambda mats, n: None)
         with pytest.raises(RuntimeError, match="not nilpotent"):
             radical(upper_triangular_algebra(3))
+
+    # The cases above on algebras that record a generating set smaller than
+    # their basis, over which alone the ideal conditions are checked.
+
+    def test_tampered_candidate_is_rejected_over_generators(self, monkeypatch):
+        c = rational_invertible(random.Random(13), 4)
+        built = conjugate(parabolic_subalgebra(Composition((1, 3))), c)
+        a = algebra_from_basis(4, built.basis_matrices())
+        assert a == built and 0 < len(a._generators) < a.dimension
+        rad = radical(a)
+        tampered = rref_basis(rad.basis[:-1], 16)
+        monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: tampered)
+        with pytest.raises(RuntimeError, match="not a two-sided ideal"):
+            radical(a)
+
+    @pytest.mark.parametrize("units", [[(0, 1)], [(1, 2)], [(0, 1), (1, 2)]])
+    def test_one_sided_or_no_ideal_is_rejected_over_generators(self, monkeypatch, units):
+        # span{E01} is a left ideal only, span{E12} a right ideal only, and
+        # span{E01, E12} neither, since E01 E12 = E02
+        upper = upper_triangular_algebra(3)
+        a = algebra_from_basis(3, upper.basis_matrices())
+        assert a == upper and 0 < len(a._generators) < a.dimension
+        candidate = _unit_span(3, units)
+        monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: candidate)
+        with pytest.raises(RuntimeError, match="not a two-sided ideal"):
+            radical(a)
 
 
 def reference_radical(a):
@@ -699,9 +727,10 @@ class TestCentralIdempotentsReference:
 
 
 class TestSharedBasisProducts:
-    """`algebra_from_basis` keeps the products of basis pairs that its
-    closedness check forms, and `_QuotientAlgebra` reads them; an algebra
-    built any other way forms each product of a section pair once."""
+    """`algebra_from_basis` keeps the products that its closedness check
+    forms, d for each generator it chooses, and `_QuotientAlgebra` reads
+    those of section pairs; it forms each other product of a section pair
+    once."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_same_radical_and_blocks_as_conjugate_and_closure(self, n):
@@ -717,28 +746,207 @@ class TestSharedBasisProducts:
                 assert semisimple_blocks(given) == expected == semisimple_blocks(closed)
                 assert radical(given) == expected.radical_space == radical(closed)
 
-    def test_memo_holds_every_checked_product(self):
+    def test_memo_holds_every_checked_product(self, monkeypatch):
+        # the spin forms b g for every basis row b and each generator g it
+        # chose, once each, and nothing else
         c = rational_invertible(random.Random(3), 5)
         built = conjugate(parabolic_subalgebra(Composition((2, 1, 2))), c)
+        formed = []
+        multiply = algebra_module._rows_times_columns
+
+        def counting(rows, columns, modulus=None):
+            formed.append((tuple(map(tuple, rows)), tuple(map(tuple, columns))))
+            return multiply(rows, columns, modulus)
+
+        monkeypatch.setattr(algebra_module, "_rows_times_columns", counting)
         a = algebra_from_basis(5, built.basis_matrices())
         rows = [x for _, x in a.space._integer_form()[1]]
+        chosen = [rows.index(g) for g in a._generators]
+        assert len(formed) == len(set(formed)) == a.dimension * len(chosen)
+        assert 0 < len(chosen) < a.dimension
         assert a._products == {
-            (i, j): _flat_product(x, y, 5) for i, x in enumerate(rows) for j, y in enumerate(rows)
+            (j, i): _flat_product(x, rows[i], 5) for i in chosen for j, x in enumerate(rows)
         }
 
     def test_quotient_forms_only_the_missing_products(self, monkeypatch):
         c = rational_invertible(random.Random(4), 5)
-        built = conjugate(parabolic_subalgebra(Composition((2, 1, 2))), c)
-        given = algebra_from_basis(5, built.basis_matrices())
-        rad = radical(built)
+        comp = Composition((2, 1, 2))
         products = _count_products(monkeypatch)
-        _QuotientAlgebra(given, rad)
-        assert products == []
-        quotient = _QuotientAlgebra(built, rad)
-        # 2^2 + 1^2 + 2^2 section rows
-        assert quotient.dim == 9 and len(products) == 81
-        _QuotientAlgebra(built, rad)
-        assert len(products) == 81
+        # 2^2 + 1^2 + 2^2 section rows; they are the whole basis of the
+        # block-diagonal algebra, so it reads d products for each generator
+        for standard in (parabolic_subalgebra(comp), block_diagonal_algebra(comp)):
+            built = conjugate(standard, c)
+            given = algebra_from_basis(5, built.basis_matrices())
+            rad = radical(built)
+            checked = set(given._products)
+            del products[:]
+            quotient = _QuotientAlgebra(given, rad)
+            rad_pivots = set(rad.pivots)
+            section = [i for i, p in enumerate(given.space.pivots) if p not in rad_pivots]
+            missing = {(i, j) for i in section for j in section} - checked
+            unread = len(missing)
+            assert quotient.dim == 9 and len(products) == unread
+            if not rad.dimension:
+                assert unread == 81 - 9 * len(given._generators) < 81
+            assert set(given._products) == checked | missing
+            _QuotientAlgebra(given, rad)
+            assert len(products) == unread
+            del products[:]
+            quotient = _QuotientAlgebra(built, rad)
+            assert quotient.dim == 9 and len(products) == 81
+            _QuotientAlgebra(built, rad)
+            assert len(products) == 81
+
+
+def reference_algebra_from_basis(n, matrices):
+    """The closedness check by all d^2 products of basis pairs, which the
+    spin of `algebra_from_basis` replaced, kept as its reference."""
+    space = rref_basis([m._integer_form()[1] for m in matrices], n * n)
+    if not space.dimension or not space.contains(Matrix.identity(n).flatten()):
+        raise ValueError("span does not contain the identity matrix")
+    basis = space.basis_matrices(n)
+    if not all(subspace_contains(space, (x * y)._integer_form()[1]) for x in basis for y in basis):
+        raise ValueError("span is not closed under multiplication")
+    return MatrixAlgebra(n=n, space=space)
+
+
+def assert_same_closedness_verdict(n, matrices):
+    """`algebra_from_basis` and the d^2 reference agree on `matrices`: the
+    same ValueError, or the same algebra, generated by the generators it
+    records.  Returns whether the span is closed."""
+    try:
+        expected = reference_algebra_from_basis(n, matrices)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            algebra_from_basis(n, matrices)
+        assert str(raised.value) == str(error)
+        return False
+    a = algebra_from_basis(n, matrices)
+    assert a == expected
+    assert closure(n, [Matrix.from_flat(g, n) for g in a._generators]) == a
+    return True
+
+
+@st.composite
+def _spans(draw):
+    """Spans at n <= 3 of the identity (most of the time) and 1-3 sparse
+    integer matrices: mostly not closed."""
+    n = draw(st.integers(1, 3))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    count = draw(st.integers(1, 3))
+    matrices = [Matrix([[draw(entry) for _ in range(n)] for _ in range(n)]) for _ in range(count)]
+    if draw(st.integers(0, 4)):
+        matrices.append(Matrix.identity(n))
+    return n, matrices
+
+
+class TestClosednessBySpinning:
+    """The spin of `algebra_from_basis` against the d^2 check."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_conjugated_parabolic_and_block_diagonal(self, n):
+        for k, comp in enumerate(compositions(n)):
+            c = rational_invertible(random.Random(500 * n + k), n)
+            cinv = c.inverse()
+            blocks = [comp.block_of(i) for i in range(n)]
+            for keep in (operator.le, operator.eq):
+                # the block upper-triangular and the block-diagonal pattern
+                pattern = [(i, j) for i in range(n) for j in range(n) if keep(blocks[i], blocks[j])]
+                moved = [c * Matrix.unit(n, i, j) * cinv for i, j in pattern]
+                assert assert_same_closedness_verdict(n, moved)
+                # without e_ij, i != j, the span holds the identity, and not
+                # e_ik e_kj = e_ij when the pattern has e_ik and e_kj
+                droppable = [
+                    u
+                    for u, (i, j) in enumerate(pattern)
+                    if any((i, k) in pattern and (k, j) in pattern for k in set(range(n)) - {i, j})
+                ]
+                for u in droppable[:1] + droppable[-1:]:
+                    assert not assert_same_closedness_verdict(n, moved[:u] + moved[u + 1 :])
+
+    def test_replace_drops_the_recorded_generators(self):
+        # a generating set of one space generates no other
+        a = algebra_from_basis(3, upper_triangular_algebra(3).basis_matrices())
+        assert a._generators
+        other = dataclasses.replace(a, space=full_space(9))
+        assert other._generators == [] and other._products == {}
+
+    @given(small_closures())
+    @settings(max_examples=40, deadline=None)
+    def test_random_closures(self, a):
+        assert assert_same_closedness_verdict(a.n, a.basis_matrices())
+
+    @given(_spans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_spans(self, case):
+        assert_same_closedness_verdict(*case)
+
+    @given(_spans())
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_matches_the_closure(self, case):
+        # a span is a unital algebra exactly when it equals its closure
+        n, matrices = case
+        span = rref_basis([m.flatten() for m in matrices], n * n)
+        if closure(n, matrices).space == span:
+            assert algebra_from_basis(n, matrices).space == span
+        else:
+            with pytest.raises(ValueError):
+                algebra_from_basis(n, matrices)
+
+
+@st.composite
+def _conjugated_compositions(draw):
+    """`algebra_from_basis` on the conjugated basis of a block
+    upper-triangular or block-diagonal algebra at n <= 5."""
+    n = draw(st.integers(1, 5))
+    comp = draw(st.sampled_from(list(compositions(n))))
+    standard = draw(st.sampled_from([parabolic_subalgebra, block_diagonal_algebra]))(comp)
+    c = rational_invertible(random.Random(draw(st.integers(0, 10**6))), n)
+    return algebra_from_basis(n, conjugate(standard, c).basis_matrices())
+
+
+class TestCenterOverGenerators:
+    """The center of the quotient from the commutators with the cosets of
+    the recorded generators, or with the coset basis when those are not
+    sparser, equals the one from all commutators of coset basis pairs."""
+
+    @staticmethod
+    def assert_same_center(a):
+        rad = radical(a)
+        expected = ReferenceQuotientAlgebra(a, rad).center()
+        quotient = _QuotientAlgebra(a, rad)
+        assert [as_fractions(z) for z in quotient.center()] == expected
+        # each set on its own, whichever the quotient chose
+        if a._generators:
+            quotient._generators = [quotient._coset(g) for g in a._generators]
+            assert [as_fractions(z) for z in quotient.center()] == expected
+        quotient._generators = None
+        assert [as_fractions(z) for z in quotient.center()] == expected
+
+    @given(small_closures())
+    @settings(max_examples=40, deadline=None)
+    def test_small_closures(self, a):
+        self.assert_same_center(algebra_from_basis(a.n, a.basis_matrices()))
+
+    @given(_conjugated_compositions())
+    @settings(max_examples=40, deadline=None)
+    def test_conjugated_compositions(self, a):
+        assert len(a._generators) < a.dimension or a.dimension == 1
+        self.assert_same_center(a)
+
+    def test_the_sparser_set_is_chosen(self):
+        c = rational_invertible(random.Random(5), 5)
+        comp = Composition((2, 3))
+        # each chosen row of the block-diagonal algebra has a coset with one
+        # nonzero coordinate; those of the conjugated parabolic one are dense
+        diagonal = algebra_from_basis(5, conjugate(block_diagonal_algebra(comp), c).basis_matrices())
+        quotient = _QuotientAlgebra(diagonal, radical(diagonal))
+        assert quotient._generators is not None
+        assert sum(c != 0 for g in quotient._generators for c in g) < quotient.dim == 13
+        parabolic = algebra_from_basis(5, conjugate(parabolic_subalgebra(comp), c).basis_matrices())
+        assert _QuotientAlgebra(parabolic, radical(parabolic))._generators is None
+        # no recorded generators: the coset basis
+        assert _QuotientAlgebra(conjugate(block_diagonal_algebra(comp), c), radical(diagonal))._generators is None
 
 
 class TestLoopBounds:
@@ -898,6 +1106,7 @@ class TestIntegerPolynomials:
 
     @settings(max_examples=60, deadline=None)
     @given(_coefficients, _coefficients.filter(lambda b: b[-1]))
+    @example([0], [0, 1])
     def test_poly_rem_is_a_positive_multiple_of_the_remainder(self, a, b):
         # a positive multiple keeps the signs of the Sturm chain
         sympy = pytest.importorskip("sympy")
