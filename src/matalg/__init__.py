@@ -15,7 +15,6 @@ document I/O plus verification suites behind the `matalg` command
 """
 
 from .exactlin import (
-    QQ,
     Matrix,
     SpanBuilder,
     Subspace,
@@ -82,7 +81,6 @@ from .coalgebra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QQ",
     "Vector",
     "as_scalar",
     "as_vector",

@@ -145,10 +145,9 @@ class MatrixAlgebra:
 
     Constructors in this module guarantee the span is multiplicatively
     closed and contains the identity; `algebra_from_basis` checks both for
-    spans of unknown provenance.  Equality is subspace equality: neither
-    the memo of basis-pair products (`_basis_product`) nor the recorded
-    generating set (`_generators`) is compared or hashed, and
-    `dataclasses.replace` copies neither.
+    spans of unknown provenance.  Equality is subspace equality: the
+    recorded generating set (`_generators`) is neither compared nor
+    hashed, and `dataclasses.replace` does not copy it.
     """
 
     n: int
@@ -157,9 +156,6 @@ class MatrixAlgebra:
     # algebra, recorded by `algebra_from_basis`
     _generators: list[tuple[int, ...]] = field(
         default_factory=list, init=False, repr=False, compare=False
-    )
-    _products: dict[tuple[int, int], tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @property
@@ -172,17 +168,6 @@ class MatrixAlgebra:
     def contains(self, m: Matrix) -> bool:
         _check_square(m, self.n)
         return subspace_contains(self.space, m._integer_form()[1])
-
-    def _basis_product(self, i: int, j: int) -> tuple[int, ...]:
-        """The product of the integer basis rows i and j of the space
-        (`Subspace._integer_form`), flattened: formed on first use and
-        kept, or read from what `algebra_from_basis` formed."""
-        product = self._products.get((i, j))
-        if product is None:
-            rows = self.space._integer_form()[1]
-            product = _flat_product(rows[i][1], rows[j][1], self.n)
-            self._products[i, j] = product
-        return product
 
     def __repr__(self) -> str:
         return f"MatrixAlgebra(n={self.n}, dim={self.dimension})"
@@ -215,9 +200,7 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
 
     The result records the generators (`MatrixAlgebra._generators`),
     over which `radical` checks the ideal conditions and, when their
-    cosets are sparse, the semisimple quotient finds its center; it keeps
-    the products the check formed in its memo
-    (`MatrixAlgebra._basis_product`).
+    cosets are sparse, the semisimple quotient finds its center.
     """
     for m in matrices:
         _check_square(m, n)
@@ -251,7 +234,6 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
             # the membership test of `subspace_contains`, on integers already
             if any(_reduce(product, pairs, den)):
                 raise ValueError("span is not closed under multiplication")
-            algebra._products[j, i] = product
             # the integer rows are B times den, so the product is den^2 times
             # one in span(B), whose coordinates in B are its entries at the
             # pivots (each row of B is 1 at its own pivot, 0 at the others)
@@ -529,34 +511,36 @@ class _QuotientAlgebra:
     one common d, so the integer residual modulo R (see `exactlin._reduce`)
     of the product of two of its rows is d^2 times the pivot value of R
     times the residual of the product of the two basis rows.  Those
-    products come from the memo of A (`MatrixAlgebra._basis_product`):
-    those that the closedness check of `algebra_from_basis` formed are read
-    from it, and the others are formed here, once each.  `center` reads
-    the cosets of the generators that A records when they are sparser than
-    the coset basis, and the coset basis otherwise.
+    products are formed here, each once, on section rows split into rows
+    and columns once each (`_halves`).  `center` reads the cosets of the
+    generators that A records when they are sparser than the coset basis,
+    and the coset basis otherwise.
     """
 
     def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
-        self.n = algebra.n
+        n = self.n = algebra.n
         self._rad_den, self._rad_rows = rad._integer_form()
         rad_pivots = {p for p, _ in self._rad_rows}
         den, rows = algebra.space._integer_form()
-        section = [i for i, (p, _) in enumerate(rows) if p not in rad_pivots]
-        self._pivots = [rows[i][0] for i in section]
-        self.dim = len(section)
+        self._pivots = [p for p, _ in rows if p not in rad_pivots]
+        section = [_halves(x, n) for p, x in rows if p not in rad_pivots]
+        m = self.dim = len(section)
         # the coordinates of x_i x_j are self._table[i][j] / self._den
         self._den = self._rad_den * den * den
         self._table = [
-            [self._coset(algebra._basis_product(i, j)) for j in section] for i in section
+            [self._coset(_rows_times_columns(x_rows, y_columns)) for _, y_columns in section]
+            for x_rows, _ in section
         ]
-        self.one = self.coords(Matrix.identity(self.n))
+        self.one = _lowest_terms(self._rad_den, self._coset(_identity(n)))
         # the generating set that `center` reads: the cosets of the
         # generators that A records when there are some and they have fewer
         # nonzero coordinates in all than the coset basis, which has one per
-        # vector; None stands for the coset basis
+        # vector; else the coset basis, as the m unit vectors
         cosets = [self._coset(g) for g in algebra._generators]
-        sparse = cosets and sum(c != 0 for g in cosets for c in g) < self.dim
-        self._generators = cosets if sparse else None
+        if cosets and sum(c != 0 for g in cosets for c in g) < m:
+            self._generators = cosets
+        else:
+            self._generators = [tuple(int(i == j) for j in range(m)) for i in range(m)]
 
     def _coset(self, flat: Sequence[int]) -> tuple[int, ...]:
         """The coordinates of the coset of an integer vector of A, times the
@@ -592,26 +576,22 @@ class _QuotientAlgebra:
 
     def center(self) -> list[_Element]:
         """Basis of the center of the quotient: the kernel of the commutators
-        with a generating set of it (`_generators`, or the coset basis),
-        since an element that commutes with a generating set commutes with
-        everything.  Row (g, k) holds the coordinate k of z g - g z for z
-        the coset basis vectors; the denominator of the table keeps the
-        kernel."""
+        with a generating set of it (`_generators`), since an element that
+        commutes with a generating set commutes with everything.  Row (g, k)
+        holds the coordinate k of z g - g z for z the coset basis vectors;
+        the denominator of the table keeps the kernel."""
         m, t = self.dim, self._table
-        if self._generators is None:
-            flat = [t[i][j][k] - t[j][i][k] for j in range(m) for k in range(m) for i in range(m)]
-        else:
-            flat = []
-            for g in self._generators:
-                support = [(j, c) for j, c in enumerate(g) if c]
-                commutators = []
-                for i in range(m):
-                    acc = [0] * m
-                    for j, c in support:
-                        acc = [a + c * (x - y) for a, x, y in zip(acc, t[i][j], t[j][i])]
-                    commutators.append(acc)
-                for row in zip(*commutators):
-                    flat += row
+        flat = []
+        for g in self._generators:
+            support = [(j, c) for j, c in enumerate(g) if c]
+            commutators = []
+            for i in range(m):
+                acc = [0] * m
+                for j, c in support:
+                    acc = [a + c * (x - y) for a, x, y in zip(acc, t[i][j], t[j][i])]
+                commutators.append(acc)
+            for row in zip(*commutators):
+                flat += row
         den, kernel = null_space(Matrix._make(len(flat) // m, m, 1, tuple(flat)))._integer_form()
         return [_lowest_terms(den, row) for _, row in kernel]
 
@@ -835,6 +815,9 @@ def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:
     perfect square.
     """
     rad = radical(a)
+    if rad.dimension == a.dimension:
+        # the zero space, or a nilpotent one: the quotient is 0, with no blocks
+        return WedderburnData(rad, rad.dimension, 0, ())
     quotient = _QuotientAlgebra(a, rad)
     idempotents = _central_idempotents(quotient)
     sizes = None

@@ -43,7 +43,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
-    "QQ",
     "Vector",
     "Matrix",
     "Subspace",
@@ -62,8 +61,6 @@ __all__ = [
     "random_invertible",
     "random_subspace",
 ]
-
-QQ = Fraction
 
 Vector = tuple[Fraction, ...]
 

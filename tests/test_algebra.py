@@ -440,6 +440,15 @@ class TestSemisimpleBlocks:
         assert data.block_sizes == (1, 1)
         assert data.radical_dim == 1
 
+    @pytest.mark.parametrize("units", [[], [(0, 1)]], ids=["zero", "nilpotent"])
+    def test_zero_quotient_has_no_blocks(self, units):
+        # the zero space and a nilpotent span are their own radical, as
+        # `radical` finds; the quotient by it is 0
+        space = _unit_span(2, units)
+        data = semisimple_blocks(MatrixAlgebra(n=2, space=space))
+        assert data.radical_space == space == radical(MatrixAlgebra(n=2, space=space))
+        assert (data.radical_dim, data.semisimple_dim, data.block_sizes) == (len(units), 0, ())
+
     def test_wedderburn_dimension_identity(self):
         for comp in compositions(4):
             a = parabolic_subalgebra(comp)
@@ -727,10 +736,10 @@ class TestCentralIdempotentsReference:
 
 
 class TestSharedBasisProducts:
-    """`algebra_from_basis` keeps the products that its closedness check
-    forms, d for each generator it chooses, and `_QuotientAlgebra` reads
-    those of section pairs; it forms each other product of a section pair
-    once."""
+    """The basis products that `algebra_from_basis` and `_QuotientAlgebra`
+    form: the spin forms d for each generator it chooses, and the quotient
+    forms each of its m^2 section products once, whichever constructor
+    built the algebra."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_same_radical_and_blocks_as_conjugate_and_closure(self, n):
@@ -740,62 +749,66 @@ class TestSharedBasisProducts:
                 built = conjugate(standard, c)
                 given = algebra_from_basis(n, built.basis_matrices())
                 closed = closure(n, built.basis_matrices())
-                # the memo is neither compared nor hashed
+                # the recorded generators are neither compared nor hashed
                 assert given == built == closed and hash(given) == hash(built)
                 expected = semisimple_blocks(built)
                 assert semisimple_blocks(given) == expected == semisimple_blocks(closed)
                 assert radical(given) == expected.radical_space == radical(closed)
 
-    def test_memo_holds_every_checked_product(self, monkeypatch):
+    def test_spin_forms_d_products_per_generator(self, monkeypatch):
         # the spin forms b g for every basis row b and each generator g it
         # chose, once each, and nothing else
         c = rational_invertible(random.Random(3), 5)
         built = conjugate(parabolic_subalgebra(Composition((2, 1, 2))), c)
-        formed = []
-        multiply = algebra_module._rows_times_columns
-
-        def counting(rows, columns, modulus=None):
-            formed.append((tuple(map(tuple, rows)), tuple(map(tuple, columns))))
-            return multiply(rows, columns, modulus)
-
-        monkeypatch.setattr(algebra_module, "_rows_times_columns", counting)
+        products = _count_row_products(monkeypatch)
         a = algebra_from_basis(5, built.basis_matrices())
         rows = [x for _, x in a.space._integer_form()[1]]
-        chosen = [rows.index(g) for g in a._generators]
-        assert len(formed) == len(set(formed)) == a.dimension * len(chosen)
-        assert 0 < len(chosen) < a.dimension
-        assert a._products == {
-            (j, i): _flat_product(x, rows[i], 5) for i in chosen for j, x in enumerate(rows)
-        }
+        assert 0 < len(a._generators) < a.dimension
+        assert products == [(x, g) for g in a._generators for x in rows]
+        assert len(set(products)) == a.dimension * len(a._generators)
 
-    def test_quotient_forms_only_the_missing_products(self, monkeypatch):
+    def test_quotient_forms_each_section_product_once(self, monkeypatch):
         c = rational_invertible(random.Random(4), 5)
         comp = Composition((2, 1, 2))
-        products = _count_products(monkeypatch)
         # 2^2 + 1^2 + 2^2 section rows; they are the whole basis of the
-        # block-diagonal algebra, so it reads d products for each generator
+        # block-diagonal algebra
+        cases = []
         for standard in (parabolic_subalgebra(comp), block_diagonal_algebra(comp)):
             built = conjugate(standard, c)
-            given = algebra_from_basis(5, built.basis_matrices())
             rad = radical(built)
-            checked = set(given._products)
-            del products[:]
-            quotient = _QuotientAlgebra(given, rad)
             rad_pivots = set(rad.pivots)
-            section = [i for i, p in enumerate(given.space.pivots) if p not in rad_pivots]
-            missing = {(i, j) for i in section for j in section} - checked
-            unread = len(missing)
-            assert quotient.dim == 9 and len(products) == unread
-            if not rad.dimension:
-                assert unread == 81 - 9 * len(given._generators) < 81
-            assert set(given._products) == checked | missing
-            _QuotientAlgebra(given, rad)
-            assert len(products) == unread
-            del products[:]
-            quotient = _QuotientAlgebra(built, rad)
-            assert quotient.dim == 9 and len(products) == 81
-            _QuotientAlgebra(built, rad)
-            assert len(products) == 81
+            section = [x for p, x in built.space._integer_form()[1] if p not in rad_pivots]
+            algebras = [
+                built,
+                algebra_from_basis(5, built.basis_matrices()),
+                closure(5, built.basis_matrices()),
+            ]
+            cases.append((rad, section, algebras))
+        products = _count_row_products(monkeypatch)
+        for rad, section, algebras in cases:
+            for a in algebras:
+                del products[:]
+                assert _QuotientAlgebra(a, rad).dim == len(section) == 9
+                assert products == [(x, y) for x in section for y in section]
+                assert len(set(products)) == 81
+
+
+def _count_row_products(monkeypatch):
+    """Record the flattened integer operands (x, y) of every product x y
+    that `matalg.algebra` forms through `_rows_times_columns` from now on:
+    the checks of `algebra_from_basis` and `radical`, and the structure
+    table of `_QuotientAlgebra`."""
+    products = []
+    multiply = algebra_module._rows_times_columns
+
+    def counting(rows, columns, modulus=None):
+        x = tuple(e for row in rows for e in row)
+        y = tuple(e for row in zip(*columns) for e in row)
+        products.append((x, y))
+        return multiply(rows, columns, modulus)
+
+    monkeypatch.setattr(algebra_module, "_rows_times_columns", counting)
+    return products
 
 
 def reference_algebra_from_basis(n, matrices):
@@ -869,7 +882,7 @@ class TestClosednessBySpinning:
         a = algebra_from_basis(3, upper_triangular_algebra(3).basis_matrices())
         assert a._generators
         other = dataclasses.replace(a, space=full_space(9))
-        assert other._generators == [] and other._products == {}
+        assert other._generators == []
 
     @given(small_closures())
     @settings(max_examples=40, deadline=None)
@@ -911,17 +924,20 @@ class TestCenterOverGenerators:
     sparser, equals the one from all commutators of coset basis pairs."""
 
     @staticmethod
-    def assert_same_center(a):
+    def unit_vectors(m):
+        return [tuple(int(i == j) for j in range(m)) for i in range(m)]
+
+    def assert_same_center(self, a):
         rad = radical(a)
         expected = ReferenceQuotientAlgebra(a, rad).center()
         quotient = _QuotientAlgebra(a, rad)
         assert [as_fractions(z) for z in quotient.center()] == expected
         # each set on its own, whichever the quotient chose
-        if a._generators:
-            quotient._generators = [quotient._coset(g) for g in a._generators]
-            assert [as_fractions(z) for z in quotient.center()] == expected
-        quotient._generators = None
-        assert [as_fractions(z) for z in quotient.center()] == expected
+        cosets = [quotient._coset(g) for g in a._generators]
+        for generators in (cosets, self.unit_vectors(quotient.dim)):
+            if generators:
+                quotient._generators = generators
+                assert [as_fractions(z) for z in quotient.center()] == expected
 
     @given(small_closures())
     @settings(max_examples=40, deadline=None)
@@ -937,16 +953,17 @@ class TestCenterOverGenerators:
     def test_the_sparser_set_is_chosen(self):
         c = rational_invertible(random.Random(5), 5)
         comp = Composition((2, 3))
+        units = self.unit_vectors(13)
         # each chosen row of the block-diagonal algebra has a coset with one
         # nonzero coordinate; those of the conjugated parabolic one are dense
         diagonal = algebra_from_basis(5, conjugate(block_diagonal_algebra(comp), c).basis_matrices())
         quotient = _QuotientAlgebra(diagonal, radical(diagonal))
-        assert quotient._generators is not None
+        assert quotient._generators == [quotient._coset(g) for g in diagonal._generators]
         assert sum(c != 0 for g in quotient._generators for c in g) < quotient.dim == 13
         parabolic = algebra_from_basis(5, conjugate(parabolic_subalgebra(comp), c).basis_matrices())
-        assert _QuotientAlgebra(parabolic, radical(parabolic))._generators is None
+        assert _QuotientAlgebra(parabolic, radical(parabolic))._generators == units
         # no recorded generators: the coset basis
-        assert _QuotientAlgebra(conjugate(block_diagonal_algebra(comp), c), radical(diagonal))._generators is None
+        assert _QuotientAlgebra(conjugate(block_diagonal_algebra(comp), c), radical(diagonal))._generators == units
 
 
 class TestLoopBounds:

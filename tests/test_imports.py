@@ -1,6 +1,7 @@
 """Unused names in the package, found with the standard library's `ast`:
-an imported name that its module never reads, and a private module-level
-constant, function or class that no module of the package reads."""
+an imported name that its module never reads, a private module-level
+constant, function or class that no module of the package reads, and a
+private method that no module of the package reads as an attribute."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,25 @@ def private_definitions(tree):
             yield node.name, node.lineno
 
 
+def private_methods(tree):
+    """(Class.name, name, line) for each private method of a class."""
+    definition = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, definition) and _private(node.name):
+                    yield f"{cls.name}.{node.name}", node.name, node.lineno
+
+
+def read_attributes(tree):
+    """Every attribute name the module reads, as in `x.name`."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
@@ -99,6 +119,17 @@ def test_no_private_function_or_class_goes_unread():
     assert unread_private(private_definitions) == []
 
 
+def test_no_private_method_goes_unread():
+    trees = {path: _tree(path) for path in MODULES}
+    read = set().union(*(read_attributes(tree) for tree in trees.values()))
+    assert [
+        f"{path.relative_to(PACKAGE)}: {label} (line {line})"
+        for path, tree in trees.items()
+        for label, name, line in private_methods(tree)
+        if name not in read
+    ] == []
+
+
 def test_the_scan_finds_unread_names():
     tree = ast.parse(
         "from dataclasses import dataclass, field\n"
@@ -127,3 +158,19 @@ def test_the_scan_finds_unread_definitions():
     read = read_names(tree)
     unread = [name for name, _ in private_definitions(tree) if name not in read]
     assert unread == ["_unread", "_Unread"]
+
+
+def test_the_scan_finds_unread_methods():
+    tree = ast.parse(
+        "class A:\n"
+        "    def _unread(self): pass\n"
+        "    def _called(self): pass\n"
+        "    def __init__(self): self._called()\n"
+        "    def public(self): pass\n"
+        "    def _assigned(self): pass\n"
+        "def f(a):\n"
+        "    a._assigned = None\n"
+    )
+    read = read_attributes(tree)
+    unread = [label for label, name, _ in private_methods(tree) if name not in read]
+    assert unread == ["A._unread", "A._assigned"]
