@@ -29,12 +29,12 @@ from .exactlin import (
     Matrix,
     SpanBuilder,
     Subspace,
-    Vector,
     _adjoin,
     _combination,
     _flat_product,
     _joint_kernel,
     _lowest_terms,
+    _matrix_side,
     _primitive,
     _reduce,
     _rows_times_columns,
@@ -548,11 +548,6 @@ class _QuotientAlgebra:
         r = _reduce(flat, self._rad_rows, self._rad_den)
         return tuple(r[p] for p in self._pivots)
 
-    def coords(self, m: Matrix) -> _Element:
-        """The coset of an element of A."""
-        den, flat = m._integer_form()
-        return _lowest_terms(den * self._rad_den, self._coset(flat))
-
     def mult(self, u: _Element, v: _Element) -> _Element:
         (du, iu), (dv, iv) = u, v
         acc = [0] * self.dim
@@ -906,19 +901,38 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
 
 
 def _adapted_basis(chain: Iterable[Subspace], n: int) -> Matrix:
-    """The matrix whose columns refine the chain greedily to a basis of
-    Q^n: basis rows of each member in turn, skipping those already in the
-    span.  The chain must span Q^n.  For c the inverse, c x c^-1 is block
-    upper triangular for every x preserving each member."""
-    chosen: list[Vector] = []
+    """The columns refine the chain greedily to a basis of Q^n: the integer
+    basis rows of each member in turn, skipping those in the span so far.
+    The chain must span Q^n.  For c the inverse, c x c^-1 is block upper
+    triangular for every x preserving each member."""
+    chosen: list[tuple[int, tuple[int, ...]]] = []
     builder = SpanBuilder(n)
     for member in chain:
-        for row in member.basis:
+        den, rows = member._integer_form()
+        for _, row in rows:
             if builder.add(row):
-                chosen.append(row)
+                chosen.append((den, row))
     if len(chosen) != n:
         raise RuntimeError("flag refinement did not produce a full basis")
-    return Matrix(chosen).transpose()
+    lcm = math.lcm(*(den for den, _ in chosen))
+    flat = tuple(lcm // den * row[i] for i in range(n) for den, row in chosen)
+    return Matrix._make(n, n, lcm, flat)
+
+
+def _flag_conjugator(chain: Iterable[Subspace], space: Subspace, target: Subspace) -> Matrix:
+    """The inverse c of the chain's adapted basis, checked for `is_parabolic`
+    and `triangularize_nil`: c x c^-1 must be zero off the pivots of the
+    coordinate span `target` for each basis element x of `space`, else
+    RuntimeError (the arithmetic would be wrong, not the input)."""
+    n = _matrix_side(space)
+    cinv = _adapted_basis(chain, n)
+    c = cinv.inverse()
+    off = set(range(n * n)).difference(target.pivots)
+    for x in space.basis_matrices(n):
+        moved = (c * x * cinv)._integer_form()[1]
+        if any(moved[k] for k in off):
+            raise RuntimeError("the adapted basis does not carry the space into its pattern")
+    return c
 
 
 def flag_stabilizer(f: Flag) -> MatrixAlgebra:
@@ -940,17 +954,15 @@ def is_parabolic(
     flag's stabilizer, a conjugate of the block upper-triangular algebra
     of the flag's type; `a` equals it exactly when the dimensions agree.
     On success returns (True, type, c) where the flag gaps give the type
-    and `c b c^-1` maps `a` onto the standard algebra of that type; the
-    witness is verified before being returned.  Otherwise, when the
-    dimension of `a` falls short of that type's, (False, None, None).
+    and `c b c^-1` maps `a` onto the standard algebra of that type: into
+    it, as `_flag_conjugator` checks, and the dimensions agree.  Otherwise,
+    when the dimension of `a` falls short of that type's, (False, None, None).
     """
     flag = invariant_flag(a)
     comp = Composition(flag.gaps)
     if a.dimension != parabolic_dimension(comp):
         return False, None, None
-    witness = _adapted_basis(flag.subspaces, a.n).inverse()
-    if conjugate(a, witness).space != parabolic_subalgebra(comp).space:
-        raise RuntimeError("adapted basis failed to standardize the algebra")
+    witness = _flag_conjugator(flag.subspaces, a.space, parabolic_subalgebra(comp).space)
     return True, comp, witness
 
 

@@ -34,7 +34,7 @@ __all__ = [
     "serialize_basis_document",
 ]
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 class DocumentError(ValueError):

@@ -49,7 +49,7 @@ def _parse_composition(text: str) -> tuple[int, ...]:
     parts = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.isdigit() or int(piece) <= 0:
+        if not (piece.isascii() and piece.isdigit()) or int(piece) <= 0:
             raise argparse.ArgumentTypeError(
                 f"invalid block type {text!r}: expected comma-separated positive integers"
             )
@@ -66,7 +66,7 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         lo_text, hi_text = lo_text.strip(), hi_text.strip()
     else:
         lo_text = hi_text = raw
-    if not lo_text.isdigit() or not hi_text.isdigit():
+    if not (raw.isascii() and lo_text.isdigit() and hi_text.isdigit()):
         raise argparse.ArgumentTypeError(
             f"invalid size range {text!r}: expected N or LO..HI"
         )

@@ -38,10 +38,9 @@ from .exactlin import (
     _coset_images,
     _kernel,
     _matrix_side,
-    _unit_span,
     full_space,
 )
-from .algebra import Composition
+from .algebra import Composition, parabolic_subalgebra
 
 __all__ = [
     "CoalgebraElement",
@@ -232,14 +231,11 @@ def perp(s: Subspace) -> Subspace:
 
 
 def parabolic_coideal(comp: Composition) -> Coideal:
-    """The span of the units e_{i,j} with block(i) > block(j): the
-    annihilator of the block upper-triangular algebra of the same type,
-    certified here through `is_coideal`.  Dimension (n^2 - sum n_i^2)/2;
+    """The annihilator of the block upper-triangular algebra of the given
+    type, certified here through `is_coideal`: the span of the units
+    e_{i,j} with block(i) > block(j).  Dimension (n^2 - sum n_i^2)/2;
     for the type (1, n-1) this is the minimal value n - 1."""
-    n = comp.n
-    blocks = [comp.block_of(i) for i in range(n)]
-    positions = [(i, j) for i in range(n) for j in range(n) if blocks[i] > blocks[j]]
-    result = is_coideal(_unit_span(n, positions))
+    result = is_coideal(perp(parabolic_subalgebra(comp).space))
     if isinstance(result, CoidealRejection):
         raise RuntimeError("block-lower pattern failed coideal certification")
     return result

@@ -35,7 +35,7 @@ from .exactlin import (
     _primitive,
     _unit_span,
 )
-from .algebra import _adapted_basis, _kernel_flag
+from .algebra import _flag_conjugator, _kernel_flag
 
 __all__ = [
     "ALL_NILPOTENT",
@@ -216,18 +216,10 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
     algebra N generated by the subspace, straight from its basis.  When
     N is nilpotent the flag reaches Q^n, any refinement of it to a full
     flag orders a basis under which every element of N is strictly upper
-    triangular, and the inverse of that basis matrix is returned (verified
-    before return).  When N is not nilpotent -- possible even for nil
-    subspaces -- the failure marker None is returned.
+    triangular, and the inverse of that basis matrix is returned, checked
+    by `_flag_conjugator` against `strictly_upper_space(n)`.  When N is not
+    nilpotent -- possible even for nil subspaces -- None is returned.
     """
     n = _matrix_side(s)
     flag = _kernel_flag(s.basis_matrices(n), n)
-    if flag is None:
-        return None
-    cinv = _adapted_basis(flag, n)
-    conjugator = cinv.inverse()
-    for m in s.basis_matrices(n):
-        moved = (conjugator * m * cinv)._integer_form()[1]
-        if any(moved[i * n + j] for i in range(n) for j in range(i + 1)):
-            raise RuntimeError("triangularization check failed")
-    return conjugator
+    return None if flag is None else _flag_conjugator(flag, s, strictly_upper_space(n))

@@ -410,13 +410,15 @@ class TestQuotientTable:
             min_size=quotient.dim,
             max_size=quotient.dim,
         )
+        # coset coordinates come from the independent `Fraction` reference
+        reference = ReferenceQuotientAlgebra(a, rad)
         u, v = as_element(data.draw(coords)), as_element(data.draw(coords))
         product = quotient.mult(u, v)
-        assert product == quotient.coords(lift(u) * lift(v))
+        assert as_fractions(product) == reference.coords((lift(u) * lift(v)).flatten())
         den, ints = product
         assert den > 0 and math.gcd(den, *ints) == 1
         assert all(type(c) is int for c in ints)
-        trace = sum(as_fractions(quotient.coords(lift(u) * x))[k] for k, x in enumerate(section))
+        trace = sum(reference.coords((lift(u) * x).flatten())[k] for k, x in enumerate(section))
         assert quotient.left_trace(u) == trace
         assert quotient.mult(quotient.one, u) == u == quotient.mult(u, quotient.one)
 
@@ -1293,6 +1295,21 @@ def reference_flag_stabilizer(f):
     return MatrixAlgebra(n=n, space=null_space(Matrix(rows)))
 
 
+def reference_adapted_basis(chain, n):
+    """The adapted basis through `Fraction`s: the basis rows of each
+    member in turn, as `Subspace.basis` gives them, kept when they grow
+    the span, parsed into a `Matrix` and transposed.  Kept as the
+    reference for the integer rows that `_adapted_basis` reads."""
+    chosen = []
+    builder = SpanBuilder(n)
+    for member in chain:
+        for row in member.basis:
+            if builder.add(row):
+                chosen.append(row)
+    assert len(chosen) == n
+    return Matrix(chosen).transpose()
+
+
 rationals = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7)
 
 
@@ -1391,6 +1408,72 @@ class TestParabolicRecognition:
         # is far smaller than the stabilizer
         a = algebra_from_basis(2, [Matrix.identity(2), Matrix.unit(2, 0, 1)])
         assert is_parabolic(a)[0] is False
+
+
+def conjugated_types(max_n, rng):
+    """Every composition of n <= max_n, its block upper-triangular algebra
+    conjugated by a seeded invertible, with integer and with rational
+    entries in turn."""
+    for k, comp in enumerate(comp for n in range(1, max_n + 1) for comp in compositions(n)):
+        make = random_invertible if k % 2 else rational_invertible
+        yield comp, conjugate(parabolic_subalgebra(comp), make(rng, comp.n))
+
+
+def reversed_columns(m):
+    """The matrix with its columns in reverse order."""
+    return Matrix([row[::-1] for row in m.entries])
+
+
+class TestFlagConjugator:
+    """The conjugator that `is_parabolic` returns, against the inverse of
+    the `Fraction` adapted basis of the invariant flag, and its check."""
+
+    @given(flags())
+    @settings(max_examples=60, deadline=None)
+    def test_adapted_basis_matches_reference_on_random_flags(self, f):
+        assert algebra_module._adapted_basis(f.subspaces, f.n) == reference_adapted_basis(
+            f.subspaces, f.n
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_witness_matches_reference_on_corpus(self, n):
+        found = 0
+        for _, a in corpus_algebras(n, seed=7):
+            ok, _, witness = is_parabolic(a)
+            if ok:
+                found += 1
+                flag = invariant_flag(a)
+                assert witness == reference_adapted_basis(flag.subspaces, n).inverse()
+        assert found
+
+    def test_witness_matches_reference_on_conjugated_types(self):
+        for comp, a in conjugated_types(5, random.Random(43)):
+            ok, found, witness = is_parabolic(a)
+            assert ok and found == comp
+            flag = invariant_flag(a)
+            assert witness == reference_adapted_basis(flag.subspaces, comp.n).inverse()
+            assert conjugate(a, witness).space == parabolic_subalgebra(comp).space
+
+    def test_tampered_adapted_basis_raises(self, monkeypatch):
+        a = conjugate(upper_triangular_algebra(3), random_invertible(random.Random(5), 3))
+        assert is_parabolic(a)[0]
+        adapted = algebra_module._adapted_basis
+        monkeypatch.setattr(
+            algebra_module, "_adapted_basis", lambda chain, n: reversed_columns(adapted(chain, n))
+        )
+        with pytest.raises(RuntimeError, match="adapted basis"):
+            is_parabolic(a)
+
+    def test_check_reads_only_the_pivots_of_the_target(self):
+        # the diagonal algebra maps into the upper triangular pattern, not
+        # into the strictly upper one
+        a = diagonal_algebra(3)
+        chain = [full_space(3)]
+        upper = upper_triangular_algebra(3).space
+        assert algebra_module._flag_conjugator(chain, a.space, upper) == Matrix.identity(3)
+        strictly_upper = _unit_span(3, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(RuntimeError, match="adapted basis"):
+            algebra_module._flag_conjugator(chain, a.space, strictly_upper)
 
 
 def _count_products(monkeypatch):

@@ -66,6 +66,17 @@ class TestRationals:
         with pytest.raises(DocumentError, match="row 2"):
             parse_rational("oops", where="row 2")
 
+    @pytest.mark.parametrize("text", ["\u0663/\u0664", "\u0661", "3/\u0664", "\uff17", "\u00b2"])
+    def test_rejects_digits_outside_ascii(self, text):
+        # Arabic-Indic and fullwidth digits and a superscript
+        with pytest.raises(DocumentError, match="invalid rational"):
+            parse_rational(text)
+
+    def test_document_entry_with_digits_outside_ascii(self):
+        text = json.dumps({"n": 1, "field": "Q", "basis": [[["\u0661"]]]}, ensure_ascii=False)
+        with pytest.raises(DocumentError, match="basis\\[0\\] row 0 col 0: invalid rational"):
+            parse_basis_document(text)
+
 
 class TestBasisDocuments:
     def doc(self):
@@ -122,7 +133,7 @@ class TestBasisDocuments:
                 )
 
 
-_REFERENCE_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+_REFERENCE_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/([0-9]+))?$")
 
 
 def reference_parse_rational(text, *, where="value"):
@@ -382,6 +393,23 @@ class TestCommandLine:
         payload = json.loads(capsys.readouterr().out)
         assert payload["parabolic"] is True and payload["type"] == [2, 1]
 
+    def test_analyze_is_parabolic_json_is_pinned(self, tmp_path, capsys):
+        # a conjugated type (2, 1, 1) whose flag members have different
+        # denominators; the text, witness included, is pinned
+        c = Matrix([[-1, 2, 2, -1], [0, 2, 1, 2], [-2, 2, -2, 1], [0, 2, -1, -1]])
+        a = algebra_module.conjugate(parabolic_subalgebra(Composition((2, 1, 1))), c)
+        path = tmp_path / "conjugated.json"
+        path.write_text(serialize_basis_document(BasisDocument(n=4, matrices=tuple(a.basis_matrices()))))
+        assert main(["analyze", "is-parabolic", "--input", str(path)]) == 0
+        witness = [
+            ["0", "1/2", "1/2", "0"],
+            ["0", "1", "0", "0"],
+            ["0", "5/4", "0", "-5/4"],
+            ["1", "-7/4", "-1/2", "5/4"],
+        ]
+        expected = {"n": 4, "parabolic": True, "type": [2, 1, 1], "witness": witness}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
     def test_analyze_is_coideal_rejection(self, tmp_path, capsys):
         doc = BasisDocument(n=3, matrices=(Matrix.unit(3, 1, 0),))
         path = tmp_path / "x.json"
@@ -503,6 +531,20 @@ class TestCommandLine:
         assert code == 0
         text = capsys.readouterr().out
         assert "n: 2..3" in text
+
+    @pytest.mark.parametrize("value", ["\u0663", "2..\u0663", "\u00b3", "\uff13"])
+    def test_verify_range_rejects_digits_outside_ascii(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--suite", "optimal-type", "--n", value])
+        assert info.value.code == 2
+        assert "invalid size range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["\u00b2", "1,\u0662", "\uff12"])
+    def test_type_rejects_digits_outside_ascii(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["construct", "parabolic-algebra", "--type", value])
+        assert info.value.code == 2
+        assert "invalid block type" in capsys.readouterr().err
 
     @pytest.mark.parametrize("action", ["radical", "blocks", "is-parabolic"])
     def test_empty_basis_of_a_huge_n_exits_2(self, action, tmp_path, capsys, monkeypatch):

@@ -368,6 +368,13 @@ class TestParabolicCoideal:
     def test_one_block_type_gives_zero_coideal(self):
         assert parabolic_coideal(Composition((3,))).dimension == 0
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_is_the_block_lower_unit_pattern(self, n):
+        for comp in compositions(n):
+            blocks = [comp.block_of(i) for i in range(n)]
+            lower = [(i, j) for i in range(n) for j in range(n) if blocks[i] > blocks[j]]
+            assert parabolic_coideal(comp).space == unit_span(n, lower)
+
     def test_general_dimension(self):
         # complement of the block pattern: (n^2 - sum n_i^2)/2
         for parts in ((2, 2), (1, 1, 2), (3, 1)):

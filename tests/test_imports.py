@@ -1,7 +1,8 @@
 """Unused names in the package, found with the standard library's `ast`:
 an imported name that its module never reads, a private module-level
 constant, function or class that no module of the package reads, and a
-private method that no module of the package reads as an attribute."""
+private method, or method of a private class, that no module of the
+package reads as an attribute."""
 
 import ast
 from pathlib import Path
@@ -68,12 +69,16 @@ def private_definitions(tree):
 
 
 def private_methods(tree):
-    """(Class.name, name, line) for each private method of a class."""
+    """(Class.name, name, line) for each private method of a class, and
+    each method but the dunders of a private class: no code outside the
+    package reaches either."""
     definition = (ast.FunctionDef, ast.AsyncFunctionDef)
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef):
             for node in cls.body:
-                if isinstance(node, definition) and _private(node.name):
+                if not isinstance(node, definition):
+                    continue
+                if _private(node.name) or (_private(cls.name) and not _dunder(node.name)):
                     yield f"{cls.name}.{node.name}", node.name, node.lineno
 
 
@@ -88,6 +93,10 @@ def read_attributes(tree):
 
 def _private(name):
     return name.startswith("_") and not name.startswith("__")
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
@@ -174,3 +183,20 @@ def test_the_scan_finds_unread_methods():
     read = read_attributes(tree)
     unread = [label for label, name, _ in private_methods(tree) if name not in read]
     assert unread == ["A._unread", "A._assigned"]
+
+
+def test_the_scan_finds_unread_methods_of_private_classes():
+    tree = ast.parse(
+        "class _Private:\n"
+        "    def __init__(self): pass\n"
+        "    def unread(self): pass\n"
+        "    def called(self): pass\n"
+        "    def _hidden(self): pass\n"
+        "class Public:\n"
+        "    def unread(self): pass\n"
+        "def f(p):\n"
+        "    return p.called()\n"
+    )
+    read = read_attributes(tree)
+    unread = [label for label, name, _ in private_methods(tree) if name not in read]
+    assert unread == ["_Private.unread", "_Private._hidden"]

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matalg.algebra import _adapted_basis, conjugate_space
+import matalg.algebra as algebra_module
+from matalg.algebra import _kernel_flag, conjugate_space, radical
+from matalg.cli.suites import corpus_algebras
 from matalg.exactlin import (
     Matrix,
     SpanBuilder,
@@ -33,6 +35,7 @@ from matalg.nilpotent import (
     strictly_upper_space,
     triangularize_nil,
 )
+from test_algebra import conjugated_types, reference_adapted_basis, reversed_columns
 
 
 def unit_span(n, positions):
@@ -226,7 +229,14 @@ def reference_triangularize_nil(s, n):
             return None
         powers.append(multiply_spaces(powers[-1], generated, n))
     kernels = [_joint_kernel(p.basis_matrices(n), n) for p in powers[:-1]]
-    return _adapted_basis(kernels + [full_space(n)], n).inverse()
+    return reference_adapted_basis(kernels + [full_space(n)], n).inverse()
+
+
+def expected_conjugator(s, n):
+    """The inverse of the `Fraction` adapted basis of the kernel flag, or
+    None when the flag stops short of Q^n."""
+    flag = _kernel_flag(s.basis_matrices(n), n)
+    return None if flag is None else reference_adapted_basis(flag, n).inverse()
 
 
 class TestTriangularizeReference:
@@ -255,6 +265,35 @@ class TestTriangularizeReference:
         s = unit_span(2, [(0, 1), (1, 0)])
         assert reference_triangularize_nil(s, 2) is None
         assert triangularize_nil(s) is None
+
+
+class TestTriangularizeConjugator:
+    """The conjugator of `triangularize_nil` against the inverse of the
+    `Fraction` adapted basis of the kernel flag, and its check.  On the
+    inputs of `TestTriangularizeReference` the reference already inverts
+    `reference_adapted_basis`."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_reference_on_corpus_radicals(self, n):
+        for _, a in corpus_algebras(n, seed=7):
+            rad = radical(a)
+            c = triangularize_nil(rad)
+            assert c is not None and c == expected_conjugator(rad, n)
+
+    def test_matches_reference_on_conjugated_types(self):
+        for comp, a in conjugated_types(5, random.Random(47)):
+            rad = radical(a)
+            assert triangularize_nil(rad) == expected_conjugator(rad, comp.n)
+
+    def test_tampered_adapted_basis_raises(self, monkeypatch):
+        s = conjugate_space(strictly_upper_space(3), random_invertible(random.Random(5), 3))
+        assert triangularize_nil(s) is not None
+        adapted = algebra_module._adapted_basis
+        monkeypatch.setattr(
+            algebra_module, "_adapted_basis", lambda chain, n: reversed_columns(adapted(chain, n))
+        )
+        with pytest.raises(RuntimeError, match="adapted basis"):
+            triangularize_nil(s)
 
 
 def reference_is_nil_subspace(s, n):
