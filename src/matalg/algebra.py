@@ -279,45 +279,39 @@ def _identity(n: int) -> tuple[int, ...]:
     return tuple(int(i == j) for i in range(n) for j in range(n))
 
 
-# The prime of the modular certificate in `closure`, fixed so that no
-# verdict depends on a random draw.
-_MODULUS = 2**61 - 1
-
-
 def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     """Smallest unital subalgebra of M_n containing the generators.
 
-    Fixed-point iteration from the identity and the generators: adjoin
-    products of spanning pairs until the span stabilizes or fills M_n
-    (`_grow`, which forms x y and y x once for each unordered pair, and
-    x x once).  It runs on each generator scaled to a primitive integer matrix, since
-    scaling by a nonzero rational does not change the unital algebra
-    generated.
+    Fixed-point iteration over Q from the identity and the generators,
+    each scaled to a primitive integer matrix (scaling by a nonzero
+    rational does not change the unital algebra generated): adjoin
+    products until the span stops growing or fills M_n.
 
-    The iteration runs over Q.  When no product grows the span of the
-    identity and the generators, that span is closed and is the answer.
-    At the first product that grows it, the iteration pauses and the
-    same iteration runs over the integers mod the prime 2^61 - 1 from
-    that point on: it skips the products already formed over Q and
-    starts from the reduction of the one that grew.  Every vector it
-    adjoins reduces an integer vector of the closure over Q, and rank
-    can only drop mod p, so a span mod p of dimension n^2 proves that
-    the closure is M_n.  Otherwise the paused iteration over Q resumes
-    and gives the answer.
+    Each round pairs every frontier matrix (adjoined in the previous
+    round) with the older matrices, with itself and with the frontier
+    matrices after it (`_pairs`), so it forms x y and y x once for each
+    unordered pair and x x once.  The identity is left out of the product
+    lists, since its products add nothing.  The loop ends because the
+    dimension grows in each round but the last and is at most n^2.
     """
     for g in generators:
         _check_square(g, n)
-    integral = _integral_generators(generators)
-    exact = SpanBuilder(n * n)
-    growth = _grow(n, exact, integral)
-    first = next(growth, None)
-    if first is not None:
-        formed, product = first
-        if _fills_mod_p(n, integral, [product], formed):
-            return MatrixAlgebra(n=n, space=full_space(n * n))
-    for _ in growth:
-        pass
-    return MatrixAlgebra(n=n, space=exact.to_subspace())
+    full = n * n
+    builder = SpanBuilder(full)
+    builder.add(_identity(n))
+    older: list = []
+    frontier = [g for g in _integral_generators(generators) if builder.add(g)]
+    while frontier and builder.dimension < full:
+        fresh = []
+        for u, v in _pairs(older, frontier):
+            p = _flat_product(u, v, n)
+            if builder.add(p):
+                fresh.append(p)
+                if builder.dimension == full:
+                    break
+        older += frontier
+        frontier = fresh
+    return MatrixAlgebra(n=n, space=builder.to_subspace())
 
 
 def _integral_generators(generators: Sequence[Matrix]) -> list[tuple[int, ...]]:
@@ -325,66 +319,8 @@ def _integral_generators(generators: Sequence[Matrix]) -> list[tuple[int, ...]]:
     return [tuple(_primitive(g._integer_form()[1])) for g in generators if not g.is_zero()]
 
 
-def _fills_mod_p(
-    n: int, integral: Sequence[Sequence[int]], grown: Sequence[Sequence[int]] = (), skip: int = 0
-) -> bool:
-    """Whether the flattened integer matrices `integral`, reduced mod
-    `_MODULUS`, generate all of M_n over that field, by the frontier loop
-    of `_grow`, which gets `grown` reduced too, and `skip`."""
-    builder = SpanBuilder._mod(n * n, _MODULUS)
-    reduced = [[tuple(e % _MODULUS for e in g) for g in vectors] for vectors in (integral, grown)]
-    for _ in _grow(n, builder, *reduced, skip):
-        pass
-    return builder.dimension == n * n
-
-
-def _grow(
-    n: int,
-    builder: SpanBuilder,
-    generators: Sequence[Sequence[int]],
-    grown: Sequence[Sequence[int]] = (),
-    skip: int = 0,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The frontier loop of `closure`, over Q or over the integers mod
-    the prime of a modular `builder`: adjoin the identity and the
-    flattened integer `generators` to `builder`, then their products
-    until the span stops growing or fills M_n.
-
-    Each round pairs every frontier matrix (adjoined in the previous
-    round) with the older matrices, with itself and with the frontier
-    matrices after it (`_pairs`).  The identity is left out of the
-    product lists, since its products add nothing.  The loop ends
-    because the dimension grows in each round but the last and is at
-    most n^2.  After each product that grows the span it yields the
-    number of products formed so far, this one included, and the
-    product.  The first `skip` products are not formed: another run
-    formed them, and `grown` holds those of them that grew its span,
-    adjoined in their place.
-    """
-    full = n * n
-    modulus = builder._modulus
-    builder.add(_identity(n))
-    older: list = []
-    frontier = [g for g in generators if builder.add(g)]
-    fresh = [g for g in grown if builder.add(g)]
-    formed = 0
-    while frontier and builder.dimension < full:
-        for u, v in _pairs(older, frontier):
-            formed += 1
-            if formed <= skip:
-                continue
-            p = _flat_product(u, v, n, modulus)
-            if builder.add(p):
-                fresh.append(p)
-                yield formed, p
-                if builder.dimension == full:
-                    break
-        older += frontier
-        frontier, fresh = fresh, []
-
-
 def _pairs(older: list, frontier: list) -> Iterator[tuple]:
-    """The ordered pairs of one round of `_grow`: each frontier matrix x
+    """The ordered pairs of one round of `closure`: each frontier matrix x
     with each older matrix and with each frontier matrix y from x on,
     both ways (x y and y x), and x x once."""
     for k, x in enumerate(frontier):

@@ -45,11 +45,27 @@ from .suites import SUITE_NAMES, run_verification
 __all__ = ["main"]
 
 
+def _is_ascii_digits(text: str) -> bool:
+    """Whether `text` is one or more of the digits 0-9.  `str.isdigit` and
+    `int` also take other Unicode decimal digits, and `int` takes
+    underscores between digits ("\u0663" and "1_0" are 3 and 10)."""
+    return text.isascii() and text.isdigit()
+
+
+def _parse_int(text: str) -> int:
+    """An integer option: ASCII digits with an optional sign, so that a
+    negative value reaches the range checks of the command."""
+    digits = text.strip()
+    if not _is_ascii_digits(digits[1:] if digits[:1] in ("+", "-") else digits):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(digits)
+
+
 def _parse_composition(text: str) -> tuple[int, ...]:
     parts = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not (piece.isascii() and piece.isdigit()) or int(piece) <= 0:
+        if not _is_ascii_digits(piece) or int(piece) <= 0:
             raise argparse.ArgumentTypeError(
                 f"invalid block type {text!r}: expected comma-separated positive integers"
             )
@@ -66,7 +82,7 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         lo_text, hi_text = lo_text.strip(), hi_text.strip()
     else:
         lo_text = hi_text = raw
-    if not (raw.isascii() and lo_text.isdigit() and hi_text.isdigit()):
+    if not (_is_ascii_digits(lo_text) and _is_ascii_digits(hi_text)):
         raise argparse.ArgumentTypeError(
             f"invalid size range {text!r}: expected N or LO..HI"
         )
@@ -249,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = construct_sub.add_parser(name, help=blurb)
         p.add_argument("--type", type=_parse_composition, required=True,
                        help="comma-separated block sizes, e.g. 1,2")
-        p.add_argument("--n", type=int, default=None,
+        p.add_argument("--n", type=_parse_int, default=None,
                        help="ambient size; must match the sum of the block sizes")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
         p.set_defaults(handler=handler)
@@ -268,10 +284,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
     verify.add_argument("--n", type=_parse_n_range, required=True,
                         help="size or inclusive range, e.g. 3 or 2..4")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--trials", type=int, default=None,
+    verify.add_argument("--seed", type=_parse_int, default=0)
+    verify.add_argument("--trials", type=_parse_int, default=None,
                         help="override per-check random draw counts")
-    verify.add_argument("--budget", type=int, default=None,
+    verify.add_argument("--budget", type=_parse_int, default=None,
                         help="nil certification budget: the number of monomials "
                         "of Tr(X^k), k = 1..n, summed (default 100000)")
     verify.add_argument("--output", default=None, help="report path (default: stdout)")

@@ -15,9 +15,6 @@ is one fraction-free kernel (`_reduce`, `_adjoin`): rows fully reduced
 over one common pivot value, which is the reduced row-echelon form times
 its least common denominator, and integer vectors reduced against them
 in one pass.  A `Subspace` stores exactly those rows and that value.
-The same kernel and the same product run over the integers mod a prime,
-which is exact as well; `algebra.closure` uses that for a rank lower
-bound.
 
 Conventions used throughout the package:
 
@@ -311,31 +308,23 @@ def _split_rows(flat: Sequence, width: int) -> list[Sequence]:
     return [flat[i : i + width] for i in range(0, len(flat), width)]
 
 
-def _flat_product(
-    x: Sequence[int], y: Sequence[int], inner: int, modulus: int | None = None
-) -> tuple[int, ...]:
+def _flat_product(x: Sequence[int], y: Sequence[int], inner: int) -> tuple[int, ...]:
     """The product of two integer matrices flattened row-major, the first
-    with `inner` columns and the second with `inner` rows, reduced mod
-    `modulus` when one is given."""
+    with `inner` columns and the second with `inner` rows."""
     cols = len(y) // inner
-    return _rows_times_columns(_split_rows(x, inner), [y[j::cols] for j in range(cols)], modulus)
+    return _rows_times_columns(_split_rows(x, inner), [y[j::cols] for j in range(cols)])
 
 
 def _rows_times_columns(
-    rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]], modulus: int | None = None
+    rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
     """The product, flattened row-major, of the integer matrix with `rows`
-    and the one with `columns`, reduced mod `modulus` when one is given."""
-    if modulus is None:
-        return tuple(sum(map(operator.mul, r, c)) for r in rows for c in columns)
-    return tuple(sum(map(operator.mul, r, c)) % modulus for r in rows for c in columns)
+    and the one with `columns`."""
+    return tuple(sum(map(operator.mul, r, c)) for r in rows for c in columns)
 
 
 def _reduce(
-    vec: Sequence[int],
-    pivot_rows: Iterable[tuple[int, Sequence[int]]],
-    den: int = 1,
-    modulus: int | None = None,
+    vec: Sequence[int], pivot_rows: Iterable[tuple[int, Sequence[int]]], den: int = 1
 ) -> list[int]:
     """Residual of the integer vector `vec` modulo `(pivot, row)` pairs
     fully reduced over the common pivot value `den`.
@@ -344,27 +333,17 @@ def _reduce(
     residual is den * vec - sum of vec[p] * row over the pivots p, one
     pass in any order.  It is den times the rational residual: zero
     exactly when `vec` lies in the span of the rows, and zero at each of
-    their pivots.  With a prime `modulus` the entries are integers in
-    [0, modulus), `den` is 1 and the arithmetic is that of the field of
-    integers mod `modulus`.
+    their pivots.
     """
     r = list(vec) if den == 1 else [den * a for a in vec]
-    if modulus is None:
-        for p, row in pivot_rows:
-            f = vec[p]
-            if f:
-                r = [a - f * b if b else a for a, b in zip(r, row)]
-    else:
-        for p, row in pivot_rows:
-            f = vec[p]
-            if f:
-                r = [(a - f * b) % modulus if b else a for a, b in zip(r, row)]
+    for p, row in pivot_rows:
+        f = vec[p]
+        if f:
+            r = [a - f * b if b else a for a, b in zip(r, row)]
     return r
 
 
-def _adjoin(
-    rows: dict[int, list[int]], residual: list[int], den: int = 1, modulus: int | None = None
-) -> int:
+def _adjoin(rows: dict[int, list[int]], residual: list[int], den: int = 1) -> int:
     """Insert a nonzero residual of `_reduce` into `rows` keyed by pivot,
     fully reduced over the common pivot value `den`, and return the new
     common pivot value.
@@ -379,21 +358,9 @@ def _adjoin(
     its least common denominator.  The rows without an entry at p are only
     scaled by f / g, which leaves them as they are when f == g: a least
     common denominator that does not grow, in 48-95% of the adjoins of the
-    benchmark's workloads (`BENCH_14.json`).  Mod a prime the residual is
-    scaled to 1 at p and the value stays 1.
+    benchmark's workloads (`BENCH_14.json`).
     """
     p = next(i for i, e in enumerate(residual) if e)
-    if modulus is not None:
-        f = residual[p]
-        if f != 1:
-            inv = pow(f, -1, modulus)
-            residual = [e * inv % modulus if e else e for e in residual]
-        for q, row in rows.items():
-            g = row[p]
-            if g:
-                rows[q] = [(a - g * b) % modulus if b else a for a, b in zip(row, residual)]
-        rows[p] = residual
-        return 1
     content = math.gcd(*residual)
     if residual[p] < 0:
         content = -content
@@ -711,33 +678,20 @@ class SpanBuilder:
         self.ambient_dim = ambient_dim
         self._rows: dict[int, list[int]] = {}
         self._den = 1
-        self._modulus: int | None = None
-
-    @classmethod
-    def _mod(cls, ambient_dim: int, modulus: int) -> "SpanBuilder":
-        """A builder over the integers mod the prime `modulus`: it takes
-        vectors of integers in [0, modulus) and tracks the rank of their
-        span over that field.  Its rows are no rational subspace, so
-        `to_subspace` does not apply."""
-        builder = cls(ambient_dim)
-        builder._modulus = modulus
-        return builder
 
     @property
     def dimension(self) -> int:
         return len(self._rows)
 
     def _residual(self, vec: Sequence[int | str | Fraction]) -> list[int]:
-        if self._modulus is None:
-            vec = _integer_vector(vec, self.ambient_dim)
-        return _reduce(vec, self._rows.items(), self._den, self._modulus)
+        return _reduce(_integer_vector(vec, self.ambient_dim), self._rows.items(), self._den)
 
     def add(self, vec: Sequence[int | str | Fraction]) -> bool:
         """Adjoin a vector; returns True when the span grew."""
         residual = self._residual(vec)
         if not any(residual):
             return False
-        self._den = _adjoin(self._rows, residual, self._den, self._modulus)
+        self._den = _adjoin(self._rows, residual, self._den)
         return True
 
     def contains(self, vec: Sequence[int | str | Fraction]) -> bool:

@@ -6,7 +6,6 @@ import operator
 import random
 import time
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -803,11 +802,11 @@ def _count_row_products(monkeypatch):
     products = []
     multiply = algebra_module._rows_times_columns
 
-    def counting(rows, columns, modulus=None):
+    def counting(rows, columns):
         x = tuple(e for row in rows for e in row)
         y = tuple(e for row in zip(*columns) for e in row)
         products.append((x, y))
-        return multiply(rows, columns, modulus)
+        return multiply(rows, columns)
 
     monkeypatch.setattr(algebra_module, "_rows_times_columns", counting)
     return products
@@ -1477,27 +1476,18 @@ class TestFlagConjugator:
 
 
 def _count_products(monkeypatch):
-    """Record the flattened integer operands and the modulus (None over Q)
-    of every product that `matalg.algebra` forms from now on; both passes
-    of `closure` form each of theirs through this one product."""
+    """Record the flattened integer operands (x, y) of every product x y
+    that `matalg.algebra` forms through `_flat_product` from now on, as
+    `closure` forms each of its products."""
     products = []
     multiply = algebra_module._flat_product
 
-    def counting(x, y, inner, modulus=None):
-        products.append((tuple(x), tuple(y), modulus))
-        return multiply(x, y, inner, modulus)
+    def counting(x, y, inner):
+        products.append((tuple(x), tuple(y)))
+        return multiply(x, y, inner)
 
     monkeypatch.setattr(algebra_module, "_flat_product", counting)
     return products
-
-
-def _fills_mod_p(n, generators):
-    """The modular certificate of `closure` on matrices, from the start."""
-    return algebra_module._fills_mod_p(n, algebra_module._integral_generators(generators))
-
-
-def _mod_p(vector):
-    return tuple(e % algebra_module._MODULUS for e in vector)
 
 
 class TestClosureProducts:
@@ -1508,48 +1498,20 @@ class TestClosureProducts:
         # the identity comes first, so one basis direction adds nothing
         adjoined = a.dimension - 1
         products = _count_products(monkeypatch)
-        # a closed span: no product grows it, so the exact loop alone
-        # decides, forms each unordered pair once, and nothing runs mod p
+        # a closed span: no product grows it, so the loop ends after one
+        # round, which forms each unordered pair once
         assert closure(4, basis).space == a.space
         assert len(products) == adjoined * adjoined
-        assert all(modulus is None for *_, modulus in products)
 
     def test_absorption_probe_repeats_no_product(self, monkeypatch):
         a = parabolic_subalgebra(Composition((1, 3)))
         x = Matrix.unit(4, 1, 0)
         products = _count_products(monkeypatch)
         assert absorption_probe(a, x).dimension == 16
-        exact = [(u, v) for u, v, modulus in products if modulus is None]
-        modular = [(u, v) for u, v, modulus in products if modulus is not None]
-        # x comes first, the exact prefix runs up to the first product
-        # that grows the span, and the modular certificate decides from there
-        assert exact and modular
+        # x comes first, so x x is the first product formed
         (flat_x,) = algebra_module._integral_generators([x])
-        assert exact[0] == (flat_x, flat_x)
-        assert all(modulus is None for *_, modulus in products[: len(exact)])
+        assert products[0] == (flat_x, flat_x)
         assert len(products) == len(set(products))
-        assert not {(_mod_p(u), _mod_p(v)) for u, v in exact} & set(modular)
-
-
-def _exact_closure(n, generators):
-    """`closure` with its modular certificate switched off: the exact loop
-    resumes after the first growth and decides alone."""
-    multiply = algebra_module._flat_product
-    formed_mod_p = []
-
-    def exact_only(x, y, inner, modulus=None):
-        if modulus is not None:
-            formed_mod_p.append((x, y))
-        return multiply(x, y, inner, modulus)
-
-    with (
-        mock.patch.object(algebra_module, "_fills_mod_p", return_value=False),
-        mock.patch.object(algebra_module, "_flat_product", exact_only),
-    ):
-        result = closure(n, generators)
-    # no other modular step is left on that path
-    assert not formed_mod_p
-    return result
 
 
 @st.composite
@@ -1571,74 +1533,64 @@ def _rational_generators(draw):
     return n, generators
 
 
+def _random_pair(seed, n):
+    """Two seeded random integer n x n matrices, entries in [-3, 3]."""
+    rng = random.Random(seed)
+    return [random_matrix(rng, n), random_matrix(rng, n)]
+
+
+def _upper_part(m):
+    """m with its entries below the diagonal set to zero."""
+    return Matrix([[m[i, j] if i <= j else 0 for j in range(m.cols)] for i in range(m.rows)])
+
+
+# a 61-bit prime, for closures whose entries and denominators are this large
+_P = 2**61 - 1
+
+
 class TestClosureReference:
     @settings(max_examples=60, deadline=None)
     @given(_rational_generators())
     # e_01 e_12 = e_02 is reached only as the product of the later
     # generator with the earlier one
     @example((3, [Matrix.unit(3, 1, 2), Matrix.unit(3, 0, 1)]))
+    @example((2, [Matrix([[1, 0], [0, 1 + _P]])]))
+    @example((2, [Matrix.unit(2, 1, 0) * Fraction(1, _P), Matrix.unit(2, 0, 1)]))
+    @example((2, [Matrix.zeros(2), Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)]))
+    # a dense pair that fills M_5, and an upper-triangular pair short of it
+    @example((5, _random_pair(5, 5)))
+    @example((5, [_upper_part(m) for m in _random_pair(6, 5)]))
     def test_exact_pass_matches_the_fraction_reference(self, case):
         n, generators = case
-        space = _exact_closure(n, generators).space
+        space = closure(n, generators).space
         assert (space.basis, space.pivots) == reference_closure(n, generators)
 
 
 class TestClosureCertificate:
-    """The modular certificate of `closure` against its exact path."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(_rational_generators())
-    def test_matches_the_exact_path(self, case):
-        n, generators = case
-        result = closure(n, generators)
-        assert result.space == _exact_closure(n, generators).space
-        if _fills_mod_p(n, generators):
-            assert result.space == full_space(n * n)
-
-    def test_cases_include_full_and_proper_closures(self):
-        diagonal = [Matrix([[1, 0], [0, 2]])]
-        units = [Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)]
-        assert not _fills_mod_p(2, diagonal)
-        assert _fills_mod_p(2, units)
+    """Closures with an entry or a denominator of 61 bits, which the
+    integer loop carries exactly."""
 
     def test_scalar_mod_p_falls_through_to_the_exact_path(self):
-        p = algebra_module._MODULUS
-        g = Matrix([[1, 0], [0, 1 + p]])
-        assert not _fills_mod_p(2, [g])
-        a = closure(2, [g])
-        assert a.space == diagonal_algebra(2).space
+        # g is I mod p, but over Q it generates the diagonal algebra
+        g = Matrix([[1, 0], [0, 1 + _P]])
+        assert closure(2, [g]).space == diagonal_algebra(2).space
 
     def test_denominator_p_is_scaled_away(self):
-        p = algebra_module._MODULUS
-        generators = [Matrix.unit(2, 1, 0) * Fraction(1, p), Matrix.unit(2, 0, 1)]
-        assert _fills_mod_p(2, generators)
+        generators = [Matrix.unit(2, 1, 0) * Fraction(1, _P), Matrix.unit(2, 0, 1)]
         assert closure(2, generators).space == full_space(4)
 
     def test_zero_generator_is_ignored(self):
         generators = [Matrix.zeros(2), Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)]
         assert closure(2, generators).space == full_space(4)
 
-    def test_exact_loop_resumes_when_the_certificate_falls_short(self, monkeypatch):
+    def test_exact_loop_resumes_when_the_certificate_falls_short(self):
         # over Q the span of I, e_01 and I + p e_10 is 3-dimensional and
         # e_01 (I + p e_10) = e_01 + p e_00 fills M_2; mod p the last
-        # generator is I, and the span stays {I, e_01}
-        p = algebra_module._MODULUS
-        generators = [Matrix.unit(2, 0, 1), Matrix.identity(2) + p * Matrix.unit(2, 1, 0)]
-        modular = SpanBuilder._mod(4, p)
-        integral = algebra_module._integral_generators(generators)
-        for _ in algebra_module._grow(2, modular, [_mod_p(g) for g in integral]):
-            pass
-        assert modular.dimension == 2
-        verdicts = []
-        certificate = algebra_module._fills_mod_p
-
-        def recording(*args):
-            verdicts.append(certificate(*args))
-            return verdicts[-1]
-
-        monkeypatch.setattr(algebra_module, "_fills_mod_p", recording)
-        assert closure(2, generators).space == full_space(4)
-        assert verdicts == [False]
+        # generator is I, and the span would stop at {I, e_01}
+        generators = [Matrix.unit(2, 0, 1), Matrix.identity(2) + _P * Matrix.unit(2, 1, 0)]
+        space = closure(2, generators).space
+        assert space == full_space(4)
+        assert (space.basis, space.pivots) == reference_closure(2, generators)
 
 
 @st.composite
@@ -1666,15 +1618,16 @@ def _probe_cases(draw):
 
 class TestAbsorptionProbe:
     """`absorption_probe` puts x before the basis; the closure it returns
-    is that of the exact path, whatever the order."""
+    is the reference closure, whatever the order."""
 
     @settings(max_examples=40, deadline=None)
     @given(_probe_cases())
     def test_matches_the_exact_closure(self, case):
         a, x, inside = case
-        expected = _exact_closure(a.n, a.basis_matrices() + [x])
-        assert absorption_probe(a, x).space == expected.space
-        assert (expected.space == a.space) == inside
+        expected = reference_closure(a.n, a.basis_matrices() + [x])
+        space = absorption_probe(a, x).space
+        assert (space.basis, space.pivots) == expected
+        assert (space == a.space) == inside
 
 
 class TestMaximalityAndOptimal:

@@ -546,6 +546,25 @@ class TestCommandLine:
         assert info.value.code == 2
         assert "invalid block type" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["٣", "1_0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "optimal-type", "--n", "2", "--seed"],
+            ["verify", "--suite", "optimal-type", "--n", "2", "--trials"],
+            ["verify", "--suite", "optimal-type", "--n", "2", "--budget"],
+            ["construct", "parabolic-algebra", "--type", "1,1", "--n"],
+        ],
+    )
+    def test_integer_options_take_ascii_digits_only(self, argv, value, capsys):
+        # int() reads "٣" as 3 and "1_0" as 10
+        with pytest.raises(SystemExit) as info:
+            main(argv + [value])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {argv[-1]}: invalid integer {value!r}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("action", ["radical", "blocks", "is-parabolic"])
     def test_empty_basis_of_a_huge_n_exits_2(self, action, tmp_path, capsys, monkeypatch):
         # the n^2 identity vector at n = 10^6 would need terabytes
