@@ -27,7 +27,6 @@ from .exactlin import (
     random_matrix,
     random_subspace,
     rref_basis,
-    solve_linear,
     subspace_contains,
     subspace_intersect,
     subspace_sum,
@@ -53,7 +52,6 @@ from .algebra import (
     radical,
     schur_commutative_check,
     semisimple_blocks,
-    upper_triangular_algebra,
 )
 from .nilpotent import (
     ALL_NILPOTENT,
@@ -93,7 +91,6 @@ __all__ = [
     "subspace_sum",
     "subspace_intersect",
     "subspace_contains",
-    "solve_linear",
     "null_space",
     "random_matrix",
     "random_invertible",
@@ -110,7 +107,6 @@ __all__ = [
     "WedderburnData",
     "semisimple_blocks",
     "parabolic_subalgebra",
-    "upper_triangular_algebra",
     "Flag",
     "invariant_flag",
     "flag_stabilizer",

@@ -62,7 +62,6 @@ __all__ = [
     "radical",
     "semisimple_blocks",
     "parabolic_subalgebra",
-    "upper_triangular_algebra",
     "invariant_flag",
     "flag_stabilizer",
     "is_parabolic",
@@ -424,7 +423,7 @@ def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
     # matrix is an integer one, with the kernel of the basis one
     basis = [x for _, x in a.space._integer_form()[1]]
     transposes = [tuple(e for j in range(n) for e in x[j::n]) for x in basis]
-    gram = tuple(sum(map(operator.mul, x, t)) for x in basis for t in transposes)
+    gram = _rows_times_columns(basis, transposes)
     _, kernel = null_space(Matrix._make(len(basis), len(basis), 1, gram))._integer_form()
     return rref_basis([_combination(coeffs, basis, n * n) for _, coeffs in kernel], n * n)
 
@@ -780,11 +779,6 @@ def parabolic_subalgebra(comp: Composition) -> MatrixAlgebra:
     blocks = [comp.block_of(i) for i in range(n)]
     positions = [(i, j) for i in range(n) for j in range(n) if blocks[i] <= blocks[j]]
     return MatrixAlgebra(n=n, space=_unit_span(n, positions))
-
-
-def upper_triangular_algebra(n: int) -> MatrixAlgebra:
-    """The full upper-triangular algebra: type (1, 1, ..., 1)."""
-    return parabolic_subalgebra(Composition((1,) * n))
 
 
 @dataclass(frozen=True)

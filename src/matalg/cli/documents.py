@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,10 +51,13 @@ def _numerator_denominator(text: object) -> tuple[int, int]:
     match = _RATIONAL_RE.match(text.strip())
     if not match:
         raise DocumentError(f"invalid rational {text!r}")
-    den = int(match[2] or 1)
+    try:
+        num, den = int(match[1]), int(match[2] or 1)
+    except ValueError:  # the interpreter's int-string digit limit
+        raise DocumentError(f"more than {sys.get_int_max_str_digits()} digits") from None
     if not den:
         raise DocumentError(f"zero denominator in {text!r}")
-    return int(match[1]), den
+    return num, den
 
 
 def parse_rational(text: str, *, where: str = "value") -> Fraction:
@@ -98,6 +102,9 @@ def parse_basis_document(text: str) -> BasisDocument:
         raise DocumentError(
             f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except ValueError:  # a JSON integer beyond the int-string digit limit
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(f"a JSON number has more than {limit} digits") from None
     if not isinstance(raw, dict):
         raise DocumentError("document root must be an object")
     for key in ("n", "field", "basis"):

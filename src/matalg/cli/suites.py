@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..algebra import (
     Composition,
@@ -136,6 +136,20 @@ def _check(check_id: str, claim: str, expected: object, observed: object) -> Che
     )
 
 
+def _all_of(check_id: str, claim: str, outcomes: Iterable[bool]) -> CheckRecord:
+    """A tally of checks that must all hold: expected t/t, observed k/t."""
+    outcomes = list(outcomes)
+    t = len(outcomes)
+    return _check(check_id, claim, f"{t}/{t}", f"{sum(outcomes)}/{t}")
+
+
+def _none_of(
+    check_id: str, claim: str, outcomes: Iterable[bool], noun: str = "violations"
+) -> CheckRecord:
+    """A tally of events that must never happen: expected 0, observed k."""
+    return _check(check_id, claim, f"0 {noun}", f"{sum(outcomes)} {noun}")
+
+
 def _rng(seed: int, *tags: object) -> random.Random:
     """Deterministic child generator; string seeding is stable across
     platforms and Python versions."""
@@ -236,6 +250,15 @@ _NIL_PATTERN_COUNT_N3 = 24  # nonzero acyclic patterns on three points (25 label
 _OUTSIDE_DRAW_LIMIT = 1000
 
 
+def _outside(algebra: MatrixAlgebra, rng: random.Random) -> Matrix:
+    """The first random matrix drawn that is not in `algebra`."""
+    for _ in range(_OUTSIDE_DRAW_LIMIT):
+        x = random_matrix(rng, algebra.n)
+        if not algebra.contains(x):
+            return x
+    raise RuntimeError(f"no matrix outside {algebra!r} in {_OUTSIDE_DRAW_LIMIT} draws")
+
+
 def _run_max_subalgebra(
     n: int, seed: int, trials: int | None, budget: int | None
 ) -> Iterator[CheckRecord]:
@@ -264,70 +287,48 @@ def _run_max_subalgebra(
     if n >= 4:
         t = 200 if trials is None else trials
         rng = _rng(seed, "closures", n)
-        violations = 0
+        between = []
         for _ in range(t):
             k = rng.randint(1, 3)
             gens = [random_matrix(rng, n) for _ in range(k)]
-            dim = closure(n, gens).dimension
-            if target < dim < n * n:
-                violations += 1
-        yield _check(
+            between.append(target < closure(n, gens).dimension < n * n)
+        yield _none_of(
             f"max-subalgebra/random-closures/n={n}",
             f"no closure of up to three random generators lands strictly between n^2-n+1 and n^2 ({t} draws)",
-            "0 violations",
-            f"{violations} violations",
+            between,
         )
 
 
 def _run_dimension_formula(
     n: int, seed: int, trials: int | None, budget: int | None
 ) -> Iterator[CheckRecord]:
-    total = 0
-    matches = 0
-    for comp in compositions(n):
-        total += 1
-        if parabolic_subalgebra(comp).dimension == parabolic_dimension(comp):
-            matches += 1
-    yield _check(
+    yield _all_of(
         f"dimension-formula/n={n}",
         "every block type (n_1..n_s) spans dimension (n^2 + sum n_i^2)/2",
-        f"{total}/{total}",
-        f"{matches}/{total}",
+        (
+            parabolic_subalgebra(comp).dimension == parabolic_dimension(comp)
+            for comp in compositions(n)
+        ),
     )
 
 
 def _run_split_bound(
     n: int, seed: int, trials: int | None, budget: int | None
 ) -> Iterator[CheckRecord]:
-    violations = 0
-    split_total = 0
-    equality_cases: list[MatrixAlgebra] = []
+    split: list[tuple[MatrixAlgebra, int]] = []
     for _, a in corpus_algebras(n, seed):
         data = semisimple_blocks(a)
-        if not data.split:
-            continue
-        split_total += 1
-        bound = (n * n + sum(s * s for s in data.block_sizes)) // 2
-        if a.dimension > bound:
-            violations += 1
-        elif a.dimension == bound:
-            equality_cases.append(a)
-    yield _check(
+        if data.split:
+            split.append((a, (n * n + sum(s * s for s in data.block_sizes)) // 2))
+    yield _none_of(
         f"split-bound/dimension/n={n}",
-        f"dim <= (n^2 + sum n_i^2)/2 for every split corpus algebra ({split_total} checked)",
-        "0 violations",
-        f"{violations} violations",
+        f"dim <= (n^2 + sum n_i^2)/2 for every split corpus algebra ({len(split)} checked)",
+        (a.dimension > bound for a, bound in split),
     )
-    recognized = 0
-    for a in equality_cases:
-        ok, _, _ = is_parabolic(a)
-        if ok:
-            recognized += 1
-    yield _check(
+    yield _all_of(
         f"split-bound/equality/n={n}",
         "every algebra meeting the bound is conjugate to its block type",
-        f"{len(equality_cases)}/{len(equality_cases)}",
-        f"{recognized}/{len(equality_cases)}",
+        (is_parabolic(a)[0] for a, bound in split if a.dimension == bound),
     )
 
 
@@ -336,27 +337,13 @@ def _run_maximality(
 ) -> Iterator[CheckRecord]:
     t = 100 if trials is None else trials
     for left in range(1, n):
-        comp = Composition((left, n - left))
-        algebra = parabolic_subalgebra(comp)
+        algebra = parabolic_subalgebra(Composition((left, n - left)))
         rng = _rng(seed, "absorb", n, left)
-        absorbed = 0
-        for _ in range(t):
-            for _ in range(_OUTSIDE_DRAW_LIMIT):
-                x = random_matrix(rng, n)
-                if not algebra.contains(x):
-                    break
-            else:
-                raise RuntimeError(
-                    f"no matrix outside the type {comp.parts} algebra "
-                    f"in {_OUTSIDE_DRAW_LIMIT} draws"
-                )
-            if absorption_probe(algebra, x).dimension == n * n:
-                absorbed += 1
-        yield _check(
+        outside = (_outside(algebra, rng) for _ in range(t))
+        yield _all_of(
             f"maximality/n={n}/type=({left},{n - left})",
             "adjoining any element outside a two-block algebra closes to all of M_n",
-            f"{t}/{t}",
-            f"{absorbed}/{t}",
+            (absorption_probe(algebra, x).dimension == n * n for x in outside),
         )
 
 
@@ -405,63 +392,45 @@ def _run_gerstenhaber(
         )
     t = 100 if trials is None else trials
     rng = _rng(seed, "witness", n)
-    target_dim = nil_bound(n) + 1
-    found = 0
-    for _ in range(t):
-        space = random_subspace(rng, n * n, target_dim)
-        if is_nil_subspace(space, budget=nil_budget).verdict == WITNESS_FOUND:
-            found += 1
-    yield _check(
+    spaces = (random_subspace(rng, n * n, nil_bound(n) + 1) for _ in range(t))
+    yield _all_of(
         f"gerstenhaber/random-witness/n={n}",
         "a subspace of dimension n(n-1)/2 + 1 always contains a non-nilpotent element",
-        f"{t}/{t}",
-        f"{found}/{t}",
+        (is_nil_subspace(s, budget=nil_budget).verdict == WITNESS_FOUND for s in spaces),
     )
     t2 = 50 if trials is None else trials
     rng2 = _rng(seed, "triangularize", n)
     upper = strictly_upper_space(n)
-    recovered = 0
+    recovered = []
     for _ in range(t2):
-        c = random_invertible(rng2, n)
-        moved = conjugate_space(upper, c)
+        moved = conjugate_space(upper, random_invertible(rng2, n))
         back = triangularize_nil(moved)
-        if back is not None and conjugate_space(moved, back) == upper:
-            recovered += 1
-    yield _check(
+        recovered.append(back is not None and conjugate_space(moved, back) == upper)
+    yield _all_of(
         f"gerstenhaber/triangularize/n={n}",
         "conjugates of the strictly upper-triangular space are triangularized back exactly",
-        f"{t2}/{t2}",
-        f"{recovered}/{t2}",
+        recovered,
     )
 
 
 def _run_wedderburn(
     n: int, seed: int, trials: int | None, budget: int | None
 ) -> Iterator[CheckRecord]:
-    corpus = corpus_algebras(n, seed)
-    split_total = 0
-    identity_ok = 0
-    certified = 0
-    for _, a in corpus:
-        # certifies radical(a) first and lets its RuntimeError propagate
-        data = semisimple_blocks(a)
-        certified += 1
-        if not data.split:
-            continue
-        split_total += 1
-        if data.radical_dim + sum(s * s for s in data.block_sizes) == a.dimension:
-            identity_ok += 1
-    yield _check(
+    # semisimple_blocks raises RuntimeError unless radical(a) certifies
+    blocks = [(a, semisimple_blocks(a)) for _, a in corpus_algebras(n, seed)]
+    yield _all_of(
         f"wedderburn/identity/n={n}",
         "radical dimension plus sum of squared block sizes equals the dimension (split corpus)",
-        f"{split_total}/{split_total}",
-        f"{identity_ok}/{split_total}",
+        (
+            data.radical_dim + sum(s * s for s in data.block_sizes) == a.dimension
+            for a, data in blocks
+            if data.split
+        ),
     )
-    yield _check(
+    yield _all_of(
         f"wedderburn/radical-certified/n={n}",
         "the trace-form kernel certifies as a nilpotent two-sided ideal on the whole corpus",
-        f"{len(corpus)}/{len(corpus)}",
-        f"{certified}/{len(corpus)}",
+        [True] * len(blocks),
     )
     full = MatrixAlgebra(n=n, space=full_space(n * n))
     yield _check(
@@ -475,36 +444,21 @@ def _run_wedderburn(
 def _run_min_coideal(
     n: int, seed: int, trials: int | None, budget: int | None
 ) -> Iterator[CheckRecord]:
-    corpus = corpus_algebras(n, seed)
-    certified = 0
-    for _, a in corpus:
-        if is_coideal(perp(a.space)).certified:
-            certified += 1
-    yield _check(
+    spaces = [a.space for _, a in corpus_algebras(n, seed)]
+    yield _all_of(
         f"min-coideal/perp-certifies/n={n}",
         "the annihilator of every corpus subalgebra certifies as a coideal",
-        f"{len(corpus)}/{len(corpus)}",
-        f"{certified}/{len(corpus)}",
+        (is_coideal(perp(s)).certified for s in spaces),
     )
     rng = _rng(seed, "perp", n)
     t = 25 if trials is None else trials
-    checks = 0
-    involution_ok = 0
-    for _, a in corpus:
-        checks += 1
-        if perp(perp(a.space)) == a.space:
-            involution_ok += 1
     for _ in range(t):
         dim = rng.randint(0, n * n)
-        s = random_subspace(rng, n * n, dim)
-        checks += 1
-        if perp(perp(s)) == s:
-            involution_ok += 1
-    yield _check(
+        spaces.append(random_subspace(rng, n * n, dim))
+    yield _all_of(
         f"min-coideal/perp-involution/n={n}",
         "perp is an involution (corpus plus random subspaces)",
-        f"{checks}/{checks}",
-        f"{involution_ok}/{checks}",
+        (perp(perp(s)) == s for s in spaces),
     )
     yield _check(
         f"min-coideal/parabolic-coideal-dim/n={n}",
@@ -512,22 +466,18 @@ def _run_min_coideal(
         n - 1,
         parabolic_coideal(Composition((1, n - 1))).dimension,
     )
-    sub_certified = 0
-    sub_candidates = 0
+    sub_certified = []
     for left in range(1, n):
         pivots = parabolic_coideal(Composition((left, n - left))).space.pivots
         positions = [divmod(p, n) for p in pivots]
         for space in _unit_pattern_spaces(n, positions):
-            if space.dimension == len(positions):
-                continue  # the whole pattern is the coideal itself
-            sub_candidates += 1
-            if is_coideal(space).certified:
-                sub_certified += 1
-    yield _check(
+            if space.dimension < len(positions):  # skip the coideal itself
+                sub_certified.append(is_coideal(space).certified)
+    yield _none_of(
         f"min-coideal/two-block-minimal/n={n}",
-        f"no proper nonzero unit sub-pattern of a two-block coideal certifies ({sub_candidates} candidates)",
-        "0 certified",
-        f"{sub_certified} certified",
+        f"no proper nonzero unit sub-pattern of a two-block coideal certifies ({len(sub_certified)} candidates)",
+        sub_certified,
+        noun="certified",
     )
     if n <= 3:
         certified_dims: list[int] = []
@@ -547,29 +497,21 @@ def _run_schur(
     n: int, seed: int, trials: int | None, budget: int | None
 ) -> Iterator[CheckRecord]:
     bound = (n * n) // 4 + 1
-    commutative_total = 0
-    violations = 0
-    attained = False
+    commutative: list[tuple[MatrixAlgebra, bool]] = []
     for _, a in corpus_algebras(n, seed):
-        commutative, bound_holds = schur_commutative_check(a)
-        if not commutative:
-            continue
-        commutative_total += 1
-        if not bound_holds:
-            violations += 1
-        if a.dimension == bound:
-            attained = True
-    yield _check(
+        is_commutative, bound_holds = schur_commutative_check(a)
+        if is_commutative:
+            commutative.append((a, bound_holds))
+    yield _none_of(
         f"schur/bound/n={n}",
-        f"every commutative corpus algebra has dimension at most n^2/4 + 1 ({commutative_total} checked)",
-        "0 violations",
-        f"{violations} violations",
+        f"every commutative corpus algebra has dimension at most n^2/4 + 1 ({len(commutative)} checked)",
+        (not holds for _, holds in commutative),
     )
     yield _check(
         f"schur/attained/n={n}",
         "the commutative bound is attained in the corpus",
         True,
-        attained,
+        any(a.dimension == bound for a, _ in commutative),
     )
 
 

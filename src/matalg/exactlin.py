@@ -7,8 +7,8 @@ exact: no floating point, no rounding, no tolerances.  Equality questions
 not estimated.
 
 Inside, the arithmetic is over the integers, and `Fraction`s are made only
-at the edges: when a solution, the basis of a `Subspace` or the entries
-of a matrix are read out.  A matrix is stored as its entries times their
+at the edges: when the basis of a `Subspace` or the entries of a matrix
+are read out.  A matrix is stored as its entries times their
 least common denominator, so a product is one flat integer product
 (`_flat_product`) over the product of two denominators.  Row reduction
 is one fraction-free kernel (`_reduce`, `_adjoin`): rows fully reduced
@@ -52,7 +52,6 @@ __all__ = [
     "subspace_sum",
     "subspace_intersect",
     "subspace_contains",
-    "solve_linear",
     "null_space",
     "random_matrix",
     "random_invertible",
@@ -613,27 +612,6 @@ def _coset_images(sub: Subspace) -> list[list[tuple[int, int]]]:
     return images
 
 
-def solve_linear(m: Matrix, rhs: Sequence[int | str | Fraction]) -> Vector | None:
-    """One exact solution of m @ x = rhs, or None when inconsistent.
-
-    Free variables are fixed at zero, so the answer is deterministic.
-    """
-    b = as_vector(rhs, m.rows)
-    ncols = m.cols
-    # row i of m times d is the integer row r, so row i of [m | b] times
-    # d times the denominator of b_i is an integer row too
-    rows, den = _echelon(
-        tuple(v.denominator * e for e in r) + (m._den * v.numerator,)
-        for r, v in zip(_split_rows(m._flat, ncols), b)
-    )
-    if ncols in rows:
-        return None  # pivot in the constant column: 0 = 1
-    solution = [_ZERO] * ncols
-    for p, row in rows.items():
-        solution[p] = Fraction(row[ncols], den)
-    return tuple(solution)
-
-
 def null_space(m: Matrix) -> Subspace:
     """Canonical basis of {x : m @ x = 0} inside Q^cols."""
     return _kernel(_split_rows(m._flat, m.cols), m.cols)
@@ -701,35 +679,24 @@ class SpanBuilder:
         return _canonical(self.ambient_dim, self._rows, self._den)
 
 
-def random_matrix(
-    rng: random.Random, rows: int, cols: int | None = None, *, lo: int = -3, hi: int = 3
-) -> Matrix:
-    """Random integer matrix with entries drawn uniformly from [lo, hi]."""
-    cols = rows if cols is None else cols
-    return Matrix._make(rows, cols, 1, tuple(rng.randint(lo, hi) for _ in range(rows * cols)))
+def random_matrix(rng: random.Random, n: int) -> Matrix:
+    """Random n x n integer matrix with entries drawn uniformly from [-3, 3]."""
+    return Matrix._make(n, n, 1, tuple(rng.randint(-3, 3) for _ in range(n * n)))
 
 
-# Draw limit of the rejection samplers below.  Once a range passes the
-# checks, a draw is rejected with probability about 2/3 at worst: a
-# {0, 1} matrix is singular 338 times in 512 at side 3, 0.656 at side 4,
-# 0.627 at side 5, and less for wider ranges.  1000 rejections in a row
-# then have probability below 1e-170.
+# Draw limit of the rejection samplers below.  A draw is rejected with
+# probability at most 1/7, for a 1 x 1 matrix or a line in Q^1 (entry 0):
+# 289 of the 2401 2 x 2 matrices are singular (0.120), about 0.070 of the
+# 3 x 3 ones, and dependent vectors are rarer still in wider ambient
+# spaces.  1000 rejections in a row then have probability below 1e-845.
 _DRAW_LIMIT = 1000
 
 
-def random_invertible(rng: random.Random, n: int, *, lo: int = -3, hi: int = 3) -> Matrix:
-    """Random invertible n x n integer matrix (rejection sampling).
-
-    Raises ValueError when no matrix with entries in [lo, hi] is
-    invertible: an empty range, or a single value unless n == 1 and the
-    value is nonzero.
-    """
-    if lo > hi:
-        raise ValueError(f"empty entry range [{lo}, {hi}]")
-    if lo == hi and not (n == 1 and lo != 0):
-        raise ValueError(f"no invertible {n}x{n} matrix has every entry equal to {lo}")
+def random_invertible(rng: random.Random, n: int) -> Matrix:
+    """Random invertible n x n integer matrix with entries in [-3, 3]
+    (rejection sampling)."""
     for _ in range(_DRAW_LIMIT):
-        m = random_matrix(rng, n, lo=lo, hi=hi)
+        m = random_matrix(rng, n)
         try:
             m.inverse()
         except ValueError:
@@ -738,23 +705,13 @@ def random_invertible(rng: random.Random, n: int, *, lo: int = -3, hi: int = 3) 
     raise RuntimeError(f"no invertible matrix in {_DRAW_LIMIT} draws")
 
 
-def random_subspace(
-    rng: random.Random, ambient_dim: int, dim: int, *, lo: int = -3, hi: int = 3
-) -> Subspace:
-    """Random subspace of exactly the requested dimension (rejection sampling).
-
-    Raises ValueError when vectors with entries in [lo, hi] cannot span
-    `dim` dimensions: an empty range, the single value 0 with dim >= 1,
-    or any single value with dim >= 2.
-    """
+def random_subspace(rng: random.Random, ambient_dim: int, dim: int) -> Subspace:
+    """Random subspace of exactly the requested dimension, spanned by
+    vectors with entries in [-3, 3] (rejection sampling)."""
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"dimension {dim} out of range for ambient {ambient_dim}")
-    if lo > hi:
-        raise ValueError(f"empty entry range [{lo}, {hi}]")
-    if lo == hi and dim >= (1 if lo == 0 else 2):
-        raise ValueError(f"vectors with every entry equal to {lo} span less than {dim} dimensions")
     for _ in range(_DRAW_LIMIT):
-        vectors = [[rng.randint(lo, hi) for _ in range(ambient_dim)] for _ in range(dim)]
+        vectors = [[rng.randint(-3, 3) for _ in range(ambient_dim)] for _ in range(dim)]
         space = rref_basis(vectors, ambient_dim)
         if space.dimension == dim:
             return space

@@ -31,7 +31,6 @@ from matalg.algebra import (
     radical,
     schur_commutative_check,
     semisimple_blocks,
-    upper_triangular_algebra,
     _QuotientAlgebra,
     _central_idempotents,
     _deflate,
@@ -42,7 +41,7 @@ from matalg.algebra import (
     _value,
 )
 from matalg.cli.suites import corpus_algebras
-from test_exactlin import coset_coords, reference_closure, reference_project
+from test_exactlin import coset_coords, reference_closure, reference_project, solve_linear
 from matalg.exactlin import (
     Matrix,
     SpanBuilder,
@@ -57,7 +56,6 @@ from matalg.exactlin import (
     random_invertible,
     random_matrix,
     rref_basis,
-    solve_linear,
     subspace_contains,
     zero_space,
 )
@@ -211,7 +209,7 @@ class TestClosure:
 class TestConjugation:
     def test_swap_turns_upper_into_lower(self):
         swap = Matrix([[0, 1], [1, 0]])
-        upper = upper_triangular_algebra(2)
+        upper = parabolic_subalgebra(Composition((1, 1)))
         moved = conjugate(upper, swap)
         lower = algebra_from_basis(
             2, [Matrix.unit(2, 0, 0), Matrix.unit(2, 1, 1), Matrix.unit(2, 1, 0)]
@@ -226,7 +224,7 @@ class TestConjugation:
 
     def test_conjugate_space_roundtrip(self):
         rng = random.Random(4)
-        a = upper_triangular_algebra(3)
+        a = parabolic_subalgebra(Composition((1, 1, 1)))
         c = random_invertible(rng, 3)
         moved = conjugate_space(a.space, c)
         assert conjugate_space(moved, c.inverse()) == a.space
@@ -238,7 +236,7 @@ class TestRadical:
             assert radical(full_algebra(n)).dimension == 0
 
     def test_upper_triangular_radical_is_strict_part(self):
-        r = radical(upper_triangular_algebra(2))
+        r = radical(parabolic_subalgebra(Composition((1, 1))))
         assert r == rref_basis([Matrix.unit(2, 0, 1).flatten()], 4)
 
     def test_parabolic_radical_is_off_block_part(self):
@@ -291,7 +289,7 @@ class TestRadicalCertificate:
     def test_one_sided_ideal_is_rejected(self, monkeypatch, unit, left_ideal, right_ideal):
         # a nilpotent candidate closed on one side only: a check of that side
         # alone would pass it, so each side is needed for one of the two cases
-        a = upper_triangular_algebra(3)
+        a = parabolic_subalgebra(Composition((1, 1, 1)))
         candidate = _unit_span(3, [unit])
         basis = a.basis_matrices()
         members = candidate.basis_matrices(3)
@@ -304,7 +302,7 @@ class TestRadicalCertificate:
     def test_kernel_flag_failure_is_rejected(self, monkeypatch):
         monkeypatch.setattr(algebra_module, "_kernel_flag", lambda mats, n: None)
         with pytest.raises(RuntimeError, match="not nilpotent"):
-            radical(upper_triangular_algebra(3))
+            radical(parabolic_subalgebra(Composition((1, 1, 1))))
 
     # The cases above on algebras that record a generating set smaller than
     # their basis, over which alone the ideal conditions are checked.
@@ -324,7 +322,7 @@ class TestRadicalCertificate:
     def test_one_sided_or_no_ideal_is_rejected_over_generators(self, monkeypatch, units):
         # span{E01} is a left ideal only, span{E12} a right ideal only, and
         # span{E01, E12} neither, since E01 E12 = E02
-        upper = upper_triangular_algebra(3)
+        upper = parabolic_subalgebra(Composition((1, 1, 1)))
         a = algebra_from_basis(3, upper.basis_matrices())
         assert a == upper and 0 < len(a._generators) < a.dimension
         candidate = _unit_span(3, units)
@@ -437,7 +435,7 @@ class TestSemisimpleBlocks:
         assert data.radical_dim == 2
 
     def test_upper_triangular_blocks(self):
-        data = semisimple_blocks(upper_triangular_algebra(2))
+        data = semisimple_blocks(parabolic_subalgebra(Composition((1, 1))))
         assert data.block_sizes == (1, 1)
         assert data.radical_dim == 1
 
@@ -880,7 +878,8 @@ class TestClosednessBySpinning:
 
     def test_replace_drops_the_recorded_generators(self):
         # a generating set of one space generates no other
-        a = algebra_from_basis(3, upper_triangular_algebra(3).basis_matrices())
+        upper = parabolic_subalgebra(Composition((1, 1, 1)))
+        a = algebra_from_basis(3, upper.basis_matrices())
         assert a._generators
         other = dataclasses.replace(a, space=full_space(9))
         assert other._generators == []
@@ -1145,7 +1144,7 @@ class TestFlags:
         assert f.dims == (3,)
 
     def test_upper_triangular_full_flag(self):
-        f = invariant_flag(upper_triangular_algebra(3))
+        f = invariant_flag(parabolic_subalgebra(Composition((1, 1, 1))))
         assert f.dims == (1, 2, 3)
         # the chain consists of the coordinate subspaces
         assert f.subspaces[0] == rref_basis([(1, 0, 0)], 3)
@@ -1375,7 +1374,7 @@ class TestParabolicRecognition:
         assert ok and comp == Composition((3,))
 
     def test_borel_is_finest_type(self):
-        ok, comp, _ = is_parabolic(upper_triangular_algebra(4))
+        ok, comp, _ = is_parabolic(parabolic_subalgebra(Composition((1, 1, 1, 1))))
         assert ok and comp == Composition((1, 1, 1, 1))
 
     def test_diagonal_is_not_parabolic(self):
@@ -1388,7 +1387,7 @@ class TestParabolicRecognition:
         )
         ok, comp, witness = is_parabolic(lower)
         assert ok and comp == Composition((1, 1))
-        assert conjugate(lower, witness).space == upper_triangular_algebra(2).space
+        assert conjugate(lower, witness).space == parabolic_subalgebra(Composition((1, 1))).space
 
     @pytest.mark.parametrize("parts", [(1, 2), (2, 1), (1, 1, 1), (3,)])
     def test_random_conjugates_recognized(self, parts):
@@ -1454,7 +1453,8 @@ class TestFlagConjugator:
             assert conjugate(a, witness).space == parabolic_subalgebra(comp).space
 
     def test_tampered_adapted_basis_raises(self, monkeypatch):
-        a = conjugate(upper_triangular_algebra(3), random_invertible(random.Random(5), 3))
+        upper = parabolic_subalgebra(Composition((1, 1, 1)))
+        a = conjugate(upper, random_invertible(random.Random(5), 3))
         assert is_parabolic(a)[0]
         adapted = algebra_module._adapted_basis
         monkeypatch.setattr(
@@ -1468,7 +1468,7 @@ class TestFlagConjugator:
         # into the strictly upper one
         a = diagonal_algebra(3)
         chain = [full_space(3)]
-        upper = upper_triangular_algebra(3).space
+        upper = parabolic_subalgebra(Composition((1, 1, 1))).space
         assert algebra_module._flag_conjugator(chain, a.space, upper) == Matrix.identity(3)
         strictly_upper = _unit_span(3, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(RuntimeError, match="adapted basis"):
@@ -1679,7 +1679,8 @@ class TestSchur:
         # diagonal hits the bound only at n <= 3: floor(9/4)+1 = 3
 
     def test_noncommutative_reports_none(self):
-        commutative, bound_ok = schur_commutative_check(upper_triangular_algebra(2))
+        upper = parabolic_subalgebra(Composition((1, 1)))
+        commutative, bound_ok = schur_commutative_check(upper)
         assert not commutative and bound_ok is None
 
     def test_extremal_commutative_at_n4(self):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import matalg
 import matalg.algebra as algebra_module
+import matalg.cli.suites as suites_module
 import matalg.coalgebra as coalgebra_module
 from matalg.algebra import Composition, parabolic_subalgebra
 from matalg.cli.documents import (
@@ -337,6 +338,24 @@ class TestVerificationReports:
         assert rep.passed
         assert "3/3" in rep.to_text()
 
+    def test_failed_tallies_show_their_counts(self, monkeypatch):
+        monkeypatch.setattr(suites_module, "is_parabolic", lambda a: (False, None, None))
+        assert (
+            "  [FAIL] split-bound/equality/n=3 expected=13/13 observed=0/13 :: "
+            in run_verification("split-bound", (3, 3)).to_text()
+        )
+        check = suites_module.schur_commutative_check
+
+        def bound_fails(a):
+            commutative, _ = check(a)
+            return commutative, False if commutative else None
+
+        monkeypatch.setattr(suites_module, "schur_commutative_check", bound_fails)
+        assert (
+            "  [FAIL] schur/bound/n=4 expected=0 violations observed=5 violations :: "
+            in run_verification("schur", (4, 4)).to_text()
+        )
+
 
 class TestCommandLine:
     def run(self, argv, stdin_text=None, tmp_path=None):
@@ -473,6 +492,23 @@ class TestCommandLine:
         bad.write_text('{"n": 2, "field": "Q", "basis": [[["1","1/0"],["0","1"]]]}')
         assert main(["analyze", "closure", "--input", str(bad)]) == 2
         assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "template, where",
+        [
+            ('{"n": 1, "field": "Q", "basis": [[["%s"]]]}', "basis[0] row 0 col 0: "),
+            ('{"n": 1, "field": "Q", "basis": [[["1/%s"]]]}', "basis[0] row 0 col 0: "),
+            ('{"n": %s, "field": "Q", "basis": [[["1"]]]}', "a JSON number has "),
+        ],
+        ids=["numerator", "denominator", "n"],
+    )
+    def test_numbers_beyond_the_digit_limit_exit_2(self, template, where, tmp_path, capsys):
+        # int() refuses more digits than the interpreter's int-string limit
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.json"
+        path.write_text(template % ("1" * (limit + 1)))
+        assert main(["analyze", "radical", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {where}more than {limit} digits\n"
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["analyze", "closure", "--input", str(tmp_path / "no.json")]) == 2

@@ -14,7 +14,6 @@ from matalg.algebra import (
     compositions,
     conjugate,
     parabolic_subalgebra,
-    upper_triangular_algebra,
 )
 from matalg.coalgebra import (
     CoalgebraElement,
@@ -313,7 +312,7 @@ class TestCoidealCheck:
 
 class TestPerp:
     def test_upper_triangular_annihilator(self):
-        p = perp(upper_triangular_algebra(2).space)
+        p = perp(parabolic_subalgebra(Composition((1, 1))).space)
         assert p == unit_span(2, [(1, 0)])
 
     def test_zero_and_full(self):
