@@ -31,7 +31,6 @@ from .exactlin import (
     Subspace,
     _adjoin,
     _combination,
-    _flat_product,
     _joint_kernel,
     _lowest_terms,
     _matrix_side,
@@ -210,6 +209,7 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     d = len(pairs)
     pivots = [p for p, _ in pairs]
     basis_rows = [_split_rows(x, n) for _, x in pairs]
+    cells = _cells(n)
     algebra = MatrixAlgebra(n=n, space=space)
     # the right multiplication by each generator on the coordinates of B,
     # times den^2: row j holds the coordinates of b_j g
@@ -229,7 +229,7 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
         columns = [g[j::n] for j in range(n)]
         image = []
         for j, rows in enumerate(basis_rows):
-            product = _rows_times_columns(rows, columns)
+            product = _rows_times_columns(rows, columns, cells)
             # the membership test of `subspace_contains`, on integers already
             if any(_reduce(product, pairs, den)):
                 raise ValueError("span is not closed under multiplication")
@@ -268,9 +268,14 @@ def _spin(
 
 def _halves(x: Sequence[int], n: int) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
     """The rows and the columns of the flattened n x n integer matrix x,
-    for `_rows_times_columns`: split once for all its products, not on
-    every product as `_flat_product`."""
+    for `_rows_times_columns`: split once for all its products."""
     return _split_rows(x, n), [x[j::n] for j in range(n)]
+
+
+def _cells(n: int) -> list[tuple[int, int]]:
+    """The (row, column) cells of an n x n matrix in row-major order: a
+    full product by `_rows_times_columns`."""
+    return [divmod(k, n) for k in range(n * n)]
 
 
 def _identity(n: int) -> tuple[int, ...]:
@@ -290,22 +295,25 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     round) with the older matrices, with itself and with the frontier
     matrices after it (`_pairs`), so it forms x y and y x once for each
     unordered pair and x x once.  The identity is left out of the product
-    lists, since its products add nothing.  The loop ends because the
-    dimension grows in each round but the last and is at most n^2.
+    lists, since its products add nothing.  Each matrix is split into its
+    rows and columns (`_halves`) once, when it joins the frontier.  The
+    loop ends because the dimension grows in each round but the last and
+    is at most n^2.
     """
     for g in generators:
         _check_square(g, n)
     full = n * n
+    cells = _cells(n)
     builder = SpanBuilder(full)
     builder.add(_identity(n))
     older: list = []
-    frontier = [g for g in _integral_generators(generators) if builder.add(g)]
+    frontier = [_halves(g, n) for g in _integral_generators(generators) if builder.add(g)]
     while frontier and builder.dimension < full:
         fresh = []
-        for u, v in _pairs(older, frontier):
-            p = _flat_product(u, v, n)
+        for (u_rows, _), (_, v_columns) in _pairs(older, frontier):
+            p = _rows_times_columns(u_rows, v_columns, cells)
             if builder.add(p):
-                fresh.append(p)
+                fresh.append(_halves(p, n))
                 if builder.dimension == full:
                     break
         older += frontier
@@ -402,10 +410,11 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
     basis = [x for _, x in a.space._integer_form()[1]]
     generators = [_halves(g, n) for g in a._generators or basis]
     rows = [_halves(r, n) for _, r in pairs]
+    cells = _cells(n)
     for x_rows, x_columns in generators:
         for r_rows, r_columns in rows:
-            if any(_reduce(_rows_times_columns(x_rows, r_columns), pairs, den)) or any(
-                _reduce(_rows_times_columns(r_rows, x_columns), pairs, den)
+            if any(_reduce(_rows_times_columns(x_rows, r_columns, cells), pairs, den)) or any(
+                _reduce(_rows_times_columns(r_rows, x_columns, cells), pairs, den)
             ):
                 raise RuntimeError("radical candidate is not a two-sided ideal")
     flag = _kernel_flag(rad.basis_matrices(n), n)
@@ -423,7 +432,7 @@ def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
     # matrix is an integer one, with the kernel of the basis one
     basis = [x for _, x in a.space._integer_form()[1]]
     transposes = [tuple(e for j in range(n) for e in x[j::n]) for x in basis]
-    gram = _rows_times_columns(basis, transposes)
+    gram = _rows_times_columns(basis, transposes, _cells(len(basis)))
     _, kernel = null_space(Matrix._make(len(basis), len(basis), 1, gram))._integer_form()
     return rref_basis([_combination(coeffs, basis, n * n) for _, coeffs in kernel], n * n)
 
@@ -445,8 +454,12 @@ class _QuotientAlgebra:
     is built over the integers: the integer form of A is its basis times
     one common d, so the integer residual modulo R (see `exactlin._reduce`)
     of the product of two of its rows is d^2 times the pivot value of R
-    times the residual of the product of the two basis rows.  Those
-    products are formed here, each once, on section rows split into rows
+    times the residual of the product of the two basis rows.
+
+    A vector of A is fixed by its entries at the pivots of A, and R lies
+    in A, so the whole reduction is read at those d coordinates: R by its
+    rows there, and each of the m^2 section products formed once, only at
+    those d cells (`_rows_times_columns`), on section rows split into rows
     and columns once each (`_halves`).  `center` reads the cosets of the
     generators that A records when they are sparser than the coset basis,
     and the coset basis otherwise.
@@ -454,16 +467,22 @@ class _QuotientAlgebra:
 
     def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
         n = self.n = algebra.n
-        self._rad_den, self._rad_rows = rad._integer_form()
-        rad_pivots = {p for p, _ in self._rad_rows}
         den, rows = algebra.space._integer_form()
-        self._pivots = [p for p, _ in rows if p not in rad_pivots]
+        # the d coordinates that fix a vector of A, and R's rows there,
+        # with their pivots as places among them
+        self._pivots = [p for p, _ in rows]
+        place = {p: k for k, p in enumerate(self._pivots)}
+        self._rad_den, rad_rows = rad._integer_form()
+        self._rad_rows = [(place[p], [row[q] for q in self._pivots]) for p, row in rad_rows]
+        rad_pivots = {p for p, _ in rad_rows}
+        self._section_places = [place[p] for p, _ in rows if p not in rad_pivots]
         section = [_halves(x, n) for p, x in rows if p not in rad_pivots]
         m = self.dim = len(section)
+        cells = [divmod(p, n) for p in self._pivots]
         # the coordinates of x_i x_j are self._table[i][j] / self._den
         self._den = self._rad_den * den * den
         self._table = [
-            [self._coset(_rows_times_columns(x_rows, y_columns)) for _, y_columns in section]
+            [self._reduced(_rows_times_columns(x_rows, y_columns, cells)) for _, y_columns in section]
             for x_rows, _ in section
         ]
         self.one = _lowest_terms(self._rad_den, self._coset(_identity(n)))
@@ -479,9 +498,15 @@ class _QuotientAlgebra:
 
     def _coset(self, flat: Sequence[int]) -> tuple[int, ...]:
         """The coordinates of the coset of an integer vector of A, times the
-        pivot value of R: its residual modulo R read at the section pivots."""
-        r = _reduce(flat, self._rad_rows, self._rad_den)
-        return tuple(r[p] for p in self._pivots)
+        pivot value of R, from its entries at the pivots of A."""
+        return self._reduced([flat[p] for p in self._pivots])
+
+    def _reduced(self, entries: Sequence[int]) -> tuple[int, ...]:
+        """The coset coordinates, as `_coset` gives them, of the vector of A
+        with `entries` at the pivots of A: its residual modulo R read at the
+        section pivots."""
+        r = _reduce(entries, self._rad_rows, self._rad_den)
+        return tuple(r[k] for k in self._section_places)
 
     def mult(self, u: _Element, v: _Element) -> _Element:
         (du, iu), (dv, iv) = u, v
@@ -706,10 +731,17 @@ def _central_idempotents(quotient: _QuotientAlgebra) -> list[_Element] | None:
     irreducible factor of degree at least 2 proves that Z contains a
     field extension of Q.  Afterwards
     every e z_i is a multiple of e, so there are dim Z idempotents.
+
+    The walk stops as soon as it holds dim Z idempotents: k orthogonal
+    nonzero idempotents summing to 1 in a commutative Z of dimension k cut
+    it into k lines eZ = Qe, so they are primitive, and the rest of the
+    walk would only return each of them unchanged.
     """
     center = quotient.center()
     idempotents = [quotient.one]
     for z in center:
+        if len(idempotents) == len(center):
+            break
         refined = []
         for e in idempotents:
             f, powers = quotient.min_poly(quotient.mult(e, z), e)

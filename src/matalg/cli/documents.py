@@ -105,6 +105,8 @@ def parse_basis_document(text: str) -> BasisDocument:
     except ValueError:  # a JSON integer beyond the int-string digit limit
         limit = sys.get_int_max_str_digits()
         raise DocumentError(f"a JSON number has more than {limit} digits") from None
+    except RecursionError:  # arrays or objects nested beyond the parser's depth
+        raise DocumentError("not valid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise DocumentError("document root must be an object")
     for key in ("n", "field", "basis"):

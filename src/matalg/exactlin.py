@@ -9,8 +9,10 @@ not estimated.
 Inside, the arithmetic is over the integers, and `Fraction`s are made only
 at the edges: when the basis of a `Subspace` or the entries of a matrix
 are read out.  A matrix is stored as its entries times their
-least common denominator, so a product is one flat integer product
-(`_flat_product`) over the product of two denominators.  Row reduction
+least common denominator, so a product is one integer product over
+the product of two denominators: `_rows_times_columns`, the one
+sum-of-products expression of the package, which forms the entries at
+given (row, column) cells, all of them for a full product.  Row reduction
 is one fraction-free kernel (`_reduce`, `_adjoin`): rows fully reduced
 over one common pivot value, which is the reduced row-echelon form times
 its least common denominator, and integer vectors reduced against them
@@ -37,6 +39,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -210,7 +213,12 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            flat = _flat_product(self._flat, other._flat, self.cols)
+            cols = other.cols
+            flat = _rows_times_columns(
+                _split_rows(self._flat, self.cols),
+                [other._flat[j::cols] for j in range(cols)],
+                product(range(self.rows), range(cols)),
+            )
             return Matrix._make(self.rows, other.cols, self._den * other._den, flat)
         scale = as_scalar(other)
         flat = tuple(scale.numerator * e for e in self._flat)
@@ -307,19 +315,16 @@ def _split_rows(flat: Sequence, width: int) -> list[Sequence]:
     return [flat[i : i + width] for i in range(0, len(flat), width)]
 
 
-def _flat_product(x: Sequence[int], y: Sequence[int], inner: int) -> tuple[int, ...]:
-    """The product of two integer matrices flattened row-major, the first
-    with `inner` columns and the second with `inner` rows."""
-    cols = len(y) // inner
-    return _rows_times_columns(_split_rows(x, inner), [y[j::cols] for j in range(cols)])
-
-
 def _rows_times_columns(
-    rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]
+    rows: Sequence[Sequence[int]],
+    columns: Sequence[Sequence[int]],
+    cells: Iterable[tuple[int, int]],
 ) -> tuple[int, ...]:
-    """The product, flattened row-major, of the integer matrix with `rows`
-    and the one with `columns`."""
-    return tuple(sum(map(operator.mul, r, c)) for r in rows for c in columns)
+    """The entries at `cells`, in their order, of the product of the integer
+    matrix with `rows` and the one with `columns`: row i times column j at
+    the cell (i, j).  Every cell in row-major order gives the product
+    flattened row-major."""
+    return tuple([sum(map(operator.mul, rows[i], columns[j])) for i, j in cells])
 
 
 def _reduce(

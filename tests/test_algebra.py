@@ -41,15 +41,18 @@ from matalg.algebra import (
     _value,
 )
 from matalg.cli.suites import corpus_algebras
-from test_exactlin import coset_coords, reference_closure, reference_project, solve_linear
+from test_exactlin import (
+    coset_coords,
+    reference_closure,
+    reference_product,
+    reference_project,
+    solve_linear,
+)
 from matalg.exactlin import (
     Matrix,
     SpanBuilder,
-    _flat_product,
-    _integral,
     _joint_kernel,
     _primitive,
-    _reduce,
     _unit_span,
     full_space,
     null_space,
@@ -585,28 +588,25 @@ class TestSemisimpleBlocksOracle:
 
 class ReferenceQuotientAlgebra:
     """The quotient A/rad A on `Fraction` coordinate tuples that the
-    integer `_QuotientAlgebra` replaced, kept as its reference: `mult`
-    scales both factors to integers on every call, and `min_poly` spans
-    the powers with a `SpanBuilder` and solves for the relation with
-    `solve_linear`."""
+    integer `_QuotientAlgebra` replaced, kept as its reference: the
+    structure table holds the cosets (`reference_project`) of the
+    `Fraction` products (`reference_product`) of all n^2 entries of the
+    section basis matrices, `mult` sums `Fraction` multiples of its cells,
+    and `min_poly` spans the powers with a `SpanBuilder` and solves for the
+    relation with `solve_linear`."""
 
     def __init__(self, algebra, rad):
         self.n = algebra.n
         self._rad = rad
         position = {c: i for i, c in enumerate(coset_coords(rad))}
-        den, rows = algebra.space._integer_form()
-        section = [x for p, x in rows if p in position]
-        pivots = [p for p, _ in rows if p in position]
-        self._coset_index = [position[p] for p in pivots]
+        pairs = zip(algebra.space.pivots, algebra.basis_matrices())
+        section = [(p, x) for p, x in pairs if p in position]
+        self._coset_index = [position[p] for p, _ in section]
         self.dim = len(section)
-        rad_den, rad_rows = rad._integer_form()
-
-        def cell(x, y):
-            r = _reduce(_flat_product(x, y, self.n), rad_rows, rad_den)
-            return tuple(r[p] for p in pivots)
-
-        self._den = rad_den * den * den
-        self._table = [[cell(x, y) for y in section] for x in section]
+        self._table = [
+            [self.coords([e for row in reference_product(x, y) for e in row]) for _, y in section]
+            for _, x in section
+        ]
         self.one = self.coords(Matrix.identity(self.n).flatten())
 
     def coords(self, flat):
@@ -614,26 +614,20 @@ class ReferenceQuotientAlgebra:
         return tuple(r[i] for i in self._coset_index)
 
     def mult(self, u, v):
-        du, iu = _integral(u)
-        dv, iv = _integral(v)
-        acc = [0] * self.dim
-        for ui, row in zip(iu, self._table):
+        acc = [Fraction(0)] * self.dim
+        for ui, row in zip(u, self._table):
             if not ui:
                 continue
-            for vj, cell in zip(iv, row):
+            for vj, cell in zip(v, row):
                 if vj:
                     f = ui * vj
-                    acc = [a + f * c for a, c in zip(acc, cell)]
-        den = du * dv * self._den
-        return tuple(Fraction(a, den) for a in acc)
+                    acc = [a + f * c if c else a for a, c in zip(acc, cell)]
+        return tuple(acc)
 
     def left_trace(self, u):
         m = self.dim
-        du, iu = _integral(u)
-        return Fraction(
-            sum(iu[i] * self._table[i][k][k] for i in range(m) if iu[i] for k in range(m)),
-            du * self._den,
-        )
+        table = self._table
+        return sum((u[i] * table[i][k][k] for i in range(m) if u[i] for k in range(m)), Fraction(0))
 
     def center(self):
         m = self.dim
@@ -734,11 +728,97 @@ class TestCentralIdempotentsReference:
         assert_same_idempotents(closure(x.rows, [x]))
 
 
+class TestCentralIdempotentWalk:
+    """The walk stops once it holds dim Z idempotents; the idempotents are
+    those of the full walk of the reference."""
+
+    @pytest.mark.parametrize(
+        "a, expected_calls",
+        [
+            # 10 central directions, one new idempotent at each of the first
+            # 9: 1 + 2 + ... + 9 calls, where the full walk made 55
+            (block_diagonal_algebra(Composition((1,) * 10)), 45),
+            # the first center vector splits nothing, the second all three:
+            # 1 + 1 calls, where the full walk made 1 + 1 + 3
+            (
+                conjugate(block_diagonal_algebra(Composition((1, 1, 2))), rational_invertible(random.Random(6), 4)),
+                2,
+            ),
+        ],
+        ids=["diagonal-10", "conjugated-1-1-2"],
+    )
+    def test_stops_at_the_center_dimension(self, a, expected_calls, monkeypatch):
+        rad = radical(a)
+        calls = []
+        min_poly = _QuotientAlgebra.min_poly
+        monkeypatch.setattr(_QuotientAlgebra, "min_poly", lambda *args: calls.append(args) or min_poly(*args))
+        quotient = _QuotientAlgebra(a, rad)
+        idempotents = _central_idempotents(quotient)
+        assert len(calls) == expected_calls
+        assert len(idempotents) == len(quotient.center())
+        expected = reference_central_idempotents(ReferenceQuotientAlgebra(a, rad))
+        assert [as_fractions(e) for e in idempotents] == expected
+
+
+def _permutation_matrix(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    return Matrix([[int(j == order[i]) for j in range(n)] for i in range(n)])
+
+
+def _pivot_cases():
+    """(id, algebra) at n <= 4: unit patterns as they stand and with their
+    coordinates permuted, whose pivots are scattered cells, and their
+    rational conjugates."""
+    for n in range(1, 5):
+        for k, comp in enumerate(compositions(n)):
+            rng = random.Random(10 * n + k)
+            p = _permutation_matrix(rng, n)
+            c = rational_invertible(rng, n)
+            for name, standard in (("block-diagonal", block_diagonal_algebra), ("parabolic", parabolic_subalgebra)):
+                a = standard(comp)
+                label = f"{name}-{'-'.join(map(str, comp.parts))}"
+                yield label, a
+                yield f"{label}-permuted", conjugate(a, p)
+                yield f"{label}-conjugated", conjugate(a, c)
+
+
+PIVOT_CASES = list(_pivot_cases())
+
+
+class TestQuotientAtPivots:
+    """The quotient forms its table only at the pivots of A; `mult`,
+    `left_trace` and `center` agree with the `Fraction` reference, which
+    reads every entry of each section product, on algebras whose pivots
+    are not their leading coordinates."""
+
+    def test_cases_have_scattered_pivots(self):
+        scattered = [a for _, a in PIVOT_CASES if a.space.pivots != tuple(range(a.dimension))]
+        assert len(scattered) > len(PIVOT_CASES) // 2
+
+    @pytest.mark.parametrize("a", [a for _, a in PIVOT_CASES], ids=[label for label, _ in PIVOT_CASES])
+    def test_matches_the_reference(self, a):
+        rad = radical(a)
+        quotient = _QuotientAlgebra(a, rad)
+        reference = ReferenceQuotientAlgebra(a, rad)
+        m = quotient.dim
+        assert m == reference.dim
+        assert as_fractions(quotient.one) == reference.one
+        units = [tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m)]
+        rng = random.Random(m)
+        dense = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m))
+        for u in units + [dense]:
+            assert quotient.left_trace(as_element(u)) == reference.left_trace(u)
+            for v in units + [dense]:
+                assert as_fractions(quotient.mult(as_element(u), as_element(v))) == reference.mult(u, v)
+        assert [as_fractions(z) for z in quotient.center()] == reference.center()
+
+
 class TestSharedBasisProducts:
     """The basis products that `algebra_from_basis` and `_QuotientAlgebra`
-    form: the spin forms d for each generator it chooses, and the quotient
-    forms each of its m^2 section products once, whichever constructor
-    built the algebra."""
+    form: the spin forms d full products for each generator it chooses,
+    and the quotient forms each of its m^2 section products once, at the d
+    pivots of A only, whichever constructor built the algebra."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_same_radical_and_blocks_as_conjugate_and_closure(self, n):
@@ -763,7 +843,7 @@ class TestSharedBasisProducts:
         a = algebra_from_basis(5, built.basis_matrices())
         rows = [x for _, x in a.space._integer_form()[1]]
         assert 0 < len(a._generators) < a.dimension
-        assert products == [(x, g) for g in a._generators for x in rows]
+        assert products == [(x, g, 25) for g in a._generators for x in rows]
         assert len(set(products)) == a.dimension * len(a._generators)
 
     def test_quotient_forms_each_section_product_once(self, monkeypatch):
@@ -788,23 +868,28 @@ class TestSharedBasisProducts:
             for a in algebras:
                 del products[:]
                 assert _QuotientAlgebra(a, rad).dim == len(section) == 9
-                assert products == [(x, y) for x in section for y in section]
+                # each of the m^2 section pairs once, at the d pivots of A
+                d = a.dimension
+                assert d < 25
+                assert products == [(x, y, d) for x in section for y in section]
                 assert len(set(products)) == 81
 
 
 def _count_row_products(monkeypatch):
     """Record the flattened integer operands (x, y) of every product x y
-    that `matalg.algebra` forms through `_rows_times_columns` from now on:
-    the checks of `algebra_from_basis` and `radical`, and the structure
-    table of `_QuotientAlgebra`."""
+    that `matalg.algebra` forms through `_rows_times_columns` from now on,
+    with the number of entries formed: the products of `closure`, the
+    checks of `algebra_from_basis` and `radical`, the Gram matrix of the
+    trace form and the structure table of `_QuotientAlgebra`."""
     products = []
     multiply = algebra_module._rows_times_columns
 
-    def counting(rows, columns):
+    def counting(rows, columns, cells):
+        cells = list(cells)
         x = tuple(e for row in rows for e in row)
         y = tuple(e for row in zip(*columns) for e in row)
-        products.append((x, y))
-        return multiply(rows, columns)
+        products.append((x, y, len(cells)))
+        return multiply(rows, columns, cells)
 
     monkeypatch.setattr(algebra_module, "_rows_times_columns", counting)
     return products
@@ -1475,42 +1560,36 @@ class TestFlagConjugator:
             algebra_module._flag_conjugator(chain, a.space, strictly_upper)
 
 
-def _count_products(monkeypatch):
-    """Record the flattened integer operands (x, y) of every product x y
-    that `matalg.algebra` forms through `_flat_product` from now on, as
-    `closure` forms each of its products."""
-    products = []
-    multiply = algebra_module._flat_product
-
-    def counting(x, y, inner):
-        products.append((tuple(x), tuple(y)))
-        return multiply(x, y, inner)
-
-    monkeypatch.setattr(algebra_module, "_flat_product", counting)
-    return products
-
-
 class TestClosureProducts:
+    """`closure` forms its products through `_rows_times_columns`, each
+    at all n^2 entries, on operands split once when they join."""
+
     def test_closed_basis_forms_each_unordered_pair_once(self, monkeypatch):
         c = random_invertible(random.Random(41), 4)
         a = conjugate(parabolic_subalgebra(Composition((1, 3))), c)
         basis = a.basis_matrices()
         # the identity comes first, so one basis direction adds nothing
         adjoined = a.dimension - 1
-        products = _count_products(monkeypatch)
+        products = _count_row_products(monkeypatch)
         # a closed span: no product grows it, so the loop ends after one
-        # round, which forms each unordered pair once
+        # round, which forms x y and y x once for each unordered pair and
+        # x x once
         assert closure(4, basis).space == a.space
         assert len(products) == adjoined * adjoined
+        assert len(set(products)) == len(products)
+        assert {entries for _, _, entries in products} == {16}
+        operands = {x for x, _, _ in products}
+        assert len(operands) == adjoined
+        assert {(x, y) for x, y, _ in products} == {(x, y) for x in operands for y in operands}
 
     def test_absorption_probe_repeats_no_product(self, monkeypatch):
         a = parabolic_subalgebra(Composition((1, 3)))
         x = Matrix.unit(4, 1, 0)
-        products = _count_products(monkeypatch)
+        products = _count_row_products(monkeypatch)
         assert absorption_probe(a, x).dimension == 16
         # x comes first, so x x is the first product formed
         (flat_x,) = algebra_module._integral_generators([x])
-        assert products[0] == (flat_x, flat_x)
+        assert products[0] == (flat_x, flat_x, 16)
         assert len(products) == len(set(products))
 
 

@@ -510,6 +510,14 @@ class TestCommandLine:
         assert main(["analyze", "radical", "--input", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {where}more than {limit} digits\n"
 
+    @pytest.mark.parametrize("depth", [3_000, 100_000])
+    def test_deeply_nested_documents_exit_2(self, depth, tmp_path, capsys):
+        # the JSON parser gives up on deep nesting with RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 1, "field": "Q", "basis": %s%s}' % ("[" * depth, "]" * depth))
+        assert main(["analyze", "radical", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: not valid JSON: nested too deeply\n"
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["analyze", "closure", "--input", str(tmp_path / "no.json")]) == 2
 

@@ -17,7 +17,6 @@ from matalg.exactlin import (
     SpanBuilder,
     Subspace,
     _coset_images,
-    _flat_product,
     _integral,
     _joint_kernel,
     _primitive,
@@ -139,10 +138,11 @@ def quotient_cases(draw):
 
 
 def reference_product(a, b):
-    """The product as a sum of Fraction products, entry by entry."""
+    """The product as a sum of Fraction products, entry by entry, over the
+    pairs of nonzero factors."""
     cols = list(zip(*b.entries))
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in cols)
         for row in a.entries
     )
 
@@ -516,21 +516,27 @@ class TestMatrix:
             Matrix([[1, 2], [3]])
 
     @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+            lambda shape: st.tuples(
+                st.just(shape),
                 *(
-                    st.lists(st.integers(-(2**70), 2**70), min_size=n * n, max_size=n * n)
-                    for _ in range(2)
+                    st.lists(st.integers(-(2**70), 2**70), min_size=a * b, max_size=a * b)
+                    for a, b in (shape[:2], shape[1:])
                 ),
             )
         )
     )
     @settings(max_examples=60, deadline=None)
     def test_flat_product_is_the_integer_product(self, case):
-        n, x, y = case
-        expected = reference_product(Matrix.from_flat(x, n), Matrix.from_flat(y, n))
-        assert _flat_product(x, y, n) == tuple(int(e) for row in expected for e in row)
+        # integer matrices of any shapes that multiply: the product is formed
+        # at every cell, in row-major order
+        (rows, inner, cols), x, y = case
+        a = Matrix._make(rows, inner, 1, tuple(x))
+        b = Matrix._make(inner, cols, 1, tuple(y))
+        product = a * b
+        expected = reference_product(a, b)
+        assert (product.rows, product.cols) == (rows, cols)
+        assert product.entries == expected
 
     def test_inverse_roundtrip(self):
         m = Matrix([[1, 2], [3, 4]])

@@ -2,7 +2,8 @@
 an imported name that its module never reads, a private module-level
 constant, function or class that no module of the package reads, and a
 private method, or method of a private class, that no module of the
-package reads as an attribute."""
+package reads as an attribute.  And the one integer product expression:
+`operator.mul` appears in `exactlin._rows_times_columns` only."""
 
 import ast
 from pathlib import Path
@@ -200,3 +201,54 @@ def test_the_scan_finds_unread_methods_of_private_classes():
     read = read_attributes(tree)
     unread = [label for label, name, _ in private_methods(tree) if name not in read]
     assert unread == ["_Private.unread", "_Private._hidden"]
+
+
+def integer_products(tree):
+    """(function, line) for each use of `operator.mul` in the module, by
+    the name of the innermost function around it: the sum-of-products
+    expression of an integer product is `sum(map(operator.mul, ...))`."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            found.extend((function, node.lineno) for alias in node.names if alias.name == "mul")
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "mul"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "operator"
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_integer_product_expression():
+    # every integer matrix product of the package, full or at some cells,
+    # goes through the one expression in `exactlin._rows_times_columns`
+    found = [
+        (str(path.relative_to(PACKAGE)), function)
+        for path in MODULES
+        for function, _ in integer_products(_tree(path))
+    ]
+    assert found == [("exactlin.py", "_rows_times_columns")]
+
+
+def test_the_scan_finds_a_second_product_expression():
+    tree = ast.parse(
+        "import operator\n"
+        "from operator import add, mul\n"
+        "def _rows_times_columns(rows, columns, cells):\n"
+        "    return [sum(map(operator.mul, rows[i], columns[j])) for i, j in cells]\n"
+        "class Matrix:\n"
+        "    def __mul__(self, other):\n"
+        "        return sum(map(operator.mul, self.row, other.column))\n"
+        "def _sum(rows):\n"
+        "    return sum(map(operator.add, rows))\n"
+    )
+    assert integer_products(tree) == [("<module>", 2), ("_rows_times_columns", 4), ("__mul__", 7)]
