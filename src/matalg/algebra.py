@@ -32,6 +32,7 @@ from .exactlin import (
     _adjoin,
     _combination,
     _joint_kernel,
+    _kernel,
     _lowest_terms,
     _matrix_side,
     _primitive,
@@ -43,7 +44,6 @@ from .exactlin import (
     null_space,
     rref_basis,
     subspace_contains,
-    subspace_sum,
     zero_space,
 )
 
@@ -371,7 +371,8 @@ def _kernel_flag(mats: Sequence[Matrix], n: int) -> list[Subspace] | None:
 
     V_1 is the joint kernel of `mats` and V_{j+1} = {v : m v in V_j for
     every m}, the joint kernel of the products A m for A with rows
-    spanning the annihilator of V_j.  Words of length j span N^j, so
+    spanning the annihilator of V_j, read off the stored rows of V_j
+    (`exactlin._kernel`).  Words of length j span N^j, so
     V_j = ker N^j.  The chain stops at Q^n, or with None at the first
     step that does not grow; each step grows, so there are at most n.
     """
@@ -381,7 +382,7 @@ def _kernel_flag(mats: Sequence[Matrix], n: int) -> list[Subspace] | None:
     if flag[0].dimension == 0:
         return None
     while flag[-1].dimension < n:
-        annihilator = null_space(flag[-1]._row_matrix())._row_matrix()
+        annihilator = _kernel(*flag[-1]._integer_form(), n)._row_matrix()
         kernel = _joint_kernel([annihilator * m for m in mats], n)
         if kernel.dimension == flag[-1].dimension:
             return None
@@ -833,7 +834,7 @@ class Flag:
             if previous is not None:
                 if v.dimension <= previous.dimension:
                     raise ValueError("flag dimensions must strictly increase")
-                if subspace_sum(previous, v) != v:
+                if not all(subspace_contains(v, row) for _, row in previous._integer_form()[1]):
                     raise ValueError("flag members must be nested")
             previous = v
         if self.subspaces[-1].dimension != self.n:

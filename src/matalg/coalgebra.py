@@ -36,9 +36,9 @@ from .exactlin import (
     Subspace,
     Vector,
     _coset_images,
+    _fraction_row,
     _kernel,
     _matrix_side,
-    full_space,
 )
 from .algebra import Composition, parabolic_subalgebra
 
@@ -196,22 +196,23 @@ def is_coideal(s: Subspace) -> Coideal | CoidealRejection:
     comultiplication, the failing component.
     """
     n = _matrix_side(s)
-    _, rows = s._integer_form()
+    den, rows = s._integer_form()
     if not rows:
         # the zero space is a coideal; no n^2 coset images for it
         return Coideal(n=n, space=s)
-    for idx, (_, row) in enumerate(rows):
+    for _, row in rows:
         if sum(row[:: n + 1]):
-            return CoidealRejection(n=n, space=s, axiom="counit", element=s.basis[idx])
+            element = _fraction_row(den, row)
+            return CoidealRejection(n=n, space=s, axiom="counit", element=element)
     images = _coset_images(s)
-    for idx, (_, row) in enumerate(rows):
+    for _, row in rows:
         component = _comultiplied_component(row, images, n)
         if component is not None:
             return CoidealRejection(
                 n=n,
                 space=s,
                 axiom="comultiplication",
-                element=s.basis[idx],
+                element=_fraction_row(den, row),
                 component=component,
             )
     return Coideal(n=n, space=s)
@@ -223,11 +224,11 @@ def perp(s: Subspace) -> Subspace:
     In matrix-unit coordinates the pairing of A and B is the plain dot
     product of their flattenings, equivalently Tr(A B^T).  The annihilator
     of a d-dimensional subspace has dimension n^2 - d, and perp(perp(s))
-    equals s.
+    equals s.  The stored rows of s, reduced already, go to `_kernel` as
+    they are, so the cost is the n^2 - d adjoins that put the kernel
+    vectors in canonical form.
     """
-    if s.dimension == 0:
-        return full_space(s.ambient_dim)
-    return _kernel((row for _, row in s._integer_form()[1]), s.ambient_dim)
+    return _kernel(*s._integer_form(), s.ambient_dim)
 
 
 def parabolic_coideal(comp: Composition) -> Coideal:

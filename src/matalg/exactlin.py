@@ -470,8 +470,7 @@ class Subspace:
     @property
     def basis(self) -> tuple[Vector, ...]:
         """The reduced row-echelon basis, as `Fraction`s."""
-        den = self._den
-        return tuple(tuple(Fraction(e, den) if e else _ZERO for e in row) for _, row in self._rows)
+        return tuple(_fraction_row(self._den, row) for _, row in self._rows)
 
     @property
     def pivots(self) -> tuple[int, ...]:
@@ -503,6 +502,11 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dimension}, ambient={self.ambient_dim})"
+
+
+def _fraction_row(den: int, row: Sequence[int]) -> Vector:
+    """The integer row over the positive value `den`, as `Fraction`s."""
+    return tuple(Fraction(e, den) if e else _ZERO for e in row)
 
 
 def rref_basis(vectors: Iterable[Sequence[int | str | Fraction]], ambient_dim: int) -> Subspace:
@@ -618,18 +622,29 @@ def _coset_images(sub: Subspace) -> list[list[tuple[int, int]]]:
 
 
 def null_space(m: Matrix) -> Subspace:
-    """Canonical basis of {x : m @ x = 0} inside Q^cols."""
-    return _kernel(_split_rows(m._flat, m.cols), m.cols)
+    """Canonical basis of {x : m @ x = 0} inside Q^cols: the rows of m
+    reduced once (`_echelon`), then `_kernel` on those rows."""
+    rows, den = _echelon(_split_rows(m._flat, m.cols))
+    return _kernel(den, rows.items(), m.cols)
 
 
-def _kernel(vectors: Iterable[Sequence[int]], ncols: int) -> Subspace:
-    """Canonical basis of the x in Q^ncols orthogonal to every integer vector."""
-    rows, den = _echelon(vectors)
+def _kernel(
+    den: int, pivot_rows: Iterable[tuple[int, Sequence[int]]], ncols: int
+) -> Subspace:
+    """Canonical basis of the x in Q^ncols orthogonal to the `(pivot, row)`
+    pairs fully reduced over the common pivot value `den`: the stored form
+    of a `Subspace` (`_integer_form`) or what `_echelon` returns.
+
+    The rows are read as they are, not reduced again.  Each free column f
+    gives the kernel vector den e_f minus the column f of the rows, placed
+    at their pivots; one `_echelon` of those ncols - d vectors, d the number
+    of rows, puts them in canonical form, at ncols - d adjoins.
+    """
+    rows = dict(pivot_rows)
     basis = []
     for f in range(ncols):
         if f in rows:
             continue
-        # den e_f minus the column f of the rows, placed at their pivots
         vec = [0] * ncols
         vec[f] = den
         for p, row in rows.items():

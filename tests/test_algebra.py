@@ -1358,6 +1358,56 @@ class TestKernelFlag:
     def test_no_matrices_give_the_full_space(self):
         assert _kernel_flag([], 3) == [full_space(3)]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_null_space_route_on_conjugated_parabolics(self, n):
+        # the radicals of conjugated block algebras are nilpotent, with a
+        # flag of one member per block; the algebras themselves hold the
+        # identity and have no flag
+        rng = random.Random(90 + n)
+        lengths = set()
+        for comp in compositions(n):
+            a = conjugate(parabolic_subalgebra(comp), rational_invertible(rng, n))
+            for mats in (radical(a).basis_matrices(n), a.basis_matrices()):
+                flag = _kernel_flag(mats, n)
+                assert flag == null_space_kernel_flag(mats, n)
+                lengths.add(None if flag is None else len(flag))
+        assert lengths == {None, *range(1, n + 1)}
+
+
+def null_space_kernel_flag(mats, n):
+    """The kernel flag with each annihilator taken as the null space of
+    the member's basis matrix, a second reduction of its rows.  Kept as
+    the reference for `_kernel_flag`, which reads the stored rows."""
+    if not mats:
+        return [full_space(n)]
+    flag = [_joint_kernel(mats, n)]
+    if flag[0].dimension == 0:
+        return None
+    while flag[-1].dimension < n:
+        annihilator = Matrix(null_space(Matrix(flag[-1].basis)).basis)
+        kernel = _joint_kernel([annihilator * m for m in mats], n)
+        if kernel.dimension == flag[-1].dimension:
+            return None
+        flag.append(kernel)
+    return flag
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ([(1, 0, 0)], [(0, 1, 0), (0, 0, 1)]),
+            ([(1, 1, 0)], [(1, 0, 0), (0, 0, 1)]),
+            ([(Fraction(1, 3), 1, 0)], [(1, 2, Fraction(1, 2)), (0, 0, 1)]),
+        ],
+        ids=["coordinate", "line-off-plane", "rational"],
+    )
+    def test_a_chain_that_is_not_nested_raises(self, first, second):
+        # the dimensions increase, so only the containment check can refuse it
+        chain = (rref_basis(first, 3), rref_basis(second, 3), full_space(3))
+        with pytest.raises(ValueError, match="flag members must be nested"):
+            Flag(n=3, subspaces=chain)
+
 
 def reference_flag_stabilizer(f):
     """The stabilizer as the null space of bilinear constraints: for each

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import matalg.exactlin as exactlin_module
 from matalg.algebra import (
     Composition,
     absorption_probe,
@@ -29,6 +30,8 @@ from matalg.cli.suites import _unit_pattern_spaces
 from matalg.exactlin import (
     Matrix,
     SpanBuilder,
+    Subspace,
+    _adjoin,
     _matrix_side,
     full_space,
     random_subspace,
@@ -37,7 +40,7 @@ from matalg.exactlin import (
     zero_space,
 )
 from test_algebra import rational_invertible
-from test_exactlin import reference_reduce
+from test_exactlin import reference_null_space, reference_reduce
 
 
 def unit_span(n, positions):
@@ -181,6 +184,29 @@ def rational_traceless_spaces(draw):
     return s
 
 
+@st.composite
+def reduced_subspaces(draw):
+    """Subspaces of Q^d, d = 1..9, built from a reduced echelon basis:
+    any set of pivot columns, the empty and the full one included, and
+    zero or rational entries at the free columns right of each pivot."""
+    d = draw(st.integers(1, 9))
+    is_pivot = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    pivots = [c for c in range(d) if is_pivot[c]]
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    )
+    basis = []
+    for p in pivots:
+        row = [Fraction(0)] * d
+        row[p] = Fraction(1)
+        for f in range(p + 1, d):
+            if not is_pivot[f]:
+                row[f] = draw(entry)
+        basis.append(row)
+    return Subspace(d, basis, pivots)
+
+
 def random_traceless(rng, n):
     v = [Fraction(rng.randint(-2, 2)) for _ in range(n * n)]
     v[0] -= sum(v[i * n + i] for i in range(n))
@@ -309,6 +335,34 @@ class TestCoidealCheck:
         result = is_coideal(s)
         assert s.contains(result.element)
 
+    @pytest.mark.parametrize(
+        "rows, axiom",
+        [
+            # e_{1,0} + e_{2,1}/3 is traceless, e_{2,0} + e_{2,2}/2 is not
+            ([[(1, 0, 1), (2, 1, Fraction(1, 3))], [(2, 0, 1), (2, 2, Fraction(1, 2))]], "counit"),
+            # e_{1,0}/2 passes, e_{1,2} + e_{2,1}/2 breaks at (1, 1) (x) (2, 1)
+            (
+                [[(1, 0, Fraction(1, 2))], [(2, 0, 1)], [(1, 2, 1), (2, 1, Fraction(1, 2))]],
+                "comultiplication",
+            ),
+        ],
+        ids=["counit", "comultiplication"],
+    )
+    def test_rejection_element_is_the_failing_basis_row(self, rows, axiom):
+        vectors = []
+        for terms in rows:
+            v = [Fraction(0)] * 9
+            for i, j, c in terms:
+                v[i * 3 + j] = Fraction(c)
+            vectors.append(v)
+        s = rref_basis(vectors, 9)
+        assert s._integer_form()[0] > 1
+        result = is_coideal(s)
+        assert result.axiom == axiom
+        assert result.element == s.basis[1]
+        assert all(type(e) is Fraction for e in result.element)
+        assert result == reference_quotient_is_coideal(s)
+
 
 class TestPerp:
     def test_upper_triangular_annihilator(self):
@@ -337,6 +391,35 @@ class TestPerp:
         for parts in ((1, 2), (2, 1), (1, 1, 1), (3,)):
             a = parabolic_subalgebra(Composition(parts))
             assert is_coideal(perp(a.space)).certified
+
+    @given(reduced_subspaces())
+    @example(zero_space(9))
+    @example(full_space(9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_fraction_null_space(self, s):
+        kernel = perp(s)
+        assert (kernel.basis, kernel.pivots) == reference_null_space(s.basis, s.ambient_dim)
+        assert perp(kernel) == s
+
+    def test_adjoins_only_the_kernel_vectors(self, monkeypatch):
+        # the stored rows of s are reduced already: perp adjoins the
+        # n^2 - d kernel vectors and nothing else
+        calls = []
+
+        def counting(rows, residual, den=1):
+            calls.append(len(rows))
+            return _adjoin(rows, residual, den)
+
+        rng = random.Random(61)
+        spaces = [zero_space(9), full_space(16), unit_span(3, [(1, 0), (2, 0)])]
+        for n in (2, 3, 4):
+            spaces += [perp(x) for x in conjugated_parabolic_annihilators(n, rng)]
+        spaces += [random_subspace(rng, 9, dim) for dim in range(10)]
+        monkeypatch.setattr(exactlin_module, "_adjoin", counting)
+        for s in spaces:
+            calls.clear()
+            assert perp(s).dimension == s.ambient_dim - s.dimension
+            assert len(calls) <= s.ambient_dim - s.dimension
 
     def test_non_coideal_annihilator_of_non_algebra(self):
         # perp of a span that is no algebra need not certify

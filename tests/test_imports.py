@@ -3,7 +3,9 @@ an imported name that its module never reads, a private module-level
 constant, function or class that no module of the package reads, and a
 private method, or method of a private class, that no module of the
 package reads as an attribute.  And the one integer product expression:
-`operator.mul` appears in `exactlin._rows_times_columns` only."""
+`operator.mul` appears in `exactlin._rows_times_columns` only.  And no
+stored echelon form is row-reduced again: `null_space` and `_echelon`
+never take an argument that reads `._row_matrix()`."""
 
 import ast
 from pathlib import Path
@@ -252,3 +254,50 @@ def test_the_scan_finds_a_second_product_expression():
         "    return sum(map(operator.add, rows))\n"
     )
     assert integer_products(tree) == [("<module>", 2), ("_rows_times_columns", 4), ("__mul__", 7)]
+
+
+REDUCERS = {"null_space", "_echelon"}
+
+
+def re_reductions(tree):
+    """(reducer, line) for each call of `null_space` or `_echelon`, by name
+    or as an attribute, whose arguments read `._row_matrix()`: the rows of
+    a `Subspace` are fully reduced already (`_integer_form`)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in REDUCERS:
+            continue
+        arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+        if any(
+            isinstance(inner, ast.Attribute) and inner.attr == "_row_matrix"
+            for argument in arguments
+            for inner in ast.walk(argument)
+        ):
+            found.append((name, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_no_stored_echelon_form_is_reduced_again():
+    found = [
+        f"{path.relative_to(PACKAGE)}: {name} (line {line})"
+        for path in MODULES
+        for name, line in re_reductions(_tree(path))
+    ]
+    assert found == []
+
+
+def test_the_scan_finds_a_second_reduction():
+    tree = ast.parse(
+        "def f(space, m):\n"
+        "    a = null_space(space._row_matrix())._row_matrix()\n"
+        "    b = exactlin.null_space(m=space._row_matrix() * m)\n"
+        "    c = _echelon(row for row in space._row_matrix().entries)\n"
+        "    d = null_space(m)._row_matrix()\n"
+        "    e = _kernel(*space._integer_form(), 3)._row_matrix()\n"
+        "    return _echelon(space._integer_form()[1])\n"
+    )
+    assert re_reductions(tree) == [("null_space", 2), ("null_space", 3), ("_echelon", 4)]
