@@ -197,8 +197,8 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     forms d products for each generator instead of d^2 in all.
 
     The result records the generators (`MatrixAlgebra._generators`),
-    over which `radical` checks the ideal conditions and, when their
-    cosets are sparse, the semisimple quotient finds its center.
+    over which `radical` checks the ideal conditions and the semisimple
+    quotient finds its center.
     """
     for m in matrices:
         _check_square(m, n)
@@ -439,113 +439,116 @@ def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Quotient by the radical: structure constants, center, block extraction.
+# Quotient by the radical: products on demand, center, block extraction.
 # ---------------------------------------------------------------------------
 
 
 class _QuotientAlgebra:
     """A/R in coordinates, for R the radical inside the algebra A.
 
-    The coset basis is the set of canonical basis rows of A whose pivots
-    are not pivots of R (pivots of a subspace are pivots of any enclosing
-    one, so these rows represent a complement).  An element is a pair
-    (den, ints) in lowest terms (`exactlin._lowest_terms`), so equal
-    elements are equal pairs.  Multiplication goes through a precomputed
-    structure table of integers over one common denominator.  The table
-    is built over the integers: the integer form of A is its basis times
-    one common d, so the integer residual modulo R (see `exactlin._reduce`)
-    of the product of two of its rows is d^2 times the pivot value of R
-    times the residual of the product of the two basis rows.
+    The section rows are the canonical basis rows of A whose pivots are not
+    pivots of R (pivots of a subspace are pivots of any enclosing one, so
+    they represent a complement), and their cosets are the coset basis.  An
+    element is a pair (den, ints) in lowest terms (`exactlin._lowest_terms`),
+    so equal elements are equal pairs.  No table of products is kept: each
+    product is formed when it is asked for, on the lifts of its factors
+    along the section rows (`lift`), over the integers.  The integer form of
+    A is its basis times one common d, so the integer residual modulo R (see
+    `exactlin._reduce`) of the product of two integer combinations of its
+    rows is d^2 times the pivot value of R times the residual of the product
+    of the rational combinations.
 
-    A vector of A is fixed by its entries at the pivots of A, and R lies
-    in A, so the whole reduction is read at those d coordinates: R by its
-    rows there, and each of the m^2 section products formed once, only at
-    those d cells (`_rows_times_columns`), on section rows split into rows
-    and columns once each (`_halves`).  `center` reads the cosets of the
-    generators that A records when they are sparser than the coset basis,
-    and the coset basis otherwise.
+    A vector of A is fixed by its entries at the pivots of A, and R lies in
+    A, so the whole reduction is read at those d coordinates: R by its rows
+    there, and each product formed only at those d cells
+    (`_rows_times_columns`), or at fewer when fewer coordinates are read.
     """
 
     def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
         n = self.n = algebra.n
-        den, rows = algebra.space._integer_form()
+        self._section_den, rows = algebra.space._integer_form()
         # the d coordinates that fix a vector of A, and R's rows there,
         # with their pivots as places among them
-        self._pivots = [p for p, _ in rows]
-        place = {p: k for k, p in enumerate(self._pivots)}
+        pivots = [p for p, _ in rows]
+        place = {p: k for k, p in enumerate(pivots)}
+        self._cells = [divmod(p, n) for p in pivots]
         self._rad_den, rad_rows = rad._integer_form()
-        self._rad_rows = [(place[p], [row[q] for q in self._pivots]) for p, row in rad_rows]
+        self._rad_rows = [(place[p], [row[q] for q in pivots]) for p, row in rad_rows]
         rad_pivots = {p for p, _ in rad_rows}
         self._section_places = [place[p] for p, _ in rows if p not in rad_pivots]
-        section = [_halves(x, n) for p, x in rows if p not in rad_pivots]
-        m = self.dim = len(section)
-        cells = [divmod(p, n) for p in self._pivots]
-        # the coordinates of x_i x_j are self._table[i][j] / self._den
-        self._den = self._rad_den * den * den
-        self._table = [
-            [self._reduced(_rows_times_columns(x_rows, y_columns, cells)) for _, y_columns in section]
-            for x_rows, _ in section
-        ]
-        self.one = _lowest_terms(self._rad_den, self._coset(_identity(n)))
-        # the generating set that `center` reads: the cosets of the
-        # generators that A records when there are some and they have fewer
-        # nonzero coordinates in all than the coset basis, which has one per
-        # vector; else the coset basis, as the m unit vectors
-        cosets = [self._coset(g) for g in algebra._generators]
-        if cosets and sum(c != 0 for g in cosets for c in g) < m:
-            self._generators = cosets
-        else:
-            self._generators = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-
-    def _coset(self, flat: Sequence[int]) -> tuple[int, ...]:
-        """The coordinates of the coset of an integer vector of A, times the
-        pivot value of R, from its entries at the pivots of A."""
-        return self._reduced([flat[p] for p in self._pivots])
+        self._section = [x for p, x in rows if p not in rad_pivots]
+        self.dim = len(self._section)
+        # a product of two lifts, reduced, holds coordinates times this
+        self._den = self._rad_den * self._section_den**2
+        identity = _identity(n)
+        self.one = _lowest_terms(self._rad_den, self._reduced([identity[p] for p in pivots]))
+        # generators of A, whose cosets generate the quotient: those that A
+        # records, or the section rows
+        self._generators = algebra._generators or self._section
 
     def _reduced(self, entries: Sequence[int]) -> tuple[int, ...]:
-        """The coset coordinates, as `_coset` gives them, of the vector of A
-        with `entries` at the pivots of A: its residual modulo R read at the
+        """The coset coordinates, times the pivot value of R, of the vector of
+        A with `entries` at the pivots of A: its residual modulo R read at the
         section pivots."""
         r = _reduce(entries, self._rad_rows, self._rad_den)
         return tuple(r[k] for k in self._section_places)
 
+    def lift(self, u: _Element) -> list[int]:
+        """The lift of u along the section rows, sum u_i x_i, as a flattened
+        integer matrix: den * d times the rational lift, for u = (den, ints)."""
+        return _combination(u[1], self._section, self.n * self.n)
+
     def mult(self, u: _Element, v: _Element) -> _Element:
-        (du, iu), (dv, iv) = u, v
-        acc = [0] * self.dim
-        for ui, row in zip(iu, self._table):
-            if not ui:
-                continue
-            for vj, cell in zip(iv, row):
-                if vj:
-                    f = ui * vj
-                    acc = [a + f * c for a, c in zip(acc, cell)]
-        return _lowest_terms(du * dv * self._den, acc)
+        """The product u v: the lifts of u and v multiplied at the d pivot
+        cells of A, and reduced modulo R."""
+        n = self.n
+        x, y = self.lift(u), self.lift(v)
+        product = _rows_times_columns(_split_rows(x, n), [y[j::n] for j in range(n)], self._cells)
+        return _lowest_terms(u[0] * v[0] * self._den, self._reduced(product))
 
     def left_trace(self, u: _Element) -> Fraction:
-        """Trace of the left multiplication x -> ux."""
-        den, ints = u
-        m, table = self.dim, self._table
-        return Fraction(
-            sum(c * table[i][k][k] for i, c in enumerate(ints) if c for k in range(m)),
-            den * self._den,
-        )
+        """Trace of the left multiplication x -> ux: the sum over k of the
+        coordinate k of u x_k, for x_k the section rows.  That coordinate is
+        read off the entries at the pivot of x_k and at the pivots of R (the
+        residual of `exactlin._reduce` at one place), so u x_k is formed at
+        those cells only."""
+        n = self.n
+        rows = _split_rows(self.lift(u), n)
+        rad_cells = [self._cells[p] for p, _ in self._rad_rows]
+        total = 0
+        for k, x in zip(self._section_places, self._section):
+            columns = [x[j::n] for j in range(n)]
+            at_k, *at_rad = _rows_times_columns(rows, columns, [self._cells[k], *rad_cells])
+            total += self._rad_den * at_k - sum(c * row[k] for c, (_, row) in zip(at_rad, self._rad_rows))
+        return Fraction(total, u[0] * self._den)
+
+    def lift_trace(self, e: _Element) -> int:
+        """The trace of the lift of the idempotent e, an integer: the lift
+        differs from an idempotent lift by an element of R, which is
+        nilpotent and so has trace 0, and an idempotent has its rank as its
+        trace.  RuntimeError when it is not an integer."""
+        trace, rest = divmod(sum(self.lift(e)[:: self.n + 1]), e[0] * self._section_den)
+        if rest:
+            raise RuntimeError("the lift of a central idempotent has a trace that is not an integer")
+        return trace
 
     def center(self) -> list[_Element]:
         """Basis of the center of the quotient: the kernel of the commutators
-        with a generating set of it (`_generators`), since an element that
-        commutes with a generating set commutes with everything.  Row (g, k)
-        holds the coordinate k of z g - g z for z the coset basis vectors;
-        the denominator of the table keeps the kernel."""
-        m, t = self.dim, self._table
+        with a generating set of it (the cosets of `_generators`), since an
+        element that commutes with a generating set commutes with everything.
+        Row (g, k) holds the coordinate k of x_i g - g x_i over the section
+        rows x_i; the two products are formed at the d pivot cells of A and
+        subtracted before the one reduction.  The scale of each row keeps
+        the kernel."""
+        n, m, cells = self.n, self.dim, self._cells
+        section = [_halves(x, n) for x in self._section]
         flat = []
-        for g in self._generators:
-            support = [(j, c) for j, c in enumerate(g) if c]
+        for g_rows, g_columns in (_halves(g, n) for g in self._generators):
             commutators = []
-            for i in range(m):
-                acc = [0] * m
-                for j, c in support:
-                    acc = [a + c * (x - y) for a, x, y in zip(acc, t[i][j], t[j][i])]
-                commutators.append(acc)
+            for x_rows, x_columns in section:
+                xg = _rows_times_columns(x_rows, g_columns, cells)
+                gx = _rows_times_columns(g_rows, x_columns, cells)
+                commutators.append(self._reduced([a - b for a, b in zip(xg, gx)]))
             for row in zip(*commutators):
                 flat += row
         den, kernel = null_space(Matrix._make(len(flat) // m, m, 1, tuple(flat)))._integer_form()
@@ -697,23 +700,32 @@ def _rational_roots(coeffs: Sequence[int | Fraction]) -> tuple[list[Fraction], i
 class WedderburnData:
     """Radical plus semisimple block structure of a unital algebra.
 
-    `block_sizes` lists in ascending order the s with s^2 the dimension of
+    `block_sizes` lists in ascending order the t with t^2 the dimension of
     each simple block of the semisimple quotient, or is None exactly when
     the center of the quotient is not split (it contains a field extension
-    of Q).  `split` certifies only that the center is split: each block is
-    then central simple, but whether it is M_s(Q) rather than a matrix
-    algebra over a division algebra is not checked (the regular
-    representation of the quaternions reports one block of size 2).
+    of Q).  Each block is then central simple, M_s(D) for a division
+    algebra D with center Q and dim D = delta^2, and t = s delta.
+    `lift_traces`, aligned with `block_sizes` and None with it, holds for
+    each block the trace of a lift to the algebra of its central
+    idempotent: t mu delta, for mu the multiplicity of the block's simple
+    module in Q^n.  delta divides t and the trace over t, so a block is
+    certified M_t(Q) when those two are coprime (when t = 1 or the trace
+    is t, among others), and `split` is true exactly when every block is
+    certified.  An uncertified block may still be M_t(Q): the quaternions
+    (-1, -1)_Q and M_2(Q) embedded twice in M_4 both give t = 2 with trace 4.
     """
 
     radical_space: Subspace
     radical_dim: int
     semisimple_dim: int
     block_sizes: tuple[int, ...] | None
+    lift_traces: tuple[int, ...] | None
 
     @property
     def split(self) -> bool:
-        return self.block_sizes is not None
+        return self.block_sizes is not None and all(
+            math.gcd(t, trace // t) == 1 for t, trace in zip(self.block_sizes, self.lift_traces)
+        )
 
 
 def _central_idempotents(quotient: _QuotientAlgebra) -> list[_Element] | None:
@@ -775,27 +787,32 @@ def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:
     The quotient Q = A/rad A is cut by the primitive idempotents e of its
     center into the blocks eQ.  Each has dimension Tr(x -> ex), the rank
     of that idempotent map, and is central simple, so the dimension is a
-    perfect square.
+    perfect square.  Each block's lift trace (`WedderburnData`) is the
+    trace of the lift of e along the section rows of the quotient.
     """
     rad = radical(a)
     if rad.dimension == a.dimension:
         # the zero space, or a nilpotent one: the quotient is 0, with no blocks
-        return WedderburnData(rad, rad.dimension, 0, ())
+        return WedderburnData(rad, rad.dimension, 0, (), ())
     quotient = _QuotientAlgebra(a, rad)
     idempotents = _central_idempotents(quotient)
-    sizes = None
+    sizes = traces = None
     if idempotents is not None:
         dims = [quotient.left_trace(e) for e in idempotents]
         if any(math.isqrt(int(d)) ** 2 != d for d in dims):
             raise RuntimeError("a block of the semisimple quotient has non-square dimension")
         if sum(dims) != quotient.dim:
             raise RuntimeError("block dimensions do not add up to the quotient")
-        sizes = tuple(sorted(math.isqrt(int(d)) for d in dims))
+        blocks = sorted((math.isqrt(int(d)), quotient.lift_trace(e)) for d, e in zip(dims, idempotents))
+        if any(trace < t or trace % t for t, trace in blocks):
+            raise RuntimeError("a lift trace is not a positive multiple of its block size")
+        sizes, traces = zip(*blocks)
     return WedderburnData(
         radical_space=rad,
         radical_dim=rad.dimension,
         semisimple_dim=quotient.dim,
         block_sizes=sizes,
+        lift_traces=traces,
     )
 
 

@@ -184,7 +184,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "radical_dimension": data.radical_dim,
             "semisimple_dimension": data.semisimple_dim,
             "split": data.split,
-            "block_sizes": list(data.block_sizes) if data.split else None,
+            "block_sizes": list(data.block_sizes) if data.block_sizes is not None else None,
+            "lift_traces": list(data.lift_traces) if data.lift_traces is not None else None,
         }
     elif action == "is-parabolic":
         ok, comp, witness = is_parabolic(_input_algebra(doc))

@@ -452,8 +452,10 @@ class Subspace:
     _rows: tuple[tuple[int, tuple[int, ...]], ...] = field(init=False)
 
     def __init__(self, ambient_dim: int, basis: Iterable[Vector], pivots: Sequence[int]):
+        basis = [as_vector(row) for row in basis]
         span = rref_basis(basis, ambient_dim)
-        if span.pivots != tuple(pivots):
+        # the canonical rows of a span are its only reduced row-echelon basis
+        if span.pivots != tuple(pivots) or span.basis != tuple(basis):
             raise ValueError(f"basis is no reduced row-echelon basis with pivots {tuple(pivots)}")
         self.ambient_dim, self._den, self._rows = ambient_dim, span._den, span._rows
 

@@ -107,6 +107,9 @@ SQRT2 = Matrix([[0, 2], [1, 0]])  # companion of t^2 - 2
 SQRT3 = Matrix([[0, 3], [1, 0]])  # companion of t^2 - 3
 ZERO1 = Matrix([[0]])
 ZERO2 = Matrix([[0, 0], [0, 0]])
+# left multiplication by i and j on the basis 1, i, j, k of (-1,-1)_Q
+LEFT_I = Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+LEFT_J = Matrix([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
 
 
 class TestComposition:
@@ -364,6 +367,29 @@ def small_closures(draw):
     return closure(n, gens)
 
 
+@st.composite
+def _repeated_blocks(draw):
+    """(algebra, [(t, mu), ...]): the direct sum of the blocks M_t(Q), each
+    on mu diagonal copies, t, mu <= 2, of total side at most 6, conjugated
+    by a seeded rational matrix."""
+    blocks = []
+    while not blocks or (draw(st.booleans()) and sum(t * mu for t, mu in blocks) <= 2):
+        blocks.append((draw(st.integers(1, 2)), draw(st.integers(1, 2))))
+    n = sum(t * mu for t, mu in blocks)
+    generators = []
+    offset = 0
+    for t, mu in blocks:
+        for i in range(t):
+            for j in range(t):
+                rows = [[0] * n for _ in range(n)]
+                for copy in range(mu):
+                    rows[offset + copy * t + i][offset + copy * t + j] = 1
+                generators.append(Matrix(rows))
+        offset += t * mu
+    c = rational_invertible(random.Random(draw(st.integers(0, 10**6))), n)
+    return closure(n, [c * g * c.inverse() for g in generators]), blocks
+
+
 class TestRadicalReference:
     @given(small_closures())
     @settings(max_examples=40, deadline=None)
@@ -386,9 +412,9 @@ def as_fractions(element):
 
 
 class TestQuotientTable:
-    """The integer structure table of A/rad A against products of lifts:
-    rad A is an ideal, so the coset of x y depends only on the cosets of
-    x and y."""
+    """The integer products of A/rad A, formed on demand, against products
+    of lifts: rad A is an ideal, so the coset of x y depends only on the
+    cosets of x and y."""
 
     @given(small_closures(), st.data())
     @settings(max_examples=40, deadline=None)
@@ -498,18 +524,44 @@ class TestSemisimpleBlocks:
         assert data.block_sizes is None
         assert data.radical_dim == 0 and data.semisimple_dim == a.dimension
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="split certifies only the center: the quaternion division algebra "
-        "has center Q and is reported as one block of size 2",
-    )
     def test_quaternion_division_algebra_is_not_split(self):
-        # left multiplication by i and j on the basis 1, i, j, k of (-1,-1)_Q
-        left_i = Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-        left_j = Matrix([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
-        a = closure(4, [left_i, left_j])
+        # the quaternions: center Q, one block of size 2 whose lift trace 4
+        # certifies nothing
+        a = closure(4, [LEFT_I, LEFT_J])
         assert a.dimension == 4
-        assert not semisimple_blocks(a).split
+        data = semisimple_blocks(a)
+        assert (data.block_sizes, data.lift_traces) == ((2,), (4,))
+        assert not data.split
+
+    @pytest.mark.parametrize(
+        "copies, split", [(2, False), (3, True)], ids=["twice-in-M4", "three-times-in-M6"]
+    )
+    def test_repeated_m2_is_certified_by_a_coprime_lift_trace(self, copies, split):
+        # M_2 on `copies` diagonal blocks at once: one block of size 2 with
+        # lift trace 2 * copies; the gcd of 2 and `copies` decides the
+        # certificate, though both algebras are split
+        c = rational_invertible(random.Random(copies), 2 * copies)
+        units = [block_diagonal(*[Matrix.unit(2, i, j)] * copies) for i in range(2) for j in range(2)]
+        a = algebra_from_basis(2 * copies, [c * x * c.inverse() for x in units])
+        data = semisimple_blocks(a)
+        assert (data.block_sizes, data.lift_traces) == ((2,), (2 * copies,))
+        assert data.split is split
+
+    @given(st.one_of(_repeated_blocks(), small_closures().map(lambda a: (a, None))))
+    @settings(max_examples=40, deadline=None)
+    def test_lift_traces_add_up_to_n(self, case):
+        a, expected = case
+        data = semisimple_blocks(a)
+        if data.block_sizes is None:
+            assert data.lift_traces is None and not data.split
+            return
+        assert len(data.lift_traces) == len(data.block_sizes)
+        assert sum(data.lift_traces) == a.n
+        assert all(trace >= t for t, trace in zip(data.block_sizes, data.lift_traces))
+        if expected is not None:
+            # M_t(Q) on mu diagonal copies has lift trace t mu
+            assert sorted(zip(data.block_sizes, data.lift_traces)) == sorted((t, t * mu) for t, mu in expected)
+            assert data.split is all(math.gcd(t, mu) == 1 for t, mu in expected)
 
 
 def _jordan(size, value):
@@ -787,7 +839,7 @@ PIVOT_CASES = list(_pivot_cases())
 
 
 class TestQuotientAtPivots:
-    """The quotient forms its table only at the pivots of A; `mult`,
+    """The quotient forms its products only at the pivots of A; `mult`,
     `left_trace` and `center` agree with the `Fraction` reference, which
     reads every entry of each section product, on algebras whose pivots
     are not their leading coordinates."""
@@ -817,8 +869,9 @@ class TestQuotientAtPivots:
 class TestSharedBasisProducts:
     """The basis products that `algebra_from_basis` and `_QuotientAlgebra`
     form: the spin forms d full products for each generator it chooses,
-    and the quotient forms each of its m^2 section products once, at the d
-    pivots of A only, whichever constructor built the algebra."""
+    and the quotient forms none when it is built and two for each pair of
+    a section row and a generator when it finds its center, at the d
+    pivots of A only."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_same_radical_and_blocks_as_conjugate_and_closure(self, n):
@@ -846,7 +899,7 @@ class TestSharedBasisProducts:
         assert products == [(x, g, 25) for g in a._generators for x in rows]
         assert len(set(products)) == a.dimension * len(a._generators)
 
-    def test_quotient_forms_each_section_product_once(self, monkeypatch):
+    def test_quotient_forms_its_products_on_demand(self, monkeypatch):
         c = rational_invertible(random.Random(4), 5)
         comp = Composition((2, 1, 2))
         # 2^2 + 1^2 + 2^2 section rows; they are the whole basis of the
@@ -862,17 +915,36 @@ class TestSharedBasisProducts:
                 algebra_from_basis(5, built.basis_matrices()),
                 closure(5, built.basis_matrices()),
             ]
+            assert 0 < len(algebras[1]._generators) < 9
             cases.append((rad, section, algebras))
         products = _count_row_products(monkeypatch)
         for rad, section, algebras in cases:
             for a in algebras:
                 del products[:]
-                assert _QuotientAlgebra(a, rad).dim == len(section) == 9
-                # each of the m^2 section pairs once, at the d pivots of A
+                quotient = _QuotientAlgebra(a, rad)
+                assert quotient.dim == len(section) == 9
+                assert products == []
+                quotient.center()
+                # x g and g x for each section row x and each generator g:
+                # those that A records, or the section rows; at the d pivots
                 d = a.dimension
                 assert d < 25
-                assert products == [(x, y, d) for x in section for y in section]
-                assert len(set(products)) == 81
+                generators = a._generators or section
+                assert products == [pair for g in generators for x in section for pair in ((x, g, d), (g, x, d))]
+
+    @pytest.mark.parametrize("comp", [(1, 7), (4, 4)], ids=["P-1-7", "P-4-4"])
+    def test_large_quotient_forms_fewer_than_m_squared_products(self, comp, monkeypatch):
+        c = rational_invertible(random.Random(8), 8)
+        a = algebra_from_basis(8, conjugate(parabolic_subalgebra(Composition(comp)), c).basis_matrices())
+        rad = radical(a)
+        products = _count_row_products(monkeypatch)
+        quotient = _QuotientAlgebra(a, rad)
+        idempotents = _central_idempotents(quotient)
+        sizes = sorted(math.isqrt(int(quotient.left_trace(e))) for e in idempotents)
+        assert tuple(sizes) == comp
+        assert 0 < len(products) < quotient.dim**2
+        data = semisimple_blocks(a)
+        assert data.split and data.block_sizes == data.lift_traces == comp
 
 
 def _count_row_products(monkeypatch):
@@ -880,7 +952,7 @@ def _count_row_products(monkeypatch):
     that `matalg.algebra` forms through `_rows_times_columns` from now on,
     with the number of entries formed: the products of `closure`, the
     checks of `algebra_from_basis` and `radical`, the Gram matrix of the
-    trace form and the structure table of `_QuotientAlgebra`."""
+    trace form and the products of `_QuotientAlgebra`."""
     products = []
     multiply = algebra_module._rows_times_columns
 
@@ -1004,25 +1076,16 @@ def _conjugated_compositions(draw):
 
 
 class TestCenterOverGenerators:
-    """The center of the quotient from the commutators with the cosets of
-    the recorded generators, or with the coset basis when those are not
-    sparser, equals the one from all commutators of coset basis pairs."""
-
-    @staticmethod
-    def unit_vectors(m):
-        return [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    """The center of the quotient from the commutators with the recorded
+    generators, or with the section rows when none are recorded, equals
+    the one from all commutators of coset basis pairs."""
 
     def assert_same_center(self, a):
         rad = radical(a)
         expected = ReferenceQuotientAlgebra(a, rad).center()
-        quotient = _QuotientAlgebra(a, rad)
-        assert [as_fractions(z) for z in quotient.center()] == expected
-        # each set on its own, whichever the quotient chose
-        cosets = [quotient._coset(g) for g in a._generators]
-        for generators in (cosets, self.unit_vectors(quotient.dim)):
-            if generators:
-                quotient._generators = generators
-                assert [as_fractions(z) for z in quotient.center()] == expected
+        # a copy records no generators (`dataclasses.replace`)
+        for b in (a, dataclasses.replace(a)):
+            assert [as_fractions(z) for z in _QuotientAlgebra(b, rad).center()] == expected
 
     @given(small_closures())
     @settings(max_examples=40, deadline=None)
@@ -1034,21 +1097,6 @@ class TestCenterOverGenerators:
     def test_conjugated_compositions(self, a):
         assert len(a._generators) < a.dimension or a.dimension == 1
         self.assert_same_center(a)
-
-    def test_the_sparser_set_is_chosen(self):
-        c = rational_invertible(random.Random(5), 5)
-        comp = Composition((2, 3))
-        units = self.unit_vectors(13)
-        # each chosen row of the block-diagonal algebra has a coset with one
-        # nonzero coordinate; those of the conjugated parabolic one are dense
-        diagonal = algebra_from_basis(5, conjugate(block_diagonal_algebra(comp), c).basis_matrices())
-        quotient = _QuotientAlgebra(diagonal, radical(diagonal))
-        assert quotient._generators == [quotient._coset(g) for g in diagonal._generators]
-        assert sum(c != 0 for g in quotient._generators for c in g) < quotient.dim == 13
-        parabolic = algebra_from_basis(5, conjugate(parabolic_subalgebra(comp), c).basis_matrices())
-        assert _QuotientAlgebra(parabolic, radical(parabolic))._generators == units
-        # no recorded generators: the coset basis
-        assert _QuotientAlgebra(conjugate(block_diagonal_algebra(comp), c), radical(diagonal))._generators == units
 
 
 class TestLoopBounds:

@@ -374,7 +374,7 @@ class TestCommandLine:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["split"] is True
-        assert payload["block_sizes"] == [1, 2]
+        assert payload["block_sizes"] == payload["lift_traces"] == [1, 2]
         assert payload["radical_dimension"] == 2
 
     def test_analyze_blocks_splits_diagonal_n10(self, tmp_path, capsys):
@@ -395,7 +395,21 @@ class TestCommandLine:
         assert main(["analyze", "blocks", "--input", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["split"] is False
-        assert payload["block_sizes"] is None
+        assert payload["block_sizes"] is None and payload["lift_traces"] is None
+
+    def test_analyze_blocks_reports_an_uncertified_block(self, tmp_path, capsys):
+        # the quaternions (-1,-1)_Q in their regular representation: the
+        # center is split, one block of size 2 whose lift trace 4 certifies
+        # nothing
+        left_i = Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+        left_j = Matrix([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+        doc = BasisDocument(n=4, matrices=(Matrix.identity(4), left_i, left_j, left_i * left_j))
+        path = tmp_path / "quaternions.json"
+        path.write_text(serialize_basis_document(doc))
+        assert main(["analyze", "blocks", "--input", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["split"] is False
+        assert (payload["block_sizes"], payload["lift_traces"]) == ([2], [4])
 
     def test_analyze_closure(self, tmp_path, capsys):
         doc = BasisDocument(n=2, matrices=(Matrix.unit(2, 0, 1),))

@@ -661,6 +661,17 @@ class TestSubspaceForm:
             with pytest.raises(ValueError, match="pivots"):
                 Subspace(d, space.basis * 2, space.pivots * 2)
 
+    @pytest.mark.parametrize(
+        "basis, pivots",
+        [([(2, 0)], (0,)), ([(1, 1), (0, 1)], (0, 1))],
+        ids=["pivot-entry-not-one", "not-cleared-above-a-pivot"],
+    )
+    def test_constructor_refuses_a_basis_that_is_not_reduced(self, basis, pivots):
+        # the span has these pivots, but the rows are not its reduced basis
+        assert rref_basis(basis, 2).pivots == pivots
+        with pytest.raises(ValueError, match="pivots"):
+            Subspace(2, basis, pivots)
+
 
 class TestSolvers:
     def test_solve_unique(self):

@@ -2,7 +2,9 @@
 an imported name that its module never reads, a private module-level
 constant, function or class that no module of the package reads, and a
 private method, or method of a private class, that no module of the
-package reads as an attribute.  And the one integer product expression:
+package reads as an attribute, and a private attribute that a method
+sets on `self` and no module of the package reads.  And the one integer
+product expression:
 `operator.mul` appears in `exactlin._rows_times_columns` only.  And no
 stored echelon form is row-reduced again: `null_space` and `_echelon`
 never take an argument that reads `._row_matrix()`."""
@@ -94,6 +96,34 @@ def read_attributes(tree):
     }
 
 
+def private_attributes(tree):
+    """(Class.name, name, line) for each private attribute that a method
+    of a class sets on `self` by an assignment, as in `self._x = ...` or
+    `self._x, self._y = ...`."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if (
+                            isinstance(leaf, ast.Attribute)
+                            and isinstance(leaf.value, ast.Name)
+                            and leaf.value.id == "self"
+                            and _private(leaf.attr)
+                        ):
+                            yield f"{cls.name}.{leaf.attr}", leaf.attr, node.lineno
+
+
 def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
@@ -140,6 +170,35 @@ def test_no_private_method_goes_unread():
         for label, name, line in private_methods(tree)
         if name not in read
     ] == []
+
+
+def test_no_private_attribute_is_set_and_never_read():
+    trees = {path: _tree(path) for path in MODULES}
+    read = set().union(*(read_attributes(tree) for tree in trees.values()))
+    assert [
+        f"{path.relative_to(PACKAGE)}: {label} (line {line})"
+        for path, tree in trees.items()
+        for label, name, line in private_attributes(tree)
+        if name not in read
+    ] == []
+
+
+def test_the_scan_finds_unread_attributes():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self, other):\n"
+        "        self._read = 1\n"
+        "        self._unread, self.public = 2, 3\n"
+        "        self._noted: int = 4\n"
+        "        other._elsewhere = 5\n"
+        "    def f(self):\n"
+        "        return self._read + self._table\n"
+        "class B:\n"
+        "    def __init__(self):\n"
+        "        self._table = []\n"
+    )
+    read = read_attributes(tree)
+    assert [label for label, name, _ in private_attributes(tree) if name not in read] == ["A._unread", "A._noted"]
 
 
 def test_the_scan_finds_unread_names():
