@@ -141,17 +141,16 @@ class MatrixAlgebra:
     """A unital subalgebra of M_n(Q), stored as a canonical subspace of
     the flattened matrix space.
 
-    Constructors in this module guarantee the span is multiplicatively
-    closed and contains the identity; `algebra_from_basis` checks both for
-    spans of unknown provenance.  Equality is subspace equality: the
-    recorded generating set (`_generators`) is neither compared nor
-    hashed, and `dataclasses.replace` does not copy it.
+    The span must contain the identity and be closed under products; on
+    first use `_generating_set` raises ValueError for any other span.
+    Equality is subspace equality: the generating set is neither compared
+    nor hashed, and `dataclasses.replace` does not copy it.
     """
 
     n: int
     space: Subspace
     # flattened integer matrices that generate the algebra as a unital
-    # algebra, recorded by `algebra_from_basis`
+    # algebra, found by `_generating_set` on its first call
     _generators: list[tuple[int, ...]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
@@ -167,6 +166,14 @@ class MatrixAlgebra:
         _check_square(m, self.n)
         return subspace_contains(self.space, m._integer_form()[1])
 
+    def _generating_set(self) -> list[tuple[int, ...]]:
+        """Basis rows that generate the algebra as a unital algebra, spun
+        (`_spin_generators`) while none are kept: on the first call, and on
+        every call for Q I, which has none."""
+        if not self._generators:
+            self._generators[:] = _spin_generators(self.n, self.space)
+        return self._generators
+
     def __repr__(self) -> str:
         return f"MatrixAlgebra(n={self.n}, dim={self.dimension})"
 
@@ -177,11 +184,20 @@ def _check_square(m: Matrix, n: int) -> None:
 
 
 def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
-    """Wrap a spanning set as a `MatrixAlgebra`.
+    """Wrap a spanning set as a `MatrixAlgebra`, checked at once to be a
+    unital algebra (`_spin_generators`): ValueError if it is not."""
+    for m in matrices:
+        _check_square(m, n)
+    algebra = MatrixAlgebra(n=n, space=rref_basis([m._integer_form()[1] for m in matrices], n * n))
+    algebra._generating_set()
+    return algebra
 
-    The span is verified to contain the identity and to be closed under
-    products; a span that fails either check raises ValueError.  The zero
-    span fails the first check before anything of size n^2 is built.
+
+def _spin_generators(n: int, space: Subspace) -> list[tuple[int, ...]]:
+    """Basis rows of `space` that generate it as a unital algebra, or
+    ValueError when the span does not contain the identity or is not closed
+    under products.  The zero span fails the first check before anything
+    of size n^2 is built.
 
     Closedness is proved by spinning (Parker's Meat-Axe) in the d
     coordinates of the reduced row-echelon basis B of the span.  W starts
@@ -195,22 +211,17 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     generators generate, which lies in span(B).  Every basis row ends in
     W, so W = span(B): the span is that algebra, and closed.  The check
     forms d products for each generator instead of d^2 in all.
-
-    The result records the generators (`MatrixAlgebra._generators`),
-    over which `radical` checks the ideal conditions and the semisimple
-    quotient finds its center.
     """
-    for m in matrices:
-        _check_square(m, n)
-    space = rref_basis([m._integer_form()[1] for m in matrices], n * n)
-    if not space.dimension or not subspace_contains(space, identity := _identity(n)):
+    if not space.dimension or not subspace_contains(
+        space, identity := Matrix.identity(n)._integer_form()[1]
+    ):
         raise ValueError("span does not contain the identity matrix")
     den, pairs = space._integer_form()
     d = len(pairs)
     pivots = [p for p, _ in pairs]
     basis_rows = [_split_rows(x, n) for _, x in pairs]
     cells = _cells(n)
-    algebra = MatrixAlgebra(n=n, space=space)
+    generators = []
     # the right multiplication by each generator on the coordinates of B,
     # times den^2: row j holds the coordinates of b_j g
     images: list[list[list[int]]] = []
@@ -228,7 +239,7 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
             continue
         columns = [g[j::n] for j in range(n)]
         image = []
-        for j, rows in enumerate(basis_rows):
+        for rows in basis_rows:
             product = _rows_times_columns(rows, columns, cells)
             # the membership test of `subspace_contains`, on integers already
             if any(_reduce(product, pairs, den)):
@@ -237,10 +248,10 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
             # one in span(B), whose coordinates in B are its entries at the
             # pivots (each row of B is 1 at its own pivot, 0 at the others)
             image.append([product[p] for p in pivots])
-        algebra._generators.append(g)
+        generators.append(g)
         images.append(image)
         w_den = _spin(words, images, w_rows, w_den)
-    return algebra
+    return generators
 
 
 def _spin(
@@ -278,11 +289,6 @@ def _cells(n: int) -> list[tuple[int, int]]:
     return [divmod(k, n) for k in range(n * n)]
 
 
-def _identity(n: int) -> tuple[int, ...]:
-    """The n x n identity matrix flattened row-major, as integers."""
-    return tuple(int(i == j) for i in range(n) for j in range(n))
-
-
 def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     """Smallest unital subalgebra of M_n containing the generators.
 
@@ -305,7 +311,7 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     full = n * n
     cells = _cells(n)
     builder = SpanBuilder(full)
-    builder.add(_identity(n))
+    builder.add(Matrix.identity(n)._integer_form()[1])
     older: list = []
     frontier = [_halves(g, n) for g in _integral_generators(generators) if builder.add(g)]
     while frontier and builder.dimension < full:
@@ -360,7 +366,8 @@ def radical(a: MatrixAlgebra) -> Subspace:
     and the result is certified as such before being returned: both ideal
     conditions are checked, and its kernel flag must reach Q^n, which
     proves it nilpotent.  A failure raises RuntimeError (it would mean the
-    arithmetic is wrong, not the input).
+    arithmetic is wrong, not the input).  A nonzero span that is not a
+    unital algebra raises ValueError.
     """
     return _certified_radical(a)[0]
 
@@ -395,21 +402,20 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
     certificate of its nilpotency.
 
     The ideal conditions g R <= R and R g <= R are checked only for the
-    generators that `a` records (`MatrixAlgebra._generators`), or for its
-    basis when it records none: the x with x R <= R and R x <= R form a
-    unital subalgebra, so it holds all of `a` once it holds a generating
-    set."""
+    generating set of `a` (`MatrixAlgebra._generating_set`, which raises
+    ValueError when `a` is not a unital algebra): the x with x R <= R and
+    R x <= R form a unital subalgebra, so it holds all of `a` once it
+    holds a generating set."""
     n = a.n
     if a.dimension == 0:
         return zero_space(n * n), [full_space(n)]
-    rad = _trace_form_kernel(a)
     # integer multiples of the generators and of the basis rows of rad,
     # which span the same products and have the same kernel flag; each
     # product is tested for membership in rad by its integer residual
     # (`subspace_contains`)
+    generators = [_halves(g, n) for g in a._generating_set()]
+    rad = _trace_form_kernel(a)
     den, pairs = rad._integer_form()
-    basis = [x for _, x in a.space._integer_form()[1]]
-    generators = [_halves(g, n) for g in a._generators or basis]
     rows = [_halves(r, n) for _, r in pairs]
     cells = _cells(n)
     for x_rows, x_columns in generators:
@@ -480,11 +486,9 @@ class _QuotientAlgebra:
         self.dim = len(self._section)
         # a product of two lifts, reduced, holds coordinates times this
         self._den = self._rad_den * self._section_den**2
-        identity = _identity(n)
+        identity = Matrix.identity(n)._integer_form()[1]
         self.one = _lowest_terms(self._rad_den, self._reduced([identity[p] for p in pivots]))
-        # generators of A, whose cosets generate the quotient: those that A
-        # records, or the section rows
-        self._generators = algebra._generators or self._section
+        self._algebra = algebra
 
     def _reduced(self, entries: Sequence[int]) -> tuple[int, ...]:
         """The coset coordinates, times the pivot value of R, of the vector of
@@ -534,16 +538,18 @@ class _QuotientAlgebra:
 
     def center(self) -> list[_Element]:
         """Basis of the center of the quotient: the kernel of the commutators
-        with a generating set of it (the cosets of `_generators`), since an
-        element that commutes with a generating set commutes with everything.
-        Row (g, k) holds the coordinate k of x_i g - g x_i over the section
-        rows x_i; the two products are formed at the d pivot cells of A and
-        subtracted before the one reduction.  The scale of each row keeps
-        the kernel."""
+        with a generating set of it (the cosets of A's
+        `MatrixAlgebra._generating_set`), since an element that commutes
+        with a generating set commutes with everything.  Row (g, k) holds
+        the coordinate k of x_i g - g x_i over the section rows x_i; the two
+        products are formed at the d pivot cells of A and subtracted before
+        the one reduction.  The scale of each row keeps the kernel."""
         n, m, cells = self.n, self.dim, self._cells
         section = [_halves(x, n) for x in self._section]
-        flat = []
-        for g_rows, g_columns in (_halves(g, n) for g in self._generators):
+        # a zero row keeps the kernel and gives the matrix a row when there
+        # is no generator: A = Q I, whose quotient is its own center
+        flat = [0] * m
+        for g_rows, g_columns in (_halves(g, n) for g in self._algebra._generating_set()):
             commutators = []
             for x_rows, x_columns in section:
                 xg = _rows_times_columns(x_rows, g_columns, cells)
@@ -792,7 +798,8 @@ def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:
     """
     rad = radical(a)
     if rad.dimension == a.dimension:
-        # the zero space, or a nilpotent one: the quotient is 0, with no blocks
+        # only the zero space (quotient 0, no blocks): a nonzero unital algebra
+        # holds the identity, which is not nilpotent; `radical` raised on others
         return WedderburnData(rad, rad.dimension, 0, (), ())
     quotient = _QuotientAlgebra(a, rad)
     idempotents = _central_idempotents(quotient)

@@ -177,15 +177,7 @@ def enumerate_unit_pattern_subalgebras(n: int) -> list[MatrixAlgebra]:
     found: list[tuple[int, tuple[tuple[int, int], ...], MatrixAlgebra]] = []
     for mask in range(1 << len(off)):
         chosen = {off[k] for k in range(len(off)) if mask >> k & 1}
-        transitive = True
-        for i, j in chosen:
-            for j2, k in chosen:
-                if j2 == j and i != k and (i, k) not in chosen:
-                    transitive = False
-                    break
-            if not transitive:
-                break
-        if not transitive:
+        if any((i, k) not in chosen for i, j in chosen for j2, k in chosen if j2 == j and i != k):
             continue
         algebra = MatrixAlgebra(n=n, space=_unit_span(n, diagonal + sorted(chosen)))
         found.append((algebra.dimension, tuple(sorted(chosen)), algebra))

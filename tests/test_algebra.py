@@ -265,10 +265,11 @@ class TestRadical:
 
 class TestRadicalCertificate:
     def test_trace_form_kernel_that_is_no_ideal_is_rejected(self):
-        # not an algebra: its trace-form kernel span{e_01, e_12} is not
-        # closed, since e_01 e_12 = e_02
+        # not an algebra: the span lacks the identity, so the spin of its
+        # generating set rejects it before its trace-form kernel
+        # span{e_01, e_12}, which is no ideal (e_01 e_12 = e_02), is formed
         a = MatrixAlgebra(n=3, space=_unit_span(3, [(0, 0), (0, 1), (1, 2)]))
-        with pytest.raises(RuntimeError, match="not a two-sided ideal"):
+        with pytest.raises(ValueError, match="identity"):
             radical(a)
 
     def test_tampered_candidate_is_rejected(self, monkeypatch):
@@ -310,14 +311,15 @@ class TestRadicalCertificate:
         with pytest.raises(RuntimeError, match="not nilpotent"):
             radical(parabolic_subalgebra(Composition((1, 1, 1))))
 
-    # The cases above on algebras that record a generating set smaller than
-    # their basis, over which alone the ideal conditions are checked.
+    # The cases above on algebras spun at once by `algebra_from_basis`: the
+    # ideal conditions are checked over a generating set smaller than the
+    # basis.
 
     def test_tampered_candidate_is_rejected_over_generators(self, monkeypatch):
         c = rational_invertible(random.Random(13), 4)
         built = conjugate(parabolic_subalgebra(Composition((1, 3))), c)
         a = algebra_from_basis(4, built.basis_matrices())
-        assert a == built and 0 < len(a._generators) < a.dimension
+        assert a == built and 0 < len(a._generating_set()) < a.dimension
         rad = radical(a)
         tampered = rref_basis(rad.basis[:-1], 16)
         monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: tampered)
@@ -330,11 +332,33 @@ class TestRadicalCertificate:
         # span{E01, E12} neither, since E01 E12 = E02
         upper = parabolic_subalgebra(Composition((1, 1, 1)))
         a = algebra_from_basis(3, upper.basis_matrices())
-        assert a == upper and 0 < len(a._generators) < a.dimension
+        assert a == upper and 0 < len(a._generating_set()) < a.dimension
         candidate = _unit_span(3, units)
         monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: candidate)
         with pytest.raises(RuntimeError, match="not a two-sided ideal"):
             radical(a)
+
+
+class TestNonAlgebrasAreRejected:
+    """A span given straight to `MatrixAlgebra` that lacks the identity or
+    is not closed is no algebra: each structural question raises
+    ValueError when it asks for the generating set."""
+
+    @pytest.mark.parametrize("function", [radical, semisimple_blocks, invariant_flag, is_parabolic])
+    @pytest.mark.parametrize(
+        "matrices, message",
+        [
+            ([[[0, 1], [0, 0]]], "identity"),
+            ([[[1, 0], [0, 0]]], "identity"),
+            # E01 E10 = E00 is not in span{I, E01, E10}
+            ([[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]], "not closed"),
+        ],
+        ids=["E01", "E00", "I-E01-E10"],
+    )
+    def test_raises(self, function, matrices, message):
+        a = MatrixAlgebra(n=2, space=rref_basis([Matrix(m).flatten() for m in matrices], 4))
+        with pytest.raises(ValueError, match=message):
+            function(a)
 
 
 def reference_radical(a):
@@ -470,9 +494,13 @@ class TestSemisimpleBlocks:
 
     @pytest.mark.parametrize("units", [[], [(0, 1)]], ids=["zero", "nilpotent"])
     def test_zero_quotient_has_no_blocks(self, units):
-        # the zero space and a nilpotent span are their own radical, as
-        # `radical` finds; the quotient by it is 0
+        # the zero space is its own radical, and the quotient by it is 0; a
+        # nonzero nilpotent span lacks the identity, so it is no algebra
         space = _unit_span(2, units)
+        if units:
+            with pytest.raises(ValueError, match="identity"):
+                semisimple_blocks(MatrixAlgebra(n=2, space=space))
+            return
         data = semisimple_blocks(MatrixAlgebra(n=2, space=space))
         assert data.radical_space == space == radical(MatrixAlgebra(n=2, space=space))
         assert (data.radical_dim, data.semisimple_dim, data.block_sizes) == (len(units), 0, ())
@@ -871,7 +899,7 @@ class TestSharedBasisProducts:
     form: the spin forms d full products for each generator it chooses,
     and the quotient forms none when it is built and two for each pair of
     a section row and a generator when it finds its center, at the d
-    pivots of A only."""
+    pivots of A only, after the spin when A has not been spun before."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_same_radical_and_blocks_as_conjugate_and_closure(self, n):
@@ -895,9 +923,10 @@ class TestSharedBasisProducts:
         products = _count_row_products(monkeypatch)
         a = algebra_from_basis(5, built.basis_matrices())
         rows = [x for _, x in a.space._integer_form()[1]]
-        assert 0 < len(a._generators) < a.dimension
-        assert products == [(x, g, 25) for g in a._generators for x in rows]
-        assert len(set(products)) == a.dimension * len(a._generators)
+        generators = a._generating_set()
+        assert 0 < len(generators) < a.dimension
+        assert products == [(x, g, 25) for g in generators for x in rows]
+        assert len(set(products)) == a.dimension * len(generators)
 
     def test_quotient_forms_its_products_on_demand(self, monkeypatch):
         c = rational_invertible(random.Random(4), 5)
@@ -910,27 +939,32 @@ class TestSharedBasisProducts:
             rad = radical(built)
             rad_pivots = set(rad.pivots)
             section = [x for p, x in built.space._integer_form()[1] if p not in rad_pivots]
+            # `radical` spun the first, `algebra_from_basis` the second; the
+            # closure is spun when its quotient finds its center
             algebras = [
-                built,
-                algebra_from_basis(5, built.basis_matrices()),
-                closure(5, built.basis_matrices()),
+                (built, False),
+                (algebra_from_basis(5, built.basis_matrices()), False),
+                (closure(5, built.basis_matrices()), True),
             ]
-            assert 0 < len(algebras[1]._generators) < 9
             cases.append((rad, section, algebras))
         products = _count_row_products(monkeypatch)
         for rad, section, algebras in cases:
-            for a in algebras:
+            for a, spins in algebras:
                 del products[:]
                 quotient = _QuotientAlgebra(a, rad)
                 assert quotient.dim == len(section) == 9
                 assert products == []
                 quotient.center()
-                # x g and g x for each section row x and each generator g:
-                # those that A records, or the section rows; at the d pivots
+                generators = a._generating_set()
+                assert 0 < len(generators) < 9
+                rows = [x for _, x in a.space._integer_form()[1]]
+                spin = [(x, g, 25) for g in generators for x in rows] if spins else []
+                # then x g and g x for each section row x and each generator
+                # g, at the d pivots
                 d = a.dimension
                 assert d < 25
-                generators = a._generators or section
-                assert products == [pair for g in generators for x in section for pair in ((x, g, d), (g, x, d))]
+                commutators = [pair for g in generators for x in section for pair in ((x, g, d), (g, x, d))]
+                assert products == spin + commutators
 
     @pytest.mark.parametrize("comp", [(1, 7), (4, 4)], ids=["P-1-7", "P-4-4"])
     def test_large_quotient_forms_fewer_than_m_squared_products(self, comp, monkeypatch):
@@ -945,6 +979,16 @@ class TestSharedBasisProducts:
         assert 0 < len(products) < quotient.dim**2
         data = semisimple_blocks(a)
         assert data.split and data.block_sizes == data.lift_traces == comp
+
+    def test_conjugate_is_spun_not_checked_over_its_basis(self, monkeypatch):
+        # `conjugate` records no generators: the spin finds them, and the
+        # center runs over them, not over the m = 50 section rows (2 m^2)
+        c = rational_invertible(random.Random(8), 8)
+        a = conjugate(parabolic_subalgebra(Composition((1, 7))), c)
+        products = _count_row_products(monkeypatch)
+        data = semisimple_blocks(a)
+        assert data.semisimple_dim == 50 and data.block_sizes == (1, 7)
+        assert len(products) < 2 * 50**2
 
 
 def _count_row_products(monkeypatch):
@@ -992,7 +1036,7 @@ def assert_same_closedness_verdict(n, matrices):
         return False
     a = algebra_from_basis(n, matrices)
     assert a == expected
-    assert closure(n, [Matrix.from_flat(g, n) for g in a._generators]) == a
+    assert closure(n, [Matrix.from_flat(g, n) for g in a._generating_set()]) == a
     return True
 
 
@@ -1033,13 +1077,16 @@ class TestClosednessBySpinning:
                 for u in droppable[:1] + droppable[-1:]:
                     assert not assert_same_closedness_verdict(n, moved[:u] + moved[u + 1 :])
 
-    def test_replace_drops_the_recorded_generators(self):
-        # a generating set of one space generates no other
+    def test_replace_drops_the_recorded_generators(self, monkeypatch):
+        # a generating set of one space generates no other, so the copy
+        # spins its own space when first asked
         upper = parabolic_subalgebra(Composition((1, 1, 1)))
         a = algebra_from_basis(3, upper.basis_matrices())
-        assert a._generators
         other = dataclasses.replace(a, space=full_space(9))
-        assert other._generators == []
+        products = _count_row_products(monkeypatch)
+        assert a._generating_set() and products == []
+        generators = other._generating_set()
+        assert products and closure(3, [Matrix.from_flat(g, 3) for g in generators]) == other
 
     @given(small_closures())
     @settings(max_examples=40, deadline=None)
@@ -1075,15 +1122,41 @@ def _conjugated_compositions(draw):
     return algebra_from_basis(n, conjugate(standard, c).basis_matrices())
 
 
+@st.composite
+def _algebras_of_every_constructor(draw):
+    """An algebra at n <= 5 that no constructor has spun: a result of
+    `closure`, `conjugate` or `parabolic_subalgebra`, or a unit pattern
+    given straight to `MatrixAlgebra`, or a `dataclasses.replace` copy of
+    one of them."""
+    kind = draw(st.sampled_from(["closure", "conjugate", "parabolic", "pattern"]))
+    n = draw(st.integers(1, 5))
+    comp = draw(st.sampled_from(list(compositions(n))))
+    if kind == "closure":
+        a = draw(small_closures())
+    elif kind == "conjugate":
+        standard = draw(st.sampled_from([parabolic_subalgebra, block_diagonal_algebra]))(comp)
+        a = conjugate(standard, rational_invertible(random.Random(draw(st.integers(0, 10**6))), n))
+    elif kind == "parabolic":
+        a = parabolic_subalgebra(comp)
+    else:
+        # the units of a preorder: the diagonal and a random set of units,
+        # closed transitively (Warshall)
+        units = {(i, j) for i in range(n) for j in range(n) if i == j or not draw(st.integers(0, 3))}
+        for k in range(n):
+            units |= {(i, j) for i in range(n) for j in range(n) if (i, k) in units and (k, j) in units}
+        a = MatrixAlgebra(n=n, space=_unit_span(n, sorted(units)))
+    return dataclasses.replace(a) if draw(st.booleans()) else a
+
+
 class TestCenterOverGenerators:
-    """The center of the quotient from the commutators with the recorded
-    generators, or with the section rows when none are recorded, equals
-    the one from all commutators of coset basis pairs."""
+    """The generating set of every algebra generates it, and the center of
+    the quotient from the commutators with it equals the one from all
+    commutators of coset basis pairs."""
 
     def assert_same_center(self, a):
         rad = radical(a)
         expected = ReferenceQuotientAlgebra(a, rad).center()
-        # a copy records no generators (`dataclasses.replace`)
+        # a copy spins its own generating set (`dataclasses.replace`)
         for b in (a, dataclasses.replace(a)):
             assert [as_fractions(z) for z in _QuotientAlgebra(b, rad).center()] == expected
 
@@ -1095,7 +1168,16 @@ class TestCenterOverGenerators:
     @given(_conjugated_compositions())
     @settings(max_examples=40, deadline=None)
     def test_conjugated_compositions(self, a):
-        assert len(a._generators) < a.dimension or a.dimension == 1
+        assert len(a._generating_set()) < a.dimension
+        self.assert_same_center(a)
+
+    @given(_algebras_of_every_constructor())
+    @settings(max_examples=60, deadline=None)
+    def test_every_constructor(self, a):
+        generators = a._generating_set()
+        assert closure(a.n, [Matrix.from_flat(g, a.n) for g in generators]) == a
+        # the spin starts from the identity, so only Q I needs no generator
+        assert len(generators) < a.dimension and (not generators) == (a.dimension == 1)
         self.assert_same_center(a)
 
 

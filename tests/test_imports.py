@@ -7,7 +7,9 @@ sets on `self` and no module of the package reads.  And the one integer
 product expression:
 `operator.mul` appears in `exactlin._rows_times_columns` only.  And no
 stored echelon form is row-reduced again: `null_space` and `_echelon`
-never take an argument that reads `._row_matrix()`."""
+never take an argument that reads `._row_matrix()`.  And one source of
+generating sets: only `MatrixAlgebra._generating_set` touches
+`._generators`."""
 
 import ast
 from pathlib import Path
@@ -360,3 +362,55 @@ def test_the_scan_finds_a_second_reduction():
         "    return _echelon(space._integer_form()[1])\n"
     )
     assert re_reductions(tree) == [("null_space", 2), ("null_space", 3), ("_echelon", 4)]
+
+
+def generator_reads(tree):
+    """(scope, line) for each use of an attribute `_generators`, by the
+    dotted name of the classes and functions around it, outside the method
+    `MatrixAlgebra._generating_set`: a generating set comes from the spin
+    of that method only, never from a second list or a fallback."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "_generators":
+            if scope != "MatrixAlgebra._generating_set":
+                found.append((scope or "<module>", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_source_of_generating_sets():
+    found = [
+        f"{path.relative_to(PACKAGE)}: {scope} (line {line})"
+        for path in MODULES
+        for scope, line in generator_reads(_tree(path))
+    ]
+    assert found == []
+
+
+def test_the_scan_finds_a_second_source_of_generators():
+    tree = ast.parse(
+        "class MatrixAlgebra:\n"
+        "    _generators: list = []\n"
+        "    def _generating_set(self):\n"
+        "        if not self._generators:\n"
+        "            self._generators[:] = spin(self)\n"
+        "        return self._generators\n"
+        "def _certified_radical(a, basis):\n"
+        "    return a._generators or basis\n"
+        "class _QuotientAlgebra:\n"
+        "    def __init__(self, algebra):\n"
+        "        self._generators = algebra._generating_set()\n"
+        "    def center(self):\n"
+        "        return [g for g in self._generators]\n"
+    )
+    assert generator_reads(tree) == [
+        ("_certified_radical", 8),
+        ("_QuotientAlgebra.__init__", 11),
+        ("_QuotientAlgebra.center", 13),
+    ]
