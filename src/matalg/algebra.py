@@ -35,6 +35,9 @@ from .exactlin import (
     _kernel,
     _lowest_terms,
     _matrix_side,
+    _packed_budget,
+    _packed_product,
+    _packed_right,
     _primitive,
     _reduce,
     _rows_times_columns,
@@ -301,30 +304,67 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     round) with the older matrices, with itself and with the frontier
     matrices after it (`_pairs`), so it forms x y and y x once for each
     unordered pair and x x once.  The identity is left out of the product
-    lists, since its products add nothing.  Each matrix is split into its
-    rows and columns (`_halves`) once, when it joins the frontier.  The
-    loop ends because the dimension grows in each round but the last and
-    is at most n^2.
+    lists, since its products add nothing.  The loop ends because the
+    dimension grows in each round but the last and is at most n^2.
+
+    A product is one big-integer dot product (`exactlin._packed_product`):
+    the right factor's rows are packed into 64-bit fields, shifted into
+    place, once per matrix, the first time it is a right factor.  The
+    entries of the result are read back from those fields, which is exact
+    while bits(max|x|) + bits(max|y|) + bits(n) <= 63 (`_packed_budget`),
+    since then every entry lies strictly between -2^63 and 2^63.  A pair
+    past that bound is multiplied row by column (`_rows_times_columns`),
+    on halves split when a matrix first needs them.
     """
     for g in generators:
         _check_square(g, n)
     full = n * n
     cells = _cells(n)
+    budget = _packed_budget(n)
     builder = SpanBuilder(full)
     builder.add(Matrix.identity(n)._integer_form()[1])
-    older: list = []
-    frontier = [_halves(g, n) for g in _integral_generators(generators) if builder.add(g)]
+    older: list[_Factor] = []
+    frontier = [_Factor(g, n) for g in _integral_generators(generators) if builder.add(g)]
     while frontier and builder.dimension < full:
         fresh = []
-        for (u_rows, _), (_, v_columns) in _pairs(older, frontier):
-            p = _rows_times_columns(u_rows, v_columns, cells)
-            if builder.add(p):
-                fresh.append(_halves(p, n))
+        for x, y in _pairs(older, frontier):
+            if x.bits + y.bits <= budget:
+                p = _packed_product(x.flat, y.packed(), full)
+            else:
+                p = _rows_times_columns(x.halves()[0], y.halves()[1], cells)
+            if builder._add_integers(p):
+                fresh.append(_Factor(p, n))
                 if builder.dimension == full:
                     break
         older += frontier
         frontier = fresh
     return MatrixAlgebra(n=n, space=builder.to_subspace())
+
+
+class _Factor:
+    """A matrix of the `closure` loop: its flattened integers and the bit
+    length of its largest absolute entry, with its packed form
+    (`exactlin._packed_right`) and its halves (`_halves`) made the first
+    time a product asks for them."""
+
+    __slots__ = ("flat", "bits", "n", "_packed_form", "_split")
+
+    def __init__(self, flat: tuple[int, ...], n: int):
+        self.flat = flat
+        self.bits = max(map(abs, flat)).bit_length()
+        self.n = n
+        self._packed_form: list[int] | None = None
+        self._split: tuple[list, list] | None = None
+
+    def packed(self) -> list[int]:
+        if self._packed_form is None:
+            self._packed_form = _packed_right(self.flat, self.n)
+        return self._packed_form
+
+    def halves(self) -> tuple[list, list]:
+        if self._split is None:
+            self._split = _halves(self.flat, self.n)
+        return self._split
 
 
 def _integral_generators(generators: Sequence[Matrix]) -> list[tuple[int, ...]]:
@@ -505,10 +545,20 @@ class _QuotientAlgebra:
     def mult(self, u: _Element, v: _Element) -> _Element:
         """The product u v: the lifts of u and v multiplied at the d pivot
         cells of A, and reduced modulo R."""
+        return self._times(u, self._right_factor(v))
+
+    def _right_factor(self, v: _Element) -> tuple[int, list[Sequence[int]]]:
+        """The denominator of v and the columns of its lift: the right
+        factor of `_times`, lifted once however often it multiplies."""
         n = self.n
-        x, y = self.lift(u), self.lift(v)
-        product = _rows_times_columns(_split_rows(x, n), [y[j::n] for j in range(n)], self._cells)
-        return _lowest_terms(u[0] * v[0] * self._den, self._reduced(product))
+        y = self.lift(v)
+        return v[0], [y[j::n] for j in range(n)]
+
+    def _times(self, u: _Element, right: tuple[int, list[Sequence[int]]]) -> _Element:
+        """The product of u and the element whose `_right_factor` is `right`."""
+        den, columns = right
+        product = _rows_times_columns(_split_rows(self.lift(u), self.n), columns, self._cells)
+        return _lowest_terms(u[0] * den * self._den, self._reduced(product))
 
     def left_trace(self, u: _Element) -> Fraction:
         """Trace of the left multiplication x -> ux: the sum over k of the
@@ -567,12 +617,14 @@ class _QuotientAlgebra:
         degree.  One Krylov elimination: z^k, as ints over d_k, is tagged
         with d_k at coordinate dim + k, so every row [v | t] has
         v = sum t_j z^j, and the first residual vanishing on the first dim
-        coordinates leaves a tag t with sum t_j z^j = 0 and t_k > 0."""
+        coordinates leaves a tag t with sum t_j z^j = 0 and t_k > 0.  z is
+        lifted once, as the right factor of every power (`_right_factor`)."""
         m = self.dim
         rows: dict[int, list[int]] = {}
         den = 1
         powers = []
         current = one
+        right = self._right_factor(z)
         for k in range(m + 1):
             tag = [0] * (m + 1)
             tag[k] = current[0]
@@ -581,7 +633,7 @@ class _QuotientAlgebra:
                 return residual[m : m + k + 1], powers
             den = _adjoin(rows, residual, den)
             powers.append(current)
-            current = self.mult(current, z)
+            current = self._times(current, right)
         raise RuntimeError("minimal polynomial degree exceeds the quotient dimension")
 
 

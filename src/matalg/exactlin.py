@@ -12,7 +12,10 @@ are read out.  A matrix is stored as its entries times their
 least common denominator, so a product is one integer product over
 the product of two denominators: `_rows_times_columns`, the one
 sum-of-products expression of the package, which forms the entries at
-given (row, column) cells, all of them for a full product.  Row reduction
+given (row, column) cells, all of them for a full product.  A square
+product of small integers can also be one big-integer dot product of that
+expression (`_packed_product`), its entries packed in 64-bit fields and
+read back in one decode.  Row reduction
 is one fraction-free kernel (`_reduce`, `_adjoin`): rows fully reduced
 over one common pivot value, which is the reduced row-echelon form times
 its least common denominator, and integer vectors reduced against them
@@ -37,6 +40,8 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -325,6 +330,52 @@ def _rows_times_columns(
     the cell (i, j).  Every cell in row-major order gives the product
     flattened row-major."""
     return tuple([sum(map(operator.mul, rows[i], columns[j])) for i, j in cells])
+
+
+# Kronecker substitution: an n x n integer matrix product as one big-integer
+# dot product, its n^2 entries held in signed 64-bit fields of the result.
+_FIELD_BITS = 64
+# the top bit of one field, little-endian: n^2 copies give the offset that
+# `_packed_product` adds to make every field nonnegative
+_SIGN_BITS = bytes(_FIELD_BITS // 8 - 1) + b"\x80"
+
+
+def _packed_budget(n: int) -> int:
+    """The largest bits(max|u|) + bits(max|v|), bits the bit length, for
+    which `_packed_product` of n x n integer matrices u and v is exact: an
+    entry of u v is a sum of n products, so it is below
+    2^(bits(max|u|) + bits(max|v|) + bits(n)) in absolute value, and a
+    64-bit field holds it when that is at most 2^63."""
+    return _FIELD_BITS - 1 - n.bit_length()
+
+
+def _packed_right(v: Sequence[int], n: int) -> list[int]:
+    """The flattened n x n integer matrix v as the right factor of
+    `_packed_product`: row k of v as one integer, the sum of v[k, j] times
+    2^(64 j), shifted by 64 n i bits at place i n + k, for every i and k."""
+    rows = [
+        sum(e << (_FIELD_BITS * j) for j, e in enumerate(v[k * n : (k + 1) * n])) for k in range(n)
+    ]
+    return [row << (_FIELD_BITS * n * i) for i in range(n) for row in rows]
+
+
+def _packed_product(u: Sequence[int], packed: Sequence[int], size: int) -> tuple[int, ...]:
+    """The product u v of flattened n x n integer matrices, row-major, for
+    `packed` the `_packed_right` of v and size = n^2; exact within
+    `_packed_budget`.
+
+    The dot product of u with `packed` is one integer F whose field
+    n i + j, of 64 bits, holds the entry (i, j) of u v: one row times one
+    column of `_rows_times_columns`.  With every entry c strictly between
+    -2^63 and 2^63, F + off for off = sum over s of 2^(64 s + 63) has the
+    digit c + 2^63 in field s, and the xor with off leaves c as a signed
+    64-bit field, so the bytes read back as an `array` of n^2 entries."""
+    (f,) = _rows_times_columns([u], [packed], [(0, 0)])
+    off = int.from_bytes(_SIGN_BITS * size, "little")
+    fields = array("q", ((f + off) ^ off).to_bytes(size * _FIELD_BITS // 8, "little"))
+    if sys.byteorder != "little":
+        fields.byteswap()
+    return tuple(fields)
 
 
 def _reduce(
@@ -688,7 +739,12 @@ class SpanBuilder:
 
     def add(self, vec: Sequence[int | str | Fraction]) -> bool:
         """Adjoin a vector; returns True when the span grew."""
-        residual = self._residual(vec)
+        return self._add_integers(_integer_vector(vec, self.ambient_dim))
+
+    def _add_integers(self, vec: Sequence[int]) -> bool:
+        """`add` for a vector of ints of the ambient length, which is not
+        checked again: the path of the vectors a caller formed itself."""
+        residual = _reduce(vec, self._rows.items(), self._den)
         if not any(residual):
             return False
         self._den = _adjoin(self._rows, residual, self._den)

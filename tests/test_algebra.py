@@ -43,6 +43,7 @@ from matalg.algebra import (
 from matalg.cli.suites import corpus_algebras
 from test_exactlin import (
     coset_coords,
+    record_closure_products,
     reference_closure,
     reference_product,
     reference_project,
@@ -836,6 +837,36 @@ class TestCentralIdempotentWalk:
         idempotents = _central_idempotents(quotient)
         assert len(calls) == expected_calls
         assert len(idempotents) == len(quotient.center())
+        expected = reference_central_idempotents(ReferenceQuotientAlgebra(a, rad))
+        assert [as_fractions(e) for e in idempotents] == expected
+
+
+    def test_min_poly_lifts_its_element_once(self, monkeypatch):
+        a = block_diagonal_algebra(Composition((1,) * 10))
+        rad = radical(a)
+        quotient = _QuotientAlgebra(a, rad)
+        lifts = []
+        lift = _QuotientAlgebra.lift
+        monkeypatch.setattr(_QuotientAlgebra, "lift", lambda self, u: lifts.append(u) or lift(self, u))
+        # (lift calls during one min_poly call, its number of powers)
+        calls = []
+        min_poly = _QuotientAlgebra.min_poly
+
+        def counting(self, z, one):
+            before = len(lifts)
+            f, powers = min_poly(self, z, one)
+            calls.append((len(lifts) - before, len(powers)))
+            return f, powers
+
+        monkeypatch.setattr(_QuotientAlgebra, "min_poly", counting)
+        idempotents = _central_idempotents(quotient)
+        # z once, and each power z^0..z^(d-1) once, as the left factor of
+        # the next: d + 1 lifts, where lifting z for every product made 2d
+        assert len(calls) == 45
+        assert max(powers for _, powers in calls) == 2
+        assert all(lifted == powers + 1 for lifted, powers in calls)
+        # and each e z_i of the walk lifts e and z_i once
+        assert len(lifts) == sum(lifted for lifted, _ in calls) + 2 * len(calls)
         expected = reference_central_idempotents(ReferenceQuotientAlgebra(a, rad))
         assert [as_fractions(e) for e in idempotents] == expected
 
@@ -1741,8 +1772,10 @@ class TestFlagConjugator:
 
 
 class TestClosureProducts:
-    """`closure` forms its products through `_rows_times_columns`, each
-    at all n^2 entries, on operands split once when they join."""
+    """`closure` forms each product once, at all n^2 entries: packed
+    (`_packed_product`) while the operands lie within its bound, row by
+    column (`_rows_times_columns`) past it; a matrix is packed at most
+    once, the first time it is a right factor."""
 
     def test_closed_basis_forms_each_unordered_pair_once(self, monkeypatch):
         c = random_invertible(random.Random(41), 4)
@@ -1750,27 +1783,60 @@ class TestClosureProducts:
         basis = a.basis_matrices()
         # the identity comes first, so one basis direction adds nothing
         adjoined = a.dimension - 1
-        products = _count_row_products(monkeypatch)
+        products, _ = record_closure_products(monkeypatch)
         # a closed span: no product grows it, so the loop ends after one
         # round, which forms x y and y x once for each unordered pair and
         # x x once
         assert closure(4, basis).space == a.space
-        assert len(products) == adjoined * adjoined
-        assert len(set(products)) == len(products)
-        assert {entries for _, _, entries in products} == {16}
-        operands = {x for x, _, _ in products}
+        pairs = [(x, y) for _, x, y, _ in products]
+        assert len(pairs) == adjoined * adjoined
+        assert len(set(pairs)) == len(pairs)
+        assert {len(product) for *_, product in products} == {16}
+        operands = {x for x, _ in pairs}
         assert len(operands) == adjoined
-        assert {(x, y) for x, y, _ in products} == {(x, y) for x in operands for y in operands}
+        assert set(pairs) == {(x, y) for x in operands for y in operands}
 
     def test_absorption_probe_repeats_no_product(self, monkeypatch):
         a = parabolic_subalgebra(Composition((1, 3)))
         x = Matrix.unit(4, 1, 0)
-        products = _count_row_products(monkeypatch)
+        products, _ = record_closure_products(monkeypatch)
         assert absorption_probe(a, x).dimension == 16
         # x comes first, so x x is the first product formed
         (flat_x,) = algebra_module._integral_generators([x])
-        assert products[0] == (flat_x, flat_x, 16)
-        assert len(products) == len(set(products))
+        _, first_left, first_right, first = products[0]
+        assert (first_left, first_right, len(first)) == (flat_x, flat_x, 16)
+        pairs = [(x, y) for _, x, y, _ in products]
+        assert len(pairs) == len(set(pairs))
+
+    def test_each_matrix_is_packed_once_when_first_a_right_factor(self, monkeypatch):
+        c = random_invertible(random.Random(43), 4)
+        a = conjugate(parabolic_subalgebra(Composition((2, 2))), c)
+        x = c * Matrix.unit(4, 3, 0) * c.inverse()
+        products, packings = record_closure_products(monkeypatch)
+        assert absorption_probe(a, x).dimension == 16
+        assert {path for path, *_ in products} == {"packed"}
+        # packed in the order of first use as a right factor, once each
+        assert packings == list(dict.fromkeys(y for _, _, y, _ in products))
+        # 15 matrices join after the identity, but those of the last round
+        # multiply nothing and are never packed
+        assert len(packings) < 15
+
+    def test_a_pair_past_the_bound_is_multiplied_row_by_column(self, monkeypatch):
+        # the bound at n = 2 is 63 - bits(2) = 61 bits: g g has 31 + 31, one
+        # past it, and g h has 31 + 30, at it
+        g = Matrix([[0, 2**30], [1, 0]])
+        h = Matrix([[2**29, 1], [0, 0]])
+        products, packings = record_closure_products(monkeypatch)
+        space = closure(2, [g, h]).space
+        assert space == full_space(4)
+        assert (space.basis, space.pivots) == reference_closure(2, [g, h])
+        flat_g, flat_h = algebra_module._integral_generators([g, h])
+        # g g = 2^30 I adds nothing, g h fills M_2
+        assert [(path, x, y) for path, x, y, _ in products] == [
+            ("row", flat_g, flat_g),
+            ("packed", flat_g, flat_h),
+        ]
+        assert packings == [flat_h]
 
 
 @st.composite

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import matalg.algebra as algebra_module
 from matalg.algebra import closure
 from matalg.coalgebra import perp
 from matalg.exactlin import (
@@ -19,6 +20,9 @@ from matalg.exactlin import (
     _coset_images,
     _integral,
     _joint_kernel,
+    _packed_budget,
+    _packed_product,
+    _packed_right,
     _primitive,
     _reduce,
     _unit_span,
@@ -726,6 +730,154 @@ class TestSamplers:
             random_subspace(Zeros(), 2, 1)
 
 
+def packed(u, v, n):
+    """u v for flattened n x n integer matrices, by the packed product."""
+    return _packed_product(u, _packed_right(v, n), n * n)
+
+
+def flat_reference_product(u, v, n):
+    """u v for flattened n x n integer matrices, by `reference_product`."""
+    product = reference_product(Matrix.from_flat(u, n), Matrix.from_flat(v, n))
+    return tuple(int(e) for row in product for e in row)
+
+
+@st.composite
+def packed_operands(draw):
+    """n in 1..8 and two flattened n x n integer matrices u, v whose bit
+    lengths a and b of the largest absolute entry are drawn with
+    a + b = `_packed_budget(n)`: entries at most 2^a - 1 and 2^b - 1 in
+    absolute value, those extremes often, and zero matrices at times."""
+    n = draw(st.integers(1, 8))
+    a = draw(st.integers(0, _packed_budget(n)))
+
+    def side(bits):
+        top = 2**bits - 1
+        if draw(st.integers(0, 5)) == 0:
+            return (0,) * (n * n)
+        entry = st.one_of(st.sampled_from([top, -top, 0]), st.integers(-top, top))
+        return tuple(draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+
+    return n, side(a), side(_packed_budget(n) - a)
+
+
+def extremes(n, bits, sign=1):
+    """The flattened n x n matrix with every entry sign * (2^bits - 1)."""
+    return (sign * (2**bits - 1),) * (n * n)
+
+
+def at_the_budget(n, sign=1):
+    """(n, u, v) with every entry of u at 2^a - 1 and every entry of v at
+    sign (2^b - 1), for a + b = `_packed_budget(n)` split evenly."""
+    a = _packed_budget(n) // 2
+    return n, extremes(n, a), extremes(n, _packed_budget(n) - a, sign)
+
+
+class TestPackedProduct:
+    """The packed product (`_packed_product` of `_packed_right`) against the
+    Fraction product, at and past its bound."""
+
+    @given(packed_operands())
+    @settings(max_examples=150, deadline=None)
+    # every entry 7 (2^a - 1)(2^b - 1) with a + b the budget, 60 at n = 7:
+    # about 2^63 - 2^34, the nearest to the field's range that the bound
+    # lets in, with both signs
+    @example(at_the_budget(7))
+    @example(at_the_budget(7, -1))
+    @example((8, extremes(8, 58), extremes(8, 1, -1)))
+    @example((1, extremes(1, 61), extremes(1, 1, -1)))
+    @example((5, (0,) * 25, extremes(5, 60)))
+    def test_matches_the_fraction_product(self, case):
+        n, u, v = case
+        assert packed(u, v, n) == flat_reference_product(u, v, n)
+
+    def test_budget_is_63_bits_less_the_bits_of_n(self):
+        # n products of |entries| below 2^a and 2^b stay below 2^63
+        assert [_packed_budget(n) for n in range(1, 9)] == [62, 61, 61, 60, 60, 60, 60, 59]
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_one_bit_past_the_budget_overflows(self, n):
+        # for n = 2^k - 1, k > 1, an entry of n (2^a - 1)(2^b - 1) with
+        # a + b = budget + 1 lies past 2^63, so the bound has no slack bit
+        a = _packed_budget(n) // 2
+        b = _packed_budget(n) + 1 - a
+        for sign in (1, -1):
+            u, v = extremes(n, a), extremes(n, b, sign)
+            expected = flat_reference_product(u, v, n)
+            assert abs(expected[0]) >= 2**63
+            try:
+                assert packed(u, v, n) != expected
+            except OverflowError:
+                pass  # the last field carried past the n^2 fields
+
+    def test_packs_each_row_into_shifted_fields(self):
+        # row k of v in fields 0..n-1, shifted by n i fields at place i n + k
+        v = (1, -2, 3, 4)
+        rows = [1 - (2 << 64), 3 + (4 << 64)]
+        assert _packed_right(v, 2) == rows + [r << 128 for r in rows]
+
+
+def dense_integer_generator(seed, n, bits):
+    """A seeded dense n x n integer matrix, entries in [-2^bits, 2^bits]."""
+    rng = random.Random(seed)
+    return Matrix([[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)])
+
+
+def record_closure_products(monkeypatch):
+    """Record what `closure` multiplies from now on: (path, x, y, x y) for
+    each product, with path "packed" (`_packed_product`) or "row"
+    (`_rows_times_columns`) and x, y and x y flattened, and each matrix
+    that `_packed_right` packs, in order."""
+    products, packings = [], []
+    packed_from = {}
+    pack = algebra_module._packed_right
+    multiply_packed = algebra_module._packed_product
+    multiply = algebra_module._rows_times_columns
+
+    def packing(v, n):
+        result = pack(v, n)
+        packings.append(tuple(v))
+        packed_from[id(result)] = result, tuple(v)
+        return result
+
+    def packed_product(u, right, size):
+        result = multiply_packed(u, right, size)
+        products.append(("packed", tuple(u), packed_from[id(right)][1], result))
+        return result
+
+    def row_product(rows, columns, cells):
+        result = multiply(rows, columns, cells)
+        x = tuple(e for row in rows for e in row)
+        y = tuple(e for row in zip(*columns) for e in row)
+        products.append(("row", x, y, result))
+        return result
+
+    monkeypatch.setattr(algebra_module, "_packed_right", packing)
+    monkeypatch.setattr(algebra_module, "_packed_product", packed_product)
+    monkeypatch.setattr(algebra_module, "_rows_times_columns", row_product)
+    return products, packings
+
+
+class TestClosureAcrossTheBound:
+    """`closure` at n = 6, where the products' entries outgrow the packed
+    product's bound partway through the loop, so that both products run."""
+
+    @pytest.mark.parametrize("seed, bits", [(0, 6), (1, 6), (2, 8), (3, 10), (4, 10)])
+    def test_matches_the_fraction_reference(self, seed, bits, monkeypatch):
+        generator = dense_integer_generator(seed, 6, bits)
+        products, _ = record_closure_products(monkeypatch)
+        space = closure(6, [generator]).space
+        assert (space.basis, space.pivots) == reference_closure(6, [generator])
+        assert {path for path, *_ in products} == {"packed", "row"}
+
+    def test_every_product_matches_the_fraction_product(self, monkeypatch):
+        generators = [dense_integer_generator(seed, 6, 12) for seed in (5, 6)]
+        products, _ = record_closure_products(monkeypatch)
+        assert closure(6, generators).dimension == 36
+        assert {path for path, *_ in products} == {"packed", "row"}
+        for _, x, y, product in products:
+            assert product == flat_reference_product(x, y, 6)
+
+
 class TestSpanBuilder:
     def test_matches_rref(self):
         vecs = [(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 0, 0)]
@@ -748,6 +900,24 @@ class TestSpanBuilder:
         basis = builder.to_subspace().basis
         assert basis == ((1, 0, 2),)
         assert all(type(e) is Fraction for e in basis[0])
+
+    def test_public_add_still_coerces_and_checks_length(self):
+        # `add` validates, then takes the integer path of `_add_integers`
+        builder = SpanBuilder(3)
+        assert builder.add((Fraction(1, 2), "1/3", 1))
+        assert builder.add(("0", 1, Fraction(-2, 5)))
+        assert not builder.add(("3", Fraction(7), 4))
+        with pytest.raises(ValueError):
+            builder.add((Fraction(1, 2), "1"))
+        with pytest.raises(ValueError):
+            builder.add((1, 2, 3, 4))
+        with pytest.raises(TypeError):
+            builder.add((1.0, 2, 3))
+        assert builder.dimension == 2
+        integers = SpanBuilder(3)
+        assert integers._add_integers((3, 2, 6))
+        assert integers._add_integers((0, 5, -2))
+        assert integers.to_subspace() == builder.to_subspace()
 
     def test_contains_tracks_membership(self):
         builder = SpanBuilder(2)

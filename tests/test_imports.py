@@ -5,7 +5,9 @@ private method, or method of a private class, that no module of the
 package reads as an attribute, and a private attribute that a method
 sets on `self` and no module of the package reads.  And the one integer
 product expression:
-`operator.mul` appears in `exactlin._rows_times_columns` only.  And no
+`operator.mul` appears in `exactlin._rows_times_columns` only.  And the
+one decode of packed fields: `.to_bytes(` and `array(` appear in
+`exactlin._packed_product` only.  And no
 stored echelon form is row-reduced again: `null_space` and `_echelon`
 never take an argument that reads `._row_matrix()`.  And one source of
 generating sets: only `MatrixAlgebra._generating_set` touches
@@ -315,6 +317,60 @@ def test_the_scan_finds_a_second_product_expression():
         "    return sum(map(operator.add, rows))\n"
     )
     assert integer_products(tree) == [("<module>", 2), ("_rows_times_columns", 4), ("__mul__", 7)]
+
+
+def field_decodes(tree):
+    """(function, line) for each call of `.to_bytes` or of `array` (by name
+    or as `array.array`) in the module, by the name of the innermost
+    function around it: the decode of a packed product is
+    `array("q", ....to_bytes(...))`."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "array" or (name == "to_bytes" and isinstance(func, ast.Attribute)):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_decode_of_packed_fields():
+    # every packed product is read back in `exactlin._packed_product`
+    found = sorted(
+        {
+            (str(path.relative_to(PACKAGE)), function)
+            for path in MODULES
+            for function, _ in field_decodes(_tree(path))
+        }
+    )
+    assert found == [("exactlin.py", "_packed_product")]
+
+
+def test_the_scan_finds_a_second_decode():
+    tree = ast.parse(
+        "import array as arrays\n"
+        "from array import array\n"
+        "def _packed_product(u, packed, size):\n"
+        "    return array('q', f.to_bytes(8 * size, 'little'))\n"
+        "class _Factor:\n"
+        "    def entries(self):\n"
+        "        return arrays.array('q', self.f.to_bytes(8, 'little'))\n"
+        "def _bytes(x):\n"
+        "    return x.bit_length(), bytes(x), int.from_bytes(x, 'little')\n"
+    )
+    assert field_decodes(tree) == [
+        ("_packed_product", 4),
+        ("_packed_product", 4),
+        ("entries", 7),
+        ("entries", 7),
+    ]
 
 
 REDUCERS = {"null_space", "_echelon"}
