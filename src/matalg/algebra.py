@@ -31,7 +31,7 @@ from .exactlin import (
     Subspace,
     _adjoin,
     _combination,
-    _joint_kernel,
+    _echelon,
     _kernel,
     _lowest_terms,
     _matrix_side,
@@ -412,29 +412,31 @@ def radical(a: MatrixAlgebra) -> Subspace:
     return _certified_radical(a)[0]
 
 
-def _kernel_flag(mats: Sequence[Matrix], n: int) -> list[Subspace] | None:
+def _kernel_flag(rows: Sequence[Sequence[int]], n: int) -> list[Subspace] | None:
     """The kernel flag ker N < ker N^2 < ... < Q^n of the (non-unital)
-    algebra N generated by `mats`, or None when N is not nilpotent.
+    algebra N generated by the n x n matrices with flattened integer
+    `rows`, or None when N is not nilpotent.
 
-    V_1 is the joint kernel of `mats` and V_{j+1} = {v : m v in V_j for
-    every m}, the joint kernel of the products A m for A with rows
-    spanning the annihilator of V_j, read off the stored rows of V_j
-    (`exactlin._kernel`).  Words of length j span N^j, so
-    V_j = ker N^j.  The chain stops at Q^n, or with None at the first
-    step that does not grow; each step grows, so there are at most n.
+    The row-space chain: words of length j span N^j, so V_j = ker N^j is
+    the annihilator of the row space U_j of those words, read off U_j's
+    echelon rows (`exactlin._kernel`).  U_1 is one `_echelon` of the rows
+    of the matrices and U_{j+1} one `_echelon` of the products u m, u an
+    echelon row of U_j (`_rows_times_columns`).  U_{j+1} <= U_j, so the
+    chain ends at U_j = 0, or with None when dim U_j does not drop (U_1 =
+    Q^n among them): at most n steps.
     """
-    if not mats:
-        return [full_space(n)]
-    flag = [_joint_kernel(mats, n)]
-    if flag[0].dimension == 0:
-        return None
-    while flag[-1].dimension < n:
-        annihilator = _kernel(*flag[-1]._integer_form(), n)._row_matrix()
-        kernel = _joint_kernel([annihilator * m for m in mats], n)
-        if kernel.dimension == flag[-1].dimension:
-            return None
-        flag.append(kernel)
-    return flag
+    columns = [[m[j::n] for j in range(n)] for m in rows]
+    chain, den = _echelon(row for m in rows for row in _split_rows(m, n))
+    flag, dim = [], n
+    while len(chain) < dim:
+        dim = len(chain)
+        flag.append(_kernel(den, chain.items(), n))
+        if not dim:
+            return flag
+        # the words one letter longer: u m for the rows u of U_j
+        u, cells = list(chain.values()), [(i, j) for i in range(dim) for j in range(n)]
+        chain, den = _echelon(row for m in columns for row in _split_rows(_rows_times_columns(u, m, cells), n))
+    return None
 
 
 def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
@@ -445,7 +447,8 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
     generating set of `a` (`MatrixAlgebra._generating_set`, which raises
     ValueError when `a` is not a unital algebra): the x with x R <= R and
     R x <= R form a unital subalgebra, so it holds all of `a` once it
-    holds a generating set."""
+    holds a generating set.  The flag is the row-space chain of
+    `_kernel_flag` on the stored rows of R."""
     n = a.n
     if a.dimension == 0:
         return zero_space(n * n), [full_space(n)]
@@ -464,7 +467,7 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
                 _reduce(_rows_times_columns(r_rows, x_columns, cells), pairs, den)
             ):
                 raise RuntimeError("radical candidate is not a two-sided ideal")
-    flag = _kernel_flag(rad.basis_matrices(n), n)
+    flag = _kernel_flag([r for _, r in pairs], n)
     if flag is None:
         raise RuntimeError("radical candidate is not nilpotent")
     return rad, flag
@@ -542,11 +545,6 @@ class _QuotientAlgebra:
         integer matrix: den * d times the rational lift, for u = (den, ints)."""
         return _combination(u[1], self._section, self.n * self.n)
 
-    def mult(self, u: _Element, v: _Element) -> _Element:
-        """The product u v: the lifts of u and v multiplied at the d pivot
-        cells of A, and reduced modulo R."""
-        return self._times(u, self._right_factor(v))
-
     def _right_factor(self, v: _Element) -> tuple[int, list[Sequence[int]]]:
         """The denominator of v and the columns of its lift: the right
         factor of `_times`, lifted once however often it multiplies."""
@@ -555,7 +553,8 @@ class _QuotientAlgebra:
         return v[0], [y[j::n] for j in range(n)]
 
     def _times(self, u: _Element, right: tuple[int, list[Sequence[int]]]) -> _Element:
-        """The product of u and the element whose `_right_factor` is `right`."""
+        """The product u v, for `right` the `_right_factor` of v: the lifts of
+        u and v multiplied at the d pivot cells of A, and reduced modulo R."""
         den, columns = right
         product = _rows_times_columns(_split_rows(self.lift(u), self.n), columns, self._cells)
         return _lowest_terms(u[0] * den * self._den, self._reduced(product))
@@ -668,7 +667,8 @@ def _poly_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     r = list(a)
     lead = b[-1]
     scale = abs(lead)
-    while True:
+    # each pass lowers deg r: deg a - deg b + 1 passes, then the remainder
+    for _ in range(max(len(a) - len(b), -1) + 2):
         while r and not r[-1]:
             r.pop()
         if len(r) < len(b):
@@ -678,6 +678,7 @@ def _poly_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
         r = [scale * c for c in r]
         for i, c in enumerate(b):
             r[shift + i] -= f * c
+    raise RuntimeError("pseudo-remainder degree did not fall at each pass")
 
 
 def _integer_roots(g: Sequence[int]) -> list[int]:
@@ -814,8 +815,9 @@ def _central_idempotents(quotient: _QuotientAlgebra) -> list[_Element] | None:
         if len(idempotents) == len(center):
             break
         refined = []
+        right = quotient._right_factor(z)
         for e in idempotents:
-            f, powers = quotient.min_poly(quotient.mult(e, z), e)
+            f, powers = quotient.min_poly(quotient._times(e, right), e)
             roots, leftover_degree = _rational_roots(f)
             if leftover_degree > 0:
                 return None
@@ -932,7 +934,8 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
 
     Each member is a-invariant, since R is an ideal.  Member j+1 is the
     preimage of the joint kernel of the radical of the induced action on
-    Q^n / (member j): that radical is the image of R.  For a block
+    Q^n / (member j): that radical is the image of R.  It is read along
+    the row-space chain of `_kernel_flag`.  For a block
     upper-triangular algebra this recovers exactly the standard
     coordinate flag of its type.
     """
@@ -949,7 +952,7 @@ def _adapted_basis(chain: Iterable[Subspace], n: int) -> Matrix:
     for member in chain:
         den, rows = member._integer_form()
         for _, row in rows:
-            if builder.add(row):
+            if builder._add_integers(row):
                 chosen.append((den, row))
     if len(chosen) != n:
         raise RuntimeError("flag refinement did not produce a full basis")
@@ -962,14 +965,18 @@ def _flag_conjugator(chain: Iterable[Subspace], space: Subspace, target: Subspac
     """The inverse c of the chain's adapted basis, checked for `is_parabolic`
     and `triangularize_nil`: c x c^-1 must be zero off the pivots of the
     coordinate span `target` for each basis element x of `space`, else
-    RuntimeError (the arithmetic would be wrong, not the input)."""
+    RuntimeError (the arithmetic would be wrong, not the input).  On the
+    integer forms: x c^-1 by columns, then c (x c^-1) at the off cells."""
     n = _matrix_side(space)
     cinv = _adapted_basis(chain, n)
     c = cinv.inverse()
-    off = set(range(n * n)).difference(target.pivots)
-    for x in space.basis_matrices(n):
-        moved = (c * x * cinv)._integer_form()[1]
-        if any(moved[k] for k in off):
+    c_rows = _split_rows(c._integer_form()[1], n)
+    cinv_columns = [cinv._integer_form()[1][j::n] for j in range(n)]
+    by_column = [(i, j) for j in range(n) for i in range(n)]
+    off = [divmod(k, n) for k in set(range(n * n)).difference(target.pivots)]
+    for _, x in space._integer_form()[1]:
+        columns = _split_rows(_rows_times_columns(_split_rows(x, n), cinv_columns, by_column), n)
+        if any(_rows_times_columns(c_rows, columns, off)):
             raise RuntimeError("the adapted basis does not carry the space into its pattern")
     return c
 

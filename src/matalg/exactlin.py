@@ -548,11 +548,6 @@ class Subspace:
             raise ValueError(f"ambient dimension {self.ambient_dim} is not {n}*{n}")
         return [Matrix._make(n, n, self._den, row) for _, row in self._rows]
 
-    def _row_matrix(self) -> Matrix:
-        """The matrix whose rows are the basis, for a nonzero subspace."""
-        flat = tuple(e for _, row in self._rows for e in row)
-        return Matrix._make(len(self._rows), self.ambient_dim, self._den, flat)
-
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dimension}, ambient={self.ambient_dim})"
 
@@ -636,10 +631,10 @@ def _matrix_side(space: Subspace) -> int:
     return n
 
 
-def _primitive(vec: Sequence[Fraction]) -> list[int]:
+def _primitive(vec: Sequence[int | Fraction]) -> list[int]:
     """The nonzero rational vector scaled by a positive rational to a
-    primitive integer vector (integer entries with gcd 1)."""
-    ints = _integral(vec)[1]
+    primitive integer vector (integer entries with gcd 1); ints directly."""
+    ints = vec if all(type(x) is int for x in vec) else _integral(vec)[1]
     g = math.gcd(*ints)
     return [v // g for v in ints]
 
@@ -704,14 +699,6 @@ def _kernel(
             vec[p] = -row[f]
         basis.append(vec)
     return _canonical(ncols, *_echelon(basis))
-
-
-def _joint_kernel(mats: Sequence[Matrix], n: int) -> Subspace:
-    """Canonical basis of {v in Q^n : m v = 0 for every m in mats}: one
-    null space of the matrices stacked row-wise, each times its
-    denominator.  `mats` must be nonempty."""
-    stacked = tuple(e for m in mats for e in m._flat)
-    return null_space(Matrix._make(len(stacked) // n, n, 1, stacked))
 
 
 class SpanBuilder:

@@ -17,7 +17,8 @@ The dimension of a nil subspace is at most n(n-1)/2, with equality
 exactly for conjugates of the strictly upper-triangular space;
 `triangularize_nil` produces the conjugating matrix through the kernel
 flag ker N < ker N^2 < ... of the algebra N the subspace generates, built
-straight from the subspace's basis.
+straight from the subspace's stored rows along the row-space chain:
+ker N^j is the annihilator of the row space of the words of length j.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
     field, characteristic zero).
 
     The k = 1 coefficients are the basis traces and are read first, for
-    any budget: when some Tr(b_i) is nonzero, b_i is returned as the
-    witness with the single report for power 1.  Otherwise, when the
+    any budget, off the stored rows: when some Tr(b_i) is nonzero, b_i
+    is returned as the witness with the single report for power 1.
+    Otherwise, when the
     number of monomials of the trace polynomials, the sum of
     C(d + k - 1, k) over k = 1..n, exceeds `budget`, the verdict is
     `UNDETERMINED`.  A nonzero Tr(X^k) gives the witness through
@@ -117,13 +119,14 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
     if d == 0:
         reports = tuple(PowerReport(k, 0, True) for k in range(1, n + 1))
         return NilCertificate(ALL_NILPOTENT, None, reports)
-    for b in s.basis_matrices(n):
-        if b.trace():
-            return NilCertificate(WITNESS_FOUND, b, (PowerReport(1, d, False),))
+    den, stored = s._integer_form()
+    for _, row in stored:
+        if sum(row[:: n + 1]):
+            return NilCertificate(WITNESS_FOUND, Matrix._make(n, n, den, row), (PowerReport(1, d, False),))
     counts = [math.comb(d + k - 1, k) for k in range(1, n + 1)]
     if sum(counts) > budget:
         return NilCertificate(UNDETERMINED, None, ())
-    rows = [_primitive(vec) for _, vec in s._integer_form()[1]]
+    rows = [_primitive(vec) for _, vec in stored]
     reports: list[PowerReport] = []
     for k, trace in enumerate(_trace_polynomials(rows, n), start=1):
         reports.append(PowerReport(k, counts[k - 1], not trace))
@@ -213,7 +216,8 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
     """Conjugator c with c x c^-1 strictly upper triangular for all x in s.
 
     Builds the kernel flag V_k = {v : N^k v = 0} of the (non-unital)
-    algebra N generated by the subspace, straight from its basis.  When
+    algebra N generated by the subspace, straight from its stored rows,
+    along the row-space chain of `_kernel_flag`.  When
     N is nilpotent the flag reaches Q^n, any refinement of it to a full
     flag orders a basis under which every element of N is strictly upper
     triangular, and the inverse of that basis matrix is returned, checked
@@ -221,5 +225,5 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
     nilpotent -- possible even for nil subspaces -- None is returned.
     """
     n = _matrix_side(s)
-    flag = _kernel_flag(s.basis_matrices(n), n)
+    flag = _kernel_flag([x for _, x in s._integer_form()[1]], n)
     return None if flag is None else _flag_conjugator(flag, s, strictly_upper_space(n))

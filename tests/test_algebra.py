@@ -43,6 +43,7 @@ from matalg.algebra import (
 from matalg.cli.suites import corpus_algebras
 from test_exactlin import (
     coset_coords,
+    joint_kernel,
     record_closure_products,
     reference_closure,
     reference_product,
@@ -52,7 +53,6 @@ from test_exactlin import (
 from matalg.exactlin import (
     Matrix,
     SpanBuilder,
-    _joint_kernel,
     _primitive,
     _unit_span,
     full_space,
@@ -431,6 +431,11 @@ def as_element(coords):
     return den // g, tuple(x // g for x in ints)
 
 
+def quotient_product(quotient, u, v):
+    """The product u v of two elements of a `_QuotientAlgebra`."""
+    return quotient._times(u, quotient._right_factor(v))
+
+
 def as_fractions(element):
     den, ints = element
     return tuple(Fraction(x, den) for x in ints)
@@ -464,14 +469,14 @@ class TestQuotientTable:
         # coset coordinates come from the independent `Fraction` reference
         reference = ReferenceQuotientAlgebra(a, rad)
         u, v = as_element(data.draw(coords)), as_element(data.draw(coords))
-        product = quotient.mult(u, v)
+        product = quotient_product(quotient, u, v)
         assert as_fractions(product) == reference.coords((lift(u) * lift(v)).flatten())
         den, ints = product
         assert den > 0 and math.gcd(den, *ints) == 1
         assert all(type(c) is int for c in ints)
         trace = sum(reference.coords((lift(u) * x).flatten())[k] for k, x in enumerate(section))
         assert quotient.left_trace(u) == trace
-        assert quotient.mult(quotient.one, u) == u == quotient.mult(u, quotient.one)
+        assert quotient_product(quotient, quotient.one, u) == u == quotient_product(quotient, u, quotient.one)
 
 
 class TestSemisimpleBlocks:
@@ -865,8 +870,9 @@ class TestCentralIdempotentWalk:
         assert len(calls) == 45
         assert max(powers for _, powers in calls) == 2
         assert all(lifted == powers + 1 for lifted, powers in calls)
-        # and each e z_i of the walk lifts e and z_i once
-        assert len(lifts) == sum(lifted for lifted, _ in calls) + 2 * len(calls)
+        # and each e z_i of the walk lifts e once, and z_i once for all e:
+        # the walk reads 9 of the 10 center vectors before it stops
+        assert len(lifts) == sum(lifted for lifted, _ in calls) + len(calls) + 9
         expected = reference_central_idempotents(ReferenceQuotientAlgebra(a, rad))
         assert [as_fractions(e) for e in idempotents] == expected
 
@@ -921,7 +927,7 @@ class TestQuotientAtPivots:
         for u in units + [dense]:
             assert quotient.left_trace(as_element(u)) == reference.left_trace(u)
             for v in units + [dense]:
-                assert as_fractions(quotient.mult(as_element(u), as_element(v))) == reference.mult(u, v)
+                assert as_fractions(quotient_product(quotient, as_element(u), as_element(v))) == reference.mult(u, v)
         assert [as_fractions(z) for z in quotient.center()] == reference.center()
 
 
@@ -1383,6 +1389,17 @@ class TestIntegerPolynomials:
         else:
             assert _primitive(r) == _primitive(expected)
 
+    def test_poly_rem_raises_when_the_degree_does_not_fall(self):
+        # a divisor whose coefficients read as zeros when iterated cannot
+        # cancel the leading term: deg a - deg b + 1 passes, then the guard
+        class Stuck(list):
+            def __iter__(self):
+                return iter([0] * len(self))
+
+        with pytest.raises(RuntimeError, match="did not fall"):
+            _poly_rem([1, 2, 3, 4], Stuck([1, 1]))
+        assert _poly_rem([1, 2, 3, 4], [1, 1]) == [-2]
+
 
 class TestFlags:
     def test_full_algebra_flag_is_trivial(self):
@@ -1445,7 +1462,7 @@ def reference_invariant_flag(a):
         if rad.dimension == 0:
             break
         lifted = []
-        for v in _joint_kernel(rad.basis_matrices(m), m).basis:
+        for v in joint_kernel(rad.basis_matrices(m), m).basis:
             dense = [Fraction(0)] * n
             for x, c in zip(v, coords):
                 dense[c] = x
@@ -1479,15 +1496,62 @@ class TestInvariantFlagReference:
         assert invariant_flag(a).subspaces == reference_invariant_flag(a)
 
 
-def _count_joint_kernels(monkeypatch):
-    calls = []
+def integer_rows(mats):
+    """Each matrix flattened and scaled to integers by the least common
+    denominator of its entries: the rows that `_kernel_flag` takes."""
+    rows = []
+    for m in mats:
+        flat = m.flatten()
+        den = math.lcm(*(x.denominator for x in flat))
+        rows.append(tuple(int(x * den) for x in flat))
+    return rows
 
-    def counting(mats, n):
-        calls.append(n)
-        return _joint_kernel(mats, n)
 
-    monkeypatch.setattr(algebra_module, "_joint_kernel", counting)
+def _count_steps(monkeypatch):
+    """The `_echelon` and `_kernel` calls of `_kernel_flag`, counted through
+    the `pytest.MonkeyPatch` given: one of each per step of the row-space
+    chain."""
+    calls = {"_echelon": 0, "_kernel": 0}
+    for name in calls:
+        original = getattr(algebra_module, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(algebra_module, name, counting)
     return calls
+
+
+@st.composite
+def flag_cases(draw):
+    """Rational n x n matrices, n in 1..6, as (kind, n, matrices), conjugated
+    by one random invertible: random combinations of the strictly upper
+    units ("nilpotent"), those plus one invertible matrix, whose rows span
+    Q^n ("stall-1"), or a block-diagonal sum of strictly upper matrices on
+    the first k coordinates and of matrices of nonzero trace on the other
+    n - k ("stall-later"): e_0 is in every kernel, so the chain passes
+    its first step and stalls at a later one."""
+    kind = draw(st.sampled_from(["nilpotent", "stall-1", "stall-later"]))
+    n = draw(st.integers(2 if kind == "stall-later" else 1, 6))
+    k = draw(st.integers(1, n - 1)) if kind == "stall-later" else n
+    small = st.integers(-2, 2)
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = [[draw(small) if i < j < k else 0 for j in range(n)] for i in range(n)]
+        if kind == "stall-later":
+            for i in range(k, n):
+                rows[i][k:] = [draw(small) for _ in range(k, n)]
+            if not sum(rows[i][i] for i in range(k, n)):
+                rows[k][k] += 1
+        mats.append(Matrix(rows))
+    if kind == "stall-1":
+        mats.insert(draw(st.integers(0, len(mats))), Matrix.identity(n) + mats[0])
+    g = Matrix([[draw(st.fractions(-3, 3, max_denominator=3)) for _ in range(n)] for _ in range(n)])
+    if null_space(g).dimension:
+        g = g + Matrix.identity(n) * (1 + sum(abs(x) for x in g.flatten()))
+    ginv = g.inverse()
+    return kind, n, [g * m * ginv for m in mats]
 
 
 class TestKernelFlag:
@@ -1502,19 +1566,20 @@ class TestKernelFlag:
         ids=["identity", "e01-e10", "e12-e21"],
     )
     def test_none_when_not_nilpotent(self, mats, monkeypatch):
-        calls = _count_joint_kernels(monkeypatch)
+        calls = _count_steps(monkeypatch)
         n = mats[0].rows
-        assert _kernel_flag(mats, n) is None
-        assert len(calls) <= n
+        assert _kernel_flag(integer_rows(mats), n) is None
+        assert calls["_kernel"] < n and calls["_echelon"] <= n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_strictly_upper_units_give_the_coordinate_flag(self, n, monkeypatch):
-        calls = _count_joint_kernels(monkeypatch)
+        calls = _count_steps(monkeypatch)
         mats = [Matrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
-        flag = _kernel_flag(mats, n)
+        flag = _kernel_flag(integer_rows(mats), n)
         assert [v.dimension for v in flag] == list(range(1, n + 1))
         assert flag[-1] == full_space(n)
-        assert len(calls) <= n
+        # one step per member, n in all: the longest chain there is
+        assert calls == {"_echelon": n, "_kernel": n}
 
     def test_no_matrices_give_the_full_space(self):
         assert _kernel_flag([], 3) == [full_space(3)]
@@ -1529,24 +1594,44 @@ class TestKernelFlag:
         for comp in compositions(n):
             a = conjugate(parabolic_subalgebra(comp), rational_invertible(rng, n))
             for mats in (radical(a).basis_matrices(n), a.basis_matrices()):
-                flag = _kernel_flag(mats, n)
+                flag = _kernel_flag(integer_rows(mats), n)
                 assert flag == null_space_kernel_flag(mats, n)
                 lengths.add(None if flag is None else len(flag))
         assert lengths == {None, *range(1, n + 1)}
 
+    @given(flag_cases())
+    @settings(max_examples=80, deadline=None)
+    @example(("stall-1", 3, [Matrix.identity(3)]))
+    @example(("stall-later", 3, [Matrix.unit(3, 0, 1), Matrix.unit(3, 2, 2)]))
+    def test_matches_the_null_space_route_on_random_sets(self, case):
+        kind, n, mats = case
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_steps(patch)
+            flag = _kernel_flag(integer_rows(mats), n)
+        assert flag == null_space_kernel_flag(mats, n)
+        assert calls["_kernel"] <= n and calls["_echelon"] <= n
+        if kind == "nilpotent":
+            assert flag is not None and flag[-1] == full_space(n)
+        else:
+            # U_1 = Q^n, or a later step at which dim U does not drop
+            assert flag is None
+            assert (calls["_kernel"] == 0) == (kind == "stall-1")
+
 
 def null_space_kernel_flag(mats, n):
-    """The kernel flag with each annihilator taken as the null space of
-    the member's basis matrix, a second reduction of its rows.  Kept as
-    the reference for `_kernel_flag`, which reads the stored rows."""
+    """The kernel flag by joint kernels: V_1 is the joint kernel of `mats`,
+    and V_{j+1} that of the products A m for A with rows spanning the
+    annihilator of V_j, taken as the null space of the matrix of V_j's
+    basis.  Kept as the reference for `_kernel_flag`, which takes the
+    row-space chain."""
     if not mats:
         return [full_space(n)]
-    flag = [_joint_kernel(mats, n)]
+    flag = [joint_kernel(mats, n)]
     if flag[0].dimension == 0:
         return None
     while flag[-1].dimension < n:
         annihilator = Matrix(null_space(Matrix(flag[-1].basis)).basis)
-        kernel = _joint_kernel([annihilator * m for m in mats], n)
+        kernel = joint_kernel([annihilator * m for m in mats], n)
         if kernel.dimension == flag[-1].dimension:
             return None
         flag.append(kernel)

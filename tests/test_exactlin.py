@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matalg.algebra as algebra_module
+import matalg.exactlin as exactlin
 from matalg.algebra import closure
 from matalg.coalgebra import perp
 from matalg.exactlin import (
@@ -19,7 +20,6 @@ from matalg.exactlin import (
     Subspace,
     _coset_images,
     _integral,
-    _joint_kernel,
     _packed_budget,
     _packed_product,
     _packed_right,
@@ -378,6 +378,17 @@ class TestPrimitive:
         assert scale > 0
         assert [scale * x for x in vec] == ints
 
+    def test_an_all_int_vector_is_divided_by_its_gcd_as_it_is(self, monkeypatch):
+        # no common denominator is taken for ints; one Fraction needs it
+        integral = exactlin._integral
+        calls = []
+        monkeypatch.setattr(exactlin, "_integral", lambda vec: calls.append(vec) or integral(vec))
+        assert _primitive([4, -6, 0, 10]) == [2, -3, 0, 5]
+        assert _primitive((-3, 0)) == [-1, 0]
+        assert calls == []
+        assert _primitive([4, Fraction(-6), 0]) == [2, -3, 0]
+        assert len(calls) == 1
+
 
 class TestMatrix:
     def test_identity_multiplication(self):
@@ -715,7 +726,14 @@ class TestJointKernel:
         reference = full_space(n)
         for m in family:
             reference = subspace_intersect(reference, null_space(m))
-        assert _joint_kernel(family, n) == reference
+        assert joint_kernel(family, n) == reference
+
+
+def joint_kernel(mats, n):
+    """The v in Q^n with m v = 0 for every m in the nonempty `mats`: the
+    null space of the matrices stacked row-wise.  Kept as the reference
+    joint kernel of the kernel-flag tests; `null_space` is public."""
+    return null_space(Matrix([row for m in mats for row in m.entries]))
 
 
 class TestSamplers:

@@ -11,7 +11,7 @@ one decode of packed fields: `.to_bytes(` and `array(` appear in
 stored echelon form is row-reduced again: `null_space` and `_echelon`
 never take an argument that reads `._row_matrix()`.  And one source of
 generating sets: only `MatrixAlgebra._generating_set` touches
-`._generators`."""
+`._generators`.  And every loop has a bound: no `while True`."""
 
 import ast
 from pathlib import Path
@@ -470,3 +470,48 @@ def test_the_scan_finds_a_second_source_of_generators():
         ("_QuotientAlgebra.__init__", 11),
         ("_QuotientAlgebra.center", 13),
     ]
+
+
+def unbounded_loops(tree):
+    """(function, line) for each `while` loop whose condition is a constant
+    that is true, as in `while True` or `while 1`, by the name of the
+    innermost function around it: a loop with no stated bound."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.While) and isinstance(node.test, ast.Constant) and node.test.value:
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_no_loop_without_a_bound():
+    found = [
+        f"{path.relative_to(PACKAGE)}: {function} (line {line})"
+        for path in MODULES
+        for function, line in unbounded_loops(_tree(path))
+    ]
+    assert found == []
+
+
+def test_the_scan_finds_a_loop_without_a_bound():
+    tree = ast.parse(
+        "def _poly_rem(a, b):\n"
+        "    while True:\n"
+        "        while r and not r[-1]:\n"
+        "            r.pop()\n"
+        "    for _ in range(len(a)):\n"
+        "        pass\n"
+        "class Sampler:\n"
+        "    def draw(self):\n"
+        "        while 1:\n"
+        "            pass\n"
+        "while False:\n"
+        "    pass\n"
+    )
+    assert unbounded_loops(tree) == [("_poly_rem", 2), ("draw", 9)]

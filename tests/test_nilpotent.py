@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matalg.algebra as algebra_module
-from matalg.algebra import _kernel_flag, conjugate_space, radical
+from matalg.algebra import conjugate_space, radical
 from matalg.cli.suites import corpus_algebras
 from matalg.exactlin import (
     Matrix,
     SpanBuilder,
-    _joint_kernel,
+    Subspace,
     _primitive,
     full_space,
     random_invertible,
@@ -35,7 +35,13 @@ from matalg.nilpotent import (
     strictly_upper_space,
     triangularize_nil,
 )
-from test_algebra import conjugated_types, reference_adapted_basis, reversed_columns
+from test_algebra import (
+    conjugated_types,
+    null_space_kernel_flag,
+    reference_adapted_basis,
+    reversed_columns,
+)
+from test_exactlin import joint_kernel, reference_product, solve_linear
 
 
 def unit_span(n, positions):
@@ -64,6 +70,23 @@ class TestNilCertification:
         w = cert.witness
         assert s.contains(w.flatten())
         assert any((w**k).trace() != 0 for k in range(1, 3))
+
+    def test_a_basis_trace_witness_is_the_first_basis_matrix_of_nonzero_trace(self, monkeypatch):
+        rng = random.Random(31)
+        spaces = [random_subspace(rng, n * n, d) for n in (2, 3, 4) for d in (1, 3, n * n - 1)]
+        spaces.append(rref_basis([Matrix.unit(3, 0, 1).flatten(), Matrix.unit(3, 2, 2).flatten()], 9))
+        expected = []
+        for s in spaces:
+            n = math.isqrt(s.ambient_dim)
+            expected.append(next((b for b in s.basis_matrices(n) if b.trace()), None))
+        assert sum(e is not None for e in expected) > len(spaces) // 2
+        # the traces are read off the stored rows: no basis matrix is built
+        monkeypatch.setattr(Subspace, "basis_matrices", None)
+        for s, witness in zip(spaces, expected):
+            if witness is not None:
+                cert = is_nil_subspace(s)
+                assert cert.witness == witness
+                assert [(r.power, r.vanished) for r in cert.checked_powers] == [(1, False)]
 
     def test_identity_span_has_witness(self):
         s = rref_basis([Matrix.identity(3).flatten()], 9)
@@ -228,14 +251,14 @@ def reference_triangularize_nil(s, n):
         if len(powers) == n:
             return None
         powers.append(multiply_spaces(powers[-1], generated, n))
-    kernels = [_joint_kernel(p.basis_matrices(n), n) for p in powers[:-1]]
+    kernels = [joint_kernel(p.basis_matrices(n), n) for p in powers[:-1]]
     return reference_adapted_basis(kernels + [full_space(n)], n).inverse()
 
 
 def expected_conjugator(s, n):
-    """The inverse of the `Fraction` adapted basis of the kernel flag, or
-    None when the flag stops short of Q^n."""
-    flag = _kernel_flag(s.basis_matrices(n), n)
+    """The inverse of the `Fraction` adapted basis of the kernel flag by
+    joint kernels, or None when the flag stops short of Q^n."""
+    flag = null_space_kernel_flag(s.basis_matrices(n), n)
     return None if flag is None else reference_adapted_basis(flag, n).inverse()
 
 
@@ -294,6 +317,29 @@ class TestTriangularizeConjugator:
         )
         with pytest.raises(RuntimeError, match="adapted basis"):
             triangularize_nil(s)
+
+
+class TestTriangularizeLarge:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_conjugated_strictly_upper_spaces_become_strictly_upper(self, n):
+        # the whole strictly upper space and a span of three random
+        # combinations of its units, each conjugated by a seeded invertible;
+        # c^-1 and every product are formed on Fractions
+        rng = random.Random(200 + n)
+        upper = [Matrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
+        combinations = [
+            sum((rng.randint(-2, 2) * u for u in upper), Matrix.zeros(n)).flatten() for _ in range(3)
+        ]
+        for space in (strictly_upper_space(n), rref_basis(combinations, n * n)):
+            s = conjugate_space(space, random_invertible(rng, n))
+            c = triangularize_nil(s)
+            assert c is not None
+            columns = [solve_linear(c, [int(i == j) for i in range(n)]) for j in range(n)]
+            cinv = Matrix(list(zip(*columns)))
+            for vec in s.basis:
+                x = Matrix([vec[i * n : (i + 1) * n] for i in range(n)])
+                moved = reference_product(Matrix(reference_product(c, x)), cinv)
+                assert all(moved[i][j] == 0 for i in range(n) for j in range(i + 1))
 
 
 def reference_is_nil_subspace(s, n):
