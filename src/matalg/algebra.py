@@ -32,15 +32,15 @@ from .exactlin import (
     _adjoin,
     _combination,
     _echelon,
+    _Factor,
     _kernel,
     _lowest_terms,
     _matrix_side,
-    _packed_budget,
-    _packed_product,
-    _packed_right,
     _primitive,
+    _product,
     _reduce,
     _rows_times_columns,
+    _split_columns,
     _split_rows,
     _unit_span,
     full_space,
@@ -152,9 +152,9 @@ class MatrixAlgebra:
 
     n: int
     space: Subspace
-    # flattened integer matrices that generate the algebra as a unital
-    # algebra, found by `_generating_set` on its first call
-    _generators: list[tuple[int, ...]] = field(
+    # integer matrices that generate the algebra as a unital algebra,
+    # found by `_generating_set` on its first call
+    _generators: list[_Factor] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
 
@@ -169,10 +169,11 @@ class MatrixAlgebra:
         _check_square(m, self.n)
         return subspace_contains(self.space, m._integer_form()[1])
 
-    def _generating_set(self) -> list[tuple[int, ...]]:
+    def _generating_set(self) -> list[_Factor]:
         """Basis rows that generate the algebra as a unital algebra, spun
         (`_spin_generators`) while none are kept: on the first call, and on
-        every call for Q I, which has none."""
+        every call for Q I, which has none.  As `_Factor`s, each is packed
+        and split once for all its products."""
         if not self._generators:
             self._generators[:] = _spin_generators(self.n, self.space)
         return self._generators
@@ -196,7 +197,7 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     return algebra
 
 
-def _spin_generators(n: int, space: Subspace) -> list[tuple[int, ...]]:
+def _spin_generators(n: int, space: Subspace) -> list[_Factor]:
     """Basis rows of `space` that generate it as a unital algebra, or
     ValueError when the span does not contain the identity or is not closed
     under products.  The zero span fails the first check before anything
@@ -213,7 +214,8 @@ def _spin_generators(n: int, space: Subspace) -> list[tuple[int, ...]]:
     every b g lies in span(B), so W lies in the algebra that the
     generators generate, which lies in span(B).  Every basis row ends in
     W, so W = span(B): the span is that algebra, and closed.  The check
-    forms d products for each generator instead of d^2 in all.
+    forms d products (`exactlin._product`) for each generator instead of
+    d^2 in all.
     """
     if not space.dimension or not subspace_contains(
         space, identity := Matrix.identity(n)._integer_form()[1]
@@ -222,8 +224,7 @@ def _spin_generators(n: int, space: Subspace) -> list[tuple[int, ...]]:
     den, pairs = space._integer_form()
     d = len(pairs)
     pivots = [p for p, _ in pairs]
-    basis_rows = [_split_rows(x, n) for _, x in pairs]
-    cells = _cells(n)
+    basis = [_Factor(x, n) for _, x in pairs]
     generators = []
     # the right multiplication by each generator on the coordinates of B,
     # times den^2: row j holds the coordinates of b_j g
@@ -233,17 +234,16 @@ def _spin_generators(n: int, space: Subspace) -> list[tuple[int, ...]]:
     first = [identity[p] for p in pivots]
     w_den = _adjoin(w_rows, first)
     words = [first]
-    for i, (_, g) in enumerate(pairs):
+    for i, g in enumerate(basis):
         if len(w_rows) == d:
             break
         unit = [0] * d
         unit[i] = 1
         if not any(_reduce(unit, w_rows.items(), w_den)):
             continue
-        columns = [g[j::n] for j in range(n)]
         image = []
-        for rows in basis_rows:
-            product = _rows_times_columns(rows, columns, cells)
+        for b in basis:
+            product = _product(b, g)
             # the membership test of `subspace_contains`, on integers already
             if any(_reduce(product, pairs, den)):
                 raise ValueError("span is not closed under multiplication")
@@ -280,18 +280,6 @@ def _spin(
     return den
 
 
-def _halves(x: Sequence[int], n: int) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
-    """The rows and the columns of the flattened n x n integer matrix x,
-    for `_rows_times_columns`: split once for all its products."""
-    return _split_rows(x, n), [x[j::n] for j in range(n)]
-
-
-def _cells(n: int) -> list[tuple[int, int]]:
-    """The (row, column) cells of an n x n matrix in row-major order: a
-    full product by `_rows_times_columns`."""
-    return [divmod(k, n) for k in range(n * n)]
-
-
 def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     """Smallest unital subalgebra of M_n containing the generators.
 
@@ -305,22 +293,12 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     matrices after it (`_pairs`), so it forms x y and y x once for each
     unordered pair and x x once.  The identity is left out of the product
     lists, since its products add nothing.  The loop ends because the
-    dimension grows in each round but the last and is at most n^2.
-
-    A product is one big-integer dot product (`exactlin._packed_product`):
-    the right factor's rows are packed into 64-bit fields, shifted into
-    place, once per matrix, the first time it is a right factor.  The
-    entries of the result are read back from those fields, which is exact
-    while bits(max|x|) + bits(max|y|) + bits(n) <= 63 (`_packed_budget`),
-    since then every entry lies strictly between -2^63 and 2^63.  A pair
-    past that bound is multiplied row by column (`_rows_times_columns`),
-    on halves split when a matrix first needs them.
+    dimension grows in each round but the last and is at most n^2.  The
+    products are `exactlin._product`s, so a matrix is packed at most once.
     """
     for g in generators:
         _check_square(g, n)
     full = n * n
-    cells = _cells(n)
-    budget = _packed_budget(n)
     builder = SpanBuilder(full)
     builder.add(Matrix.identity(n)._integer_form()[1])
     older: list[_Factor] = []
@@ -328,10 +306,7 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
     while frontier and builder.dimension < full:
         fresh = []
         for x, y in _pairs(older, frontier):
-            if x.bits + y.bits <= budget:
-                p = _packed_product(x.flat, y.packed(), full)
-            else:
-                p = _rows_times_columns(x.halves()[0], y.halves()[1], cells)
+            p = _product(x, y)
             if builder._add_integers(p):
                 fresh.append(_Factor(p, n))
                 if builder.dimension == full:
@@ -339,32 +314,6 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
         older += frontier
         frontier = fresh
     return MatrixAlgebra(n=n, space=builder.to_subspace())
-
-
-class _Factor:
-    """A matrix of the `closure` loop: its flattened integers and the bit
-    length of its largest absolute entry, with its packed form
-    (`exactlin._packed_right`) and its halves (`_halves`) made the first
-    time a product asks for them."""
-
-    __slots__ = ("flat", "bits", "n", "_packed_form", "_split")
-
-    def __init__(self, flat: tuple[int, ...], n: int):
-        self.flat = flat
-        self.bits = max(map(abs, flat)).bit_length()
-        self.n = n
-        self._packed_form: list[int] | None = None
-        self._split: tuple[list, list] | None = None
-
-    def packed(self) -> list[int]:
-        if self._packed_form is None:
-            self._packed_form = _packed_right(self.flat, self.n)
-        return self._packed_form
-
-    def halves(self) -> tuple[list, list]:
-        if self._split is None:
-            self._split = _halves(self.flat, self.n)
-        return self._split
 
 
 def _integral_generators(generators: Sequence[Matrix]) -> list[tuple[int, ...]]:
@@ -425,7 +374,7 @@ def _kernel_flag(rows: Sequence[Sequence[int]], n: int) -> list[Subspace] | None
     chain ends at U_j = 0, or with None when dim U_j does not drop (U_1 =
     Q^n among them): at most n steps.
     """
-    columns = [[m[j::n] for j in range(n)] for m in rows]
+    columns = [_split_columns(m, n) for m in rows]
     chain, den = _echelon(row for m in rows for row in _split_rows(m, n))
     flag, dim = [], n
     while len(chain) < dim:
@@ -456,16 +405,13 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
     # which span the same products and have the same kernel flag; each
     # product is tested for membership in rad by its integer residual
     # (`subspace_contains`)
-    generators = [_halves(g, n) for g in a._generating_set()]
+    generators = a._generating_set()
     rad = _trace_form_kernel(a)
     den, pairs = rad._integer_form()
-    rows = [_halves(r, n) for _, r in pairs]
-    cells = _cells(n)
-    for x_rows, x_columns in generators:
-        for r_rows, r_columns in rows:
-            if any(_reduce(_rows_times_columns(x_rows, r_columns, cells), pairs, den)) or any(
-                _reduce(_rows_times_columns(r_rows, x_columns, cells), pairs, den)
-            ):
+    rows = [_Factor(r, n) for _, r in pairs]
+    for g in generators:
+        for r in rows:
+            if any(_reduce(_product(g, r), pairs, den)) or any(_reduce(_product(r, g), pairs, den)):
                 raise RuntimeError("radical candidate is not a two-sided ideal")
     flag = _kernel_flag([r for _, r in pairs], n)
     if flag is None:
@@ -481,9 +427,10 @@ def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
     # on the integer basis rows (one common multiple of the basis) the Gram
     # matrix is an integer one, with the kernel of the basis one
     basis = [x for _, x in a.space._integer_form()[1]]
+    d = len(basis)
     transposes = [tuple(e for j in range(n) for e in x[j::n]) for x in basis]
-    gram = _rows_times_columns(basis, transposes, _cells(len(basis)))
-    _, kernel = null_space(Matrix._make(len(basis), len(basis), 1, gram))._integer_form()
+    gram = _rows_times_columns(basis, transposes, [divmod(k, d) for k in range(d * d)])
+    _, kernel = null_space(Matrix._make(d, d, 1, gram))._integer_form()
     return rref_basis([_combination(coeffs, basis, n * n) for _, coeffs in kernel], n * n)
 
 
@@ -511,6 +458,7 @@ class _QuotientAlgebra:
     A, so the whole reduction is read at those d coordinates: R by its rows
     there, and each product formed only at those d cells
     (`_rows_times_columns`), or at fewer when fewer coordinates are read.
+    The section rows are `_Factor`s, split once however often they multiply.
     """
 
     def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
@@ -525,7 +473,7 @@ class _QuotientAlgebra:
         self._rad_rows = [(place[p], [row[q] for q in pivots]) for p, row in rad_rows]
         rad_pivots = {p for p, _ in rad_rows}
         self._section_places = [place[p] for p, _ in rows if p not in rad_pivots]
-        self._section = [x for p, x in rows if p not in rad_pivots]
+        self._section = [_Factor(x, n) for p, x in rows if p not in rad_pivots]
         self.dim = len(self._section)
         # a product of two lifts, reduced, holds coordinates times this
         self._den = self._rad_den * self._section_den**2
@@ -543,14 +491,12 @@ class _QuotientAlgebra:
     def lift(self, u: _Element) -> list[int]:
         """The lift of u along the section rows, sum u_i x_i, as a flattened
         integer matrix: den * d times the rational lift, for u = (den, ints)."""
-        return _combination(u[1], self._section, self.n * self.n)
+        return _combination(u[1], [x.flat for x in self._section], self.n * self.n)
 
     def _right_factor(self, v: _Element) -> tuple[int, list[Sequence[int]]]:
         """The denominator of v and the columns of its lift: the right
         factor of `_times`, lifted once however often it multiplies."""
-        n = self.n
-        y = self.lift(v)
-        return v[0], [y[j::n] for j in range(n)]
+        return v[0], _split_columns(self.lift(v), self.n)
 
     def _times(self, u: _Element, right: tuple[int, list[Sequence[int]]]) -> _Element:
         """The product u v, for `right` the `_right_factor` of v: the lifts of
@@ -565,13 +511,11 @@ class _QuotientAlgebra:
         read off the entries at the pivot of x_k and at the pivots of R (the
         residual of `exactlin._reduce` at one place), so u x_k is formed at
         those cells only."""
-        n = self.n
-        rows = _split_rows(self.lift(u), n)
+        rows = _split_rows(self.lift(u), self.n)
         rad_cells = [self._cells[p] for p, _ in self._rad_rows]
         total = 0
         for k, x in zip(self._section_places, self._section):
-            columns = [x[j::n] for j in range(n)]
-            at_k, *at_rad = _rows_times_columns(rows, columns, [self._cells[k], *rad_cells])
+            at_k, *at_rad = _rows_times_columns(rows, x.columns, [self._cells[k], *rad_cells])
             total += self._rad_den * at_k - sum(c * row[k] for c, (_, row) in zip(at_rad, self._rad_rows))
         return Fraction(total, u[0] * self._den)
 
@@ -593,16 +537,15 @@ class _QuotientAlgebra:
         the coordinate k of x_i g - g x_i over the section rows x_i; the two
         products are formed at the d pivot cells of A and subtracted before
         the one reduction.  The scale of each row keeps the kernel."""
-        n, m, cells = self.n, self.dim, self._cells
-        section = [_halves(x, n) for x in self._section]
+        m, cells = self.dim, self._cells
         # a zero row keeps the kernel and gives the matrix a row when there
         # is no generator: A = Q I, whose quotient is its own center
         flat = [0] * m
-        for g_rows, g_columns in (_halves(g, n) for g in self._algebra._generating_set()):
+        for g in self._algebra._generating_set():
             commutators = []
-            for x_rows, x_columns in section:
-                xg = _rows_times_columns(x_rows, g_columns, cells)
-                gx = _rows_times_columns(g_rows, x_columns, cells)
+            for x in self._section:
+                xg = _rows_times_columns(x.rows, g.columns, cells)
+                gx = _rows_times_columns(g.rows, x.columns, cells)
                 commutators.append(self._reduced([a - b for a, b in zip(xg, gx)]))
             for row in zip(*commutators):
                 flat += row
@@ -971,7 +914,7 @@ def _flag_conjugator(chain: Iterable[Subspace], space: Subspace, target: Subspac
     cinv = _adapted_basis(chain, n)
     c = cinv.inverse()
     c_rows = _split_rows(c._integer_form()[1], n)
-    cinv_columns = [cinv._integer_form()[1][j::n] for j in range(n)]
+    cinv_columns = _split_columns(cinv._integer_form()[1], n)
     by_column = [(i, j) for j in range(n) for i in range(n)]
     off = [divmod(k, n) for k in set(range(n * n)).difference(target.pivots)]
     for _, x in space._integer_form()[1]:
@@ -1048,11 +991,12 @@ def optimal_composition(n: int) -> tuple[frozenset[Composition], int]:
 def schur_commutative_check(a: MatrixAlgebra) -> tuple[bool, bool | None]:
     """(is commutative, bound holds) where the bound is the maximal
     commutative dimension floor(n^2/4) + 1; the second slot is None when
-    the algebra is not commutative (bound not applicable)."""
-    basis = a.basis_matrices()
+    the algebra is not commutative (bound not applicable).  The integer
+    basis rows commute exactly when the basis does."""
+    basis = [_Factor(x, a.n) for _, x in a.space._integer_form()[1]]
     for i, x in enumerate(basis):
         for y in basis[i + 1 :]:
-            if x * y != y * x:
+            if _product(x, y) != _product(y, x):
                 return False, None
     bound = (a.n * a.n) // 4 + 1
     return True, a.dimension <= bound

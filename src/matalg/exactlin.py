@@ -15,7 +15,8 @@ sum-of-products expression of the package, which forms the entries at
 given (row, column) cells, all of them for a full product.  A square
 product of small integers can also be one big-integer dot product of that
 expression (`_packed_product`), its entries packed in 64-bit fields and
-read back in one decode.  Row reduction
+read back in one decode.  `_product`, the one full square product, picks
+between the two for its operands (`_Factor`s).  Row reduction
 is one fraction-free kernel (`_reduce`, `_adjoin`): rows fully reduced
 over one common pivot value, which is the reduced row-echelon form times
 its least common denominator, and integer vectors reduced against them
@@ -221,7 +222,7 @@ class Matrix:
             cols = other.cols
             flat = _rows_times_columns(
                 _split_rows(self._flat, self.cols),
-                [other._flat[j::cols] for j in range(cols)],
+                _split_columns(other._flat, cols),
                 product(range(self.rows), range(cols)),
             )
             return Matrix._make(self.rows, other.cols, self._den * other._den, flat)
@@ -320,6 +321,11 @@ def _split_rows(flat: Sequence, width: int) -> list[Sequence]:
     return [flat[i : i + width] for i in range(0, len(flat), width)]
 
 
+def _split_columns(flat: Sequence, width: int) -> list[Sequence]:
+    """The columns of a row-major flattening with `width` columns."""
+    return [flat[j::width] for j in range(width)]
+
+
 def _rows_times_columns(
     rows: Sequence[Sequence[int]],
     columns: Sequence[Sequence[int]],
@@ -376,6 +382,53 @@ def _packed_product(u: Sequence[int], packed: Sequence[int], size: int) -> tuple
     if sys.byteorder != "little":
         fields.byteswap()
     return tuple(fields)
+
+
+class _Factor:
+    """A flattened n x n integer matrix as an operand of `_product` and of
+    `_rows_times_columns`: its integers and the bit length of its largest
+    absolute entry, with its packed form (`_packed_right`), rows and
+    columns made the first time a product reads them."""
+
+    __slots__ = ("flat", "bits", "n", "_packed", "_rows", "_columns")
+
+    def __init__(self, flat: Sequence[int], n: int):
+        self.flat = flat
+        self.bits = max(map(abs, flat)).bit_length()
+        self.n = n
+        self._packed = self._rows = self._columns = None
+
+    @property
+    def packed(self) -> list[int]:
+        if self._packed is None:
+            self._packed = _packed_right(self.flat, self.n)
+        return self._packed
+
+    @property
+    def rows(self) -> list[Sequence[int]]:
+        if self._rows is None:
+            self._rows = _split_rows(self.flat, self.n)
+        return self._rows
+
+    @property
+    def columns(self) -> list[Sequence[int]]:
+        if self._columns is None:
+            self._columns = _split_columns(self.flat, self.n)
+        return self._columns
+
+
+def _product(x: _Factor, y: _Factor) -> tuple[int, ...]:
+    """The product x y of two n x n `_Factor`s, flattened row-major: one
+    big-integer dot product (`_packed_product`) on the right factor's rows,
+    packed into 64-bit fields once per factor, and read back from those
+    fields.  That is exact while bits(max|x|) + bits(max|y|) + bits(n) <=
+    63 (`_packed_budget`), since then every entry lies strictly between
+    -2^63 and 2^63.  A pair past that bound is multiplied row by column
+    (`_rows_times_columns`), on rows and columns split once per factor."""
+    n = x.n
+    if x.bits + y.bits <= _packed_budget(n):
+        return _packed_product(x.flat, y.packed, n * n)
+    return _rows_times_columns(x.rows, y.columns, product(range(n), range(n)))
 
 
 def _reduce(

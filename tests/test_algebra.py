@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matalg.algebra as algebra_module
+import matalg.exactlin as exactlin
 from matalg.algebra import (
     Composition,
     Flag,
@@ -53,6 +54,7 @@ from test_exactlin import (
 from matalg.exactlin import (
     Matrix,
     SpanBuilder,
+    _packed_budget,
     _primitive,
     _unit_span,
     full_space,
@@ -960,7 +962,7 @@ class TestSharedBasisProducts:
         products = _count_row_products(monkeypatch)
         a = algebra_from_basis(5, built.basis_matrices())
         rows = [x for _, x in a.space._integer_form()[1]]
-        generators = a._generating_set()
+        generators = [g.flat for g in a._generating_set()]
         assert 0 < len(generators) < a.dimension
         assert products == [(x, g, 25) for g in generators for x in rows]
         assert len(set(products)) == a.dimension * len(generators)
@@ -992,7 +994,7 @@ class TestSharedBasisProducts:
                 assert quotient.dim == len(section) == 9
                 assert products == []
                 quotient.center()
-                generators = a._generating_set()
+                generators = [g.flat for g in a._generating_set()]
                 assert 0 < len(generators) < 9
                 rows = [x for _, x in a.space._integer_form()[1]]
                 spin = [(x, g, 25) for g in generators for x in rows] if spins else []
@@ -1017,6 +1019,23 @@ class TestSharedBasisProducts:
         data = semisimple_blocks(a)
         assert data.split and data.block_sizes == data.lift_traces == comp
 
+    def test_left_trace_splits_each_section_row_once(self, monkeypatch):
+        # the section rows are kept as `_Factor`s, so the columns of each
+        # are split on the first block trace and never again
+        c = rational_invertible(random.Random(5), 5)
+        a = algebra_from_basis(5, conjugate(parabolic_subalgebra(Composition((2, 1, 2))), c).basis_matrices())
+        rad = radical(a)
+        rad_pivots = set(rad.pivots)
+        section = [x for p, x in a.space._integer_form()[1] if p not in rad_pivots]
+        quotient = _QuotientAlgebra(a, rad)
+        splits = []
+        split = exactlin._split_columns
+        monkeypatch.setattr(
+            exactlin, "_split_columns", lambda flat, width: splits.append(tuple(flat)) or split(flat, width)
+        )
+        assert [quotient.left_trace(quotient.one) for _ in range(3)] == [len(section)] * 3
+        assert splits == section
+
     def test_conjugate_is_spun_not_checked_over_its_basis(self, monkeypatch):
         # `conjugate` records no generators: the spin finds them, and the
         # center runs over them, not over the m = 50 section rows (2 m^2)
@@ -1030,20 +1049,28 @@ class TestSharedBasisProducts:
 
 def _count_row_products(monkeypatch):
     """Record the flattened integer operands (x, y) of every product x y
-    that `matalg.algebra` forms through `_rows_times_columns` from now on,
-    with the number of entries formed: the products of `closure`, the
-    checks of `algebra_from_basis` and `radical`, the Gram matrix of the
-    trace form and the products of `_QuotientAlgebra`."""
+    that `matalg.algebra` forms from now on, with the number of entries
+    formed: the full products through `exactlin._product` (those of
+    `closure`, of the checks of `algebra_from_basis` and `radical`, and of
+    `schur_commutative_check`) and the products at chosen cells through
+    `_rows_times_columns` (the Gram matrix of the trace form and the
+    products of `_QuotientAlgebra`)."""
     products = []
-    multiply = algebra_module._rows_times_columns
+    multiply = algebra_module._product
+    multiply_at_cells = algebra_module._rows_times_columns
+
+    def full_product(x, y):
+        products.append((tuple(x.flat), tuple(y.flat), x.n * x.n))
+        return multiply(x, y)
 
     def counting(rows, columns, cells):
         cells = list(cells)
         x = tuple(e for row in rows for e in row)
         y = tuple(e for row in zip(*columns) for e in row)
         products.append((x, y, len(cells)))
-        return multiply(rows, columns, cells)
+        return multiply_at_cells(rows, columns, cells)
 
+    monkeypatch.setattr(algebra_module, "_product", full_product)
     monkeypatch.setattr(algebra_module, "_rows_times_columns", counting)
     return products
 
@@ -1073,7 +1100,7 @@ def assert_same_closedness_verdict(n, matrices):
         return False
     a = algebra_from_basis(n, matrices)
     assert a == expected
-    assert closure(n, [Matrix.from_flat(g, n) for g in a._generating_set()]) == a
+    assert closure(n, [Matrix.from_flat(g.flat, n) for g in a._generating_set()]) == a
     return True
 
 
@@ -1123,7 +1150,7 @@ class TestClosednessBySpinning:
         products = _count_row_products(monkeypatch)
         assert a._generating_set() and products == []
         generators = other._generating_set()
-        assert products and closure(3, [Matrix.from_flat(g, 3) for g in generators]) == other
+        assert products and closure(3, [Matrix.from_flat(g.flat, 3) for g in generators]) == other
 
     @given(small_closures())
     @settings(max_examples=40, deadline=None)
@@ -1212,7 +1239,7 @@ class TestCenterOverGenerators:
     @settings(max_examples=60, deadline=None)
     def test_every_constructor(self, a):
         generators = a._generating_set()
-        assert closure(a.n, [Matrix.from_flat(g, a.n) for g in generators]) == a
+        assert closure(a.n, [Matrix.from_flat(g.flat, a.n) for g in generators]) == a
         # the spin starts from the identity, so only Q I needs no generator
         assert len(generators) < a.dimension and (not generators) == (a.dimension == 1)
         self.assert_same_center(a)
@@ -1922,6 +1949,109 @@ class TestClosureProducts:
             ("packed", flat_g, flat_h),
         ]
         assert packings == [flat_h]
+
+
+def _rank_one(p, q):
+    """The matrix p q^T."""
+    return Matrix([[a * b for b in q] for a in p])
+
+
+def _alternating(value, count):
+    """count entries value, -value, value, ... for an even count: their
+    sum is 0."""
+    return [value if j % 2 == 0 else -value for j in range(count)]
+
+
+# At n = 15 the packed product's budget is 63 - bits(15) = 59 bits, and
+# both algebras below are built from rank-one matrices p t^T with
+# p = (0, 1, 0, P, ..., P), whose stored rows are I and those matrices
+# themselves.  q = (1, 0, 0, Q, ..., Q) gives E = p q^T with E^2 = 12 P Q E:
+# a product with E has entries 12 times the product of the operands'
+# largest entries, so past the budget by one bit it lies past 2^63, where
+# a packed product would overflow.
+_SIDE = 15
+_TOP = 2**15 - 1
+
+
+def _radical_case(q_value, k_value):
+    """span{I, E, N} at n = 15, for N = p k^T with k = (0, 0, 1, K, -K, ...)
+    and k p = 0: E N = 12 P Q N, N E = N N = 0, so it is an algebra with
+    radical span{N}.  The spin forms E E and E N, and the ideal check E N,
+    N E and N N."""
+    p = [0, 1, 0] + [_TOP] * 12
+    e = _rank_one(p, [1, 0, 0] + [q_value] * 12)
+    nil = _rank_one(p, [0, 0, 1] + _alternating(k_value, 12))
+    return [Matrix.identity(_SIDE), e, nil], nil
+
+
+def _commutative_case(q_value, r_value):
+    """span{I, E, F} at n = 15, for F = r s^T with r = (0, 1, 0, R, -R,
+    ...) and s = (1, 0, 1, 1, -1, ...): q r = s p = 0, so E F = F E = 0,
+    and it is a commutative algebra.  Its stored rows are
+    I, E and F - E, and E (F - E) = (F - E) E = -12 P Q E."""
+    p = [0, 1, 0] + [_TOP] * 12
+    e = _rank_one(p, [1, 0, 0] + [q_value] * 12)
+    f = _rank_one([0, 1, 0] + _alternating(r_value, 12), [1, 0, 1] + _alternating(1, 12))
+    return [Matrix.identity(_SIDE), e, f]
+
+
+def _record_margins(monkeypatch):
+    """The bits past `_packed_budget` of each `exactlin._product` that
+    `matalg.algebra` forms from now on: bits(max|x|) + bits(max|y|) less
+    the budget, packed when at most 0."""
+    margins = []
+    multiply = algebra_module._product
+
+    def full_product(x, y):
+        bits = sum(max(map(abs, m.flat)).bit_length() for m in (x, y))
+        margins.append(bits - _packed_budget(x.n))
+        return multiply(x, y)
+
+    monkeypatch.setattr(algebra_module, "_product", full_product)
+    return margins
+
+
+class TestProductsAtTheBudget:
+    """The callers of `exactlin._product` against references on inputs
+    whose products lie on both sides of the packed product's budget: at it
+    (packed) and one bit past it (row by column), where the entries lie
+    past 2^63.  Each case names the margin of its largest product with E."""
+
+    # (Q, K): E N at the budget with K = 2^14 - 1, one bit past with 2^15 - 1;
+    # E E is one bit past in both
+    RADICAL_CASES = {"at": (_TOP, 2**14 - 1), "past": (_TOP, _TOP)}
+    # (Q, R): E (F - E) at the budget, then one bit past
+    COMMUTATIVE_CASES = {"at": (2**14 - 1, 2**16), "past": (_TOP, 1)}
+
+    @pytest.mark.parametrize("case", ["at", "past"])
+    def test_algebra_from_basis(self, case, monkeypatch):
+        matrices, _ = _radical_case(*self.RADICAL_CASES[case])
+        margins = _record_margins(monkeypatch)
+        assert algebra_from_basis(_SIDE, matrices) == reference_algebra_from_basis(_SIDE, matrices)
+        assert min(margins) < 0 and max(margins) == 1
+        assert (0 in margins) == (case == "at")
+
+    @pytest.mark.parametrize("case", ["at", "past"])
+    def test_radical_ideal_check(self, case, monkeypatch):
+        matrices, nil = _radical_case(*self.RADICAL_CASES[case])
+        a = algebra_from_basis(_SIDE, matrices)
+        margins = _record_margins(monkeypatch)
+        rad = radical(a)
+        assert rad == reference_radical(a) == rref_basis([nil.flatten()], _SIDE**2)
+        # g N and N g for the generators g = E, N: E N at the budget and N N
+        # below it, or both one bit past
+        assert set(margins) == {"at": {0, -1}, "past": {1}}[case]
+
+    @pytest.mark.parametrize("case", ["at", "past"])
+    def test_schur_commutative_check(self, case, monkeypatch):
+        commutative = algebra_from_basis(_SIDE, _commutative_case(*self.COMMUTATIVE_CASES[case]))
+        noncommutative = algebra_from_basis(_SIDE, _radical_case(*self.RADICAL_CASES[case])[0])
+        margins = _record_margins(monkeypatch)
+        for a, expected in ((commutative, (True, True)), (noncommutative, (False, None))):
+            basis = a.basis_matrices()
+            commute = all(x * y == y * x for x in basis for y in basis)
+            assert schur_commutative_check(a) == expected and commute == expected[0]
+        assert min(margins) < 0 and {0: "at", 1: "past"}[max(margins)] == case
 
 
 @st.composite

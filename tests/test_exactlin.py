@@ -19,11 +19,13 @@ from matalg.exactlin import (
     SpanBuilder,
     Subspace,
     _coset_images,
+    _Factor,
     _integral,
     _packed_budget,
     _packed_product,
     _packed_right,
     _primitive,
+    _product,
     _reduce,
     _unit_span,
     as_scalar,
@@ -834,6 +836,68 @@ class TestPackedProduct:
         assert _packed_right(v, 2) == rows + [r << 128 for r in rows]
 
 
+def record_paths(monkeypatch):
+    """The path of each `exactlin._product` from now on, in order:
+    "packed" when it called `_packed_product`, "row" when it did not."""
+    paths = []
+    multiply_packed = exactlin._packed_product
+    multiply = exactlin._product
+
+    def packed_product(u, right, size):
+        paths[-1] = "packed"
+        return multiply_packed(u, right, size)
+
+    def full_product(x, y):
+        paths.append("row")
+        return multiply(x, y)
+
+    monkeypatch.setattr(exactlin, "_packed_product", packed_product)
+    monkeypatch.setattr(exactlin, "_product", full_product)
+    return paths
+
+
+class TestProductAtTheBudget:
+    """`_product` against the Fraction product on both sides of
+    `_packed_budget`: packed at the bound, row by column one bit past it,
+    where a packed product can overflow (at n = 3 and 7,
+    `TestPackedProduct`)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
+    @pytest.mark.parametrize("past", [0, 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_the_fraction_product(self, n, past, sign, monkeypatch):
+        a = _packed_budget(n) // 2
+        u, v = extremes(n, a), extremes(n, _packed_budget(n) + past - a, sign)
+        x, y = _Factor(u, n), _Factor(v, n)
+        paths = record_paths(monkeypatch)
+        assert exactlin._product(x, y) == flat_reference_product(u, v, n)
+        assert paths == ["row" if past else "packed"]
+
+    @given(packed_operands(), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_random_operands_near_the_budget(self, case, extra):
+        # shifting v left by `extra` bits puts the pair up to two bits past
+        n, u, v = case
+        v = tuple(e << extra for e in v)
+        assert _product(_Factor(u, n), _Factor(v, n)) == flat_reference_product(u, v, n)
+
+    def test_a_factor_is_packed_and_split_once(self, monkeypatch):
+        # the right factor is packed on its first packed product, and the
+        # rows of the left and the columns of the right are split once
+        small, large = (1, 2, 3, 4), (2**40, 1, 1, 2**40)
+        x, y, z = _Factor(small, 2), _Factor(small, 2), _Factor(large, 2)
+        packings = []
+        pack = exactlin._packed_right
+        monkeypatch.setattr(exactlin, "_packed_right", lambda v, n: packings.append(v) or pack(v, n))
+        for _ in range(2):
+            assert _product(x, y) == flat_reference_product(small, small, 2)
+            assert _product(z, z) == flat_reference_product(large, large, 2)
+        assert packings == [small]
+        assert z.rows is z.rows and z.columns is z.columns
+        assert [tuple(r) for r in z.rows] == [(2**40, 1), (1, 2**40)]
+        assert [tuple(c) for c in z.columns] == [(2**40, 1), (1, 2**40)]
+
+
 def dense_integer_generator(seed, n, bits):
     """A seeded dense n x n integer matrix, entries in [-2^bits, 2^bits]."""
     rng = random.Random(seed)
@@ -842,35 +906,41 @@ def dense_integer_generator(seed, n, bits):
 
 def record_closure_products(monkeypatch):
     """Record what `closure` multiplies from now on: (path, x, y, x y) for
-    each product, with path "packed" (`_packed_product`) or "row"
-    (`_rows_times_columns`) and x, y and x y flattened, and each matrix
-    that `_packed_right` packs, in order."""
-    products, packings = [], []
-    packed_from = {}
-    pack = algebra_module._packed_right
-    multiply_packed = algebra_module._packed_product
-    multiply = algebra_module._rows_times_columns
+    each product that `matalg.algebra` forms through `exactlin._product` or
+    `_rows_times_columns`, with x, y and x y flattened and path "packed"
+    when the product went through `_packed_product`, "row" when it did
+    not, and each matrix that `_packed_right` packs, in order."""
+    products, packings, packed_calls = [], [], []
+    pack = exactlin._packed_right
+    multiply_packed = exactlin._packed_product
+    multiply = algebra_module._product
+    multiply_at_cells = algebra_module._rows_times_columns
 
     def packing(v, n):
-        result = pack(v, n)
         packings.append(tuple(v))
-        packed_from[id(result)] = result, tuple(v)
-        return result
+        return pack(v, n)
 
     def packed_product(u, right, size):
-        result = multiply_packed(u, right, size)
-        products.append(("packed", tuple(u), packed_from[id(right)][1], result))
+        packed_calls.append(tuple(u))
+        return multiply_packed(u, right, size)
+
+    def full_product(x, y):
+        before = len(packed_calls)
+        result = multiply(x, y)
+        path = "packed" if packed_calls[before:] == [tuple(x.flat)] else "row"
+        products.append((path, tuple(x.flat), tuple(y.flat), result))
         return result
 
     def row_product(rows, columns, cells):
-        result = multiply(rows, columns, cells)
+        result = multiply_at_cells(rows, columns, cells)
         x = tuple(e for row in rows for e in row)
         y = tuple(e for row in zip(*columns) for e in row)
         products.append(("row", x, y, result))
         return result
 
-    monkeypatch.setattr(algebra_module, "_packed_right", packing)
-    monkeypatch.setattr(algebra_module, "_packed_product", packed_product)
+    monkeypatch.setattr(exactlin, "_packed_right", packing)
+    monkeypatch.setattr(exactlin, "_packed_product", packed_product)
+    monkeypatch.setattr(algebra_module, "_product", full_product)
     monkeypatch.setattr(algebra_module, "_rows_times_columns", row_product)
     return products, packings
 

@@ -7,7 +7,10 @@ sets on `self` and no module of the package reads.  And the one integer
 product expression:
 `operator.mul` appears in `exactlin._rows_times_columns` only.  And the
 one decode of packed fields: `.to_bytes(` and `array(` appear in
-`exactlin._packed_product` only.  And no
+`exactlin._packed_product` only.  And one square product: the packed
+product's parts `_packed_product`, `_packed_right` and `_packed_budget`
+are used in `exactlin` only, where `_product` picks it, and the split
+helper `_halves` is gone.  And no
 stored echelon form is row-reduced again: `null_space` and `_echelon`
 never take an argument that reads `._row_matrix()`.  And one source of
 generating sets: only `MatrixAlgebra._generating_set` touches
@@ -371,6 +374,67 @@ def test_the_scan_finds_a_second_decode():
         ("entries", 7),
         ("entries", 7),
     ]
+
+
+PACKING = {"_packed_product", "_packed_right", "_packed_budget"}
+
+
+def named_uses(tree, names):
+    """(name, line) for each use of one of `names` in the module: a read or
+    a binding of it as a name, an attribute of that name, an import of
+    it, and a function or class defined under it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name in names:
+            found.append((name, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_the_packed_product_is_used_in_exactlin_only():
+    # every full square product outside `exactlin` goes through `_product`,
+    # which alone decides between packed and row by column
+    found = [
+        f"{path.relative_to(PACKAGE)}: {name} (line {line})"
+        for path in MODULES
+        if path.name != "exactlin.py"
+        for name, line in named_uses(_tree(path), PACKING)
+    ]
+    assert found == []
+
+
+def test_no_second_split_helper():
+    # the rows and columns of a factor are split by `exactlin._Factor`
+    found = [
+        f"{path.relative_to(PACKAGE)}: {name} (line {line})"
+        for path in MODULES
+        for name, line in named_uses(_tree(path), {"_halves"})
+    ]
+    assert found == []
+
+
+def test_the_scan_finds_uses_of_the_packed_product():
+    tree = ast.parse(
+        "from .exactlin import _Factor, _packed_budget as budget, _product\n"
+        "import matalg.exactlin as exactlin\n"
+        "def closure(x, y, n):\n"
+        "    if x.bits + y.bits <= budget(n):\n"
+        "        return exactlin._packed_product(x.flat, y.packed, n * n)\n"
+        "    return _product(x, y)\n"
+        "def _halves(x, n):\n"
+        "    return _packed_right, x._halves\n"
+    )
+    assert named_uses(tree, PACKING) == [("_packed_budget", 1), ("_packed_product", 5), ("_packed_right", 8)]
+    assert named_uses(tree, {"_halves"}) == [("_halves", 7), ("_halves", 8)]
 
 
 REDUCERS = {"null_space", "_echelon"}
