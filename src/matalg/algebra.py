@@ -281,38 +281,14 @@ def _spin(
 
 
 def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
-    """Smallest unital subalgebra of M_n containing the generators.
-
-    Fixed-point iteration over Q from the identity and the generators,
-    each scaled to a primitive integer matrix (scaling by a nonzero
-    rational does not change the unital algebra generated): adjoin
-    products until the span stops growing or fills M_n.
-
-    Each round pairs every frontier matrix (adjoined in the previous
-    round) with the older matrices, with itself and with the frontier
-    matrices after it (`_pairs`), so it forms x y and y x once for each
-    unordered pair and x x once.  The identity is left out of the product
-    lists, since its products add nothing.  The loop ends because the
-    dimension grows in each round but the last and is at most n^2.  The
-    products are `exactlin._product`s, so a matrix is packed at most once.
-    """
+    """Smallest unital subalgebra of M_n containing the generators: the span
+    of the identity spun (`_spin_matrices`) under the generators scaled to
+    primitive integer matrices, which generate the same unital algebra."""
     for g in generators:
         _check_square(g, n)
-    full = n * n
-    builder = SpanBuilder(full)
+    builder = SpanBuilder(n * n)
     builder.add(Matrix.identity(n)._integer_form()[1])
-    older: list[_Factor] = []
-    frontier = [_Factor(g, n) for g in _integral_generators(generators) if builder.add(g)]
-    while frontier and builder.dimension < full:
-        fresh = []
-        for x, y in _pairs(older, frontier):
-            p = _product(x, y)
-            if builder._add_integers(p):
-                fresh.append(_Factor(p, n))
-                if builder.dimension == full:
-                    break
-        older += frontier
-        frontier = fresh
+    _spin_matrices(builder, [], [], _integral_generators(generators), n)
     return MatrixAlgebra(n=n, space=builder.to_subspace())
 
 
@@ -321,15 +297,30 @@ def _integral_generators(generators: Sequence[Matrix]) -> list[tuple[int, ...]]:
     return [tuple(_primitive(g._integer_form()[1])) for g in generators if not g.is_zero()]
 
 
-def _pairs(older: list, frontier: list) -> Iterator[tuple]:
-    """The ordered pairs of one round of `closure`: each frontier matrix x
-    with each older matrix and with each frontier matrix y from x on,
-    both ways (x y and y x), and x x once."""
-    for k, x in enumerate(frontier):
-        for y in older + frontier[k:]:
-            yield x, y
-            if y is not x:
-                yield y, x
+def _spin_matrices(
+    builder: SpanBuilder, words: list[_Factor], images: list[_Factor], generators: Iterable, n: int
+) -> None:
+    """Spin the span W in `builder`, spanned by 1 and the `words` and closed
+    under right multiplication by the `images`, under the flattened integer
+    `generators` in their order until it is closed under them or fills M_n:
+    `_spin` in the n^2 matrix space.  A generator in W is skipped, since W is
+    the algebra the images generate; one that grows W becomes an image and a
+    word.  At most n^2 words each meet each image once, so the k images cost
+    at most n^2 k products (`exactlin._product`), and only images are packed."""
+    full = n * n
+    for g in generators:
+        if builder.dimension == full or not builder._add_integers(g):
+            continue
+        old = len(words)
+        words.append(_Factor(g, n))
+        images.append(words[-1])
+        for k, w in enumerate(words):
+            for y in images if k >= old else images[-1:]:
+                if builder.dimension == full:
+                    return
+                p = _product(w, y)
+                if builder._add_integers(p):
+                    words.append(_Factor(p, n))
 
 
 def conjugate(a: MatrixAlgebra, c: Matrix) -> MatrixAlgebra:
@@ -956,15 +947,20 @@ def is_parabolic(
 
 
 def absorption_probe(a: MatrixAlgebra, x: Matrix) -> MatrixAlgebra:
-    """Closure of basis(a) together with one extra matrix.
-
-    For a maximal proper `a`, any x outside `a` makes this the full
-    matrix algebra; for x inside, it returns `a` itself.  x comes first
-    among the generators, so `closure` forms the products that can grow
-    the span first.
-    """
-    _check_square(x, a.n)
-    return closure(a.n, [x] + a.basis_matrices())
+    """The unital algebra generated by `a` and x: M_n for a maximal proper
+    `a` and any x outside it, `a` for x inside.  W starts as a's stored rows,
+    its first words and images, and is spun (`_spin_matrices`) under x alone,
+    so no product of two rows is formed.  W lies in the algebra `a` and x
+    generate, so a W that fills M_n is the answer whatever `a` is; any other
+    W is when `a` is closed, which `a._generating_set` checks (ValueError)."""
+    n = a.n
+    _check_square(x, n)
+    rows = [_Factor(row, n) for _, row in a.space._integer_form()[1]]
+    builder = SpanBuilder._of(a.space)
+    _spin_matrices(builder, rows, list(rows), _integral_generators([x]), n)
+    if builder.dimension < n * n:
+        a._generating_set()
+    return MatrixAlgebra(n=n, space=builder.to_subspace())
 
 
 def optimal_composition(n: int) -> tuple[frozenset[Composition], int]:

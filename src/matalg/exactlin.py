@@ -418,13 +418,12 @@ class _Factor:
 
 
 def _product(x: _Factor, y: _Factor) -> tuple[int, ...]:
-    """The product x y of two n x n `_Factor`s, flattened row-major: one
-    big-integer dot product (`_packed_product`) on the right factor's rows,
-    packed into 64-bit fields once per factor, and read back from those
-    fields.  That is exact while bits(max|x|) + bits(max|y|) + bits(n) <=
-    63 (`_packed_budget`), since then every entry lies strictly between
-    -2^63 and 2^63.  A pair past that bound is multiplied row by column
-    (`_rows_times_columns`), on rows and columns split once per factor."""
+    """The product x y of two n x n `_Factor`s, flattened row-major: x's
+    integers times y's rows packed in 64-bit fields (`_packed_product`),
+    exact while bits(max|x|) + bits(max|y|) + bits(n) <= 63
+    (`_packed_budget`), and row by column (`_rows_times_columns`) past it.
+    Only the right factor is packed, once, so a spin that multiplies many
+    words by few images (`algebra._spin_matrices`) packs only the images."""
     n = x.n
     if x.bits + y.bits <= _packed_budget(n):
         return _packed_product(x.flat, y.packed, n * n)
@@ -770,12 +769,16 @@ class SpanBuilder:
         self._rows: dict[int, list[int]] = {}
         self._den = 1
 
+    @classmethod
+    def _of(cls, space: Subspace) -> "SpanBuilder":
+        """A builder holding the stored rows of `space`, not reduced again."""
+        builder = cls(space.ambient_dim)
+        builder._den, builder._rows = space._den, dict(space._rows)
+        return builder
+
     @property
     def dimension(self) -> int:
         return len(self._rows)
-
-    def _residual(self, vec: Sequence[int | str | Fraction]) -> list[int]:
-        return _reduce(_integer_vector(vec, self.ambient_dim), self._rows.items(), self._den)
 
     def add(self, vec: Sequence[int | str | Fraction]) -> bool:
         """Adjoin a vector; returns True when the span grew."""
@@ -791,7 +794,8 @@ class SpanBuilder:
         return True
 
     def contains(self, vec: Sequence[int | str | Fraction]) -> bool:
-        return not any(self._residual(vec))
+        vec = _integer_vector(vec, self.ambient_dim)
+        return not any(_reduce(vec, self._rows.items(), self._den))
 
     def to_subspace(self) -> Subspace:
         return _canonical(self.ambient_dim, self._rows, self._den)

@@ -50,6 +50,7 @@ from test_exactlin import (
     reference_product,
     reference_project,
     solve_linear,
+    sympy_rank,
 )
 from matalg.exactlin import (
     Matrix,
@@ -1884,41 +1885,47 @@ class TestFlagConjugator:
 
 
 class TestClosureProducts:
-    """`closure` forms each product once, at all n^2 entries: packed
+    """`closure` and `absorption_probe` spin one span on the right: each
+    word times each image at most once, at all n^2 entries, packed
     (`_packed_product`) while the operands lie within its bound, row by
-    column (`_rows_times_columns`) past it; a matrix is packed at most
-    once, the first time it is a right factor."""
+    column (`_rows_times_columns`) past it.  Only images are right
+    factors, and each is packed at most once, the first time it is one."""
 
-    def test_closed_basis_forms_each_unordered_pair_once(self, monkeypatch):
+    def test_closed_basis_forms_at_most_d_k_products(self, monkeypatch):
         c = random_invertible(random.Random(41), 4)
         a = conjugate(parabolic_subalgebra(Composition((1, 3))), c)
         basis = a.basis_matrices()
-        # the identity comes first, so one basis direction adds nothing
-        adjoined = a.dimension - 1
         products, _ = record_closure_products(monkeypatch)
-        # a closed span: no product grows it, so the loop ends after one
-        # round, which forms x y and y x once for each unordered pair and
-        # x x once
         assert closure(4, basis).space == a.space
         pairs = [(x, y) for _, x, y, _ in products]
-        assert len(pairs) == adjoined * adjoined
         assert len(set(pairs)) == len(pairs)
         assert {len(product) for *_, product in products} == {16}
-        operands = {x for x, _ in pairs}
-        assert len(operands) == adjoined
-        assert set(pairs) == {(x, y) for x in operands for y in operands}
+        # the words are the d - 1 matrices that grew the span after the
+        # identity, and the images the k basis rows among them that did
+        words = {x for x, _ in pairs}
+        images = {y for _, y in pairs}
+        assert len(words) == a.dimension - 1
+        assert images <= words & set(algebra_module._integral_generators(basis))
+        # a span short of M_n: each word meets each image exactly once, so
+        # (d - 1) k products, here half of the (d - 1)^2 of every pair
+        assert set(pairs) == {(w, g) for w in words for g in images}
+        assert len(pairs) == (a.dimension - 1) * len(images) <= (a.dimension - 1) ** 2 // 2
 
     def test_absorption_probe_repeats_no_product(self, monkeypatch):
         a = parabolic_subalgebra(Composition((1, 3)))
         x = Matrix.unit(4, 1, 0)
         products, _ = record_closure_products(monkeypatch)
         assert absorption_probe(a, x).dimension == 16
-        # x comes first, so x x is the first product formed
         (flat_x,) = algebra_module._integral_generators([x])
-        _, first_left, first_right, first = products[0]
-        assert (first_left, first_right, len(first)) == (flat_x, flat_x, 16)
+        rows = [row for _, row in a.space._integer_form()[1]]
         pairs = [(x, y) for _, x, y, _ in products]
         assert len(pairs) == len(set(pairs))
+        # the rows of `a` are the first words, and they take x only: the
+        # first product is the first row times x, and no product has two
+        # rows of `a` as its factors
+        assert pairs[0] == (rows[0], flat_x)
+        assert all(y == flat_x for x, y in pairs if x in rows)
+        assert not any(x in rows and y in rows for x, y in pairs)
 
     def test_each_matrix_is_packed_once_when_first_a_right_factor(self, monkeypatch):
         c = random_invertible(random.Random(43), 4)
@@ -1929,9 +1936,10 @@ class TestClosureProducts:
         assert {path for path, *_ in products} == {"packed"}
         # packed in the order of first use as a right factor, once each
         assert packings == list(dict.fromkeys(y for _, _, y, _ in products))
-        # 15 matrices join after the identity, but those of the last round
-        # multiply nothing and are never packed
-        assert len(packings) < 15
+        # only images are packed: the rows of `a` and x, never a product
+        images = {row for _, row in a.space._integer_form()[1]}
+        images |= set(algebra_module._integral_generators([x]))
+        assert set(packings) <= images
 
     def test_a_pair_past_the_bound_is_multiplied_row_by_column(self, monkeypatch):
         # the bound at n = 2 is 63 - bits(2) = 61 bits: g g has 31 + 31, one
@@ -2084,6 +2092,18 @@ def _upper_part(m):
     return Matrix([[m[i, j] if i <= j else 0 for j in range(m.cols)] for i in range(m.rows)])
 
 
+@st.composite
+def _integer_pairs(draw, largest, upper):
+    """Two n x n integer matrices, n in 2..largest, entries in [-3, 3],
+    upper triangular when `upper` is set."""
+    n = draw(st.integers(2, largest))
+    entry = st.integers(-3, 3)
+    return n, [
+        Matrix([[draw(entry) if i <= j or not upper else 0 for j in range(n)] for i in range(n)])
+        for _ in range(2)
+    ]
+
+
 # a 61-bit prime, for closures whose entries and denominators are this large
 _P = 2**61 - 1
 
@@ -2101,6 +2121,21 @@ class TestClosureReference:
     @example((5, _random_pair(5, 5)))
     @example((5, [_upper_part(m) for m in _random_pair(6, 5)]))
     def test_exact_pass_matches_the_fraction_reference(self, case):
+        n, generators = case
+        space = closure(n, generators).space
+        assert (space.basis, space.pivots) == reference_closure(n, generators)
+
+    @settings(max_examples=6, deadline=None)
+    @given(_integer_pairs(6, upper=True))
+    @example((6, [_upper_part(m) for m in _random_pair(7, 6)]))
+    def test_upper_triangular_pairs_match_the_reference(self, case):
+        n, generators = case
+        space = closure(n, generators).space
+        assert (space.basis, space.pivots) == reference_closure(n, generators)
+
+    @settings(max_examples=6, deadline=None)
+    @given(_integer_pairs(5, upper=False))
+    def test_dense_pairs_match_the_reference(self, case):
         n, generators = case
         space = closure(n, generators).space
         assert (space.basis, space.pivots) == reference_closure(n, generators)
@@ -2156,9 +2191,39 @@ def _probe_cases(draw):
     return conjugate(parabolic_subalgebra(comp), c), c * Matrix(y) * c.inverse(), inside
 
 
+@st.composite
+def _probed_algebras(draw):
+    """An algebra A of M_n, n in 2..4, given by a pattern of matrix units
+    cut after the first `cut` coordinates: diagonal, block diagonal, block
+    upper-triangular or all of M_n, conjugated by a seeded invertible c at
+    times; x = c y c^-1 for a rational y, on A's pattern at times, so that
+    x lies in A."""
+    n = draw(st.integers(2, 4))
+    cut = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(["diagonal", "block-diagonal", "parabolic", "full"]))
+    side = [i < cut for i in range(n)]
+    pattern = {
+        "diagonal": lambda i, j: i == j,
+        "block-diagonal": lambda i, j: side[i] == side[j],
+        "parabolic": lambda i, j: side[i] or not side[j],
+        "full": lambda i, j: True,
+    }[kind]
+    units = [Matrix.unit(n, i, j) for i in range(n) for j in range(n) if pattern(i, j)]
+    a = algebra_from_basis(n, units)
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    inside = draw(st.booleans())
+    y = Matrix([
+        [draw(entry) if pattern(i, j) or not inside else 0 for j in range(n)] for i in range(n)
+    ])
+    if draw(st.booleans()):
+        c = random_invertible(random.Random(draw(st.integers(0, 2**32))), n)
+        return conjugate(a, c), c * y * c.inverse(), inside
+    return a, y, inside
+
+
 class TestAbsorptionProbe:
-    """`absorption_probe` puts x before the basis; the closure it returns
-    is the reference closure, whatever the order."""
+    """`absorption_probe` spins the span of A under x alone; the algebra it
+    returns is the reference closure of A's basis and x."""
 
     @settings(max_examples=40, deadline=None)
     @given(_probe_cases())
@@ -2168,6 +2233,85 @@ class TestAbsorptionProbe:
         space = absorption_probe(a, x).space
         assert (space.basis, space.pivots) == expected
         assert (space == a.space) == inside
+
+    @settings(max_examples=30, deadline=None)
+    @given(_probed_algebras())
+    def test_matches_the_reference_below_and_at_m_n(self, case):
+        a, x, inside = case
+        expected = reference_closure(a.n, a.basis_matrices() + [x])
+        space = absorption_probe(a, x).space
+        assert (space.basis, space.pivots) == expected
+        if inside:
+            assert space == a.space
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    @pytest.mark.parametrize("parts, dimension", [((1, 1, 1, 1), 5), ((2, 2), 12)])
+    def test_a_span_short_of_m_n_is_closed_by_sympy(self, parts, dimension, conjugated):
+        # the diagonal algebra and E03 span D + Q E03; M_2 + M_2 and E03
+        # generate P(2, 2)
+        comp = Composition(parts)
+        c = rational_invertible(random.Random(3), 4) if conjugated else Matrix.identity(4)
+        a = conjugate(
+            algebra_from_basis(
+                4,
+                [Matrix.unit(4, i, j) for i in range(4) for j in range(4)
+                 if comp.block_of(i) == comp.block_of(j)],
+            ),
+            c,
+        )
+        x = c * Matrix.unit(4, 0, 3) * c.inverse()
+        result = absorption_probe(a, x)
+        assert result.dimension == dimension
+        # sympy's rank: the span holds A and x and is closed under products
+        basis = result.basis_matrices()
+        held = basis + a.basis_matrices() + [x] + [u * v for u in basis for v in basis]
+        assert sympy_rank([m.flatten() for m in held]) == dimension
+
+    def test_m_n_is_returned_whatever_x(self):
+        a = full_algebra(3)
+        for x in (Matrix.zeros(3), Matrix.unit(3, 2, 0), random_matrix(random.Random(9), 3)):
+            assert absorption_probe(a, x).space == full_space(9)
+
+
+class TestProbeOfASpanThatIsNotAnAlgebra:
+    """A span given straight to `MatrixAlgebra`: a probe that fills M_n is
+    exact whatever the span, and one that does not raises ValueError, as
+    every structural question does."""
+
+    @pytest.mark.parametrize(
+        "n, matrices, x",
+        [
+            # E01 E10 = E00 is not in span{I, E01, E10}
+            (2, [Matrix.identity(2), Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)], Matrix.unit(2, 0, 0)),
+            # span{E01, E10} lacks the identity; E10 (E00 + E01) = E10 + E11
+            (2, [Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)], Matrix([[1, 1], [0, 0]])),
+        ],
+        ids=["I-E01-E10", "E01-E10"],
+    )
+    def test_a_probe_that_fills_is_the_reference_closure(self, n, matrices, x):
+        a = MatrixAlgebra(n=n, space=rref_basis([m.flatten() for m in matrices], n * n))
+        space = absorption_probe(a, x).space
+        assert space == full_space(n * n)
+        assert (space.basis, space.pivots) == reference_closure(n, matrices + [x])
+
+    @pytest.mark.parametrize(
+        "matrices, x, message",
+        [
+            # W = span{I, E01, E10, E22} is right closed under E22, short of M_3
+            ([Matrix.identity(3), Matrix.unit(3, 0, 1), Matrix.unit(3, 1, 0)], Matrix.unit(3, 2, 2), "not closed"),
+            # x inside the span adds nothing
+            ([Matrix.identity(3), Matrix.unit(3, 0, 1), Matrix.unit(3, 1, 0)], Matrix.unit(3, 0, 1), "not closed"),
+            # E01 E12 = E02 is a product of two rows, which the probe never
+            # forms: W stops at dimension 8
+            ([Matrix.identity(3), Matrix.unit(3, 0, 1), Matrix.unit(3, 1, 2)], Matrix.unit(3, 2, 0), "not closed"),
+            ([Matrix.unit(3, 0, 1)], Matrix.unit(3, 1, 2), "identity"),
+        ],
+        ids=["E22", "inside", "I-E01-E12", "no-identity"],
+    )
+    def test_a_probe_that_does_not_fill_raises(self, matrices, x, message):
+        a = MatrixAlgebra(n=3, space=rref_basis([m.flatten() for m in matrices], 9))
+        with pytest.raises(ValueError, match=message):
+            absorption_probe(a, x)
 
 
 class TestMaximalityAndOptimal:

@@ -905,11 +905,12 @@ def dense_integer_generator(seed, n, bits):
 
 
 def record_closure_products(monkeypatch):
-    """Record what `closure` multiplies from now on: (path, x, y, x y) for
-    each product that `matalg.algebra` forms through `exactlin._product` or
-    `_rows_times_columns`, with x, y and x y flattened and path "packed"
-    when the product went through `_packed_product`, "row" when it did
-    not, and each matrix that `_packed_right` packs, in order."""
+    """Record what `closure` and `absorption_probe` multiply from now on:
+    (path, x, y, x y) for each product that `matalg.algebra` forms through
+    `exactlin._product` or `_rows_times_columns`, with x, y and x y
+    flattened and path "packed" when the product went through
+    `_packed_product`, "row" when it did not, and each matrix that
+    `_packed_right` packs, in order."""
     products, packings, packed_calls = [], [], []
     pack = exactlin._packed_right
     multiply_packed = exactlin._packed_product
@@ -947,9 +948,12 @@ def record_closure_products(monkeypatch):
 
 class TestClosureAcrossTheBound:
     """`closure` at n = 6, where the products' entries outgrow the packed
-    product's bound partway through the loop, so that both products run."""
+    product's bound partway through the loop, so that both products run.
+    One generator g spins the words g, ..., g^5, each times g; on these
+    seeds g^5 g lies past the bound of 60 bits from 10 bits on, and at 6 to
+    9 bits every product is packed."""
 
-    @pytest.mark.parametrize("seed, bits", [(0, 6), (1, 6), (2, 8), (3, 10), (4, 10)])
+    @pytest.mark.parametrize("seed, bits", [(0, 12), (1, 12), (2, 14), (3, 10), (4, 10)])
     def test_matches_the_fraction_reference(self, seed, bits, monkeypatch):
         generator = dense_integer_generator(seed, 6, bits)
         products, _ = record_closure_products(monkeypatch)
