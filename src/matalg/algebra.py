@@ -203,81 +203,25 @@ def _spin_generators(n: int, space: Subspace) -> list[_Factor]:
     under products.  The zero span fails the first check before anything
     of size n^2 is built.
 
-    Closedness is proved by spinning (Parker's Meat-Axe) in the d
-    coordinates of the reduced row-echelon basis B of the span.  W starts
-    as the span of the identity.  Each basis row g whose coordinate
-    vector is not yet in W becomes the next generator: the d products b g
-    for b in B are formed, each must lie in span(B), and their
-    coordinates give the right multiplication by g as a d x d integer
-    matrix.  W is then spun, multiplied on the right by every generator
-    until it stops growing.  W is spanned by words in the generators and
-    every b g lies in span(B), so W lies in the algebra that the
-    generators generate, which lies in span(B).  Every basis row ends in
-    W, so W = span(B): the span is that algebra, and closed.  The check
-    forms d products (`exactlin._product`) for each generator instead of
-    d^2 in all.
+    Closedness is proved by spinning (Parker's Meat-Axe, `_spin_matrices`)
+    the span W of the identity under the d stored basis rows in pivot
+    order; the rows that grow W are the generators.  W ends as the algebra
+    that the rows generate, which holds every row, so the span is closed
+    exactly when W has dimension d.  A W past d cannot be the span, so the
+    spin stops at d + 1, after at most d^2 products (`exactlin._product`).
     """
     if not space.dimension or not subspace_contains(
         space, identity := Matrix.identity(n)._integer_form()[1]
     ):
         raise ValueError("span does not contain the identity matrix")
-    den, pairs = space._integer_form()
-    d = len(pairs)
-    pivots = [p for p, _ in pairs]
-    basis = [_Factor(x, n) for _, x in pairs]
-    generators = []
-    # the right multiplication by each generator on the coordinates of B,
-    # times den^2: row j holds the coordinates of b_j g
-    images: list[list[list[int]]] = []
-    # W by its reduced rows over a common pivot value, spanned by `words`
-    w_rows: dict[int, list[int]] = {}
-    first = [identity[p] for p in pivots]
-    w_den = _adjoin(w_rows, first)
-    words = [first]
-    for i, g in enumerate(basis):
-        if len(w_rows) == d:
-            break
-        unit = [0] * d
-        unit[i] = 1
-        if not any(_reduce(unit, w_rows.items(), w_den)):
-            continue
-        image = []
-        for b in basis:
-            product = _product(b, g)
-            # the membership test of `subspace_contains`, on integers already
-            if any(_reduce(product, pairs, den)):
-                raise ValueError("span is not closed under multiplication")
-            # the integer rows are B times den, so the product is den^2 times
-            # one in span(B), whose coordinates in B are its entries at the
-            # pivots (each row of B is 1 at its own pivot, 0 at the others)
-            image.append([product[p] for p in pivots])
-        generators.append(g)
-        images.append(image)
-        w_den = _spin(words, images, w_rows, w_den)
+    rows = [x for _, x in space._integer_form()[1]]
+    builder = SpanBuilder(n * n)
+    builder._add_integers(identity)
+    generators: list[_Factor] = []
+    _spin_matrices(builder, [], generators, rows, n, min(len(rows) + 1, n * n))
+    if builder.dimension != len(rows):
+        raise ValueError("span is not closed under multiplication")
     return generators
-
-
-def _spin(
-    words: list[list[int]], images: list[list[list[int]]], rows: dict[int, list[int]], den: int
-) -> int:
-    """Spin W, the span of the coordinate vectors `words`, under the right
-    multiplications `images` (d x d integer matrices) until it is closed
-    under them or has dimension d, and return its new pivot value: W is
-    held by its reduced `rows` over the pivot value `den` (`_adjoin`), and
-    each product that grows W is appended to `words` and multiplied in
-    turn.  Every word already in the list was spun under every image but
-    the last, so those words take the last one only."""
-    d = len(images[-1])
-    old = len(words)
-    for k, w in enumerate(words):
-        for action in images if k >= old else images[-1:]:
-            residual = _reduce(_combination(w, action, d), rows.items(), den)
-            if any(residual):
-                den = _adjoin(rows, residual, den)
-                if len(rows) == d:
-                    return den
-                words.append(_primitive(residual))
-    return den
 
 
 def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
@@ -288,7 +232,7 @@ def closure(n: int, generators: Sequence[Matrix]) -> MatrixAlgebra:
         _check_square(g, n)
     builder = SpanBuilder(n * n)
     builder.add(Matrix.identity(n)._integer_form()[1])
-    _spin_matrices(builder, [], [], _integral_generators(generators), n)
+    _spin_matrices(builder, [], [], _integral_generators(generators), n, n * n)
     return MatrixAlgebra(n=n, space=builder.to_subspace())
 
 
@@ -298,25 +242,26 @@ def _integral_generators(generators: Sequence[Matrix]) -> list[tuple[int, ...]]:
 
 
 def _spin_matrices(
-    builder: SpanBuilder, words: list[_Factor], images: list[_Factor], generators: Iterable, n: int
+    builder: SpanBuilder, words: list[_Factor], images: list[_Factor], generators: Iterable, n: int, stop: int
 ) -> None:
     """Spin the span W in `builder`, spanned by 1 and the `words` and closed
     under right multiplication by the `images`, under the flattened integer
-    `generators` in their order until it is closed under them or fills M_n:
-    `_spin` in the n^2 matrix space.  A generator in W is skipped, since W is
-    the algebra the images generate; one that grows W becomes an image and a
-    word.  At most n^2 words each meet each image once, so the k images cost
-    at most n^2 k products (`exactlin._product`), and only images are packed."""
-    full = n * n
+    `generators` in their order until it is closed under them or reaches
+    dimension `stop`.  A generator in W is skipped, since W is the algebra
+    the images generate; one that grows W becomes an image and a word, and
+    so does each product that grows W.  The words already listed take the
+    newest image only, and each new word takes every image.  At most `stop`
+    words each meet each image once, so the k images cost at most stop * k
+    products (`exactlin._product`), and only images are packed."""
     for g in generators:
-        if builder.dimension == full or not builder._add_integers(g):
+        if builder.dimension == stop or not builder._add_integers(g):
             continue
         old = len(words)
         words.append(_Factor(g, n))
         images.append(words[-1])
         for k, w in enumerate(words):
             for y in images if k >= old else images[-1:]:
-                if builder.dimension == full:
+                if builder.dimension == stop:
                     return
                 p = _product(w, y)
                 if builder._add_integers(p):
@@ -957,7 +902,7 @@ def absorption_probe(a: MatrixAlgebra, x: Matrix) -> MatrixAlgebra:
     _check_square(x, n)
     rows = [_Factor(row, n) for _, row in a.space._integer_form()[1]]
     builder = SpanBuilder._of(a.space)
-    _spin_matrices(builder, rows, list(rows), _integral_generators([x]), n)
+    _spin_matrices(builder, rows, list(rows), _integral_generators([x]), n, n * n)
     if builder.dimension < n * n:
         a._generating_set()
     return MatrixAlgebra(n=n, space=builder.to_subspace())

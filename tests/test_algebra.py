@@ -936,10 +936,11 @@ class TestQuotientAtPivots:
 
 class TestSharedBasisProducts:
     """The basis products that `algebra_from_basis` and `_QuotientAlgebra`
-    form: the spin forms d full products for each generator it chooses,
-    and the quotient forms none when it is built and two for each pair of
-    a section row and a generator when it finds its center, at the d
-    pivots of A only, after the spin when A has not been spun before."""
+    form: the spin forms each product of a word and a generator once
+    (`assert_spin_products`), and the quotient forms none when it is built
+    and two for each pair of a section row and a generator when it finds
+    its center, at the d pivots of A only, after the spin when A has not
+    been spun before."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_same_radical_and_blocks_as_conjugate_and_closure(self, n):
@@ -955,18 +956,14 @@ class TestSharedBasisProducts:
                 assert semisimple_blocks(given) == expected == semisimple_blocks(closed)
                 assert radical(given) == expected.radical_space == radical(closed)
 
-    def test_spin_forms_d_products_per_generator(self, monkeypatch):
-        # the spin forms b g for every basis row b and each generator g it
-        # chose, once each, and nothing else
+    def test_spin_forms_each_word_generator_pair_once(self, monkeypatch):
         c = rational_invertible(random.Random(3), 5)
         built = conjugate(parabolic_subalgebra(Composition((2, 1, 2))), c)
         products = _count_row_products(monkeypatch)
         a = algebra_from_basis(5, built.basis_matrices())
-        rows = [x for _, x in a.space._integer_form()[1]]
         generators = [g.flat for g in a._generating_set()]
         assert 0 < len(generators) < a.dimension
-        assert products == [(x, g, 25) for g in generators for x in rows]
-        assert len(set(products)) == a.dimension * len(generators)
+        assert_spin_products(products, a)
 
     def test_quotient_forms_its_products_on_demand(self, monkeypatch):
         c = rational_invertible(random.Random(4), 5)
@@ -997,14 +994,17 @@ class TestSharedBasisProducts:
                 quotient.center()
                 generators = [g.flat for g in a._generating_set()]
                 assert 0 < len(generators) < 9
-                rows = [x for _, x in a.space._integer_form()[1]]
-                spin = [(x, g, 25) for g in generators for x in rows] if spins else []
-                # then x g and g x for each section row x and each generator
-                # g, at the d pivots
+                # the spin, when A has not been spun before, then x g and g x
+                # for each section row x and each generator g, at the d pivots
                 d = a.dimension
                 assert d < 25
                 commutators = [pair for g in generators for x in section for pair in ((x, g, d), (g, x, d))]
+                spin = products[: len(products) - len(commutators)]
                 assert products == spin + commutators
+                if spins:
+                    assert_spin_products(spin, a)
+                else:
+                    assert spin == []
 
     @pytest.mark.parametrize("comp", [(1, 7), (4, 4)], ids=["P-1-7", "P-4-4"])
     def test_large_quotient_forms_fewer_than_m_squared_products(self, comp, monkeypatch):
@@ -1046,6 +1046,30 @@ class TestSharedBasisProducts:
         data = semisimple_blocks(a)
         assert data.semisimple_dim == 50 and data.block_sizes == (1, 7)
         assert len(products) < 2 * 50**2
+
+
+def assert_spin_products(products, a):
+    """`products`, recorded by `_count_row_products`, are those of the spin
+    that proved `a` closed, for `a` short of M_n: full products of a word
+    and a generator, each pair once.  The generators are the basis rows
+    that grew the span, in pivot order, and the only right factors.  The
+    words are the d - 1 matrices that grew it from span{1}, each a
+    generator or a product formed before its first use, and each meets
+    every generator."""
+    n, d = a.n, a.dimension
+    assert d < n * n
+    rows = [x for _, x in a.space._integer_form()[1]]
+    generators = [g.flat for g in a._generating_set()]
+    assert generators == [x for x in rows if x in generators]
+    assert all(entries == n * n for _, _, entries in products)
+    pairs = [(x, y) for x, y, _ in products]
+    words = list(dict.fromkeys(x for x, _ in pairs))
+    assert len(words) == d - 1 and len(pairs) == len(set(pairs))
+    assert set(pairs) == {(w, g) for w in words for g in generators}
+    formed = set()
+    for x, y in pairs:
+        assert x in generators or x in formed
+        formed.add(sum(reference_product(Matrix.from_flat(x, n), Matrix.from_flat(y, n)), ()))
 
 
 def _count_row_products(monkeypatch):
@@ -1163,6 +1187,28 @@ class TestClosednessBySpinning:
     def test_random_spans(self, case):
         assert_same_closedness_verdict(*case)
 
+    @pytest.mark.parametrize("case", ["random-8", "random-10", "P-1-7-and-e10"])
+    def test_an_open_span_is_rejected_within_d_squared_products(self, case, monkeypatch):
+        # the spin stops once the span it builds passes d, where it cannot
+        # be the given span: an open span does not spin to its closure.  So
+        # at most d words grow it, and each meets each of at most d images
+        # once
+        if case == "P-1-7-and-e10":
+            n = 8
+            matrices = list(parabolic_units(Composition((1, 7))).values()) + [Matrix.unit(8, 1, 0)]
+        else:
+            n = int(case.split("-")[1])
+            rng = random.Random(n)
+            matrices = [Matrix.identity(n)] + [random_matrix(rng, n) for _ in range(n)]
+        d = rref_basis([m.flatten() for m in matrices], n * n).dimension
+        products = _count_row_products(monkeypatch)
+        with pytest.raises(ValueError, match="not closed"):
+            algebra_from_basis(n, matrices)
+        pairs = [(x, y) for x, y, _ in products]
+        words, images = {x for x, _ in pairs}, {y for _, y in pairs}
+        assert len(set(pairs)) == len(pairs) and len(words) <= d and len(images) <= d
+        assert 0 < len(pairs) <= d * d
+
     @given(_spans())
     @settings(max_examples=40, deadline=None)
     def test_verdict_matches_the_closure(self, case):
@@ -1211,6 +1257,41 @@ def _algebras_of_every_constructor(draw):
             units |= {(i, j) for i in range(n) for j in range(n) if (i, k) in units and (k, j) in units}
         a = MatrixAlgebra(n=n, space=_unit_span(n, sorted(units)))
     return dataclasses.replace(a) if draw(st.booleans()) else a
+
+
+class TestGeneratingSet:
+    """The generators that `algebra_from_basis` records and what they cost
+    the structure that reads them."""
+
+    @given(_conjugated_compositions())
+    @settings(max_examples=25, deadline=None)
+    def test_a_row_is_kept_when_the_rows_kept_before_do_not_generate_it(self, a):
+        n = a.n
+        rows = [x for _, x in a.space._integer_form()[1]]
+        kept = []
+        for x in rows:
+            basis, _ = reference_closure(n, [Matrix.from_flat(g, n) for g in kept])
+            if not subspace_contains(rref_basis(basis, n * n), x):
+                kept.append(x)
+        assert [g.flat for g in a._generating_set()] == kept
+
+    @given(_conjugated_compositions())
+    @settings(max_examples=25, deadline=None)
+    def test_each_generator_costs_two_products_per_section_and_radical_row(self, a):
+        # g r and r g in the ideal check for each row r of the radical, and
+        # x g and g x in the center for each section row x
+        generators = [g.flat for g in a._generating_set()]
+        ideal, multiply = [], algebra_module._product
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algebra_module, "_product", lambda x, y: ideal.append((x.flat, y.flat)) or multiply(x, y))
+            rad = radical(a)
+        rad_rows = [r for _, r in rad._integer_form()[1]]
+        assert ideal == [pair for g in generators for r in rad_rows for pair in ((g, r), (r, g))]
+        quotient = _QuotientAlgebra(a, rad)
+        with pytest.MonkeyPatch.context() as patch:
+            products = _count_row_products(patch)
+            quotient.center()
+        assert len(products) == 2 * quotient.dim * len(generators)
 
 
 class TestCenterOverGenerators:
@@ -1984,8 +2065,8 @@ _TOP = 2**15 - 1
 def _radical_case(q_value, k_value):
     """span{I, E, N} at n = 15, for N = p k^T with k = (0, 0, 1, K, -K, ...)
     and k p = 0: E N = 12 P Q N, N E = N N = 0, so it is an algebra with
-    radical span{N}.  The spin forms E E and E N, and the ideal check E N,
-    N E and N N."""
+    radical span{N}.  The spin forms E E, E N, N E and N N, and so does
+    the ideal check but E E."""
     p = [0, 1, 0] + [_TOP] * 12
     e = _rank_one(p, [1, 0, 0] + [q_value] * 12)
     nil = _rank_one(p, [0, 0, 1] + _alternating(k_value, 12))
@@ -2028,16 +2109,19 @@ class TestProductsAtTheBudget:
     # (Q, K): E N at the budget with K = 2^14 - 1, one bit past with 2^15 - 1;
     # E E is one bit past in both
     RADICAL_CASES = {"at": (_TOP, 2**14 - 1), "past": (_TOP, _TOP)}
+    # (Q, K) for the spin, which forms E E, E N, N E and N N: E N at the
+    # budget as above, then one bit past it with Q = 2^16 - 1 and N N below
+    SPIN_CASES = {"at": (_TOP, 2**14 - 1), "past": (2**16 - 1, 2**14 - 1)}
     # (Q, R): E (F - E) at the budget, then one bit past
     COMMUTATIVE_CASES = {"at": (2**14 - 1, 2**16), "past": (_TOP, 1)}
 
     @pytest.mark.parametrize("case", ["at", "past"])
     def test_algebra_from_basis(self, case, monkeypatch):
-        matrices, _ = _radical_case(*self.RADICAL_CASES[case])
+        matrices, _ = _radical_case(*self.SPIN_CASES[case])
         margins = _record_margins(monkeypatch)
         assert algebra_from_basis(_SIDE, matrices) == reference_algebra_from_basis(_SIDE, matrices)
-        assert min(margins) < 0 and max(margins) == 1
-        assert (0 in margins) == (case == "at")
+        # E E, E N, N E and N N
+        assert margins == {"at": [1, 0, 0, -1], "past": [3, 1, 1, -1]}[case]
 
     @pytest.mark.parametrize("case", ["at", "past"])
     def test_radical_ideal_check(self, case, monkeypatch):

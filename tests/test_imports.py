@@ -14,7 +14,9 @@ helper `_halves` is gone.  And no
 stored echelon form is row-reduced again: `null_space` and `_echelon`
 never take an argument that reads `._row_matrix()`.  And one source of
 generating sets: only `MatrixAlgebra._generating_set` touches
-`._generators`.  And every loop has a bound: no `while True`."""
+`._generators`.  And one spin loop: only `algebra._spin_matrices` runs a
+`for` loop over a list that the loop's body appends to.  And every loop
+has a bound: no `while True`."""
 
 import ast
 from pathlib import Path
@@ -579,3 +581,69 @@ def test_the_scan_finds_a_loop_without_a_bound():
         "    pass\n"
     )
     assert unbounded_loops(tree) == [("_poly_rem", 2), ("draw", 9)]
+
+
+GROWERS = {"append", "extend"}
+
+
+def growing_loops(tree):
+    """(function, line) for each `for` loop over a list, as in `for w in
+    words` or `for k, w in enumerate(words)`, whose body appends to or
+    extends that list, by the name of the innermost function around it: a
+    spin, which multiplies each word it finds in turn."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            source = node.iter
+            if isinstance(source, ast.Call) and getattr(source.func, "id", None) == "enumerate" and source.args:
+                source = source.args[0]
+            if any(
+                isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr in GROWERS
+                and ast.dump(inner.func.value) == ast.dump(source)
+                for statement in node.body
+                for inner in ast.walk(statement)
+            ):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_spin_loop():
+    found = [
+        (str(path.relative_to(PACKAGE)), function)
+        for path in MODULES
+        for function, _ in growing_loops(_tree(path))
+    ]
+    assert found == [("algebra.py", "_spin_matrices")]
+
+
+def test_the_scan_finds_a_second_spin():
+    tree = ast.parse(
+        "def _spin_matrices(builder, words, images):\n"
+        "    for k, w in enumerate(words):\n"
+        "        for y in images:\n"
+        "            words.append(w * y)\n"
+        "def _spin(words, images):\n"
+        "    for w in words:\n"
+        "        if w:\n"
+        "            words.extend(w * y for y in images)\n"
+        "class Span:\n"
+        "    def grow(self):\n"
+        "        for w in self.words:\n"
+        "            self.words.append(w)\n"
+        "def _copy(words):\n"
+        "    out = []\n"
+        "    for w in words:\n"
+        "        out.append(w)\n"
+        "    for w in sorted(words):\n"
+        "        words.append(w)\n"
+    )
+    assert growing_loops(tree) == [("_spin_matrices", 2), ("_spin", 6), ("grow", 11)]
