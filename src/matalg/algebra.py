@@ -29,9 +29,7 @@ from .exactlin import (
     Matrix,
     SpanBuilder,
     Subspace,
-    _adjoin,
     _combination,
-    _echelon,
     _Factor,
     _kernel,
     _lowest_terms,
@@ -304,23 +302,24 @@ def _kernel_flag(rows: Sequence[Sequence[int]], n: int) -> list[Subspace] | None
 
     The row-space chain: words of length j span N^j, so V_j = ker N^j is
     the annihilator of the row space U_j of those words, read off U_j's
-    echelon rows (`exactlin._kernel`).  U_1 is one `_echelon` of the rows
-    of the matrices and U_{j+1} one `_echelon` of the products u m, u an
-    echelon row of U_j (`_rows_times_columns`).  U_{j+1} <= U_j, so the
-    chain ends at U_j = 0, or with None when dim U_j does not drop (U_1 =
-    Q^n among them): at most n steps.
+    echelon rows (`exactlin._kernel`).  U_1 is one
+    `SpanBuilder._spanning` of the rows of the matrices and U_{j+1} one of
+    the products u m, u an echelon row of U_j (`_rows_times_columns`).
+    U_{j+1} <= U_j, so the chain ends at U_j = 0, or with None when dim U_j
+    does not drop (U_1 = Q^n among them): at most n steps.
     """
     columns = [_split_columns(m, n) for m in rows]
-    chain, den = _echelon(row for m in rows for row in _split_rows(m, n))
+    chain = SpanBuilder._spanning(n, (row for m in rows for row in _split_rows(m, n)))
     flag, dim = [], n
-    while len(chain) < dim:
-        dim = len(chain)
-        flag.append(_kernel(den, chain.items(), n))
+    while chain.dimension < dim:
+        dim = chain.dimension
+        flag.append(_kernel(*chain._integer_form(), n))
         if not dim:
             return flag
         # the words one letter longer: u m for the rows u of U_j
-        u, cells = list(chain.values()), [(i, j) for i in range(dim) for j in range(n)]
-        chain, den = _echelon(row for m in columns for row in _split_rows(_rows_times_columns(u, m, cells), n))
+        u, cells = [row for _, row in chain._integer_form()[1]], [(i, j) for i in range(dim) for j in range(n)]
+        words = (_rows_times_columns(u, m, cells) for m in columns)
+        chain = SpanBuilder._spanning(n, (row for w in words for row in _split_rows(w, n)))
     return None
 
 
@@ -492,24 +491,24 @@ class _QuotientAlgebra:
         """A positive multiple of the minimal polynomial of z in the
         subalgebra with identity the idempotent `one` (z = one z), low-degree
         coefficients first, and the powers z^0..z^(d-1) for d <= `dim` its
-        degree.  One Krylov elimination: z^k, as ints over d_k, is tagged
-        with d_k at coordinate dim + k, so every row [v | t] has
-        v = sum t_j z^j, and the first residual vanishing on the first dim
-        coordinates leaves a tag t with sum t_j z^j = 0 and t_k > 0.  z is
+        degree.  One Krylov elimination in a `SpanBuilder`: z^k, as ints
+        over d_k, is tagged with d_k at coordinate dim + k, so every row
+        [v | t] has v = sum t_j z^j, and the first residual the builder
+        adjoins that vanishes on the first dim coordinates leaves a tag t
+        with sum t_j z^j = 0 and t_k > 0 (the residual is in the sign of
+        the tagged power, whose tag d_k no earlier row reaches).  z is
         lifted once, as the right factor of every power (`_right_factor`)."""
         m = self.dim
-        rows: dict[int, list[int]] = {}
-        den = 1
+        krylov = SpanBuilder(2 * m + 1)
         powers = []
         current = one
         right = self._right_factor(z)
         for k in range(m + 1):
             tag = [0] * (m + 1)
             tag[k] = current[0]
-            residual = _reduce((*current[1], *tag), rows.items(), den)
+            residual = krylov._add_integers((*current[1], *tag))
             if not any(residual[:m]):
                 return residual[m : m + k + 1], powers
-            den = _adjoin(rows, residual, den)
             powers.append(current)
             current = self._times(current, right)
         raise RuntimeError("minimal polynomial degree exceeds the quotient dimension")

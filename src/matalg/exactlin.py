@@ -20,7 +20,7 @@ between the two for its operands (`_Factor`s).  Row reduction
 is one fraction-free kernel (`_reduce`, `_adjoin`): rows fully reduced
 over one common pivot value, which is the reduced row-echelon form times
 its least common denominator, and integer vectors reduced against them
-in one pass.  A `Subspace` stores exactly those rows and that value.
+in one pass, all in a `SpanBuilder`.  A `Subspace` stores those rows.
 
 Conventions used throughout the package:
 
@@ -264,10 +264,9 @@ class Matrix:
             raise ValueError("only square matrices can be inverted")
         n, d = self.rows, self._den
         # row i of [M | I] times the common denominator d of M
-        rows, den = _echelon(
-            row + tuple(d if i == j else 0 for j in range(n))
-            for i, row in enumerate(_split_rows(self._flat, n))
-        )
+        identity = [tuple(d if i == j else 0 for j in range(n)) for i in range(n)]
+        span = SpanBuilder._spanning(2 * n, map(operator.add, _split_rows(self._flat, n), identity))
+        den, rows = span._den, span._rows
         # [M | I] has rank n, so a singular M leaves a pivot in the I block
         if max(rows) >= n:
             raise ValueError("matrix is singular")
@@ -464,8 +463,8 @@ def _adjoin(rows: dict[int, list[int]], residual: list[int], den: int = 1) -> in
     value den * f / g are the reduced row-echelon form of their span times
     its least common denominator.  The rows without an entry at p are only
     scaled by f / g, which leaves them as they are when f == g: a least
-    common denominator that does not grow, in 48-95% of the adjoins of the
-    benchmark's workloads (`BENCH_14.json`).
+    common denominator that does not grow, in 59-98% of the adjoins of the
+    benchmark's workloads (`BENCH_36.json`).
     """
     p = next(i for i, e in enumerate(residual) if e)
     content = math.gcd(*residual)
@@ -504,24 +503,6 @@ def _adjoin(rows: dict[int, list[int]], residual: list[int], den: int = 1) -> in
             rows[q] = [e * up // down for e in row]
     rows[p] = [den // g * e for e in residual]
     return den // g * f
-
-
-def _echelon(vectors: Iterable[Sequence[int]]) -> tuple[dict[int, list[int]], int]:
-    """Fully reduced rows spanning the integer `vectors`, keyed by pivot,
-    and their common pivot value."""
-    rows: dict[int, list[int]] = {}
-    den = 1
-    for vec in vectors:
-        residual = _reduce(vec, rows.items(), den)
-        if any(residual):
-            den = _adjoin(rows, residual, den)
-    return rows, den
-
-
-def _canonical(ambient_dim: int, rows: dict[int, list[int]], den: int) -> Subspace:
-    """The `Subspace` of integer rows fully reduced over the common pivot
-    value `den`, keyed by pivot."""
-    return Subspace._make(ambient_dim, den, tuple((p, tuple(rows[p])) for p in sorted(rows)))
 
 
 def _integer_vector(vec: Iterable[int | str | Fraction], ambient_dim: int) -> Sequence[int]:
@@ -611,7 +592,7 @@ def _fraction_row(den: int, row: Sequence[int]) -> Vector:
 
 def rref_basis(vectors: Iterable[Sequence[int | str | Fraction]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by `vectors` inside Q^ambient_dim."""
-    return _canonical(ambient_dim, *_echelon(_integer_vector(v, ambient_dim) for v in vectors))
+    return SpanBuilder._spanning(ambient_dim, (_integer_vector(v, ambient_dim) for v in vectors)).to_subspace()
 
 
 def _coordinate_span(ambient_dim: int, coords: Iterable[int]) -> Subspace:
@@ -654,7 +635,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Canonical basis of a + b."""
     _check_same_ambient(a, b)
     rows = a._integer_form()[1] + b._integer_form()[1]
-    return _canonical(a.ambient_dim, *_echelon(row for _, row in rows))
+    return SpanBuilder._spanning(a.ambient_dim, (row for _, row in rows)).to_subspace()
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -669,10 +650,10 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dimension == 0 or b.dimension == 0:
         return zero_space(n)
     zero_tail = (0,) * n
-    rows, _ = _echelon(
-        [v + v for _, v in a._integer_form()[1]] + [w + zero_tail for _, w in b._integer_form()[1]]
+    blocks = SpanBuilder._spanning(
+        2 * n, [v + v for _, v in a._integer_form()[1]] + [w + zero_tail for _, w in b._integer_form()[1]]
     )
-    return _canonical(n, *_echelon(row[n:] for p, row in rows.items() if p >= n))
+    return SpanBuilder._spanning(n, (row[n:] for p, row in blocks._integer_form()[1] if p >= n)).to_subspace()
 
 
 def _matrix_side(space: Subspace) -> int:
@@ -723,9 +704,8 @@ def _coset_images(sub: Subspace) -> list[list[tuple[int, int]]]:
 
 def null_space(m: Matrix) -> Subspace:
     """Canonical basis of {x : m @ x = 0} inside Q^cols: the rows of m
-    reduced once (`_echelon`), then `_kernel` on those rows."""
-    rows, den = _echelon(_split_rows(m._flat, m.cols))
-    return _kernel(den, rows.items(), m.cols)
+    reduced once (`SpanBuilder._spanning`), then `_kernel` on those rows."""
+    return _kernel(*SpanBuilder._spanning(m.cols, _split_rows(m._flat, m.cols))._integer_form(), m.cols)
 
 
 def _kernel(
@@ -733,12 +713,12 @@ def _kernel(
 ) -> Subspace:
     """Canonical basis of the x in Q^ncols orthogonal to the `(pivot, row)`
     pairs fully reduced over the common pivot value `den`: the stored form
-    of a `Subspace` (`_integer_form`) or what `_echelon` returns.
+    of a `Subspace` or of a `SpanBuilder` (`_integer_form` of either).
 
     The rows are read as they are, not reduced again.  Each free column f
     gives the kernel vector den e_f minus the column f of the rows, placed
-    at their pivots; one `_echelon` of those ncols - d vectors, d the number
-    of rows, puts them in canonical form, at ncols - d adjoins.
+    at their pivots; one `SpanBuilder._spanning` of those ncols - d vectors,
+    d the number of rows, puts them in canonical form, at ncols - d adjoins.
     """
     rows = dict(pivot_rows)
     basis = []
@@ -750,18 +730,18 @@ def _kernel(
         for p, row in rows.items():
             vec[p] = -row[f]
         basis.append(vec)
-    return _canonical(ncols, *_echelon(basis))
+    return SpanBuilder._spanning(ncols, basis).to_subspace()
 
 
 class SpanBuilder:
-    """Incremental span accumulator for rank and membership queries.
+    """The package's one echelon form: a span grown vector by vector.
 
     Keeps integer rows keyed by pivot, fully reduced over one common pivot
     value (see `_adjoin`), so adding a vector or testing membership costs
     one reduction, and `to_subspace` only sorts the rows: they are the
     stored form of the span.  A vector of ints is reduced as it is; any
-    other is first scaled to integers.  Useful inside closure loops where
-    a subspace grows vector by vector.
+    other is first scaled to integers.  Every echelon form the package grows
+    by reduction grows here, in `_add_integers`, the only caller of `_adjoin`.
     """
 
     def __init__(self, ambient_dim: int):
@@ -776,29 +756,44 @@ class SpanBuilder:
         builder._den, builder._rows = space._den, dict(space._rows)
         return builder
 
+    @classmethod
+    def _spanning(cls, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "SpanBuilder":
+        """The span of integer `vectors` of the ambient length, not checked."""
+        builder = cls(ambient_dim)
+        for vec in vectors:
+            builder._add_integers(vec)
+        return builder
+
     @property
     def dimension(self) -> int:
         return len(self._rows)
 
     def add(self, vec: Sequence[int | str | Fraction]) -> bool:
         """Adjoin a vector; returns True when the span grew."""
-        return self._add_integers(_integer_vector(vec, self.ambient_dim))
+        return self._add_integers(_integer_vector(vec, self.ambient_dim)) is not None
 
-    def _add_integers(self, vec: Sequence[int]) -> bool:
+    def _add_integers(self, vec: Sequence[int]) -> list[int] | None:
         """`add` for a vector of ints of the ambient length, which is not
-        checked again: the path of the vectors a caller formed itself."""
+        checked again.  Returns the residual it adjoined, `_reduce`'s (the old
+        pivot value times the rational residual, in the sign of `vec`, not the
+        primitive row `_adjoin` stores), or None when the span holds `vec`."""
         residual = _reduce(vec, self._rows.items(), self._den)
         if not any(residual):
-            return False
+            return None
         self._den = _adjoin(self._rows, residual, self._den)
-        return True
+        return residual
 
     def contains(self, vec: Sequence[int | str | Fraction]) -> bool:
         vec = _integer_vector(vec, self.ambient_dim)
         return not any(_reduce(vec, self._rows.items(), self._den))
 
+    def _integer_form(self) -> tuple[int, Iterable[tuple[int, list[int]]]]:
+        """`Subspace._integer_form` of the span, its pairs in adjoin order."""
+        return self._den, self._rows.items()
+
     def to_subspace(self) -> Subspace:
-        return _canonical(self.ambient_dim, self._rows, self._den)
+        rows = self._rows
+        return Subspace._make(self.ambient_dim, self._den, tuple((p, tuple(rows[p])) for p in sorted(rows)))
 
 
 def random_matrix(rng: random.Random, n: int) -> Matrix:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -1327,13 +1328,57 @@ class TestCenterOverGenerators:
         self.assert_same_center(a)
 
 
+class TestMinPolyOnTheBuilder:
+    """`_QuotientAlgebra.min_poly`, whose Krylov rows a `SpanBuilder` holds,
+    against the reference's, for w = e z as `_central_idempotents` forms
+    it: a positive multiple of the monic reference polynomial, with a
+    positive leading coefficient (t_k > 0, which a stored primitive row
+    in place of the residual could flip), and the same powers."""
+
+    def assert_matches_the_reference(self, a):
+        rad = radical(a)
+        quotient = _QuotientAlgebra(a, rad)
+        reference = ReferenceQuotientAlgebra(a, rad)
+        # the identity, and the primitive idempotents when the center splits
+        idempotents = [quotient.one, *(_central_idempotents(quotient) or [])]
+        for z in quotient.center():
+            right = quotient._right_factor(z)
+            for e in idempotents:
+                w = quotient._times(e, right)
+                e_ref, w_ref = as_fractions(e), as_fractions(w)
+                assert w_ref == reference.mult(e_ref, as_fractions(z))
+                poly, powers = quotient.min_poly(w, e)
+                expected = reference.min_poly(w_ref, e_ref)
+                assert len(poly) == len(expected) and poly[-1] > 0
+                assert [Fraction(c, poly[-1]) for c in poly] == expected
+                reference_powers = [e_ref]
+                for _ in range(len(expected) - 2):
+                    reference_powers.append(reference.mult(reference_powers[-1], w_ref))
+                assert [as_fractions(x) for x in powers] == reference_powers
+
+    @given(_conjugated_compositions())
+    @settings(max_examples=50, deadline=None)
+    def test_conjugated_compositions(self, a):
+        self.assert_matches_the_reference(a)
+
+    def test_rotation_algebra(self):
+        # Q(i): the center is not split, and i has the minimal polynomial t^2 + 1
+        a = closure(2, [Matrix([[0, -1], [1, 0]])])
+        quotient = _QuotientAlgebra(a, radical(a))
+        assert _central_idempotents(quotient) is None
+        degrees = {len(quotient.min_poly(z, quotient.one)[0]) - 1 for z in quotient.center()}
+        assert degrees == {1, 2}
+        self.assert_matches_the_reference(a)
+
+
 class TestLoopBounds:
     def test_min_poly_stops_at_the_quotient_dimension(self, monkeypatch):
         # with the reduction switched off no power is ever found dependent,
-        # so only the loop bound ends the Krylov elimination
+        # so only the loop bound ends the Krylov elimination; the builder
+        # reduces by `exactlin._reduce`
         a = diagonal_algebra(3)
         quotient = _QuotientAlgebra(a, radical(a))
-        monkeypatch.setattr(algebra_module, "_reduce", lambda vec, rows, den=1: list(vec))
+        monkeypatch.setattr(exactlin, "_reduce", lambda vec, rows, den=1: list(vec))
         with pytest.raises(RuntimeError, match="minimal polynomial"):
             quotient.min_poly(quotient.one, quotient.one)
 
@@ -1617,18 +1662,24 @@ def integer_rows(mats):
 
 
 def _count_steps(monkeypatch):
-    """The `_echelon` and `_kernel` calls of `_kernel_flag`, counted through
-    the `pytest.MonkeyPatch` given: one of each per step of the row-space
-    chain."""
-    calls = {"_echelon": 0, "_kernel": 0}
-    for name in calls:
-        original = getattr(algebra_module, name)
+    """The `SpanBuilder._spanning` and `_kernel` calls of `_kernel_flag`,
+    counted through the `pytest.MonkeyPatch` given: one of each per step of
+    the row-space chain.  The `_spanning` calls that `_kernel` makes itself,
+    for its kernel vectors, are not steps and are not counted."""
+    calls = {"_spanning": 0, "_kernel": 0}
+    kernel, spanning = algebra_module._kernel, SpanBuilder._spanning
 
-        def counting(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+    def counting_kernel(*args):
+        calls["_kernel"] += 1
+        return kernel(*args)
 
-        monkeypatch.setattr(algebra_module, name, counting)
+    def counting_spanning(cls, *args):
+        if sys._getframe(1).f_code is _kernel_flag.__code__:
+            calls["_spanning"] += 1
+        return spanning(*args)
+
+    monkeypatch.setattr(algebra_module, "_kernel", counting_kernel)
+    monkeypatch.setattr(SpanBuilder, "_spanning", classmethod(counting_spanning))
     return calls
 
 
@@ -1678,7 +1729,7 @@ class TestKernelFlag:
         calls = _count_steps(monkeypatch)
         n = mats[0].rows
         assert _kernel_flag(integer_rows(mats), n) is None
-        assert calls["_kernel"] < n and calls["_echelon"] <= n
+        assert calls["_kernel"] < n and calls["_spanning"] <= n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_strictly_upper_units_give_the_coordinate_flag(self, n, monkeypatch):
@@ -1688,7 +1739,7 @@ class TestKernelFlag:
         assert [v.dimension for v in flag] == list(range(1, n + 1))
         assert flag[-1] == full_space(n)
         # one step per member, n in all: the longest chain there is
-        assert calls == {"_echelon": n, "_kernel": n}
+        assert calls == {"_spanning": n, "_kernel": n}
 
     def test_no_matrices_give_the_full_space(self):
         assert _kernel_flag([], 3) == [full_space(3)]
@@ -1718,7 +1769,7 @@ class TestKernelFlag:
             calls = _count_steps(patch)
             flag = _kernel_flag(integer_rows(mats), n)
         assert flag == null_space_kernel_flag(mats, n)
-        assert calls["_kernel"] <= n and calls["_echelon"] <= n
+        assert calls["_kernel"] <= n and calls["_spanning"] <= n
         if kind == "nilpotent":
             assert flag is not None and flag[-1] == full_space(n)
         else:

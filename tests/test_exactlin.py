@@ -1011,6 +1011,41 @@ class TestSpanBuilder:
         assert integers._add_integers((0, 5, -2))
         assert integers.to_subspace() == builder.to_subspace()
 
+    def test_add_integers_returns_the_residual_it_adjoined(self):
+        builder = SpanBuilder(3)
+        # at pivot value 1 the residual is the vector itself, not made primitive
+        assert builder._add_integers((3, 2, 6)) == [3, 2, 6]
+        # over the pivot value 3 the residual of (0, -5, 2) is 3 (0, -5, 2),
+        # in the caller's sign: the stored row is the primitive (0, 5, -2)
+        assert builder._add_integers((0, -5, 2)) == [0, -15, 6]
+        den, pairs = builder._integer_form()
+        assert (den, dict(pairs)) == (15, {0: [15, 0, 34], 1: [0, 15, -6]})
+        # (-6, 1, 0) + 6 (1, 0, 34/15) - (0, 1, -2/5) = (0, 0, 14), times 15
+        assert builder._add_integers((-6, 1, 0)) == [0, 0, 210]
+        assert builder._add_integers((1, 1, 1)) is None
+        assert builder._add_integers((-4, 0, 9)) is None
+        assert builder.dimension == 3
+        # `add` still answers with a bool
+        line = SpanBuilder(2)
+        assert line.add((-2, 4)) is True and line.add((1, -2)) is False
+
+    @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_add_integers_residual_is_den_times_the_rational_residual(self, vecs):
+        builder = SpanBuilder(4)
+        for vec in vecs:
+            den, pairs = builder._integer_form()
+            basis = [(p, [Fraction(e, den) for e in row]) for p, row in pairs]
+            rational = [Fraction(e) for e in vec]
+            for p, row in basis:
+                rational = [a - vec[p] * b for a, b in zip(rational, row)]
+            residual = builder._add_integers(vec)
+            if any(rational):
+                assert residual == [den * a for a in rational]
+            else:
+                assert residual is None
+        assert builder.to_subspace() == rref_basis(vecs, 4)
+
     def test_contains_tracks_membership(self):
         builder = SpanBuilder(2)
         builder.add((1, 1))

@@ -11,8 +11,10 @@ one decode of packed fields: `.to_bytes(` and `array(` appear in
 product's parts `_packed_product`, `_packed_right` and `_packed_budget`
 are used in `exactlin` only, where `_product` picks it, and the split
 helper `_halves` is gone.  And no
-stored echelon form is row-reduced again: `null_space` and `_echelon`
-never take an argument that reads `._row_matrix()`.  And one source of
+stored echelon form is row-reduced again: `null_space` and
+`SpanBuilder._spanning` never take an argument that reads
+`._row_matrix()`.  And one growing echelon form: only
+`SpanBuilder._add_integers` calls `_adjoin`.  And one source of
 generating sets: only `MatrixAlgebra._generating_set` touches
 `._generators`.  And one spin loop: only `algebra._spin_matrices` runs a
 `for` loop over a list that the loop's body appends to.  And every loop
@@ -439,13 +441,14 @@ def test_the_scan_finds_uses_of_the_packed_product():
     assert named_uses(tree, {"_halves"}) == [("_halves", 7), ("_halves", 8)]
 
 
-REDUCERS = {"null_space", "_echelon"}
+REDUCERS = {"null_space", "_spanning"}
 
 
 def re_reductions(tree):
-    """(reducer, line) for each call of `null_space` or `_echelon`, by name
-    or as an attribute, whose arguments read `._row_matrix()`: the rows of
-    a `Subspace` are fully reduced already (`_integer_form`)."""
+    """(reducer, line) for each call of `null_space` or
+    `SpanBuilder._spanning`, by name or as an attribute, whose arguments
+    read `._row_matrix()`: the rows of a `Subspace` are fully reduced
+    already (`_integer_form`)."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -478,12 +481,74 @@ def test_the_scan_finds_a_second_reduction():
         "def f(space, m):\n"
         "    a = null_space(space._row_matrix())._row_matrix()\n"
         "    b = exactlin.null_space(m=space._row_matrix() * m)\n"
-        "    c = _echelon(row for row in space._row_matrix().entries)\n"
+        "    c = SpanBuilder._spanning(9, (row for row in space._row_matrix().entries))\n"
         "    d = null_space(m)._row_matrix()\n"
         "    e = _kernel(*space._integer_form(), 3)._row_matrix()\n"
-        "    return _echelon(space._integer_form()[1])\n"
+        "    return SpanBuilder._spanning(9, space._integer_form()[1])\n"
     )
-    assert re_reductions(tree) == [("null_space", 2), ("null_space", 3), ("_echelon", 4)]
+    assert re_reductions(tree) == [("null_space", 2), ("null_space", 3), ("_spanning", 4)]
+
+
+def adjoin_sites(tree):
+    """(scope, line) for each call of `_adjoin`, by name or as an
+    attribute, by the dotted name of the classes and functions around it:
+    a growing echelon form is a `SpanBuilder`, never a rows dict kept by
+    hand."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "_adjoin":
+                found.append((scope or "<module>", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_growing_echelon_form():
+    found = [
+        (str(path.relative_to(PACKAGE)), scope)
+        for path in MODULES
+        for scope, _ in adjoin_sites(_tree(path))
+    ]
+    assert found == [("exactlin.py", "SpanBuilder._add_integers")]
+
+
+def test_the_scan_finds_a_second_adjoin_site():
+    # the two hand-kept echelon forms that `SpanBuilder` replaced
+    tree = ast.parse(
+        "class SpanBuilder:\n"
+        "    def _add_integers(self, vec):\n"
+        "        residual = _reduce(vec, self._rows.items(), self._den)\n"
+        "        if not any(residual):\n"
+        "            return None\n"
+        "        self._den = _adjoin(self._rows, residual, self._den)\n"
+        "        return residual\n"
+        "def _echelon(vectors):\n"
+        "    rows = {}\n"
+        "    den = 1\n"
+        "    for vec in vectors:\n"
+        "        residual = _reduce(vec, rows.items(), den)\n"
+        "        if any(residual):\n"
+        "            den = _adjoin(rows, residual, den)\n"
+        "    return rows, den\n"
+        "class _QuotientAlgebra:\n"
+        "    def min_poly(self, z, one):\n"
+        "        rows, den = {}, 1\n"
+        "        for k in range(self.dim + 1):\n"
+        "            residual = _reduce((*current[1], *tag), rows.items(), den)\n"
+        "            den = exactlin._adjoin(rows, residual, den)\n"
+    )
+    assert adjoin_sites(tree) == [
+        ("SpanBuilder._add_integers", 6),
+        ("_echelon", 14),
+        ("_QuotientAlgebra.min_poly", 21),
+    ]
 
 
 def generator_reads(tree):
