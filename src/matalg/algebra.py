@@ -358,15 +358,26 @@ def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
     """The x in `a` with Tr(x b) = 0 for every b in `a`: the candidate
     that `_certified_radical` checks."""
     n = a.n
-    # Tr(x y) is the dot product of x with the flattened transpose of y, so
     # on the integer basis rows (one common multiple of the basis) the Gram
     # matrix is an integer one, with the kernel of the basis one
     basis = [x for _, x in a.space._integer_form()[1]]
     d = len(basis)
-    transposes = [tuple(e for j in range(n) for e in x[j::n]) for x in basis]
-    gram = _rows_times_columns(basis, transposes, [divmod(k, d) for k in range(d * d)])
+    upper = _trace_gram(basis, n)
+    gram = [upper[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
     _, kernel = null_space(Matrix._make(d, d, 1, gram))._integer_form()
     return rref_basis([_combination(coeffs, basis, n * n) for _, coeffs in kernel], n * n)
+
+
+def _trace_gram(rows: Sequence[Sequence[int]], n: int) -> dict[tuple[int, int], int]:
+    """Tr(b_i b_j) at (i, j) for i <= j, b_i the n x n integer matrices with
+    flattened `rows`: the upper triangle of the trace Gram matrix, which is
+    symmetric.  Tr(x y) is the dot product of x with the flattened
+    transpose of y (`_rows_times_columns`)."""
+    d = len(rows)
+    flip = [b * n + a for a in range(n) for b in range(n)]
+    transposes = [[x[k] for k in flip] for x in rows]
+    cells = [(i, j) for i in range(d) for j in range(i, d)]
+    return dict(zip(cells, _rows_times_columns(rows, transposes, cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -289,8 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=_parse_int, default=None,
                         help="override per-check random draw counts")
     verify.add_argument("--budget", type=_parse_int, default=None,
-                        help="nil certification budget: the number of monomials "
-                        "of Tr(X^k), k = 1..n, summed (default 100000)")
+                        help="nil certification budget: the most monomials of "
+                        "Tr(X^k), k = 1..n, summed, that the expansion may reach "
+                        "for a span not settled by Tr(X), Tr(X^2) or the kernel "
+                        "flag (default 100000)")
     verify.add_argument("--output", default=None, help="report path (default: stdout)")
     verify.set_defaults(handler=_cmd_verify)
 

@@ -4,21 +4,26 @@ A subspace is "nil" when every element is a nilpotent matrix.  Over Q
 this is a polynomial identity: x is nilpotent iff Tr(x^k) = 0 for
 k = 1..n (Newton's identities), so a subspace with basis b_1..b_d is nil
 iff the polynomial Tr((t_1 b_1 + ... + t_d b_d)^k) vanishes identically
-for each k.  `is_nil_subspace` first reads the k = 1 coefficients, the
-basis traces Tr(b_i): a nonzero one decides the answer at once, with b_i
-as the witness.  Otherwise it expands the powers of the generic matrix
-over the integers, one power at a time, which is exact but grows with
-the number of monomials, hence the term budget.  When a trace polynomial
-is nonzero the witness is read off it deterministically (Alon's
+for each k.  `is_nil_subspace` takes its exact steps in order of cost.
+It reads the k = 1 coefficients first, the basis traces Tr(b_i): a
+nonzero one decides the answer at once, with b_i as the witness.  The
+k = 2 polynomial comes next, off the trace Gram matrix Tr(b_i b_j).
+Then the kernel-flag triangularizer: when the algebra the subspace
+generates is nilpotent, its checked conjugator proves the subspace nil.
+Only then does it expand the powers k = 3..n of the generic matrix over
+the integers, one power at a time, which is exact but grows with the
+number of monomials, hence the term budget.  When a trace polynomial is
+nonzero the witness is read off it deterministically (Alon's
 Combinatorial Nullstellensatz) and checked exactly; no random draw is
 made, so the verdict and the witness are both deterministic.
 
 The dimension of a nil subspace is at most n(n-1)/2, with equality
-exactly for conjugates of the strictly upper-triangular space;
-`triangularize_nil` produces the conjugating matrix through the kernel
-flag ker N < ker N^2 < ... of the algebra N the subspace generates, built
-straight from the subspace's stored rows along the row-space chain:
-ker N^j is the annihilator of the row space of the words of length j.
+exactly for conjugates of the strictly upper-triangular space
+(Gerstenhaber); `triangularize_nil` produces the conjugating matrix
+through the kernel flag ker N < ker N^2 < ... of the algebra N the
+subspace generates, built straight from the subspace's stored rows along
+the row-space chain: ker N^j is the annihilator of the row space of the
+words of length j.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .exactlin import (
     _primitive,
     _unit_span,
 )
-from .algebra import _flag_conjugator, _kernel_flag
+from .algebra import _flag_conjugator, _kernel_flag, _trace_gram
 
 __all__ = [
     "ALL_NILPOTENT",
@@ -86,33 +91,48 @@ class NilCertificate:
     a witness (an element of the subspace with Tr(witness^k) != 0 for the
     last reported power k) accompanies `WITNESS_FOUND`, and
     `checked_powers` records each trace power sum that was fully
-    expanded: powers 1..n for `ALL_NILPOTENT`, powers 1..k up to the
-    first nonzero one for `WITNESS_FOUND`, none for `UNDETERMINED`.
+    checked, in order: powers 1..k up to the first nonzero one for
+    `WITNESS_FOUND`; powers 1..n for `ALL_NILPOTENT` proved by the trace
+    powers alone; powers 1 and 2 when the kernel flag proves the subspace
+    nil, and when the expansion of the higher powers is over budget
+    (`UNDETERMINED`).  `conjugator` accompanies an `ALL_NILPOTENT` proved
+    by the kernel flag: a matrix c, checked by `triangularize_nil`, with
+    c x c^-1 strictly upper triangular for every x in the subspace.
     """
 
     verdict: str
     witness: Matrix | None
     checked_powers: tuple[PowerReport, ...]
+    conjugator: Matrix | None = None
 
 
 def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCertificate:
     """Decide whether every element of the subspace is nilpotent.
 
-    Expands Tr(X^k) for the generic element X = t_1 b_1 + ... + t_d b_d,
-    k = 1, 2, ..., as a polynomial with integer coefficients (each basis
-    vector is first scaled to a primitive integer vector, which keeps
-    every coefficient's zero-ness), and stops at the first nonzero one.
-    All of them vanish for k = 1..n iff the subspace is nil (infinite
-    field, characteristic zero).
+    Decides whether Tr(X^k) vanishes for the generic element
+    X = t_1 b_1 + ... + t_d b_d, k = 1, 2, ..., as a polynomial with
+    integer coefficients (each basis vector is first scaled to a primitive
+    integer vector, which keeps every coefficient's zero-ness), and stops
+    at the first nonzero one.  All of them vanish for k = 1..n iff the
+    subspace is nil (infinite field, characteristic zero).  The exact steps come in order of cost,
+    and only the last one is capped by `budget`:
 
-    The k = 1 coefficients are the basis traces and are read first, for
-    any budget, off the stored rows: when some Tr(b_i) is nonzero, b_i
-    is returned as the witness with the single report for power 1.
-    Otherwise, when the
-    number of monomials of the trace polynomials, the sum of
-    C(d + k - 1, k) over k = 1..n, exceeds `budget`, the verdict is
-    `UNDETERMINED`.  A nonzero Tr(X^k) gives the witness through
-    `_grid_point`, checked by Tr(witness^k) != 0 before it is returned.
+    1. k = 1, the basis traces, read off the stored rows: when some
+       Tr(b_i) is nonzero, b_i is returned as the witness with the single
+       report for power 1.
+    2. k = 2, from the trace Gram matrix (`_trace_gram`): Tr(X^2) has
+       the coefficient Tr(b_i^2) at t_i^2 and 2 Tr(b_i b_j) at t_i t_j.
+    3. For n >= 3, the kernel flag: when `triangularize_nil` returns a
+       conjugator, the verdict is `ALL_NILPOTENT` with that conjugator as
+       its proof.  This settles exactly the subspaces whose generated
+       algebra is nilpotent, Gerstenhaber's extremal spaces among them.
+    4. Otherwise, when the number of monomials of the trace polynomials,
+       the sum of C(d + k - 1, k) over k = 1..n, exceeds `budget`, the
+       verdict is `UNDETERMINED`; else Tr(X^k) is expanded for
+       k = 3..n (`_trace_polynomials`).
+
+    A nonzero Tr(X^k) gives the witness through `_grid_point`, checked by
+    Tr(witness^k) != 0 before it is returned.
     """
     n = _matrix_side(s)
     d = s.dimension
@@ -124,19 +144,44 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
         if sum(row[:: n + 1]):
             return NilCertificate(WITNESS_FOUND, Matrix._make(n, n, den, row), (PowerReport(1, d, False),))
     counts = [math.comb(d + k - 1, k) for k in range(1, n + 1)]
-    if sum(counts) > budget:
-        return NilCertificate(UNDETERMINED, None, ())
     rows = [_primitive(vec) for _, vec in stored]
-    reports: list[PowerReport] = []
-    for k, trace in enumerate(_trace_polynomials(rows, n), start=1):
-        reports.append(PowerReport(k, counts[k - 1], not trace))
-        if trace:
-            point = _grid_point(trace, d, n)
-            witness = Matrix.from_flat(_combination(point, rows, n * n), n)
-            if not (witness**k).trace():
-                raise RuntimeError("witness check failed: Tr(witness^k) is zero")
-            return NilCertificate(WITNESS_FOUND, witness, tuple(reports))
+    # n >= 2 from here: the one nonzero subspace of M_1 has a basis trace
+    square = _square_trace(rows, n)
+    reports = [PowerReport(1, d, True), PowerReport(2, counts[1], not square)]
+    if square:
+        return _witness(square, 2, rows, n, reports)
+    if n >= 3:
+        conjugator = triangularize_nil(s)
+        if conjugator is not None:
+            return NilCertificate(ALL_NILPOTENT, None, tuple(reports), conjugator)
+        if sum(counts) > budget:
+            return NilCertificate(UNDETERMINED, None, tuple(reports))
+        for k, trace in enumerate(itertools.islice(_trace_polynomials(rows, n), 2, None), start=3):
+            reports.append(PowerReport(k, counts[k - 1], not trace))
+            if trace:
+                return _witness(trace, k, rows, n, reports)
     return NilCertificate(ALL_NILPOTENT, None, tuple(reports))
+
+
+def _witness(
+    trace: dict[int, int], k: int, rows: list[list[int]], n: int, reports: list[PowerReport]
+) -> NilCertificate:
+    """The `WITNESS_FOUND` certificate for the nonzero Tr(X^k) `trace`: its
+    `_grid_point` combination of `rows`, checked by Tr(witness^k) != 0."""
+    point = _grid_point(trace, len(rows), n)
+    witness = Matrix.from_flat(_combination(point, rows, n * n), n)
+    if not (witness**k).trace():
+        raise RuntimeError("witness check failed: Tr(witness^k) is zero")
+    return NilCertificate(WITNESS_FOUND, witness, tuple(reports))
+
+
+def _square_trace(rows: list[list[int]], n: int) -> dict[int, int]:
+    """Tr(X^2) for X = sum_i t_i rows[i], packed as in `_trace_polynomials`:
+    sum over i, j of t_i t_j Tr(b_i b_j), read off the upper triangle of
+    the trace Gram matrix (`_trace_gram`), twice off the diagonal."""
+    place = [(n + 1) ** i for i in range(len(rows))]
+    gram = _trace_gram(rows, n)
+    return {place[i] + place[j]: tr if i == j else 2 * tr for (i, j), tr in gram.items() if tr}
 
 
 def _trace_polynomials(rows: list[list[int]], n: int) -> Iterator[dict[int, int]]:
@@ -194,15 +239,18 @@ def _grid_point(poly: dict[int, int], d: int, n: int) -> list[int]:
     The smallest monomial t_1^e_1 ... t_d^e_d has maximal degree, so by the
     Combinatorial Nullstellensatz (Alon 1999) poly does not vanish on the
     grid {0..e_1} x ... x {0..e_d}, of at most 2^degree points.  The grid
-    is searched in order, on the monomials supported where it is.
+    is searched in order, on the monomials supported where it is: those
+    whose exponents at the support alone add up to the degree.
     """
     top = _exponents(min(poly), d, n)
+    degree = sum(top)
     support = [i for i, e in enumerate(top) if e]
+    places = [(n + 1) ** i for i in support]
     terms = []
     for m, c in poly.items():
-        exps = _exponents(m, d, n)
-        if sum(exps[i] for i in support) == sum(exps):
-            terms.append((c, [exps[i] for i in support]))
+        exps = [m // p % (n + 1) for p in places]
+        if sum(exps) == degree:
+            terms.append((c, exps))
     for values in itertools.product(*(range(top[i] + 1) for i in support)):
         if sum(c * math.prod(x**e for x, e in zip(values, exps)) for c, exps in terms):
             point = [0] * d

@@ -1,5 +1,6 @@
 """Nil subspaces: symbolic certification, witnesses, triangularization."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matalg.algebra as algebra_module
+import matalg.nilpotent as nilpotent_module
 from matalg.algebra import conjugate_space, radical
 from matalg.cli.suites import corpus_algebras
 from matalg.exactlin import (
@@ -29,6 +31,7 @@ from matalg.nilpotent import (
     WITNESS_FOUND,
     PowerReport,
     _exponents,
+    _square_trace,
     _trace_polynomials,
     is_nil_subspace,
     nil_bound,
@@ -48,14 +51,33 @@ def unit_span(n, positions):
     return rref_basis([Matrix.unit(n, i, j).flatten() for i, j in positions], n * n)
 
 
+def nil_non_triangularizable_span():
+    """span{e_{1,0} + e_{2,1}, e_{1,2} - e_{0,1}} in M_3: nil, but the
+    algebra it generates is not nilpotent, so its kernel flag stops short
+    of Q^3."""
+    a = Matrix.unit(3, 1, 0) + Matrix.unit(3, 2, 1)
+    b = Matrix.unit(3, 1, 2) - Matrix.unit(3, 0, 1)
+    return rref_basis([a.flatten(), b.flatten()], 9)
+
+
 class TestNilCertification:
     def test_strictly_upper_is_all_nilpotent(self):
-        for n in (2, 3, 4):
-            cert = is_nil_subspace(strictly_upper_space(n))
+        # at n = 2 the powers 1 and 2 decide everything; from n = 3 the
+        # kernel flag proves the space nil after them
+        cert = is_nil_subspace(strictly_upper_space(2))
+        assert cert.verdict == ALL_NILPOTENT
+        assert cert.witness is None and cert.conjugator is None
+        assert [r.power for r in cert.checked_powers] == [1, 2]
+        assert all(r.vanished for r in cert.checked_powers)
+        for n in (3, 4):
+            upper = strictly_upper_space(n)
+            cert = is_nil_subspace(upper)
             assert cert.verdict == ALL_NILPOTENT
             assert cert.witness is None
-            assert [r.power for r in cert.checked_powers] == list(range(1, n + 1))
+            assert [r.power for r in cert.checked_powers] == [1, 2]
             assert all(r.vanished for r in cert.checked_powers)
+            assert cert.conjugator == triangularize_nil(upper)
+            assert conjugate_space(upper, cert.conjugator) == upper
 
     def test_zero_space_is_nil(self):
         assert is_nil_subspace(zero_space(9)).verdict == ALL_NILPOTENT
@@ -101,15 +123,27 @@ class TestNilCertification:
         assert any((w**k).trace() != 0 for k in range(1, 4))
 
     def test_budget_exhaustion_is_undetermined(self):
-        cert = is_nil_subspace(strictly_upper_space(3), budget=2)
+        # nil, but its kernel flag stops short, so only the expansion decides
+        s = nil_non_triangularizable_span()
+        assert triangularize_nil(s) is None
+        cert = is_nil_subspace(s, budget=2)
         assert cert.verdict == UNDETERMINED
-        assert cert.witness is None
+        assert cert.witness is None and cert.conjugator is None
+        assert [(r.power, r.vanished) for r in cert.checked_powers] == [(1, True), (2, True)]
 
     def test_budget_counts_monomials(self):
-        # d = 3 at n = 3: C(3, 1) + C(4, 2) + C(5, 3) = 3 + 6 + 10 monomials
-        s = strictly_upper_space(3)
-        assert is_nil_subspace(s, budget=19).verdict == ALL_NILPOTENT
-        assert is_nil_subspace(s, budget=18).verdict == UNDETERMINED
+        # d = 2 at n = 3: C(2, 1) + C(3, 2) + C(4, 3) = 2 + 3 + 4 monomials
+        s = nil_non_triangularizable_span()
+        cert = is_nil_subspace(s, budget=9)
+        assert cert.verdict == ALL_NILPOTENT and cert.conjugator is None
+        assert [r.monomial_count for r in cert.checked_powers] == [2, 3, 4]
+        assert is_nil_subspace(s, budget=8).verdict == UNDETERMINED
+
+    def test_flag_certifies_over_budget(self):
+        s = conjugate_space(strictly_upper_space(3), random_invertible(random.Random(3), 3))
+        cert = is_nil_subspace(s, budget=0)
+        assert cert.verdict == ALL_NILPOTENT
+        assert cert.conjugator is not None
 
     def test_witness_stops_at_first_nonzero_power(self):
         # the traceless diagonal diag(1, -1, 0) has Tr(x^2) = 2
@@ -476,6 +510,162 @@ def expanded_supports(s, n):
     return [{tuple(_exponents(key, s.dimension, n)) for key in poly} for poly in polys]
 
 
+def expanded_traces(rows, n):
+    """Tr(X^k) for k = 1..n, X = sum_i t_i rows[i] read row-major, each a
+    dict from exponent tuple to nonzero integer: the generic matrix
+    multiplied out entry by entry, one power at a time."""
+    d = len(rows)
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    x = [[{units[i]: r[a * n + b] for i, r in enumerate(rows) if r[a * n + b]} for b in range(n)] for a in range(n)]
+
+    def add_product(out, p, q):
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+
+    power, traces = x, []
+    for k in range(1, n + 1):
+        if k > 1:
+            nxt = [[{} for _ in range(n)] for _ in range(n)]
+            for a, b, c in itertools.product(range(n), repeat=3):
+                add_product(nxt[a][c], power[a][b], x[b][c])
+            power = nxt
+        trace = {}
+        for a in range(n):
+            for m, c in power[a][a].items():
+                trace[m] = trace.get(m, 0) + c
+        traces.append({m: c for m, c in trace.items() if c})
+    return traces
+
+
+def reference_grid_point(poly, d):
+    """The first point, in order, of the Nullstellensatz grid of the
+    smallest-keyed monomial of `poly` (exponent tuples as keys, sorted as
+    their packed keys would be) where `poly` does not vanish: the search
+    `_grid_point` makes, on every monomial's full exponent tuple."""
+    top = min(poly, key=lambda m: m[::-1])
+    support = [i for i, e in enumerate(top) if e]
+    terms = [(c, m) for m, c in poly.items() if all(m[i] == 0 for i in range(d) if i not in support)]
+    for values in itertools.product(*(range(top[i] + 1) for i in support)):
+        point = [0] * d
+        for i, x in zip(support, values):
+            point[i] = x
+        if sum(c * math.prod(x**e for x, e in zip(point, m)) for c, m in terms):
+            return point
+    raise AssertionError("nonzero polynomial vanishes on its grid")
+
+
+def expansion_certificate(s, n):
+    """(verdict, witness, checked powers) of the full expansion alone: the
+    first basis matrix of nonzero trace, else the first nonzero Tr(X^k),
+    k <= n, of `expanded_traces` on the primitive basis rows, with its
+    `reference_grid_point` as the witness's coefficients."""
+    for b in s.basis_matrices(n):
+        if b.trace():
+            return WITNESS_FOUND, b, (PowerReport(1, s.dimension, False),)
+    d = s.dimension
+    rows = [_primitive(vec) for vec in s.basis]
+    reports = []
+    for k, trace in enumerate(expanded_traces(rows, n), start=1):
+        reports.append(PowerReport(k, math.comb(d + k - 1, k), not trace))
+        if trace:
+            coeffs = reference_grid_point(trace, d)
+            witness = sum((c * Matrix.from_flat(r, n) for c, r in zip(coeffs, rows)), Matrix.zeros(n))
+            return WITNESS_FOUND, witness, tuple(reports)
+    return ALL_NILPOTENT, None, tuple(reports)
+
+
+def cycle_span():
+    """span{e_{0,1} + e_{1,2} + e_{2,0}} in M_3: Tr(x) = Tr(x^2) = 0 but
+    Tr(x^3) = 3, so only the expansion finds the witness."""
+    cycle = Matrix.unit(3, 0, 1) + Matrix.unit(3, 1, 2) + Matrix.unit(3, 2, 0)
+    return rref_basis([cycle.flatten()], 9)
+
+
+@st.composite
+def differential_spaces(draw):
+    """(n, span), n <= 4: 1..4 traceless rational matrices; or a conjugated
+    span of random integer combinations of the strictly upper units; or a
+    conjugate of the nil span whose kernel flag stops short."""
+    kind = draw(st.sampled_from(["traceless", "upper", "non-triangularizable"]))
+    rng = random.Random(draw(st.integers(0, 999)))
+    if kind == "non-triangularizable":
+        return 3, conjugate_space(nil_non_triangularizable_span(), random_invertible(rng, 3))
+    n = draw(st.integers(2, 4))
+    if kind == "traceless":
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            m = [draw(rationals) for _ in range(n * n)]
+            m[-1] -= sum(m[i * n + i] for i in range(n))
+            rows.append(m)
+        return n, rref_basis(rows, n * n)
+    upper = [Matrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
+    vecs = [
+        sum((draw(st.integers(-2, 2)) * u for u in upper), Matrix.zeros(n)).flatten()
+        for _ in range(draw(st.integers(1, len(upper))))
+    ]
+    return n, conjugate_space(rref_basis(vecs, n * n), random_invertible(rng, n))
+
+
+def assert_strictly_upper_after(c, s, n):
+    """c x c^-1 is strictly upper triangular for each basis element x of
+    s, with c^-1 and the products formed on Fractions."""
+    columns = [solve_linear(c, [int(i == j) for i in range(n)]) for j in range(n)]
+    cinv = Matrix(list(zip(*columns)))
+    for vec in s.basis:
+        x = Matrix([vec[i * n : (i + 1) * n] for i in range(n)])
+        moved = reference_product(Matrix(reference_product(c, x)), cinv)
+        assert all(moved[i][j] == 0 for i in range(n) for j in range(i + 1))
+
+
+class TestNilDifferential:
+    """`is_nil_subspace`, cheapest proof first, against the full expansion
+    of Tr(X^k) for every k <= n."""
+
+    def assert_matches_expansion(self, s, n):
+        verdict, witness, reports = expansion_certificate(s, n)
+        cert = is_nil_subspace(s)
+        assert cert.verdict == verdict
+        if verdict == WITNESS_FOUND:
+            assert cert.witness == witness
+            assert cert.checked_powers == reports
+        elif cert.conjugator is not None:
+            assert [r.power for r in cert.checked_powers] == [1, 2]
+            assert_strictly_upper_after(cert.conjugator, s, n)
+        else:
+            assert cert.checked_powers == reports
+        return cert
+
+    @given(differential_spaces())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_full_expansion(self, case):
+        n, s = case
+        self.assert_matches_expansion(s, n)
+
+    def test_every_step_decides_somewhere(self):
+        # a witness at k = 1, 2 and 3, a flag proof, and a nil space that
+        # only the expansion proves
+        cases = [
+            (3, rref_basis([Matrix.identity(3).flatten()], 9)),
+            (2, unit_span(2, [(0, 1), (1, 0)])),
+            (3, cycle_span()),
+            (4, conjugate_space(strictly_upper_space(4), random_invertible(random.Random(9), 4))),
+            (3, nil_non_triangularizable_span()),
+        ]
+        certs = [self.assert_matches_expansion(s, n) for n, s in cases]
+        assert [c.checked_powers[-1].power for c in certs[:3]] == [1, 2, 3]
+        assert certs[3].conjugator is not None
+        assert certs[4].verdict == ALL_NILPOTENT and certs[4].conjugator is None
+
+    @given(differential_spaces())
+    @settings(max_examples=60, deadline=None)
+    def test_square_trace_is_the_expanded_square(self, case):
+        n, s = case
+        rows = [_primitive(vec) for vec in s.basis]
+        assert _square_trace(rows, n) == list(_trace_polynomials(rows, n))[1]
+
+
 class TestTracePolynomialOracle:
     def test_supports_match_sympy_on_unit_patterns(self):
         pytest.importorskip("sympy")
@@ -549,7 +739,8 @@ class TestNilScalingProbes:
         s = conjugate_space(strictly_upper_space(6), random_invertible(random.Random(5), 6))
         cert = is_nil_subspace(s)
         assert cert.verdict == ALL_NILPOTENT
-        assert sum(r.monomial_count for r in cert.checked_powers) == 54_263
+        assert cert.conjugator == triangularize_nil(s)
+        assert conjugate_space(s, cert.conjugator) == strictly_upper_space(6)
 
     def test_witness_above_the_bound_at_n6(self):
         s = witness_space(random.Random(6), 6)
@@ -558,6 +749,26 @@ class TestNilScalingProbes:
         k = cert.checked_powers[-1].power
         assert s.contains(cert.witness.flatten())
         assert (cert.witness**k).trace() != 0
+
+
+class TestNilCostGuard:
+    """The conjugated extremal space is proved nil by its kernel flag, with
+    no monomial expansion."""
+
+    @pytest.fixture
+    def no_expansion(self, monkeypatch):
+        def refuse(rows, n):
+            raise AssertionError("_trace_polynomials entered")
+
+        monkeypatch.setattr(nilpotent_module, "_trace_polynomials", refuse)
+
+    @pytest.mark.parametrize("n", [5, 7, 8])
+    def test_extremal_space_certifies_by_its_flag(self, n, no_expansion):
+        s = conjugate_space(strictly_upper_space(n), random_invertible(random.Random(5), n))
+        cert = is_nil_subspace(s)
+        assert cert.verdict == ALL_NILPOTENT
+        assert [r.power for r in cert.checked_powers] == [1, 2]
+        assert conjugate_space(s, cert.conjugator) == strictly_upper_space(n)
 
 
 class TestNilBoundExtremality:
