@@ -615,14 +615,16 @@ def _integer_roots(g: Sequence[int]) -> list[int]:
     return sorted(roots)
 
 
-def _rational_roots(coeffs: Sequence[int | Fraction]) -> tuple[list[Fraction], int]:
-    """All rational roots of the polynomial (with multiplicity), plus the
-    degree of the rational-root-free factor that remains.
+def _rational_roots(coeffs: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
+    """All rational roots of the integer polynomial (low-degree
+    coefficients first), with multiplicity, each as the integer pair
+    (r, s) of r / s in lowest terms with s > 0, plus the degree of the
+    rational-root-free factor that remains.
 
-    For f primitive over the integers with leading coefficient a and
-    degree d, t is a root exactly when a t is an integer root of the monic
-    integer polynomial a^(d-1) f(y / a); `_integer_roots` finds those,
-    0 among them.  Each root r / s in lowest terms (s > 0) is then tested
+    For f primitive over the integers with positive leading coefficient a
+    and degree d, t is a root exactly when a t is an integer root of the
+    monic integer polynomial a^(d-1) f(y / a); `_integer_roots` finds
+    those, 0 among them.  Each root y / a, in lowest terms, is then tested
     and divided out over the integers (`_value`, `_deflate`) as often as
     it divides f.
     """
@@ -631,15 +633,15 @@ def _rational_roots(coeffs: Sequence[int | Fraction]) -> tuple[list[Fraction], i
         work.pop()
     if len(work) == 1:
         return [], 0
-    f = _primitive(work)
+    f = _primitive(work if work[-1] > 0 else [-c for c in work])
     degree, lead = len(f) - 1, f[-1]
     monic = [c * lead ** (degree - 1 - k) for k, c in enumerate(f[:-1])] + [1]
-    roots: list[Fraction] = []
+    roots = []
     for y in _integer_roots(monic):
-        root = Fraction(y, lead)
-        r, s = root.numerator, root.denominator
+        g = math.gcd(y, lead)
+        r, s = y // g, lead // g
         while len(f) > 1 and not _value(f, r, s):
-            roots.append(root)
+            roots.append((r, s))
             f = _deflate(f, r, s)
     return roots, len(f) - 1
 
@@ -714,10 +716,9 @@ def _central_idempotents(quotient: _QuotientAlgebra) -> list[_Element] | None:
                 raise RuntimeError("minimal polynomial of a central element not squarefree")
             common = math.lcm(*(d for d, _ in powers))
             vectors = [x for _, x in powers]
-            for lam in roots:
-                r, s = lam.numerator, lam.denominator
+            for r, s in roots:
                 g = _deflate(f, r, s)
-                # g(lam) = v / s^e for v = _value(g, r, s), e = deg g, so the
+                # g(r / s) = v / s^e for v = _value(g, r, s), e = deg g, so the
                 # power ints_j / d_j of w takes the coefficient g_j s^e / v
                 v = _value(g, r, s)
                 scale = s ** (len(g) - 1) * (1 if v > 0 else -1)
@@ -749,8 +750,8 @@ def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:
     sizes = traces = None
     if idempotents is not None:
         dims = [quotient.left_trace(e) for e in idempotents]
-        if any(math.isqrt(int(d)) ** 2 != d for d in dims):
-            raise RuntimeError("a block of the semisimple quotient has non-square dimension")
+        if any(d < 1 or math.isqrt(int(d)) ** 2 != d for d in dims):
+            raise RuntimeError("a block dimension of the semisimple quotient is not a positive square")
         if sum(dims) != quotient.dim:
             raise RuntimeError("block dimensions do not add up to the quotient")
         blocks = sorted((math.isqrt(int(d)), quotient.lift_trace(e)) for d, e in zip(dims, idempotents))

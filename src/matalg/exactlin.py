@@ -8,7 +8,10 @@ not estimated.
 
 Inside, the arithmetic is over the integers, and `Fraction`s are made only
 at the edges: when the basis of a `Subspace` or the entries of a matrix
-are read out.  A matrix is stored as its entries times their
+are read out.  Rational input is read in once, by `_integer_entries`,
+which clears the denominators of the entries of a matrix or a vector;
+the helpers inside (`_primitive`, `_reduce`, `_adjoin`) take integers
+only.  A matrix is stored as its entries times their
 least common denominator, so a product is one integer product over
 the product of two denominators: `_rows_times_columns`, the one
 sum-of-products expression of the package, which forms the entries at
@@ -292,17 +295,8 @@ def _integer_entries(values: Sequence[int | str | Fraction]) -> tuple[int, tuple
         return 1, tuple(values)
     if not all(type(x) is Fraction for x in values):
         values = as_vector(values)
-    return _integral(values)
-
-
-def _integral(vec: Sequence[int | Fraction]) -> tuple[int, tuple[int, ...]]:
-    """The least common denominator d of a vector of rationals (ints
-    allowed), and the vector times d, as integers: the numerators when d
-    is 1."""
-    den = math.lcm(*(x.denominator for x in vec))
-    if den == 1:
-        return 1, tuple(x.numerator for x in vec)
-    return den, tuple(x.numerator * (den // x.denominator) for x in vec)
+    den = math.lcm(*(x.denominator for x in values))
+    return den, tuple(x.numerator * (den // x.denominator) for x in values)
 
 
 def _lowest_terms(den: int, ints: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -664,20 +658,16 @@ def _matrix_side(space: Subspace) -> int:
     return n
 
 
-def _primitive(vec: Sequence[int | Fraction]) -> list[int]:
-    """The nonzero rational vector scaled by a positive rational to a
-    primitive integer vector (integer entries with gcd 1); ints directly."""
-    ints = vec if all(type(x) is int for x in vec) else _integral(vec)[1]
-    g = math.gcd(*ints)
-    return [v // g for v in ints]
+def _primitive(vec: Sequence[int]) -> list[int]:
+    """The nonzero integer vector divided by the gcd of its entries: the
+    primitive integer vector (entries with gcd 1) on its positive ray."""
+    g = math.gcd(*vec)
+    return [v // g for v in vec]
 
 
-def _combination(
-    coeffs: Sequence[int | Fraction], vectors: Sequence[Sequence[int | Fraction]], length: int
-) -> list[int | Fraction]:
-    """The vector sum of c * v over paired coefficients and vectors of the
-    given length; zero coefficients are skipped.  Integer inputs give
-    integers."""
+def _combination(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], length: int) -> list[int]:
+    """The integer vector sum of c * v over paired integer coefficients and
+    vectors of the given length; zero coefficients are skipped."""
     acc = [0] * length
     for c, v in zip(coeffs, vectors):
         if c:

@@ -156,7 +156,7 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
             return NilCertificate(ALL_NILPOTENT, None, tuple(reports), conjugator)
         if sum(counts) > budget:
             return NilCertificate(UNDETERMINED, None, tuple(reports))
-        for k, trace in enumerate(itertools.islice(_trace_polynomials(rows, n), 2, None), start=3):
+        for k, trace in enumerate(_trace_polynomials(rows, n), start=3):
             reports.append(PowerReport(k, counts[k - 1], not trace))
             if trace:
                 return _witness(trace, k, rows, n, reports)
@@ -185,26 +185,28 @@ def _square_trace(rows: list[list[int]], n: int) -> dict[int, int]:
 
 
 def _trace_polynomials(rows: list[list[int]], n: int) -> Iterator[dict[int, int]]:
-    """Yield Tr(X^k) for k = 1..n, X = sum_i t_i rows[i] read row-major.
+    """Yield Tr(X^k) for k = 3..n, X = sum_i t_i rows[i] read row-major:
+    the powers that `is_nil_subspace` expands, after Tr(X) off the basis
+    traces and Tr(X^2) off the trace Gram matrix (`_square_trace`).
 
     A polynomial is a dict from packed exponent vector to nonzero integer
     coefficient: the exponent of t_i is digit i in base n + 1 (no degree
     exceeds n), so multiplying two monomials adds their keys.  X^(k-1) is
-    formed only when Tr(X^k) is asked for, and Tr(X^k) is read as
-    sum_ab X^(k-1)_ab X_ba, so X^n itself is never formed.
+    formed only when Tr(X^k) is asked for, starting from X itself, and
+    Tr(X^k) is read as sum_ab X^(k-1)_ab X_ba, so X^n itself is never
+    formed.
     """
     base = n + 1
     generic = [
         [[(base**i, row[a * n + b]) for i, row in enumerate(rows) if row[a * n + b]] for b in range(n)]
         for a in range(n)
     ]
-    power = [[{0: 1} if a == b else {} for b in range(n)] for a in range(n)]
-    for k in range(1, n + 1):
-        if k > 1:
-            power = [
-                [_dot((power[a][b], generic[b][c]) for b in range(n)) for c in range(n)]
-                for a in range(n)
-            ]
+    power = [[dict(entry) for entry in line] for line in generic]
+    for _ in range(3, n + 1):
+        power = [
+            [_dot((power[a][b], generic[b][c]) for b in range(n)) for c in range(n)]
+            for a in range(n)
+        ]
         yield _dot((power[a][b], generic[b][a]) for a in range(n) for b in range(n))
 
 

@@ -515,6 +515,28 @@ class TestSemisimpleBlocks:
         assert data.radical_space == space == radical(MatrixAlgebra(n=2, space=space))
         assert (data.radical_dim, data.semisimple_dim, data.block_sizes) == (len(units), 0, ())
 
+    @pytest.mark.parametrize(
+        "method, value, message",
+        [
+            ("left_trace", 2, "not a positive square"),
+            ("left_trace", Fraction(1, 2), "not a positive square"),
+            ("left_trace", Fraction(9, 4), "not a positive square"),
+            ("left_trace", 0, "not a positive square"),
+            ("left_trace", -1, "not a positive square"),
+            ("left_trace", 1, "do not add up to the quotient"),
+            ("lift_trace", 1, "not a positive multiple of its block size"),
+        ],
+        ids=["not-a-square", "below-one", "not-an-integer", "zero", "negative", "short-sum", "lift-trace"],
+    )
+    def test_a_wrong_block_measure_raises(self, monkeypatch, method, value, message):
+        # P(1, 2): blocks of dimension 1 and 4 in a quotient of dimension 5,
+        # with lift traces 1 and 2; each guard sees one measure replaced
+        a = parabolic_subalgebra(Composition((1, 2)))
+        assert semisimple_blocks(a).block_sizes == (1, 2)
+        monkeypatch.setattr(_QuotientAlgebra, method, lambda self, e: value)
+        with pytest.raises(RuntimeError, match=message):
+            semisimple_blocks(a)
+
     def test_wedderburn_dimension_identity(self):
         for comp in compositions(4):
             a = parabolic_subalgebra(comp)
@@ -754,7 +776,7 @@ def reference_central_idempotents(quotient):
         refined = []
         for e in idempotents:
             w = quotient.mult(e, z)
-            roots, leftover_degree = _rational_roots(quotient.min_poly(w, e))
+            roots, leftover_degree = rational_roots(quotient.min_poly(w, e))
             if leftover_degree > 0:
                 return None
             assert len(set(roots)) == len(roots)
@@ -1452,12 +1474,23 @@ def _sympy_rational_roots(coeffs):
     return roots
 
 
+def rational_roots(coeffs):
+    """`_rational_roots` of a rational polynomial, as `Fraction`s: the
+    polynomial is scaled by the least common denominator of its
+    coefficients, a positive constant that keeps its roots, and each
+    returned pair must be in lowest terms with a positive denominator."""
+    den = math.lcm(1, *(Fraction(c).denominator for c in coeffs))
+    pairs, leftover = _rational_roots([int(c * den) for c in coeffs])
+    assert all(type(r) is int and type(s) is int and s > 0 and math.gcd(r, s) == 1 for r, s in pairs)
+    return [Fraction(r, s) for r, s in pairs], leftover
+
+
 class TestRationalRoots:
     @settings(max_examples=80, deadline=None)
     @given(_polynomials())
     def test_matches_sympy_factorization(self, coeffs):
         expected = _sympy_rational_roots(coeffs)
-        roots, leftover = _rational_roots(coeffs)
+        roots, leftover = rational_roots(coeffs)
         assert sorted(roots) == sorted(expected)
         assert leftover == len(coeffs) - 1 - len(expected)
 
@@ -1468,7 +1501,7 @@ class TestRationalRoots:
     @example([10**30 + 1, -1, 0, 0, 0, 3])
     def test_integer_polynomials_match_sympy(self, coeffs):
         expected = _sympy_rational_roots(coeffs)
-        roots, leftover = _rational_roots(coeffs)
+        roots, leftover = rational_roots(coeffs)
         assert sorted(roots) == sorted(expected)
         assert leftover == len(coeffs) - 1 - len(expected)
         # the monic a^(d-1) f(y / a), whose integer roots are a times the
@@ -1487,11 +1520,11 @@ class TestRationalRoots:
     @pytest.mark.parametrize(
         "coeffs, roots, leftover",
         [
-            ([0, 0, 0, 1], [0, 0, 0], 0),  # t^3
-            ([0, 0, -1, 2], [0, 0, Fraction(1, 2)], 0),  # t^2 (2t - 1)
-            ([0, 0, 1, 0, 1], [0, 0], 2),  # t^2 (t^2 + 1)
-            ([0, 0, 0, -3, 0, 0], [0, 0, 0], 0),  # -3 t^3, trailing zeros
-            ([Fraction(0), Fraction(0), Fraction(3, 2), Fraction(-1, 2)], [0, 0, 3], 0),
+            ([0, 0, 0, 1], [(0, 1)] * 3, 0),  # t^3
+            ([0, 0, -1, 2], [(0, 1), (0, 1), (1, 2)], 0),  # t^2 (2t - 1)
+            ([0, 0, 1, 0, 1], [(0, 1)] * 2, 2),  # t^2 (t^2 + 1)
+            ([0, 0, 0, -3, 0, 0], [(0, 1)] * 3, 0),  # -3 t^3, trailing zeros
+            ([0, 0, 3, -1], [(0, 1), (0, 1), (3, 1)], 0),  # -t^2 (t - 3), negative lead
         ],
     )
     def test_zero_roots_with_multiplicity(self, coeffs, roots, leftover):
@@ -1537,11 +1570,12 @@ class TestIntegerPolynomials:
         expr = [sum(c * t**k for k, c in enumerate(p)) for p in (a, b)]
         rem = sympy.Poly(sympy.rem(*expr, t), t)
         expected = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+        den = math.lcm(*(c.denominator for c in expected))
         r = _poly_rem(a, b)
         if rem.is_zero:
             assert r == []
         else:
-            assert _primitive(r) == _primitive(expected)
+            assert _primitive(r) == _primitive([int(c * den) for c in expected])
 
     def test_poly_rem_raises_when_the_degree_does_not_fall(self):
         # a divisor whose coefficients read as zeros when iterated cannot

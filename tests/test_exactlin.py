@@ -20,7 +20,7 @@ from matalg.exactlin import (
     Subspace,
     _coset_images,
     _Factor,
-    _integral,
+    _integer_entries,
     _packed_budget,
     _packed_product,
     _packed_right,
@@ -199,7 +199,7 @@ def reference_project(sub, vec):
     integer residual modulo the stored form of `sub`, read at
     `coset_coords(sub)` over both denominators.  The quotient map that the
     package dropped, kept for the references built on it."""
-    den, ints = _integral(vec)
+    den, ints = _integer_entries(vec)
     sub_den, rows = sub._integer_form()
     r = _reduce(ints, rows, sub_den)
     return [Fraction(r[c], den * sub_den) for c in coset_coords(sub)]
@@ -370,26 +370,21 @@ class TestScalars:
 
 
 class TestPrimitive:
-    @given(st.lists(scalars, min_size=1, max_size=8).filter(any))
+    # every caller passes integers: stored rows, integer residuals and
+    # integer polynomial coefficients, some far beyond a machine word
+    @given(
+        st.lists(st.integers(-12, 12) | st.integers(-(10**30), 10**30), min_size=1, max_size=8).filter(any)
+    )
+    @example([4, -6, 0, 10])
+    @example((-3, 0))
     def test_positive_multiple_with_gcd_one(self, vec):
         ints = _primitive(vec)
-        assert all(isinstance(v, int) for v in ints)
+        assert all(type(v) is int for v in ints)
         assert math.gcd(*ints) == 1
         pivot = next(i for i, x in enumerate(vec) if x)
-        scale = Fraction(ints[pivot]) / vec[pivot]
+        scale = Fraction(ints[pivot], vec[pivot])
         assert scale > 0
         assert [scale * x for x in vec] == ints
-
-    def test_an_all_int_vector_is_divided_by_its_gcd_as_it_is(self, monkeypatch):
-        # no common denominator is taken for ints; one Fraction needs it
-        integral = exactlin._integral
-        calls = []
-        monkeypatch.setattr(exactlin, "_integral", lambda vec: calls.append(vec) or integral(vec))
-        assert _primitive([4, -6, 0, 10]) == [2, -3, 0, 5]
-        assert _primitive((-3, 0)) == [-1, 0]
-        assert calls == []
-        assert _primitive([4, Fraction(-6), 0]) == [2, -3, 0]
-        assert len(calls) == 1
 
 
 class TestMatrix:

@@ -18,7 +18,9 @@ stored echelon form is row-reduced again: `null_space` and
 generating sets: only `MatrixAlgebra._generating_set` touches
 `._generators`.  And one spin loop: only `algebra._spin_matrices` runs a
 `for` loop over a list that the loop's body appends to.  And every loop
-has a bound: no `while True`."""
+has a bound: no `while True`.  And one place reads rationals apart:
+`.numerator` and `.denominator` are read in `exactlin` only, where
+rational input becomes integers."""
 
 import ast
 from pathlib import Path
@@ -712,3 +714,58 @@ def test_the_scan_finds_a_second_spin():
         "        words.append(w)\n"
     )
     assert growing_loops(tree) == [("_spin_matrices", 2), ("_spin", 6), ("grow", 11)]
+
+
+RATIONAL_PARTS = {"numerator", "denominator"}
+
+
+def rational_part_reads(tree):
+    """(function, line) for each read of an attribute `.numerator` or
+    `.denominator`, by the name of the innermost function around it: code
+    that takes a rational apart instead of working on integers."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr in RATIONAL_PARTS:
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_rationals_are_taken_apart_in_exactlin_only():
+    found = [
+        f"{path.relative_to(PACKAGE)}: {function} (line {line})"
+        for path in MODULES
+        if path.name != "exactlin.py"
+        for function, line in rational_part_reads(_tree(path))
+    ]
+    assert found == []
+
+
+def test_the_scan_finds_rational_parts():
+    # the root loops of `_rational_roots` and `_central_idempotents` when
+    # the roots were `Fraction`s, not integer pairs
+    tree = ast.parse(
+        "def _rational_roots(coeffs):\n"
+        "    for y in _integer_roots(monic):\n"
+        "        root = Fraction(y, lead)\n"
+        "        r, s = root.numerator, root.denominator\n"
+        "def _central_idempotents(quotient):\n"
+        "    for lam in roots:\n"
+        "        r, s = lam.numerator, lam.denominator\n"
+        "        g = _deflate(f, r, s)\n"
+        "def _numerator_denominator(text):\n"
+        "    numerator, denominator = text.split('/')\n"
+        "    return int(numerator), getattr(x, 'denominator')\n"
+    )
+    assert rational_part_reads(tree) == [
+        ("_rational_roots", 4),
+        ("_rational_roots", 4),
+        ("_central_idempotents", 7),
+        ("_central_idempotents", 7),
+    ]
