@@ -31,6 +31,7 @@ from .exactlin import (
     Subspace,
     _combination,
     _Factor,
+    _free_column_vectors,
     _kernel,
     _lowest_terms,
     _matrix_side,
@@ -41,7 +42,6 @@ from .exactlin import (
     _split_columns,
     _split_rows,
     _unit_span,
-    full_space,
     null_space,
     rref_basis,
     subspace_contains,
@@ -295,27 +295,28 @@ def radical(a: MatrixAlgebra) -> Subspace:
     return _certified_radical(a)[0]
 
 
-def _kernel_flag(rows: Sequence[Sequence[int]], n: int) -> list[Subspace] | None:
+def _kernel_flag(rows: Sequence[Sequence[int]], n: int) -> tuple[Matrix, tuple[int, ...]] | None:
     """The kernel flag ker N < ker N^2 < ... < Q^n of the (non-unital)
     algebra N generated by the n x n matrices with flattened integer
-    `rows`, or None when N is not nilpotent.
+    `rows`, as a basis adapted to it with the dimensions of its members
+    (`_flag_basis`), or None when N is not nilpotent.
 
     The row-space chain: words of length j span N^j, so V_j = ker N^j is
-    the annihilator of the row space U_j of those words, read off U_j's
-    echelon rows (`exactlin._kernel`).  U_1 is one
+    the annihilator of the row space U_j of those words.  U_1 is one
     `SpanBuilder._spanning` of the rows of the matrices and U_{j+1} one of
     the products u m, u an echelon row of U_j (`_rows_times_columns`).
     U_{j+1} <= U_j, so the chain ends at U_j = 0, or with None when dim U_j
-    does not drop (U_1 = Q^n among them): at most n steps.
+    does not drop (U_1 = Q^n among them): at most n steps.  The basis is
+    read off the echelon rows of the steps, which are not reduced again.
     """
     columns = [_split_columns(m, n) for m in rows]
     chain = SpanBuilder._spanning(n, (row for m in rows for row in _split_rows(m, n)))
-    flag, dim = [], n
+    forms, dim = [], n
     while chain.dimension < dim:
         dim = chain.dimension
-        flag.append(_kernel(*chain._integer_form(), n))
+        forms.append(chain._integer_form())
         if not dim:
-            return flag
+            return _flag_basis(forms, n)
         # the words one letter longer: u m for the rows u of U_j
         u, cells = [row for _, row in chain._integer_form()[1]], [(i, j) for i in range(dim) for j in range(n)]
         words = (_rows_times_columns(u, m, cells) for m in columns)
@@ -323,9 +324,36 @@ def _kernel_flag(rows: Sequence[Sequence[int]], n: int) -> list[Subspace] | None
     return None
 
 
-def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
+def _flag_basis(
+    chain: Iterable[tuple[int, Iterable[tuple[int, Sequence[int]]]]], n: int
+) -> tuple[Matrix, tuple[int, ...]]:
+    """A basis of Q^n adapted to the annihilators V_1 < ... < V_k = Q^n of
+    a chain U_1 > ... > U_k = 0 of echelon forms ((pivot, row) pairs fully
+    reduced over one pivot value, as `_integer_form` gives them): the n x n
+    integer matrix whose first dim V_j columns span V_j, and the tuple of
+    those dimensions.
+
+    The pivots of U_{j+1} lie among those of U_j, so the free columns only
+    grow along the chain.  The columns for V_j are the free-column vectors
+    of U_j (`exactlin._free_column_vectors`) at the columns that were not
+    free in U_{j-1}, each made primitive.  They vanish at the free columns
+    of U_{j-1}, where a nonzero vector of V_{j-1} does not, so they extend
+    the basis of V_{j-1} to one of V_j: no reduction is made.
+    """
+    columns: list[list[int]] = []
+    dims, free = [], set()
+    for den, pairs in chain:
+        rows = dict(pairs)
+        columns += map(_primitive, _free_column_vectors(den, rows.items(), n, free))
+        free = set(range(n)).difference(rows)
+        dims.append(len(columns))
+    return Matrix._make(n, n, 1, tuple(e for row in zip(*columns) for e in row)), tuple(dims)
+
+
+def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, tuple[Matrix, tuple[int, ...]]]:
     """The radical of `a` (see `radical`) with its kernel flag, the
-    certificate of its nilpotency.
+    certificate of its nilpotency, as a basis adapted to the flag and the
+    dimensions of its members.
 
     The ideal conditions g R <= R and R g <= R are checked only for the
     generating set of `a` (`MatrixAlgebra._generating_set`, which raises
@@ -335,7 +363,7 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, list[Subspace]]:
     `_kernel_flag` on the stored rows of R."""
     n = a.n
     if a.dimension == 0:
-        return zero_space(n * n), [full_space(n)]
+        return zero_space(n * n), (Matrix.identity(n), (n,))
     # integer multiples of the generators and of the basis rows of rad,
     # which span the same products and have the same kernel flag; each
     # product is tested for membership in rad by its integer residual
@@ -815,8 +843,12 @@ class Flag:
     @property
     def gaps(self) -> tuple[int, ...]:
         """Successive dimension jumps; a composition of n."""
-        dims = self.dims
-        return tuple(b - a for a, b in zip((0,) + dims, dims))
+        return _gaps(self.dims)
+
+
+def _gaps(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The jumps of increasing dimensions, from 0."""
+    return tuple(b - a for a, b in zip((0,) + dims, dims))
 
 
 def invariant_flag(a: MatrixAlgebra) -> Flag:
@@ -825,40 +857,24 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
     Each member is a-invariant, since R is an ideal.  Member j+1 is the
     preimage of the joint kernel of the radical of the induced action on
     Q^n / (member j): that radical is the image of R.  It is read along
-    the row-space chain of `_kernel_flag`.  For a block
-    upper-triangular algebra this recovers exactly the standard
+    the row-space chain of `_kernel_flag`, and each member is the
+    canonical span of a prefix of the adapted basis (`rref_basis`).  For a
+    block upper-triangular algebra this recovers exactly the standard
     coordinate flag of its type.
     """
-    return Flag(n=a.n, subspaces=tuple(_certified_radical(a)[1]))
+    basis, dims = _certified_radical(a)[1]
+    columns = _split_columns(basis._integer_form()[1], a.n)
+    return Flag(n=a.n, subspaces=tuple(rref_basis(columns[:d], a.n) for d in dims))
 
 
-def _adapted_basis(chain: Iterable[Subspace], n: int) -> Matrix:
-    """The columns refine the chain greedily to a basis of Q^n: the integer
-    basis rows of each member in turn, skipping those in the span so far.
-    The chain must span Q^n.  For c the inverse, c x c^-1 is block upper
-    triangular for every x preserving each member."""
-    chosen: list[tuple[int, tuple[int, ...]]] = []
-    builder = SpanBuilder(n)
-    for member in chain:
-        den, rows = member._integer_form()
-        for _, row in rows:
-            if builder._add_integers(row):
-                chosen.append((den, row))
-    if len(chosen) != n:
-        raise RuntimeError("flag refinement did not produce a full basis")
-    lcm = math.lcm(*(den for den, _ in chosen))
-    flat = tuple(lcm // den * row[i] for i in range(n) for den, row in chosen)
-    return Matrix._make(n, n, lcm, flat)
-
-
-def _flag_conjugator(chain: Iterable[Subspace], space: Subspace, target: Subspace) -> Matrix:
-    """The inverse c of the chain's adapted basis, checked for `is_parabolic`
-    and `triangularize_nil`: c x c^-1 must be zero off the pivots of the
-    coordinate span `target` for each basis element x of `space`, else
-    RuntimeError (the arithmetic would be wrong, not the input).  On the
-    integer forms: x c^-1 by columns, then c (x c^-1) at the off cells."""
+def _flag_conjugator(cinv: Matrix, space: Subspace, target: Subspace) -> Matrix:
+    """The inverse c of a flag's adapted basis `cinv`, checked for
+    `is_parabolic` and `triangularize_nil`: c x c^-1 must be zero off the
+    pivots of the coordinate span `target` for each basis element x of
+    `space`, else RuntimeError (the arithmetic would be wrong, not the
+    input).  On the integer forms: x c^-1 by columns, then c (x c^-1) at
+    the off cells."""
     n = _matrix_side(space)
-    cinv = _adapted_basis(chain, n)
     c = cinv.inverse()
     c_rows = _split_rows(c._integer_form()[1], n)
     cinv_columns = _split_columns(cinv._integer_form()[1], n)
@@ -876,9 +892,11 @@ def flag_stabilizer(f: Flag) -> MatrixAlgebra:
 
     The adapted basis B carries the standard coordinate flag of type
     `f.gaps` onto `f`, so the stabilizer is B P B^-1 for P the block
-    upper-triangular algebra of that type.
+    upper-triangular algebra of that type, whichever adapted basis B is:
+    here `_flag_basis` of the annihilators of the members (`_kernel`).
     """
-    return conjugate(parabolic_subalgebra(Composition(f.gaps)), _adapted_basis(f.subspaces, f.n))
+    annihilators = (_kernel(*v._integer_form(), f.n)._integer_form() for v in f.subspaces)
+    return conjugate(parabolic_subalgebra(Composition(f.gaps)), _flag_basis(annihilators, f.n)[0])
 
 
 def is_parabolic(
@@ -890,15 +908,18 @@ def is_parabolic(
     flag's stabilizer, a conjugate of the block upper-triangular algebra
     of the flag's type; `a` equals it exactly when the dimensions agree.
     On success returns (True, type, c) where the flag gaps give the type
-    and `c b c^-1` maps `a` onto the standard algebra of that type: into
-    it, as `_flag_conjugator` checks, and the dimensions agree.  Otherwise,
-    when the dimension of `a` falls short of that type's, (False, None, None).
+    and `c b c^-1` maps `a` onto the standard algebra of that type: c is
+    the inverse of the basis adapted to the flag that `_certified_radical`
+    hands over (the identity for a coordinate flag), it maps `a` into that
+    algebra, as `_flag_conjugator` checks, and the dimensions agree.
+    Otherwise, when the dimension of `a` falls short of that type's,
+    (False, None, None).
     """
-    flag = invariant_flag(a)
-    comp = Composition(flag.gaps)
+    basis, dims = _certified_radical(a)[1]
+    comp = Composition(_gaps(dims))
     if a.dimension != parabolic_dimension(comp):
         return False, None, None
-    witness = _flag_conjugator(flag.subspaces, a.space, parabolic_subalgebra(comp).space)
+    witness = _flag_conjugator(basis, a.space, parabolic_subalgebra(comp).space)
     return True, comp, witness
 
 

@@ -49,7 +49,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 __all__ = [
     "Vector",
@@ -295,8 +295,9 @@ def _integer_entries(values: Sequence[int | str | Fraction]) -> tuple[int, tuple
         return 1, tuple(values)
     if not all(type(x) is Fraction for x in values):
         values = as_vector(values)
-    den = math.lcm(*(x.denominator for x in values))
-    return den, tuple(x.numerator * (den // x.denominator) for x in values)
+    parts = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*(d for _, d in parts))
+    return den, tuple(p * (den // d) for p, d in parts)
 
 
 def _lowest_terms(den: int, ints: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -705,22 +706,33 @@ def _kernel(
     pairs fully reduced over the common pivot value `den`: the stored form
     of a `Subspace` or of a `SpanBuilder` (`_integer_form` of either).
 
-    The rows are read as they are, not reduced again.  Each free column f
-    gives the kernel vector den e_f minus the column f of the rows, placed
-    at their pivots; one `SpanBuilder._spanning` of those ncols - d vectors,
-    d the number of rows, puts them in canonical form, at ncols - d adjoins.
+    The rows are read as they are, not reduced again: their ncols - d
+    free-column vectors (`_free_column_vectors`), d the number of rows,
+    are put in canonical form by one `SpanBuilder._spanning`, at ncols - d
+    adjoins.
     """
+    return SpanBuilder._spanning(ncols, _free_column_vectors(den, pivot_rows, ncols)).to_subspace()
+
+
+def _free_column_vectors(
+    den: int, pivot_rows: Iterable[tuple[int, Sequence[int]]], ncols: int, skip: Container[int] = ()
+) -> list[list[int]]:
+    """The kernel vectors read off `(pivot, row)` pairs fully reduced over
+    the common pivot value `den`, one for each free column f not in `skip`,
+    in increasing f: den e_f minus the column f of the rows, placed at their
+    pivots.  The vector at f is zero at every other free column, so the
+    vectors at all free columns are a basis of the kernel."""
     rows = dict(pivot_rows)
     basis = []
     for f in range(ncols):
-        if f in rows:
+        if f in rows or f in skip:
             continue
         vec = [0] * ncols
         vec[f] = den
         for p, row in rows.items():
             vec[p] = -row[f]
         basis.append(vec)
-    return SpanBuilder._spanning(ncols, basis).to_subspace()
+    return basis
 
 
 class SpanBuilder:

@@ -23,7 +23,8 @@ exactly for conjugates of the strictly upper-triangular space
 through the kernel flag ker N < ker N^2 < ... of the algebra N the
 subspace generates, built straight from the subspace's stored rows along
 the row-space chain: ker N^j is the annihilator of the row space of the
-words of length j.
+words of length j, and the basis adapted to the flag is read off the
+free columns of the chain's echelon rows.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ class NilCertificate:
     nil, and when the expansion of the higher powers is over budget
     (`UNDETERMINED`).  `conjugator` accompanies an `ALL_NILPOTENT` proved
     by the kernel flag: a matrix c, checked by `triangularize_nil`, with
-    c x c^-1 strictly upper triangular for every x in the subspace.
+    c x c^-1 strictly upper triangular for every x in the subspace, the
+    inverse of the basis adapted to the flag that its row-space chain
+    hands over.
     """
 
     verdict: str
@@ -267,13 +270,14 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
 
     Builds the kernel flag V_k = {v : N^k v = 0} of the (non-unital)
     algebra N generated by the subspace, straight from its stored rows,
-    along the row-space chain of `_kernel_flag`.  When
-    N is nilpotent the flag reaches Q^n, any refinement of it to a full
-    flag orders a basis under which every element of N is strictly upper
-    triangular, and the inverse of that basis matrix is returned, checked
-    by `_flag_conjugator` against `strictly_upper_space(n)`.  When N is not
-    nilpotent -- possible even for nil subspaces -- None is returned.
+    along the row-space chain of `_kernel_flag`.  When N is nilpotent the
+    flag reaches Q^n, and the chain hands over a basis adapted to it, read
+    off the free columns of its echelon rows (`algebra._flag_basis`): under
+    it every element of N is strictly upper triangular.  The inverse of
+    that basis matrix is returned, checked by `_flag_conjugator` against
+    `strictly_upper_space(n)`.  When N is not nilpotent -- possible even
+    for nil subspaces -- None is returned.
     """
     n = _matrix_side(s)
     flag = _kernel_flag([x for _, x in s._integer_form()[1]], n)
-    return None if flag is None else _flag_conjugator(flag, s, strictly_upper_space(n))
+    return None if flag is None else _flag_conjugator(flag[0], s, strictly_upper_space(n))

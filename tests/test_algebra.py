@@ -1696,10 +1696,10 @@ def integer_rows(mats):
 
 
 def _count_steps(monkeypatch):
-    """The `SpanBuilder._spanning` and `_kernel` calls of `_kernel_flag`,
-    counted through the `pytest.MonkeyPatch` given: one of each per step of
-    the row-space chain.  The `_spanning` calls that `_kernel` makes itself,
-    for its kernel vectors, are not steps and are not counted."""
+    """The `SpanBuilder._spanning` calls that `_kernel_flag` makes, one per
+    step of the row-space chain, and every `_kernel` call of the algebra
+    module, counted through the `pytest.MonkeyPatch` given.  The flag is
+    read off the chain's echelon rows, so `_kernel_flag` calls no `_kernel`."""
     calls = {"_spanning": 0, "_kernel": 0}
     kernel, spanning = algebra_module._kernel, SpanBuilder._spanning
 
@@ -1718,8 +1718,8 @@ def _count_steps(monkeypatch):
 
 
 @st.composite
-def flag_cases(draw):
-    """Rational n x n matrices, n in 1..6, as (kind, n, matrices), conjugated
+def flag_cases(draw, max_n=6):
+    """Rational n x n matrices, n in 1..max_n, as (kind, n, matrices), conjugated
     by one random invertible: random combinations of the strictly upper
     units ("nilpotent"), those plus one invertible matrix, whose rows span
     Q^n ("stall-1"), or a block-diagonal sum of strictly upper matrices on
@@ -1727,7 +1727,7 @@ def flag_cases(draw):
     n - k ("stall-later"): e_0 is in every kernel, so the chain passes
     its first step and stalls at a later one."""
     kind = draw(st.sampled_from(["nilpotent", "stall-1", "stall-later"]))
-    n = draw(st.integers(2 if kind == "stall-later" else 1, 6))
+    n = draw(st.integers(2 if kind == "stall-later" else 1, max_n))
     k = draw(st.integers(1, n - 1)) if kind == "stall-later" else n
     small = st.integers(-2, 2)
     mats = []
@@ -1763,20 +1763,21 @@ class TestKernelFlag:
         calls = _count_steps(monkeypatch)
         n = mats[0].rows
         assert _kernel_flag(integer_rows(mats), n) is None
-        assert calls["_kernel"] < n and calls["_spanning"] <= n
+        assert calls["_kernel"] == 0 and calls["_spanning"] <= n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_strictly_upper_units_give_the_coordinate_flag(self, n, monkeypatch):
         calls = _count_steps(monkeypatch)
         mats = [Matrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
-        flag = _kernel_flag(integer_rows(mats), n)
-        assert [v.dimension for v in flag] == list(range(1, n + 1))
-        assert flag[-1] == full_space(n)
+        basis, dims = _kernel_flag(integer_rows(mats), n)
+        # member j is span{e_0, ..., e_j}: its basis is the identity
+        assert dims == tuple(range(1, n + 1))
+        assert basis == Matrix.identity(n)
         # one step per member, n in all: the longest chain there is
-        assert calls == {"_spanning": n, "_kernel": n}
+        assert calls == {"_spanning": n, "_kernel": 0}
 
     def test_no_matrices_give_the_full_space(self):
-        assert _kernel_flag([], 3) == [full_space(3)]
+        assert _kernel_flag([], 3) == (Matrix.identity(3), (3,))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_the_null_space_route_on_conjugated_parabolics(self, n):
@@ -1789,8 +1790,13 @@ class TestKernelFlag:
             a = conjugate(parabolic_subalgebra(comp), rational_invertible(rng, n))
             for mats in (radical(a).basis_matrices(n), a.basis_matrices()):
                 flag = _kernel_flag(integer_rows(mats), n)
-                assert flag == null_space_kernel_flag(mats, n)
-                lengths.add(None if flag is None else len(flag))
+                expected = null_space_kernel_flag(mats, n)
+                if expected is None:
+                    assert flag is None
+                else:
+                    assert flag == reference_flag_basis(expected, n)
+                    assert flag_members(flag, n) == expected
+                lengths.add(None if flag is None else len(flag[1]))
         assert lengths == {None, *range(1, n + 1)}
 
     @given(flag_cases())
@@ -1802,14 +1808,40 @@ class TestKernelFlag:
         with pytest.MonkeyPatch.context() as patch:
             calls = _count_steps(patch)
             flag = _kernel_flag(integer_rows(mats), n)
-        assert flag == null_space_kernel_flag(mats, n)
-        assert calls["_kernel"] <= n and calls["_spanning"] <= n
+        expected = null_space_kernel_flag(mats, n)
+        assert calls["_kernel"] == 0 and calls["_spanning"] <= n
         if kind == "nilpotent":
-            assert flag is not None and flag[-1] == full_space(n)
+            assert flag is not None and flag == reference_flag_basis(expected, n)
+            assert flag_members(flag, n) == expected and flag[1][-1] == n
         else:
             # U_1 = Q^n, or a later step at which dim U does not drop
+            assert flag is None and expected is None
+            assert (calls["_spanning"] == 1) == (kind == "stall-1")
+
+    @given(flag_cases(max_n=5))
+    @settings(max_examples=60, deadline=None)
+    def test_column_prefixes_span_the_members(self, case):
+        # whatever the adapted basis, its first dims[j] columns must span
+        # member j, and its columns are primitive integer vectors
+        _, n, mats = case
+        flag = _kernel_flag(integer_rows(mats), n)
+        expected = null_space_kernel_flag(mats, n)
+        if expected is None:
             assert flag is None
-            assert (calls["_kernel"] == 0) == (kind == "stall-1")
+            return
+        basis, dims = flag
+        assert dims == tuple(v.dimension for v in expected)
+        assert flag_members(flag, n) == expected
+        for column in basis.transpose().entries:
+            assert all(x.denominator == 1 for x in column) and math.gcd(*map(int, column)) == 1
+
+
+def flag_members(flag, n):
+    """The members of a flag handed over as (basis, dims): the canonical
+    spans of the first dims[j] columns of the basis."""
+    basis, dims = flag
+    columns = basis.transpose().entries
+    return [rref_basis(columns[:d], n) for d in dims]
 
 
 def null_space_kernel_flag(mats, n):
@@ -1868,19 +1900,31 @@ def reference_flag_stabilizer(f):
     return MatrixAlgebra(n=n, space=null_space(Matrix(rows)))
 
 
-def reference_adapted_basis(chain, n):
-    """The adapted basis through `Fraction`s: the basis rows of each
-    member in turn, as `Subspace.basis` gives them, kept when they grow
-    the span, parsed into a `Matrix` and transposed.  Kept as the
-    reference for the integer rows that `_adapted_basis` reads."""
-    chosen = []
-    builder = SpanBuilder(n)
-    for member in chain:
-        for row in member.basis:
-            if builder.add(row):
-                chosen.append(row)
-    assert len(chosen) == n
-    return Matrix(chosen).transpose()
+def reference_flag_basis(members, n):
+    """The adapted basis of the flag V_1 < ... < V_k = Q^n through
+    `Fraction`s, with the member dimensions: the reduced echelon form of
+    each annihilator U_j (the null space of the basis of V_j), and for each
+    free column f of U_j that is not free in U_{j-1} the kernel vector e_f
+    minus the column f of the echelon rows, placed at their pivots, scaled
+    to a primitive integer vector.  Kept as the reference for the basis
+    that `_flag_basis` reads off the integer echelon rows of a chain."""
+    columns, dims, free = [], [], set()
+    for member in members:
+        annihilator = null_space(Matrix(member.basis))
+        echelon = dict(zip(annihilator.pivots, annihilator.basis))
+        for f in range(n):
+            if f in echelon or f in free:
+                continue
+            vec = [Fraction(int(i == f)) for i in range(n)]
+            for p, row in echelon.items():
+                vec[p] = -row[f]
+            den = math.lcm(*(x.denominator for x in vec))
+            ints = [int(x * den) for x in vec]
+            columns.append([x // math.gcd(*ints) for x in ints])
+        free = set(range(n)).difference(echelon)
+        dims.append(len(columns))
+    assert len(columns) == n
+    return Matrix(columns).transpose(), tuple(dims)
 
 
 rationals = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7)
@@ -1997,6 +2041,23 @@ def reversed_columns(m):
     return Matrix([row[::-1] for row in m.entries])
 
 
+def reversed_flag(kernel_flag):
+    """`_kernel_flag` with the columns of the basis it hands over reversed."""
+
+    def tampered(rows, n):
+        basis, dims = kernel_flag(rows, n)
+        return reversed_columns(basis), dims
+
+    return tampered
+
+
+def expected_witness(a):
+    """The inverse of the `Fraction` adapted basis of the kernel flag of the
+    radical of `a`, the flag taken by joint kernels."""
+    n = a.n
+    return reference_flag_basis(null_space_kernel_flag(radical(a).basis_matrices(n), n), n)[0].inverse()
+
+
 class TestFlagConjugator:
     """The conjugator that `is_parabolic` returns, against the inverse of
     the `Fraction` adapted basis of the invariant flag, and its check."""
@@ -2004,9 +2065,13 @@ class TestFlagConjugator:
     @given(flags())
     @settings(max_examples=60, deadline=None)
     def test_adapted_basis_matches_reference_on_random_flags(self, f):
-        assert algebra_module._adapted_basis(f.subspaces, f.n) == reference_adapted_basis(
-            f.subspaces, f.n
-        )
+        # the basis that `flag_stabilizer` conjugates by, read off the
+        # annihilators of the members
+        bases = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algebra_module, "conjugate", lambda a, c: bases.append(c) or conjugate(a, c))
+            flag_stabilizer(f)
+        assert bases == [reference_flag_basis(f.subspaces, f.n)[0]]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_witness_matches_reference_on_corpus(self, n):
@@ -2015,26 +2080,21 @@ class TestFlagConjugator:
             ok, _, witness = is_parabolic(a)
             if ok:
                 found += 1
-                flag = invariant_flag(a)
-                assert witness == reference_adapted_basis(flag.subspaces, n).inverse()
+                assert witness == expected_witness(a)
         assert found
 
     def test_witness_matches_reference_on_conjugated_types(self):
         for comp, a in conjugated_types(5, random.Random(43)):
             ok, found, witness = is_parabolic(a)
             assert ok and found == comp
-            flag = invariant_flag(a)
-            assert witness == reference_adapted_basis(flag.subspaces, comp.n).inverse()
+            assert witness == expected_witness(a)
             assert conjugate(a, witness).space == parabolic_subalgebra(comp).space
 
     def test_tampered_adapted_basis_raises(self, monkeypatch):
         upper = parabolic_subalgebra(Composition((1, 1, 1)))
         a = conjugate(upper, random_invertible(random.Random(5), 3))
         assert is_parabolic(a)[0]
-        adapted = algebra_module._adapted_basis
-        monkeypatch.setattr(
-            algebra_module, "_adapted_basis", lambda chain, n: reversed_columns(adapted(chain, n))
-        )
+        monkeypatch.setattr(algebra_module, "_kernel_flag", reversed_flag(_kernel_flag))
         with pytest.raises(RuntimeError, match="adapted basis"):
             is_parabolic(a)
 
@@ -2042,12 +2102,11 @@ class TestFlagConjugator:
         # the diagonal algebra maps into the upper triangular pattern, not
         # into the strictly upper one
         a = diagonal_algebra(3)
-        chain = [full_space(3)]
         upper = parabolic_subalgebra(Composition((1, 1, 1))).space
-        assert algebra_module._flag_conjugator(chain, a.space, upper) == Matrix.identity(3)
+        assert algebra_module._flag_conjugator(Matrix.identity(3), a.space, upper) == Matrix.identity(3)
         strictly_upper = _unit_span(3, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(RuntimeError, match="adapted basis"):
-            algebra_module._flag_conjugator(chain, a.space, strictly_upper)
+            algebra_module._flag_conjugator(Matrix.identity(3), a.space, strictly_upper)
 
 
 class TestClosureProducts:

@@ -435,9 +435,9 @@ class TestCommandLine:
         path.write_text(serialize_basis_document(BasisDocument(n=4, matrices=tuple(a.basis_matrices()))))
         assert main(["analyze", "is-parabolic", "--input", str(path)]) == 0
         witness = [
-            ["0", "1/2", "1/2", "0"],
-            ["0", "1", "0", "0"],
-            ["0", "5/4", "0", "-5/4"],
+            ["0", "0", "1/2", "0"],
+            ["0", "0", "0", "1/2"],
+            ["0", "1/4", "0", "-1/4"],
             ["1", "-7/4", "-1/2", "5/4"],
         ]
         expected = {"n": 4, "parabolic": True, "type": [2, 1, 1], "witness": witness}

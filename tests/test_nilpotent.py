@@ -1,8 +1,10 @@
 """Nil subspaces: symbolic certification, witnesses, triangularization."""
 
+import collections
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,8 +43,8 @@ from matalg.nilpotent import (
 from test_algebra import (
     conjugated_types,
     null_space_kernel_flag,
-    reference_adapted_basis,
-    reversed_columns,
+    reference_flag_basis,
+    reversed_flag,
 )
 from test_exactlin import joint_kernel, reference_product, solve_linear
 
@@ -270,10 +272,10 @@ def test_multiply_spaces():
 def reference_triangularize_nil(s, n):
     """The conjugator through the powers of the generated algebra: close
     the subspace under products (no identity adjoined), take the powers
-    N, N^2, ... (None when N^n != 0), refine the joint kernels of the
-    nonzero powers greedily to a basis and invert it.  Kept as the
-    reference for the kernel flag built from the basis in
-    `triangularize_nil`."""
+    N, N^2, ... (None when N^n != 0), read the `Fraction` adapted basis
+    of the joint kernels of the nonzero powers (`reference_flag_basis`)
+    and invert it.  Kept as the reference for the kernel flag built from
+    the basis in `triangularize_nil`."""
     generated = s
     for _ in range(n * n):
         grown = subspace_sum(generated, multiply_spaces(generated, generated, n))
@@ -286,14 +288,14 @@ def reference_triangularize_nil(s, n):
             return None
         powers.append(multiply_spaces(powers[-1], generated, n))
     kernels = [joint_kernel(p.basis_matrices(n), n) for p in powers[:-1]]
-    return reference_adapted_basis(kernels + [full_space(n)], n).inverse()
+    return reference_flag_basis(kernels + [full_space(n)], n)[0].inverse()
 
 
 def expected_conjugator(s, n):
     """The inverse of the `Fraction` adapted basis of the kernel flag by
     joint kernels, or None when the flag stops short of Q^n."""
     flag = null_space_kernel_flag(s.basis_matrices(n), n)
-    return None if flag is None else reference_adapted_basis(flag, n).inverse()
+    return None if flag is None else reference_flag_basis(flag, n)[0].inverse()
 
 
 class TestTriangularizeReference:
@@ -328,7 +330,7 @@ class TestTriangularizeConjugator:
     """The conjugator of `triangularize_nil` against the inverse of the
     `Fraction` adapted basis of the kernel flag, and its check.  On the
     inputs of `TestTriangularizeReference` the reference already inverts
-    `reference_adapted_basis`."""
+    `reference_flag_basis`."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_reference_on_corpus_radicals(self, n):
@@ -345,12 +347,36 @@ class TestTriangularizeConjugator:
     def test_tampered_adapted_basis_raises(self, monkeypatch):
         s = conjugate_space(strictly_upper_space(3), random_invertible(random.Random(5), 3))
         assert triangularize_nil(s) is not None
-        adapted = algebra_module._adapted_basis
-        monkeypatch.setattr(
-            algebra_module, "_adapted_basis", lambda chain, n: reversed_columns(adapted(chain, n))
-        )
+        monkeypatch.setattr(nilpotent_module, "_kernel_flag", reversed_flag(nilpotent_module._kernel_flag))
         with pytest.raises(RuntimeError, match="adapted basis"):
             triangularize_nil(s)
+
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_spans_grow_only_in_the_chain_and_the_inverse(self, dim, monkeypatch):
+        # a conjugated plane of strictly upper matrices, and the whole
+        # strictly upper space, at n = 4: the adapted basis is read off the
+        # chain's echelon rows, so no span is grown for it, and the one
+        # inverse adds its n rows
+        n = 4
+        rng = random.Random(61)
+        upper = [Matrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
+        vecs = [sum((rng.randint(-2, 2) * u for u in upper), Matrix.zeros(n)).flatten() for _ in range(dim)]
+        space = rref_basis(vecs, n * n)
+        assert space.dimension == dim
+        s = conjugate_space(space, random_invertible(rng, n))
+        callers = []
+        add = SpanBuilder._add_integers
+
+        def recording_add(builder, vec):
+            # _add_integers <- SpanBuilder._spanning <- its caller
+            callers.append(sys._getframe(2).f_code)
+            return add(builder, vec)
+
+        monkeypatch.setattr(SpanBuilder, "_add_integers", recording_add)
+        assert triangularize_nil(s) is not None
+        counts = collections.Counter(callers)
+        assert set(counts) == {algebra_module._kernel_flag.__code__, Matrix.inverse.__code__}
+        assert counts[Matrix.inverse.__code__] == n
 
 
 class TestTriangularizeLarge:
