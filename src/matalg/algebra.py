@@ -290,7 +290,9 @@ def radical(a: MatrixAlgebra) -> Subspace:
     conditions are checked, and its kernel flag must reach Q^n, which
     proves it nilpotent.  A failure raises RuntimeError (it would mean the
     arithmetic is wrong, not the input).  A nonzero span that is not a
-    unital algebra raises ValueError.
+    unital algebra raises ValueError.  The kernel is found, and checked an
+    ideal, in the coordinates of `a` (`_certified_radical`); this is its
+    span of flattened matrices.
     """
     return _certified_radical(a)[0]
 
@@ -350,41 +352,54 @@ def _flag_basis(
     return Matrix._make(n, n, 1, tuple(e for row in zip(*columns) for e in row)), tuple(dims)
 
 
-def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, tuple[Matrix, tuple[int, ...]]]:
-    """The radical of `a` (see `radical`) with its kernel flag, the
-    certificate of its nilpotency, as a basis adapted to the flag and the
-    dimensions of its members.
+def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, Subspace, tuple[Matrix, tuple[int, ...]]]:
+    """The radical R of `a` (see `radical`), R in the coordinates of `a`
+    (`_trace_form_kernel`), and its kernel flag, the certificate of its
+    nilpotency, as a basis adapted to the flag and the dimensions of its
+    members.
 
     The ideal conditions g R <= R and R g <= R are checked only for the
     generating set of `a` (`MatrixAlgebra._generating_set`, which raises
     ValueError when `a` is not a unital algebra): the x with x R <= R and
     R x <= R form a unital subalgebra, so it holds all of `a` once it
-    holds a generating set.  The flag is the row-space chain of
-    `_kernel_flag` on the stored rows of R."""
+    holds a generating set.  Each product g r and r g lies in `a`, which
+    that spin proved closed, and an element of `a` is fixed by its d
+    entries at the pivots of `a`; so each is read there and reduced by the
+    coordinate rows of R (`exactlin._reduce`), and lies in R exactly when
+    the residual is zero.  The flag is the row-space chain of `_kernel_flag`
+    on the stored rows of R."""
     n = a.n
     if a.dimension == 0:
-        return zero_space(n * n), (Matrix.identity(n), (n,))
-    # integer multiples of the generators and of the basis rows of rad,
-    # which span the same products and have the same kernel flag; each
-    # product is tested for membership in rad by its integer residual
-    # (`subspace_contains`)
+        return zero_space(n * n), zero_space(0), (Matrix.identity(n), (n,))
+    # integer multiples of the generators and of the basis rows of R, which
+    # span the same products and have the same kernel flag
     generators = a._generating_set()
-    rad = _trace_form_kernel(a)
-    den, pairs = rad._integer_form()
-    rows = [_Factor(r, n) for _, r in pairs]
+    pivots, basis = zip(*a.space._integer_form()[1])
+    coords = _trace_form_kernel(a)
+    den, kernel = coords._integer_form()
+    rad = rref_basis([_combination(c, basis, n * n) for _, c in kernel], n * n)
+    rows = [_Factor(r, n) for _, r in rad._integer_form()[1]]
     for g in generators:
         for r in rows:
-            if any(_reduce(_product(g, r), pairs, den)) or any(_reduce(_product(r, g), pairs, den)):
-                raise RuntimeError("radical candidate is not a two-sided ideal")
-    flag = _kernel_flag([r for _, r in pairs], n)
+            for p in (_product(g, r), _product(r, g)):
+                if any(_reduce([p[q] for q in pivots], kernel, den)):
+                    raise RuntimeError("radical candidate is not a two-sided ideal")
+    flag = _kernel_flag([r.flat for r in rows], n)
     if flag is None:
         raise RuntimeError("radical candidate is not nilpotent")
-    return rad, flag
+    return rad, coords, flag
 
 
 def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
-    """The x in `a` with Tr(x b) = 0 for every b in `a`: the candidate
-    that `_certified_radical` checks."""
+    """The x in `a` with Tr(x b) = 0 for every b in `a`, the candidate that
+    `_certified_radical` checks, in the coordinates of `a`: the canonical
+    kernel in Q^d of the trace Gram matrix of the d basis rows.
+
+    The stored rows of `a` are its reduced echelon basis times one common
+    value, so an element of `a` read at the pivots of `a` is that value
+    times its coordinates, and the map from coordinates to flattened
+    matrices keeps reduced echelon form.  So these rows are those of the
+    radical's flattened span read at the pivots of `a`."""
     n = a.n
     # on the integer basis rows (one common multiple of the basis) the Gram
     # matrix is an integer one, with the kernel of the basis one
@@ -392,8 +407,7 @@ def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
     d = len(basis)
     upper = _trace_gram(basis, n)
     gram = [upper[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
-    _, kernel = null_space(Matrix._make(d, d, 1, gram))._integer_form()
-    return rref_basis([_combination(coeffs, basis, n * n) for _, coeffs in kernel], n * n)
+    return null_space(Matrix._make(d, d, 1, gram))
 
 
 def _trace_gram(rows: Sequence[Sequence[int]], n: int) -> dict[tuple[int, int], int]:
@@ -414,40 +428,41 @@ def _trace_gram(rows: Sequence[Sequence[int]], n: int) -> dict[tuple[int, int], 
 
 
 class _QuotientAlgebra:
-    """A/R in coordinates, for R the radical inside the algebra A.
+    """A/R in coordinates, for R the radical inside the algebra A, given in
+    the coordinates of A (`_trace_form_kernel`).
 
-    The section rows are the canonical basis rows of A whose pivots are not
-    pivots of R (pivots of a subspace are pivots of any enclosing one, so
-    they represent a complement), and their cosets are the coset basis.  An
-    element is a pair (den, ints) in lowest terms (`exactlin._lowest_terms`),
-    so equal elements are equal pairs.  No table of products is kept: each
-    product is formed when it is asked for, on the lifts of its factors
-    along the section rows (`lift`), over the integers.  The integer form of
-    A is its basis times one common d, so the integer residual modulo R (see
-    `exactlin._reduce`) of the product of two integer combinations of its
-    rows is d^2 times the pivot value of R times the residual of the product
-    of the rational combinations.
+    The section rows are the canonical basis rows of A at the places that
+    are not pivots of R's coordinate rows (the unit coordinates off the
+    pivots of a subspace span a complement of it), and their cosets are
+    the coset basis.  An element is a pair (den, ints) in lowest terms
+    (`exactlin._lowest_terms`), so equal elements are equal pairs.  No
+    table of products is kept: each product is formed when it is asked
+    for, on the lifts of its factors along the section rows (`lift`), over
+    the integers.  The integer form of A is its basis times one common d,
+    so the integer residual modulo R (see `exactlin._reduce`) of the
+    product of two integer combinations of its rows is d^2 times the pivot
+    value of R times the residual of the product of the rational
+    combinations.
 
-    A vector of A is fixed by its entries at the pivots of A, and R lies in
-    A, so the whole reduction is read at those d coordinates: R by its rows
-    there, and each product formed only at those d cells
+    A vector of A is fixed by its entries at the pivots of A, and read
+    there it is its coordinates times that common value, so the whole
+    reduction is made at those places: R by its coordinate rows as they
+    are, and each product formed only at the d pivot cells
     (`_rows_times_columns`), or at fewer when fewer coordinates are read.
-    The section rows are `_Factor`s, split once however often they multiply.
+    The section rows are `_Factor`s, split once however often they
+    multiply.
     """
 
-    def __init__(self, algebra: MatrixAlgebra, rad: Subspace):
+    def __init__(self, algebra: MatrixAlgebra, coords: Subspace):
         n = self.n = algebra.n
         self._section_den, rows = algebra.space._integer_form()
-        # the d coordinates that fix a vector of A, and R's rows there,
-        # with their pivots as places among them
+        # the d cells that fix a vector of A, and R's rows at those places
         pivots = [p for p, _ in rows]
-        place = {p: k for k, p in enumerate(pivots)}
         self._cells = [divmod(p, n) for p in pivots]
-        self._rad_den, rad_rows = rad._integer_form()
-        self._rad_rows = [(place[p], [row[q] for q in pivots]) for p, row in rad_rows]
-        rad_pivots = {p for p, _ in rad_rows}
-        self._section_places = [place[p] for p, _ in rows if p not in rad_pivots]
-        self._section = [_Factor(x, n) for p, x in rows if p not in rad_pivots]
+        self._rad_den, self._rad_rows = coords._integer_form()
+        rad_places = {k for k, _ in self._rad_rows}
+        self._section_places = [k for k in range(len(rows)) if k not in rad_places]
+        self._section = [_Factor(rows[k][1], n) for k in self._section_places]
         self.dim = len(self._section)
         # a product of two lifts, reduced, holds coordinates times this
         self._den = self._rad_den * self._section_den**2
@@ -458,7 +473,7 @@ class _QuotientAlgebra:
     def _reduced(self, entries: Sequence[int]) -> tuple[int, ...]:
         """The coset coordinates, times the pivot value of R, of the vector of
         A with `entries` at the pivots of A: its residual modulo R read at the
-        section pivots."""
+        section places."""
         r = _reduce(entries, self._rad_rows, self._rad_den)
         return tuple(r[k] for k in self._section_places)
 
@@ -482,9 +497,9 @@ class _QuotientAlgebra:
     def left_trace(self, u: _Element) -> Fraction:
         """Trace of the left multiplication x -> ux: the sum over k of the
         coordinate k of u x_k, for x_k the section rows.  That coordinate is
-        read off the entries at the pivot of x_k and at the pivots of R (the
-        residual of `exactlin._reduce` at one place), so u x_k is formed at
-        those cells only."""
+        read off the entries at the pivot cells of x_k's place and of R's
+        places (the residual of `exactlin._reduce` at one place), so u x_k is
+        formed at those cells only."""
         rows = _split_rows(self.lift(u), self.n)
         rad_cells = [self._cells[p] for p, _ in self._rad_rows]
         total = 0
@@ -766,14 +781,17 @@ def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:
     center into the blocks eQ.  Each has dimension Tr(x -> ex), the rank
     of that idempotent map, and is central simple, so the dimension is a
     perfect square.  Each block's lift trace (`WedderburnData`) is the
-    trace of the lift of e along the section rows of the quotient.
+    trace of the lift of e along the section rows of the quotient.  The
+    radical is certified once (`_certified_radical`), and the quotient
+    takes it in the coordinates of A, in which it was found.
     """
-    rad = radical(a)
+    rad, coords, _ = _certified_radical(a)
     if rad.dimension == a.dimension:
         # only the zero space (quotient 0, no blocks): a nonzero unital algebra
-        # holds the identity, which is not nilpotent; `radical` raised on others
+        # holds the identity, which is not nilpotent; `_certified_radical`
+        # raised on others
         return WedderburnData(rad, rad.dimension, 0, (), ())
-    quotient = _QuotientAlgebra(a, rad)
+    quotient = _QuotientAlgebra(a, coords)
     idempotents = _central_idempotents(quotient)
     sizes = traces = None
     if idempotents is not None:
@@ -858,13 +876,19 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
     preimage of the joint kernel of the radical of the induced action on
     Q^n / (member j): that radical is the image of R.  It is read along
     the row-space chain of `_kernel_flag`, and each member is the
-    canonical span of a prefix of the adapted basis (`rref_basis`).  For a
-    block upper-triangular algebra this recovers exactly the standard
-    coordinate flag of its type.
+    canonical span of a prefix of the adapted basis: one `SpanBuilder`
+    takes its n columns in order and is read out at each member's
+    dimension.  For a block upper-triangular algebra this recovers exactly
+    the standard coordinate flag of its type.
     """
-    basis, dims = _certified_radical(a)[1]
-    columns = _split_columns(basis._integer_form()[1], a.n)
-    return Flag(n=a.n, subspaces=tuple(rref_basis(columns[:d], a.n) for d in dims))
+    basis, dims = _certified_radical(a)[2]
+    builder = SpanBuilder(a.n)
+    members = []
+    for column in _split_columns(basis._integer_form()[1], a.n):
+        builder._add_integers(column)
+        if builder.dimension in dims:
+            members.append(builder.to_subspace())
+    return Flag(n=a.n, subspaces=tuple(members))
 
 
 def _flag_conjugator(cinv: Matrix, space: Subspace, target: Subspace) -> Matrix:
@@ -915,7 +939,7 @@ def is_parabolic(
     Otherwise, when the dimension of `a` falls short of that type's,
     (False, None, None).
     """
-    basis, dims = _certified_radical(a)[1]
+    basis, dims = _certified_radical(a)[2]
     comp = Composition(_gaps(dims))
     if a.dimension != parabolic_dimension(comp):
         return False, None, None

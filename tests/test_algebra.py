@@ -7,6 +7,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,7 @@ from matalg.algebra import (
     semisimple_blocks,
     _QuotientAlgebra,
     _central_idempotents,
+    _certified_radical,
     _deflate,
     _integer_roots,
     _kernel_flag,
@@ -268,6 +270,21 @@ class TestRadical:
         assert radical(moved) == conjugate_space(radical(a), c)
 
 
+def at_pivots(a, space):
+    """The subspace `space` of `a` read at the pivots of `a`: its
+    coordinates over the reduced echelon basis of `a`, the form in which
+    `_trace_form_kernel` gives the radical."""
+    pivots = a.space.pivots
+    assert all(a.space.contains(row) for row in space.basis)
+    return rref_basis([[row[p] for p in pivots] for row in space.basis], len(pivots))
+
+
+def radical_coordinates(a):
+    """The radical of `a` in the coordinates of `a`, as `_certified_radical`
+    hands it to `_QuotientAlgebra`."""
+    return _certified_radical(a)[1]
+
+
 class TestRadicalCertificate:
     def test_trace_form_kernel_that_is_no_ideal_is_rejected(self):
         # not an algebra: the span lacks the identity, so the spin of its
@@ -284,7 +301,7 @@ class TestRadicalCertificate:
         a = conjugate(parabolic_subalgebra(comp), rational_invertible(random.Random(13), 4))
         rad = radical(a)
         assert rad.dimension == 3
-        tampered = rref_basis(rad.basis[:-1], 16)
+        tampered = at_pivots(a, rref_basis(rad.basis[:-1], 16))
         monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: tampered)
         with pytest.raises(RuntimeError, match="not a two-sided ideal"):
             radical(a)
@@ -307,7 +324,8 @@ class TestRadicalCertificate:
         members = candidate.basis_matrices(3)
         assert all(candidate.contains((b * m).flatten()) for b in basis for m in members) == left_ideal
         assert all(candidate.contains((m * b).flatten()) for b in basis for m in members) == right_ideal
-        monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: candidate)
+        coords = at_pivots(a, candidate)
+        monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: coords)
         with pytest.raises(RuntimeError, match="not a two-sided ideal"):
             radical(a)
 
@@ -326,7 +344,7 @@ class TestRadicalCertificate:
         a = algebra_from_basis(4, built.basis_matrices())
         assert a == built and 0 < len(a._generating_set()) < a.dimension
         rad = radical(a)
-        tampered = rref_basis(rad.basis[:-1], 16)
+        tampered = at_pivots(a, rref_basis(rad.basis[:-1], 16))
         monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: tampered)
         with pytest.raises(RuntimeError, match="not a two-sided ideal"):
             radical(a)
@@ -338,7 +356,7 @@ class TestRadicalCertificate:
         upper = parabolic_subalgebra(Composition((1, 1, 1)))
         a = algebra_from_basis(3, upper.basis_matrices())
         assert a == upper and 0 < len(a._generating_set()) < a.dimension
-        candidate = _unit_span(3, units)
+        candidate = at_pivots(a, _unit_span(3, units))
         monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: candidate)
         with pytest.raises(RuntimeError, match="not a two-sided ideal"):
             radical(a)
@@ -454,7 +472,7 @@ class TestQuotientTable:
     @settings(max_examples=40, deadline=None)
     def test_mult_and_left_trace_match_lifted_products(self, a, data):
         rad = radical(a)
-        quotient = _QuotientAlgebra(a, rad)
+        quotient = _QuotientAlgebra(a, radical_coordinates(a))
         section = [
             Matrix.from_flat(row, a.n)
             for row, p in zip(a.space.basis, a.space.pivots)
@@ -796,7 +814,7 @@ def assert_same_idempotents(a):
     """The integer center split of `a` gives the reference's idempotents,
     in the same order, with the same block dimensions."""
     rad = radical(a)
-    quotient = _QuotientAlgebra(a, rad)
+    quotient = _QuotientAlgebra(a, radical_coordinates(a))
     reference = ReferenceQuotientAlgebra(a, rad)
     assert as_fractions(quotient.one) == reference.one
     idempotents = _central_idempotents(quotient)
@@ -864,7 +882,7 @@ class TestCentralIdempotentWalk:
         calls = []
         min_poly = _QuotientAlgebra.min_poly
         monkeypatch.setattr(_QuotientAlgebra, "min_poly", lambda *args: calls.append(args) or min_poly(*args))
-        quotient = _QuotientAlgebra(a, rad)
+        quotient = _QuotientAlgebra(a, radical_coordinates(a))
         idempotents = _central_idempotents(quotient)
         assert len(calls) == expected_calls
         assert len(idempotents) == len(quotient.center())
@@ -875,7 +893,7 @@ class TestCentralIdempotentWalk:
     def test_min_poly_lifts_its_element_once(self, monkeypatch):
         a = block_diagonal_algebra(Composition((1,) * 10))
         rad = radical(a)
-        quotient = _QuotientAlgebra(a, rad)
+        quotient = _QuotientAlgebra(a, radical_coordinates(a))
         lifts = []
         lift = _QuotientAlgebra.lift
         monkeypatch.setattr(_QuotientAlgebra, "lift", lambda self, u: lifts.append(u) or lift(self, u))
@@ -942,7 +960,7 @@ class TestQuotientAtPivots:
     @pytest.mark.parametrize("a", [a for _, a in PIVOT_CASES], ids=[label for label, _ in PIVOT_CASES])
     def test_matches_the_reference(self, a):
         rad = radical(a)
-        quotient = _QuotientAlgebra(a, rad)
+        quotient = _QuotientAlgebra(a, radical_coordinates(a))
         reference = ReferenceQuotientAlgebra(a, rad)
         m = quotient.dim
         assert m == reference.dim
@@ -1006,12 +1024,14 @@ class TestSharedBasisProducts:
                 (algebra_from_basis(5, built.basis_matrices()), False),
                 (closure(5, built.basis_matrices()), True),
             ]
-            cases.append((rad, section, algebras))
+            # the three share one space, so one radical in its coordinates,
+            # found before the products are counted
+            cases.append((radical_coordinates(built), section, algebras))
         products = _count_row_products(monkeypatch)
-        for rad, section, algebras in cases:
+        for coords, section, algebras in cases:
             for a, spins in algebras:
                 del products[:]
-                quotient = _QuotientAlgebra(a, rad)
+                quotient = _QuotientAlgebra(a, coords)
                 assert quotient.dim == len(section) == 9
                 assert products == []
                 quotient.center()
@@ -1033,9 +1053,9 @@ class TestSharedBasisProducts:
     def test_large_quotient_forms_fewer_than_m_squared_products(self, comp, monkeypatch):
         c = rational_invertible(random.Random(8), 8)
         a = algebra_from_basis(8, conjugate(parabolic_subalgebra(Composition(comp)), c).basis_matrices())
-        rad = radical(a)
+        coords = radical_coordinates(a)
         products = _count_row_products(monkeypatch)
-        quotient = _QuotientAlgebra(a, rad)
+        quotient = _QuotientAlgebra(a, coords)
         idempotents = _central_idempotents(quotient)
         sizes = sorted(math.isqrt(int(quotient.left_trace(e))) for e in idempotents)
         assert tuple(sizes) == comp
@@ -1051,7 +1071,7 @@ class TestSharedBasisProducts:
         rad = radical(a)
         rad_pivots = set(rad.pivots)
         section = [x for p, x in a.space._integer_form()[1] if p not in rad_pivots]
-        quotient = _QuotientAlgebra(a, rad)
+        quotient = _QuotientAlgebra(a, radical_coordinates(a))
         splits = []
         split = exactlin._split_columns
         monkeypatch.setattr(
@@ -1310,7 +1330,7 @@ class TestGeneratingSet:
             rad = radical(a)
         rad_rows = [r for _, r in rad._integer_form()[1]]
         assert ideal == [pair for g in generators for r in rad_rows for pair in ((g, r), (r, g))]
-        quotient = _QuotientAlgebra(a, rad)
+        quotient = _QuotientAlgebra(a, radical_coordinates(a))
         with pytest.MonkeyPatch.context() as patch:
             products = _count_row_products(patch)
             quotient.center()
@@ -1325,9 +1345,10 @@ class TestCenterOverGenerators:
     def assert_same_center(self, a):
         rad = radical(a)
         expected = ReferenceQuotientAlgebra(a, rad).center()
+        coords = radical_coordinates(a)
         # a copy spins its own generating set (`dataclasses.replace`)
         for b in (a, dataclasses.replace(a)):
-            assert [as_fractions(z) for z in _QuotientAlgebra(b, rad).center()] == expected
+            assert [as_fractions(z) for z in _QuotientAlgebra(b, coords).center()] == expected
 
     @given(small_closures())
     @settings(max_examples=40, deadline=None)
@@ -1350,6 +1371,124 @@ class TestCenterOverGenerators:
         self.assert_same_center(a)
 
 
+def reference_ideal_check(a, rad):
+    """Whether the span `rad` of flattened matrices is a two-sided ideal of
+    `a`, by the check `_certified_radical` made before it read its products
+    at the pivots of `a`: each product g r and r g, for g in the generating
+    set of `a` and r a stored row of `rad`, reduced against the rows of
+    `rad` in all n^2 coordinates.  Kept as the reference for the check at
+    the pivots."""
+    n = a.n
+    den, pairs = rad._integer_form()
+    rows = [exactlin._Factor(r, n) for _, r in pairs]
+    for g in a._generating_set():
+        for r in rows:
+            if any(exactlin._reduce(exactlin._product(g, r), pairs, den)) or any(
+                exactlin._reduce(exactlin._product(r, g), pairs, den)
+            ):
+                return False
+    return True
+
+
+def ideal_check_verdict(a, candidate):
+    """Whether the ideal check of `_certified_radical` passes the span
+    `candidate` inside `a`, planted as the trace-form kernel in the
+    coordinates of `a`.  A candidate that fails only the nilpotency check
+    after it has passed."""
+    coords = at_pivots(a, candidate)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra_module, "_trace_form_kernel", lambda algebra: coords)
+        try:
+            _certified_radical(a)
+        except RuntimeError as error:
+            if "not a two-sided ideal" in str(error):
+                return False
+            assert "not nilpotent" in str(error)
+    return True
+
+
+def reduced_lengths(monkeypatch):
+    """The length of every vector that `matalg.algebra` hands to `_reduce`
+    from now on."""
+    lengths = []
+    reduce = algebra_module._reduce
+    monkeypatch.setattr(algebra_module, "_reduce", lambda vec, rows, den=1: lengths.append(len(vec)) or reduce(vec, rows, den))
+    return lengths
+
+
+def _ideal_check_cases():
+    """Conjugated block upper-triangular algebras at n <= 4 given by their
+    bases, so their generating sets are smaller than the bases."""
+    for n, parts in ((3, (1, 1, 1)), (4, (1, 3)), (4, (2, 2)), (4, (1, 2, 1))):
+        c = rational_invertible(random.Random(n + len(parts)), n)
+        yield algebra_from_basis(n, conjugate(parabolic_subalgebra(Composition(parts)), c).basis_matrices())
+
+
+class TestIdealCheckAtPivots:
+    """The ideal check of `_certified_radical` reads each product at the d
+    pivots of A and reduces it by the radical's rows in A's coordinates:
+    it gives the verdict of the check in n^2 coordinates that it replaced,
+    and no vector it reduces is longer than d."""
+
+    @given(st.one_of(_conjugated_compositions(), small_closures()), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_n2_check(self, a, data):
+        n = a.n
+        rad = radical(a)
+        basis, rad_basis = a.space.basis, rad.basis
+
+        def span_of_draws(vectors):
+            # the span of 1 or 2 integer combinations of `vectors`
+            draws = data.draw(
+                st.lists(st.lists(st.integers(-2, 2), min_size=len(vectors), max_size=len(vectors)), min_size=1, max_size=2)
+            )
+            return rref_basis([[sum(c * v[k] for c, v in zip(cs, vectors)) for k in range(n * n)] for cs in draws], n * n)
+
+        candidates = [rad, a.space, span_of_draws(basis)]
+        if rad.dimension:
+            squares = [(x * y).flatten() for x in rad.basis_matrices(n) for y in rad.basis_matrices(n)]
+            candidates += [rref_basis(rad_basis[:-1], n * n), rref_basis(squares, n * n), span_of_draws(rad_basis)]
+        for candidate in candidates:
+            assert ideal_check_verdict(a, candidate) == reference_ideal_check(a, candidate)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_planted_spans_of_units_take_both_verdicts(self, conjugated):
+        # the spans of the strictly upper units of P(1, 1, 1): span{E02} is
+        # an ideal, span{E01} and span{E12} are one-sided, and so on
+        upper = parabolic_subalgebra(Composition((1, 1, 1)))
+        c = rational_invertible(random.Random(31), 3) if conjugated else Matrix.identity(3)
+        a = algebra_from_basis(3, conjugate(upper, c).basis_matrices())
+        units = [(0, 1), (0, 2), (1, 2)]
+        verdicts = []
+        for k in range(1, 4):
+            for chosen in combinations(units, k):
+                candidate = conjugate_space(_unit_span(3, chosen), c)
+                verdicts.append(ideal_check_verdict(a, candidate))
+                assert verdicts[-1] == reference_ideal_check(a, candidate)
+        assert verdicts == [False, True, False, True, False, True, True]
+
+    @pytest.mark.parametrize("a", list(_ideal_check_cases()), ids=["P-1-1-1", "P-1-3", "P-2-2", "P-1-2-1"])
+    def test_radical_reduces_vectors_of_length_dim_a_only(self, a, monkeypatch):
+        lengths = reduced_lengths(monkeypatch)
+        rad = radical(a)
+        # 2 products for each generator and row of the radical, each read
+        # at the d pivots of A
+        assert len(lengths) == 2 * len(a._generating_set()) * rad.dimension > 0
+        assert set(lengths) == {a.dimension}
+
+    @pytest.mark.parametrize("a", list(_ideal_check_cases()), ids=["P-1-1-1", "P-1-3", "P-2-2", "P-1-2-1"])
+    def test_blocks_find_the_radical_once_and_build_one_quotient(self, a, monkeypatch):
+        lengths = reduced_lengths(monkeypatch)
+        kernels, quotients = [], []
+        kernel, build = algebra_module._trace_form_kernel, _QuotientAlgebra.__init__
+        monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda b: kernels.append(b) or kernel(b))
+        monkeypatch.setattr(_QuotientAlgebra, "__init__", lambda self, b, coords: quotients.append(coords) or build(self, b, coords))
+        data = semisimple_blocks(a)
+        assert kernels == [a] and len(quotients) == 1
+        assert quotients[0].ambient_dim == a.dimension and quotients[0].dimension == data.radical_dim
+        assert set(lengths) == {a.dimension}
+
+
 class TestMinPolyOnTheBuilder:
     """`_QuotientAlgebra.min_poly`, whose Krylov rows a `SpanBuilder` holds,
     against the reference's, for w = e z as `_central_idempotents` forms
@@ -1359,7 +1498,7 @@ class TestMinPolyOnTheBuilder:
 
     def assert_matches_the_reference(self, a):
         rad = radical(a)
-        quotient = _QuotientAlgebra(a, rad)
+        quotient = _QuotientAlgebra(a, radical_coordinates(a))
         reference = ReferenceQuotientAlgebra(a, rad)
         # the identity, and the primitive idempotents when the center splits
         idempotents = [quotient.one, *(_central_idempotents(quotient) or [])]
@@ -1386,7 +1525,7 @@ class TestMinPolyOnTheBuilder:
     def test_rotation_algebra(self):
         # Q(i): the center is not split, and i has the minimal polynomial t^2 + 1
         a = closure(2, [Matrix([[0, -1], [1, 0]])])
-        quotient = _QuotientAlgebra(a, radical(a))
+        quotient = _QuotientAlgebra(a, radical_coordinates(a))
         assert _central_idempotents(quotient) is None
         degrees = {len(quotient.min_poly(z, quotient.one)[0]) - 1 for z in quotient.center()}
         assert degrees == {1, 2}
@@ -1399,7 +1538,7 @@ class TestLoopBounds:
         # so only the loop bound ends the Krylov elimination; the builder
         # reduces by `exactlin._reduce`
         a = diagonal_algebra(3)
-        quotient = _QuotientAlgebra(a, radical(a))
+        quotient = _QuotientAlgebra(a, radical_coordinates(a))
         monkeypatch.setattr(exactlin, "_reduce", lambda vec, rows, den=1: list(vec))
         with pytest.raises(RuntimeError, match="minimal polynomial"):
             quotient.min_poly(quotient.one, quotient.one)

@@ -20,7 +20,8 @@ generating sets: only `MatrixAlgebra._generating_set` touches
 `for` loop over a list that the loop's body appends to.  And every loop
 has a bound: no `while True`.  And one place reads rationals apart:
 `.numerator` and `.denominator` are read in `exactlin` only, where
-rational input becomes integers."""
+rational input becomes integers.  And one form of the radical inside:
+no function of `algebra.py` calls the public `radical`."""
 
 import ast
 from pathlib import Path
@@ -769,3 +770,71 @@ def test_the_scan_finds_rational_parts():
         ("_central_idempotents", 7),
         ("_central_idempotents", 7),
     ]
+
+
+def radical_calls(tree):
+    """(function, line) for each call of `radical`, by name or as an
+    attribute, by the name of the innermost function around it: inside the
+    algebra module the radical comes from `_certified_radical`, with its
+    coordinates in the algebra and its kernel flag, never from the public
+    `radical`, which drops both."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "radical":
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_no_function_of_the_algebra_module_calls_radical():
+    assert radical_calls(_tree(PACKAGE / "algebra.py")) == []
+
+
+def test_the_scan_finds_a_call_of_radical():
+    # `semisimple_blocks` as it was when it called `radical` and its
+    # quotient read the radical's n^2 rows back at the pivots of A
+    tree = ast.parse(
+        "def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:\n"
+        "    \"\"\"Radical dimension and the block sizes of the semisimple quotient.\n"
+        "\n"
+        "    The quotient Q = A/rad A is cut by the primitive idempotents e of its\n"
+        "    center into the blocks eQ.  Each has dimension Tr(x -> ex), the rank\n"
+        "    of that idempotent map, and is central simple, so the dimension is a\n"
+        "    perfect square.  Each block's lift trace (`WedderburnData`) is the\n"
+        "    trace of the lift of e along the section rows of the quotient.\n"
+        "    \"\"\"\n"
+        "    rad = radical(a)\n"
+        "    if rad.dimension == a.dimension:\n"
+        "        # only the zero space (quotient 0, no blocks): a nonzero unital algebra\n"
+        "        # holds the identity, which is not nilpotent; `radical` raised on others\n"
+        "        return WedderburnData(rad, rad.dimension, 0, (), ())\n"
+        "    quotient = _QuotientAlgebra(a, rad)\n"
+        "    idempotents = _central_idempotents(quotient)\n"
+        "    sizes = traces = None\n"
+        "    if idempotents is not None:\n"
+        "        dims = [quotient.left_trace(e) for e in idempotents]\n"
+        "        if any(d < 1 or math.isqrt(int(d)) ** 2 != d for d in dims):\n"
+        "            raise RuntimeError(\"a block dimension of the semisimple quotient is not a positive square\")\n"
+        "        if sum(dims) != quotient.dim:\n"
+        "            raise RuntimeError(\"block dimensions do not add up to the quotient\")\n"
+        "        blocks = sorted((math.isqrt(int(d)), quotient.lift_trace(e)) for d, e in zip(dims, idempotents))\n"
+        "        if any(trace < t or trace % t for t, trace in blocks):\n"
+        "            raise RuntimeError(\"a lift trace is not a positive multiple of its block size\")\n"
+        "        sizes, traces = zip(*blocks)\n"
+        "    return WedderburnData(\n"
+        "        radical_space=rad,\n"
+        "        radical_dim=rad.dimension,\n"
+        "        semisimple_dim=quotient.dim,\n"
+        "        block_sizes=sizes,\n"
+        "        lift_traces=traces,\n"
+        "    )\n"
+    )
+    assert radical_calls(tree) == [("semisimple_blocks", 10)]
