@@ -250,7 +250,13 @@ def _spin_matrices(
     so does each product that grows W.  The words already listed take the
     newest image only, and each new word takes every image.  At most `stop`
     words each meet each image once, so the k images cost at most stop * k
-    products (`exactlin._product`), and only images are packed."""
+    products (`exactlin._product`), and only images are packed.
+
+    A pair whose supports do not meet, w's column mask and y's row mask
+    (`exactlin._Factor`) sharing no bit, is neither multiplied nor reduced:
+    w y is zero, and W holds it.  A word w y takes w's row mask and y's
+    column mask, so it is not scanned for them.  W, the words and the
+    images are those of the spin that forms every pair."""
     for g in generators:
         if builder.dimension == stop or not builder._add_integers(g):
             continue
@@ -258,12 +264,14 @@ def _spin_matrices(
         words.append(_Factor(g, n))
         images.append(words[-1])
         for k, w in enumerate(words):
+            columns = w.column_mask
             for y in images if k >= old else images[-1:]:
                 if builder.dimension == stop:
                     return
-                p = _product(w, y)
-                if builder._add_integers(p):
-                    words.append(_Factor(p, n))
+                if columns & y.row_mask:
+                    p = _product(w, y)
+                    if builder._add_integers(p):
+                        words.append(_Factor._of_product(p, w, y))
 
 
 def conjugate(a: MatrixAlgebra, c: Matrix) -> MatrixAlgebra:
@@ -366,24 +374,41 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, Subspace, tuple[Matr
     that spin proved closed, and an element of `a` is fixed by its d
     entries at the pivots of `a`; so each is read there and reduced by the
     coordinate rows of R (`exactlin._reduce`), and lies in R exactly when
-    the residual is zero.  The flag is the row-space chain of `_kernel_flag`
-    on the stored rows of R."""
+    the residual is zero.  A product whose factors' supports do not meet
+    (`exactlin._Factor`'s masks) is zero and lies in R, so it is not
+    formed.  The flag is the row-space chain of `_kernel_flag` on the
+    stored rows of R.
+
+    R's n^2 rows are the combinations of the rows of `a`, its reduced
+    echelon basis times den_A, by the coordinate rows of R, R's reduced
+    echelon basis in Q^d times den_K: each is den_A den_K at the pivot of
+    `a` where its coordinate row has its pivot, and 0 at the pivots of the
+    other rows.  So they are R's reduced echelon basis times den_A den_K,
+    and dividing them and that value by their gcd gives R's stored form
+    with no reduction."""
     n = a.n
     if a.dimension == 0:
         return zero_space(n * n), zero_space(0), (Matrix.identity(n), (n,))
     # integer multiples of the generators and of the basis rows of R, which
     # span the same products and have the same kernel flag
     generators = a._generating_set()
-    pivots, basis = zip(*a.space._integer_form()[1])
+    den_a, pairs = a.space._integer_form()
+    pivots, basis = zip(*pairs)
     coords = _trace_form_kernel(a)
     den, kernel = coords._integer_form()
-    rad = rref_basis([_combination(c, basis, n * n) for _, c in kernel], n * n)
+    combinations = [(pivots[k], _combination(c, basis, n * n)) for k, c in kernel]
+    common = math.gcd(den_a * den, *(math.gcd(*row) for _, row in combinations))
+    rad = Subspace._make(
+        n * n, den_a * den // common, tuple((p, tuple(e // common for e in row)) for p, row in combinations)
+    )
     rows = [_Factor(r, n) for _, r in rad._integer_form()[1]]
     for g in generators:
         for r in rows:
-            for p in (_product(g, r), _product(r, g)):
-                if any(_reduce([p[q] for q in pivots], kernel, den)):
-                    raise RuntimeError("radical candidate is not a two-sided ideal")
+            for x, y in ((g, r), (r, g)):
+                if x.column_mask & y.row_mask:
+                    p = _product(x, y)
+                    if any(_reduce([p[q] for q in pivots], kernel, den)):
+                        raise RuntimeError("radical candidate is not a two-sided ideal")
     flag = _kernel_flag([r.flat for r in rows], n)
     if flag is None:
         raise RuntimeError("radical candidate is not nilpotent")
@@ -822,10 +847,15 @@ def parabolic_subalgebra(comp: Composition) -> MatrixAlgebra:
     """Block upper-triangular algebra of the given type: the span of the
     units e_{i,j} with block(i) <= block(j).  Closed by transitivity of
     the block order, so no closure check is needed."""
+    return MatrixAlgebra(n=comp.n, space=_unit_span(comp.n, _block_upper_positions(comp)))
+
+
+def _block_upper_positions(comp: Composition) -> list[tuple[int, int]]:
+    """The cells (i, j) with block(i) <= block(j): the pattern of the block
+    upper-triangular algebra of type `comp`."""
     n = comp.n
     blocks = [comp.block_of(i) for i in range(n)]
-    positions = [(i, j) for i in range(n) for j in range(n) if blocks[i] <= blocks[j]]
-    return MatrixAlgebra(n=n, space=_unit_span(n, positions))
+    return [(i, j) for i in range(n) for j in range(n) if blocks[i] <= blocks[j]]
 
 
 @dataclass(frozen=True)
@@ -891,19 +921,20 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
     return Flag(n=a.n, subspaces=tuple(members))
 
 
-def _flag_conjugator(cinv: Matrix, space: Subspace, target: Subspace) -> Matrix:
+def _flag_conjugator(cinv: Matrix, space: Subspace, pattern: Iterable[tuple[int, int]]) -> Matrix:
     """The inverse c of a flag's adapted basis `cinv`, checked for
     `is_parabolic` and `triangularize_nil`: c x c^-1 must be zero off the
-    pivots of the coordinate span `target` for each basis element x of
-    `space`, else RuntimeError (the arithmetic would be wrong, not the
-    input).  On the integer forms: x c^-1 by columns, then c (x c^-1) at
-    the off cells."""
+    (row, column) cells of `pattern` for each basis element x of `space`,
+    else RuntimeError (the arithmetic would be wrong, not the input).  On
+    the integer forms: x c^-1 by columns, then c (x c^-1) at the off
+    cells."""
     n = _matrix_side(space)
     c = cinv.inverse()
     c_rows = _split_rows(c._integer_form()[1], n)
     cinv_columns = _split_columns(cinv._integer_form()[1], n)
     by_column = [(i, j) for j in range(n) for i in range(n)]
-    off = [divmod(k, n) for k in set(range(n * n)).difference(target.pivots)]
+    pattern = set(pattern)
+    off = [cell for cell in by_column if cell not in pattern]
     for _, x in space._integer_form()[1]:
         columns = _split_rows(_rows_times_columns(_split_rows(x, n), cinv_columns, by_column), n)
         if any(_rows_times_columns(c_rows, columns, off)):
@@ -943,7 +974,7 @@ def is_parabolic(
     comp = Composition(_gaps(dims))
     if a.dimension != parabolic_dimension(comp):
         return False, None, None
-    witness = _flag_conjugator(basis, a.space, parabolic_subalgebra(comp).space)
+    witness = _flag_conjugator(basis, a.space, _block_upper_positions(comp))
     return True, comp, witness
 
 

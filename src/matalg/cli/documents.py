@@ -121,6 +121,10 @@ def parse_basis_document(text: str) -> BasisDocument:
     if not isinstance(basis_raw, list):
         raise DocumentError("basis must be a list of matrices")
     matrices = []
+    # each distinct entry string that parses, parsed once: most entries of a
+    # basis document repeat ("0" above all); an entry that fails is not kept,
+    # so the first failing one in order raises with its position
+    parsed: dict[str, tuple[int, int]] = {}
     for b_idx, mat_raw in enumerate(basis_raw):
         if not isinstance(mat_raw, list) or len(mat_raw) != n:
             raise DocumentError(f"basis[{b_idx}]: expected {n} rows")
@@ -131,11 +135,15 @@ def parse_basis_document(text: str) -> BasisDocument:
                     f"basis[{b_idx}] row {r_idx}: expected {n} entries"
                 )
             for c_idx, entry in enumerate(row_raw):
-                try:
-                    num, den = _numerator_denominator(entry)
-                except DocumentError as exc:
-                    where = f"basis[{b_idx}] row {r_idx} col {c_idx}"
-                    raise DocumentError(f"{where}: {exc}") from None
+                pair = parsed.get(entry) if isinstance(entry, str) else None
+                if pair is None:
+                    try:
+                        # only a string parses, so only strings are kept
+                        pair = parsed[entry] = _numerator_denominator(entry)
+                    except DocumentError as exc:
+                        where = f"basis[{b_idx}] row {r_idx} col {c_idx}"
+                        raise DocumentError(f"{where}: {exc}") from None
+                num, den = pair
                 nums.append(num)
                 dens.append(den)
         # the entries over their common denominator, the stored form of

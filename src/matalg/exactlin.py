@@ -338,6 +338,8 @@ _FIELD_BITS = 64
 # the top bit of one field, little-endian: n^2 copies give the offset that
 # `_packed_product` adds to make every field nonnegative
 _SIGN_BITS = bytes(_FIELD_BITS // 8 - 1) + b"\x80"
+# that offset for n^2 fields, by n^2, made the first time a size is packed
+_SIGN_OFFSETS: dict[int, int] = {}
 
 
 def _packed_budget(n: int) -> int:
@@ -371,7 +373,9 @@ def _packed_product(u: Sequence[int], packed: Sequence[int], size: int) -> tuple
     digit c + 2^63 in field s, and the xor with off leaves c as a signed
     64-bit field, so the bytes read back as an `array` of n^2 entries."""
     (f,) = _rows_times_columns([u], [packed], [(0, 0)])
-    off = int.from_bytes(_SIGN_BITS * size, "little")
+    off = _SIGN_OFFSETS.get(size)
+    if off is None:
+        off = _SIGN_OFFSETS[size] = int.from_bytes(_SIGN_BITS * size, "little")
     fields = array("q", ((f + off) ^ off).to_bytes(size * _FIELD_BITS // 8, "little"))
     if sys.byteorder != "little":
         fields.byteswap()
@@ -382,15 +386,44 @@ class _Factor:
     """A flattened n x n integer matrix as an operand of `_product` and of
     `_rows_times_columns`: its integers and the bit length of its largest
     absolute entry, with its packed form (`_packed_right`), rows and
-    columns made the first time a product reads them."""
+    columns made the first time a product reads them.
 
-    __slots__ = ("flat", "bits", "n", "_packed", "_rows", "_columns")
+    Its row mask has bit i set when row i may be nonzero, and its column
+    mask bit j when column j may be: x y is zero when x's column mask and
+    y's row mask share no bit, so a caller can skip forming it.  The masks
+    are read off the integers the first time they are read, or taken from
+    the factors of a product (`_of_product`)."""
+
+    __slots__ = ("flat", "bits", "n", "_packed", "_rows", "_columns", "_row_mask", "_column_mask")
 
     def __init__(self, flat: Sequence[int], n: int):
         self.flat = flat
         self.bits = max(map(abs, flat)).bit_length()
         self.n = n
-        self._packed = self._rows = self._columns = None
+        self._packed = self._rows = self._columns = self._row_mask = self._column_mask = None
+
+    @classmethod
+    def _of_product(cls, flat: Sequence[int], x: "_Factor", y: "_Factor") -> "_Factor":
+        """The product flat = x y as a `_Factor`.  Its nonzero rows lie among
+        x's and its nonzero columns among y's, so it takes x's row mask and
+        y's column mask, and its integers are not scanned for them."""
+        factor = cls(flat, x.n)
+        factor._row_mask, factor._column_mask = x.row_mask, y.column_mask
+        return factor
+
+    @property
+    def row_mask(self) -> int:
+        if self._row_mask is None:
+            flat, n = self.flat, self.n
+            self._row_mask = sum(1 << i for i in range(n) if any(flat[i * n : (i + 1) * n]))
+        return self._row_mask
+
+    @property
+    def column_mask(self) -> int:
+        if self._column_mask is None:
+            flat, n = self.flat, self.n
+            self._column_mask = sum(1 << j for j in range(n) if any(flat[j::n]))
+        return self._column_mask
 
     @property
     def packed(self) -> list[int]:
@@ -778,7 +811,10 @@ class SpanBuilder:
         """`add` for a vector of ints of the ambient length, which is not
         checked again.  Returns the residual it adjoined, `_reduce`'s (the old
         pivot value times the rational residual, in the sign of `vec`, not the
-        primitive row `_adjoin` stores), or None when the span holds `vec`."""
+        primitive row `_adjoin` stores), or None when the span holds `vec`:
+        at once for a zero vector, which is not reduced."""
+        if not any(vec):
+            return None
         residual = _reduce(vec, self._rows.items(), self._den)
         if not any(residual):
             return None

@@ -71,7 +71,12 @@ def nil_bound(n: int) -> int:
 
 def strictly_upper_space(n: int) -> Subspace:
     """Span of the units e_{i,j} with i < j; the extremal nil subspace."""
-    return _unit_span(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return _unit_span(n, _strictly_upper_positions(n))
+
+
+def _strictly_upper_positions(n: int) -> list[tuple[int, int]]:
+    """The cells (i, j) with i < j: the pattern of `strictly_upper_space`."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 @dataclass(frozen=True)
@@ -275,9 +280,9 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
     off the free columns of its echelon rows (`algebra._flag_basis`): under
     it every element of N is strictly upper triangular.  The inverse of
     that basis matrix is returned, checked by `_flag_conjugator` against
-    `strictly_upper_space(n)`.  When N is not nilpotent -- possible even
+    the strictly upper cells.  When N is not nilpotent -- possible even
     for nil subspaces -- None is returned.
     """
     n = _matrix_side(s)
     flag = _kernel_flag([x for _, x in s._integer_form()[1]], n)
-    return None if flag is None else _flag_conjugator(flag[0], s, strictly_upper_space(n))
+    return None if flag is None else _flag_conjugator(flag[0], s, _strictly_upper_positions(n))

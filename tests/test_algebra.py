@@ -1115,6 +1115,41 @@ def assert_spin_products(products, a):
         formed.add(sum(reference_product(Matrix.from_flat(x, n), Matrix.from_flat(y, n)), ()))
 
 
+def support_test_off(patch):
+    """Plant masks with every bit set on `exactlin._Factor`, so that the
+    spin and the ideal check form every pair, as they did before they
+    skipped the pairs whose supports do not meet."""
+    everything = property(lambda self: -1)
+    patch.setattr(exactlin._Factor, "row_mask", everything)
+    patch.setattr(exactlin._Factor, "column_mask", everything)
+
+
+def supports_meet(x, y, n):
+    """Whether a nonzero column of the flattened n x n matrix x has the
+    index of a nonzero row of the flattened y."""
+    return any(any(x[k::n]) and any(y[k * n : (k + 1) * n]) for k in range(n))
+
+
+def skipped_pairs(formed, every, n):
+    """The operand pairs of `every`, the pairs formed when every pair is,
+    that were not formed in `formed`: `formed` must be `every` less some
+    pairs, in order, so the two together are `every`, and each pair left
+    out has supports that do not meet and the zero product
+    (`reference_product`)."""
+    skipped, k = [], 0
+    for pair in every:
+        if k < len(formed) and formed[k] == pair:
+            k += 1
+        else:
+            skipped.append(pair)
+    assert k == len(formed)
+    assert sorted(formed + skipped) == sorted(every)
+    for x, y in skipped:
+        assert not supports_meet(x, y, n)
+        assert not any(map(any, reference_product(Matrix.from_flat(x, n), Matrix.from_flat(y, n))))
+    return skipped
+
+
 def _count_row_products(monkeypatch):
     """Record the flattened integer operands (x, y) of every product x y
     that `matalg.algebra` forms from now on, with the number of entries
@@ -1321,15 +1356,16 @@ class TestGeneratingSet:
     @given(_conjugated_compositions())
     @settings(max_examples=25, deadline=None)
     def test_each_generator_costs_two_products_per_section_and_radical_row(self, a):
-        # g r and r g in the ideal check for each row r of the radical, and
-        # x g and g x in the center for each section row x
+        # g r and r g in the ideal check for each row r of the radical, less
+        # the pairs whose supports do not meet, and x g and g x in the center
+        # for each section row x
         generators = [g.flat for g in a._generating_set()]
         ideal, multiply = [], algebra_module._product
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algebra_module, "_product", lambda x, y: ideal.append((x.flat, y.flat)) or multiply(x, y))
             rad = radical(a)
         rad_rows = [r for _, r in rad._integer_form()[1]]
-        assert ideal == [pair for g in generators for r in rad_rows for pair in ((g, r), (r, g))]
+        skipped_pairs(ideal, [pair for g in generators for r in rad_rows for pair in ((g, r), (r, g))], a.n)
         quotient = _QuotientAlgebra(a, radical_coordinates(a))
         with pytest.MonkeyPatch.context() as patch:
             products = _count_row_products(patch)
@@ -1467,14 +1503,22 @@ class TestIdealCheckAtPivots:
                 assert verdicts[-1] == reference_ideal_check(a, candidate)
         assert verdicts == [False, True, False, True, False, True, True]
 
-    @pytest.mark.parametrize("a", list(_ideal_check_cases()), ids=["P-1-1-1", "P-1-3", "P-2-2", "P-1-2-1"])
-    def test_radical_reduces_vectors_of_length_dim_a_only(self, a, monkeypatch):
+    @pytest.mark.parametrize(
+        ("a", "skips"), zip(_ideal_check_cases(), [False, True, False, False]), ids=["P-1-1-1", "P-1-3", "P-2-2", "P-1-2-1"]
+    )
+    def test_radical_reduces_vectors_of_length_dim_a_only(self, a, skips, monkeypatch):
         lengths = reduced_lengths(monkeypatch)
+        formed, multiply = [], algebra_module._product
+        monkeypatch.setattr(algebra_module, "_product", lambda x, y: formed.append((x.flat, y.flat)) or multiply(x, y))
         rad = radical(a)
-        # 2 products for each generator and row of the radical, each read
-        # at the d pivots of A
-        assert len(lengths) == 2 * len(a._generating_set()) * rad.dimension > 0
+        generators = [g.flat for g in a._generating_set()]
+        rad_rows = [r for _, r in rad._integer_form()[1]]
+        skipped = skipped_pairs(formed, [pair for g in generators for r in rad_rows for pair in ((g, r), (r, g))], a.n)
+        # 2 products for each generator and row of the radical, less the
+        # pairs whose supports do not meet, each read at the d pivots of A
+        assert len(lengths) == len(formed) == 2 * len(generators) * rad.dimension - len(skipped) > 0
         assert set(lengths) == {a.dimension}
+        assert skipped or not skips
 
     @pytest.mark.parametrize("a", list(_ideal_check_cases()), ids=["P-1-1-1", "P-1-3", "P-2-2", "P-1-2-1"])
     def test_blocks_find_the_radical_once_and_build_one_quotient(self, a, monkeypatch):
@@ -2241,16 +2285,35 @@ class TestFlagConjugator:
         # the diagonal algebra maps into the upper triangular pattern, not
         # into the strictly upper one
         a = diagonal_algebra(3)
-        upper = parabolic_subalgebra(Composition((1, 1, 1))).space
+        upper = [(i, j) for i in range(3) for j in range(i, 3)]
         assert algebra_module._flag_conjugator(Matrix.identity(3), a.space, upper) == Matrix.identity(3)
-        strictly_upper = _unit_span(3, [(0, 1), (0, 2), (1, 2)])
+        strictly_upper = [(0, 1), (0, 2), (1, 2)]
         with pytest.raises(RuntimeError, match="adapted basis"):
             algebra_module._flag_conjugator(Matrix.identity(3), a.space, strictly_upper)
+
+    def test_is_parabolic_builds_no_parabolic_algebra(self, monkeypatch):
+        # the check takes the pattern's cells, so no span of units is built
+        a = conjugate(parabolic_subalgebra(Composition((1, 2))), rational_invertible(random.Random(7), 3))
+        expected = expected_witness(a)
+        monkeypatch.setattr(algebra_module, "parabolic_subalgebra", lambda comp: pytest.fail("built P"))
+        monkeypatch.setattr(algebra_module, "_unit_span", lambda n, positions: pytest.fail("built a unit span"))
+        assert is_parabolic(a) == (True, Composition((1, 2)), expected)
+
+
+def every_spin_product(run):
+    """The products (path, x, y, x y) that `run()` forms with the support
+    test off, so with every pair the spin meets (`record_closure_products`)."""
+    with pytest.MonkeyPatch.context() as patch:
+        support_test_off(patch)
+        products, _ = record_closure_products(patch)
+        run()
+    return products
 
 
 class TestClosureProducts:
     """`closure` and `absorption_probe` spin one span on the right: each
-    word times each image at most once, at all n^2 entries, packed
+    word meets each image at most once, and the pair is multiplied unless
+    their supports do not meet, at all n^2 entries, packed
     (`_packed_product`) while the operands lie within its bound, row by
     column (`_rows_times_columns`) past it.  Only images are right
     factors, and each is packed at most once, the first time it is one."""
@@ -2259,11 +2322,14 @@ class TestClosureProducts:
         c = random_invertible(random.Random(41), 4)
         a = conjugate(parabolic_subalgebra(Composition((1, 3))), c)
         basis = a.basis_matrices()
-        products, _ = record_closure_products(monkeypatch)
+        products = every_spin_product(lambda: closure(4, basis))
+        formed, _ = record_closure_products(monkeypatch)
         assert closure(4, basis).space == a.space
         pairs = [(x, y) for _, x, y, _ in products]
+        # the pairs whose supports do not meet are not formed; here some
+        assert skipped_pairs([(x, y) for _, x, y, _ in formed], pairs, 4)
         assert len(set(pairs)) == len(pairs)
-        assert {len(product) for *_, product in products} == {16}
+        assert {len(product) for *_, product in formed} == {16}
         # the words are the d - 1 matrices that grew the span after the
         # identity, and the images the k basis rows among them that did
         words = {x for x, _ in pairs}
@@ -2278,11 +2344,14 @@ class TestClosureProducts:
     def test_absorption_probe_repeats_no_product(self, monkeypatch):
         a = parabolic_subalgebra(Composition((1, 3)))
         x = Matrix.unit(4, 1, 0)
-        products, _ = record_closure_products(monkeypatch)
+        products = every_spin_product(lambda: absorption_probe(a, x))
+        formed, _ = record_closure_products(monkeypatch)
         assert absorption_probe(a, x).dimension == 16
         (flat_x,) = algebra_module._integral_generators([x])
         rows = [row for _, row in a.space._integer_form()[1]]
         pairs = [(x, y) for _, x, y, _ in products]
+        # the pairs whose supports do not meet are not formed; here some
+        assert skipped_pairs([(x, y) for _, x, y, _ in formed], pairs, 4)
         assert len(pairs) == len(set(pairs))
         # the rows of `a` are the first words, and they take x only: the
         # first product is the first row times x, and no product has two
@@ -2321,6 +2390,140 @@ class TestClosureProducts:
             ("packed", flat_g, flat_h),
         ]
         assert packings == [flat_h]
+
+
+def spin_outcomes(n, matrices, x):
+    """What the spin answers on a case: the closure of `matrices`, the
+    probe of their span by x, and the generating set of that span, each
+    as its value or the text of its ValueError."""
+    space = rref_basis([m._integer_form()[1] for m in matrices], n * n)
+
+    def outcome(call):
+        try:
+            return call()
+        except ValueError as error:
+            return str(error)
+
+    return (
+        outcome(lambda: closure(n, matrices).space),
+        outcome(lambda: absorption_probe(MatrixAlgebra(n=n, space=space), x).space),
+        outcome(lambda: [g.flat for g in MatrixAlgebra(n=n, space=space)._generating_set()]),
+    )
+
+
+def outcomes_forming_every_pair(case):
+    """`spin_outcomes` of the case with the support test off."""
+    with pytest.MonkeyPatch.context() as patch:
+        support_test_off(patch)
+        return spin_outcomes(*case)
+
+
+def _chain(n):
+    """(n, [e_01, e_12, ..., e_(n-2)(n-1)], e_(n-1)0): the closure is the
+    upper triangular algebra, and each unit e_0j with j > 1 is a product
+    whose factors are a word of several letters and a unit."""
+    return n, [Matrix.unit(n, i, i + 1) for i in range(n - 1)], Matrix.unit(n, n - 1, 0)
+
+
+SPIN_EXAMPLES = [_chain(3), _chain(4), _chain(5)]
+
+
+def swapped_masks(patch):
+    """A planted fault: the row mask reads the columns and the column mask
+    the rows."""
+    rows, columns = exactlin._Factor.row_mask, exactlin._Factor.column_mask
+    patch.setattr(exactlin._Factor, "row_mask", columns)
+    patch.setattr(exactlin._Factor, "column_mask", rows)
+
+
+def word_takes_the_columns_of_its_left_factor(patch):
+    """A planted fault: the word w y takes the column mask of w, not of y."""
+
+    def of_product(cls, flat, x, y):
+        factor = cls(flat, x.n)
+        factor._row_mask, factor._column_mask = x.row_mask, x.column_mask
+        return factor
+
+    patch.setattr(exactlin._Factor, "_of_product", classmethod(of_product))
+
+
+@st.composite
+def _spin_cases(draw):
+    """(n, matrices, x) at n <= 5: the basis of a conjugated block
+    upper-triangular or block-diagonal algebra, of a unit pattern or of
+    the closure of 1-2 sparse integer matrices, and a sparse integer x."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["conjugate", "pattern", "closure"]))
+    sparse = st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=n * n, max_size=n * n)
+    if kind == "conjugate":
+        comp = draw(st.sampled_from(list(compositions(n))))
+        standard = draw(st.sampled_from([parabolic_subalgebra, block_diagonal_algebra]))(comp)
+        a = conjugate(standard, rational_invertible(random.Random(draw(st.integers(0, 10**6))), n))
+    elif kind == "pattern":
+        # the units of a preorder, closed transitively (Warshall)
+        units = {(i, j) for i in range(n) for j in range(n) if i == j or not draw(st.integers(0, 3))}
+        for k in range(n):
+            units |= {(i, j) for i in range(n) for j in range(n) if (i, k) in units and (k, j) in units}
+        a = MatrixAlgebra(n=n, space=_unit_span(n, sorted(units)))
+    else:
+        a = closure(n, [Matrix.from_flat(draw(sparse), n) for _ in range(draw(st.integers(1, 2)))])
+    return n, a.basis_matrices(), Matrix.from_flat(draw(sparse), n)
+
+
+class TestSupportTest:
+    """The spin skips a pair whose supports do not meet, and nothing it
+    answers changes: `closure`, `absorption_probe` and the generating set
+    of `MatrixAlgebra._generating_set` are those of the spin that forms
+    every pair."""
+
+    @given(_spin_cases())
+    @settings(max_examples=60, deadline=None)
+    @example(SPIN_EXAMPLES[0])
+    @example(SPIN_EXAMPLES[1])
+    @example(SPIN_EXAMPLES[2])
+    def test_same_answers_as_forming_every_pair(self, case):
+        assert spin_outcomes(*case) == outcomes_forming_every_pair(case)
+
+    @pytest.mark.parametrize("fault", [swapped_masks, word_takes_the_columns_of_its_left_factor])
+    def test_planted_faults_change_the_answers(self, fault):
+        changed = []
+        for case in SPIN_EXAMPLES:
+            expected = outcomes_forming_every_pair(case)
+            with pytest.MonkeyPatch.context() as patch:
+                fault(patch)
+                changed.append(spin_outcomes(*case) != expected)
+        assert any(changed)
+
+    def test_examples_skip_pairs(self):
+        for n, matrices, _ in SPIN_EXAMPLES:
+            every = every_spin_product(lambda: closure(n, matrices))
+            with pytest.MonkeyPatch.context() as patch:
+                formed, _ = record_closure_products(patch)
+                closure(n, matrices)
+            assert skipped_pairs([(w, y) for _, w, y, _ in formed], [(w, y) for _, w, y, _ in every], n)
+
+
+class TestRadicalSpanWithoutReduction:
+    """`_certified_radical` builds R's n^2 span from the combinations of the
+    rows of A by R's coordinate rows, scaled, with no reduction: the same
+    stored form as `rref_basis` of those combinations."""
+
+    def assert_matches_rref(self, a):
+        n = a.n
+        rad, coords, _ = _certified_radical(a)
+        basis = [x for _, x in a.space._integer_form()[1]]
+        expected = rref_basis([exactlin._combination(c, basis, n * n) for _, c in coords._integer_form()[1]], n * n)
+        assert rad._integer_form() == expected._integer_form()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_corpus(self, n):
+        for _, a in corpus_algebras(n, seed=7):
+            self.assert_matches_rref(a)
+
+    @given(st.one_of(small_closures(), _conjugated_compositions()))
+    @settings(max_examples=40, deadline=None)
+    def test_random_algebras(self, a):
+        self.assert_matches_rref(a)
 
 
 def _rank_one(p, q):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import matalg
 import matalg.algebra as algebra_module
+import matalg.cli.documents as documents_module
 import matalg.cli.suites as suites_module
 import matalg.coalgebra as coalgebra_module
 from matalg.algebra import Composition, parabolic_subalgebra
@@ -125,6 +126,25 @@ class TestBasisDocuments:
         )
         with pytest.raises(DocumentError, match="row 1 col 1"):
             parse_basis_document(text)
+
+    def test_a_repeated_invalid_entry_reports_its_first_location(self):
+        # entries that parse are kept and not parsed again; one that fails
+        # is not, so each occurrence is parsed until the first raises
+        bad = ["1/0", "x", ["1"]]
+        for entry in bad:
+            basis = [[["1", "0"], ["0", "1"]], [["0", entry], [entry, "0"]], [[entry, "0"], ["0", "0"]]]
+            text = json.dumps({"n": 2, "field": "Q", "basis": basis})
+            with pytest.raises(DocumentError, match="^basis\\[1\\] row 0 col 1: "):
+                parse_basis_document(text)
+
+    def test_each_distinct_entry_string_is_parsed_once(self, monkeypatch):
+        parsed = []
+        parse = documents_module._numerator_denominator
+        monkeypatch.setattr(documents_module, "_numerator_denominator", lambda text: parsed.append(text) or parse(text))
+        basis = [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], [["0", "2/4", "0"], ["0", "0", "2/4"], ["0", "0", "0"]]]
+        doc = parse_basis_document(json.dumps({"n": 3, "field": "Q", "basis": basis}))
+        assert sorted(parsed) == ["0", "1", "2/4"]
+        assert doc.matrices[1] == Matrix([[0, Fraction(1, 2), 0], [0, 0, Fraction(1, 2)], [0, 0, 0]])
 
     def test_n_must_be_positive_int(self):
         for bad_n in (0, -1, True, "2"):

@@ -830,6 +830,69 @@ class TestPackedProduct:
         rows = [1 - (2 << 64), 3 + (4 << 64)]
         assert _packed_right(v, 2) == rows + [r << 128 for r in rows]
 
+    def test_sign_offset_is_made_once_per_size(self, monkeypatch):
+        offsets = {}
+        monkeypatch.setattr(exactlin, "_SIGN_OFFSETS", offsets)
+        for n in (2, 3, 2, 3):
+            u, v = extremes(n, 30), extremes(n, 29, -1)
+            assert packed(u, v, n) == flat_reference_product(u, v, n)
+        # the top bit of each of the n^2 fields
+        assert offsets == {size: sum(1 << (64 * s + 63) for s in range(size)) for size in (4, 9)}
+
+
+def true_masks(flat, n):
+    """The bits of the nonzero rows and of the nonzero columns of the
+    flattened n x n matrix."""
+    rows = sum(1 << i for i in range(n) if any(flat[i * n + j] for j in range(n)))
+    columns = sum(1 << j for j in range(n) if any(flat[i * n + j] for i in range(n)))
+    return rows, columns
+
+
+@st.composite
+def sparse_pairs(draw):
+    """(n, x, y): flattened n x n integer matrices, n <= 5, mostly zero."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    x, y = (tuple(draw(st.lists(entry, min_size=n * n, max_size=n * n))) for _ in range(2))
+    return n, x, y
+
+
+class TestFactorMasks:
+    """The row and column masks of `_Factor`, which `algebra._spin_matrices`
+    and the ideal check of `algebra._certified_radical` read to skip the
+    products that are zero."""
+
+    @given(sparse_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_masks_are_the_nonzero_rows_and_columns(self, case):
+        n, x, _ = case
+        factor = _Factor(x, n)
+        assert (factor.row_mask, factor.column_mask) == true_masks(x, n)
+
+    @given(sparse_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_supports_that_do_not_meet_give_the_zero_product(self, case):
+        n, x, y = case
+        fx, fy = _Factor(x, n), _Factor(y, n)
+        p = _product(fx, fy)
+        if not fx.column_mask & fy.row_mask:
+            assert not any(p)
+        # a product takes its left factor's rows and its right factor's
+        # columns, which cover its own
+        word = _Factor._of_product(p, fx, fy)
+        assert (word.row_mask, word.column_mask) == (fx.row_mask, fy.column_mask)
+        rows, columns = true_masks(p, n)
+        assert rows & ~word.row_mask == 0 and columns & ~word.column_mask == 0
+
+    def test_a_product_is_not_scanned_for_its_masks(self):
+        # (1 1; 0 0) (1 0; -1 0) = 0: the product's masks are its factors'
+        # rows and columns, wider than its own, which are empty
+        x, y = _Factor((1, 1, 0, 0), 2), _Factor((1, 0, -1, 0), 2)
+        word = _Factor._of_product(_product(x, y), x, y)
+        assert word.flat == (0, 0, 0, 0)
+        assert (word.row_mask, word.column_mask) == (0b01, 0b01)
+        assert true_masks(word.flat, 2) == (0, 0)
+
 
 def record_paths(monkeypatch):
     """The path of each `exactlin._product` from now on, in order:
@@ -1040,6 +1103,15 @@ class TestSpanBuilder:
             else:
                 assert residual is None
         assert builder.to_subspace() == rref_basis(vecs, 4)
+
+    def test_a_zero_vector_is_not_reduced(self, monkeypatch):
+        builder = SpanBuilder(3)
+        builder._add_integers((1, 2, 0))
+        form = (builder._den, {p: list(row) for p, row in builder._rows.items()})
+        monkeypatch.setattr(exactlin, "_reduce", lambda *args: pytest.fail("a zero vector was reduced"))
+        assert builder._add_integers((0, 0, 0)) is None
+        assert builder.add((0, "0", Fraction(0))) is False
+        assert (builder._den, builder._rows) == form
 
     def test_contains_tracks_membership(self):
         builder = SpanBuilder(2)

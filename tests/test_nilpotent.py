@@ -351,6 +351,14 @@ class TestTriangularizeConjugator:
         with pytest.raises(RuntimeError, match="adapted basis"):
             triangularize_nil(s)
 
+    def test_builds_no_strictly_upper_space(self, monkeypatch):
+        # the check takes the strictly upper cells, so no span is built
+        s = conjugate_space(strictly_upper_space(4), random_invertible(random.Random(9), 4))
+        expected = expected_conjugator(s, 4)
+        monkeypatch.setattr(nilpotent_module, "strictly_upper_space", lambda n: pytest.fail("built the span"))
+        monkeypatch.setattr(nilpotent_module, "_unit_span", lambda n, positions: pytest.fail("built a unit span"))
+        assert triangularize_nil(s) == expected
+
     @pytest.mark.parametrize("dim", [2, 6])
     def test_spans_grow_only_in_the_chain_and_the_inverse(self, dim, monkeypatch):
         # a conjugated plane of strictly upper matrices, and the whole
