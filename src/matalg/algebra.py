@@ -34,7 +34,6 @@ from .exactlin import (
     _free_column_vectors,
     _kernel,
     _lowest_terms,
-    _matrix_side,
     _primitive,
     _product,
     _reduce,
@@ -294,13 +293,14 @@ def radical(a: MatrixAlgebra) -> Subspace:
     """The set of x in a with Tr(x b) = 0 for every basis element b.
 
     Over Q this trace-form kernel is exactly the maximal nilpotent ideal,
-    and the result is certified as such before being returned: both ideal
-    conditions are checked, and its kernel flag must reach Q^n, which
-    proves it nilpotent.  A failure raises RuntimeError (it would mean the
+    and the result is certified as such before being returned, both
+    inclusions through its kernel flag (`_certified_radical`): the flag is
+    stabilized by `a`, so the kernel lies in the radical, and the trace
+    form is nondegenerate on the section of the quotient, so the radical
+    lies in the kernel.  A failure raises RuntimeError (it would mean the
     arithmetic is wrong, not the input).  A nonzero span that is not a
-    unital algebra raises ValueError.  The kernel is found, and checked an
-    ideal, in the coordinates of `a` (`_certified_radical`); this is its
-    span of flattened matrices.
+    unital algebra raises ValueError.  The kernel is found in the
+    coordinates of `a`; this is its span of flattened matrices.
     """
     return _certified_radical(a)[0]
 
@@ -360,24 +360,40 @@ def _flag_basis(
     return Matrix._make(n, n, 1, tuple(e for row in zip(*columns) for e in row)), tuple(dims)
 
 
-def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, Subspace, tuple[Matrix, tuple[int, ...]]]:
+def _certified_radical(
+    a: MatrixAlgebra,
+) -> tuple[Subspace, Subspace, tuple[Matrix, tuple[int, ...]], Matrix]:
     """The radical R of `a` (see `radical`), R in the coordinates of `a`
-    (`_trace_form_kernel`), and its kernel flag, the certificate of its
-    nilpotency, as a basis adapted to the flag and the dimensions of its
-    members.
+    (`_trace_form_kernel`), its kernel flag V_1 < ... < V_s = Q^n as a
+    basis B adapted to the flag with the dimensions of its members, and
+    the checked inverse c of B.  (B, dims) and the section places S of R
+    in the coordinates of `a` are the certificate of R = rad A.
 
-    The ideal conditions g R <= R and R g <= R are checked only for the
-    generating set of `a` (`MatrixAlgebra._generating_set`, which raises
-    ValueError when `a` is not a unital algebra): the x with x R <= R and
-    R x <= R form a unital subalgebra, so it holds all of `a` once it
-    holds a generating set.  Each product g r and r g lies in `a`, which
-    that spin proved closed, and an element of `a` is fixed by its d
-    entries at the pivots of `a`; so each is read there and reduced by the
-    coordinate rows of R (`exactlin._reduce`), and lies in R exactly when
-    the residual is zero.  A product whose factors' supports do not meet
-    (`exactlin._Factor`'s masks) is zero and lies in R, so it is not
-    formed.  The flag is the row-space chain of `_kernel_flag` on the
-    stored rows of R.
+    The flag is the row-space chain of `_kernel_flag` on the stored rows
+    of R; that it reaches Q^n proves the algebra N that R generates
+    nilpotent.  Two checks then prove R = rad A (Dickson's criterion over
+    Q; Cohen, Ivanyos and Wales, J. Pure Appl. Algebra 117-118, 1997):
+
+    (i) R <= rad A.  c g c^-1 must be block upper triangular of type
+    gaps(dims) for every g in the generating set of `a`
+    (`MatrixAlgebra._generating_set`, which raises ValueError when `a` is
+    not a unital algebra; `_flag_conjugator` checks the pattern): every
+    flag member is then g-invariant, so a-invariant.  So the x in `a`
+    with x V_j <= V_(j-1) for all j form a two-sided ideal I of `a` with
+    I^s = 0, and R <= N <= I <= rad A.  A nilpotent two-sided ideal
+    generates itself and its flag is a-invariant, so a failure means R is
+    not a two-sided ideal.
+
+    (ii) rad A <= R.  The section places S are the coordinates of `a` off
+    the pivots of R's coordinate rows.  An x in rad A is r + s for r in R
+    and s on the section rows, and s = x - r lies in rad A by (i), so
+    Tr(s y) = 0 for every y in `a`.  So G[S, S] s = 0 for the trace Gram
+    matrix G that `_trace_form_kernel` forms, and s = 0 when that block is
+    nonsingular: one `null_space`.
+
+    When R = 0 both are skipped: the flag is Q^n alone, and G[S, S] is G,
+    whose kernel the one elimination has just found zero.  No product of
+    `a` with R is formed.
 
     R's n^2 rows are the combinations of the rows of `a`, its reduced
     echelon basis times den_A, by the coordinate rows of R, R's reduced
@@ -388,37 +404,45 @@ def _certified_radical(a: MatrixAlgebra) -> tuple[Subspace, Subspace, tuple[Matr
     with no reduction."""
     n = a.n
     if a.dimension == 0:
-        return zero_space(n * n), zero_space(0), (Matrix.identity(n), (n,))
+        return zero_space(n * n), zero_space(0), (Matrix.identity(n), (n,)), Matrix.identity(n)
     # integer multiples of the generators and of the basis rows of R, which
-    # span the same products and have the same kernel flag
+    # have the same pattern under c and the same kernel flag
     generators = a._generating_set()
     den_a, pairs = a.space._integer_form()
     pivots, basis = zip(*pairs)
-    coords = _trace_form_kernel(a)
+    coords, gram = _trace_form_kernel(a)
     den, kernel = coords._integer_form()
     combinations = [(pivots[k], _combination(c, basis, n * n)) for k, c in kernel]
     common = math.gcd(den_a * den, *(math.gcd(*row) for _, row in combinations))
     rad = Subspace._make(
         n * n, den_a * den // common, tuple((p, tuple(e // common for e in row)) for p, row in combinations)
     )
-    rows = [_Factor(r, n) for _, r in rad._integer_form()[1]]
-    for g in generators:
-        for r in rows:
-            for x, y in ((g, r), (r, g)):
-                if x.column_mask & y.row_mask:
-                    p = _product(x, y)
-                    if any(_reduce([p[q] for q in pivots], kernel, den)):
-                        raise RuntimeError("radical candidate is not a two-sided ideal")
-    flag = _kernel_flag([r.flat for r in rows], n)
+    flag = _kernel_flag([r for _, r in rad._integer_form()[1]], n)
     if flag is None:
         raise RuntimeError("radical candidate is not nilpotent")
-    return rad, coords, flag
+    if not kernel:
+        # R = 0: the flag is Q^n alone, its adapted basis the identity
+        return rad, coords, flag, Matrix.identity(n)
+    flag_basis, dims = flag
+    pattern = _block_upper_positions(Composition(_gaps(dims)))
+    try:
+        c = _flag_conjugator(flag_basis, [g.flat for g in generators], n, pattern)
+    except RuntimeError as error:
+        raise RuntimeError(f"radical candidate is not a two-sided ideal: {error}") from None
+    d, places = len(pivots), {k for k, _ in kernel}
+    section = [k for k in range(d) if k not in places]
+    block = tuple(gram[i * d + j] for i in section for j in section)
+    if null_space(Matrix._make(len(section), len(section), 1, block)).dimension:
+        raise RuntimeError("radical candidate misses part of the radical: its section Gram block is singular")
+    return rad, coords, flag, c
 
 
-def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
+def _trace_form_kernel(a: MatrixAlgebra) -> tuple[Subspace, list[int]]:
     """The x in `a` with Tr(x b) = 0 for every b in `a`, the candidate that
     `_certified_radical` checks, in the coordinates of `a`: the canonical
-    kernel in Q^d of the trace Gram matrix of the d basis rows.
+    kernel in Q^d of the trace Gram matrix of the d integer basis rows,
+    with that d x d matrix flattened, from which the check reads its
+    section block.
 
     The stored rows of `a` are its reduced echelon basis times one common
     value, so an element of `a` read at the pivots of `a` is that value
@@ -432,7 +456,7 @@ def _trace_form_kernel(a: MatrixAlgebra) -> Subspace:
     d = len(basis)
     upper = _trace_gram(basis, n)
     gram = [upper[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
-    return null_space(Matrix._make(d, d, 1, gram))
+    return null_space(Matrix._make(d, d, 1, gram)), gram
 
 
 def _trace_gram(rows: Sequence[Sequence[int]], n: int) -> dict[tuple[int, int], int]:
@@ -810,7 +834,7 @@ def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:
     radical is certified once (`_certified_radical`), and the quotient
     takes it in the coordinates of A, in which it was found.
     """
-    rad, coords, _ = _certified_radical(a)
+    rad, coords, _, _ = _certified_radical(a)
     if rad.dimension == a.dimension:
         # only the zero space (quotient 0, no blocks): a nonzero unital algebra
         # holds the identity, which is not nilpotent; `_certified_radical`
@@ -902,14 +926,15 @@ def _gaps(dims: tuple[int, ...]) -> tuple[int, ...]:
 def invariant_flag(a: MatrixAlgebra) -> Flag:
     """The kernel flag ker R < ker R^2 < ... < Q^n of the radical R of `a`.
 
-    Each member is a-invariant, since R is an ideal.  Member j+1 is the
-    preimage of the joint kernel of the radical of the induced action on
-    Q^n / (member j): that radical is the image of R.  It is read along
-    the row-space chain of `_kernel_flag`, and each member is the
-    canonical span of a prefix of the adapted basis: one `SpanBuilder`
-    takes its n columns in order and is read out at each member's
-    dimension.  For a block upper-triangular algebra this recovers exactly
-    the standard coordinate flag of its type.
+    Each member is a-invariant: `_certified_radical` checks it for each
+    generator of `a`, as part of its proof that R lies in the radical.
+    Member j+1 is the preimage of the joint kernel of the radical of the
+    induced action on Q^n / (member j): that radical is the image of R.
+    It is read along the row-space chain of `_kernel_flag`, and each
+    member is the canonical span of a prefix of the adapted basis: one
+    `SpanBuilder` takes its n columns in order and is read out at each
+    member's dimension.  For a block upper-triangular algebra this
+    recovers exactly the standard coordinate flag of its type.
     """
     basis, dims = _certified_radical(a)[2]
     builder = SpanBuilder(a.n)
@@ -921,24 +946,24 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
     return Flag(n=a.n, subspaces=tuple(members))
 
 
-def _flag_conjugator(cinv: Matrix, space: Subspace, pattern: Iterable[tuple[int, int]]) -> Matrix:
+def _flag_conjugator(
+    cinv: Matrix, rows: Iterable[Sequence[int]], n: int, pattern: Iterable[tuple[int, int]]
+) -> Matrix:
     """The inverse c of a flag's adapted basis `cinv`, checked for
-    `is_parabolic` and `triangularize_nil`: c x c^-1 must be zero off the
-    (row, column) cells of `pattern` for each basis element x of `space`,
-    else RuntimeError (the arithmetic would be wrong, not the input).  On
-    the integer forms: x c^-1 by columns, then c (x c^-1) at the off
-    cells."""
-    n = _matrix_side(space)
+    `_certified_radical` and `triangularize_nil`: c x c^-1 must be zero
+    off the (row, column) cells of `pattern` for each n x n matrix x with
+    flattened integer `rows`, else RuntimeError.  On the integer forms:
+    x c^-1 by columns, then c (x c^-1) at the off cells."""
     c = cinv.inverse()
     c_rows = _split_rows(c._integer_form()[1], n)
     cinv_columns = _split_columns(cinv._integer_form()[1], n)
     by_column = [(i, j) for j in range(n) for i in range(n)]
     pattern = set(pattern)
     off = [cell for cell in by_column if cell not in pattern]
-    for _, x in space._integer_form()[1]:
+    for x in rows:
         columns = _split_rows(_rows_times_columns(_split_rows(x, n), cinv_columns, by_column), n)
         if any(_rows_times_columns(c_rows, columns, off)):
-            raise RuntimeError("the adapted basis does not carry the space into its pattern")
+            raise RuntimeError("the adapted basis does not carry the matrices into its pattern")
     return c
 
 
@@ -959,23 +984,22 @@ def is_parabolic(
 ) -> tuple[bool, Composition | None, Matrix | None]:
     """Decide whether `a` is conjugate to a block upper-triangular algebra.
 
-    Every member of the invariant flag is a-invariant, so `a` lies in the
-    flag's stabilizer, a conjugate of the block upper-triangular algebra
-    of the flag's type; `a` equals it exactly when the dimensions agree.
-    On success returns (True, type, c) where the flag gaps give the type
-    and `c b c^-1` maps `a` onto the standard algebra of that type: c is
-    the inverse of the basis adapted to the flag that `_certified_radical`
-    hands over (the identity for a coordinate flag), it maps `a` into that
-    algebra, as `_flag_conjugator` checks, and the dimensions agree.
-    Otherwise, when the dimension of `a` falls short of that type's,
-    (False, None, None).
+    `a` lies in the stabilizer of its invariant flag, a conjugate of the
+    block upper-triangular algebra of the flag's type, and equals it
+    exactly when the dimensions agree.  On success returns (True, type, c)
+    where the flag gaps give the type and `c b c^-1` maps `a` onto the
+    standard algebra of that type: c is the inverse of the basis adapted
+    to the flag that `_certified_radical` hands over (the identity for a
+    coordinate flag), whose check (i) has already shown that it maps each
+    generator of `a`, so all of `a`, into that algebra; with equal
+    dimensions, into is onto.  Otherwise, when the dimension of `a` falls
+    short of that type's, (False, None, None).
     """
-    basis, dims = _certified_radical(a)[2]
+    _, _, (_, dims), c = _certified_radical(a)
     comp = Composition(_gaps(dims))
     if a.dimension != parabolic_dimension(comp):
         return False, None, None
-    witness = _flag_conjugator(basis, a.space, _block_upper_positions(comp))
-    return True, comp, witness
+    return True, comp, c
 
 
 def absorption_probe(a: MatrixAlgebra, x: Matrix) -> MatrixAlgebra:

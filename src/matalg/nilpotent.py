@@ -284,5 +284,6 @@ def triangularize_nil(s: Subspace) -> Matrix | None:
     for nil subspaces -- None is returned.
     """
     n = _matrix_side(s)
-    flag = _kernel_flag([x for _, x in s._integer_form()[1]], n)
-    return None if flag is None else _flag_conjugator(flag[0], s, _strictly_upper_positions(n))
+    rows = [x for _, x in s._integer_form()[1]]
+    flag = _kernel_flag(rows, n)
+    return None if flag is None else _flag_conjugator(flag[0], rows, n, _strictly_upper_positions(n))

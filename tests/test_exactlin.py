@@ -859,8 +859,7 @@ def sparse_pairs(draw):
 
 class TestFactorMasks:
     """The row and column masks of `_Factor`, which `algebra._spin_matrices`
-    and the ideal check of `algebra._certified_radical` read to skip the
-    products that are zero."""
+    reads to skip the products that are zero."""
 
     @given(sparse_pairs())
     @settings(max_examples=100, deadline=None)

@@ -21,7 +21,10 @@ generating sets: only `MatrixAlgebra._generating_set` touches
 has a bound: no `while True`.  And one place reads rationals apart:
 `.numerator` and `.denominator` are read in `exactlin` only, where
 rational input becomes integers.  And one form of the radical inside:
-no function of `algebra.py` calls the public `radical`."""
+no function of `algebra.py` calls the public `radical`.  And the radical
+is certified through its kernel flag alone: `_certified_radical` calls
+neither `_product` nor `_reduce`, so no ideal check of products comes
+back."""
 
 import ast
 from pathlib import Path
@@ -838,3 +841,49 @@ def test_the_scan_finds_a_call_of_radical():
         "    )\n"
     )
     assert radical_calls(tree) == [("semisimple_blocks", 10)]
+
+
+def certificate_products(tree):
+    """(name, line) for each call of `_product` or `_reduce`, by name or as
+    an attribute, inside `_certified_radical`: the radical is certified by
+    its flag check and its section Gram block, and forms no product of
+    `a` with R and reduces none."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == "_certified_radical"
+        if inside and isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("_product", "_reduce"):
+                found.append((name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_the_radical_forms_no_product_and_reduces_nothing():
+    assert certificate_products(_tree(PACKAGE / "algebra.py")) == []
+
+
+def test_the_scan_finds_the_ideal_check():
+    # the ideal check as `_certified_radical` made it before its flag
+    # check replaced it, with a call through the module beside it
+    tree = ast.parse(
+        "def _certified_radical(a):\n"
+        "    rows = [_Factor(r, n) for _, r in rad._integer_form()[1]]\n"
+        "    for g in generators:\n"
+        "        for r in rows:\n"
+        "            for x, y in ((g, r), (r, g)):\n"
+        "                if x.column_mask & y.row_mask:\n"
+        "                    p = _product(x, y)\n"
+        "                    if any(_reduce([p[q] for q in pivots], kernel, den)):\n"
+        "                        raise RuntimeError('radical candidate is not a two-sided ideal')\n"
+        "    return exactlin._product(rows[0], rows[0])\n"
+        "def schur_commutative_check(a):\n"
+        "    return _product(x, y) != _product(y, x)\n"
+    )
+    assert certificate_products(tree) == [("_product", 7), ("_reduce", 8), ("_product", 10)]
