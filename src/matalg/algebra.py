@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -44,7 +45,6 @@ from .exactlin import (
     null_space,
     rref_basis,
     subspace_contains,
-    zero_space,
 )
 
 __all__ = [
@@ -142,18 +142,16 @@ class MatrixAlgebra:
     the flattened matrix space.
 
     The span must contain the identity and be closed under products; on
-    first use `_generating_set` raises ValueError for any other span.
-    Equality is subspace equality: the generating set is neither compared
-    nor hashed, and `dataclasses.replace` does not copy it.
+    first use `_generating_set` raises ValueError for any other span, the
+    zero span among them.  The generating set and the certified radical
+    are each found once per algebra object, on first use, and kept with
+    it; a ValueError or RuntimeError keeps nothing, so the next use raises
+    again.  Equality is subspace equality: neither is compared nor hashed,
+    and `dataclasses.replace` does not copy them.
     """
 
     n: int
     space: Subspace
-    # integer matrices that generate the algebra as a unital algebra,
-    # found by `_generating_set` on its first call
-    _generators: list[_Factor] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
 
     @property
     def dimension(self) -> int:
@@ -166,14 +164,18 @@ class MatrixAlgebra:
         _check_square(m, self.n)
         return subspace_contains(self.space, m._integer_form()[1])
 
+    @cached_property
     def _generating_set(self) -> list[_Factor]:
-        """Basis rows that generate the algebra as a unital algebra, spun
-        (`_spin_generators`) while none are kept: on the first call, and on
-        every call for Q I, which has none.  As `_Factor`s, each is packed
-        and split once for all its products."""
-        if not self._generators:
-            self._generators[:] = _spin_generators(self.n, self.space)
-        return self._generators
+        """Basis rows that generate the algebra as a unital algebra
+        (`_spin_generators`), as `_Factor`s, each packed and split once for
+        all its products."""
+        return _spin_generators(self.n, self.space)
+
+    @cached_property
+    def _radical(self) -> tuple[Subspace, Subspace, tuple[Matrix, tuple[int, ...]], Matrix]:
+        """The radical with its certificate, as `_certified_radical` returns
+        them."""
+        return _certified_radical(self)
 
     def __repr__(self) -> str:
         return f"MatrixAlgebra(n={self.n}, dim={self.dimension})"
@@ -190,7 +192,7 @@ def algebra_from_basis(n: int, matrices: Sequence[Matrix]) -> MatrixAlgebra:
     for m in matrices:
         _check_square(m, n)
     algebra = MatrixAlgebra(n=n, space=rref_basis([m._integer_form()[1] for m in matrices], n * n))
-    algebra._generating_set()
+    algebra._generating_set  # spun now, and kept
     return algebra
 
 
@@ -298,11 +300,12 @@ def radical(a: MatrixAlgebra) -> Subspace:
     stabilized by `a`, so the kernel lies in the radical, and the trace
     form is nondegenerate on the section of the quotient, so the radical
     lies in the kernel.  A failure raises RuntimeError (it would mean the
-    arithmetic is wrong, not the input).  A nonzero span that is not a
-    unital algebra raises ValueError.  The kernel is found in the
-    coordinates of `a`; this is its span of flattened matrices.
+    arithmetic is wrong, not the input).  A span that is not a unital
+    algebra, the zero span among them, raises ValueError.  The kernel is
+    found in the coordinates of `a`; this is its span of flattened
+    matrices, certified once per algebra object (`MatrixAlgebra._radical`).
     """
-    return _certified_radical(a)[0]
+    return a._radical[0]
 
 
 def _kernel_flag(rows: Sequence[Sequence[int]], n: int) -> tuple[Matrix, tuple[int, ...]] | None:
@@ -367,7 +370,8 @@ def _certified_radical(
     (`_trace_form_kernel`), its kernel flag V_1 < ... < V_s = Q^n as a
     basis B adapted to the flag with the dimensions of its members, and
     the checked inverse c of B.  (B, dims) and the section places S of R
-    in the coordinates of `a` are the certificate of R = rad A.
+    in the coordinates of `a` are the certificate of R = rad A.  It is
+    found once per algebra object, by `MatrixAlgebra._radical`.
 
     The flag is the row-space chain of `_kernel_flag` on the stored rows
     of R; that it reaches Q^n proves the algebra N that R generates
@@ -403,11 +407,9 @@ def _certified_radical(
     and dividing them and that value by their gcd gives R's stored form
     with no reduction."""
     n = a.n
-    if a.dimension == 0:
-        return zero_space(n * n), zero_space(0), (Matrix.identity(n), (n,)), Matrix.identity(n)
     # integer multiples of the generators and of the basis rows of R, which
     # have the same pattern under c and the same kernel flag
-    generators = a._generating_set()
+    generators = a._generating_set
     den_a, pairs = a.space._integer_form()
     pivots, basis = zip(*pairs)
     coords, gram = _trace_form_kernel(a)
@@ -579,7 +581,7 @@ class _QuotientAlgebra:
         # a zero row keeps the kernel and gives the matrix a row when there
         # is no generator: A = Q I, whose quotient is its own center
         flat = [0] * m
-        for g in self._algebra._generating_set():
+        for g in self._algebra._generating_set:
             commutators = []
             for x in self._section:
                 xg = _rows_times_columns(x.rows, g.columns, cells)
@@ -831,15 +833,10 @@ def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:
     of that idempotent map, and is central simple, so the dimension is a
     perfect square.  Each block's lift trace (`WedderburnData`) is the
     trace of the lift of e along the section rows of the quotient.  The
-    radical is certified once (`_certified_radical`), and the quotient
-    takes it in the coordinates of A, in which it was found.
+    radical is the one certified for `a` (`MatrixAlgebra._radical`), and
+    the quotient takes it in the coordinates of A, in which it was found.
     """
-    rad, coords, _, _ = _certified_radical(a)
-    if rad.dimension == a.dimension:
-        # only the zero space (quotient 0, no blocks): a nonzero unital algebra
-        # holds the identity, which is not nilpotent; `_certified_radical`
-        # raised on others
-        return WedderburnData(rad, rad.dimension, 0, (), ())
+    rad, coords, _, _ = a._radical
     quotient = _QuotientAlgebra(a, coords)
     idempotents = _central_idempotents(quotient)
     sizes = traces = None
@@ -936,7 +933,7 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
     member's dimension.  For a block upper-triangular algebra this
     recovers exactly the standard coordinate flag of its type.
     """
-    basis, dims = _certified_radical(a)[2]
+    basis, dims = a._radical[2]
     builder = SpanBuilder(a.n)
     members = []
     for column in _split_columns(basis._integer_form()[1], a.n):
@@ -995,7 +992,7 @@ def is_parabolic(
     dimensions, into is onto.  Otherwise, when the dimension of `a` falls
     short of that type's, (False, None, None).
     """
-    _, _, (_, dims), c = _certified_radical(a)
+    _, _, (_, dims), c = a._radical
     comp = Composition(_gaps(dims))
     if a.dimension != parabolic_dimension(comp):
         return False, None, None
@@ -1015,7 +1012,7 @@ def absorption_probe(a: MatrixAlgebra, x: Matrix) -> MatrixAlgebra:
     builder = SpanBuilder._of(a.space)
     _spin_matrices(builder, rows, list(rows), _integral_generators([x]), n, n * n)
     if builder.dimension < n * n:
-        a._generating_set()
+        a._generating_set  # ValueError unless `a` is an algebra
     return MatrixAlgebra(n=n, space=builder.to_subspace())
 
 

@@ -7,7 +7,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -320,8 +320,9 @@ class TestRadicalCertificate:
         rad = radical(a)
         assert rad.dimension == 3
         plant(monkeypatch, at_pivots(a, rref_basis(rad.basis[:-1], 16)))
+        # `a` keeps its radical: a fresh equal algebra certifies the planted one
         with pytest.raises(RuntimeError, match=NO_IDEAL):
-            radical(a)
+            radical(dataclasses.replace(a))
 
     @pytest.mark.parametrize(
         "unit, left_ideal, right_ideal, message",
@@ -370,8 +371,9 @@ class TestRadicalCertificate:
         c = rational_invertible(random.Random(13), 4)
         built = conjugate(parabolic_subalgebra(Composition((1, 3))), c)
         a = algebra_from_basis(4, built.basis_matrices())
-        assert a == built and 0 < len(a._generating_set()) < a.dimension
-        rad = radical(a)
+        assert a == built and 0 < len(a._generating_set) < a.dimension
+        # an equal algebra finds the radical, so `a` has kept none
+        rad = radical(built)
         plant(monkeypatch, at_pivots(a, rref_basis(rad.basis[:-1], 16)))
         with pytest.raises(RuntimeError, match=NO_IDEAL):
             radical(a)
@@ -387,32 +389,113 @@ class TestRadicalCertificate:
         # the radical, and E02 on their section
         upper = parabolic_subalgebra(Composition((1, 1, 1)))
         a = algebra_from_basis(3, upper.basis_matrices())
-        assert a == upper and 0 < len(a._generating_set()) < a.dimension
+        assert a == upper and 0 < len(a._generating_set) < a.dimension
         plant(monkeypatch, at_pivots(a, _unit_span(3, units)))
         with pytest.raises(RuntimeError, match=message):
             radical(a)
 
 
+STRUCTURE_QUESTIONS = [radical, semisimple_blocks, invariant_flag, is_parabolic]
+
+
 class TestNonAlgebrasAreRejected:
     """A span given straight to `MatrixAlgebra` that lacks the identity or
     is not closed is no algebra: each structural question raises
-    ValueError when it asks for the generating set."""
+    ValueError when it asks for the generating set.  The zero span lacks
+    the identity too."""
 
-    @pytest.mark.parametrize("function", [radical, semisimple_blocks, invariant_flag, is_parabolic])
+    @pytest.mark.parametrize("function", STRUCTURE_QUESTIONS)
     @pytest.mark.parametrize(
         "matrices, message",
         [
+            ([], "identity"),
             ([[[0, 1], [0, 0]]], "identity"),
             ([[[1, 0], [0, 0]]], "identity"),
             # E01 E10 = E00 is not in span{I, E01, E10}
             ([[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]], "not closed"),
         ],
-        ids=["E01", "E00", "I-E01-E10"],
+        ids=["zero", "E01", "E00", "I-E01-E10"],
     )
     def test_raises(self, function, matrices, message):
         a = MatrixAlgebra(n=2, space=rref_basis([Matrix(m).flatten() for m in matrices], 4))
         with pytest.raises(ValueError, match=message):
             function(a)
+
+
+def count_certifications(patch):
+    """Count the calls of `_spin_generators` and `_certified_radical` from
+    now on, as {name: calls}."""
+    calls = {"_spin_generators": 0, "_certified_radical": 0}
+    for name in calls:
+        original = getattr(algebra_module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        patch.setattr(algebra_module, name, counted)
+    return calls
+
+
+class TestOneCertificationPerAlgebra:
+    """An algebra object spins its generating set once and certifies its
+    radical once, whichever of the four structural questions it is asked
+    and in whatever order; a copy finds both again, and a failure keeps
+    nothing."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MatrixAlgebra(n=3, space=rref_basis([Matrix.identity(3).flatten()], 9)),
+            lambda: full_algebra(2),
+            lambda: diagonal_algebra(3),
+            lambda: parabolic_subalgebra(Composition((1, 2))),
+            lambda: conjugate(parabolic_subalgebra(Composition((1, 1, 2))), rational_invertible(random.Random(9), 4)),
+            lambda: algebra_from_basis(3, parabolic_subalgebra(Composition((2, 1))).basis_matrices()),
+        ],
+        ids=["QI", "M2", "diagonal-3", "P-1-2", "conjugated-P-1-1-2", "from-basis-P-2-1"],
+    )
+    def test_one_of_each_in_every_order(self, build, monkeypatch):
+        expected = [f(build()) for f in STRUCTURE_QUESTIONS]
+        calls = count_certifications(monkeypatch)
+        for order in permutations(range(len(STRUCTURE_QUESTIONS))):
+            calls.update(dict.fromkeys(calls, 0))
+            a = build()
+            answers = {k: STRUCTURE_QUESTIONS[k](a) for k in order}
+            assert [answers[k] for k in range(len(STRUCTURE_QUESTIONS))] == expected
+            assert calls == {"_spin_generators": 1, "_certified_radical": 1}
+
+    def test_a_copy_certifies_again(self, monkeypatch):
+        a = conjugate(parabolic_subalgebra(Composition((1, 2))), rational_invertible(random.Random(3), 3))
+        calls = count_certifications(monkeypatch)
+        first = [f(a) for f in STRUCTURE_QUESTIONS]
+        copy = dataclasses.replace(a)
+        assert copy == a and hash(copy) == hash(a)
+        assert [f(copy) for f in STRUCTURE_QUESTIONS] == first
+        assert [f(a) for f in STRUCTURE_QUESTIONS] == first
+        assert calls == {"_spin_generators": 2, "_certified_radical": 2}
+
+    @pytest.mark.parametrize("function", STRUCTURE_QUESTIONS)
+    def test_a_span_that_is_not_closed_raises_on_each_call(self, function, monkeypatch):
+        # E01 E10 = E00 is not in span{I, E01, E10}
+        matrices = [Matrix.identity(2), Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)]
+        a = MatrixAlgebra(n=2, space=rref_basis([m.flatten() for m in matrices], 4))
+        calls = count_certifications(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not closed"):
+                function(a)
+        assert calls == {"_spin_generators": 2, "_certified_radical": 2}
+
+    @pytest.mark.parametrize("function", STRUCTURE_QUESTIONS)
+    def test_a_failed_certificate_raises_on_each_call(self, function, monkeypatch):
+        a = parabolic_subalgebra(Composition((1, 1, 1)))
+        calls = count_certifications(monkeypatch)
+        monkeypatch.setattr(algebra_module, "_kernel_flag", lambda rows, n: None)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match=NOT_NILPOTENT):
+                function(a)
+        # the generating set was found, and is kept
+        assert calls == {"_spin_generators": 1, "_certified_radical": 2}
 
 
 def reference_radical(a):
@@ -550,19 +633,6 @@ class TestSemisimpleBlocks:
         data = semisimple_blocks(parabolic_subalgebra(Composition((1, 1))))
         assert data.block_sizes == (1, 1)
         assert data.radical_dim == 1
-
-    @pytest.mark.parametrize("units", [[], [(0, 1)]], ids=["zero", "nilpotent"])
-    def test_zero_quotient_has_no_blocks(self, units):
-        # the zero space is its own radical, and the quotient by it is 0; a
-        # nonzero nilpotent span lacks the identity, so it is no algebra
-        space = _unit_span(2, units)
-        if units:
-            with pytest.raises(ValueError, match="identity"):
-                semisimple_blocks(MatrixAlgebra(n=2, space=space))
-            return
-        data = semisimple_blocks(MatrixAlgebra(n=2, space=space))
-        assert data.radical_space == space == radical(MatrixAlgebra(n=2, space=space))
-        assert (data.radical_dim, data.semisimple_dim, data.block_sizes) == (len(units), 0, ())
 
     @pytest.mark.parametrize(
         "method, value, message",
@@ -1063,7 +1133,7 @@ class TestSharedBasisProducts:
         built = conjugate(parabolic_subalgebra(Composition((2, 1, 2))), c)
         products = _count_row_products(monkeypatch)
         a = algebra_from_basis(5, built.basis_matrices())
-        generators = [g.flat for g in a._generating_set()]
+        generators = [g.flat for g in a._generating_set]
         assert 0 < len(generators) < a.dimension
         assert_spin_products(products, a)
 
@@ -1096,7 +1166,7 @@ class TestSharedBasisProducts:
                 assert quotient.dim == len(section) == 9
                 assert products == []
                 quotient.center()
-                generators = [g.flat for g in a._generating_set()]
+                generators = [g.flat for g in a._generating_set]
                 assert 0 < len(generators) < 9
                 # the spin, when A has not been spun before, then x g and g x
                 # for each section row x and each generator g, at the d pivots
@@ -1163,7 +1233,7 @@ def assert_spin_products(products, a):
     n, d = a.n, a.dimension
     assert d < n * n
     rows = [x for _, x in a.space._integer_form()[1]]
-    generators = [g.flat for g in a._generating_set()]
+    generators = [g.flat for g in a._generating_set]
     assert generators == [x for x in rows if x in generators]
     assert all(entries == n * n for _, _, entries in products)
     pairs = [(x, y) for x, y, _ in products]
@@ -1264,7 +1334,7 @@ def assert_same_closedness_verdict(n, matrices):
         return False
     a = algebra_from_basis(n, matrices)
     assert a == expected
-    assert closure(n, [Matrix.from_flat(g.flat, n) for g in a._generating_set()]) == a
+    assert closure(n, [Matrix.from_flat(g.flat, n) for g in a._generating_set]) == a
     return True
 
 
@@ -1312,8 +1382,8 @@ class TestClosednessBySpinning:
         a = algebra_from_basis(3, upper.basis_matrices())
         other = dataclasses.replace(a, space=full_space(9))
         products = _count_row_products(monkeypatch)
-        assert a._generating_set() and products == []
-        generators = other._generating_set()
+        assert a._generating_set and products == []
+        generators = other._generating_set
         assert products and closure(3, [Matrix.from_flat(g.flat, 3) for g in generators]) == other
 
     @given(small_closures())
@@ -1412,7 +1482,7 @@ class TestGeneratingSet:
             basis, _ = reference_closure(n, [Matrix.from_flat(g, n) for g in kept])
             if not subspace_contains(rref_basis(basis, n * n), x):
                 kept.append(x)
-        assert [g.flat for g in a._generating_set()] == kept
+        assert [g.flat for g in a._generating_set] == kept
 
     @given(_conjugated_compositions())
     @settings(max_examples=25, deadline=None)
@@ -1420,7 +1490,7 @@ class TestGeneratingSet:
         # the radical forms no product: its flag check conjugates each
         # generator at the cells off the pattern; the center forms x g and
         # g x for each generator g and section row x
-        generators = a._generating_set()
+        generators = a._generating_set
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algebra_module, "_product", lambda x, y: pytest.fail("the radical formed a product"))
             coords = radical_coordinates(a)
@@ -1452,13 +1522,13 @@ class TestCenterOverGenerators:
     @given(_conjugated_compositions())
     @settings(max_examples=40, deadline=None)
     def test_conjugated_compositions(self, a):
-        assert len(a._generating_set()) < a.dimension
+        assert len(a._generating_set) < a.dimension
         self.assert_same_center(a)
 
     @given(_algebras_of_every_constructor())
     @settings(max_examples=60, deadline=None)
     def test_every_constructor(self, a):
-        generators = a._generating_set()
+        generators = a._generating_set
         assert closure(a.n, [Matrix.from_flat(g.flat, a.n) for g in generators]) == a
         # the spin starts from the identity, so only Q I needs no generator
         assert len(generators) < a.dimension and (not generators) == (a.dimension == 1)
@@ -2301,8 +2371,9 @@ class TestFlagConjugator:
         a = conjugate(upper, random_invertible(random.Random(5), 3))
         assert is_parabolic(a)[0]
         monkeypatch.setattr(algebra_module, "_kernel_flag", reversed_flag(_kernel_flag))
+        # `a` keeps its certified radical: a fresh equal algebra finds it again
         with pytest.raises(RuntimeError, match="adapted basis"):
-            is_parabolic(a)
+            is_parabolic(dataclasses.replace(a))
 
     def test_check_reads_only_the_pivots_of_the_target(self):
         # the diagonal algebra maps into the upper triangular pattern, not
@@ -2430,7 +2501,7 @@ def spin_outcomes(n, matrices, x):
     return (
         outcome(lambda: closure(n, matrices).space),
         outcome(lambda: absorption_probe(MatrixAlgebra(n=n, space=space), x).space),
-        outcome(lambda: [g.flat for g in MatrixAlgebra(n=n, space=space)._generating_set()]),
+        outcome(lambda: [g.flat for g in MatrixAlgebra(n=n, space=space)._generating_set]),
     )
 
 

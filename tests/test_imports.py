@@ -14,9 +14,10 @@ helper `_halves` is gone.  And no
 stored echelon form is row-reduced again: `null_space` and
 `SpanBuilder._spanning` never take an argument that reads
 `._row_matrix()`.  And one growing echelon form: only
-`SpanBuilder._add_integers` calls `_adjoin`.  And one source of
-generating sets: only `MatrixAlgebra._generating_set` touches
-`._generators`.  And one spin loop: only `algebra._spin_matrices` runs a
+`SpanBuilder._add_integers` calls `_adjoin`.  And an algebra's certified
+facts are found once: only the cached property
+`MatrixAlgebra._generating_set` names `_spin_generators`, and only
+`MatrixAlgebra._radical` names `_certified_radical`.  And one spin loop: only `algebra._spin_matrices` runs a
 `for` loop over a list that the loop's body appends to.  And every loop
 has a bound: no `while True`.  And one place reads rationals apart:
 `.numerator` and `.denominator` are read in `exactlin` only, where
@@ -557,19 +558,28 @@ def test_the_scan_finds_a_second_adjoin_site():
     ]
 
 
-def generator_reads(tree):
-    """(scope, line) for each use of an attribute `_generators`, by the
-    dotted name of the classes and functions around it, outside the method
-    `MatrixAlgebra._generating_set`: a generating set comes from the spin
-    of that method only, never from a second list or a fallback."""
+# The one scope that may name each function that finds a certified fact of
+# an algebra: the cached property that keeps it.
+CERTIFIED_FACTS = {
+    "_spin_generators": "MatrixAlgebra._generating_set",
+    "_certified_radical": "MatrixAlgebra._radical",
+}
+
+
+def certified_fact_reads(tree):
+    """(name, scope, line) for each use of a name of `CERTIFIED_FACTS`, as
+    a name or an attribute, by the dotted name of the classes and functions
+    around it, outside its one scope: the generating set and the radical
+    are found by the cached properties of `MatrixAlgebra` only, never by a
+    second call or a fallback."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Attribute) and node.attr == "_generators":
-            if scope != "MatrixAlgebra._generating_set":
-                found.append((scope or "<module>", node.lineno))
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in CERTIFIED_FACTS and scope != CERTIFIED_FACTS[name]:
+            found.append((name, scope or "<module>", node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -579,9 +589,9 @@ def generator_reads(tree):
 
 def test_one_source_of_generating_sets():
     found = [
-        f"{path.relative_to(PACKAGE)}: {scope} (line {line})"
+        f"{path.relative_to(PACKAGE)}: {name} in {scope} (line {line})"
         for path in MODULES
-        for scope, line in generator_reads(_tree(path))
+        for name, scope, line in certified_fact_reads(_tree(path))
     ]
     assert found == []
 
@@ -589,23 +599,24 @@ def test_one_source_of_generating_sets():
 def test_the_scan_finds_a_second_source_of_generators():
     tree = ast.parse(
         "class MatrixAlgebra:\n"
-        "    _generators: list = []\n"
+        "    @cached_property\n"
         "    def _generating_set(self):\n"
-        "        if not self._generators:\n"
-        "            self._generators[:] = spin(self)\n"
-        "        return self._generators\n"
-        "def _certified_radical(a, basis):\n"
-        "    return a._generators or basis\n"
+        "        return _spin_generators(self.n, self.space)\n"
+        "    @cached_property\n"
+        "    def _radical(self):\n"
+        "        return _certified_radical(self)\n"
+        "def _certified_radical(a):\n"
+        "    generators = a._generating_set or _spin_generators(a.n, a.space)\n"
+        "def semisimple_blocks(a):\n"
+        "    rad, coords, _, _ = algebra._certified_radical(a)\n"
         "class _QuotientAlgebra:\n"
-        "    def __init__(self, algebra):\n"
-        "        self._generators = algebra._generating_set()\n"
         "    def center(self):\n"
-        "        return [g for g in self._generators]\n"
+        "        spin = _spin_generators\n"
     )
-    assert generator_reads(tree) == [
-        ("_certified_radical", 8),
-        ("_QuotientAlgebra.__init__", 11),
-        ("_QuotientAlgebra.center", 13),
+    assert certified_fact_reads(tree) == [
+        ("_spin_generators", "_certified_radical", 9),
+        ("_certified_radical", "semisimple_blocks", 11),
+        ("_spin_generators", "_QuotientAlgebra.center", 14),
     ]
 
 
