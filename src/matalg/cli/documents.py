@@ -74,6 +74,11 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def _matrix_rows(m: Matrix) -> list[list[str]]:
+    """The entries of `m`, row by row, as canonical rational strings."""
+    return [[format_rational(v) for v in row] for row in m.entries]
+
+
 @dataclass(frozen=True)
 class BasisDocument:
     """A list of n x n rational matrices, tagged with the field (always
@@ -160,9 +165,6 @@ def serialize_basis_document(doc: BasisDocument) -> str:
     payload = {
         "n": doc.n,
         "field": doc.field,
-        "basis": [
-            [[format_rational(e) for e in row] for row in m.entries]
-            for m in doc.matrices
-        ],
+        "basis": [_matrix_rows(m) for m in doc.matrices],
     }
     return json.dumps(payload, indent=2) + "\n"

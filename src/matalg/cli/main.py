@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable
 
 from ..algebra import (
     Composition,
@@ -36,7 +37,7 @@ from ..exactlin import Matrix, Subspace, rref_basis
 from .documents import (
     BasisDocument,
     DocumentError,
-    format_rational,
+    _matrix_rows,
     parse_basis_document,
     serialize_basis_document,
 )
@@ -70,8 +71,6 @@ def _parse_composition(text: str) -> tuple[int, ...]:
                 f"invalid block type {text!r}: expected comma-separated positive integers"
             )
         parts.append(int(piece))
-    if not parts:
-        raise argparse.ArgumentTypeError("block type must have at least one part")
     return tuple(parts)
 
 
@@ -113,10 +112,6 @@ def _write_text(path: str | None, text: str) -> None:
         raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _matrix_rows(m: Matrix) -> list[list[str]]:
-    return [[format_rational(v) for v in row] for row in m.entries]
-
-
 def _space_document(n: int, space: Subspace) -> str:
     matrices = tuple(space.basis_matrices(n))
     return serialize_basis_document(BasisDocument(n=n, matrices=matrices))
@@ -138,87 +133,80 @@ def _input_space(doc: BasisDocument) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_type(args: argparse.Namespace) -> Composition:
+def _cmd_construct(args: argparse.Namespace) -> int:
     parts = args.type
     if args.n is not None and sum(parts) != args.n:
         raise DocumentError(
             f"block type {','.join(map(str, parts))} sums to {sum(parts)}, not n={args.n}"
         )
-    return Composition(parts)
-
-
-def _cmd_construct_algebra(args: argparse.Namespace) -> int:
-    comp = _resolve_type(args)
-    algebra = parabolic_subalgebra(comp)
-    _write_text(args.output, _space_document(algebra.n, algebra.space))
+    built = args.constructor(Composition(parts))
+    _write_text(args.output, _space_document(built.n, built.space))
     return 0
 
 
-def _cmd_construct_coideal(args: argparse.Namespace) -> int:
-    comp = _resolve_type(args)
-    coideal = parabolic_coideal(comp)
-    _write_text(args.output, _space_document(coideal.n, coideal.space))
-    return 0
+def _blocks(doc: BasisDocument) -> dict:
+    data = semisimple_blocks(_input_algebra(doc))
+    return {
+        "n": doc.n,
+        "dimension": data.radical_dim + data.semisimple_dim,
+        "radical_dimension": data.radical_dim,
+        "semisimple_dimension": data.semisimple_dim,
+        "split": data.split,
+        "block_sizes": list(data.block_sizes) if data.block_sizes is not None else None,
+        "lift_traces": list(data.lift_traces) if data.lift_traces is not None else None,
+    }
+
+
+def _is_parabolic(doc: BasisDocument) -> dict:
+    ok, comp, witness = is_parabolic(_input_algebra(doc))
+    return {
+        "n": doc.n,
+        "parabolic": ok,
+        "type": list(comp.parts) if comp is not None else None,
+        "witness": _matrix_rows(witness) if witness is not None else None,
+    }
+
+
+def _is_coideal(doc: BasisDocument) -> dict:
+    n = doc.n
+    result = is_coideal(_input_space(doc))
+    rejected = isinstance(result, CoidealRejection)
+    return {
+        "n": n,
+        "coideal": result.certified,
+        "dimension": result.space.dimension,
+        "failed_axiom": result.axiom if rejected else None,
+        "counterexample": (
+            _matrix_rows(Matrix.from_flat(result.element, n)) if rejected else None
+        ),
+        "failed_component": (
+            [list(divmod(c, n)) for c in result.component]
+            if rejected and result.component is not None
+            else None
+        ),
+    }
+
+
+# Each `analyze` action and what answers it: a subspace, written as a basis
+# document, or a JSON object.  The parser offers the actions in this order.
+_ANALYSES: dict[str, Callable[[BasisDocument], Subspace | dict]] = {
+    "closure": lambda doc: closure(doc.n, doc.matrices).space,
+    "radical": lambda doc: radical(_input_algebra(doc)),
+    "blocks": _blocks,
+    "is-parabolic": _is_parabolic,
+    "is-coideal": _is_coideal,
+    "perp": lambda doc: perp(_input_space(doc)),
+}
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = parse_basis_document(_read_text(args.input))
-    n = doc.n
-    action = args.action
-    if action == "closure":
-        algebra = closure(n, doc.matrices)
-        _write_text(args.output, _space_document(n, algebra.space))
-        return 0
-    if action == "radical":
-        algebra = _input_algebra(doc)
-        _write_text(args.output, _space_document(n, radical(algebra)))
-        return 0
-    if action == "perp":
-        _write_text(args.output, _space_document(n, perp(_input_space(doc))))
-        return 0
-    if action == "blocks":
-        data = semisimple_blocks(_input_algebra(doc))
-        payload = {
-            "n": n,
-            "dimension": data.radical_dim + data.semisimple_dim,
-            "radical_dimension": data.radical_dim,
-            "semisimple_dimension": data.semisimple_dim,
-            "split": data.split,
-            "block_sizes": list(data.block_sizes) if data.block_sizes is not None else None,
-            "lift_traces": list(data.lift_traces) if data.lift_traces is not None else None,
-        }
-    elif action == "is-parabolic":
-        ok, comp, witness = is_parabolic(_input_algebra(doc))
-        payload = {
-            "n": n,
-            "parabolic": ok,
-            "type": list(comp.parts) if comp is not None else None,
-            "witness": _matrix_rows(witness) if witness is not None else None,
-        }
-    elif action == "is-coideal":
-        result = is_coideal(_input_space(doc))
-        payload = {
-            "n": n,
-            "coideal": result.certified,
-            "dimension": result.space.dimension,
-        }
-        if isinstance(result, CoidealRejection):
-            payload["failed_axiom"] = result.axiom
-            payload["counterexample"] = _matrix_rows(
-                Matrix.from_flat(result.element, n)
-            )
-            payload["failed_component"] = (
-                [list(divmod(c, n)) for c in result.component]
-                if result.component is not None
-                else None
-            )
-        else:
-            payload["failed_axiom"] = None
-            payload["counterexample"] = None
-            payload["failed_component"] = None
-    else:  # pragma: no cover - argparse restricts choices
-        raise DocumentError(f"unknown analysis {action!r}")
-    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+    answer = _ANALYSES[args.action](doc)
+    if isinstance(answer, Subspace):
+        text = _space_document(doc.n, answer)
+    else:
+        text = json.dumps(answer, indent=2) + "\n"
+    _write_text(args.output, text)
     return 0
 
 
@@ -259,9 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "construct", help="emit basis documents for standard objects"
     )
     construct_sub = construct.add_subparsers(dest="object", required=True)
-    for name, handler, blurb in (
-        ("parabolic-algebra", _cmd_construct_algebra, "block upper-triangular algebra"),
-        ("parabolic-coideal", _cmd_construct_coideal, "complementary lower-block coideal"),
+    for name, constructor, blurb in (
+        ("parabolic-algebra", parabolic_subalgebra, "block upper-triangular algebra"),
+        ("parabolic-coideal", parabolic_coideal, "complementary lower-block coideal"),
     ):
         p = construct_sub.add_parser(name, help=blurb)
         p.add_argument("--type", type=_parse_composition, required=True,
@@ -269,13 +257,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_parse_int, default=None,
                        help="ambient size; must match the sum of the block sizes")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_construct, constructor=constructor)
 
     analyze = sub.add_parser("analyze", help="analyze a basis document")
-    analyze.add_argument(
-        "action",
-        choices=("closure", "radical", "blocks", "is-parabolic", "is-coideal", "perp"),
-    )
+    analyze.add_argument("action", choices=tuple(_ANALYSES))
     analyze.add_argument("--input", required=True,
                          help="basis document path, or - for stdin")
     analyze.add_argument("--output", default=None, help="output path (default: stdout)")
@@ -307,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # pragma: no cover - downstream closed the pipe
+    except BrokenPipeError:  # downstream closed the pipe
         return 0
 
 

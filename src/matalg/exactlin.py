@@ -645,10 +645,14 @@ def _unit_span(n: int, positions: Iterable[tuple[int, int]]) -> Subspace:
 
 
 def zero_space(ambient_dim: int) -> Subspace:
+    if ambient_dim < 0:
+        raise ValueError(f"negative ambient dimension {ambient_dim}")
     return Subspace._make(ambient_dim, 1, ())
 
 
 def full_space(ambient_dim: int) -> Subspace:
+    if ambient_dim < 0:
+        raise ValueError(f"negative ambient dimension {ambient_dim}")
     return _coordinate_span(ambient_dim, range(ambient_dim))
 
 

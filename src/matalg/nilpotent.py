@@ -66,11 +66,15 @@ DEFAULT_TERM_BUDGET = 100_000
 
 def nil_bound(n: int) -> int:
     """Largest possible dimension of a nil subspace of M_n: n(n-1)/2."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     return n * (n - 1) // 2
 
 
 def strictly_upper_space(n: int) -> Subspace:
     """Span of the units e_{i,j} with i < j; the extremal nil subspace."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     return _unit_span(n, _strictly_upper_positions(n))
 
 

@@ -3068,3 +3068,37 @@ class TestParabolicProperties:
         for x in mats[:6]:
             for y in mats[:6]:
                 assert a.contains(x * y)
+
+
+_P11 = parabolic_subalgebra(Composition((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Composition((1, 2)).block_of(3), "index 3 out of range for n=3"),
+        (lambda: list(compositions(0)), "n must be positive"),
+        (lambda: closure(2, [Matrix.identity(3)]), "expected a 2x2 matrix, got 3x3"),
+        (lambda: absorption_probe(_P11, Matrix.identity(3)), "expected a 2x2 matrix, got 3x3"),
+        (lambda: algebra_from_basis(2, [Matrix.identity(3)]), "expected a 2x2 matrix, got 3x3"),
+        (lambda: _P11.contains(Matrix([[1, 2, 3], [4, 5, 6]])), "expected a 2x2 matrix, got 2x3"),
+        (
+            lambda: conjugate_space(full_space(4), Matrix.identity(3)),
+            "subspace ambient does not match the conjugating matrix",
+        ),
+        (lambda: Flag(2, ()), "a flag needs at least the full space"),
+        (lambda: Flag(2, (full_space(3),)), "flag member has wrong ambient dimension"),
+        (lambda: Flag(2, (zero_space(2), full_space(2))), "flag members must be nonzero"),
+        (lambda: Flag(2, (full_space(2), full_space(2))), "flag dimensions must strictly increase"),
+        (lambda: Flag(2, (rref_basis([[1, 0]], 2),)), "a flag must end at the full space"),
+    ],
+    ids=[
+        "block_of", "compositions", "closure", "absorption_probe", "algebra_from_basis",
+        "contains", "conjugate_space", "flag-empty", "flag-ambient", "flag-zero",
+        "flag-increasing", "flag-full",
+    ],
+)
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

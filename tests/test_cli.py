@@ -1,5 +1,6 @@
 """Document parsing, verification reports, and the command-line surface."""
 
+import argparse
 import json
 import os
 import random
@@ -18,7 +19,7 @@ import matalg.algebra as algebra_module
 import matalg.cli.documents as documents_module
 import matalg.cli.suites as suites_module
 import matalg.coalgebra as coalgebra_module
-from matalg.algebra import Composition, parabolic_subalgebra
+from matalg.algebra import Composition, algebra_from_basis, parabolic_subalgebra, radical
 from matalg.cli.documents import (
     BasisDocument,
     DocumentError,
@@ -27,7 +28,7 @@ from matalg.cli.documents import (
     parse_rational,
     serialize_basis_document,
 )
-from matalg.cli.main import _build_parser, main
+from matalg.cli.main import _build_parser, _parse_n_range, main
 from matalg.cli.suites import (
     SUITE_NAMES,
     corpus_algebras,
@@ -35,6 +36,7 @@ from matalg.cli.suites import (
     run_verification,
     suite_supported_ns,
 )
+from matalg.coalgebra import parabolic_coideal
 from matalg.exactlin import Matrix, rref_basis
 from test_coalgebra import reference_quotient_is_coideal
 
@@ -507,6 +509,87 @@ class TestCommandLine:
             "failed_component": [list(divmod(c, n)) for c in reference.component],
         }
 
+    @pytest.mark.parametrize("semisimple", [False, True], ids=["conjugated-P12", "semisimple"])
+    def test_analyze_radical_prints_the_radical(self, semisimple, tmp_path, capsys):
+        # conjugated P(1, 2), whose radical has dimension 2, and the
+        # conjugated block-diagonal algebra of type (1, 2), whose radical is 0
+        c = Matrix([[1, 2, 0], [0, 1, -1], [1, 0, 1]])
+        pattern = [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)] + ([] if semisimple else [(0, 1), (0, 2)])
+        matrices = tuple(c * Matrix.unit(3, i, j) * c.inverse() for i, j in pattern)
+        path = tmp_path / "algebra.json"
+        path.write_text(serialize_basis_document(BasisDocument(n=3, matrices=matrices)))
+        assert main(["analyze", "radical", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        rad = radical(algebra_from_basis(3, matrices))
+        assert rad.dimension == (0 if semisimple else 2)
+        assert out == serialize_basis_document(BasisDocument(n=3, matrices=tuple(rad.basis_matrices(3))))
+        assert len(json.loads(out)["basis"]) == rad.dimension
+
+    @pytest.mark.parametrize(
+        "action, matrices, keys",
+        [
+            (
+                "blocks",
+                lambda: parabolic_subalgebra(Composition((1, 2))).basis_matrices(),
+                ["n", "dimension", "radical_dimension", "semisimple_dimension", "split", "block_sizes", "lift_traces"],
+            ),
+            (
+                "blocks",
+                lambda: [Matrix.identity(2), Matrix([[0, 1], [10**24 + 7, 0]])],
+                ["n", "dimension", "radical_dimension", "semisimple_dimension", "split", "block_sizes", "lift_traces"],
+            ),
+            (
+                "is-parabolic",
+                lambda: parabolic_subalgebra(Composition((2, 1))).basis_matrices(),
+                ["n", "parabolic", "type", "witness"],
+            ),
+            (
+                "is-parabolic",
+                lambda: [Matrix.identity(2), Matrix.unit(2, 0, 0)],
+                ["n", "parabolic", "type", "witness"],
+            ),
+            (
+                "is-coideal",
+                lambda: parabolic_coideal(Composition((1, 2))).space.basis_matrices(3),
+                ["n", "coideal", "dimension", "failed_axiom", "counterexample", "failed_component"],
+            ),
+            (
+                "is-coideal",
+                lambda: [Matrix.identity(2)],
+                ["n", "coideal", "dimension", "failed_axiom", "counterexample", "failed_component"],
+            ),
+            (
+                "is-coideal",
+                lambda: [Matrix.unit(3, 1, 0)],
+                ["n", "coideal", "dimension", "failed_axiom", "counterexample", "failed_component"],
+            ),
+        ],
+        ids=[
+            "blocks-split", "blocks-not-split", "is-parabolic-yes", "is-parabolic-no",
+            "is-coideal-yes", "is-coideal-counit", "is-coideal-comultiplication",
+        ],
+    )
+    def test_analyze_json_keys_keep_their_order(self, action, matrices, keys, tmp_path, capsys):
+        # dicts compare equal in any key order; the printed order is pinned here
+        matrices = tuple(matrices())
+        path = tmp_path / "input.json"
+        path.write_text(serialize_basis_document(BasisDocument(n=matrices[0].rows, matrices=matrices)))
+        assert main(["analyze", action, "--input", str(path)]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == keys
+
+    def test_analyze_usage_lists_the_actions_in_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze"])
+        assert "{closure,radical,blocks,is-parabolic,is-coideal,perp}" in capsys.readouterr().err
+
+    def test_a_closed_pipe_exits_0(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["construct", "parabolic-algebra", "--type", "1,2"]) == 0
+
     def test_construct_coideal_and_perp_agree(self, tmp_path, capsys):
         alg = tmp_path / "a.json"
         coi = tmp_path / "c.json"
@@ -745,3 +828,43 @@ class TestCommandLine:
         assert payload["coideal"] is False
         assert payload["failed_axiom"] == "counit"
         assert payload["failed_component"] is None
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: parse_basis_document("[]"), DocumentError, "document root must be an object"),
+        (
+            lambda: parse_basis_document('{"n": 2, "field": "Q", "basis": {}}'),
+            DocumentError,
+            "basis must be a list of matrices",
+        ),
+        (
+            lambda: parse_basis_document('{"n": 2, "field": "Q", "basis": [[["1", "0"], ["0"]]]}'),
+            DocumentError,
+            "basis[0] row 1: expected 2 entries",
+        ),
+        (lambda: BasisDocument(n=2, matrices=(), field="R"), DocumentError, "unsupported field 'R'; only Q"),
+        (
+            lambda: BasisDocument(n=2, matrices=(Matrix.identity(3),)),
+            DocumentError,
+            "basis[0]: expected a 2x2 matrix",
+        ),
+        (lambda: _parse_n_range("0..3"), argparse.ArgumentTypeError, "invalid size range '0..3'"),
+        (lambda: _parse_n_range("3..2"), argparse.ArgumentTypeError, "invalid size range '3..2'"),
+        (
+            lambda: enumerate_unit_pattern_subalgebras(4),
+            ValueError,
+            "exhaustive enumeration is supported for n in {2, 3}",
+        ),
+        (lambda: run_verification("schur", (3, 2)), ValueError, "empty n range 3..2"),
+    ],
+    ids=[
+        "root", "basis", "row", "field", "shape", "n-from-0", "n-decreasing", "enumerate",
+        "empty-range",
+    ],
+)
+def test_input_checks_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -642,3 +642,9 @@ class TestScalingProbes:
         x = Matrix.unit(6, 5, 0) + Matrix.unit(6, 2, 4) * 3 - Matrix.unit(6, 1, 1)
         assert not a.contains(x)
         assert absorption_probe(a, x).dimension == 36
+
+
+def test_input_checks_raise():
+    with pytest.raises(ValueError) as exc:
+        CoalgebraElement.from_matrix(Matrix([[1, 2, 3], [4, 5, 6]]))
+    assert str(exc.value) == "coalgebra elements come from square matrices"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import matalg.algebra as algebra_module
 import matalg.exactlin as exactlin
 from matalg.algebra import closure
-from matalg.coalgebra import perp
+from matalg.coalgebra import is_coideal, perp
 from matalg.exactlin import (
     Matrix,
     SpanBuilder,
@@ -41,6 +41,7 @@ from matalg.exactlin import (
     subspace_sum,
     zero_space,
 )
+from matalg.nilpotent import is_nil_subspace
 
 scalars = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7
@@ -580,6 +581,16 @@ class TestSubspace:
         assert zero_space(3).dimension == 0
         assert full_space(3).dimension == 3
         assert subspace_contains(full_space(3), (1, 2, 3))
+
+    def test_zero_space_rejects_a_negative_dimension(self):
+        assert zero_space(0).ambient_dim == 0
+        with pytest.raises(ValueError, match="^negative ambient dimension -2$"):
+            zero_space(-2)
+
+    def test_full_space_rejects_a_negative_dimension(self):
+        assert full_space(0).dimension == 0
+        with pytest.raises(ValueError, match="^negative ambient dimension -2$"):
+            full_space(-2)
 
     def test_contains(self):
         s = rref_basis([(1, 0, 1)], 3)
@@ -1359,3 +1370,33 @@ class TestUnitSpan:
     def test_rejects_out_of_range_positions(self):
         with pytest.raises(ValueError):
             _unit_span(2, [(0, 2)])
+
+
+_WIDE = Matrix([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: as_vector([1, 2], 3), "expected vector of length 3, got 2"),
+        (lambda: Matrix.unit(2, 2, 0), "unit position (2, 0) out of range for n=2"),
+        (lambda: Matrix.from_flat([1, 2, 3], 2), "expected 4 coordinates, got 3"),
+        (lambda: _WIDE * _WIDE, "cannot multiply 2x3 by 2x3"),
+        (lambda: _WIDE.trace(), "trace needs a square matrix"),
+        (lambda: _WIDE.inverse(), "only square matrices can be inverted"),
+        (lambda: full_space(4).basis_matrices(3), "ambient dimension 4 is not 3*3"),
+        (lambda: subspace_sum(full_space(4), full_space(9)), "ambient dimension mismatch: 4 vs 9"),
+        (lambda: subspace_intersect(full_space(4), zero_space(9)), "ambient dimension mismatch: 4 vs 9"),
+        (lambda: is_coideal(full_space(3)), "ambient dimension 3 is not a square"),
+        (lambda: is_nil_subspace(zero_space(3)), "ambient dimension 3 is not a square"),
+        (lambda: random_subspace(random.Random(0), 3, 4), "dimension 4 out of range for ambient 3"),
+    ],
+    ids=[
+        "as_vector", "unit", "from_flat", "product", "trace", "inverse", "basis_matrices",
+        "sum", "intersect", "is_coideal", "is_nil_subspace", "random_subspace",
+    ],
+)
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -828,3 +828,15 @@ class TestNilBoundExtremality:
     def test_extremal_space_reaches_bound(self):
         for n in (2, 3, 4):
             assert strictly_upper_space(n).dimension == nil_bound(n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nil_bound_rejects_sizes_below_one(self, n):
+        with pytest.raises(ValueError) as exc:
+            nil_bound(n)
+        assert str(exc.value) == f"n must be positive, got {n}"
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_strictly_upper_space_rejects_sizes_below_one(self, n):
+        with pytest.raises(ValueError) as exc:
+            strictly_upper_space(n)
+        assert str(exc.value) == f"n must be positive, got {n}"
