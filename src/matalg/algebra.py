@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .exactlin import (
@@ -96,15 +97,11 @@ class Composition:
         return sum(self.parts)
 
     def block_of(self, index: int) -> int:
-        """Block number (0-based) of coordinate `index`."""
+        """Block number (0-based) of coordinate `index`: the number of
+        blocks that end at or before it."""
         if not 0 <= index < self.n:
             raise ValueError(f"index {index} out of range for n={self.n}")
-        upper = 0
-        for b, p in enumerate(self.parts):
-            upper += p
-            if index < upper:
-                return b
-        raise AssertionError("unreachable")
+        return bisect_right(list(accumulate(self.parts)), index)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)

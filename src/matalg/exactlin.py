@@ -645,15 +645,19 @@ def _unit_span(n: int, positions: Iterable[tuple[int, int]]) -> Subspace:
 
 
 def zero_space(ambient_dim: int) -> Subspace:
-    if ambient_dim < 0:
-        raise ValueError(f"negative ambient dimension {ambient_dim}")
+    _check_ambient_dim(ambient_dim)
     return Subspace._make(ambient_dim, 1, ())
 
 
 def full_space(ambient_dim: int) -> Subspace:
+    _check_ambient_dim(ambient_dim)
+    return _coordinate_span(ambient_dim, range(ambient_dim))
+
+
+def _check_ambient_dim(ambient_dim: int) -> None:
+    """Reject a negative ambient dimension; 0 is a valid one."""
     if ambient_dim < 0:
         raise ValueError(f"negative ambient dimension {ambient_dim}")
-    return _coordinate_span(ambient_dim, range(ambient_dim))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -784,6 +788,7 @@ class SpanBuilder:
     """
 
     def __init__(self, ambient_dim: int):
+        _check_ambient_dim(ambient_dim)
         self.ambient_dim = ambient_dim
         self._rows: dict[int, list[int]] = {}
         self._den = 1

@@ -12,10 +12,12 @@ Then the kernel-flag triangularizer: when the algebra the subspace
 generates is nilpotent, its checked conjugator proves the subspace nil.
 Only then does it expand the powers k = 3..n of the generic matrix over
 the integers, one power at a time, which is exact but grows with the
-number of monomials, hence the term budget.  When a trace polynomial is
-nonzero the witness is read off it deterministically (Alon's
-Combinatorial Nullstellensatz) and checked exactly; no random draw is
-made, so the verdict and the witness are both deterministic.
+number of monomials, hence the term budget.  When Tr(X^k) is nonzero
+only its smallest monomial is read off it: by Alon's Combinatorial
+Nullstellensatz Tr(w^k) is nonzero for some w on that monomial's grid,
+and the first such w, with Tr(w^k) formed on the matrix itself, is the
+witness.  No random draw is made, so the verdict and the witness are
+both deterministic.
 
 The dimension of a nil subspace is at most n(n-1)/2, with equality
 exactly for conjugates of the strictly upper-triangular space
@@ -133,7 +135,9 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
        Tr(b_i) is nonzero, b_i is returned as the witness with the single
        report for power 1.
     2. k = 2, from the trace Gram matrix (`_trace_gram`): Tr(X^2) has
-       the coefficient Tr(b_i^2) at t_i^2 and 2 Tr(b_i b_j) at t_i t_j.
+       the coefficient Tr(b_i^2) at t_i^2 and 2 Tr(b_i b_j) at t_i t_j,
+       so its smallest monomial is t_i t_j at the first nonzero
+       Tr(b_i b_j), j ascending and then i <= j ascending.
     3. For n >= 3, the kernel flag: when `triangularize_nil` returns a
        conjugator, the verdict is `ALL_NILPOTENT` with that conjugator as
        its proof.  This settles exactly the subspaces whose generated
@@ -143,8 +147,9 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
        verdict is `UNDETERMINED`; else Tr(X^k) is expanded for
        k = 3..n (`_trace_polynomials`).
 
-    A nonzero Tr(X^k) gives the witness through `_grid_point`, checked by
-    Tr(witness^k) != 0 before it is returned.
+    A nonzero Tr(X^k) gives the witness through `_witness`: the first
+    combination of the basis, on the grid of the smallest monomial, whose
+    k-th power has a nonzero trace.
     """
     n = _matrix_side(s)
     d = s.dimension
@@ -158,10 +163,11 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
     counts = [math.comb(d + k - 1, k) for k in range(1, n + 1)]
     rows = [_primitive(vec) for _, vec in stored]
     # n >= 2 from here: the one nonzero subspace of M_1 has a basis trace
-    square = _square_trace(rows, n)
-    reports = [PowerReport(1, d, True), PowerReport(2, counts[1], not square)]
-    if square:
-        return _witness(square, 2, rows, n, reports)
+    gram = _trace_gram(rows, n)
+    square = next(((i, j) for j in range(d) for i in range(j + 1) if gram[i, j]), None)
+    reports = [PowerReport(1, d, True), PowerReport(2, counts[1], square is None)]
+    if square is not None:
+        return _witness([square.count(i) for i in range(d)], 2, rows, n, reports)
     if n >= 3:
         conjugator = triangularize_nil(s)
         if conjugator is not None:
@@ -171,35 +177,38 @@ def is_nil_subspace(s: Subspace, *, budget: int = DEFAULT_TERM_BUDGET) -> NilCer
         for k, trace in enumerate(_trace_polynomials(rows, n), start=3):
             reports.append(PowerReport(k, counts[k - 1], not trace))
             if trace:
-                return _witness(trace, k, rows, n, reports)
+                top = [min(trace) // (n + 1) ** i % (n + 1) for i in range(d)]
+                return _witness(top, k, rows, n, reports)
     return NilCertificate(ALL_NILPOTENT, None, tuple(reports))
 
 
 def _witness(
-    trace: dict[int, int], k: int, rows: list[list[int]], n: int, reports: list[PowerReport]
+    top: list[int], k: int, rows: list[list[int]], n: int, reports: list[PowerReport]
 ) -> NilCertificate:
-    """The `WITNESS_FOUND` certificate for the nonzero Tr(X^k) `trace`: its
-    `_grid_point` combination of `rows`, checked by Tr(witness^k) != 0."""
-    point = _grid_point(trace, len(rows), n)
-    witness = Matrix.from_flat(_combination(point, rows, n * n), n)
-    if not (witness**k).trace():
-        raise RuntimeError("witness check failed: Tr(witness^k) is zero")
-    return NilCertificate(WITNESS_FOUND, witness, tuple(reports))
+    """The `WITNESS_FOUND` certificate for a nonzero Tr(X^k) whose smallest
+    monomial t_1^e_1 ... t_d^e_d has the exponent vector `top`: the first
+    w = sum_i c_i rows[i], c running through the grid {0..e_1} x ... x
+    {0..e_d} in order, with Tr(w^k) != 0.
 
-
-def _square_trace(rows: list[list[int]], n: int) -> dict[int, int]:
-    """Tr(X^2) for X = sum_i t_i rows[i], packed as in `_trace_polynomials`:
-    sum over i, j of t_i t_j Tr(b_i b_j), read off the upper triangle of
-    the trace Gram matrix (`_trace_gram`), twice off the diagonal."""
-    place = [(n + 1) ** i for i in range(len(rows))]
-    gram = _trace_gram(rows, n)
-    return {place[i] + place[j]: tr if i == j else 2 * tr for (i, j), tr in gram.items() if tr}
+    That monomial has a nonzero coefficient and Tr(X^k) is homogeneous of
+    degree k = e_1 + ... + e_d, so by the Combinatorial Nullstellensatz
+    (Alon 1999) Tr(X^k) does not vanish on that grid, of at most 2^k
+    points (e + 1 <= 2^e); the search stops there.  Tr(w^k),
+    formed on the matrix itself, is both the value of the polynomial at c
+    and the witness's exact check.
+    """
+    for point in itertools.product(*(range(e + 1) for e in top)):
+        if any(point):
+            witness = Matrix.from_flat(_combination(point, rows, n * n), n)
+            if (witness**k).trace():
+                return NilCertificate(WITNESS_FOUND, witness, tuple(reports))
+    raise RuntimeError("nonzero polynomial vanishes on its Nullstellensatz grid")
 
 
 def _trace_polynomials(rows: list[list[int]], n: int) -> Iterator[dict[int, int]]:
     """Yield Tr(X^k) for k = 3..n, X = sum_i t_i rows[i] read row-major:
     the powers that `is_nil_subspace` expands, after Tr(X) off the basis
-    traces and Tr(X^2) off the trace Gram matrix (`_square_trace`).
+    traces and Tr(X^2) off the trace Gram matrix (`_trace_gram`).
 
     A polynomial is a dict from packed exponent vector to nonzero integer
     coefficient: the exponent of t_i is digit i in base n + 1 (no degree
@@ -235,43 +244,6 @@ def _dot(pairs: Iterable[tuple[dict[int, int], list[tuple[int, int]]]]) -> dict[
                 key = m + step
                 out[key] = get(key, 0) + c * v
     return {m: c for m, c in out.items() if c}
-
-
-def _exponents(key: int, d: int, n: int) -> list[int]:
-    """The exponent vector of t_1..t_d packed in `key` (base n + 1)."""
-    exps = []
-    for _ in range(d):
-        key, e = divmod(key, n + 1)
-        exps.append(e)
-    return exps
-
-
-def _grid_point(poly: dict[int, int], d: int, n: int) -> list[int]:
-    """An integer point c with poly(c) != 0, for a nonzero homogeneous
-    polynomial in packed form.
-
-    The smallest monomial t_1^e_1 ... t_d^e_d has maximal degree, so by the
-    Combinatorial Nullstellensatz (Alon 1999) poly does not vanish on the
-    grid {0..e_1} x ... x {0..e_d}, of at most 2^degree points.  The grid
-    is searched in order, on the monomials supported where it is: those
-    whose exponents at the support alone add up to the degree.
-    """
-    top = _exponents(min(poly), d, n)
-    degree = sum(top)
-    support = [i for i, e in enumerate(top) if e]
-    places = [(n + 1) ** i for i in support]
-    terms = []
-    for m, c in poly.items():
-        exps = [m // p % (n + 1) for p in places]
-        if sum(exps) == degree:
-            terms.append((c, exps))
-    for values in itertools.product(*(range(top[i] + 1) for i in support)):
-        if sum(c * math.prod(x**e for x, e in zip(values, exps)) for c, exps in terms):
-            point = [0] * d
-            for i, x in zip(support, values):
-                point[i] = x
-            return point
-    raise RuntimeError("nonzero polynomial vanishes on its Nullstellensatz grid")
 
 
 def triangularize_nil(s: Subspace) -> Matrix | None:

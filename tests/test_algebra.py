@@ -125,6 +125,7 @@ class TestComposition:
         comp = Composition((1, 2))
         assert comp.n == 3
         assert [comp.block_of(i) for i in range(3)] == [0, 1, 1]
+        assert list(comp) == [1, 2] and len(comp) == 2
 
     def test_rejects_nonpositive_parts(self):
         with pytest.raises(ValueError):
@@ -3102,3 +3103,16 @@ def test_input_checks_raise(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Composition((2, 1)), "Composition((2, 1))"),
+        (_P11, "MatrixAlgebra(n=2, dim=3)"),
+        (rref_basis([[1, 2, 0]], 3), "Subspace(dim=1, ambient=3)"),
+    ],
+    ids=["Composition", "MatrixAlgebra", "Subspace"],
+)
+def test_repr(value, text):
+    assert repr(value) == text

@@ -592,6 +592,17 @@ class TestSubspace:
         with pytest.raises(ValueError, match="^negative ambient dimension -2$"):
             full_space(-2)
 
+    def test_rref_basis_rejects_a_negative_dimension(self):
+        # an empty vector list has no length to check the dimension against
+        assert rref_basis([], 0).ambient_dim == 0
+        with pytest.raises(ValueError, match="^negative ambient dimension -1$"):
+            rref_basis([], -1)
+
+    def test_span_builder_rejects_a_negative_dimension(self):
+        assert SpanBuilder(0).to_subspace().ambient_dim == 0
+        with pytest.raises(ValueError, match="^negative ambient dimension -2$"):
+            SpanBuilder(-2)
+
     def test_contains(self):
         s = rref_basis([(1, 0, 1)], 3)
         assert s.contains((2, 0, 2))
@@ -1382,6 +1393,8 @@ _WIDE = Matrix([[1, 2, 3], [4, 5, 6]])
         (lambda: Matrix.unit(2, 2, 0), "unit position (2, 0) out of range for n=2"),
         (lambda: Matrix.from_flat([1, 2, 3], 2), "expected 4 coordinates, got 3"),
         (lambda: _WIDE * _WIDE, "cannot multiply 2x3 by 2x3"),
+        (lambda: Matrix([[1, 2]]) + Matrix([[1], [2]]), "shape mismatch: 1x2 vs 2x1"),
+        (lambda: Matrix([[1, 2]]) - Matrix([[1], [2]]), "shape mismatch: 1x2 vs 2x1"),
         (lambda: _WIDE.trace(), "trace needs a square matrix"),
         (lambda: _WIDE.inverse(), "only square matrices can be inverted"),
         (lambda: full_space(4).basis_matrices(3), "ambient dimension 4 is not 3*3"),
@@ -1392,8 +1405,9 @@ _WIDE = Matrix([[1, 2, 3], [4, 5, 6]])
         (lambda: random_subspace(random.Random(0), 3, 4), "dimension 4 out of range for ambient 3"),
     ],
     ids=[
-        "as_vector", "unit", "from_flat", "product", "trace", "inverse", "basis_matrices",
-        "sum", "intersect", "is_coideal", "is_nil_subspace", "random_subspace",
+        "as_vector", "unit", "from_flat", "product", "sum-shape", "difference-shape", "trace",
+        "inverse", "basis_matrices", "sum", "intersect", "is_coideal", "is_nil_subspace",
+        "random_subspace",
     ],
 )
 def test_input_checks_raise(call, message):

@@ -32,8 +32,6 @@ from matalg.nilpotent import (
     UNDETERMINED,
     WITNESS_FOUND,
     PowerReport,
-    _exponents,
-    _square_trace,
     _trace_polynomials,
     is_nil_subspace,
     nil_bound,
@@ -201,6 +199,30 @@ class TestWitnessSearch:
     def test_none_on_zero_space(self):
         cert = is_nil_subspace(zero_space(4))
         assert cert.verdict == ALL_NILPOTENT and cert.witness is None
+
+    def test_planted_trace_polynomial_on_a_nil_span_raises(self, monkeypatch):
+        # a nonzero Tr(X^3), t_0^2 t_1, on a nil span that only the
+        # expansion decides: no point of its grid gives Tr(w^3) != 0
+        def planted(rows, n):
+            yield {2 + (n + 1): 1}
+
+        monkeypatch.setattr(nilpotent_module, "_trace_polynomials", planted)
+        with pytest.raises(RuntimeError, match="^nonzero polynomial vanishes on its Nullstellensatz grid$"):
+            is_nil_subspace(nil_non_triangularizable_span())
+
+    def test_planted_gram_entry_on_a_nil_span_raises(self, monkeypatch):
+        # a nonzero Tr(b_0 b_1) on the strictly upper span: no point of the
+        # grid of t_0 t_1 gives Tr(w^2) != 0
+        real = nilpotent_module._trace_gram
+
+        def planted(rows, n):
+            gram = real(rows, n)
+            gram[0, 1] = 1
+            return gram
+
+        monkeypatch.setattr(nilpotent_module, "_trace_gram", planted)
+        with pytest.raises(RuntimeError, match="^nonzero polynomial vanishes on its Nullstellensatz grid$"):
+            is_nil_subspace(strictly_upper_space(3))
 
 
 class TestTriangularize:
@@ -547,11 +569,22 @@ def sympy_trace_supports(s, n):
 
 def expanded_supports(s, n):
     """For k = 2..n, the exponent vectors of the nonzero coefficients of
-    Tr(X^k) as the package forms it: `_square_trace` for k = 2, and
-    `_trace_polynomials` for k >= 3."""
+    Tr(X^k) as the package forms it: t_i t_j at each nonzero Tr(b_i b_j)
+    of the trace Gram matrix for k = 2, and the packed keys of
+    `_trace_polynomials`, digit i in base n + 1 the exponent of t_i, for
+    k >= 3."""
     rows = primitive_rows(s)
-    polys = [_square_trace(rows, n), *_trace_polynomials(rows, n)]
-    return [{tuple(_exponents(key, s.dimension, n)) for key in poly} for poly in polys]
+    d = s.dimension
+    square = {
+        tuple(int(i == a) + int(j == a) for a in range(d))
+        for (i, j), tr in algebra_module._trace_gram(rows, n).items()
+        if tr
+    }
+    higher = [
+        {tuple(key // (n + 1) ** a % (n + 1) for a in range(d)) for key in poly}
+        for poly in _trace_polynomials(rows, n)
+    ]
+    return [square, *higher]
 
 
 def expanded_traces(rows, n):
@@ -688,14 +721,17 @@ class TestNilDifferential:
         self.assert_matches_expansion(s, n)
 
     def test_every_step_decides_somewhere(self):
-        # a witness at k = 1, 2 and 3, a flag proof, and a nil space that
-        # only the expansion proves
+        # a witness at k = 1, 2 and 3, a flag proof, a nil space that only
+        # the expansion proves, and a witness at k = 2 whose smallest
+        # monomial, t_1 t_2 off Tr(b_1 b_2), comes after Tr(b_0 b_3) in row
+        # order
         cases = [
             (3, rref_basis([Matrix.identity(3).flatten()], 9)),
             (2, unit_span(2, [(0, 1), (1, 0)])),
             (3, cycle_span()),
             (4, conjugate_space(strictly_upper_space(4), random_invertible(random.Random(9), 4))),
             (3, nil_non_triangularizable_span()),
+            (4, unit_span(4, [(0, 3), (1, 2), (2, 1), (3, 0)])),
         ]
         certs = [self.assert_matches_expansion(s, n) for n, s in cases]
         assert [c.checked_powers[-1].power for c in certs[:3]] == [1, 2, 3]
@@ -704,12 +740,17 @@ class TestNilDifferential:
 
     @given(differential_spaces())
     @settings(max_examples=60, deadline=None)
-    def test_square_trace_is_the_expanded_square(self, case):
+    def test_trace_gram_is_the_expanded_square(self, case):
+        # Tr(X^2) has Tr(b_i^2) at t_i^2 and 2 Tr(b_i b_j) at t_i t_j
         n, s = case
         rows = primitive_rows(s)
+        d = len(rows)
         square = expanded_traces(rows, n)[1]
-        packed = {sum(e * (n + 1) ** i for i, e in enumerate(m)): c for m, c in square.items()}
-        assert _square_trace(rows, n) == packed
+        gram = algebra_module._trace_gram(rows, n)
+        assert set(gram) == {(i, j) for i in range(d) for j in range(i, d)}
+        for (i, j), tr in gram.items():
+            m = tuple(int(i == a) + int(j == a) for a in range(d))
+            assert square.get(m, 0) == (tr if i == j else 2 * tr)
 
 
 class TestTracePolynomialOracle:
