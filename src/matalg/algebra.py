@@ -169,9 +169,8 @@ class MatrixAlgebra:
         return _spin_generators(self.n, self.space)
 
     @cached_property
-    def _radical(self) -> tuple[Subspace, Subspace, tuple[Matrix, tuple[int, ...]], Matrix]:
-        """The radical with its certificate, as `_certified_radical` returns
-        them."""
+    def _radical(self) -> _RadicalCertificate:
+        """The radical with its certificate (`_certified_radical`)."""
         return _certified_radical(self)
 
     def __repr__(self) -> str:
@@ -302,7 +301,7 @@ def radical(a: MatrixAlgebra) -> Subspace:
     found in the coordinates of `a`; this is its span of flattened
     matrices, certified once per algebra object (`MatrixAlgebra._radical`).
     """
-    return a._radical[0]
+    return a._radical.span
 
 
 def _kernel_flag(rows: Sequence[Sequence[int]], n: int) -> tuple[Matrix, tuple[int, ...]] | None:
@@ -360,23 +359,45 @@ def _flag_basis(
     return Matrix._make(n, n, 1, tuple(e for row in zip(*columns) for e in row)), tuple(dims)
 
 
-def _certified_radical(
-    a: MatrixAlgebra,
-) -> tuple[Subspace, Subspace, tuple[Matrix, tuple[int, ...]], Matrix]:
-    """The radical R of `a` (see `radical`), R in the coordinates of `a`
-    (`_trace_form_kernel`), its kernel flag V_1 < ... < V_s = Q^n as a
-    basis B adapted to the flag with the dimensions of its members, and
-    the checked inverse c of B.  (B, dims) and the section places S of R
-    in the coordinates of `a` are the certificate of R = rad A.  It is
-    found once per algebra object, by `MatrixAlgebra._radical`.
+@dataclass(frozen=True)
+class _RadicalCertificate:
+    """The radical R of an algebra A with its certificate of R = rad A
+    (`_certified_radical`), kept once per algebra object
+    (`MatrixAlgebra._radical`):
+
+    - `span`: R's span of flattened n x n matrices (see `radical`);
+    - `coords`: R in the coordinates of A (`_trace_form_kernel`);
+    - `flag_basis`: a basis B of Q^n adapted to R's kernel flag
+      V_1 < ... < V_s = Q^n, whose first dim V_j columns span V_j;
+    - `flag_type`: the type of the flag, the jumps of the dim V_j;
+    - `section`: the section places S, the coordinates of A off the
+      pivots of R's coordinate rows, in increasing order;
+    - `conjugator`: the inverse c of B, checked to carry every element of
+      A into the block upper-triangular algebra of `flag_type`.
+
+    (B, flag type, S) is the certificate.  For R = 0 the flag is Q^n
+    alone: B and c are the identity, the type is (n,) and S is every
+    place of A.
+    """
+
+    span: Subspace
+    coords: Subspace
+    flag_basis: Matrix
+    flag_type: Composition
+    section: tuple[int, ...]
+    conjugator: Matrix
+
+
+def _certified_radical(a: MatrixAlgebra) -> _RadicalCertificate:
+    """The radical of `a` with its certificate (`_RadicalCertificate`).
 
     The flag is the row-space chain of `_kernel_flag` on the stored rows
     of R; that it reaches Q^n proves the algebra N that R generates
     nilpotent.  Two checks then prove R = rad A (Dickson's criterion over
     Q; Cohen, Ivanyos and Wales, J. Pure Appl. Algebra 117-118, 1997):
 
-    (i) R <= rad A.  c g c^-1 must be block upper triangular of type
-    gaps(dims) for every g in the generating set of `a`
+    (i) R <= rad A.  c g c^-1 must be block upper triangular of the flag's
+    type for every g in the generating set of `a`
     (`MatrixAlgebra._generating_set`, which raises ValueError when `a` is
     not a unital algebra; `_flag_conjugator` checks the pattern): every
     flag member is then g-invariant, so a-invariant.  So the x in `a`
@@ -385,16 +406,15 @@ def _certified_radical(
     generates itself and its flag is a-invariant, so a failure means R is
     not a two-sided ideal.
 
-    (ii) rad A <= R.  The section places S are the coordinates of `a` off
-    the pivots of R's coordinate rows.  An x in rad A is r + s for r in R
-    and s on the section rows, and s = x - r lies in rad A by (i), so
-    Tr(s y) = 0 for every y in `a`.  So G[S, S] s = 0 for the trace Gram
-    matrix G that `_trace_form_kernel` forms, and s = 0 when that block is
-    nonsingular: one `null_space`.
+    (ii) rad A <= R.  An x in rad A is r + s for r in R and s on the
+    section rows, and s = x - r lies in rad A by (i), so Tr(s y) = 0 for
+    every y in `a`.  So G[S, S] s = 0 for the trace Gram matrix G that
+    `_trace_form_kernel` forms, and s = 0 when that m x m block is
+    nonsingular: when its m rows span Q^m (`SpanBuilder._spanning`).
 
-    When R = 0 both are skipped: the flag is Q^n alone, and G[S, S] is G,
-    whose kernel the one elimination has just found zero.  No product of
-    `a` with R is formed.
+    When R = 0 both are skipped, and c is the identity: the flag is Q^n
+    alone, and G[S, S] is G, whose kernel the one elimination has just
+    found zero.  No product of `a` with R is formed.
 
     R's n^2 rows are the combinations of the rows of `a`, its reduced
     echelon basis times den_A, by the coordinate rows of R, R's reduced
@@ -419,21 +439,20 @@ def _certified_radical(
     flag = _kernel_flag([r for _, r in rad._integer_form()[1]], n)
     if flag is None:
         raise RuntimeError("radical candidate is not nilpotent")
-    if not kernel:
-        # R = 0: the flag is Q^n alone, its adapted basis the identity
-        return rad, coords, flag, Matrix.identity(n)
     flag_basis, dims = flag
-    pattern = _block_upper_positions(Composition(_gaps(dims)))
-    try:
-        c = _flag_conjugator(flag_basis, [g.flat for g in generators], n, pattern)
-    except RuntimeError as error:
-        raise RuntimeError(f"radical candidate is not a two-sided ideal: {error}") from None
+    flag_type = Composition(_gaps(dims))
     d, places = len(pivots), {k for k, _ in kernel}
-    section = [k for k in range(d) if k not in places]
-    block = tuple(gram[i * d + j] for i in section for j in section)
-    if null_space(Matrix._make(len(section), len(section), 1, block)).dimension:
-        raise RuntimeError("radical candidate misses part of the radical: its section Gram block is singular")
-    return rad, coords, flag, c
+    section = tuple(k for k in range(d) if k not in places)
+    c = Matrix.identity(n)
+    if kernel:  # for R = 0 the flag is Q^n alone, and G[S, S] is G
+        try:
+            c = _flag_conjugator(flag_basis, [g.flat for g in generators], n, _block_upper_positions(flag_type))
+        except RuntimeError as error:
+            raise RuntimeError(f"radical candidate is not a two-sided ideal: {error}") from None
+        block = ([gram[i * d + j] for j in section] for i in section)
+        if SpanBuilder._spanning(len(section), block).dimension < len(section):
+            raise RuntimeError("radical candidate misses part of the radical: its section Gram block is singular")
+    return _RadicalCertificate(rad, coords, flag_basis, flag_type, section, c)
 
 
 def _trace_form_kernel(a: MatrixAlgebra) -> tuple[Subspace, list[int]]:
@@ -476,13 +495,13 @@ def _trace_gram(rows: Sequence[Sequence[int]], n: int) -> dict[tuple[int, int], 
 
 
 class _QuotientAlgebra:
-    """A/R in coordinates, for R the radical inside the algebra A, given in
-    the coordinates of A (`_trace_form_kernel`).
+    """A/R in coordinates, for R the radical inside the algebra A, read off
+    its certificate (`_RadicalCertificate`): R's coordinate rows in A and
+    the section places S.
 
-    The section rows are the canonical basis rows of A at the places that
-    are not pivots of R's coordinate rows (the unit coordinates off the
-    pivots of a subspace span a complement of it), and their cosets are
-    the coset basis.  An element is a pair (den, ints) in lowest terms
+    The section rows are the canonical basis rows of A at S (the unit
+    coordinates off the pivots of a subspace span a complement of it), and
+    their cosets are the coset basis.  An element is a pair (den, ints) in lowest terms
     (`exactlin._lowest_terms`), so equal elements are equal pairs.  No
     table of products is kept: each product is formed when it is asked
     for, on the lifts of its factors along the section rows (`lift`), over
@@ -501,15 +520,14 @@ class _QuotientAlgebra:
     multiply.
     """
 
-    def __init__(self, algebra: MatrixAlgebra, coords: Subspace):
+    def __init__(self, algebra: MatrixAlgebra, certificate: _RadicalCertificate):
         n = self.n = algebra.n
         self._section_den, rows = algebra.space._integer_form()
         # the d cells that fix a vector of A, and R's rows at those places
         pivots = [p for p, _ in rows]
         self._cells = [divmod(p, n) for p in pivots]
-        self._rad_den, self._rad_rows = coords._integer_form()
-        rad_places = {k for k, _ in self._rad_rows}
-        self._section_places = [k for k in range(len(rows)) if k not in rad_places]
+        self._rad_den, self._rad_rows = certificate.coords._integer_form()
+        self._section_places = certificate.section
         self._section = [_Factor(rows[k][1], n) for k in self._section_places]
         self.dim = len(self._section)
         # a product of two lifts, reduced, holds coordinates times this
@@ -831,10 +849,11 @@ def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:
     perfect square.  Each block's lift trace (`WedderburnData`) is the
     trace of the lift of e along the section rows of the quotient.  The
     radical is the one certified for `a` (`MatrixAlgebra._radical`), and
-    the quotient takes it in the coordinates of A, in which it was found.
+    the quotient reads its certificate: R in the coordinates of A, in
+    which it was found, and the section places S.
     """
-    rad, coords, _, _ = a._radical
-    quotient = _QuotientAlgebra(a, coords)
+    certificate = a._radical
+    quotient = _QuotientAlgebra(a, certificate)
     idempotents = _central_idempotents(quotient)
     sizes = traces = None
     if idempotents is not None:
@@ -848,8 +867,8 @@ def semisimple_blocks(a: MatrixAlgebra) -> WedderburnData:
             raise RuntimeError("a lift trace is not a positive multiple of its block size")
         sizes, traces = zip(*blocks)
     return WedderburnData(
-        radical_space=rad,
-        radical_dim=rad.dimension,
+        radical_space=certificate.span,
+        radical_dim=certificate.span.dimension,
         semisimple_dim=quotient.dim,
         block_sizes=sizes,
         lift_traces=traces,
@@ -925,17 +944,20 @@ def invariant_flag(a: MatrixAlgebra) -> Flag:
     Member j+1 is the preimage of the joint kernel of the radical of the
     induced action on Q^n / (member j): that radical is the image of R.
     It is read along the row-space chain of `_kernel_flag`, and each
-    member is the canonical span of a prefix of the adapted basis: one
-    `SpanBuilder` takes its n columns in order and is read out at each
-    member's dimension.  For a block upper-triangular algebra this
-    recovers exactly the standard coordinate flag of its type.
+    member is the canonical span of a prefix of the certificate's adapted
+    basis (`_RadicalCertificate.flag_basis`): one `SpanBuilder` takes its
+    n columns in order and is read out at each member's dimension, the
+    partial sums of the flag's type.  For a block upper-triangular
+    algebra this recovers exactly the standard coordinate flag of its
+    type.
     """
-    basis, dims = a._radical[2]
+    certificate = a._radical
+    ends = set(accumulate(certificate.flag_type))
     builder = SpanBuilder(a.n)
     members = []
-    for column in _split_columns(basis._integer_form()[1], a.n):
+    for column in _split_columns(certificate.flag_basis._integer_form()[1], a.n):
         builder._add_integers(column)
-        if builder.dimension in dims:
+        if builder.dimension in ends:
             members.append(builder.to_subspace())
     return Flag(n=a.n, subspaces=tuple(members))
 
@@ -981,19 +1003,18 @@ def is_parabolic(
     `a` lies in the stabilizer of its invariant flag, a conjugate of the
     block upper-triangular algebra of the flag's type, and equals it
     exactly when the dimensions agree.  On success returns (True, type, c)
-    where the flag gaps give the type and `c b c^-1` maps `a` onto the
-    standard algebra of that type: c is the inverse of the basis adapted
-    to the flag that `_certified_radical` hands over (the identity for a
-    coordinate flag), whose check (i) has already shown that it maps each
-    generator of `a`, so all of `a`, into that algebra; with equal
+    with the type and c read off the radical's certificate
+    (`_RadicalCertificate`): `c b c^-1` maps `a` onto the standard algebra
+    of that type, since c is the conjugator that check (i) of
+    `_certified_radical` has shown to map each generator of `a`, so all of
+    `a`, into that algebra (the identity for R = 0); with equal
     dimensions, into is onto.  Otherwise, when the dimension of `a` falls
     short of that type's, (False, None, None).
     """
-    _, _, (_, dims), c = a._radical
-    comp = Composition(_gaps(dims))
-    if a.dimension != parabolic_dimension(comp):
+    certificate = a._radical
+    if a.dimension != parabolic_dimension(certificate.flag_type):
         return False, None, None
-    return True, comp, c
+    return True, certificate.flag_type, certificate.conjugator
 
 
 def absorption_probe(a: MatrixAlgebra, x: Matrix) -> MatrixAlgebra:

@@ -281,12 +281,6 @@ def at_pivots(a, space):
     return rref_basis([[row[p] for p in pivots] for row in space.basis], len(pivots))
 
 
-def radical_coordinates(a):
-    """The radical of `a` in the coordinates of `a`, as `_certified_radical`
-    hands it to `_QuotientAlgebra`."""
-    return _certified_radical(a)[1]
-
-
 def plant(patch, coords):
     """Make `_trace_form_kernel` return the subspace `coords` of the
     coordinates of its algebra as the radical candidate, with the true
@@ -587,7 +581,7 @@ class TestQuotientTable:
     @settings(max_examples=40, deadline=None)
     def test_mult_and_left_trace_match_lifted_products(self, a, data):
         rad = radical(a)
-        quotient = _QuotientAlgebra(a, radical_coordinates(a))
+        quotient = _QuotientAlgebra(a, _certified_radical(a))
         section = [
             Matrix.from_flat(row, a.n)
             for row, p in zip(a.space.basis, a.space.pivots)
@@ -916,7 +910,7 @@ def assert_same_idempotents(a):
     """The integer center split of `a` gives the reference's idempotents,
     in the same order, with the same block dimensions."""
     rad = radical(a)
-    quotient = _QuotientAlgebra(a, radical_coordinates(a))
+    quotient = _QuotientAlgebra(a, _certified_radical(a))
     reference = ReferenceQuotientAlgebra(a, rad)
     assert as_fractions(quotient.one) == reference.one
     idempotents = _central_idempotents(quotient)
@@ -984,7 +978,7 @@ class TestCentralIdempotentWalk:
         calls = []
         min_poly = _QuotientAlgebra.min_poly
         monkeypatch.setattr(_QuotientAlgebra, "min_poly", lambda *args: calls.append(args) or min_poly(*args))
-        quotient = _QuotientAlgebra(a, radical_coordinates(a))
+        quotient = _QuotientAlgebra(a, _certified_radical(a))
         idempotents = _central_idempotents(quotient)
         assert len(calls) == expected_calls
         assert len(idempotents) == len(quotient.center())
@@ -995,7 +989,7 @@ class TestCentralIdempotentWalk:
     def test_min_poly_lifts_its_element_once(self, monkeypatch):
         a = block_diagonal_algebra(Composition((1,) * 10))
         rad = radical(a)
-        quotient = _QuotientAlgebra(a, radical_coordinates(a))
+        quotient = _QuotientAlgebra(a, _certified_radical(a))
         lifts = []
         lift = _QuotientAlgebra.lift
         monkeypatch.setattr(_QuotientAlgebra, "lift", lambda self, u: lifts.append(u) or lift(self, u))
@@ -1066,6 +1060,35 @@ def _conjugated_parabolic_cases():
         yield algebra_from_basis(n, conjugate(parabolic_subalgebra(Composition(parts)), c).basis_matrices())
 
 
+class TestRadicalCertificateRecord:
+    """The record that `_certified_radical` builds: its section places are
+    the places of A off the pivots of R's coordinate rows, and the
+    quotient reads that tuple as it is; R = 0 skips both checks and builds
+    the same record, with every place, the identity conjugator and the
+    flag Q^n alone."""
+
+    @pytest.mark.parametrize("a", [a for _, a in PIVOT_CASES], ids=[label for label, _ in PIVOT_CASES])
+    def test_section_is_the_places_off_the_radical_pivots(self, a):
+        certificate = a._radical
+        rad_pivots = set(certificate.coords.pivots)
+        assert certificate.section == tuple(k for k in range(a.dimension) if k not in rad_pivots)
+        assert len(certificate.section) == a.dimension - certificate.span.dimension
+        assert _QuotientAlgebra(a, certificate)._section_places is certificate.section
+
+    @pytest.mark.parametrize(
+        "a",
+        [closure(3, []), parabolic_subalgebra(Composition((3,))), block_diagonal_algebra(Composition((1, 1, 1)))],
+        ids=["QI", "M3", "diagonal"],
+    )
+    def test_zero_radical_builds_the_same_record(self, a, monkeypatch):
+        monkeypatch.setattr(algebra_module, "_flag_conjugator", lambda *args: pytest.fail("check (i) ran on R = 0"))
+        certificate = _certified_radical(a)
+        assert certificate.span == zero_space(9) and certificate.coords == zero_space(a.dimension)
+        assert certificate.section == tuple(range(a.dimension))
+        assert certificate.flag_basis == certificate.conjugator == Matrix.identity(3)
+        assert certificate.flag_type == Composition((3,))
+
+
 class TestQuotientAtPivots:
     """The quotient forms its products only at the pivots of A; `mult`,
     `left_trace` and `center` agree with the `Fraction` reference, which
@@ -1079,7 +1102,7 @@ class TestQuotientAtPivots:
     @pytest.mark.parametrize("a", [a for _, a in PIVOT_CASES], ids=[label for label, _ in PIVOT_CASES])
     def test_matches_the_reference(self, a):
         rad = radical(a)
-        quotient = _QuotientAlgebra(a, radical_coordinates(a))
+        quotient = _QuotientAlgebra(a, _certified_radical(a))
         reference = ReferenceQuotientAlgebra(a, rad)
         m = quotient.dim
         assert m == reference.dim
@@ -1099,10 +1122,11 @@ class TestQuotientAtPivots:
         kernels, quotients = [], []
         kernel, build = algebra_module._trace_form_kernel, _QuotientAlgebra.__init__
         monkeypatch.setattr(algebra_module, "_trace_form_kernel", lambda b: kernels.append(b) or kernel(b))
-        monkeypatch.setattr(_QuotientAlgebra, "__init__", lambda self, b, coords: quotients.append(coords) or build(self, b, coords))
+        monkeypatch.setattr(_QuotientAlgebra, "__init__", lambda self, b, certificate: quotients.append(certificate) or build(self, b, certificate))
         data = semisimple_blocks(a)
-        assert kernels == [a] and len(quotients) == 1
-        assert quotients[0].ambient_dim == a.dimension and quotients[0].dimension == data.radical_dim
+        assert kernels == [a] and quotients == [a._radical]
+        coords = quotients[0].coords
+        assert coords.ambient_dim == a.dimension and coords.dimension == data.radical_dim
         assert set(lengths) == {a.dimension}
 
 
@@ -1158,12 +1182,12 @@ class TestSharedBasisProducts:
             ]
             # the three share one space, so one radical in its coordinates,
             # found before the products are counted
-            cases.append((radical_coordinates(built), section, algebras))
+            cases.append((_certified_radical(built), section, algebras))
         products = _count_row_products(monkeypatch)
-        for coords, section, algebras in cases:
+        for certificate, section, algebras in cases:
             for a, spins in algebras:
                 del products[:]
-                quotient = _QuotientAlgebra(a, coords)
+                quotient = _QuotientAlgebra(a, certificate)
                 assert quotient.dim == len(section) == 9
                 assert products == []
                 quotient.center()
@@ -1185,9 +1209,9 @@ class TestSharedBasisProducts:
     def test_large_quotient_forms_fewer_than_m_squared_products(self, comp, monkeypatch):
         c = rational_invertible(random.Random(8), 8)
         a = algebra_from_basis(8, conjugate(parabolic_subalgebra(Composition(comp)), c).basis_matrices())
-        coords = radical_coordinates(a)
+        certificate = _certified_radical(a)
         products = _count_row_products(monkeypatch)
-        quotient = _QuotientAlgebra(a, coords)
+        quotient = _QuotientAlgebra(a, certificate)
         idempotents = _central_idempotents(quotient)
         sizes = sorted(math.isqrt(int(quotient.left_trace(e))) for e in idempotents)
         assert tuple(sizes) == comp
@@ -1203,7 +1227,7 @@ class TestSharedBasisProducts:
         rad = radical(a)
         rad_pivots = set(rad.pivots)
         section = [x for p, x in a.space._integer_form()[1] if p not in rad_pivots]
-        quotient = _QuotientAlgebra(a, radical_coordinates(a))
+        quotient = _QuotientAlgebra(a, _certified_radical(a))
         splits = []
         split = exactlin._split_columns
         monkeypatch.setattr(
@@ -1494,8 +1518,8 @@ class TestGeneratingSet:
         generators = a._generating_set
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algebra_module, "_product", lambda x, y: pytest.fail("the radical formed a product"))
-            coords = radical_coordinates(a)
-        quotient = _QuotientAlgebra(a, coords)
+            certificate = _certified_radical(a)
+        quotient = _QuotientAlgebra(a, certificate)
         with pytest.MonkeyPatch.context() as patch:
             products = _count_row_products(patch)
             quotient.center()
@@ -1510,10 +1534,10 @@ class TestCenterOverGenerators:
     def assert_same_center(self, a):
         rad = radical(a)
         expected = ReferenceQuotientAlgebra(a, rad).center()
-        coords = radical_coordinates(a)
+        certificate = _certified_radical(a)
         # a copy spins its own generating set (`dataclasses.replace`)
         for b in (a, dataclasses.replace(a)):
-            assert [as_fractions(z) for z in _QuotientAlgebra(b, coords).center()] == expected
+            assert [as_fractions(z) for z in _QuotientAlgebra(b, certificate).center()] == expected
 
     @given(small_closures())
     @settings(max_examples=40, deadline=None)
@@ -1636,7 +1660,7 @@ class TestMinPolyOnTheBuilder:
 
     def assert_matches_the_reference(self, a):
         rad = radical(a)
-        quotient = _QuotientAlgebra(a, radical_coordinates(a))
+        quotient = _QuotientAlgebra(a, _certified_radical(a))
         reference = ReferenceQuotientAlgebra(a, rad)
         # the identity, and the primitive idempotents when the center splits
         idempotents = [quotient.one, *(_central_idempotents(quotient) or [])]
@@ -1663,7 +1687,7 @@ class TestMinPolyOnTheBuilder:
     def test_rotation_algebra(self):
         # Q(i): the center is not split, and i has the minimal polynomial t^2 + 1
         a = closure(2, [Matrix([[0, -1], [1, 0]])])
-        quotient = _QuotientAlgebra(a, radical_coordinates(a))
+        quotient = _QuotientAlgebra(a, _certified_radical(a))
         assert _central_idempotents(quotient) is None
         degrees = {len(quotient.min_poly(z, quotient.one)[0]) - 1 for z in quotient.center()}
         assert degrees == {1, 2}
@@ -1676,7 +1700,7 @@ class TestLoopBounds:
         # so only the loop bound ends the Krylov elimination; the builder
         # reduces by `exactlin._reduce`
         a = diagonal_algebra(3)
-        quotient = _QuotientAlgebra(a, radical_coordinates(a))
+        quotient = _QuotientAlgebra(a, _certified_radical(a))
         monkeypatch.setattr(exactlin, "_reduce", lambda vec, rows, den=1: list(vec))
         with pytest.raises(RuntimeError, match="minimal polynomial"):
             quotient.min_poly(quotient.one, quotient.one)
@@ -2605,10 +2629,11 @@ class TestRadicalSpanWithoutReduction:
 
     def assert_matches_rref(self, a):
         n = a.n
-        rad, coords, _, _ = _certified_radical(a)
+        certificate = _certified_radical(a)
         basis = [x for _, x in a.space._integer_form()[1]]
-        expected = rref_basis([exactlin._combination(c, basis, n * n) for _, c in coords._integer_form()[1]], n * n)
-        assert rad._integer_form() == expected._integer_form()
+        rows = certificate.coords._integer_form()[1]
+        expected = rref_basis([exactlin._combination(c, basis, n * n) for _, c in rows], n * n)
+        assert certificate.span._integer_form() == expected._integer_form()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_corpus(self, n):

@@ -25,7 +25,9 @@ rational input becomes integers.  And one form of the radical inside:
 no function of `algebra.py` calls the public `radical`.  And the radical
 is certified through its kernel flag alone: `_certified_radical` calls
 neither `_product` nor `_reduce`, so no ideal check of products comes
-back."""
+back.  And the radical's certificate is a record read by field name: no
+code subscripts or tuple-unpacks `._radical` or a `_certified_radical`
+result."""
 
 import ast
 from pathlib import Path
@@ -608,7 +610,7 @@ def test_the_scan_finds_a_second_source_of_generators():
         "def _certified_radical(a):\n"
         "    generators = a._generating_set or _spin_generators(a.n, a.space)\n"
         "def semisimple_blocks(a):\n"
-        "    rad, coords, _, _ = algebra._certified_radical(a)\n"
+        "    certificate = algebra._certified_radical(a)\n"
         "class _QuotientAlgebra:\n"
         "    def center(self):\n"
         "        spin = _spin_generators\n"
@@ -898,3 +900,57 @@ def test_the_scan_finds_the_ideal_check():
         "    return _product(x, y) != _product(y, x)\n"
     )
     assert certificate_products(tree) == [("_product", 7), ("_reduce", 8), ("_product", 10)]
+
+
+def positional_certificate_reads(tree):
+    """(kind, line) for each read by position of the radical's certificate,
+    `MatrixAlgebra._radical` or a `_certified_radical(...)` result: a
+    subscript of one ("subscript"), or an assignment that unpacks one into
+    a tuple or list ("unpack").  The certificate is a record
+    (`_RadicalCertificate`), and its readers name its fields."""
+
+    def certificate(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "_radical"
+        if isinstance(node, ast.Call):
+            func = node.func
+            return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "_certified_radical"
+        return False
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and certificate(node.value):
+            found.append(("subscript", node.lineno))
+        elif (
+            isinstance(node, ast.Assign)
+            and certificate(node.value)
+            and any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)
+        ):
+            found.append(("unpack", node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_the_radical_certificate_is_read_by_field_name():
+    found = [
+        f"{path.relative_to(PACKAGE)}: {kind} (line {line})"
+        for path in MODULES
+        for kind, line in positional_certificate_reads(_tree(path))
+    ]
+    assert found == []
+
+
+def test_the_scan_finds_positional_reads_of_the_certificate():
+    # the readers as they were when the certificate was a 4-tuple, beside
+    # the field reads that replace them
+    tree = ast.parse(
+        "def semisimple_blocks(a):\n"
+        "    rad, coords, _, _ = a._radical\n"
+        "    quotient = _QuotientAlgebra(a, a._radical)\n"
+        "def invariant_flag(a):\n"
+        "    basis, dims = a._radical[2]\n"
+        "    ends = set(accumulate(a._radical.flag_type))\n"
+        "def radical_coordinates(a):\n"
+        "    [rad, coords, flag, c] = algebra._certified_radical(a)\n"
+        "    return _certified_radical(a)[1], _certified_radical(a).coords\n"
+    )
+    assert positional_certificate_reads(tree) == [("unpack", 2), ("subscript", 5), ("unpack", 8), ("subscript", 9)]
